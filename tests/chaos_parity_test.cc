@@ -1,6 +1,9 @@
 // Datapath parity pin: the canonical 8-seed chaos sweep (both engines) must
 // produce byte-identical checked histories and fault counters across
-// allocator-path changes.
+// allocator-path changes. Four scenario overlays (live migration and the
+// incast, victim and pause-storm congestion scenarios, applied the way
+// chaos_sweep applies them) pin the second memory server, the congested
+// switch/NIC configurations and the bystander flows the same way.
 //
 // The pooled/allocation-free datapath work is only legal because it does not
 // perturb simulated behavior: pool slot addresses, recycled packet buffers,
@@ -35,6 +38,7 @@ namespace cowbird::chaos {
 namespace {
 
 constexpr std::uint64_t kSweepSeeds = 8;
+constexpr std::uint64_t kOverlaySeeds = 4;
 
 std::string GoldenPath() {
   return std::string(COWBIRD_SOURCE_DIR) + "/tests/goldens/chaos_parity.golden";
@@ -44,15 +48,32 @@ std::string GoldenPath() {
 // digest covers the complete operation history byte-for-byte (ids, invoke /
 // complete times in virtual nanoseconds, payload digests) via the same
 // serialization the replay tooling trusts.
-std::string RunLine(EngineKind engine, std::uint64_t seed) {
-  const ChaosOptions opt = SweepOptions(engine, seed);
+// A scenario layered on the sweep's seed-derived fault plan, as chaos_sweep
+// --migration / --congestion layers it.
+struct Overlay {
+  bool migrate = false;
+  CongestionScenario congestion = CongestionScenario::kNone;
+};
+
+std::string RunLine(EngineKind engine, std::uint64_t seed,
+                    Overlay overlay = {}) {
+  ChaosOptions opt = SweepOptions(engine, seed);
+  opt.plan.migrate = overlay.migrate;
+  opt.plan.congestion = overlay.congestion;
   const ChaosResult result = RunChaos(opt);
   const std::string trace = SerializeTrace(MakeTrace(opt, result));
   const std::uint64_t digest = HistoryRecorder::Digest(std::span(
       reinterpret_cast<const std::uint8_t*>(trace.data()), trace.size()));
-  char buf[256];
+  char buf[320];
+  int n = 0;
+  if (overlay.migrate) {
+    n = std::snprintf(buf, sizeof(buf), "migrate ");
+  } else if (overlay.congestion != CongestionScenario::kNone) {
+    n = std::snprintf(buf, sizeof(buf), "congestion=%s ",
+                      CongestionScenarioName(overlay.congestion));
+  }
   std::snprintf(
-      buf, sizeof(buf),
+      buf + n, sizeof(buf) - static_cast<std::size_t>(n),
       "engine=%s seed=%llu trace_fnv=%016llx violations=%zu reads=%llu "
       "writes=%llu faults=%llu drop=%llu dup=%llu reorder=%llu delay=%llu "
       "crashes=%llu counters_exact=%d",
@@ -75,6 +96,19 @@ std::vector<std::string> SweepLines() {
   for (const EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
     for (std::uint64_t seed = 1; seed <= kSweepSeeds; ++seed) {
       lines.push_back(RunLine(engine, seed));
+    }
+  }
+  const Overlay overlays[] = {
+      {.migrate = true},
+      {.congestion = CongestionScenario::kIncast},
+      {.congestion = CongestionScenario::kVictim},
+      {.congestion = CongestionScenario::kPauseStorm},
+  };
+  for (const Overlay& overlay : overlays) {
+    for (const EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+      for (std::uint64_t seed = 1; seed <= kOverlaySeeds; ++seed) {
+        lines.push_back(RunLine(engine, seed, overlay));
+      }
     }
   }
   return lines;
