@@ -18,8 +18,7 @@
 #include "core/client.h"
 #include "sim/parallel.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -36,37 +35,36 @@ struct Result {
 };
 
 Result RunBursty(bool adaptive, Nanos base_interval) {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& memory = cluster.memory(0);
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(16));
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
-                                         kPoolBase, pool_mr->rkey, MiB(16)});
+  core::CowbirdClient& client = cluster.AddClient(0, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
+                                         pool_mr->rkey, MiB(16)});
   spot::SpotAgent::Config ac;
   ac.probe_interval = base_interval;
   ac.adaptive_probe = adaptive;
-  spot::SpotAgent agent(bed.spot_dev, bed.spot_machine, ac);
-  rdma::Device* memories[] = {&bed.memory_dev};
-  auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
-  agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
-                    conn.to_memory, conn.memory_cqs);
+  spot::SpotAgent& agent = cluster.AddSpotAgent(ac);
+  cluster.AttachSpot(agent, client);
   agent.Start();
 
-  sim::SimThread thread(bed.compute_machine, "app");
+  sim::SimThread thread(*cluster.client(0).machine, "app");
+  sim::Simulation& loop = cluster.sim;
   double first_sum = 0, steady_sum = 0;
   int bursts = 0, steady_count = 0;
-  bed.sim.Spawn([](workload::Testbed& b, core::CowbirdClient& cl,
-                   sim::SimThread& thr, double& sum, int& count,
-                   double& ssum, int& scount) -> sim::Task<void> {
+  loop.Spawn([](sim::Simulation& sim, core::CowbirdClient& cl,
+                sim::SimThread& thr, double& sum, int& count, double& ssum,
+                int& scount) -> sim::Task<void> {
     auto& ctx = cl.thread(0);
     const core::PollId poll = ctx.PollCreate();
     Rng rng(5);
     for (int burst = 0; burst < 40; ++burst) {
       co_await thr.Idle(Micros(200));  // idle gap: adaptive backs off
       for (int i = 0; i < 16; ++i) {
-        const Nanos begin = b.sim.Now();
+        const Nanos begin = sim.Now();
         auto id = co_await ctx.AsyncRead(thr, kRegion, rng.Below(1024) * 256,
                                          kHeap, 64);
         if (!id) {
@@ -78,23 +76,23 @@ Result RunBursty(bool adaptive, Nanos base_interval) {
         while ((co_await ctx.PollWait(thr, poll, 1, Millis(1))).empty()) {
         }
         if (i == 0) {
-          sum += static_cast<double>(b.sim.Now() - begin) / 1000.0;
+          sum += static_cast<double>(sim.Now() - begin) / 1000.0;
           ++count;
         } else {
-          ssum += static_cast<double>(b.sim.Now() - begin) / 1000.0;
+          ssum += static_cast<double>(sim.Now() - begin) / 1000.0;
           ++scount;
         }
       }
     }
-    b.sim.Halt();
-  }(bed, client, thread, first_sum, bursts, steady_sum, steady_count));
-  bed.sim.Run();
+    sim.Halt();
+  }(loop, client, thread, first_sum, bursts, steady_sum, steady_count));
+  loop.Run();
 
   Result r;
   r.first_latency_us = bursts ? first_sum / bursts : 0;
   r.steady_latency_us = steady_count ? steady_sum / steady_count : 0;
   r.probes_per_ms =
-      static_cast<double>(agent.probes_sent()) / (bed.sim.Now() / 1e6);
+      static_cast<double>(agent.probes_sent()) / (loop.Now() / 1e6);
   return r;
 }
 

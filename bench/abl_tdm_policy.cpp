@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,7 +17,7 @@
 #include "core/client.h"
 #include "p4/engine.h"
 #include "sim/parallel.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -30,37 +29,32 @@ constexpr std::uint16_t kRegion = 1;
 constexpr net::NodeId kSwitchId = 100;
 
 double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& memory = cluster.memory(0);
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
   ec.probe_policy = policy;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
+  p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
 
-  std::vector<std::unique_ptr<core::CowbirdClient>> tenants;
+  std::vector<core::CowbirdClient*> tenants;
   for (int i = 0; i < 4; ++i) {
     core::CowbirdClient::Config cc;
     cc.layout.base = 0x10000 + static_cast<std::uint64_t>(i) * MiB(8);
     cc.layout.threads = 1;
-    tenants.push_back(
-        std::make_unique<core::CowbirdClient>(bed.compute_dev, cc));
-    tenants.back()->RegisterRegion(
-        core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kPoolBase,
-                         pool_mr->rkey, MiB(64)});
-    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                    bed.memory_dev, 0x800 + i * 8);
-    engine.AddInstance(tenants.back()->descriptor(), conn);
+    tenants.push_back(&cluster.AddClient(0, cc));
+    tenants.back()->RegisterRegion(core::RegionInfo{
+        kRegion, memory.id(), kPoolBase, pool_mr->rkey, MiB(64)});
+    cluster.AttachP4(*tenants.back(), 0x800 + i * 8);
   }
   engine.Start();
 
   // Only tenant 0 is active; tenants 1-3 are registered but idle.
-  sim::SimThread thread(bed.compute_machine, "hot");
+  sim::SimThread thread(*cluster.client(0).machine, "hot");
   std::uint64_t ops = 0;
-  bed.sim.Spawn([](workload::Testbed& bb, core::CowbirdClient& cl,
-                   sim::SimThread& thr, std::uint64_t& done)
-                    -> sim::Task<void> {
-    (void)bb;
+  cluster.sim.Spawn([](core::CowbirdClient& cl, sim::SimThread& thr,
+                       std::uint64_t& done) -> sim::Task<void> {
     auto& ctx = cl.thread(0);
     const core::PollId poll = ctx.PollCreate();
     Rng rng(9);
@@ -83,9 +77,9 @@ double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
       outstanding -= static_cast<int>(d.size());
       done += d.size();
     }
-  }(bed, *tenants[0], thread, ops));
+  }(*tenants[0], thread, ops));
 
-  bed.sim.RunFor(Millis(2));
+  cluster.sim.RunFor(Millis(2));
   return Mops(ops, Millis(2));
 }
 

@@ -14,7 +14,6 @@
 //
 // Run it:   ./build/examples/failure_recovery
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -23,8 +22,7 @@
 #include "offload/registry.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -146,93 +144,69 @@ sim::Task<void> RunWithFailover(core::CowbirdClient& client,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
-  const auto* spot_pool_mr =
-      bed.memory_dev.RegisterMemory(kSpotPoolBase, MiB(16));
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& compute = cluster.client(0);
+  workload::ClusterHost& memory = cluster.memory(0);
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(16));
+  const auto* spot_pool_mr = memory.dev->RegisterMemory(kSpotPoolBase, MiB(16));
 
   // 1% RDMA loss on every host-facing link, both directions.
   auto rng = std::make_shared<Rng>(1234);
   auto lossy = [rng](const net::Packet& p) {
     return rdma::LooksLikeRdma(p) && rng->Bernoulli(0.01);
   };
-  bed.sw.EgressLink(bed.compute_nic.switch_port()).set_drop_filter(lossy);
-  bed.sw.EgressLink(bed.memory_nic.switch_port()).set_drop_filter(lossy);
-  bed.sw.EgressLink(bed.spot_nic.switch_port()).set_drop_filter(lossy);
+  for (workload::ClusterHost* host : {&compute, &memory, &cluster.spot()}) {
+    cluster.sw().EgressLink(host->nic.switch_port()).set_drop_filter(lossy);
+  }
 
   // ---- Part 1: packet loss through Cowbird-P4 -------------------------
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
-                                         kPoolBase, pool_mr->rkey, MiB(16)});
+  core::CowbirdClient& client = cluster.AddClient(0, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
+                                         pool_mr->rkey, MiB(16)});
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
-  auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                  bed.memory_dev, 0x800);
-  engine.AddInstance(client.descriptor(), conn);
+  p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
+  cluster.AttachP4(client, 0x800);
   engine.Start();
 
   // ---- Part 2: engine decommission across a spot-agent fleet ---------
   core::CowbirdClient::Config sc;
   sc.layout.base = 0x400000;
   sc.layout.threads = 1;
-  core::CowbirdClient spot_client(bed.compute_dev, sc);
-  spot_client.RegisterRegion(
-      core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kSpotPoolBase,
-                       spot_pool_mr->rkey, MiB(16)});
+  core::CowbirdClient& spot_client = cluster.AddClient(0, sc);
+  spot_client.RegisterRegion(core::RegionInfo{
+      kRegion, memory.id(), kSpotPoolBase, spot_pool_mr->rkey, MiB(16)});
 
-  sim::Machine spot_machine_b(bed.sim, 1);
   spot::SpotAgent::Config sa;
   sa.staging_base = 0x4000'0000;
   spot::SpotAgent::Config sb;
   sb.staging_base = 0x8000'0000;
-  spot::SpotAgent agent_a(bed.spot_dev, bed.spot_machine, sa);
-  spot::SpotAgent agent_b(bed.spot_dev, spot_machine_b, sb);
+  spot::SpotAgent& agent_a = cluster.AddSpotAgent(sa);
+  spot::SpotAgent& agent_b = cluster.AddSpotAgent(sb);
 
   offload::InstanceRegistry registry;
-  auto bind = [&](spot::SpotAgent& agent, const char* name) {
-    offload::EngineBinding binding;
-    binding.name = name;
-    binding.attach = [&](std::uint32_t id,
-                         const offload::InstanceProgress* resume) {
-      if (id != spot_client.descriptor().instance_id) return false;
-      rdma::Device* memories[] = {&bed.memory_dev};
-      auto spot_conn =
-          spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
-      agent.AddInstance(spot_client.descriptor(), spot_conn.to_compute,
-                        spot_conn.compute_cq, spot_conn.to_memory,
-                        spot_conn.memory_cqs, resume);
-      return true;
-    };
-    binding.detach = [&agent](std::uint32_t id) {
-      auto snapshot = agent.ExportProgress(id);
-      agent.RemoveInstance(id);
-      return snapshot;
-    };
-    return binding;
-  };
-  const auto engine_a_id = registry.AddEngine(bind(agent_a, "spot-a"));
-  registry.AddEngine(bind(agent_b, "spot-b"));
+  const auto engine_a_id =
+      registry.AddEngine(cluster.SpotBinding(agent_a, "spot-a"));
+  registry.AddEngine(cluster.SpotBinding(agent_b, "spot-b"));
   registry.AddInstance(spot_client.descriptor().instance_id, engine_a_id);
   agent_a.Start();
   agent_b.Start();
 
-  sim::SimThread thread(bed.compute_machine, "app");
-  sim::SimThread spot_app(bed.compute_machine, "app-spot");
+  sim::Simulation& sim = cluster.sim;
+  sim::SimThread thread(*compute.machine, "app");
+  sim::SimThread spot_app(*compute.machine, "app-spot");
   int verified = 0, corrupt = 0;
   int spot_verified = 0, spot_corrupt = 0;
   bool migrated_ok = false;
-  bed.sim.Spawn(Run(client, thread, bed.compute_mem, bed.sim, verified,
-                    corrupt));
-  bed.sim.Spawn(RunWithFailover(spot_client, spot_app, bed.compute_mem,
-                                bed.sim, registry, engine_a_id, agent_a,
-                                spot_verified, spot_corrupt, migrated_ok));
-  bed.sim.Run();
-
+  sim.Spawn(Run(client, thread, compute.mem, sim, verified, corrupt));
+  sim.Spawn(RunWithFailover(spot_client, spot_app, compute.mem, sim, registry,
+                            engine_a_id, agent_a, spot_verified, spot_corrupt,
+                            migrated_ok));
+  sim.Run();
   std::printf("Part 1 — 500 write+read-back rounds under 1%% loss (P4):\n");
   std::printf("  verified intact : %d\n", verified);
   std::printf("  corrupt         : %d\n", corrupt);
@@ -245,7 +219,7 @@ int main() {
               migrated_ok ? "yes" : "NO",
               static_cast<unsigned long long>(agent_a.ops_completed()),
               static_cast<unsigned long long>(agent_b.ops_completed()));
-  std::printf("  virtual time    : %.2f ms\n", bed.sim.Now() / 1e6);
+  std::printf("  virtual time    : %.2f ms\n", sim.Now() / 1e6);
   const bool ok = corrupt == 0 && spot_corrupt == 0 && migrated_ok &&
                   agent_b.ops_completed() > 0;
   return ok ? 0 : 1;

@@ -14,8 +14,7 @@
 #include "faster/devices_rdma.h"
 #include "faster/store.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -97,31 +96,29 @@ sim::Task<void> Run(faster::FasterStore& store, faster::IDevice& device,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& compute = cluster.client(0);
+  workload::ClusterHost& memory = cluster.memory(0);
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
 
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
-                                         kPoolBase, pool_mr->rkey, MiB(64)});
+  core::CowbirdClient& client = cluster.AddClient(0, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
+                                         pool_mr->rkey, MiB(64)});
 
-  spot::SpotAgent agent(bed.spot_dev, bed.spot_machine,
-                        spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&bed.memory_dev};
-  auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
-  agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
-                    conn.to_memory, conn.memory_cqs);
+  spot::SpotAgent& agent = cluster.AddSpotAgent(spot::SpotAgent::Config{});
+  cluster.AttachSpot(agent, client);
   agent.Start();
 
   faster::FasterStore::Config sc;
   sc.memory_budget = 384 * 1024;  // ~15% of the 2.4 MB log
-  faster::FasterStore store(bed.compute_mem, sc);
+  faster::FasterStore store(compute.mem, sc);
   faster::CowbirdDevice device(client.thread(0), kRegion);
 
-  sim::SimThread thread(bed.compute_machine, "kv");
-  bed.sim.Spawn(Run(store, device, thread, bed.compute_mem, bed.sim));
-  bed.sim.Run();
+  sim::SimThread thread(*compute.machine, "kv");
+  cluster.sim.Spawn(Run(store, device, thread, compute.mem, cluster.sim));
+  cluster.sim.Run();
   return 0;
 }

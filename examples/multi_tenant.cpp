@@ -11,7 +11,7 @@
 #include "common/rng.h"
 #include "core/client.h"
 #include "p4/engine.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -54,36 +54,34 @@ sim::Task<void> Tenant(core::CowbirdClient& client, sim::SimThread& thread,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& memory = cluster.memory(0);
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
+  p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
 
-  std::vector<std::unique_ptr<core::CowbirdClient>> tenants;
+  std::vector<core::CowbirdClient*> tenants;
   for (int i = 0; i < 2; ++i) {
     core::CowbirdClient::Config cc;
     cc.layout.base = 0x10000 + static_cast<std::uint64_t>(i) * MiB(8);
     cc.layout.threads = 1;
-    tenants.push_back(
-        std::make_unique<core::CowbirdClient>(bed.compute_dev, cc));
-    tenants.back()->RegisterRegion(
-        core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kPoolBase,
-                         pool_mr->rkey, MiB(64)});
-    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                    bed.memory_dev, 0x800 + i * 8);
-    engine.AddInstance(tenants.back()->descriptor(), conn);
+    tenants.push_back(&cluster.AddClient(0, cc));
+    tenants.back()->RegisterRegion(core::RegionInfo{
+        kRegion, memory.id(), kPoolBase, pool_mr->rkey, MiB(64)});
+    cluster.AttachP4(*tenants.back(), 0x800 + i * 8);
   }
   engine.Start();
 
-  sim::SimThread thread_a(bed.compute_machine, "tenant-a");
-  sim::SimThread thread_b(bed.compute_machine, "tenant-b");
+  sim::Machine& compute = *cluster.client(0).machine;
+  sim::SimThread thread_a(compute, "tenant-a");
+  sim::SimThread thread_b(compute, "tenant-b");
   TenantStats stats_a, stats_b;
-  bed.sim.Spawn(Tenant(*tenants[0], thread_a, 1024, "A", stats_a));
-  bed.sim.Spawn(Tenant(*tenants[1], thread_b, 64, "B", stats_b));
+  cluster.sim.Spawn(Tenant(*tenants[0], thread_a, 1024, "A", stats_a));
+  cluster.sim.Spawn(Tenant(*tenants[1], thread_b, 64, "B", stats_b));
 
-  bed.sim.RunFor(Millis(3));
+  cluster.sim.RunFor(Millis(3));
 
   std::printf("one switch pipeline, two tenants, TDM probing:\n");
   std::printf("  tenant A (1 KiB streaming): %6llu reads, avg %5.1f us\n",

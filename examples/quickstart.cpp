@@ -11,8 +11,7 @@
 
 #include "core/client.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 using namespace cowbird;
 
@@ -74,31 +73,30 @@ sim::Task<void> Application(core::CowbirdClient& client,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  workload::ClusterHost& compute = cluster.client(0);
+  workload::ClusterHost& memory = cluster.memory(0);
 
   // Memory pool: register a region and hand out its rkey.
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(16));
 
   // Compute node: client library with one application thread.
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
-                                         kPoolBase, pool_mr->rkey, MiB(16)});
+  core::CowbirdClient& client = cluster.AddClient(0, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
+                                         pool_mr->rkey, MiB(16)});
 
   // Offload engine on the spot node (one core).
-  spot::SpotAgent agent(bed.spot_dev, bed.spot_machine,
-                        spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&bed.memory_dev};
-  auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
-  agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
-                    conn.to_memory, conn.memory_cqs);
+  spot::SpotAgent& agent = cluster.AddSpotAgent(spot::SpotAgent::Config{});
+  cluster.AttachSpot(agent, client);
   agent.Start();
 
-  sim::SimThread app_thread(bed.compute_machine, "app");
-  bed.sim.Spawn(Application(client, app_thread, bed.compute_mem, bed.sim));
-  bed.sim.Run();
+  sim::SimThread app_thread(*compute.machine, "app");
+  cluster.sim.Spawn(
+      Application(client, app_thread, compute.mem, cluster.sim));
+  cluster.sim.Run();
 
   std::printf("\nengine stats: %llu probes, %llu ops completed\n",
               static_cast<unsigned long long>(agent.probes_sent()),

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -12,34 +11,19 @@
 #include "chaos/fault_injector.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/sparse_memory.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
 #include "core/migration.h"
-#include "net/switch.h"
-#include "net/topology.h"
-#include "offload/progress.h"
 #include "offload/registry.h"
-#include "p4/engine.h"
-#include "rdma/congestion.h"
-#include "rdma/device.h"
-#include "rdma/params.h"
-#include "sim/parallel.h"
-#include "sim/simulation.h"
-#include "sim/thread.h"
-#include "spot/agent.h"
-#include "spot/setup.h"
+#include "workload/cluster.h"
 
 namespace cowbird::chaos {
 namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
+using workload::ClusterHost;
 
-constexpr net::NodeId kComputeId = 1;
-constexpr net::NodeId kMemoryId = 2;
-constexpr net::NodeId kSpotId = 3;
-constexpr net::NodeId kMemory2Id = 4;  // migration runs only
 constexpr net::NodeId kSwitchId = 100;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -67,212 +51,88 @@ constexpr std::uint64_t kBgSpan = MiB(4);
 constexpr std::uint64_t kBgMemBase = 0xA000'0000;    // scratch on responder
 constexpr std::uint64_t kBgLocalBase = 0xC000'0000;  // requester staging
 
-// The whole deterministic world of one chaos run: the Section 7 testbed
-// topology, a client, the serving engine plus spot standbys behind an
-// InstanceRegistry, the fault injector, and the recorded history.
-struct ChaosHarness {
-  // Topology node ids, in BuildTopo insertion order.
-  static constexpr net::TopoNodeId kComputeNode = 0;
-  static constexpr net::TopoNodeId kSwitchNode = 1;
-  static constexpr net::TopoNodeId kMemoryNode = 2;
-  static constexpr net::TopoNodeId kSpotNode = 3;
-  static constexpr net::TopoNodeId kMemory2Node = 4;  // migration runs only
-
-  // The Section 7 testbed as a topology plan: compute, memory, and spot
-  // hosts on one switch. Serial collapses everything into domain 0; kPair
-  // reproduces the historical two-way cut (compute node vs the rest);
-  // kPerNode leaves every node in a domain of its own.
-  static net::Topology BuildTopo(const ChaosOptions& opt, Nanos propagation) {
-    net::Topology topo;
-    const net::TopoNodeId compute =
-        topo.AddNode(net::TopoNodeKind::kComputeHost, "compute", kComputeId);
-    const net::TopoNodeId tor =
-        topo.AddNode(net::TopoNodeKind::kSwitch, "switch");
-    const net::TopoNodeId memory =
-        topo.AddNode(net::TopoNodeKind::kMemoryServer, "memory", kMemoryId);
-    const net::TopoNodeId spot =
-        topo.AddNode(net::TopoNodeKind::kSpotHost, "spot", kSpotId);
-    topo.AddEdge(compute, tor, propagation);
-    topo.AddEdge(memory, tor, propagation);
-    topo.AddEdge(spot, tor, propagation);
-    // The second memory server exists only for migration runs, appended
-    // after the legacy nodes so their topology ids — and everything seeded
-    // off insertion order — stay exactly as pre-migration runs had them.
-    net::TopoNodeId memory2 = 0;
-    if (opt.plan.migrate) {
-      memory2 = topo.AddNode(net::TopoNodeKind::kMemoryServer, "memory2",
-                             kMemory2Id);
-      topo.AddEdge(memory2, tor, propagation);
-      COWBIRD_CHECK(memory2 == kMemory2Node);
-    }
-    if (opt.mode == ExecutionMode::kSerial) {
-      topo.GroupAll(0);
-    } else if (opt.split_scope == SplitScope::kPair) {
-      topo.SetGroup(tor, 1);
-      topo.SetGroup(memory, 1);
-      topo.SetGroup(spot, 1);
-      if (opt.plan.migrate) topo.SetGroup(memory2, 1);
-    } else if (opt.split_scope == SplitScope::kPacked) {
+// The Section 7 testbed as a cluster spec: compute, memory and spot hosts on
+// one switch. Congestion scenarios tighten the fabric; kNone leaves every
+// knob at its default so pre-congestion runs stay byte-identical.
+workload::ClusterSpec ChaosSpec(const ChaosOptions& opt) {
+  using Host = workload::ClusterSpec::Host;
+  using Split = workload::ClusterSpec::Split;
+  workload::ClusterSpec spec;
+  // The second memory server exists only for migration runs, appended after
+  // the legacy hosts so their addresses, switch ports and topology nodes —
+  // and everything seeded off insertion order — stay exactly as
+  // pre-migration runs had them.
+  if (opt.plan.migrate) spec.hosts.push_back(Host::kMemory);
+  switch (opt.plan.congestion) {
+    case CongestionScenario::kNone:
+      break;
+    case CongestionScenario::kIncast:
+    case CongestionScenario::kVictim:
+      spec.switches.egress_queue_capacity = KiB(64);
+      spec.switches.ecn_threshold = KiB(16);
+      spec.nic.dcqcn.enabled = true;
+      break;
+    case CongestionScenario::kPauseStorm:
+      spec.switches.pfc_enabled = true;
+      spec.switches.pfc_pause_threshold = KiB(32);
+      spec.switches.pfc_resume_threshold = KiB(16);
+      break;
+  }
+  if (opt.mode == ExecutionMode::kSerial) return spec;
+  spec.workers = opt.split_workers;
+  spec.horizon_policy = opt.horizon_policy;
+  switch (opt.split_scope) {
+    case SplitScope::kPair:
+      spec.split = Split::kPair;
+      break;
+    case SplitScope::kPerNode:
+      spec.split = Split::kPerNode;
+      break;
+    case SplitScope::kPacked: {
       // The packed datapath on the small testbed: a static kind-weight rate
       // vector (the switch forwards every packet, so it is the hottest node;
       // hosts in between; the mostly-idle spot lightest) packed down to two
       // domains. No profiling pre-run here — chaos pins outcomes, not
       // placement quality, and a fixed vector keeps the sweep cheap and the
       // packing trivially reproducible.
-      std::vector<std::uint64_t> rates(
-          static_cast<std::size_t>(topo.node_count()));
+      spec.split = Split::kPerNode;
+      const net::Topology topo = workload::Cluster::PlanTopology(spec);
+      std::vector<std::uint64_t> rates;
       for (net::TopoNodeId n = 0; n < topo.node_count(); ++n) {
-        switch (topo.node(n).kind) {
-          case net::TopoNodeKind::kSwitch:
-            rates[static_cast<std::size_t>(n)] = 6;
-            break;
-          case net::TopoNodeKind::kSpotHost:
-            rates[static_cast<std::size_t>(n)] = 2;
-            break;
-          default:
-            rates[static_cast<std::size_t>(n)] = 3;
-            break;
-        }
+        const net::TopoNodeKind kind = topo.node(n).kind;
+        rates.push_back(kind == net::TopoNodeKind::kSwitch     ? 6
+                        : kind == net::TopoNodeKind::kSpotHost ? 2
+                                                               : 3);
       }
-      net::PackDomains(topo, rates, 2);
+      spec.pack_groups = workload::Cluster::PackGroups(topo, rates, 2);
+      spec.split = Split::kPacked;
+      break;
     }
-    return topo;
   }
+  return spec;
+}
 
-  // Congestion scenarios tighten the fabric; kNone leaves every knob at
-  // its default so pre-congestion runs stay byte-identical.
-  static net::Switch::Config MakeSwitchConfig(
-      const ChaosOptions& opt, const rdma::FabricParams& fabric) {
-    net::Switch::Config sc;
-    sc.pipeline_latency = fabric.switch_pipeline;
-    switch (opt.plan.congestion) {
-      case CongestionScenario::kNone:
-        break;
-      case CongestionScenario::kIncast:
-      case CongestionScenario::kVictim:
-        sc.egress_queue_capacity = KiB(64);
-        sc.ecn_threshold = KiB(16);
-        break;
-      case CongestionScenario::kPauseStorm:
-        sc.pfc_enabled = true;
-        sc.pfc_pause_threshold = KiB(32);
-        sc.pfc_resume_threshold = KiB(16);
-        break;
-    }
-    return sc;
-  }
-
-  static rdma::NicConfig MakeNicConfig(const ChaosOptions& opt) {
-    rdma::NicConfig nc;
-    if (opt.plan.congestion == CongestionScenario::kIncast ||
-        opt.plan.congestion == CongestionScenario::kVictim) {
-      nc.dcqcn.enabled = true;
-    }
-    return nc;
-  }
-
+// The whole deterministic world of one chaos run: the testbed cluster, a
+// client, the serving engine plus spot standbys behind an InstanceRegistry,
+// the fault injector, and the recorded history.
+struct ChaosHarness {
   ChaosHarness(const ChaosOptions& opt, telemetry::Hub* hub)
       : options(opt),
-        nic_config(MakeNicConfig(opt)),
-        topo(BuildTopo(opt, fabric_params.link_propagation)),
-        partition(net::PartitionTopology(topo)),
-        domains(sim, partition, opt.split_workers),
-        esim(domains.sim_for(kSwitchNode)),
-        msim(domains.sim_for(kMemoryNode)),
-        ssim(domains.sim_for(kSpotNode)),
-        group(domains.group()),
-        sw(esim, MakeSwitchConfig(opt, fabric_params)),
-        compute_nic(sim, kComputeId, fabric_params.host_link,
-                    fabric_params.link_propagation),
-        memory_nic(msim, kMemoryId, fabric_params.host_link,
-                   fabric_params.link_propagation),
-        spot_nic(ssim, kSpotId, fabric_params.host_link,
-                 fabric_params.link_propagation),
-        compute_dev(compute_nic, compute_mem, nic_config),
-        memory_dev(memory_nic, memory_mem, nic_config),
-        spot_dev(spot_nic, spot_mem, nic_config),
-        compute_machine(sim, 16),
-        machine_a(ssim, 1),
-        machine_b(ssim, 1),
+        telemetry_hub(hub),
+        cluster(ChaosSpec(opt), hub),
+        sim(cluster.sim),
+        compute(cluster.client(0)),
+        memory(cluster.memory(0)),
         injector(sim, opt.plan, opt.seed) {
-    // FabricDomains registered every domain before ConnectTo wires the
-    // cross-domain links (SetDestination reads domain ids to record the
-    // per-cut lookahead).
-    COWBIRD_CHECK(!partition.zero_lookahead_error().has_value());
-    if (group != nullptr) group->set_horizon_policy(opt.horizon_policy);
-    compute_nic.ConnectTo(sw, "compute");
-    memory_nic.ConnectTo(sw, "memory");
-    spot_nic.ConnectTo(sw, "spot");
     if (opt.plan.migrate) {
-      memory2_nic.emplace(domains.sim_for(kMemory2Node), kMemory2Id,
-                          fabric_params.host_link,
-                          fabric_params.link_propagation);
-      memory2_dev.emplace(*memory2_nic, memory2_mem, nic_config);
-      memory2_nic->ConnectTo(sw, "memory2");
       // The elastic pool owns the slabs (it registers the MRs itself);
       // legacy runs keep the historical single RegisterMemory call so the
       // rkey sequence — and thus every golden-pinned byte — is untouched.
-      pool.AddServer(memory_dev, kPoolBase, kMigrateRangeBytes);
-      pool.AddServer(*memory2_dev, kPool2Base, MiB(80));
+      pool.AddServer(*memory.dev, kPoolBase, kMigrateRangeBytes);
+      pool.AddServer(*cluster.memory(1).dev, kPool2Base, MiB(80));
+      if (hub != nullptr) pool.BindTelemetry(hub->metrics, telemetry::Labels{});
     } else {
-      pool_mr = memory_dev.RegisterMemory(kPoolBase, MiB(64));
-    }
-
-    // Telemetry shards per PDES domain: shard 0 is the caller's hub, the
-    // engine-side domains get private hubs that are merged into the
-    // caller's snapshot after the run.
-    shards.Reset(hub, partition.domain_count(), [this](int d) {
-      sim::Simulation& dsim = domains.domain_sim(d);
-      return telemetry::Clock([&dsim] { return dsim.Now(); });
-    });
-
-    if (hub != nullptr) {
-      hub->tracer.SetClock([this] { return sim.Now(); });
-      const struct {
-        const char* name;
-        net::Link* link;
-        int domain;  // the domain whose thread delivers on this link
-      } fabric[] = {
-          {"sw_to_compute", &sw.EgressLink(compute_nic.switch_port()),
-           partition.domain_of(kComputeNode)},
-          {"sw_to_memory", &sw.EgressLink(memory_nic.switch_port()),
-           partition.domain_of(kMemoryNode)},
-          {"sw_to_spot", &sw.EgressLink(spot_nic.switch_port()),
-           partition.domain_of(kSpotNode)},
-          {"compute_uplink", &compute_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
-          {"memory_uplink", &memory_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
-          {"spot_uplink", &spot_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
-      };
-      for (const auto& f : fabric) {
-        f.link->BindTelemetry(shards.ForDomain(f.domain)->metrics,
-                              {{"link", f.name}});
-        bound_links.push_back(f.link);
-      }
-      if (memory2_nic.has_value()) {
-        const std::pair<const char*, net::Link*> extra[] = {
-            {"sw_to_memory2", &sw.EgressLink(memory2_nic->switch_port())},
-            {"memory2_uplink", &memory2_nic->uplink()},
-        };
-        const int extra_domain[] = {partition.domain_of(kMemory2Node),
-                                    partition.domain_of(kSwitchNode)};
-        for (int i = 0; i < 2; ++i) {
-          extra[i].second->BindTelemetry(
-              shards.ForDomain(extra_domain[i])->metrics,
-              {{"link", extra[i].first}});
-          bound_links.push_back(extra[i].second);
-        }
-        pool.BindTelemetry(hub->metrics, telemetry::Labels{});
-      }
-      if (group != nullptr) {
-        for (int d = 0; d < partition.domain_count(); ++d) {
-          group->SetDomainStartHook(d, [this, d] {
-            shards.ForDomain(d)->metrics.BindToCurrentThread();
-          });
-        }
-      }
+      pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
     }
 
     CowbirdClient::Config cc;
@@ -281,35 +141,30 @@ struct ChaosHarness {
     cc.layout.meta_slots = 128;
     cc.layout.data_capacity = KiB(128);
     cc.layout.resp_capacity = KiB(128);
-    cc.telemetry = hub;
-    client = std::make_unique<CowbirdClient>(compute_dev, cc);
+    client = &cluster.AddClient(0, cc);
     if (opt.plan.migrate) {
       // Preferred-first allocation carves the hot head on the primary
       // server and spills the tail to memory2; the client publishes the
       // pool's authoritative range table so both engines translate per
       // range from the very first attach.
       const auto region =
-          pool.AllocateRegion(kRegion, kPoolBase, MiB(64), kMemoryId);
+          pool.AllocateRegion(kRegion, kPoolBase, MiB(64), memory.id());
       COWBIRD_CHECK(region.has_value());
       client->RegisterRegion(*region);
       client->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
     } else {
-      client->RegisterRegion(core::RegionInfo{kRegion, kMemoryId, kPoolBase,
+      client->RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
                                               pool_mr->rkey, MiB(64)});
     }
 
-    telemetry::Hub* const spot_hub =
-        shards.ForDomain(partition.domain_of(kSpotNode));
     spot::SpotAgent::Config config_a;
     config_a.staging_base = 0x4000'0000;
     config_a.chaos_unsafe_skip_hazards = opt.break_fence;
-    config_a.telemetry = spot_hub;
     spot::SpotAgent::Config config_b;
     config_b.staging_base = 0x8000'0000;
     config_b.chaos_unsafe_skip_hazards = opt.break_fence;
-    config_b.telemetry = spot_hub;
-    agent_a = std::make_unique<spot::SpotAgent>(spot_dev, machine_a, config_a);
-    agent_b = std::make_unique<spot::SpotAgent>(spot_dev, machine_b, config_b);
+    agent_a = &cluster.AddSpotAgent(config_a);
+    agent_b = &cluster.AddSpotAgent(config_b);
     agent_a->Start();
     agent_b->Start();
 
@@ -317,32 +172,32 @@ struct ChaosHarness {
       p4::CowbirdP4Engine::Config ec;
       ec.switch_node_id = kSwitchId;
       ec.chaos_unsafe_skip_hazards = opt.break_fence;
-      ec.telemetry = shards.ForDomain(partition.domain_of(kSwitchNode));
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(sw, ec);
-      p4_engine->Start();
+      cluster.AddP4Engine(ec).Start();
       serving = registry.AddEngine(P4Binding());
       serving_agent = nullptr;
     } else {
       serving = registry.AddEngine(SpotBinding(*agent_a, "spot-a"));
-      serving_agent = agent_a.get();
+      serving_agent = agent_a;
     }
     const EngineId placed =
         registry.AddInstance(client->descriptor().instance_id, serving);
     COWBIRD_CHECK(placed == serving);
 
+    net::Switch& sw = cluster.sw();
     if (opt.plan.AnyPacketFaults()) {
-      injector.set_split_streams(group != nullptr);
-      injector.Attach(sw.EgressLink(compute_nic.switch_port()));
-      injector.Attach(sw.EgressLink(memory_nic.switch_port()));
-      injector.Attach(sw.EgressLink(spot_nic.switch_port()));
-      injector.Attach(compute_nic.uplink());
-      injector.Attach(memory_nic.uplink());
-      injector.Attach(spot_nic.uplink());
+      injector.set_split_streams(cluster.split());
+      injector.Attach(sw.EgressLink(compute.nic.switch_port()));
+      injector.Attach(sw.EgressLink(memory.nic.switch_port()));
+      injector.Attach(sw.EgressLink(cluster.spot().nic.switch_port()));
+      injector.Attach(compute.nic.uplink());
+      injector.Attach(memory.nic.uplink());
+      injector.Attach(cluster.spot().nic.uplink());
       // Migration-only links attach last so the legacy links keep their
       // historical per-link fault streams.
-      if (memory2_nic.has_value()) {
-        injector.Attach(sw.EgressLink(memory2_nic->switch_port()));
-        injector.Attach(memory2_nic->uplink());
+      if (opt.plan.migrate) {
+        ClusterHost& memory2 = cluster.memory(1);
+        injector.Attach(sw.EgressLink(memory2.nic.switch_port()));
+        injector.Attach(memory2.nic.uplink());
       }
     }
     if (opt.plan.congestion == CongestionScenario::kIncast ||
@@ -353,140 +208,70 @@ struct ChaosHarness {
       // A storm of pause frames "received" at the switch egress: every
       // 200us between 1ms and 6ms, the links toward the memory and compute
       // hosts pause their data classes for 50us. Egress-link transmit state
-      // lives in the switch domain, so the events schedule on esim and the
+      // lives in the switch domain, so the events schedule there and the
       // storm is identical under any split.
       for (Nanos when = Millis(1); when < Millis(6); when += Micros(200)) {
-        esim.ScheduleAt(when, [this] {
-          sw.EgressLink(memory_nic.switch_port()).PauseData(Micros(50));
-          sw.EgressLink(compute_nic.switch_port()).PauseData(Micros(50));
+        cluster.sim_for(cluster.switch_node()).ScheduleAt(when, [this, &sw] {
+          sw.EgressLink(memory.nic.switch_port()).PauseData(Micros(50));
+          sw.EgressLink(compute.nic.switch_port()).PauseData(Micros(50));
         });
       }
     }
     for (const Nanos when : opt.plan.crashes) {
-      if (group != nullptr) {
-        // Crash + migration spans both domains (registry, both NIC sides,
-        // the published red block); it runs between epochs with every
-        // domain quiescent and advanced to `when`.
-        group->ScheduleGlobal(when, [this] { CrashServingEngine(); });
-      } else {
-        sim.ScheduleAt(when, [this] { CrashServingEngine(); });
-      }
+      // Crash + migration spans every domain (registry, both NIC sides, the
+      // published red block); split, it runs between epochs with every
+      // domain quiescent and advanced to `when`.
+      cluster.ScheduleGlobal(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
       // The copy stream's QP: source-device side `a` writes into memory2's
       // slab, congestion-controlled against the foreground traffic.
-      migrate_qp = rdma::ConnectQueuePairs(memory_dev, *memory2_dev);
+      migrate_qp =
+          rdma::ConnectQueuePairs(*memory.dev, *cluster.memory(1).dev);
       // Every coordinator tick is pre-scheduled up front: rescheduling a
       // global event from inside one is undefined under conservative PDES,
       // and a fixed tick train is bit-identical for any worker count. Ticks
       // on a finished migration are cheap no-ops.
       for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
            when += kMigrateTick) {
-        if (group != nullptr) {
-          group->ScheduleGlobal(when, [this] { MigrationTick(); });
-        } else {
-          sim.ScheduleAt(when, [this] { MigrationTick(); });
-        }
+        cluster.ScheduleGlobal(when, [this] { MigrationTick(); });
       }
-    }
-    telemetry_hub = hub;
-  }
-
-  ~ChaosHarness() {
-    if (telemetry_hub != nullptr) {
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      // The per-run simulation dies with the harness but the caller keeps
-      // the hub: freeze the tracer clock at the final virtual time so open
-      // spans clamp sanely instead of reading a dangling Simulation.
-      telemetry_hub->tracer.SetClock([now = sim.Now()] { return now; });
     }
   }
 
   using EngineId = offload::EngineId;
 
-  // The client's published red block, per thread — the optimistic counters
-  // a crash-exported snapshot is reconciled against.
-  std::vector<offload::ThreadProgress> ReadPublishedProgress() const {
-    std::vector<offload::ThreadProgress> published;
-    const auto& layout = client->descriptor().layout;
-    std::vector<std::uint8_t> block(core::kRedBlockBytes);
-    for (int t = 0; t < layout.threads; ++t) {
-      compute_mem.Read(layout.RedAddr(t), block);
-      published.push_back(offload::ProgressPublisher::Unpack(block));
-    }
-    return published;
-  }
-
+  // Spot engines detach with crash semantics: export, then kill the NIC
+  // state mid-flight — no drain, and no zombie retransmissions once the
+  // survivor takes over.
   offload::EngineBinding SpotBinding(spot::SpotAgent& agent,
                                      std::string name) {
-    offload::EngineBinding binding;
-    binding.name = std::move(name);
-    binding.attach = [this, &agent](std::uint32_t instance_id,
-                                    const offload::InstanceProgress* resume) {
-      COWBIRD_CHECK(instance_id == client->descriptor().instance_id);
-      std::vector<rdma::Device*> memories{&memory_dev};
-      if (memory2_dev.has_value()) memories.push_back(&*memory2_dev);
-      auto conn = spot::ConnectSpotEngine(spot_dev, compute_dev, memories);
-      offload::InstanceProgress reconciled;
-      const offload::InstanceProgress* use = resume;
-      if (resume != nullptr) {
-        reconciled = *resume;
-        offload::ReconcileWithPublished(reconciled, ReadPublishedProgress());
-        use = &reconciled;
-      }
-      agent.AddInstance(client->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs,
-                        use);
-      conn_of[&agent] = conn;
+    offload::EngineBinding binding = cluster.SpotBinding(
+        agent, std::move(name), workload::Cluster::Detach::kCrash);
+    binding.attach = [this, &agent, attach = std::move(binding.attach)](
+                         std::uint32_t instance_id,
+                         const offload::InstanceProgress* resume) {
       serving_agent = &agent;
-      return true;
-    };
-    binding.detach = [this, &agent](std::uint32_t instance_id) {
-      // Crash semantics: export, then kill the NIC state mid-flight — no
-      // drain, and no zombie retransmissions once the survivor takes over.
-      auto snapshot = agent.ExportProgress(instance_id);
-      agent.RemoveInstance(instance_id);
-      auto it = conn_of.find(&agent);
-      if (it != conn_of.end()) {
-        it->second.to_compute->Halt();
-        for (auto& [node, qp] : it->second.to_memory) qp->Halt();
-        conn_of.erase(it);
-      }
-      return snapshot;
+      return attach(instance_id, resume);
     };
     return binding;
   }
 
+  // A crash detach also stops the switch's probe loop; a handoff detach
+  // keeps it alive — the same switch re-attaches the instance after the
+  // cutover.
   offload::EngineBinding P4Binding() {
-    offload::EngineBinding binding;
-    binding.name = "p4";
-    binding.attach = [this](std::uint32_t instance_id,
-                            const offload::InstanceProgress* resume) {
-      COWBIRD_CHECK(instance_id == client->descriptor().instance_id);
-      // Every attach consumes a fresh QPN block: a handoff re-attach must
-      // not collide with the host QPs the detached connection left behind.
-      // (The first attach still gets the historical 0x800 base.)
-      const std::uint32_t qpn_base = p4_qpn_base;
-      p4_qpn_base += 0x40;
-      std::vector<rdma::Device*> memories{&memory_dev};
-      if (memory2_dev.has_value()) memories.push_back(&*memory2_dev);
-      auto conn = p4::ConnectP4Engine(*p4_engine, kSwitchId, compute_dev,
-                                      memories, qpn_base);
-      p4_engine->AddInstance(client->descriptor(), conn, resume);
+    offload::EngineBinding binding = cluster.P4Binding();
+    binding.attach = [this, attach = std::move(binding.attach)](
+                         std::uint32_t instance_id,
+                         const offload::InstanceProgress* resume) {
       serving_agent = nullptr;
-      return true;
+      return attach(instance_id, resume);
     };
-    binding.detach = [this](std::uint32_t instance_id) {
-      // The P4 engine's counters only ever cover completed work and its
-      // in-flight pipeline state dies with the instance entry, so its
-      // export is crash-safe as-is. The switch makes no host-side verbs of
-      // its own to halt; packets already on the wire land harmlessly
-      // (idempotent re-execution, Section 5.3). A handoff detach keeps the
-      // probe loop alive — the same switch re-attaches the instance after
-      // the cutover.
-      auto snapshot = p4_engine->ExportProgress(instance_id);
-      p4_engine->RemoveInstance(instance_id);
-      if (!handoff_in_progress) p4_engine->StopProbing();
+    binding.detach = [this, detach = std::move(binding.detach)](
+                         std::uint32_t instance_id) {
+      auto snapshot = detach(instance_id);
+      if (!handoff_in_progress) cluster.p4().StopProbing();
       return snapshot;
     };
     return binding;
@@ -513,30 +298,32 @@ struct ChaosHarness {
   // streams untouched — the bystander packets go through the same
   // injector, which is part of the scenario's determinism surface.
   void SetupBackgroundTraffic(CongestionScenario scenario) {
+    ClusterHost& spot = cluster.spot();
     bg_flows.reserve(2);
     if (scenario == CongestionScenario::kIncast) {
-      const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      const auto* spot_mr = spot_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      memory_mem.PreFault(kBgMemBase, kBgSpan);
-      spot_mem.PreFault(kBgMemBase, kBgSpan);
-      compute_mem.PreFault(kBgLocalBase, 2 * kBgSpan);
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
-                                &sim, /*write=*/false, kBgLocalBase,
+      const auto* mem_mr = memory.dev->RegisterMemory(kBgMemBase, kBgSpan);
+      const auto* spot_mr = spot.dev->RegisterMemory(kBgMemBase, kBgSpan);
+      memory.mem.PreFault(kBgMemBase, kBgSpan);
+      spot.mem.PreFault(kBgMemBase, kBgSpan);
+      compute.mem.PreFault(kBgLocalBase, 2 * kBgSpan);
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
+                                &cluster.sim, /*write=*/false, kBgLocalBase,
                                 mem_mr->base, mem_mr->rkey});
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, spot_dev),
-                                &sim, /*write=*/false, kBgLocalBase + kBgSpan,
-                                spot_mr->base, spot_mr->rkey});
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *spot.dev),
+                                &cluster.sim, /*write=*/false,
+                                kBgLocalBase + kBgSpan, spot_mr->base,
+                                spot_mr->rkey});
     } else {
-      const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      memory_mem.PreFault(kBgMemBase, kBgSpan);
-      compute_mem.PreFault(kBgLocalBase, kBgSpan);
-      spot_mem.PreFault(kBgLocalBase, kBgSpan);
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
-                                &sim, /*write=*/true, kBgLocalBase,
+      const auto* mem_mr = memory.dev->RegisterMemory(kBgMemBase, kBgSpan);
+      memory.mem.PreFault(kBgMemBase, kBgSpan);
+      compute.mem.PreFault(kBgLocalBase, kBgSpan);
+      spot.mem.PreFault(kBgLocalBase, kBgSpan);
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
+                                &cluster.sim, /*write=*/true, kBgLocalBase,
                                 mem_mr->base, mem_mr->rkey});
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(spot_dev, memory_dev),
-                                &ssim, /*write=*/true, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(*spot.dev, *memory.dev),
+                                &cluster.sim_for(spot.node), /*write=*/true,
+                                kBgLocalBase, mem_mr->base, mem_mr->rkey});
     }
     for (BgFlow& f : bg_flows) {
       f.psim->ScheduleAt(kBgStart, [this, &f] {
@@ -567,14 +354,15 @@ struct ChaosHarness {
   void MigrationTick() {
     switch (migration_stage) {
       case MigrationStage::kArmed: {
-        migrate_plan = pool.PlanMove(kRegion, kPoolBase, kMemory2Id);
+        migrate_plan =
+            pool.PlanMove(kRegion, kPoolBase, cluster.memory(1).id());
         COWBIRD_CHECK(migrate_plan.has_value());
         core::RegionMigrator::Config mc;
         mc.chunk = KiB(16);  // stretch the copy so foreground writes race it
         mc.window = 2;
         mc.telemetry = telemetry_hub;
         migrator = std::make_unique<core::RegionMigrator>(
-            memory_dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
+            *memory.dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
             mc);
         migrator->Start();
         migration_stage = MigrationStage::kCopying;
@@ -630,9 +418,9 @@ struct ChaosHarness {
     // Bring up the standby as a *new* registry engine first so the
     // migration has exactly one live target, then kill the serving one.
     spot::SpotAgent* standby =
-        serving_agent == agent_a.get() ? agent_b.get() : agent_a.get();
+        serving_agent == agent_a ? agent_b : agent_a;
     const EngineId fresh = registry.AddEngine(
-        SpotBinding(*standby, standby == agent_a.get() ? "spot-a" : "spot-b"));
+        SpotBinding(*standby, standby == agent_a ? "spot-a" : "spot-b"));
     const EngineId dying = serving;
     registry.StopEngine(dying);
     serving = fresh;
@@ -640,51 +428,16 @@ struct ChaosHarness {
   }
 
   const ChaosOptions& options;
-  sim::Simulation sim;
-  rdma::FabricParams fabric_params;
-  rdma::NicConfig nic_config;
-  // Split mode partitions the testbed topology per ChaosOptions::split_scope:
-  // the compute NIC, client and app threads stay in `sim` (domain 0) while
-  // the switch and the memory/spot nodes run in the domains the partitioner
-  // assigns them. esim/msim/ssim all alias `sim` when serial (group null)
-  // and one shared engine domain under kPair; kPerNode gives each its own.
-  net::Topology topo;
-  net::Partition partition;
-  net::FabricDomains domains;
-  sim::Simulation& esim;  // switch domain
-  sim::Simulation& msim;  // memory-server domain
-  sim::Simulation& ssim;  // spot-host domain
-  sim::DomainGroup* group = nullptr;  // null when serial
-  net::Switch sw;
-  net::HostNic compute_nic;
-  net::HostNic memory_nic;
-  net::HostNic spot_nic;
-  SparseMemory compute_mem;
-  SparseMemory memory_mem;
-  SparseMemory spot_mem;
-  rdma::Device compute_dev;
-  rdma::Device memory_dev;
-  rdma::Device spot_dev;
-  // Migration runs only: the second memory server (engaged after the
-  // legacy members so everything they consume — node ids, switch ports,
-  // rkeys — is untouched when absent).
-  SparseMemory memory2_mem;
-  std::optional<net::HostNic> memory2_nic;
-  std::optional<rdma::Device> memory2_dev;
-  sim::Machine compute_machine;
-  sim::Machine machine_a;
-  sim::Machine machine_b;
+  telemetry::Hub* telemetry_hub;
+  workload::Cluster cluster;
+  sim::Simulation& sim;  // the root loop: the client's domain
+  ClusterHost& compute;
+  ClusterHost& memory;
   const rdma::MemoryRegion* pool_mr = nullptr;
-  // Declared before the client and engines: their destructors unregister
-  // callback gauges against the per-domain shard hubs, so the shards must
-  // outlive them.
-  telemetry::HubShards shards;
-  std::unique_ptr<CowbirdClient> client;
-  std::unique_ptr<spot::SpotAgent> agent_a;
-  std::unique_ptr<spot::SpotAgent> agent_b;
-  std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
+  CowbirdClient* client = nullptr;
+  spot::SpotAgent* agent_a = nullptr;
+  spot::SpotAgent* agent_b = nullptr;
   offload::InstanceRegistry registry;
-  std::map<spot::SpotAgent*, spot::SpotConnection> conn_of;
   spot::SpotAgent* serving_agent = nullptr;
   EngineId serving = offload::kNoEngine;
   // Live-migration state (plan.migrate only).
@@ -695,12 +448,9 @@ struct ChaosHarness {
   std::unique_ptr<core::RegionMigrator> migrator;
   MigrationStage migration_stage = MigrationStage::kArmed;
   bool handoff_in_progress = false;
-  std::uint32_t p4_qpn_base = 0x800;
   std::uint64_t migrations_executed = 0;
   FaultInjector injector;
   std::vector<BgFlow> bg_flows;
-  telemetry::Hub* telemetry_hub = nullptr;
-  std::vector<net::Link*> bound_links;
   HistoryRecorder recorder;
   std::uint64_t reads_checked = 0;
   std::uint64_t writes_completed = 0;
@@ -712,7 +462,7 @@ struct ChaosHarness {
 // operation recorded as an interval in the shared history.
 sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
   const WorkloadParams& wl = h.options.workload;
-  sim::SimThread thread(h.compute_machine, "chaos-app");
+  sim::SimThread thread(*h.compute.machine, "chaos-app");
   auto& ctx = h.client->thread(t);
   const core::PollId poll = ctx.PollCreate();
   Rng rng(h.options.seed * 1000003 + static_cast<std::uint64_t>(t) * 7919 +
@@ -737,7 +487,7 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
     while (!reads.empty() && ctx.reads_retired() >= reads.front().seq) {
       const PendingEntry& r = reads.front();
       std::vector<std::uint8_t> observed(r.length);
-      h.compute_mem.Read(r.dest, observed);
+      h.compute.mem.Read(r.dest, observed);
       h.recorder.OnComplete(r.hist_id, h.sim.Now(),
                             HistoryRecorder::Digest(observed));
       ++h.reads_checked;
@@ -768,7 +518,7 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
         payload[b] = static_cast<std::uint8_t>(
             version * 37 + static_cast<std::uint64_t>(slot));
       }
-      h.compute_mem.Write(scratch, payload);
+      h.compute.mem.Write(scratch, payload);
       auto id = co_await ctx.AsyncWrite(thread, kRegion, scratch, offset,
                                         wl.len);
       if (!id.has_value()) {
@@ -901,7 +651,7 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   for (int t = 0; t < options.workload.threads; ++t) {
     harness.sim.Spawn(WorkloadThread(harness, t));
   }
-  harness.domains.Run();
+  harness.cluster.Run();
 
   ChaosResult result;
   result.history = harness.recorder.ops();
@@ -920,34 +670,12 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
     result.migrate_bytes_copied = harness.migrator->bytes_copied();
     result.migrate_dirty_marks = harness.migrator->dirty_marks();
   }
-  result.ecn_marked = harness.sw.ecn_marked();
-  result.pfc_pauses = harness.sw.pfc_pauses_sent();
-  std::vector<net::Link*> fabric_links = {
-      &harness.sw.EgressLink(harness.compute_nic.switch_port()),
-      &harness.sw.EgressLink(harness.memory_nic.switch_port()),
-      &harness.sw.EgressLink(harness.spot_nic.switch_port()),
-      &harness.compute_nic.uplink(), &harness.memory_nic.uplink(),
-      &harness.spot_nic.uplink()};
-  std::vector<rdma::Device*> devices = {
-      &harness.compute_dev, &harness.memory_dev, &harness.spot_dev};
-  if (harness.memory2_nic.has_value()) {
-    fabric_links.push_back(
-        &harness.sw.EgressLink(harness.memory2_nic->switch_port()));
-    fabric_links.push_back(&harness.memory2_nic->uplink());
-    devices.push_back(&*harness.memory2_dev);
-  }
-  for (net::Link* link : fabric_links) {
-    result.link_pauses += link->pauses_received();
-  }
-  for (rdma::Device* dev : devices) {
-    if (rdma::CongestionManager* cm = dev->congestion()) {
-      result.cnps += cm->cnps_received();
-    }
-  }
-  if (hub != nullptr) {
-    result.telemetry = hub->metrics.TakeSnapshot();
-    harness.shards.MergeInto(result.telemetry);
-  }
+  const workload::FabricCounters fabric = harness.cluster.Counters();
+  result.ecn_marked = fabric.ecn_marked;
+  result.pfc_pauses = fabric.pfc_pauses;
+  result.link_pauses = fabric.link_pauses;
+  result.cnps = fabric.cnps;
+  result.telemetry = harness.cluster.MergedSnapshot();
   return result;
 }
 

@@ -1,9 +1,11 @@
 // Cluster pool allocator: one elastic memory pool spanning many servers.
 //
-// The MIND-style generalization of core::RegionAllocator (ROADMAP item 3):
-// the pool is a set of memory servers, each contributing one registered
-// slab; a *region* is a contiguous virtual interval carved into one or more
-// ranges with per-range server ownership. The pool owns the authoritative
+// Section 3: pool memory "can be reserved or harvested from fragmented
+// resources [47] but should be registered with the compute node client
+// library". MIND-style, the pool is a set of memory servers, each
+// contributing one registered slab managed by an ExtentAllocator; a *region*
+// is a contiguous virtual interval carved into one or more ranges with
+// per-range server ownership. The pool owns the authoritative
 // TranslationTable — the same entries the P4 pipeline installs as a range
 // match stage and the spot agent mirrors per instance (translation.h).
 //
@@ -21,19 +23,122 @@
 //               atomic virtual-time flip of the translation entry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/units.h"
 #include "core/instance.h"
-#include "core/region_allocator.h"
 #include "core/translation.h"
 #include "rdma/device.h"
 #include "telemetry/metrics.h"
 
 namespace cowbird::core {
+
+// First-fit extent allocator over [base, base+capacity). Pure bookkeeping:
+// no device, no MR — the callers own what the addresses mean.
+class ExtentAllocator {
+ public:
+  struct Extent {
+    std::uint64_t start;
+    Bytes length;
+  };
+
+  ExtentAllocator(std::uint64_t base, Bytes capacity)
+      : base_(base), capacity_(capacity) {
+    free_.push_back(Extent{base, capacity});
+  }
+
+  // Carves `size` bytes (rounded up to `align`); nullopt when no free
+  // extent fits the whole request contiguously.
+  std::optional<std::uint64_t> Allocate(Bytes size, Bytes align = 64) {
+    COWBIRD_CHECK(size > 0 && align > 0);
+    const Bytes aligned = AlignUp(size, align);
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->length < aligned) continue;
+      const std::uint64_t start = it->start;
+      it->start += aligned;
+      it->length -= aligned;
+      if (it->length == 0) free_.erase(it);
+      allocated_ += aligned;
+      return start;
+    }
+    return std::nullopt;
+  }
+
+  // Carves the largest available extent up to `size` bytes, in multiples of
+  // `align` — the spill path when a region is split across servers. Returns
+  // nullopt when not even one aligned unit is free contiguously.
+  std::optional<Extent> AllocateAtMost(Bytes size, Bytes align) {
+    COWBIRD_CHECK(size > 0 && align > 0);
+    auto best = free_.end();
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->length < align) continue;
+      if (best == free_.end() || it->length > best->length) best = it;
+    }
+    if (best == free_.end()) return std::nullopt;
+    const Bytes take =
+        std::min(AlignUp(size, align), best->length / align * align);
+    Extent out{best->start, take};
+    best->start += take;
+    best->length -= take;
+    if (best->length == 0) free_.erase(best);
+    allocated_ += take;
+    return out;
+  }
+
+  // Returns an extent to the free list, coalescing with its neighbours.
+  void Release(std::uint64_t start, Bytes length) {
+    COWBIRD_CHECK(start >= base_ && start + length <= base_ + capacity_);
+    COWBIRD_CHECK(allocated_ >= length);
+    allocated_ -= length;
+    Extent freed{start, length};
+    auto it = free_.begin();
+    while (it != free_.end() && it->start < freed.start) ++it;
+    // Coalesce with the previous extent.
+    if (it != free_.begin()) {
+      auto prev = std::prev(it);
+      COWBIRD_CHECK(prev->start + prev->length <= freed.start);
+      if (prev->start + prev->length == freed.start) {
+        prev->length += freed.length;
+        // And possibly with the next one too.
+        if (it != free_.end() && prev->start + prev->length == it->start) {
+          prev->length += it->length;
+          free_.erase(it);
+        }
+        return;
+      }
+    }
+    // Coalesce with the next extent.
+    if (it != free_.end()) {
+      COWBIRD_CHECK(freed.start + freed.length <= it->start);
+      if (freed.start + freed.length == it->start) {
+        it->start = freed.start;
+        it->length += freed.length;
+        return;
+      }
+    }
+    free_.insert(it, freed);
+  }
+
+  Bytes capacity() const { return capacity_; }
+  Bytes allocated() const { return allocated_; }
+  std::size_t fragments() const { return free_.size(); }
+
+  static Bytes AlignUp(Bytes size, Bytes align) {
+    return (size + align - 1) / align * align;
+  }
+
+ private:
+  std::uint64_t base_;
+  Bytes capacity_;
+  std::list<Extent> free_;  // sorted by start address
+  Bytes allocated_ = 0;
+};
 
 class ClusterPool {
  public:

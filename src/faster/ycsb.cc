@@ -11,9 +11,8 @@
 #include "faster/devices_rdma.h"
 #include "faster/idevice.h"
 #include "faster/store.h"
-#include "spot/setup.h"
+#include "workload/cluster.h"
 #include "workload/generator.h"
-#include "workload/testbed.h"
 
 namespace cowbird::faster {
 
@@ -41,6 +40,8 @@ constexpr std::uint16_t kRegion = 1;
 
 struct YcsbHarness {
   explicit YcsbHarness(const YcsbConfig& config) : cfg(config) {
+    workload::ClusterHost& compute = cluster.client(0);
+    workload::ClusterHost& memory = cluster.memory(0);
     const Bytes record =
         (16 + cfg.value_size + 7) & ~Bytes{7};
     const Bytes log_size = cfg.records * record * 11 / 10;  // updates grow it
@@ -53,32 +54,31 @@ struct YcsbHarness {
         RoundPage(static_cast<Bytes>(cfg.memory_fraction *
                                      static_cast<double>(log_size)));
     sc.spill_page = KiB(32);
-    store = std::make_unique<FasterStore>(bed.compute_mem, sc);
+    store = std::make_unique<FasterStore>(compute.mem, sc);
 
-    pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, device_capacity);
+    pool_mr = memory.dev->RegisterMemory(kPoolBase, device_capacity);
 
     for (int t = 0; t < cfg.threads; ++t) {
       threads.push_back(std::make_unique<sim::SimThread>(
-          bed.compute_machine, "faster-" + std::to_string(t)));
+          *compute.machine, "faster-" + std::to_string(t)));
     }
 
     switch (cfg.backend) {
       case Backend::kLocal:
         for (int t = 0; t < cfg.threads; ++t) {
           devices.push_back(std::make_unique<LocalMemoryDevice>(
-              bed.compute_mem, kLocalDeviceBase, cfg.costs));
+              compute.mem, kLocalDeviceBase, cfg.costs));
         }
         break;
       case Backend::kSsd: {
         // One physical SSD shared by all threads.
-        ssd = std::make_unique<SsdDevice>(bed.sim, bed.compute_mem,
+        ssd = std::make_unique<SsdDevice>(cluster.sim, compute.mem,
                                           kLocalDeviceBase);
         break;
       }
       case Backend::kOneSidedSync:
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           devices.push_back(std::make_unique<OneSidedSyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
@@ -87,8 +87,7 @@ struct YcsbHarness {
         break;
       case Backend::kOneSidedAsync:
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           devices.push_back(std::make_unique<OneSidedAsyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
@@ -104,30 +103,20 @@ struct YcsbHarness {
         cc.layout.data_capacity = MiB(1);
         cc.layout.resp_capacity = MiB(1);
         cc.costs = cfg.costs;
-        client = std::make_unique<core::CowbirdClient>(bed.compute_dev, cc);
+        client = &cluster.AddClient(0, cc);
         client->RegisterRegion(core::RegionInfo{
-            kRegion, workload::Testbed::kMemoryId, kPoolBase, pool_mr->rkey,
-            device_capacity});
+            kRegion, memory.id(), kPoolBase, pool_mr->rkey, device_capacity});
         if (cfg.backend == Backend::kCowbirdP4) {
-          p4::CowbirdP4Engine::Config ec;
-          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
-          auto conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                          bed.compute_dev, bed.memory_dev,
-                                          0x800);
-          p4_engine->AddInstance(client->descriptor(), conn);
-          p4_engine->Start();
+          p4::CowbirdP4Engine& engine =
+              cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
+          cluster.AttachP4(*client, 0x800);
+          engine.Start();
         } else {
           spot::SpotAgent::Config ac = cfg.agent;
           ac.costs = cfg.costs;
-          agent = std::make_unique<spot::SpotAgent>(bed.spot_dev,
-                                                    bed.spot_machine, ac);
-          rdma::Device* memories[] = {&bed.memory_dev};
-          auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev,
-                                              memories);
-          agent->AddInstance(client->descriptor(), conn.to_compute,
-                             conn.compute_cq, conn.to_memory,
-                             conn.memory_cqs);
-          agent->Start();
+          spot::SpotAgent& agent = cluster.AddSpotAgent(ac);
+          cluster.AttachSpot(agent, *client);
+          agent.Start();
         }
         for (int t = 0; t < cfg.threads; ++t) {
           devices.push_back(
@@ -137,17 +126,16 @@ struct YcsbHarness {
       }
       case Backend::kRedy: {
         redy = std::make_unique<baselines::RedyEngine>(
-            bed.compute_machine,
+            *compute.machine,
             baselines::RedyEngine::Config{.window = cfg.pipeline,
                                           .enqueue_cost = 60,
                                           .costs = cfg.costs});
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           const int io = redy->AddIoThread(baselines::OneSidedEndpoint{
               pair.a, pair.a_send_cq, pool_mr->rkey});
           devices.push_back(std::make_unique<RedyDevice>(*redy, io, kPoolBase,
-                                                         bed.sim));
+                                                         cluster.sim));
         }
         break;
       }
@@ -178,24 +166,22 @@ struct YcsbHarness {
     }
   }
 
-  bool VerifyRecord(std::uint64_t dest, std::uint64_t key) const {
+  bool VerifyRecord(std::uint64_t dest, std::uint64_t key) {
     // Record header: key at offset 0; value begins at 16.
-    const auto stored_key = bed.compute_mem.ReadValue<std::uint64_t>(dest);
-    const auto value_key =
-        bed.compute_mem.ReadValue<std::uint64_t>(dest + 16);
+    SparseMemory& mem = cluster.client(0).mem;
+    const auto stored_key = mem.ReadValue<std::uint64_t>(dest);
+    const auto value_key = mem.ReadValue<std::uint64_t>(dest + 16);
     return stored_key == key && value_key == key;
   }
 
   YcsbConfig cfg;
-  workload::Testbed bed;
+  workload::Cluster cluster{workload::ClusterSpec{}};
   const rdma::MemoryRegion* pool_mr = nullptr;
   std::unique_ptr<FasterStore> store;
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<IDevice>> devices;
   std::unique_ptr<SsdDevice> ssd;
-  std::unique_ptr<core::CowbirdClient> client;
-  std::unique_ptr<spot::SpotAgent> agent;
-  std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
+  core::CowbirdClient* client = nullptr;
   std::unique_ptr<baselines::RedyEngine> redy;
   std::unique_ptr<workload::ZipfianGenerator> zipf;
 
@@ -284,13 +270,13 @@ YcsbResult RunYcsb(const YcsbConfig& config) {
   }
   h.ops.assign(config.threads, 0);
 
-  h.bed.sim.Spawn(LoadPhase(h));
+  h.cluster.sim.Spawn(LoadPhase(h));
   for (int t = 0; t < config.threads; ++t) {
-    h.bed.sim.Spawn(RunThread(h, t));
+    h.cluster.sim.Spawn(RunThread(h, t));
   }
   // Let the load complete (virtual time), then warm up and measure.
-  while (!h.loaded) h.bed.sim.RunFor(Millis(1));
-  h.bed.sim.RunFor(config.warmup);
+  while (!h.loaded) h.cluster.sim.RunFor(Millis(1));
+  h.cluster.sim.RunFor(config.warmup);
 
   struct Snap {
     std::uint64_t ops = 0;
@@ -312,10 +298,10 @@ YcsbResult RunYcsb(const YcsbConfig& config) {
   };
 
   const Snap start = snapshot();
-  const Nanos t0 = h.bed.sim.Now();
-  h.bed.sim.RunFor(config.measure);
+  const Nanos t0 = h.cluster.sim.Now();
+  h.cluster.sim.RunFor(config.measure);
   const Snap end = snapshot();
-  const Nanos elapsed = h.bed.sim.Now() - t0;
+  const Nanos elapsed = h.cluster.sim.Now() - t0;
 
   YcsbResult result;
   result.ops = end.ops - start.ops;

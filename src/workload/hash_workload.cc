@@ -1,7 +1,5 @@
 #include "workload/hash_workload.h"
 
-#include "net/flow.h"
-
 #include <deque>
 #include <memory>
 #include <vector>
@@ -10,14 +8,13 @@
 #include "baselines/onesided.h"
 #include "baselines/twosided.h"
 #include "common/check.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/client.h"
+#include "net/flow.h"
 #include "p4/engine.h"
-#include "spot/setup.h"
+#include "workload/cluster.h"
 #include "workload/generator.h"
-#include "workload/testbed.h"
 
 namespace cowbird::workload {
 
@@ -42,76 +39,36 @@ constexpr std::uint64_t kHeapBase = 0x8000'0000;
 constexpr std::uint64_t kHeapStride = MiB(4);
 constexpr std::uint16_t kRegion = 1;
 
+// The Section 7 testbed: the compute node (16 logical cores, as Xeon Silver
+// 4110 with HT), the memory pool and the spot node. `split_domains` cuts the
+// compute node off from the rest, with the cut links' propagation as the
+// lookahead.
+ClusterSpec TestbedSpec(const HashWorkloadConfig& cfg) {
+  ClusterSpec spec;
+  if (cfg.split_domains) {
+    spec.split = ClusterSpec::Split::kPair;
+    spec.workers = cfg.split_workers;
+  }
+  return spec;
+}
+
 struct Harness {
-  explicit Harness(const HashWorkloadConfig& config,
-                   BitRate compute_uplink = BitRate::Gbps(100))
-      : cfg(config),
-        bed(16, compute_uplink, config.split_domains, config.split_workers) {
-    pool_mr = bed.memory_dev.RegisterMemory(
-        kPoolBase, cfg.records * cfg.record_size + KiB(4));
+  Harness(const HashWorkloadConfig& config, ClusterSpec spec)
+      : cfg(config), cluster(std::move(spec), config.telemetry) {
+    ClusterHost& compute = cluster.client(0);
+    ClusterHost& memory = cluster.memory(0);
+    const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
+    pool_mr = memory.dev->RegisterMemory(kPoolBase, pool_bytes);
     // Registered memory is pinned at ibv_reg_mr time on real hardware, so
     // fault the record pool and the per-thread delivery windows in up front;
     // page materialization must never land on the measured datapath.
-    bed.memory_mem.PreFault(kPoolBase, cfg.records * cfg.record_size + KiB(4));
+    memory.mem.PreFault(kPoolBase, pool_bytes);
     for (int t = 0; t < cfg.threads; ++t) {
-      bed.compute_mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
-    }
-    if (auto* hub = cfg.telemetry) {
-      hub->tracer.SetClock([this] { return bed.sim.Now(); });
-      // Split runs shard the telemetry: cells mutated on the engine domain's
-      // thread live in a private hub merged into the caller's snapshot after
-      // the run. Serial runs alias ehub to the caller's hub, byte-identical
-      // to the pre-split wiring.
-      telemetry::Hub* ehub = hub;
-      if (bed.split()) {
-        engine_hub = std::make_unique<telemetry::Hub>(
-            [this] { return bed.esim.Now(); });
-        ehub = engine_hub.get();
-      }
-      bed.compute_dev.BindTelemetry(hub->metrics, {{"node", "compute"}});
-      bed.memory_dev.BindTelemetry(ehub->metrics, {{"node", "memory"}});
-      bed.spot_dev.BindTelemetry(ehub->metrics, {{"node", "spot"}});
-      // Link counters mutate on the delivery side, so each link binds to
-      // the hub of its destination domain.
-      const struct {
-        const char* name;
-        net::Link* link;
-        telemetry::Hub* dst_hub;
-      } fabric[] = {
-          {"sw_to_compute", &bed.sw.EgressLink(bed.compute_nic.switch_port()),
-           hub},
-          {"sw_to_memory", &bed.sw.EgressLink(bed.memory_nic.switch_port()),
-           ehub},
-          {"sw_to_spot", &bed.sw.EgressLink(bed.spot_nic.switch_port()),
-           ehub},
-          {"compute_uplink", &bed.compute_nic.uplink(), ehub},
-          {"memory_uplink", &bed.memory_nic.uplink(), ehub},
-          {"spot_uplink", &bed.spot_nic.uplink(), ehub},
-      };
-      for (const auto& f : fabric) {
-        f.link->BindTelemetry(f.dst_hub->metrics, {{"link", f.name}});
-        bound_links.push_back(f.link);
-      }
-      // Datapath object pools: in-use / high-water / exhaustion gauges make
-      // a mis-sized pool visible instead of silently degrading to the heap.
-      BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_events"}},
-                        bed.sim.EventPoolStats());
-      BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_timers"}},
-                        bed.sim.TimerPoolStats());
-    }
-    if (bed.split()) {
-      // Debug builds pin each registry to its domain's worker thread.
-      bed.group->SetDomainStartHook(0, [this] {
-        if (cfg.telemetry) cfg.telemetry->metrics.BindToCurrentThread();
-      });
-      bed.group->SetDomainStartHook(1, [this] {
-        if (engine_hub) engine_hub->metrics.BindToCurrentThread();
-      });
+      compute.mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
     }
     for (int t = 0; t < cfg.threads; ++t) {
-      threads.push_back(
-          std::make_unique<sim::SimThread>(bed.compute_machine,
-                                           "app-" + std::to_string(t)));
+      threads.push_back(std::make_unique<sim::SimThread>(
+          *compute.machine, "app-" + std::to_string(t)));
       ops.push_back(0);
     }
 
@@ -120,25 +77,23 @@ struct Harness {
         break;
       case Paradigm::kAifm:
         aifm = std::make_unique<baselines::AifmModel>(
-            bed.sim, baselines::AifmModel::Config{});
+            cluster.sim, baselines::AifmModel::Config{});
         break;
       case Paradigm::kTwoSidedSync: {
         server = std::make_unique<baselines::TwoSidedServer>(
-            bed.memory_dev, bed.memory_machine, cfg.costs);
+            *memory.dev, *memory.machine, cfg.costs);
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           server->Serve(pair.b, pair.b_recv_cq, t);
           rpc_clients.push_back(std::make_unique<baselines::TwoSidedClient>(
-              bed.compute_dev, pair.a, pair.a_recv_cq, cfg.costs, t));
+              *compute.dev, pair.a, pair.a_recv_cq, cfg.costs, t));
         }
         break;
       }
       case Paradigm::kOneSidedSync:
       case Paradigm::kOneSidedAsync: {
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           baselines::OneSidedEndpoint ep{pair.a, pair.a_send_cq,
                                          pool_mr->rkey};
           endpoints.push_back(ep);
@@ -157,45 +112,36 @@ struct Harness {
         cc.layout.data_capacity = MiB(1);
         cc.layout.resp_capacity = MiB(1);
         cc.costs = cfg.costs;
-        cc.telemetry = cfg.telemetry;
-        client = std::make_unique<core::CowbirdClient>(bed.compute_dev, cc);
+        client = &cluster.AddClient(0, cc);
         client->RegisterRegion(core::RegionInfo{
-            kRegion, Testbed::kMemoryId, kPoolBase, pool_mr->rkey,
-            cfg.records * cfg.record_size + KiB(4)});
+            kRegion, memory.id(), kPoolBase, pool_mr->rkey, pool_bytes});
         if (cfg.paradigm == Paradigm::kCowbirdP4) {
-          p4::CowbirdP4Engine::Config ec;
-          ec.telemetry = EngineTelemetry();
-          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
-          auto conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                          bed.compute_dev, bed.memory_dev,
-                                          0x800);
-          p4_engine->AddInstance(client->descriptor(), conn);
-          p4_engine->Start();
+          p4::CowbirdP4Engine& engine =
+              cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
+          cluster.AttachP4(*client, 0x800);
+          engine.Start();
           break;
         }
         spot::SpotAgent::Config ac = cfg.agent;
         ac.costs = cfg.costs;
-        ac.telemetry = EngineTelemetry();
         if (cfg.paradigm == Paradigm::kCowbirdNoBatch) ac.batch_size = 1;
-        agent = std::make_unique<spot::SpotAgent>(bed.spot_dev,
-                                                  bed.spot_machine, ac);
-        rdma::Device* memories[] = {&bed.memory_dev};
-        auto conn =
-            spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
-        agent->AddInstance(client->descriptor(), conn.to_compute,
-                           conn.compute_cq, conn.to_memory, conn.memory_cqs);
+        agent = &cluster.AddSpotAgent(ac);
+        cluster.AttachSpot(*agent, *client);
         agent->Start();
         break;
       }
     }
 
+    if (cfg.zipfian) {
+      zipf = std::make_unique<ZipfianGenerator>(cfg.records, cfg.zipf_theta);
+    }
     if (cfg.loss_rate > 0) {
       net::Link* lossy[] = {
-          &bed.sw.EgressLink(bed.compute_nic.switch_port()),
-          &bed.sw.EgressLink(bed.memory_nic.switch_port()),
-          &bed.sw.EgressLink(bed.spot_nic.switch_port()),
+          &cluster.sw().EgressLink(compute.nic.switch_port()),
+          &cluster.sw().EgressLink(memory.nic.switch_port()),
+          &cluster.sw().EgressLink(cluster.spot().nic.switch_port()),
       };
-      if (!bed.split()) {
+      if (!cluster.split()) {
         // One shared stream drawn in delivery order — the historical
         // behavior the golden-pinned serial runs depend on.
         loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
@@ -220,26 +166,6 @@ struct Harness {
     }
   }
 
-  telemetry::Hub* EngineTelemetry() {
-    return engine_hub ? engine_hub.get() : cfg.telemetry;
-  }
-
-  ~Harness() {
-    if (auto* hub = cfg.telemetry) {
-      bed.compute_dev.UnbindTelemetry();
-      bed.memory_dev.UnbindTelemetry();
-      bed.spot_dev.UnbindTelemetry();
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      UnbindPoolTelemetry(hub->metrics,
-                          telemetry::Labels{{"pool", "sim_events"}});
-      UnbindPoolTelemetry(hub->metrics,
-                          telemetry::Labels{{"pool", "sim_timers"}});
-      // The testbed simulation dies with the harness but the caller keeps
-      // the hub: freeze the tracer clock at the final virtual time.
-      hub->tracer.SetClock([now = bed.sim.Now()] { return now; });
-    }
-  }
-
   std::uint64_t LocalKeyCount() const {
     return static_cast<std::uint64_t>(cfg.local_fraction *
                                       static_cast<double>(cfg.records));
@@ -252,23 +178,20 @@ struct Harness {
   }
 
   HashWorkloadConfig cfg;
-  Testbed bed;
+  Cluster cluster;
   const rdma::MemoryRegion* pool_mr = nullptr;
-  std::unique_ptr<core::CowbirdClient> client;
-  std::unique_ptr<spot::SpotAgent> agent;
-  std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
+  core::CowbirdClient* client = nullptr;
+  spot::SpotAgent* agent = nullptr;
   std::unique_ptr<baselines::TwoSidedServer> server;
   std::unique_ptr<baselines::AifmModel> aifm;
   std::unique_ptr<ZipfianGenerator> zipf;
   std::unique_ptr<Rng> loss_rng;
   std::vector<std::unique_ptr<Rng>> loss_rngs;  // split mode: one per link
-  std::unique_ptr<telemetry::Hub> engine_hub;   // split mode + telemetry
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<baselines::TwoSidedClient>> rpc_clients;
   std::vector<std::unique_ptr<baselines::AsyncPipeline>> pipelines;
   std::vector<baselines::OneSidedEndpoint> endpoints;
   std::vector<std::uint64_t> ops;
-  std::vector<net::Link*> bound_links;
 };
 
 // Per-operation application work common to all paradigms.
@@ -435,48 +358,48 @@ CpuSnapshot Snapshot(const Harness& h) {
   return s;
 }
 
-}  // namespace
-
-WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
-  Harness h(config);
-  if (config.zipfian) {
-    h.zipf = std::make_unique<ZipfianGenerator>(config.records,
-                                                config.zipf_theta);
-  }
-  for (int t = 0; t < config.threads; ++t) {
-    switch (config.paradigm) {
+// One driver coroutine per application thread, for the paradigm.
+void SpawnDrivers(Harness& h) {
+  for (int t = 0; t < h.cfg.threads; ++t) {
+    switch (h.cfg.paradigm) {
       case Paradigm::kLocalMemory:
-        h.bed.sim.Spawn(DriveLocal(h, t));
+        h.cluster.sim.Spawn(DriveLocal(h, t));
         break;
       case Paradigm::kOneSidedSync:
       case Paradigm::kTwoSidedSync:
       case Paradigm::kAifm:
-        h.bed.sim.Spawn(DriveSync(h, t));
+        h.cluster.sim.Spawn(DriveSync(h, t));
         break;
       case Paradigm::kOneSidedAsync:
-        h.bed.sim.Spawn(DriveOneSidedAsync(h, t));
+        h.cluster.sim.Spawn(DriveOneSidedAsync(h, t));
         break;
       case Paradigm::kCowbird:
       case Paradigm::kCowbirdNoBatch:
       case Paradigm::kCowbirdP4:
-        h.bed.sim.Spawn(DriveCowbird(h, t));
+        h.cluster.sim.Spawn(DriveCowbird(h, t));
         break;
     }
   }
+}
 
-  h.bed.RunFor(config.warmup);
+}  // namespace
+
+WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
+  Harness h(config, TestbedSpec(config));
+  SpawnDrivers(h);
+  h.cluster.RunFor(config.warmup);
   const CpuSnapshot start = Snapshot(h);
   if (config.on_measure_start) config.on_measure_start();
-  const Nanos t0 = h.bed.sim.Now();
-  const std::uint64_t events0 = h.bed.EventsProcessed();
-  h.bed.RunFor(config.measure);
+  const Nanos t0 = h.cluster.sim.Now();
+  const std::uint64_t events0 = h.cluster.EventsProcessed();
+  h.cluster.RunFor(config.measure);
   if (config.on_measure_end) config.on_measure_end();
   const CpuSnapshot end = Snapshot(h);
-  const Nanos elapsed = h.bed.sim.Now() - t0;
+  const Nanos elapsed = h.cluster.sim.Now() - t0;
 
   WorkloadResult result;
   result.ops = end.ops - start.ops;
-  result.sim_events = h.bed.EventsProcessed() - events0;
+  result.sim_events = h.cluster.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
   const Nanos comm = end.comm - start.comm;
@@ -489,15 +412,7 @@ WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
       h.agent ? static_cast<double>(end.agent_busy - start.agent_busy) /
                     static_cast<double>(elapsed)
               : 0.0;
-  if (config.telemetry != nullptr) {
-    result.telemetry = config.telemetry->metrics.TakeSnapshot();
-    if (h.engine_hub) {
-      // Fold the engine domain's shard back in: metrics merge by key, op
-      // phase stamps interleave per key (each side stamped a disjoint set).
-      result.telemetry.MergeFrom(h.engine_hub->metrics.TakeSnapshot());
-      config.telemetry->tracer.MergeFrom(h.engine_hub->tracer);
-    }
-  }
+  result.telemetry = h.cluster.MergedSnapshot();
   return result;
 }
 
@@ -516,25 +431,25 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
   base.agent = config.agent;
   base.costs = config.costs;
   base.telemetry = config.telemetry;
-  Harness h(base);
+  Harness h(base, TestbedSpec(base));
 
   PercentileSampler sampler;
   sampler.Reserve(config.samples);
   bool finished = false;
 
-  h.bed.sim.Spawn([](Harness& hh, const LatencyProbeConfig& cfg,
+  h.cluster.sim.Spawn([](Harness& hh, const LatencyProbeConfig& cfg,
                      PercentileSampler& out, bool& done) -> sim::Task<void> {
     sim::SimThread& thread = *hh.threads[0];
     Rng rng(4242);
     const auto len = static_cast<std::uint32_t>(cfg.record_size);
     if (cfg.paradigm == Paradigm::kOneSidedSync) {
       for (int i = 0; i < cfg.samples; ++i) {
-        const Nanos begin = hh.bed.sim.Now();
+        const Nanos begin = hh.cluster.sim.Now();
         const std::uint64_t key = rng.Below(hh.cfg.records);
         co_await baselines::SyncRead(thread, cfg.costs, hh.endpoints[0],
                                      kPoolBase + key * cfg.record_size,
                                      hh.HeapFor(0), len);
-        out.Add(static_cast<double>(hh.bed.sim.Now() - begin));
+        out.Add(static_cast<double>(hh.cluster.sim.Now() - begin));
       }
     } else if (cfg.paradigm == Paradigm::kOneSidedAsync) {
       // Keep `inflight` reads outstanding; latency includes queueing behind
@@ -545,7 +460,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
       while (completed < cfg.samples) {
         if (pipeline.CanIssue() && issued < cfg.samples + cfg.inflight) {
           const std::uint64_t key = rng.Below(hh.cfg.records);
-          issue_times.push_back(hh.bed.sim.Now());
+          issue_times.push_back(hh.cluster.sim.Now());
           co_await pipeline.IssueRead(thread,
                                       kPoolBase + key * cfg.record_size,
                                       hh.HeapFor(0), len);
@@ -554,7 +469,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
         }
         auto cqe = co_await pipeline.Poll(thread);
         if (cqe.has_value()) {
-          out.Add(static_cast<double>(hh.bed.sim.Now() -
+          out.Add(static_cast<double>(hh.cluster.sim.Now() -
                                       issue_times.front()));
           issue_times.pop_front();
           ++completed;
@@ -577,7 +492,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
                                            hh.HeapFor(0), len);
           if (id.has_value()) {
             ctx.PollAdd(poll, *id);
-            issue_times.emplace_back(id->seq(), hh.bed.sim.Now());
+            issue_times.emplace_back(id->seq(), hh.cluster.sim.Now());
             ++issued;
             ++outstanding;
             continue;
@@ -591,7 +506,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
         for (const auto& id : done_ids) {
           COWBIRD_CHECK(!issue_times.empty() &&
                         issue_times.front().first == id.seq());
-          out.Add(static_cast<double>(hh.bed.sim.Now() -
+          out.Add(static_cast<double>(hh.cluster.sim.Now() -
                                       issue_times.front().second));
           issue_times.pop_front();
           ++completed;
@@ -600,18 +515,16 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
       }
     }
     done = true;
-    hh.bed.sim.Halt();
+    hh.cluster.sim.Halt();
   }(h, config, sampler, finished));
 
-  h.bed.sim.Run();
+  h.cluster.sim.Run();
   COWBIRD_CHECK(finished);
   LatencyResult result;
   result.samples = sampler.count();
   result.median_us = sampler.Median() / 1000.0;
   result.p99_us = sampler.P99() / 1000.0;
-  if (config.telemetry != nullptr) {
-    result.telemetry = config.telemetry->metrics.TakeSnapshot();
-  }
+  result.telemetry = h.cluster.MergedSnapshot();
   return result;
 }
 
@@ -625,43 +538,34 @@ ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
   // The greedy flows drive the compute uplink from the host thread; the
   // experiment has not been audited for the domain cut.
   COWBIRD_CHECK(!config.split_domains);
-  Harness h(config, compute_uplink);
-  if (config.zipfian) {
-    h.zipf = std::make_unique<ZipfianGenerator>(config.records,
-                                                config.zipf_theta);
-  }
+  // A 25 Gbps bystander server sinks the flows.
+  ClusterSpec spec = TestbedSpec(config);
+  spec.client_uplink = compute_uplink;
+  spec.hosts.push_back(ClusterSpec::Host::kBystander);
+  // Figure 14 compares Cowbird against no Cowbird.
+  COWBIRD_CHECK(config.paradigm == Paradigm::kLocalMemory ||
+                config.paradigm == Paradigm::kCowbird ||
+                config.paradigm == Paradigm::kCowbirdNoBatch ||
+                config.paradigm == Paradigm::kCowbirdP4);
+  Harness h(config, std::move(spec));
   // Worst case per the paper: RDMA above user traffic on the shared uplink.
-  h.bed.compute_nic.uplink().set_priority_scheduling(true);
-
-  for (int t = 0; t < config.threads; ++t) {
-    switch (config.paradigm) {
-      case Paradigm::kLocalMemory:
-        h.bed.sim.Spawn(DriveLocal(h, t));
-        break;
-      case Paradigm::kCowbird:
-      case Paradigm::kCowbirdNoBatch:
-      case Paradigm::kCowbirdP4:
-        h.bed.sim.Spawn(DriveCowbird(h, t));
-        break;
-      default:
-        COWBIRD_CHECK(false);  // Figure 14 compares Cowbird vs no Cowbird
-    }
-  }
+  h.cluster.client(0).nic.uplink().set_priority_scheduling(true);
+  SpawnDrivers(h);
 
   std::vector<std::unique_ptr<net::GreedyFlow>> flows;
   for (int i = 0; i < tcp_flows; ++i) {
     flows.push_back(std::make_unique<net::GreedyFlow>(
-        h.bed.compute_nic, h.bed.bystander_nic,
+        h.cluster.client(0).nic, h.cluster.bystander().nic,
         static_cast<std::uint16_t>(i), net::GreedyFlow::Config{}));
   }
 
-  h.bed.sim.RunFor(config.warmup);
+  h.cluster.sim.RunFor(config.warmup);
   const CpuSnapshot start = Snapshot(h);
-  const Nanos t0 = h.bed.sim.Now();
+  const Nanos t0 = h.cluster.sim.Now();
   for (auto& flow : flows) flow->Start();
-  h.bed.sim.RunFor(config.measure);
+  h.cluster.sim.RunFor(config.measure);
   const CpuSnapshot end = Snapshot(h);
-  const Nanos elapsed = h.bed.sim.Now() - t0;
+  const Nanos elapsed = h.cluster.sim.Now() - t0;
 
   ContentionResult result;
   for (auto& flow : flows) result.tcp_gbps += flow->GoodputGbps();

@@ -1,5 +1,6 @@
 #include "workload/scale_workload.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -9,14 +10,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "net/topology.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
 #include "core/migration.h"
 #include "p4/engine.h"
-#include "rdma/congestion.h"
-#include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 namespace cowbird::workload {
 namespace {
@@ -38,19 +36,45 @@ int ServerFor(const ScaleWorkloadConfig& cfg, int k) {
   return cfg.incast ? 0 : k % cfg.memory_servers;
 }
 
+// The rack: K clients and M memory servers fanning into one top-of-rack
+// switch (or, two-tier, into per-group ToRs trunked into it), plus the spot
+// host. Split runs put every node in a domain of its own, or in the packed
+// groups when the caller profiled them.
+ClusterSpec RackSpec(const ScaleWorkloadConfig& config,
+                     std::vector<int> pack_groups) {
+  ClusterSpec spec;
+  static_cast<RackShape&>(spec) = config;
+  spec.clients = config.clients;
+  spec.client_cores = std::max(2, config.threads_per_client);
+  spec.hosts.assign(static_cast<std::size_t>(config.memory_servers),
+                    ClusterSpec::Host::kMemory);
+  spec.hosts.push_back(ClusterSpec::Host::kSpot);
+  spec.switches.egress_queue_capacity = config.egress_queue_capacity;
+  spec.switches.ecn_threshold = config.ecn_threshold;
+  spec.switches.pfc_enabled = config.pfc;
+  spec.nic.dcqcn = config.dcqcn;
+  spec.nic.retransmit_timeout = config.retransmit_timeout;
+  if (config.split) {
+    spec.split = pack_groups.empty() ? ClusterSpec::Split::kPerNode
+                                     : ClusterSpec::Split::kPacked;
+    spec.pack_groups = std::move(pack_groups);
+    spec.workers = config.split_workers;
+  }
+  return spec;
+}
+
 struct ScaleHarness {
   explicit ScaleHarness(const ScaleWorkloadConfig& config,
                         std::vector<int> pack_groups = {})
-      : cfg(config), bed(MakeFanInConfig(config, std::move(pack_groups))) {
+      : cfg(config),
+        cluster(RackSpec(config, std::move(pack_groups)), config.telemetry) {
     latency_traces.resize(
         static_cast<std::size_t>(cfg.clients * cfg.threads_per_client));
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
     for (int m = 0; m < cfg.memory_servers; ++m) {
       pool_mrs.push_back(
-          bed.memory_devs[static_cast<std::size_t>(m)]->RegisterMemory(
-              kPoolBase, pool_bytes));
-      bed.memory_mems[static_cast<std::size_t>(m)]->PreFault(kPoolBase,
-                                                             pool_bytes);
+          cluster.memory(m).dev->RegisterMemory(kPoolBase, pool_bytes));
+      cluster.memory(m).mem.PreFault(kPoolBase, pool_bytes);
     }
     if (cfg.migrate) {
       // Client 0's region comes from an elastic ClusterPool instead of the
@@ -61,26 +85,22 @@ struct ScaleHarness {
                    core::ClusterPool::kRangeAlign *
                    core::ClusterPool::kRangeAlign;
       for (int m = 0; m < 2; ++m) {
-        const auto mm = static_cast<std::size_t>(m);
-        pool.AddServer(*bed.memory_devs[mm], kSlabBase, slab_bytes);
-        bed.memory_mems[mm]->PreFault(kSlabBase, slab_bytes);
+        pool.AddServer(*cluster.memory(m).dev, kSlabBase, slab_bytes);
+        cluster.memory(m).mem.PreFault(kSlabBase, slab_bytes);
       }
       if (cfg.telemetry != nullptr) {
         pool.BindTelemetry(cfg.telemetry->metrics, telemetry::Labels{});
       }
     }
 
-    BindTelemetry();
-
     // Per-client Cowbird instances, every one offloaded through the same
     // engine (fan-in). Client k's region lives on memory server k % M.
     for (int k = 0; k < cfg.clients; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
+      ClusterHost& host = cluster.client(k);
       for (int t = 0; t < cfg.threads_per_client; ++t) {
-        bed.client_mems[kk]->PreFault(kHeapBase + t * kHeapStride,
-                                      kHeapStride);
+        host.mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
         threads.push_back(std::make_unique<sim::SimThread>(
-            *bed.client_machines[kk],
+            *host.machine,
             "app-" + std::to_string(k) + "-" + std::to_string(t)));
       }
       core::CowbirdClient::Config cc;
@@ -90,56 +110,41 @@ struct ScaleHarness {
       cc.layout.data_capacity = MiB(1);
       cc.layout.resp_capacity = MiB(1);
       cc.costs = cfg.costs;
-      cc.telemetry = HubFor(bed.client_node(k));
-      clients.push_back(std::make_unique<core::CowbirdClient>(
-          *bed.client_devs[kk], cc));
+      clients.push_back(&cluster.AddClient(k, cc));
       const int server = ServerFor(cfg, k);
       if (cfg.migrate && k == 0) {
-        const auto region = pool.AllocateRegion(kRegion, kPoolBase,
-                                                slab_bytes, bed.memory_id(0));
+        const auto region = pool.AllocateRegion(
+            kRegion, kPoolBase, slab_bytes, cluster.memory(0).id());
         COWBIRD_CHECK(region.has_value());
         clients.back()->RegisterRegion(*region);
         clients.back()->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
       } else {
         clients.back()->RegisterRegion(core::RegionInfo{
-            kRegion, bed.memory_id(server), kPoolBase,
+            kRegion, cluster.memory(server).id(), kPoolBase,
             pool_mrs[static_cast<std::size_t>(server)]->rkey, pool_bytes});
       }
       ops.emplace_back(static_cast<std::size_t>(cfg.threads_per_client), 0);
     }
 
+    // The migrating instance needs an endpoint on both servers:
+    // post-cutover translations resolve to the destination.
+    auto memories_for = [this](int k) {
+      return cfg.migrate && k == 0 ? std::vector<int>{0, 1}
+                                   : std::vector<int>{ServerFor(cfg, k)};
+    };
     if (cfg.paradigm == Paradigm::kCowbirdP4) {
       p4::CowbirdP4Engine::Config ec;
-      ec.telemetry = HubFor(bed.switch_node());
       // When the NICs run DCQCN, the switch-generated packets join the ECN
       // loop too (and the engine reflects CNPs to the memory hosts).
       ec.ecn_capable = cfg.dcqcn.enabled;
       if (cfg.p4_probe_interval > 0) {
         ec.probe_interval = cfg.p4_probe_interval;
       }
-      p4_switch_id = ec.switch_node_id;
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
+      p4_engine = &cluster.AddP4Engine(ec);
       for (int k = 0; k < cfg.clients; ++k) {
-        const int server = ServerFor(cfg, k);
-        const std::uint32_t qpn_base =
-            0x800 + 0x20 * static_cast<std::uint32_t>(k);
-        p4::P4Connection conn;
-        if (cfg.migrate && k == 0) {
-          // The migrating instance needs an endpoint pair on both servers:
-          // post-cutover translations resolve to the destination.
-          rdma::Device* memories[] = {bed.memory_devs[0].get(),
-                                      bed.memory_devs[1].get()};
-          conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                     *bed.client_devs[0], memories, qpn_base);
-        } else {
-          conn = p4::ConnectP4Engine(
-              *p4_engine, ec.switch_node_id,
-              *bed.client_devs[static_cast<std::size_t>(k)],
-              *bed.memory_devs[static_cast<std::size_t>(server)], qpn_base);
-        }
-        p4_engine->AddInstance(clients[static_cast<std::size_t>(k)]
-                                   ->descriptor(),
-                               conn);
+        cluster.AttachP4(*clients[static_cast<std::size_t>(k)],
+                         0x800 + 0x20 * static_cast<std::uint32_t>(k),
+                         memories_for(k));
       }
       reattach_qpn_base = 0x800 + 0x20 * static_cast<std::uint32_t>(
                                              cfg.clients);
@@ -148,25 +153,10 @@ struct ScaleHarness {
       COWBIRD_CHECK(cfg.paradigm == Paradigm::kCowbird);
       spot::SpotAgent::Config ac = cfg.agent;
       ac.costs = cfg.costs;
-      ac.telemetry = HubFor(bed.spot_node());
-      agent = std::make_unique<spot::SpotAgent>(*bed.spot_dev,
-                                                *bed.spot_machine, ac);
+      agent = &cluster.AddSpotAgent(ac);
       for (int k = 0; k < cfg.clients; ++k) {
-        const int server = ServerFor(cfg, k);
-        std::vector<rdma::Device*> memories;
-        if (cfg.migrate && k == 0) {
-          memories = {bed.memory_devs[0].get(), bed.memory_devs[1].get()};
-        } else {
-          memories = {bed.memory_devs[static_cast<std::size_t>(server)]
-                          .get()};
-        }
-        auto conn = spot::ConnectSpotEngine(
-            *bed.spot_dev, *bed.client_devs[static_cast<std::size_t>(k)],
-            memories);
-        agent->AddInstance(clients[static_cast<std::size_t>(k)]
-                               ->descriptor(),
-                           conn.to_compute, conn.compute_cq, conn.to_memory,
-                           conn.memory_cqs);
+        cluster.AttachSpot(*agent, *clients[static_cast<std::size_t>(k)],
+                           memories_for(k));
       }
       agent->Start();
     }
@@ -174,8 +164,8 @@ struct ScaleHarness {
     if (cfg.migrate) {
       // The copy stream rides a dedicated QP src→dst, sharing the fabric —
       // and therefore contending — with the foreground read traffic.
-      migrate_qp = rdma::ConnectQueuePairs(*bed.memory_devs[0],
-                                           *bed.memory_devs[1]);
+      migrate_qp = rdma::ConnectQueuePairs(*cluster.memory(0).dev,
+                                           *cluster.memory(1).dev);
     }
   }
 
@@ -196,14 +186,15 @@ struct ScaleHarness {
       case MigrationStage::kArmed: {
         migrate_started_at = now;
         ops_at_migrate_start = TotalOps();
-        migrate_plan = pool.PlanMove(kRegion, kPoolBase, bed.memory_id(1));
+        migrate_plan =
+            pool.PlanMove(kRegion, kPoolBase, cluster.memory(1).id());
         COWBIRD_CHECK(migrate_plan.has_value());
         core::RegionMigrator::Config mc;
         mc.chunk = cfg.migrate_chunk;
         mc.window = cfg.migrate_window;
         mc.telemetry = cfg.telemetry;
         migrator = std::make_unique<core::RegionMigrator>(
-            *bed.memory_devs[0], *migrate_qp.a, *migrate_qp.a_send_cq,
+            *cluster.memory(0).dev, *migrate_qp.a, *migrate_qp.a_send_cq,
             *migrate_plan, mc);
         migrator->Start();
         migration_stage = MigrationStage::kCopying;
@@ -232,20 +223,11 @@ struct ScaleHarness {
         pool.CommitMove(*migrate_plan);
         clients[0]->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
         migrator->Finish();
-        rdma::Device* memories[] = {bed.memory_devs[0].get(),
-                                    bed.memory_devs[1].get()};
         if (p4_engine != nullptr) {
-          const auto conn = p4::ConnectP4Engine(
-              *p4_engine, p4_switch_id, *bed.client_devs[0], memories,
-              reattach_qpn_base);
-          p4_engine->AddInstance(clients[0]->descriptor(), conn,
-                                 &*migrate_resume);
+          cluster.AttachP4(*clients[0], reattach_qpn_base, {0, 1},
+                           &*migrate_resume);
         } else {
-          const auto conn = spot::ConnectSpotEngine(
-              *bed.spot_dev, *bed.client_devs[0], memories);
-          agent->AddInstance(clients[0]->descriptor(), conn.to_compute,
-                             conn.compute_cq, conn.to_memory,
-                             conn.memory_cqs, &*migrate_resume);
+          cluster.AttachSpot(*agent, *clients[0], {0, 1}, &*migrate_resume);
         }
         migrate_cutover_at = now;
         ops_at_cutover = TotalOps();
@@ -255,117 +237,6 @@ struct ScaleHarness {
       }
       case MigrationStage::kDone:
         break;
-    }
-  }
-
-  ~ScaleHarness() {
-    if (cfg.telemetry != nullptr) {
-      for (int k = 0; k < cfg.clients; ++k) {
-        bed.client_devs[static_cast<std::size_t>(k)]->UnbindTelemetry();
-      }
-      for (int m = 0; m < cfg.memory_servers; ++m) {
-        bed.memory_devs[static_cast<std::size_t>(m)]->UnbindTelemetry();
-      }
-      bed.spot_dev->UnbindTelemetry();
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      cfg.telemetry->tracer.SetClock([now = bed.sim.Now()] { return now; });
-    }
-  }
-
-  static FanInConfig MakeFanInConfig(const ScaleWorkloadConfig& config,
-                                     std::vector<int> pack_groups = {}) {
-    FanInConfig fan;
-    fan.clients = config.clients;
-    fan.memory_servers = config.memory_servers;
-    fan.client_cores = std::max(2, config.threads_per_client);
-    fan.client_groups = config.client_groups;
-    fan.client_propagation = config.client_propagation;
-    fan.trunk_propagation = config.trunk_propagation;
-    fan.split = config.split;
-    fan.split_workers = config.split_workers;
-    fan.pack_groups = std::move(pack_groups);
-    fan.egress_queue_capacity = config.egress_queue_capacity;
-    fan.ecn_threshold = config.ecn_threshold;
-    fan.pfc = config.pfc;
-    fan.dcqcn = config.dcqcn;
-    fan.retransmit_timeout = config.retransmit_timeout;
-    return fan;
-  }
-
-  // Shard selection: every component binds to the hub of the domain whose
-  // thread mutates its cells.
-  telemetry::Hub* HubFor(net::TopoNodeId node) {
-    return shards.ForDomain(bed.partition.domain_of(node));
-  }
-
-  void BindTelemetry() {
-    telemetry::Hub* hub = cfg.telemetry;
-    if (hub == nullptr) return;
-    hub->tracer.SetClock([this] { return bed.sim.Now(); });
-    shards.Reset(hub, bed.partition.domain_count(), [this](int domain) {
-      return telemetry::Clock(
-          [sim = &bed.domains.domain_sim(domain)] { return sim->Now(); });
-    });
-    if (sim::DomainGroup* group = bed.group()) {
-      // Debug builds pin each registry to its domain's worker thread.
-      for (int d = 0; d < bed.partition.domain_count(); ++d) {
-        group->SetDomainStartHook(d, [this, d] {
-          shards.ForDomain(d)->metrics.BindToCurrentThread();
-        });
-      }
-    }
-    auto bind_host = [this](rdma::Device& dev, net::HostNic& nic,
-                            net::TopoNodeId node, net::Switch& attach_sw,
-                            net::TopoNodeId attach_node) {
-      const std::string& name = bed.topo.node(node).name;
-      dev.BindTelemetry(HubFor(node)->metrics, {{"node", name}});
-      // Link counters mutate on the delivery side: the uplink delivers into
-      // the attachment switch's domain (the group ToR for a two-tier
-      // client), the egress link into the host domain.
-      net::Link& up = nic.uplink();
-      net::Link& down = attach_sw.EgressLink(nic.switch_port());
-      up.BindTelemetry(HubFor(attach_node)->metrics,
-                       {{"link", "uplink[" + name + "]"}});
-      down.BindTelemetry(HubFor(node)->metrics,
-                         {{"link", "egress[" + name + "]"}});
-      bound_links.push_back(&up);
-      bound_links.push_back(&down);
-    };
-    for (int k = 0; k < cfg.clients; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      bind_host(*bed.client_devs[kk], *bed.client_nics[kk],
-                bed.client_node(k), bed.client_switch(k),
-                bed.client_attach_node(k));
-    }
-    for (int m = 0; m < cfg.memory_servers; ++m) {
-      const auto mm = static_cast<std::size_t>(m);
-      bind_host(*bed.memory_devs[mm], *bed.memory_nics[mm],
-                bed.memory_node(m), bed.sw, bed.switch_node());
-    }
-    bind_host(*bed.spot_dev, *bed.spot_nic, bed.spot_node(), bed.sw,
-              bed.switch_node());
-    if (sim::DomainGroup* group = bed.group()) {
-      // Per-domain epoch accounting, one gauge set per shard so each value
-      // is read on (and attributed to) its own domain. `bed` outlives
-      // `shards` (member order), so the callbacks need no unregistration.
-      // epochs_total / epochs_skipped are deterministic; barrier wait is
-      // wall-clock — the `_wall` suffix marks it for the snapshot-equality
-      // tests to filter.
-      for (int d = 0; d < bed.partition.domain_count(); ++d) {
-        telemetry::MetricRegistry& registry = shards.ForDomain(d)->metrics;
-        const telemetry::Labels labels{{"domain", std::to_string(d)}};
-        registry.RegisterCallbackGauge("sim_epochs_total", labels, [group, d] {
-          return static_cast<std::int64_t>(group->epochs_total(d));
-        });
-        registry.RegisterCallbackGauge(
-            "sim_epochs_skipped", labels, [group, d] {
-              return static_cast<std::int64_t>(group->epochs_skipped(d));
-            });
-        registry.RegisterCallbackGauge(
-            "sim_barrier_wait_ns_wall", labels, [group, d] {
-              return static_cast<std::int64_t>(group->barrier_wait_ns(d));
-            });
-      }
     }
   }
 
@@ -379,15 +250,11 @@ struct ScaleHarness {
   }
 
   ScaleWorkloadConfig cfg;
-  FanInTestbed bed;
+  Cluster cluster;
   std::vector<const rdma::MemoryRegion*> pool_mrs;
-  // Declared before the clients and engines: their destructors unregister
-  // callback gauges against the per-domain shard hubs, so the shards must
-  // outlive them.
-  telemetry::HubShards shards;
-  std::vector<std::unique_ptr<core::CowbirdClient>> clients;
-  std::unique_ptr<spot::SpotAgent> agent;
-  std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
+  std::vector<core::CowbirdClient*> clients;
+  spot::SpotAgent* agent = nullptr;
+  p4::CowbirdP4Engine* p4_engine = nullptr;
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::vector<std::uint64_t>> ops;  // [client][thread]
   // One latency trace per (client, thread): (completion time, latency)
@@ -395,13 +262,11 @@ struct ScaleHarness {
   // (k, t) order after the run so the percentile set is independent of
   // worker count.
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
-  std::vector<net::Link*> bound_links;
 
   // Live-rebalance state (untouched unless cfg.migrate).
   enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
   core::ClusterPool pool;
   Bytes slab_bytes = 0;
-  net::NodeId p4_switch_id = 0;
   std::uint32_t reattach_qpn_base = 0;
   rdma::QpPair migrate_qp;
   std::optional<core::ClusterPool::MigrationPlan> migrate_plan;
@@ -498,27 +363,20 @@ std::vector<int> PackGroupsFor(const ScaleWorkloadConfig& config) {
   prof.migrate = false;
   ScaleHarness h(prof);
   for (int k = 0; k < prof.clients; ++k) {
-    sim::Simulation& csim = h.bed.domains.sim_for(h.bed.client_node(k));
     for (int t = 0; t < prof.threads_per_client; ++t) {
-      csim.Spawn(DriveClient(h, k, t));
+      h.cluster.sim_for(k).Spawn(DriveClient(h, k, t));
     }
   }
-  h.bed.RunFor(kProfileWindow);
+  h.cluster.RunFor(kProfileWindow);
   // Under the per-node split, domain ids equal node ids (singletons in node
   // order), so the per-domain counters read out as per-node rates directly.
-  const int n = h.bed.topo.node_count();
+  const int n = h.cluster.topology().node_count();
   std::vector<std::uint64_t> rates(static_cast<std::size_t>(n), 0);
   for (int node = 0; node < n; ++node) {
     rates[static_cast<std::size_t>(node)] =
-        h.bed.domains.domain_sim(node).EventsProcessed();
+        h.cluster.domain_sim(node).EventsProcessed();
   }
-  net::Topology packed_topo = h.bed.topo;
-  net::PackDomains(packed_topo, rates, config.pack_budget);
-  std::vector<int> groups(static_cast<std::size_t>(n), 0);
-  for (int node = 0; node < n; ++node) {
-    groups[static_cast<std::size_t>(node)] = packed_topo.node(node).group;
-  }
-  return groups;
+  return Cluster::PackGroups(h.cluster.topology(), rates, config.pack_budget);
 }
 
 std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
@@ -540,13 +398,10 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   std::vector<int> pack_groups;
   if (config.split && config.packed) pack_groups = PackGroupsFor(config);
   ScaleHarness h(config, std::move(pack_groups));
-  if (sim::DomainGroup* group = h.bed.group()) {
-    group->set_horizon_policy(config.horizon_policy);
-  }
+  Cluster& cluster = h.cluster;
   for (int k = 0; k < config.clients; ++k) {
-    sim::Simulation& csim = h.bed.domains.sim_for(h.bed.client_node(k));
     for (int t = 0; t < config.threads_per_client; ++t) {
-      csim.Spawn(DriveClient(h, k, t));
+      cluster.sim_for(k).Spawn(DriveClient(h, k, t));
     }
   }
 
@@ -556,36 +411,25 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
     // kMigrateTick from migrate_start to the end of the run.
     for (Nanos when = config.migrate_start;
          when < config.warmup + config.measure; when += kMigrateTick) {
-      if (sim::DomainGroup* group = h.bed.group()) {
-        group->ScheduleGlobal(when, [&h, when] { h.MigrationTick(when); });
-      } else {
-        h.bed.sim.ScheduleAt(when, [&h, when] { h.MigrationTick(when); });
-      }
+      cluster.ScheduleGlobal(when, [&h, when] { h.MigrationTick(when); });
     }
   }
 
-  sim::DomainGroup* group = h.bed.group();
-  auto total_skipped = [&h, group] {
-    std::uint64_t total = 0;
-    for (int d = 0; d < h.bed.partition.domain_count(); ++d) {
-      total += group->epochs_skipped(d);
-    }
-    return total;
-  };
-  h.bed.RunFor(config.warmup);
+  sim::DomainGroup* group = cluster.group();
+  cluster.RunFor(config.warmup);
   const std::vector<std::uint64_t> warm = PerClientOps(h);
-  const Nanos t0 = h.bed.domains.Now();
-  const std::uint64_t events0 = h.bed.EventsProcessed();
+  const Nanos t0 = cluster.Now();
+  const std::uint64_t events0 = cluster.EventsProcessed();
   const std::uint64_t epochs0 = group != nullptr ? group->epochs() : 0;
-  const std::uint64_t skipped0 = group != nullptr ? total_skipped() : 0;
-  h.bed.RunFor(config.measure);
-  const Nanos elapsed = h.bed.domains.Now() - t0;
+  const std::uint64_t skipped0 = cluster.EpochsSkipped();
+  cluster.RunFor(config.measure);
+  const Nanos elapsed = cluster.Now() - t0;
 
   ScaleWorkloadResult result;
-  result.domains = h.bed.partition.domain_count();
+  result.domains = cluster.partition().domain_count();
   if (group != nullptr) {
     result.epochs = group->epochs() - epochs0;
-    result.epochs_skipped = total_skipped() - skipped0;
+    result.epochs_skipped = cluster.EpochsSkipped() - skipped0;
   }
   result.client_ops = PerClientOps(h);
   for (int k = 0; k < config.clients; ++k) {
@@ -593,7 +437,7 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
     result.client_ops[kk] -= warm[kk];
     result.ops += result.client_ops[kk];
   }
-  result.sim_events = h.bed.EventsProcessed() - events0;
+  result.sim_events = cluster.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
 
@@ -666,27 +510,13 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
     }
   }
 
-  result.switch_drops = h.bed.switch_drops();
-  result.ecn_marked = h.bed.sw.ecn_marked();
-  result.pfc_pauses = h.bed.sw.pfc_pauses_sent();
-  for (const auto& leaf : h.bed.group_tors) {
-    result.ecn_marked += leaf->ecn_marked();
-    result.pfc_pauses += leaf->pfc_pauses_sent();
-  }
-  auto accumulate_dev = [&result](rdma::Device& dev) {
-    result.retransmissions += dev.total_retransmissions();
-    if (rdma::CongestionManager* cm = dev.congestion()) {
-      result.cnps += cm->cnps_received();
-    }
-  };
-  for (auto& dev : h.bed.client_devs) accumulate_dev(*dev);
-  for (auto& dev : h.bed.memory_devs) accumulate_dev(*dev);
-  accumulate_dev(*h.bed.spot_dev);
-
-  if (config.telemetry != nullptr) {
-    result.telemetry = config.telemetry->metrics.TakeSnapshot();
-    h.shards.MergeInto(result.telemetry);
-  }
+  const FabricCounters fabric = cluster.Counters();
+  result.switch_drops = fabric.switch_drops;
+  result.ecn_marked = fabric.ecn_marked;
+  result.pfc_pauses = fabric.pfc_pauses;
+  result.retransmissions = fabric.retransmissions;
+  result.cnps = fabric.cnps;
+  result.telemetry = cluster.MergedSnapshot();
   return result;
 }
 

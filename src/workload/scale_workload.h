@@ -1,12 +1,13 @@
 // The rack-scale fan-in workload: K compute clients and M memory servers
-// around one top-of-rack switch (FanInTestbed), every client running the
-// async read loop of the hash workload against a pool on memory server
-// k % M, all offloaded through one engine — a single Cowbird-Spot agent
-// serving K instances (fan-in), or the P4 engine on the switch.
+// around one top-of-rack switch (a workload::Cluster), every client
+// running the async read loop of the hash workload against a pool on
+// memory server k % M, all offloaded through one engine — a single
+// Cowbird-Spot agent serving K instances (fan-in), or the P4 engine on the
+// switch.
 //
 // The default shape is the 16-node scaling fabric of the ROADMAP: 12
 // clients + 2 memory servers + 1 spot host + 1 switch. With `split` the
-// testbed partitions one PDES domain per node; a split run's per-client
+// cluster partitions one PDES domain per node; a split run's per-client
 // operation counts are bit-identical for any worker count, which the
 // scale tests and the sim_throughput split-scaling section pin.
 #pragma once
@@ -16,14 +17,16 @@
 
 #include "common/units.h"
 #include "rdma/params.h"
-#include "sim/parallel.h"
 #include "spot/agent.h"
 #include "telemetry/hub.h"
+#include "workload/cluster.h"
 #include "workload/hash_workload.h"
 
 namespace cowbird::workload {
 
-struct ScaleWorkloadConfig {
+// The RackShape fields (client_groups, client/trunk propagation, the split
+// horizon policy) pass straight through to the cluster.
+struct ScaleWorkloadConfig : RackShape {
   // Engine serving every client: Paradigm::kCowbird (one spot agent,
   // fan-in) or Paradigm::kCowbirdP4 (engine on the switch).
   Paradigm paradigm = Paradigm::kCowbird;
@@ -57,21 +60,6 @@ struct ScaleWorkloadConfig {
   // from being the densest event stream in every rack neighborhood.
   Nanos p4_probe_interval = 0;
   rdma::CostModel costs;
-  // Two-tier fabric: > 1 spreads the clients over this many per-group ToR
-  // switches, each trunked into the core (FanInConfig::client_groups). The
-  // default keeps the flat single-switch fan-in.
-  int client_groups = 1;
-  // Client-uplink propagation delay; 0 keeps the fabric profile's uniform
-  // link_propagation. Short in-rack DACs (tens of ns) make the lookahead
-  // graph heterogeneous, which is where per-edge horizons pull away from
-  // the global min (FanInConfig::client_propagation).
-  Nanos client_propagation = 0;
-  // ToR <-> core trunk propagation; 0 keeps the fabric profile's uniform
-  // link_propagation. Hall-scale optical runs are an order of magnitude
-  // longer than in-rack DACs (FanInConfig::trunk_propagation); the wider
-  // the trunk lookahead, the coarser the per-edge epoch steps each client
-  // group can take independently of the core's event density.
-  Nanos trunk_propagation = 0;
   // One PDES domain per topology node, executed by `split_workers` threads
   // (0 → hardware concurrency). Bit-deterministic for any worker count.
   bool split = false;
@@ -83,26 +71,22 @@ struct ScaleWorkloadConfig {
   // for any number of workers.
   bool packed = false;
   int pack_budget = 8;
-  // Split only: the epoch-horizon policy. kPerEdge (default) computes
-  // per-domain LBTS horizons at each barrier; kGlobalMin is the historical
-  // single min-lookahead horizon, kept selectable for A/B epoch accounting.
-  // Outcomes are policy-invariant; only epoch counts move.
-  sim::HorizonPolicy horizon_policy = sim::HorizonPolicy::kPerEdge;
   // Optional telemetry: sharded per domain (telemetry::HubShards) and merged
   // N-way into the caller's hub after the run.
   telemetry::Hub* telemetry = nullptr;
   // Incast: every client targets memory server 0 instead of k % M, so all
   // K client flows converge on one switch egress port.
   bool incast = false;
-  // Fabric congestion profile, passed through to the testbed. Defaults
-  // keep the fabric byte-identical to the uncontended runs.
+  // Fabric congestion profile, passed through to the cluster's switch and
+  // NIC configs. Defaults keep the fabric byte-identical to the uncontended
+  // runs.
   Bytes egress_queue_capacity = MiB(4);
   Bytes ecn_threshold = 0;
   bool pfc = false;
   rdma::DcqcnConfig dcqcn;
   // Go-Back-N timeout for every NIC. Raise well above the congested RTT
   // when DCQCN paces flows, or pacing delays read as loss and the rewinds
-  // re-execute whole read windows (see FanInConfig::retransmit_timeout).
+  // re-execute whole read windows.
   Nanos retransmit_timeout = Micros(100);
   // Records per-op issue→completion latency and reports p50/p99 over the
   // measure window. Off by default; enabling draws no extra RNG values, so

@@ -11,8 +11,6 @@
 namespace cowbird::core {
 namespace {
 
-using cowbird::testing::TestFabric;
-
 TEST(Layout, RegionsDoNotOverlap) {
   InstanceLayout layout;
   layout.base = 0x1000;
@@ -96,10 +94,10 @@ class ClientTest : public ::testing::Test {
     config.layout.meta_slots = 8;
     config.layout.data_capacity = 4096;
     config.layout.resp_capacity = 4096;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, config);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    client_ = &f_.AddClient(0, config);
+    client_->RegisterRegion(RegionInfo{kRegion, testing::kMemoryId,
                                        0x100000, 0xAB, MiB(64)});
-    thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    thread_ = std::make_unique<sim::SimThread>(*f_.client(0).machine, "app");
   }
 
   // Emulates the offload engine publishing progress: writes the red block
@@ -107,7 +105,7 @@ class ClientTest : public ::testing::Test {
   void WriteRed(int t, std::uint64_t meta_head, std::uint64_t write_prog,
                 std::uint64_t read_prog) {
     const auto& layout = client_->descriptor().layout;
-    auto& mem = f_.compute_mem;
+    auto& mem = f_.client(0).mem;
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t), meta_head);
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t) + 24, write_prog);
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t) + 32, read_prog);
@@ -120,8 +118,8 @@ class ClientTest : public ::testing::Test {
     f_.sim.Run();
   }
 
-  TestFabric f_;
-  std::unique_ptr<CowbirdClient> client_;
+  workload::Cluster f_{workload::ClusterSpec{}};
+  CowbirdClient* client_ = nullptr;
   std::unique_ptr<sim::SimThread> thread_;
 };
 
@@ -138,12 +136,12 @@ TEST_F(ClientTest, AsyncReadPublishesMetadataAndTail) {
 
   const auto& layout = client_->descriptor().layout;
   // Green tail advanced to 1.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(0)), 1u);
+  EXPECT_EQ(f_.client(0).mem.ReadValue<std::uint64_t>(layout.GreenAddr(0)), 1u);
   // Thread 1's green block untouched.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(1)), 0u);
+  EXPECT_EQ(f_.client(0).mem.ReadValue<std::uint64_t>(layout.GreenAddr(1)), 0u);
   // The published entry matches Table 3.
   std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-  f_.compute_mem.Read(layout.MetaSlotAddr(0, 0), raw);
+  f_.client(0).mem.Read(layout.MetaSlotAddr(0, 0), raw);
   const auto meta = RequestMetadata::ParseBytes(raw);
   EXPECT_EQ(meta.rw_type, RwType::kRead);
   EXPECT_EQ(meta.region_id, kRegion);
@@ -154,7 +152,7 @@ TEST_F(ClientTest, AsyncReadPublishesMetadataAndTail) {
 
 TEST_F(ClientTest, AsyncWriteStagesPayload) {
   std::vector<std::uint8_t> payload(100, 0x5A);
-  f_.compute_mem.Write(kHeap, payload);
+  f_.client(0).mem.Write(kHeap, payload);
   std::optional<ReqId> id;
   RunClient([&]() -> sim::Task<void> {
     id = co_await client_->thread(0).AsyncWrite(*thread_, kRegion, kHeap,
@@ -166,13 +164,13 @@ TEST_F(ClientTest, AsyncWriteStagesPayload) {
   const auto& layout = client_->descriptor().layout;
   // Payload copied into the request data ring.
   std::vector<std::uint8_t> staged(100);
-  f_.compute_mem.Read(layout.DataRingAddr(0), staged);
+  f_.client(0).mem.Read(layout.DataRingAddr(0), staged);
   EXPECT_EQ(staged, payload);
   // Green data tail advanced.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(0) + 8),
+  EXPECT_EQ(f_.client(0).mem.ReadValue<std::uint64_t>(layout.GreenAddr(0) + 8),
             100u);
   std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-  f_.compute_mem.Read(layout.MetaSlotAddr(0, 0), raw);
+  f_.client(0).mem.Read(layout.MetaSlotAddr(0, 0), raw);
   const auto meta = RequestMetadata::ParseBytes(raw);
   EXPECT_EQ(meta.req_addr, layout.DataRingAddr(0));
   EXPECT_EQ(meta.resp_addr, 0x100000u + 0x3000u);
@@ -210,14 +208,14 @@ TEST_F(ClientTest, PollWaitReturnsCompletionsAndCopiesData) {
     EXPECT_TRUE(none.empty());
     // Engine delivers the payload into the response ring, then publishes.
     std::vector<std::uint8_t> payload(64, 0xCD);
-    f_.compute_mem.Write(layout.RespRingAddr(0), payload);
+    f_.client(0).mem.Write(layout.RespRingAddr(0), payload);
     WriteRed(0, 1, 0, 1);
     done = co_await ctx.PollWait(*thread_, poll, 1, Micros(100));
   });
   EXPECT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].seq(), 1u);
   std::vector<std::uint8_t> out(64);
-  f_.compute_mem.Read(kHeap, out);
+  f_.client(0).mem.Read(kHeap, out);
   EXPECT_EQ(out, std::vector<std::uint8_t>(64, 0xCD));
 }
 
@@ -259,7 +257,7 @@ TEST_F(ClientTest, RespRingWrapPadsToContiguous) {
     EXPECT_TRUE(a.has_value());
     // Complete it so the ring head can advance past it on reconcile.
     std::vector<std::uint8_t> p1(3000, 1);
-    f_.compute_mem.Write(layout.RespRingAddr(0), p1);
+    f_.client(0).mem.Write(layout.RespRingAddr(0), p1);
     WriteRed(0, 1, 0, 1);
     const PollId poll = ctx.PollCreate();
     ctx.PollAdd(poll, *a);
@@ -270,7 +268,7 @@ TEST_F(ClientTest, RespRingWrapPadsToContiguous) {
     auto b = co_await ctx.AsyncRead(*thread_, kRegion, 0, kHeap + 4096, 2000);
     EXPECT_TRUE(b.has_value());
     std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-    f_.compute_mem.Read(layout.MetaSlotAddr(0, 1), raw);
+    f_.client(0).mem.Read(layout.MetaSlotAddr(0, 1), raw);
     EXPECT_EQ(RequestMetadata::ParseBytes(raw).resp_addr,
               layout.RespRingAddr(0));  // wrapped to the start
   });

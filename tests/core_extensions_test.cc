@@ -1,133 +1,35 @@
 // Tests for the convenience API (implicit notification groups, select
-// semantics) and the pool-side region allocator.
+// semantics).
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/convenience.h"
-#include "core/region_allocator.h"
 #include "fabric_fixture.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
 
 namespace cowbird::core {
 namespace {
-
-using cowbird::testing::TestFabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 
 // ---------------------------------------------------------------------------
-// RegionAllocator
-// ---------------------------------------------------------------------------
-
-TEST(RegionAllocator, AllocateReleaseCoalesce) {
-  TestFabric f;
-  RegionAllocator pool(f.memory_dev, kPoolBase, MiB(1));
-
-  auto a = pool.Allocate(1, KiB(256));
-  auto b = pool.Allocate(2, KiB(256));
-  auto c = pool.Allocate(3, KiB(256));
-  ASSERT_TRUE(a && b && c);
-  EXPECT_EQ(a->remote_base, kPoolBase);
-  EXPECT_EQ(b->remote_base, kPoolBase + KiB(256));
-  EXPECT_EQ(pool.allocated(), KiB(768));
-  EXPECT_EQ(a->rkey, pool.rkey());
-
-  // Release the middle: fragment count grows.
-  pool.Release(*b);
-  EXPECT_EQ(pool.fragments(), 2u);
-  // A request larger than any fragment fails even though total free fits.
-  EXPECT_FALSE(pool.Allocate(4, KiB(512)).has_value());
-  // Release neighbours: everything coalesces back into one extent.
-  pool.Release(*a);
-  pool.Release(*c);
-  EXPECT_EQ(pool.fragments(), 1u);
-  EXPECT_EQ(pool.allocated(), 0u);
-  auto big = pool.Allocate(5, MiB(1));
-  EXPECT_TRUE(big.has_value());
-}
-
-TEST(RegionAllocator, ExhaustionReturnsNullopt) {
-  TestFabric f;
-  RegionAllocator pool(f.memory_dev, kPoolBase, KiB(128));
-  EXPECT_TRUE(pool.Allocate(1, KiB(128)).has_value());
-  EXPECT_FALSE(pool.Allocate(2, 64).has_value());
-}
-
-TEST(RegionAllocator, AllocatedRegionServesRdma) {
-  // End-to-end: a region carved by the allocator is directly usable as a
-  // Cowbird region (the rkey resolves on the memory node).
-  TestFabric f;
-  sim::Machine spot_machine(f.sim, 1);
-  RegionAllocator pool(f.memory_dev, kPoolBase, MiB(8));
-  auto region = pool.Allocate(1, MiB(1));
-  ASSERT_TRUE(region.has_value());
-
-  CowbirdClient::Config cc;
-  cc.layout.base = 0x10000;
-  cc.layout.threads = 1;
-  CowbirdClient client(f.compute_dev, cc);
-  client.RegisterRegion(*region);
-
-  spot::SpotAgent agent(f.spot_dev, spot_machine, spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&f.memory_dev};
-  auto conn = spot::ConnectSpotEngine(f.spot_dev, f.compute_dev, memories);
-  agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
-                    conn.to_memory, conn.memory_cqs);
-  agent.Start();
-
-  std::vector<std::uint8_t> data(64, 0x5C);
-  f.memory_mem.Write(region->remote_base + 128, data);
-
-  sim::SimThread thread(f.compute_machine, "app");
-  bool ok = false;
-  f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl, sim::SimThread& thr,
-                 bool& out) -> sim::Task<void> {
-    ImplicitGroup group(cl.thread(0));
-    out = co_await group.ReadSync(thr, 1, 128, kHeap, 64);
-    ff.sim.Halt();
-  }(f, client, thread, ok));
-  f.sim.Run();
-  EXPECT_TRUE(ok);
-  std::vector<std::uint8_t> out(64);
-  f.compute_mem.Read(kHeap, out);
-  EXPECT_EQ(out, data);
-}
-
-// ---------------------------------------------------------------------------
 // ImplicitGroup / select semantics
 // ---------------------------------------------------------------------------
 
-class ConvenienceTest : public ::testing::Test {
+class ConvenienceTest : public testing::ClusterTest {
  public:
-  ConvenienceTest() : spot_machine_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(16));
-    CowbirdClient::Config cc;
-    cc.layout.base = 0x10000;
-    cc.layout.threads = 1;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(RegionInfo{1, TestFabric::kMemoryId, kPoolBase,
-                                       pool_mr_->rkey, MiB(16)});
-    agent_ = std::make_unique<spot::SpotAgent>(f_.spot_dev, spot_machine_,
-                                               spot::SpotAgent::Config{});
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = spot::ConnectSpotEngine(f_.spot_dev, f_.compute_dev,
-                                        memories);
-    agent_->AddInstance(client_->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs);
-    agent_->Start();
+  ConvenienceTest() {
+    const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(16));
+    client_ = &f_.AddClient(0, testing::SmallRings(1));
+    client_->RegisterRegion(pool);
+    spot::SpotAgent& agent = f_.AddSpotAgent(spot::SpotAgent::Config{});
+    f_.AttachSpot(agent, *client_);
+    agent.Start();
   }
-
-  TestFabric f_;
-  sim::Machine spot_machine_;
-  const rdma::MemoryRegion* pool_mr_;
-  std::unique_ptr<CowbirdClient> client_;
-  std::unique_ptr<spot::SpotAgent> agent_;
 };
 
 TEST_F(ConvenienceTest, SelectReturnsCompletionsOneByOne) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   int selected = 0;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   int& count) -> sim::Task<void> {
@@ -149,7 +51,7 @@ TEST_F(ConvenienceTest, SelectReturnsCompletionsOneByOne) {
 }
 
 TEST_F(ConvenienceTest, SelectTimesOutWhenNothingPending) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   bool timed_out = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -164,7 +66,7 @@ TEST_F(ConvenienceTest, SelectTimesOutWhenNothingPending) {
 }
 
 TEST_F(ConvenienceTest, WaitForSpecificRequestSkipsOthers) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   bool ok = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -183,12 +85,10 @@ TEST_F(ConvenienceTest, WaitForSpecificRequestSkipsOthers) {
 }
 
 TEST_F(ConvenienceTest, ReadSyncMovesRealBytes) {
-  std::vector<std::uint8_t> data(200);
-  Rng rng(5);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  f_.memory_mem.Write(kPoolBase + 0x3000, data);
+  const auto data = testing::Pattern(200, 5);
+  f_.memory(0).mem.Write(kPoolBase + 0x3000, data);
 
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   bool ok = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -199,7 +99,7 @@ TEST_F(ConvenienceTest, ReadSyncMovesRealBytes) {
   f_.sim.Run();
   ASSERT_TRUE(ok);
   std::vector<std::uint8_t> out(200);
-  f_.compute_mem.Read(kHeap, out);
+  f_.client(0).mem.Read(kHeap, out);
   EXPECT_EQ(out, data);
 }
 

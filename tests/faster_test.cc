@@ -4,12 +4,10 @@
 #include "faster/idevice.h"
 #include "faster/store.h"
 #include "faster/ycsb.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 namespace cowbird::faster {
 namespace {
-
-using workload::Testbed;
 
 constexpr std::uint64_t kDeviceBase = 0x3000'0000;
 constexpr std::uint64_t kDest = 0x8000'0000;
@@ -21,10 +19,10 @@ class StoreTest : public ::testing::Test {
     sc.index_buckets = 1 << 12;
     sc.memory_budget = KiB(64);
     sc.spill_page = KiB(32);
-    store = std::make_unique<FasterStore>(bed.compute_mem, sc);
-    device = std::make_unique<LocalMemoryDevice>(bed.compute_mem, kDeviceBase,
-                                                 rdma::CostModel{});
-    thread = std::make_unique<sim::SimThread>(bed.compute_machine, "t");
+    store = std::make_unique<FasterStore>(cluster.client(0).mem, sc);
+    device = std::make_unique<LocalMemoryDevice>(
+        cluster.client(0).mem, kDeviceBase, rdma::CostModel{});
+    thread = std::make_unique<sim::SimThread>(*cluster.client(0).machine, "t");
   }
 
   std::vector<std::uint8_t> Value(std::uint64_t key, std::uint32_t len) {
@@ -33,7 +31,7 @@ class StoreTest : public ::testing::Test {
     return v;
   }
 
-  Testbed bed;
+  workload::Cluster cluster{workload::ClusterSpec{}};
   std::unique_ptr<FasterStore> store;
   std::unique_ptr<IDevice> device;
   std::unique_ptr<sim::SimThread> thread;
@@ -41,50 +39,50 @@ class StoreTest : public ::testing::Test {
 
 TEST_F(StoreTest, UpsertThenReadInMemory) {
   bool ok = false;
-  bed.sim.Spawn([](StoreTest& t, bool& out) -> sim::Task<void> {
+  cluster.sim.Spawn([](StoreTest& t, bool& out) -> sim::Task<void> {
     co_await t.store->Upsert(*t.thread, *t.device, 42, t.Value(42, 64));
     auto status = co_await t.store->Read(*t.thread, *t.device, 42, kDest,
                                          [] {});
     out = status == FasterStore::ReadStatus::kLocal;
   }(*this, ok));
-  bed.sim.Run();
+  cluster.sim.Run();
   EXPECT_TRUE(ok);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest), 42u);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest + 16), 42u);
+  EXPECT_EQ(cluster.client(0).mem.ReadValue<std::uint64_t>(kDest), 42u);
+  EXPECT_EQ(cluster.client(0).mem.ReadValue<std::uint64_t>(kDest + 16), 42u);
 }
 
 TEST_F(StoreTest, MissingKeyNotFound) {
   auto status = FasterStore::ReadStatus::kLocal;
-  bed.sim.Spawn([](StoreTest& t,
-                   FasterStore::ReadStatus& out) -> sim::Task<void> {
+  cluster.sim.Spawn([](StoreTest& t,
+                       FasterStore::ReadStatus& out) -> sim::Task<void> {
     out = co_await t.store->Read(*t.thread, *t.device, 999, kDest, [] {});
   }(*this, status));
-  bed.sim.Run();
+  cluster.sim.Run();
   EXPECT_EQ(status, FasterStore::ReadStatus::kNotFound);
 }
 
 TEST_F(StoreTest, UpdateSupersedesOldValue) {
-  bed.sim.Spawn([](StoreTest& t) -> sim::Task<void> {
+  cluster.sim.Spawn([](StoreTest& t) -> sim::Task<void> {
     co_await t.store->Upsert(*t.thread, *t.device, 7, t.Value(7, 64));
     auto v2 = t.Value(7, 64);
     v2[63] = 0xEE;
     co_await t.store->Upsert(*t.thread, *t.device, 7, v2);
     (void)co_await t.store->Read(*t.thread, *t.device, 7, kDest, [] {});
   }(*this));
-  bed.sim.Run();
+  cluster.sim.Run();
   std::vector<std::uint8_t> out(80);
-  bed.compute_mem.Read(kDest, out);
+  cluster.client(0).mem.Read(kDest, out);
   EXPECT_EQ(out[16 + 63], 0xEE);
 }
 
 TEST_F(StoreTest, SpillsWhenOverBudget) {
   // 64 KiB budget, 80-byte records → spills begin after ~800 upserts.
-  bed.sim.Spawn([](StoreTest& t) -> sim::Task<void> {
+  cluster.sim.Spawn([](StoreTest& t) -> sim::Task<void> {
     for (std::uint64_t k = 0; k < 3000; ++k) {
       co_await t.store->Upsert(*t.thread, *t.device, k, t.Value(k, 64));
     }
   }(*this));
-  bed.sim.Run();
+  cluster.sim.Run();
   EXPECT_GT(store->spills(), 0u);
   EXPECT_LE(store->InMemoryBytes(), KiB(64));
   EXPECT_EQ(store->size(), 3000u);
@@ -92,7 +90,7 @@ TEST_F(StoreTest, SpillsWhenOverBudget) {
 
 TEST_F(StoreTest, SpilledRecordsReadBackThroughDevice) {
   int pending_done = 0;
-  bed.sim.Spawn([](StoreTest& t, int& done_count) -> sim::Task<void> {
+  cluster.sim.Spawn([](StoreTest& t, int& done_count) -> sim::Task<void> {
     for (std::uint64_t k = 0; k < 3000; ++k) {
       co_await t.store->Upsert(*t.thread, *t.device, k, t.Value(k, 64));
     }
@@ -102,16 +100,16 @@ TEST_F(StoreTest, SpilledRecordsReadBackThroughDevice) {
     // LocalMemoryDevice completes inline.
     EXPECT_EQ(status, FasterStore::ReadStatus::kPending);
   }(*this, pending_done));
-  bed.sim.Run();
+  cluster.sim.Run();
   EXPECT_EQ(pending_done, 1);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest), 0u);
+  EXPECT_EQ(cluster.client(0).mem.ReadValue<std::uint64_t>(kDest), 0u);
   // Value embeds the key (0) in its first 8 bytes.
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest + 16), 0u);
+  EXPECT_EQ(cluster.client(0).mem.ReadValue<std::uint64_t>(kDest + 16), 0u);
 }
 
 TEST_F(StoreTest, RecordSizeRounding) {
   FasterStore::Config sc;
-  FasterStore s(bed.compute_mem, sc);
+  FasterStore s(cluster.client(0).mem, sc);
   EXPECT_EQ(s.RecordSize(64), 80u);
   EXPECT_EQ(s.RecordSize(8), 24u);
   EXPECT_EQ(s.RecordSize(1), 24u);  // rounded to 8

@@ -9,211 +9,74 @@
 // instance from it.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/client.h"
 #include "fabric_fixture.h"
-#include "offload/progress.h"
 #include "offload/registry.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
 
 namespace cowbird::spot {
 namespace {
 
-using cowbird::testing::TestFabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
+using testing::Pattern;
+using workload::Cluster;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
 
-std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  return data;
-}
-
-class MultiEngineTest : public ::testing::Test {
+class MultiEngineTest : public testing::ClusterTest {
  public:
-  MultiEngineTest() : machine_a_(f_.sim, 1), machine_b_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
-
+  MultiEngineTest() {
+    const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
     SpotAgent::Config config_a;
     config_a.staging_base = 0x4000'0000;
     SpotAgent::Config config_b;
     config_b.staging_base = 0x8000'0000;
-    agent_a_ = std::make_unique<SpotAgent>(f_.spot_dev, machine_a_, config_a);
-    agent_b_ = std::make_unique<SpotAgent>(f_.spot_dev, machine_b_, config_b);
+    agent_a_ = &f_.AddSpotAgent(config_a);
+    agent_b_ = &f_.AddSpotAgent(config_b);
 
-    clients_.push_back(MakeClient(0x10000));
-    clients_.push_back(MakeClient(0x800000));
+    for (const std::uint64_t layout_base : {0x10000, 0x800000}) {
+      clients_.push_back(
+          &f_.AddClient(0, testing::SmallRings(1, layout_base)));
+      clients_.back()->RegisterRegion(pool);
+    }
 
-    engine_a_ = registry_.AddEngine(BindingFor(*agent_a_, "spot-a"));
-    engine_b_ = registry_.AddEngine(BindingFor(*agent_b_, "spot-b"));
+    // The registry sees every engine through a backend-agnostic binding:
+    // attach wires fresh QPs and resumes from the snapshot, detach exports
+    // the snapshot and deactivates the instance.
+    engine_a_ = registry_.AddEngine(f_.SpotBinding(*agent_a_, "spot-a"));
+    engine_b_ = registry_.AddEngine(f_.SpotBinding(*agent_b_, "spot-b"));
     agent_a_->Start();
     agent_b_->Start();
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
-  }
-
-  std::unique_ptr<CowbirdClient> MakeClient(std::uint64_t layout_base) {
-    CowbirdClient::Config config;
-    config.layout.base = layout_base;
-    config.layout.threads = 1;
-    config.layout.meta_slots = 64;
-    config.layout.data_capacity = KiB(64);
-    config.layout.resp_capacity = KiB(64);
-    auto client = std::make_unique<CowbirdClient>(f_.compute_dev, config);
-    client->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
-                                      kPoolBase, pool_mr_->rkey, MiB(64)});
-    return client;
-  }
-
-  CowbirdClient* ClientFor(std::uint32_t instance_id) {
-    for (auto& client : clients_) {
-      if (client->descriptor().instance_id == instance_id) {
-        return client.get();
-      }
-    }
-    return nullptr;
-  }
-
-  // The registry sees every engine through this backend-agnostic binding:
-  // attach wires fresh QPs and resumes from the snapshot, detach exports
-  // the snapshot and deactivates the instance.
-  offload::EngineBinding BindingFor(SpotAgent& agent, std::string name) {
-    offload::EngineBinding binding;
-    binding.name = std::move(name);
-    binding.attach = [this, &agent](std::uint32_t instance_id,
-                                    const offload::InstanceProgress* resume) {
-      CowbirdClient* client = ClientFor(instance_id);
-      if (client == nullptr) return false;
-      rdma::Device* memories[] = {&f_.memory_dev};
-      auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
-      agent.AddInstance(client->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs,
-                        resume);
-      return true;
-    };
-    binding.detach = [&agent](std::uint32_t instance_id) {
-      auto snapshot = agent.ExportProgress(instance_id);
-      agent.RemoveInstance(instance_id);
-      return snapshot;
-    };
-    return binding;
-  }
-
-  // The client's published red block, per thread — the optimistic counters
-  // a crash-exported snapshot must be reconciled against at attach time.
-  std::vector<offload::ThreadProgress> ReadPublishedProgress(
-      const CowbirdClient& client) const {
-    std::vector<offload::ThreadProgress> published;
-    const auto& layout = client.descriptor().layout;
-    std::vector<std::uint8_t> block(core::kRedBlockBytes);
-    for (int t = 0; t < layout.threads; ++t) {
-      f_.compute_mem.Read(layout.RedAddr(t), block);
-      published.push_back(offload::ProgressPublisher::Unpack(block));
-    }
-    return published;
-  }
-
-  // Crash-flavored binding: detach exports mid-flight (no drain) and halts
-  // the dead engine's QPs so no zombie retransmission races the survivor.
-  // Attach runs after the export — possibly after red writes that were on
-  // the wire at export time have landed — so it re-reads the published red
-  // block and reconciles before resuming.
-  offload::EngineBinding CrashBindingFor(SpotAgent& agent, std::string name) {
-    offload::EngineBinding binding;
-    binding.name = std::move(name);
-    binding.attach = [this, &agent](std::uint32_t instance_id,
-                                    const offload::InstanceProgress* resume) {
-      CowbirdClient* client = ClientFor(instance_id);
-      if (client == nullptr) return false;
-      rdma::Device* memories[] = {&f_.memory_dev};
-      auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
-      offload::InstanceProgress reconciled;
-      const offload::InstanceProgress* use = resume;
-      if (resume != nullptr) {
-        reconciled = *resume;
-        offload::ReconcileWithPublished(reconciled,
-                                        ReadPublishedProgress(*client));
-        use = &reconciled;
-      }
-      agent.AddInstance(client->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs,
-                        use);
-      conn_of_[&agent] = conn;
-      return true;
-    };
-    binding.detach = [this, &agent](std::uint32_t instance_id) {
-      auto snapshot = agent.ExportProgress(instance_id);
-      agent.RemoveInstance(instance_id);
-      auto it = conn_of_.find(&agent);
-      if (it != conn_of_.end()) {
-        it->second.to_compute->Halt();
-        for (auto& [node, qp] : it->second.to_memory) qp->Halt();
-        conn_of_.erase(it);
-      }
-      return snapshot;
-    };
-    return binding;
   }
 
   sim::Task<std::vector<std::uint8_t>> ReadAndWait(int client_index,
                                                    std::uint64_t offset,
                                                    std::uint32_t len,
                                                    std::uint64_t dest) {
-    auto& ctx = clients_[client_index]->thread(0);
-    std::optional<ReqId> id;
-    while (!(id = co_await ctx.AsyncRead(*app_thread_, kRegion, offset, dest,
-                                         len))) {
-      co_await app_thread_->Idle(Micros(5));
-    }
-    const core::PollId poll = ctx.PollCreate();
-    ctx.PollAdd(poll, *id);
-    for (;;) {
-      auto done = co_await ctx.PollWait(*app_thread_, poll, 1, Millis(5));
-      if (!done.empty()) break;
-    }
-    std::vector<std::uint8_t> out(len);
-    f_.compute_mem.Read(dest, out);
-    co_return out;
+    return ClusterTest::ReadAndWait(*clients_[client_index], 0, offset, len,
+                                    dest);
   }
 
-  sim::Task<void> WriteAndWait(int client_index, std::uint64_t src,
-                               std::uint64_t off, std::uint32_t len) {
-    auto& ctx = clients_[client_index]->thread(0);
-    std::optional<ReqId> id;
-    while (!(id = co_await ctx.AsyncWrite(*app_thread_, kRegion, src, off,
-                                          len))) {
-      co_await app_thread_->Idle(Micros(5));
-    }
-    const core::PollId poll = ctx.PollCreate();
-    ctx.PollAdd(poll, *id);
-    for (;;) {
-      auto done = co_await ctx.PollWait(*app_thread_, poll, 1, Millis(5));
-      if (!done.empty()) break;
-    }
+  sim::Task<ReqId> WriteAndWait(int client_index, std::uint64_t src,
+                                std::uint64_t off, std::uint32_t len) {
+    return ClusterTest::WriteAndWait(*clients_[client_index], 0, src, off,
+                                     len);
   }
 
-  TestFabric f_;
-  sim::Machine machine_a_;
-  sim::Machine machine_b_;
-  const rdma::MemoryRegion* pool_mr_ = nullptr;
-  std::unique_ptr<SpotAgent> agent_a_;
-  std::unique_ptr<SpotAgent> agent_b_;
-  std::vector<std::unique_ptr<CowbirdClient>> clients_;
+  SpotAgent* agent_a_ = nullptr;
+  SpotAgent* agent_b_ = nullptr;
+  std::vector<CowbirdClient*> clients_;
   offload::InstanceRegistry registry_;
   offload::EngineId engine_a_ = offload::kNoEngine;
   offload::EngineId engine_b_ = offload::kNoEngine;
-  std::map<SpotAgent*, SpotConnection> conn_of_;
-  std::unique_ptr<sim::SimThread> app_thread_;
 };
 
 TEST_F(MultiEngineTest, DisjointShardsServedConcurrently) {
@@ -231,8 +94,8 @@ TEST_F(MultiEngineTest, DisjointShardsServedConcurrently) {
 
   const auto d0 = Pattern(256, 1);
   const auto d1 = Pattern(512, 2);
-  f_.memory_mem.Write(kPoolBase + 0x2000, d0);
-  f_.compute_mem.Write(kHeap, d1);
+  f_.memory(0).mem.Write(kPoolBase + 0x2000, d0);
+  f_.client(0).mem.Write(kHeap, d1);
 
   int finished = 0;
   f_.sim.Spawn([](MultiEngineTest& t, const std::vector<std::uint8_t>& want,
@@ -268,7 +131,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
     // Phase 1: instance 0 does work through engine A.
     for (int i = 0; i < 8; ++i) {
       const auto data = Pattern(200, 100 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.client(0).mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 1024, 200);
       auto got = co_await t.ReadAndWait(0, i * 1024, 200, kHeap + 0x10000);
       EXPECT_EQ(got, data) << "pre-migration iteration " << i;
@@ -291,7 +154,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
     const auto b_ops = t.agent_b_->ops_completed();
     for (int i = 0; i < 8; ++i) {
       const auto data = Pattern(200, 200 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.client(0).mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, 0x40000 + i * 1024, 200);
       auto got = co_await t.ReadAndWait(0, 0x40000 + i * 1024, 200,
                                         kHeap + 0x10000);
@@ -311,7 +174,7 @@ TEST_F(MultiEngineTest, ExplicitReassignMovesLiveInstance) {
   f_.sim.Spawn([](MultiEngineTest& t, std::uint32_t inst0)
                    -> sim::Task<void> {
     const auto data = Pattern(300, 7);
-    t.f_.compute_mem.Write(kHeap, data);
+    t.f_.client(0).mem.Write(kHeap, data);
     co_await t.WriteAndWait(0, kHeap, 0x3000, 300);
 
     // Drain A before moving (lossless handoff), then Reassign.
@@ -338,8 +201,10 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
   // any completed one twice.
   const std::uint32_t inst = clients_[0]->descriptor().instance_id;
   offload::InstanceRegistry crash_reg;
-  const auto crash_a = crash_reg.AddEngine(CrashBindingFor(*agent_a_, "crash-a"));
-  const auto crash_b = crash_reg.AddEngine(CrashBindingFor(*agent_b_, "crash-b"));
+  const auto crash_a = crash_reg.AddEngine(
+      f_.SpotBinding(*agent_a_, "crash-a", Cluster::Detach::kCrash));
+  const auto crash_b = crash_reg.AddEngine(
+      f_.SpotBinding(*agent_b_, "crash-b", Cluster::Detach::kCrash));
   ASSERT_EQ(crash_reg.AddInstance(inst, crash_a), crash_a);
 
   f_.sim.Spawn([](MultiEngineTest& t, offload::InstanceRegistry& reg,
@@ -348,7 +213,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // Durable pre-crash history: six completed writes.
     for (int i = 0; i < 6; ++i) {
       const auto data = Pattern(200, 300 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.client(0).mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 1024, 200);
     }
     const auto a_ops = t.agent_a_->ops_completed();
@@ -360,7 +225,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // not consumed it yet, through the survivor re-parsing the rings).
     auto& ctx = t.clients_[0]->thread(0);
     const auto inflight = Pattern(200, 399);
-    t.f_.compute_mem.Write(kHeap + 0x1000, inflight);
+    t.f_.client(0).mem.Write(kHeap + 0x1000, inflight);
     std::optional<ReqId> id;
     while (!(id = co_await ctx.AsyncWrite(*t.app_thread_, kRegion,
                                           kHeap + 0x1000, 6 * 1024, 200))) {
@@ -394,7 +259,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // resumed counters, so fresh traffic runs at full health.
     for (int i = 0; i < 4; ++i) {
       const auto data = Pattern(200, 500 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.client(0).mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, 0x40000 + i * 1024, 200);
       auto back = co_await t.ReadAndWait(0, 0x40000 + i * 1024, 200,
                                          kHeap + 0x12000);

@@ -12,7 +12,6 @@ namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
-using cowbird::testing::TestFabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -78,23 +77,18 @@ TEST(ControlMessage, GarbageRejected) {
 class ControlPlaneTest : public ::testing::Test {
  public:
   ControlPlaneTest()
-      : engine_(f_.sw,
-                [] {
-                  CowbirdP4Engine::Config c;
-                  c.switch_node_id = kSwitchId;
-                  return c;
-                }()),
-        server_(engine_, f_.sw, kSwitchId),
-        rpc_(f_.compute_nic, kSwitchId) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
-    CowbirdClient::Config cc;
-    cc.layout.base = 0x10000;
-    cc.layout.threads = 1;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(core::RegionInfo{
-        kRegion, TestFabric::kMemoryId, kPoolBase, pool_mr_->rkey, MiB(64)});
-    conn_ = ConnectP4Engine(engine_, kSwitchId, f_.compute_dev, f_.memory_dev,
-                            0x800);
+      : engine_(f_.AddP4Engine([] {
+          CowbirdP4Engine::Config c;
+          c.switch_node_id = kSwitchId;
+          return c;
+        }())),
+        server_(engine_, f_.sw(), kSwitchId),
+        rpc_(f_.client(0).nic, kSwitchId) {
+    const core::RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
+    client_ = &f_.AddClient(0, testing::SmallRings(1));
+    client_->RegisterRegion(pool);
+    conn_ = ConnectP4Engine(engine_, kSwitchId, *f_.client(0).dev,
+                            *f_.memory(0).dev, 0x800);
     engine_.Start();
   }
 
@@ -113,17 +107,16 @@ class ControlPlaneTest : public ::testing::Test {
     co_return false;
   }
 
-  TestFabric f_;
-  const rdma::MemoryRegion* pool_mr_;
-  CowbirdP4Engine engine_;
+  workload::Cluster f_{workload::ClusterSpec{}};
+  CowbirdP4Engine& engine_;
   ControlPlaneServer server_;
   ControlPlaneClient rpc_;
-  std::unique_ptr<CowbirdClient> client_;
+  CowbirdClient* client_ = nullptr;
   P4Connection conn_;
 };
 
 TEST_F(ControlPlaneTest, SetupOverTheWireThenServe) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   bool setup_ok = false;
   bool read_ok = false;
   f_.sim.Spawn([](ControlPlaneTest& t, sim::SimThread& thr, bool& s_ok,
@@ -139,7 +132,7 @@ TEST_F(ControlPlaneTest, SetupOverTheWireThenServe) {
 }
 
 TEST_F(ControlPlaneTest, TeardownStopsService) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(*f_.client(0).machine, "app");
   bool before = false, teardown_ok = false, after = true;
   f_.sim.Spawn([](ControlPlaneTest& t, sim::SimThread& thr, bool& b,
                   bool& td, bool& a) -> sim::Task<void> {

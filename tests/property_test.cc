@@ -26,7 +26,6 @@ namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
-using cowbird::testing::TestFabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -41,59 +40,45 @@ const char* EngineName(Engine e) {
 
 // Harness that can run either engine behind the same client.
 struct EngineHarness {
-  EngineHarness(Engine engine, double loss_rate, std::uint64_t seed)
-      : spot_machine(fabric.sim, 1) {
-    pool_mr = fabric.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  EngineHarness(Engine engine, double loss_rate, std::uint64_t seed) {
+    const core::RegionInfo pool =
+        testing::PoolRegion(fabric, kPoolBase, MiB(64));
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
     cc.layout.threads = 2;
     cc.layout.meta_slots = 128;
     cc.layout.data_capacity = KiB(128);
     cc.layout.resp_capacity = KiB(128);
-    client = std::make_unique<CowbirdClient>(fabric.compute_dev, cc);
-    client->RegisterRegion(core::RegionInfo{kRegion, TestFabric::kMemoryId,
-                                            kPoolBase, pool_mr->rkey,
-                                            MiB(64)});
+    client = &fabric.AddClient(0, cc);
+    client->RegisterRegion(pool);
     if (engine == Engine::kSpot) {
-      spot_agent = std::make_unique<spot::SpotAgent>(
-          fabric.spot_dev, spot_machine, spot::SpotAgent::Config{});
-      rdma::Device* memories[] = {&fabric.memory_dev};
-      auto conn = spot::ConnectSpotEngine(fabric.spot_dev,
-                                          fabric.compute_dev, memories);
-      spot_agent->AddInstance(client->descriptor(), conn.to_compute,
-                              conn.compute_cq, conn.to_memory,
-                              conn.memory_cqs);
-      spot_agent->Start();
+      spot::SpotAgent& agent =
+          fabric.AddSpotAgent(spot::SpotAgent::Config{});
+      fabric.AttachSpot(agent, *client);
+      agent.Start();
     } else {
       p4::CowbirdP4Engine::Config ec;
       ec.switch_node_id = kSwitchId;
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(fabric.sw, ec);
-      auto conn = p4::ConnectP4Engine(*p4_engine, kSwitchId,
-                                      fabric.compute_dev, fabric.memory_dev,
-                                      0x800);
-      p4_engine->AddInstance(client->descriptor(), conn);
-      p4_engine->Start();
+      fabric.AddP4Engine(ec);
+      fabric.AttachP4(*client, 0x800);
+      fabric.p4().Start();
     }
     if (loss_rate > 0) {
       loss_rng = std::make_unique<Rng>(seed * 31 + 7);
       auto filter = [this, loss_rate](const net::Packet& p) {
         return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(loss_rate);
       };
-      fabric.sw.EgressLink(fabric.compute_nic.switch_port())
+      fabric.sw().EgressLink(fabric.client(0).nic.switch_port())
           .set_drop_filter(filter);
-      fabric.sw.EgressLink(fabric.memory_nic.switch_port())
+      fabric.sw().EgressLink(fabric.memory(0).nic.switch_port())
           .set_drop_filter(filter);
-      fabric.sw.EgressLink(fabric.spot_nic.switch_port())
+      fabric.sw().EgressLink(fabric.spot().nic.switch_port())
           .set_drop_filter(filter);
     }
   }
 
-  TestFabric fabric;
-  sim::Machine spot_machine;
-  const rdma::MemoryRegion* pool_mr = nullptr;
-  std::unique_ptr<CowbirdClient> client;
-  std::unique_ptr<spot::SpotAgent> spot_agent;
-  std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
+  workload::Cluster fabric{workload::ClusterSpec{}};
+  CowbirdClient* client = nullptr;
   std::unique_ptr<Rng> loss_rng;
 };
 
@@ -133,7 +118,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
                         std::vector<SlotState>& state,
                         std::uint64_t& bad,
                         std::uint64_t& checked) -> sim::Task<void> {
-    sim::SimThread thread(eh.fabric.compute_machine, "app");
+    sim::SimThread thread(*eh.fabric.client(0).machine, "app");
     auto& ctx = eh.client->thread(0);
     const core::PollId poll = ctx.PollCreate();
     Rng rng(wl_seed);
@@ -164,7 +149,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
         const std::uint64_t version = state[slot].version + 1;
         std::vector<std::uint8_t> payload;
         make_payload(slot, version, payload);
-        eh.fabric.compute_mem.Write(kHeap, payload);
+        eh.fabric.client(0).mem.Write(kHeap, payload);
         auto id = co_await ctx.AsyncWrite(thread, kRegion, kHeap, offset,
                                           p.len);
         if (!id.has_value()) {
@@ -197,7 +182,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
                ctx.reads_retired() >= pending.front().id.seq()) {
           const PendingRead& r = pending.front();
           const auto version =
-              eh.fabric.compute_mem.ReadValue<std::uint64_t>(r.dest);
+              eh.fabric.client(0).mem.ReadValue<std::uint64_t>(r.dest);
           ++checked;
           // Must be at least the version issued before the read, and not
           // beyond the latest issued (no time travel either way). Torn data
@@ -209,7 +194,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
             for (std::uint32_t b = 8; b < p.len; ++b) {
               const auto expect = static_cast<std::uint8_t>(
                   version * 37 + static_cast<std::uint64_t>(r.slot));
-              if (eh.fabric.compute_mem.ReadValue<std::uint8_t>(r.dest + b) !=
+              if (eh.fabric.client(0).mem.ReadValue<std::uint8_t>(r.dest + b) !=
                   expect) {
                 filler_ok = false;
                 break;
@@ -233,7 +218,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
              ctx.reads_retired() >= pending.front().id.seq()) {
         const PendingRead& r = pending.front();
         const auto version =
-            eh.fabric.compute_mem.ReadValue<std::uint64_t>(r.dest);
+            eh.fabric.client(0).mem.ReadValue<std::uint64_t>(r.dest);
         ++checked;
         if (version < r.min_version || version > state[r.slot].version) {
           ++bad;
@@ -282,12 +267,12 @@ TEST_P(TransferSizeTest, WriteThenReadRoundTrips) {
   Rng rng(len);
   std::vector<std::uint8_t> data(len);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  h.fabric.compute_mem.Write(kHeap, data);
+  h.fabric.client(0).mem.Write(kHeap, data);
 
   bool ok = false;
   h.fabric.sim.Spawn([](EngineHarness& eh, std::uint32_t n,
                         bool& out) -> sim::Task<void> {
-    sim::SimThread thread(eh.fabric.compute_machine, "app");
+    sim::SimThread thread(*eh.fabric.client(0).machine, "app");
     auto& ctx = eh.client->thread(0);
     const core::PollId poll = ctx.PollCreate();
     auto w = co_await ctx.AsyncWrite(thread, kRegion, kHeap, 0x5000, n);
@@ -308,7 +293,7 @@ TEST_P(TransferSizeTest, WriteThenReadRoundTrips) {
   ASSERT_TRUE(ok);
 
   std::vector<std::uint8_t> out(len);
-  h.fabric.compute_mem.Read(kHeap + 0x100000, out);
+  h.fabric.client(0).mem.Read(kHeap + 0x100000, out);
   EXPECT_EQ(out, data);
 }
 

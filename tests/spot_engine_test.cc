@@ -3,111 +3,40 @@
 // with local-memory writes only; the spot agent moves all data.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.h"
 #include "core/client.h"
 #include "fabric_fixture.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
 
 namespace cowbird::spot {
 namespace {
 
-using cowbird::testing::TestFabric;
-using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
-using core::RwType;
+using testing::Pattern;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
 
-std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  return data;
-}
-
-class SpotEngineTest : public ::testing::Test {
+class SpotEngineTest : public testing::ClusterTest {
  public:
   explicit SpotEngineTest(SpotAgent::Config agent_config = {},
-                          int client_threads = 2)
-      : spot_machine_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
-
-    CowbirdClient::Config client_config;
-    client_config.layout.base = 0x10000;
-    client_config.layout.threads = client_threads;
-    client_config.layout.meta_slots = 64;
-    client_config.layout.data_capacity = KiB(64);
-    client_config.layout.resp_capacity = KiB(64);
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, client_config);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
-                                       kPoolBase, pool_mr_->rkey, MiB(64)});
-
-    agent_ = std::make_unique<SpotAgent>(f_.spot_dev, spot_machine_,
-                                         agent_config);
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
-    agent_->AddInstance(client_->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs);
+                          int client_threads = 2) {
+    const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
+    client_ = &f_.AddClient(0, testing::SmallRings(client_threads));
+    client_->RegisterRegion(pool);
+    agent_ = &f_.AddSpotAgent(agent_config);
+    f_.AttachSpot(*agent_, *client_);
     agent_->Start();
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
   }
 
-  // Issues an async read and waits for its completion; returns the bytes.
-  sim::Task<std::vector<std::uint8_t>> ReadAndWait(int t,
-                                                   std::uint64_t offset,
-                                                   std::uint32_t len,
-                                                   std::uint64_t dest) {
-    auto& ctx = client_->thread(t);
-    std::optional<ReqId> id;
-    while (!(id = co_await ctx.AsyncRead(*app_thread_, kRegion, offset, dest,
-                                         len))) {
-      co_await app_thread_->Idle(Micros(5));
-    }
-    const core::PollId poll = ctx.PollCreate();
-    ctx.PollAdd(poll, *id);
-    for (;;) {
-      auto done = co_await ctx.PollWait(*app_thread_, poll, 1, Millis(5));
-      if (!done.empty()) break;
-    }
-    std::vector<std::uint8_t> out(len);
-    f_.compute_mem.Read(dest, out);
-    co_return out;
-  }
-
-  sim::Task<ReqId> WriteAndWait(int t, std::uint64_t src, std::uint64_t off,
-                                std::uint32_t len) {
-    auto& ctx = client_->thread(t);
-    std::optional<ReqId> id;
-    while (!(id = co_await ctx.AsyncWrite(*app_thread_, kRegion, src, off,
-                                          len))) {
-      co_await app_thread_->Idle(Micros(5));
-    }
-    const core::PollId poll = ctx.PollCreate();
-    ctx.PollAdd(poll, *id);
-    for (;;) {
-      auto done = co_await ctx.PollWait(*app_thread_, poll, 1, Millis(5));
-      if (!done.empty()) break;
-    }
-    co_return *id;
-  }
-
-  TestFabric f_;
-  sim::Machine spot_machine_;
-  const rdma::MemoryRegion* pool_mr_;
-  std::unique_ptr<CowbirdClient> client_;
-  std::unique_ptr<SpotAgent> agent_;
-  std::unique_ptr<sim::SimThread> app_thread_;
+  SpotAgent* agent_ = nullptr;
 };
 
 TEST_F(SpotEngineTest, ReadFetchesPoolData) {
   const auto data = Pattern(256, 1);
-  f_.memory_mem.Write(kPoolBase + 0x2000, data);
+  f_.memory(0).mem.Write(kPoolBase + 0x2000, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, std::vector<std::uint8_t>& out)
                    -> sim::Task<void> {
@@ -122,14 +51,14 @@ TEST_F(SpotEngineTest, ReadFetchesPoolData) {
 
 TEST_F(SpotEngineTest, WriteLandsInPool) {
   const auto data = Pattern(512, 2);
-  f_.compute_mem.Write(kHeap, data);
+  f_.client(0).mem.Write(kHeap, data);
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     co_await t.WriteAndWait(0, kHeap, 0x8000, 512);
     t.f_.sim.Halt();
   }(*this));
   f_.sim.Run();
   std::vector<std::uint8_t> out(512);
-  f_.memory_mem.Read(kPoolBase + 0x8000, out);
+  f_.memory(0).mem.Read(kPoolBase + 0x8000, out);
   EXPECT_EQ(out, data);
 }
 
@@ -138,8 +67,8 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
   // overlapping range must return the written data.
   const auto old_data = Pattern(128, 3);
   const auto new_data = Pattern(128, 4);
-  f_.memory_mem.Write(kPoolBase + 0x9000, old_data);
-  f_.compute_mem.Write(kHeap, new_data);
+  f_.memory(0).mem.Write(kPoolBase + 0x9000, old_data);
+  f_.client(0).mem.Write(kHeap, new_data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, const std::vector<std::uint8_t>& nd,
                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
@@ -161,7 +90,7 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
       done += static_cast<int>(completed.size());
     }
     out.resize(128);
-    t.f_.compute_mem.Read(kHeap + 4096, out);
+    t.f_.client(0).mem.Read(kHeap + 4096, out);
     (void)nd;
     t.f_.sim.Halt();
   }(*this, new_data, got));
@@ -173,8 +102,8 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
 TEST_F(SpotEngineTest, NonOverlappingReadIsNotStalledByWrite) {
   const auto a = Pattern(128, 5);
   const auto b = Pattern(128, 6);
-  f_.memory_mem.Write(kPoolBase + 0x20000, b);
-  f_.compute_mem.Write(kHeap, a);
+  f_.memory(0).mem.Write(kPoolBase + 0x20000, b);
+  f_.client(0).mem.Write(kHeap, a);
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
     auto w = co_await ctx.AsyncWrite(*t.app_thread_, kRegion, kHeap, 0x9000,
@@ -196,7 +125,7 @@ TEST_F(SpotEngineTest, NonOverlappingReadIsNotStalledByWrite) {
   f_.sim.Run();
   EXPECT_EQ(agent_->reads_stalled_by_writes(), 0u);
   std::vector<std::uint8_t> out(128);
-  f_.compute_mem.Read(kHeap + 4096, out);
+  f_.client(0).mem.Read(kHeap + 4096, out);
   EXPECT_EQ(out, b);
 }
 
@@ -204,7 +133,7 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
   // 64 consecutive 64-byte reads from one thread: with batch_size 16 the
   // agent should deliver them in far fewer than 64 RDMA writes.
   for (int i = 0; i < 64; ++i) {
-    f_.memory_mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 100 + i));
+    f_.memory(0).mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 100 + i));
   }
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
@@ -230,7 +159,7 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
   f_.sim.Run();
   for (int i = 0; i < 64; ++i) {
     std::vector<std::uint8_t> out(64);
-    f_.compute_mem.Read(kHeap + i * 64, out);
+    f_.client(0).mem.Read(kHeap + i * 64, out);
     EXPECT_EQ(out, Pattern(64, 100 + i)) << "read " << i;
   }
   EXPECT_LT(agent_->batches_flushed(), 24u);
@@ -240,8 +169,8 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
 TEST_F(SpotEngineTest, TwoThreadsProgressIndependently) {
   const auto d0 = Pattern(256, 7);
   const auto d1 = Pattern(256, 8);
-  f_.memory_mem.Write(kPoolBase + 0x50000, d0);
-  f_.memory_mem.Write(kPoolBase + 0x60000, d1);
+  f_.memory(0).mem.Write(kPoolBase + 0x50000, d0);
+  f_.memory(0).mem.Write(kPoolBase + 0x60000, d1);
   int finished = 0;
   for (int t = 0; t < 2; ++t) {
     f_.sim.Spawn([](SpotEngineTest& test, int tid, int& count)
@@ -254,15 +183,15 @@ TEST_F(SpotEngineTest, TwoThreadsProgressIndependently) {
   }
   f_.sim.Run();
   std::vector<std::uint8_t> out0(256), out1(256);
-  f_.compute_mem.Read(kHeap, out0);
-  f_.compute_mem.Read(kHeap + 4096, out1);
+  f_.client(0).mem.Read(kHeap, out0);
+  f_.client(0).mem.Read(kHeap + 4096, out1);
   EXPECT_EQ(out0, d0);
   EXPECT_EQ(out1, d1);
 }
 
 TEST_F(SpotEngineTest, LargeTransfersSpanningMtu) {
   const auto data = Pattern(5 * 1024, 9);
-  f_.compute_mem.Write(kHeap, data);
+  f_.client(0).mem.Write(kHeap, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, std::vector<std::uint8_t>& out)
                    -> sim::Task<void> {
@@ -285,14 +214,14 @@ TEST_F(SpotEngineTest, SustainedMixedWorkloadWithRingWraps) {
       const std::uint64_t off = rng.Below(1024) * 2048;
       if (rng.Bernoulli(0.5)) {
         const auto data = Pattern(len, 5000 + i);
-        t.f_.compute_mem.Write(kHeap, data);
+        t.f_.client(0).mem.Write(kHeap, data);
         co_await t.WriteAndWait(0, kHeap, off, len);
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         EXPECT_EQ(got, data) << "iteration " << i;
       } else {
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         std::vector<std::uint8_t> expect(len);
-        t.f_.memory_mem.Read(kPoolBase + off, expect);
+        t.f_.memory(0).mem.Read(kPoolBase + off, expect);
         EXPECT_EQ(got, expect) << "iteration " << i;
       }
     }
@@ -308,14 +237,14 @@ TEST_F(SpotEngineTest, SurvivesPacketLoss) {
   auto loss = [rng](const net::Packet& p) {
     return rdma::LooksLikeRdma(p) && rng->Bernoulli(0.02);
   };
-  f_.sw.EgressLink(f_.memory_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.compute_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.spot_nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.memory(0).nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.client(0).nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.spot().nic.switch_port()).set_drop_filter(loss);
 
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     for (int i = 0; i < 50; ++i) {
       const auto data = Pattern(300, 9000 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.client(0).mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 512, 300);
       auto got = co_await t.ReadAndWait(0, i * 512, 300, kHeap + 0x100000);
       EXPECT_EQ(got, data) << "iteration " << i;
@@ -339,7 +268,7 @@ class SpotEngineNoBatchTest : public SpotEngineTest {
 
 TEST_F(SpotEngineNoBatchTest, EveryReadFlushedIndividually) {
   for (int i = 0; i < 16; ++i) {
-    f_.memory_mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 200 + i));
+    f_.memory(0).mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 200 + i));
   }
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
@@ -362,7 +291,7 @@ TEST_F(SpotEngineNoBatchTest, EveryReadFlushedIndividually) {
   EXPECT_EQ(agent_->batches_flushed(), 16u);
   for (int i = 0; i < 16; ++i) {
     std::vector<std::uint8_t> out(64);
-    f_.compute_mem.Read(kHeap + i * 64, out);
+    f_.client(0).mem.Read(kHeap + i * 64, out);
     EXPECT_EQ(out, Pattern(64, 200 + i));
   }
 }

@@ -14,28 +14,20 @@
 #include "fabric_fixture.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
-#include "spot/setup.h"
 #include "telemetry/hub.h"
 
 namespace cowbird::telemetry {
 namespace {
 
-using cowbird::testing::TestFabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
+using testing::Pattern;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
 constexpr net::NodeId kSwitchId = 100;
-
-std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  return data;
-}
 
 // Issue timestamp and observed completion timestamp of one op.
 struct OpTiming {
@@ -47,20 +39,12 @@ struct OpTiming {
 // Base harness: testbed + instrumented client; engine added by subclasses.
 class BreakdownTestBase : public ::testing::Test {
  public:
-  BreakdownTestBase() : hub_([this] { return f_.sim.Now(); }) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
-
-    CowbirdClient::Config cc;
-    cc.layout.base = 0x10000;
-    cc.layout.threads = 1;
-    cc.layout.meta_slots = 64;
-    cc.layout.data_capacity = KiB(64);
-    cc.layout.resp_capacity = KiB(64);
-    cc.telemetry = &hub_;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
-                                       kPoolBase, pool_mr_->rkey, MiB(64)});
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+  BreakdownTestBase() {
+    const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
+    client_ = &f_.AddClient(0, testing::SmallRings(1));
+    client_->RegisterRegion(pool);
+    app_thread_ =
+        std::make_unique<sim::SimThread>(*f_.client(0).machine, "app");
   }
 
   // One op at a time: issue, poll to completion, record both endpoints.
@@ -108,28 +92,19 @@ class BreakdownTestBase : public ::testing::Test {
         << error;
   }
 
-  TestFabric f_;
-  Hub hub_;
-  const rdma::MemoryRegion* pool_mr_;
-  std::unique_ptr<CowbirdClient> client_;
+  Hub hub_{[] { return Nanos{0}; }};  // re-seated by the cluster
+  workload::Cluster f_{workload::ClusterSpec{}, &hub_};
+  CowbirdClient* client_ = nullptr;
   std::unique_ptr<sim::SimThread> app_thread_;
 };
 
 class SpotBreakdownTest : public BreakdownTestBase {
  public:
-  SpotBreakdownTest() : spot_machine_(f_.sim, 1) {
-    spot::SpotAgent::Config ac;
-    ac.telemetry = &hub_;
-    agent_ = std::make_unique<spot::SpotAgent>(f_.spot_dev, spot_machine_, ac);
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = spot::ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
-    agent_->AddInstance(client_->descriptor(), conn.to_compute,
-                        conn.compute_cq, conn.to_memory, conn.memory_cqs);
-    agent_->Start();
+  SpotBreakdownTest() {
+    spot::SpotAgent& agent = f_.AddSpotAgent(spot::SpotAgent::Config{});
+    f_.AttachSpot(agent, *client_);
+    agent.Start();
   }
-
-  sim::Machine spot_machine_;
-  std::unique_ptr<spot::SpotAgent> agent_;
 };
 
 class P4BreakdownTest : public BreakdownTestBase {
@@ -137,19 +112,14 @@ class P4BreakdownTest : public BreakdownTestBase {
   P4BreakdownTest() {
     p4::CowbirdP4Engine::Config ec;
     ec.switch_node_id = kSwitchId;
-    ec.telemetry = &hub_;
-    engine_ = std::make_unique<p4::CowbirdP4Engine>(f_.sw, ec);
-    auto conn = p4::ConnectP4Engine(*engine_, kSwitchId, f_.compute_dev,
-                                    f_.memory_dev, 0x800);
-    engine_->AddInstance(client_->descriptor(), conn);
-    engine_->Start();
+    p4::CowbirdP4Engine& engine = f_.AddP4Engine(ec);
+    f_.AttachP4(*client_, 0x800);
+    engine.Start();
   }
-
-  std::unique_ptr<p4::CowbirdP4Engine> engine_;
 };
 
 TEST_F(SpotBreakdownTest, ReadLatencyEqualsSumOfSegments) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 1));
+  f_.memory(0).mem.Write(kPoolBase + 0x2000, Pattern(256, 1));
   OpTiming read;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/false, 0x2000, 256, out);
@@ -161,7 +131,7 @@ TEST_F(SpotBreakdownTest, ReadLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(SpotBreakdownTest, WriteLatencyEqualsSumOfSegments) {
-  f_.compute_mem.Write(kHeap, Pattern(512, 2));
+  f_.client(0).mem.Write(kHeap, Pattern(512, 2));
   OpTiming write;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/true, 0x8000, 512, out);
@@ -172,8 +142,8 @@ TEST_F(SpotBreakdownTest, WriteLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(SpotBreakdownTest, BackToBackOpsEachTileExactly) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 3));
-  f_.compute_mem.Write(kHeap, Pattern(256, 4));
+  f_.memory(0).mem.Write(kPoolBase + 0x2000, Pattern(256, 3));
+  f_.client(0).mem.Write(kHeap, Pattern(256, 4));
   OpTiming r1, w1, r2;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& a, OpTiming& b,
                   OpTiming& c) -> sim::Task<void> {
@@ -193,7 +163,7 @@ TEST_F(SpotBreakdownTest, BackToBackOpsEachTileExactly) {
 }
 
 TEST_F(P4BreakdownTest, ReadLatencyEqualsSumOfSegments) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 5));
+  f_.memory(0).mem.Write(kPoolBase + 0x2000, Pattern(256, 5));
   OpTiming read;
   f_.sim.Spawn([](P4BreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/false, 0x2000, 256, out);
@@ -205,7 +175,7 @@ TEST_F(P4BreakdownTest, ReadLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(P4BreakdownTest, WriteLatencyEqualsSumOfSegments) {
-  f_.compute_mem.Write(kHeap, Pattern(512, 6));
+  f_.client(0).mem.Write(kHeap, Pattern(512, 6));
   OpTiming write;
   f_.sim.Spawn([](P4BreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/true, 0x8000, 512, out);

@@ -9,9 +9,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "chaos/runner.h"
 #include "telemetry/hub.h"
+#include "workload/hash_workload.h"
+#include "workload/scale_workload.h"
 
 namespace cowbird::chaos {
 namespace {
@@ -108,10 +111,59 @@ TEST(TelemetryChaos, HubSurvivesHarnessTeardownWithFrozenClock) {
   EXPECT_TRUE(
       telemetry::ValidateChromeTrace(hub.tracer.ToChromeTraceJson(), &error))
       << error;
-  // Post-teardown snapshots no longer see the per-run link gauges.
+  // Post-teardown snapshots no longer see the per-run gauges: a callback
+  // gauge left bound would read a destroyed link, device, switch or pool.
   const telemetry::Snapshot after = hub.metrics.TakeSnapshot();
   for (const auto& entry : after.gauges) {
-    EXPECT_EQ(entry.key.find("link_"), std::string::npos) << entry.key;
+    for (const char* family : {"link_", "nic_", "switch_", "pool_high_water"}) {
+      EXPECT_EQ(entry.key.find(family), std::string::npos) << entry.key;
+    }
+  }
+}
+
+// True when some gauge of family `name` carries `label` in its key.
+bool HasSeries(const telemetry::Snapshot& snap, std::string_view name,
+               std::string_view label = "") {
+  for (const auto& entry : snap.gauges) {
+    if (entry.key.starts_with(std::string(name) + "{") &&
+        entry.key.find(label) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ExpectFabricSeries(const telemetry::Snapshot& snap, const char* run) {
+  EXPECT_TRUE(HasSeries(snap, "nic_packets_sent")) << run;
+  EXPECT_TRUE(HasSeries(snap, "qp_retransmissions")) << run;
+  EXPECT_TRUE(HasSeries(snap, "link_packets_delivered")) << run;
+  EXPECT_TRUE(HasSeries(snap, "switch_queue_high_water_bytes")) << run;
+  EXPECT_TRUE(HasSeries(snap, "pool_high_water", "pool=sim_events")) << run;
+}
+
+TEST(TelemetryHarnesses, EveryHarnessBindsTheSameFabricSeries) {
+  {
+    telemetry::Hub hub([] { return Nanos{0}; });
+    workload::HashWorkloadConfig c;
+    c.records = 10'000;
+    c.warmup = Micros(20);
+    c.measure = Micros(100);
+    c.telemetry = &hub;
+    ExpectFabricSeries(workload::RunHashWorkload(c).telemetry, "hash");
+  }
+  {
+    telemetry::Hub hub([] { return Nanos{0}; });
+    workload::ScaleWorkloadConfig c;
+    c.clients = 2;
+    c.records = 1'000;
+    c.warmup = Micros(20);
+    c.measure = Micros(100);
+    c.telemetry = &hub;
+    ExpectFabricSeries(workload::RunScaleWorkload(c).telemetry, "scale");
+  }
+  {
+    telemetry::Hub hub([] { return Nanos{0}; });
+    ExpectFabricSeries(RunChaos(FaultyOptions(3), &hub).telemetry, "chaos");
   }
 }
 

@@ -20,7 +20,7 @@
 #include "net/topology.h"
 #include "sim/parallel.h"
 #include "sim/simulation.h"
-#include "workload/testbed.h"
+#include "workload/cluster.h"
 
 namespace cowbird {
 namespace {
@@ -271,78 +271,82 @@ TEST(FabricDomainsTest, NWayChainBitIdenticalAcrossWorkerCounts) {
 // ----------------------------------------------------- testbeds as topologies
 
 TEST(TestbedTopologyTest, SerialAndSplitReduceToExpectedPartitions) {
-  workload::Testbed serial;
-  EXPECT_EQ(serial.partition.domain_count(), 1);
-  EXPECT_EQ(serial.group, nullptr);
+  workload::Cluster serial{workload::ClusterSpec{}};
+  EXPECT_EQ(serial.partition().domain_count(), 1);
+  EXPECT_EQ(serial.group(), nullptr);
 
-  workload::Testbed split(/*compute_cores=*/16, BitRate::Gbps(100),
-                          /*split_domains=*/true, /*split_workers=*/1);
-  EXPECT_EQ(split.partition.domain_count(), 2);
-  ASSERT_NE(split.group, nullptr);
+  workload::ClusterSpec spec;
+  spec.split = workload::ClusterSpec::Split::kPair;
+  spec.workers = 1;
+  workload::Cluster split(spec);
+  EXPECT_EQ(split.partition().domain_count(), 2);
+  ASSERT_NE(split.group(), nullptr);
   // The PR 5 layout through the general partitioner: the compute host alone
-  // in domain 0, switch + memory/spot/bystander fused in domain 1.
-  EXPECT_EQ(split.partition.domain_of(workload::Testbed::kComputeNode), 0);
-  EXPECT_EQ(split.partition.domain_of(workload::Testbed::kSwitchNode), 1);
+  // in domain 0, switch + memory/spot fused in domain 1.
+  EXPECT_EQ(split.partition().domain_of(split.client(0).node), 0);
+  EXPECT_EQ(split.partition().domain_of(split.switch_node()), 1);
+}
+
+workload::ClusterSpec FanInSpec(int clients, int memory_servers) {
+  workload::ClusterSpec spec;
+  spec.clients = clients;
+  spec.hosts.assign(static_cast<std::size_t>(memory_servers),
+                    workload::ClusterSpec::Host::kMemory);
+  spec.hosts.push_back(workload::ClusterSpec::Host::kSpot);
+  return spec;
 }
 
 TEST(TestbedTopologyTest, FanInSplitsOneDomainPerNode) {
-  workload::FanInConfig cfg;
-  cfg.clients = 3;
-  cfg.memory_servers = 2;
-  cfg.split = true;
-  cfg.split_workers = 1;
-  workload::FanInTestbed bed(cfg);
+  workload::ClusterSpec spec = FanInSpec(3, 2);
+  spec.split = workload::ClusterSpec::Split::kPerNode;
+  spec.workers = 1;
+  workload::Cluster cluster(spec);
   // 3 clients + switch + 2 memory servers + spot host = 7 nodes, 7 domains.
-  EXPECT_EQ(bed.topo.node_count(), 7);
-  EXPECT_EQ(bed.partition.domain_count(), 7);
-  ASSERT_TRUE(bed.split());
+  EXPECT_EQ(cluster.topology().node_count(), 7);
+  EXPECT_EQ(cluster.partition().domain_count(), 7);
+  ASSERT_TRUE(cluster.split());
   // Every client uplink is a cut edge: 6 directed cuts per... 6 edges × 2.
-  EXPECT_EQ(bed.partition.cut_edges().size(), 12u);
-  EXPECT_GT(bed.partition.lookahead(), 0);
+  EXPECT_EQ(cluster.partition().cut_edges().size(), 12u);
+  EXPECT_GT(cluster.partition().lookahead(), 0);
 
-  workload::FanInConfig serial_cfg;
-  serial_cfg.clients = 3;
-  serial_cfg.memory_servers = 2;
-  workload::FanInTestbed serial_bed(serial_cfg);
-  EXPECT_EQ(serial_bed.partition.domain_count(), 1);
-  EXPECT_FALSE(serial_bed.split());
+  workload::Cluster serial(FanInSpec(3, 2));
+  EXPECT_EQ(serial.partition().domain_count(), 1);
+  EXPECT_FALSE(serial.split());
 }
 
 TEST(TestbedTopologyTest, TwoTierFanInAppendsGroupTorsAfterLegacyNodes) {
-  workload::FanInConfig cfg;
-  cfg.clients = 6;
-  cfg.memory_servers = 2;
-  cfg.client_groups = 2;
-  cfg.split = true;
-  cfg.split_workers = 1;
-  workload::FanInTestbed bed(cfg);
+  workload::ClusterSpec spec = FanInSpec(6, 2);
+  spec.client_groups = 2;
+  spec.split = workload::ClusterSpec::Split::kPerNode;
+  spec.workers = 1;
+  workload::Cluster cluster(spec);
   // 6 clients + core + 2 memories + spot + 2 group ToRs = 12 nodes; the
   // group ToRs append after the legacy ids so client/switch/memory/spot
   // node ids are unchanged from the flat fabric.
-  EXPECT_EQ(bed.topo.node_count(), 12);
-  EXPECT_EQ(bed.partition.domain_count(), 12);
-  EXPECT_EQ(bed.switch_node(), 6);
-  EXPECT_EQ(bed.spot_node(), 9);
-  EXPECT_EQ(bed.group_tor_node(0), 10);
-  EXPECT_EQ(bed.group_tor_node(1), 11);
+  EXPECT_EQ(cluster.topology().node_count(), 12);
+  EXPECT_EQ(cluster.partition().domain_count(), 12);
+  EXPECT_EQ(cluster.switch_node(), 6);
+  EXPECT_EQ(cluster.spot().node, 9);
+  EXPECT_EQ(cluster.group_tor_node(0), 10);
+  EXPECT_EQ(cluster.group_tor_node(1), 11);
   // Contiguous client blocks of ceil(6/2) = 3.
-  EXPECT_EQ(bed.group_of_client(0), 0);
-  EXPECT_EQ(bed.group_of_client(2), 0);
-  EXPECT_EQ(bed.group_of_client(3), 1);
-  EXPECT_EQ(bed.group_of_client(5), 1);
-  EXPECT_EQ(bed.client_attach_node(0), bed.group_tor_node(0));
-  EXPECT_EQ(bed.client_attach_node(5), bed.group_tor_node(1));
+  EXPECT_EQ(cluster.group_of_client(0), 0);
+  EXPECT_EQ(cluster.group_of_client(2), 0);
+  EXPECT_EQ(cluster.group_of_client(3), 1);
+  EXPECT_EQ(cluster.group_of_client(5), 1);
+  EXPECT_EQ(cluster.client(0).attach_node, cluster.group_tor_node(0));
+  EXPECT_EQ(cluster.client(5).attach_node, cluster.group_tor_node(1));
   // 6 client uplinks + 2 memory + 1 spot + 2 trunks = 11 edges, all cut
   // under the per-node split, emitted per direction.
-  EXPECT_EQ(bed.partition.cut_edges().size(), 22u);
-  ASSERT_EQ(bed.group_tors.size(), 2u);
-  ASSERT_EQ(bed.trunks.size(), 2u);
+  EXPECT_EQ(cluster.partition().cut_edges().size(), 22u);
   // Leaves default-route unknown destinations (memories, spot) up their
   // trunk; the core routes each client block down the matching trunk.
-  EXPECT_EQ(bed.group_tors[0]->RouteFor(bed.memory_id(0)),
-            bed.trunks[0].b_port);
-  EXPECT_EQ(bed.sw.RouteFor(bed.client_id(0)), bed.trunks[0].a_port);
-  EXPECT_EQ(bed.sw.RouteFor(bed.client_id(5)), bed.trunks[1].a_port);
+  EXPECT_EQ(cluster.group_tor(0).RouteFor(cluster.memory(0).id()),
+            cluster.trunk(0).b_port);
+  EXPECT_EQ(cluster.sw().RouteFor(cluster.client(0).id()),
+            cluster.trunk(0).a_port);
+  EXPECT_EQ(cluster.sw().RouteFor(cluster.client(5).id()),
+            cluster.trunk(1).a_port);
 }
 
 // ---------------------------------------------------------------- PackDomains
