@@ -4,11 +4,7 @@
 // the modelled virtual-time costs.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/ring.h"
@@ -16,7 +12,6 @@
 #include "common/sparse_memory.h"
 #include "core/request.h"
 #include "rdma/wire.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "telemetry/hub.h"
 #include "workload/generator.h"
@@ -128,85 +123,6 @@ void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayRoundTrip);
-
-// --- PDES epoch machinery ------------------------------------------------
-// The coordinator pays these once per epoch, so at fabric scale (hundreds
-// of domains, hundreds of thousands of epochs per simulated second) they
-// bound the split engine's own throughput. The synthetic fabric mirrors
-// the two-tier fan-in shape: domain 0 is the core switch, the next G are
-// group ToRs (~16 hosts each), the rest are hosts — at 136 domains this is
-// the 128-client testbed's silhouette.
-
-struct EpochBenchFabric {
-  std::vector<std::unique_ptr<sim::Simulation>> sims;
-  std::unique_ptr<sim::DomainGroup> group;
-  std::vector<std::pair<int, int>> edges;  // every (src, dst) pair wired
-};
-
-EpochBenchFabric MakeEpochBenchFabric(int domains) {
-  EpochBenchFabric f;
-  f.group = std::make_unique<sim::DomainGroup>(1);
-  for (int d = 0; d < domains; ++d) {
-    f.sims.push_back(std::make_unique<sim::Simulation>());
-    f.group->AddDomain(*f.sims.back());
-  }
-  const int tors = std::max(1, (domains - 2) / 17);
-  const auto link = [&f](int a, int b, Nanos lookahead) {
-    f.group->NoteCrossLink(sim::CutEdge{a, b, lookahead, "bench", "a", "b"});
-    f.group->NoteCrossLink(sim::CutEdge{b, a, lookahead, "bench", "b", "a"});
-    f.edges.emplace_back(a, b);
-    f.edges.emplace_back(b, a);
-  };
-  for (int t = 0; t < tors; ++t) link(0, 1 + t, 500);
-  for (int h = 1 + tors; h < domains; ++h) {
-    link(1 + h % tors, h, 200 + (h % 5) * 60);
-  }
-  // Staggered pending events so the horizon relaxation sees heterogeneous
-  // next-event times, as a real epoch would.
-  for (int d = 0; d < domains; ++d) {
-    f.sims[static_cast<std::size_t>(d)]->ScheduleAt(100 + d * 7, [] {});
-  }
-  return f;
-}
-
-void BM_DomainGroupComputeHorizons(benchmark::State& state) {
-  EpochBenchFabric f = MakeEpochBenchFabric(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    f.group->ComputeHorizonsForBench(Millis(1));
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DomainGroupComputeHorizons)->Arg(16)->Arg(64)->Arg(136);
-
-void BM_DomainGroupDrainInboxes(benchmark::State& state) {
-  EpochBenchFabric f = MakeEpochBenchFabric(static_cast<int>(state.range(0)));
-  // CrossPost checks deliveries land beyond the destination's published
-  // horizon, so publish horizons once before filling any mailbox.
-  f.group->ComputeHorizonsForBench(Millis(1));
-  constexpr int kEventsPerEdge = 2;
-  Nanos when = Millis(2);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (const auto& [src, dst] : f.edges) {
-      for (int i = 0; i < kEventsPerEdge; ++i) {
-        f.group->CrossPost(src, dst, when + i, [] {});
-      }
-    }
-    state.ResumeTiming();
-    f.group->DrainAllInboxesForBench();
-    state.PauseTiming();
-    // Empty the domain heaps so they do not grow across iterations; the
-    // clocks advance, so later posts use a fresh, strictly later `when`.
-    for (auto& sim : f.sims) sim->Run();
-    when += Micros(10);
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.edges.size()) *
-                          kEventsPerEdge);
-}
-BENCHMARK(BM_DomainGroupDrainInboxes)->Arg(16)->Arg(64)->Arg(136);
 
 // --- telemetry hot paths -------------------------------------------------
 // The registry's claim is near-zero hot-path cost: a bound Counter::Add is

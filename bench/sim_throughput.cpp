@@ -8,42 +8,24 @@
 // the steady-state measure window via HashWorkloadConfig's measure hooks, so
 // warmup, topology construction, and teardown never pollute the count.
 //
-// Four parallel sections ride along (schema v4):
+// Two more sections ride along (schema v5):
 //
 //   * --jobs N (default: hardware concurrency) re-runs each engine's rep
 //     batch on a sim::ParallelFor pool and reports aggregate wall
 //     throughput plus the batch speedup over the same batch run serially.
 //     Per-run outcomes are bit-identical either way (checked).
-//   * A domain-split section runs one rep with the testbed cut into two
-//     event-loop domains (sim::DomainGroup) and reports the wall speedup of
-//     the split run over the serial run, plus the split run's own
-//     worker-count invariance (1 worker vs N must match bit for bit).
-//   * A split-scaling section runs the 16-node rack fan-in workload
-//     (12 clients + 2 memory servers + spot + switch) partitioned one PDES
-//     domain per topology node, sweeping 1 → 8 workers. Per-client op
-//     counts must be bit-identical for every worker count; the wall
-//     speedup curve is reported per point and its monotonicity is only
-//     asserted when the machine actually has >= 8 hardware threads.
-//   * A fabric-scaling section (new in v4) runs the 128-client two-tier
-//     fabric (8 groups of 16 clients behind per-group ToRs trunked into the
-//     core, 4 memory servers) swept across worker counts 1 → 8 under both
-//     split scopes: one PDES domain per node (142 domains) and the
-//     event-rate-packed partition (net::PackDomains, budget 8). Per-scope op
-//     and epoch counts are bit-deterministic and gated; the horizon A/B rows
-//     rerun each scope under the historical global-min horizon and gate the
-//     per-edge policy's epoch reduction (>= 3x fewer barrier rounds per
-//     simulated ms on the per-node partition).
+//   * A scale row runs the 16-node rack fan-in workload (12 clients + 2
+//     memory servers + spot + switch) once and reports its op total and
+//     wall time.
 //
 // All *_wall metrics are informational in bench_gate unless --gate-wall;
-// the deterministic outcome totals (ops_total, split_ops, scale_ops,
-// fabric_ops, fabric_epochs, epochs_per_sim_ms) are gated tight.
+// the deterministic outcome totals (ops_total, scale_ops) are gated tight.
 //
-// Emits BENCH_sim_throughput.json (schema v4). The committed baseline under
+// Emits BENCH_sim_throughput.json (schema v5). The committed baseline under
 // bench/baselines/ plus the bench_gate comparator turn this into the CI
 // perf-regression gate; see README.md.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -220,7 +202,7 @@ double WallSeconds(const std::function<void()>& body) {
       .count();
 }
 
-// Level-1 parallelism: the engine's rep batch on a ParallelFor pool vs the
+// Run-level parallelism: the engine's rep batch on a ParallelFor pool vs the
 // same batch serially. The allocation hooks stay disarmed — they are
 // process-global and would mix runs — so these rows carry wall and outcome
 // metrics only. Per-run results are bit-identical either way; only the wall
@@ -270,307 +252,22 @@ void AggregateSection(Paradigm paradigm, const BenchArgs& args, int jobs,
   json.ShapeCheck(outcomes_match, claim);
 }
 
-// Level-2 parallelism: one simulation cut into two event-loop domains. The
-// split schedule resolves same-timestamp ties across the cut differently
-// than the serial heap, so outcomes are near-identical (sub-percent), not
-// bit-equal — but the split run itself must be bit-identical for any
-// worker count.
-void SplitSection(Paradigm paradigm, const BenchArgs& args, int jobs,
-                  BenchJson& json, Table& table) {
-  std::uint64_t serial_ops = 0, split1_ops = 0, splitn_ops = 0;
-  const double serial_s = WallSeconds([&] {
-    serial_ops = workload::RunHashWorkload(BaseConfig(paradigm, args, 0)).ops;
-  });
-  {
-    HashWorkloadConfig cfg = BaseConfig(paradigm, args, 0);
-    cfg.split_domains = true;
-    cfg.split_workers = 1;
-    split1_ops = workload::RunHashWorkload(cfg).ops;
-  }
-  double split_s = 0;
-  {
-    HashWorkloadConfig cfg = BaseConfig(paradigm, args, 0);
-    cfg.split_domains = true;
-    cfg.split_workers = jobs;
-    split_s = WallSeconds(
-        [&] { splitn_ops = workload::RunHashWorkload(cfg).ops; });
-  }
-  const double speedup = split_s > 0 ? serial_s / split_s : 0;
-  const double drift =
-      serial_ops > 0 ? std::abs(static_cast<double>(splitn_ops) -
-                                static_cast<double>(serial_ops)) /
-                           static_cast<double>(serial_ops)
-                     : 1.0;
-  table.Row({ParadigmName(paradigm), "split", std::to_string(splitn_ops),
-             "-", "-", "-", "-", "-", Fmt(split_s * 1e3, 1)});
-  json.Row({{"engine", ParadigmName(paradigm)}, {"rep", "split"}},
-           {{"jobs", static_cast<double>(jobs)},
-            {"split_ops", static_cast<double>(splitn_ops)},
-            {"split_speedup_wall", speedup}});
-  char claim[160];
-  std::snprintf(claim, sizeof(claim),
-                "%s domain-split bit-identical across worker counts "
-                "(1:%llu N:%llu)",
-                ParadigmName(paradigm),
-                static_cast<unsigned long long>(split1_ops),
-                static_cast<unsigned long long>(splitn_ops));
-  json.ShapeCheck(split1_ops == splitn_ops, claim);
-  std::snprintf(claim, sizeof(claim),
-                "%s split outcome within 2%% of serial (serial:%llu "
-                "split:%llu, wall speedup %.2fx)",
-                ParadigmName(paradigm),
-                static_cast<unsigned long long>(serial_ops),
-                static_cast<unsigned long long>(splitn_ops), speedup);
-  json.ShapeCheck(drift <= 0.02, claim);
-}
-
-// Level-3 parallelism: the 16-node rack fabric (12 clients + 2 memory
-// servers + spot + switch, workload/scale_workload.h) partitioned one PDES
-// domain per topology node and swept across worker counts. The op totals are
-// bit-deterministic and gated; the wall speedup curve is informational and
-// its monotonicity is only asserted on machines with enough hardware
-// threads to actually run the workers concurrently.
+// The 16-node rack fabric (12 clients + 2 memory servers + spot + switch,
+// workload/scale_workload.h). The op total is deterministic and gated; the
+// wall time is informational.
 void ScaleSection(BenchJson& json, Table& table) {
-  using workload::ScaleWorkloadConfig;
-  using workload::ScaleWorkloadResult;
-  const auto base = [] {
-    ScaleWorkloadConfig cfg;  // defaults: 12 clients + 2 memory servers
-    cfg.records = 50'000;
-    cfg.warmup = Micros(200);
-    cfg.measure = Millis(1);
-    return cfg;
-  };
-
-  ScaleWorkloadResult serial;
+  workload::ScaleWorkloadConfig cfg;  // defaults: 12 clients + 2 memory servers
+  cfg.records = 50'000;
+  cfg.warmup = Micros(200);
+  cfg.measure = Millis(1);
+  workload::ScaleWorkloadResult serial;
   const double serial_s =
-      WallSeconds([&] { serial = workload::RunScaleWorkload(base()); });
+      WallSeconds([&] { serial = workload::RunScaleWorkload(cfg); });
   table.Row({"cowbird", "scale-serial", std::to_string(serial.ops), "-", "-",
              "-", "-", "-", Fmt(serial_s * 1e3, 1)});
   json.Row({{"engine", "cowbird"}, {"rep", "scale"}, {"workers", "serial"}},
            {{"scale_ops", static_cast<double>(serial.ops)},
             {"scale_ms_wall", serial_s * 1e3}});
-
-  constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-  std::vector<std::uint64_t> pinned_client_ops;
-  std::uint64_t split_ops = 0;
-  bool identical = true;
-  bool monotonic = true;
-  double prev_speedup = 0;
-  for (const int workers : kWorkerCounts) {
-    ScaleWorkloadConfig cfg = base();
-    cfg.split = true;
-    cfg.split_workers = workers;
-    ScaleWorkloadResult r;
-    const double split_s =
-        WallSeconds([&] { r = workload::RunScaleWorkload(cfg); });
-    const double speedup = split_s > 0 ? serial_s / split_s : 0;
-    if (pinned_client_ops.empty()) {
-      pinned_client_ops = r.client_ops;
-      split_ops = r.ops;
-    } else {
-      identical = identical && r.client_ops == pinned_client_ops &&
-                  r.ops == split_ops;
-    }
-    // 10% slack absorbs wall-clock noise between adjacent sweep points.
-    monotonic =
-        monotonic && (prev_speedup == 0 || speedup >= prev_speedup * 0.9);
-    prev_speedup = speedup;
-    table.Row({"cowbird", "scale-w" + std::to_string(workers),
-               std::to_string(r.ops), "-", "-", "-", "-", "-",
-               Fmt(split_s * 1e3, 1)});
-    json.Row({{"engine", "cowbird"},
-              {"rep", "scale"},
-              {"workers", std::to_string(workers)}},
-             {{"scale_ops", static_cast<double>(r.ops)},
-              {"scale_ms_wall", split_s * 1e3},
-              {"scale_speedup_wall", speedup}});
-  }
-
-  char claim[160];
-  std::snprintf(claim, sizeof(claim),
-                "16-node scale split bit-identical across workers 1/2/4/8 "
-                "(%llu ops, serial %llu)",
-                static_cast<unsigned long long>(split_ops),
-                static_cast<unsigned long long>(serial.ops));
-  json.ShapeCheck(identical, claim);
-  const int hardware = sim::MaxParallelism();
-  if (hardware >= kWorkerCounts[3]) {
-    std::snprintf(claim, sizeof(claim),
-                  "scale split speedup non-decreasing 1->8 workers "
-                  "(final %.2fx, 10%% slack)",
-                  prev_speedup);
-    json.ShapeCheck(monotonic, claim);
-  } else {
-    std::snprintf(claim, sizeof(claim),
-                  "scale split speedup curve informational: %d hardware "
-                  "thread(s) < 8 workers",
-                  hardware);
-    json.ShapeCheck(true, claim);
-  }
-}
-
-// Level-4 parallelism: the 128-client two-tier fabric — 8 groups of 16
-// clients behind per-group ToR switches trunked into the core, 4 memory
-// servers — swept across worker counts under both split scopes. "node" is
-// one PDES domain per topology node (142 domains); "packed" folds those
-// down to 8 via net::PackDomains over event rates profiled by a short
-// deterministic pre-run. Within each scope, per-client op counts and epoch
-// counts are bit-identical for every worker count (gated); across scopes
-// the partition legitimately shifts same-timestamp tie-breaks at the cuts,
-// so only per-scope totals are pinned. The horizon A/B rows rerun each
-// scope under HorizonPolicy::kGlobalMin — outcomes are policy-invariant,
-// and epochs-per-simulated-ms is the gated efficiency metric: per-edge
-// LBTS horizons must cut barrier rounds >= 3x on the per-node partition.
-void FabricSection(BenchJson& json, Table& table) {
-  using workload::ScaleWorkloadConfig;
-  using workload::ScaleWorkloadResult;
-  constexpr Nanos kMeasure = Micros(200);
-  const double sim_ms = static_cast<double>(kMeasure) * 1e-6;
-  const auto base = [] {
-    ScaleWorkloadConfig cfg;
-    cfg.paradigm = Paradigm::kCowbirdP4;
-    cfg.clients = 128;
-    cfg.memory_servers = 4;
-    cfg.client_groups = 8;
-    cfg.threads_per_client = 1;
-    cfg.records = 20'000;
-    cfg.app_compute = Micros(10);
-    cfg.window = 1;
-    // Completions are probe-paced, so poll coarsely instead of spinning:
-    // the idle polls otherwise floor every domain's horizon. At 128
-    // instances the probe engine also spaces its sweeps out, or probe
-    // handling alone keeps every rack neighborhood hot.
-    cfg.poll_idle = Micros(2);
-    cfg.poll_jitter = 31;
-    cfg.p4_probe_interval = Micros(4);
-    // In-rack client <-> ToR DACs: ~4 m at 5 ns/m. The short uplinks make
-    // the lookahead graph heterogeneous; the global-min horizon is floored
-    // at this value fabric-wide, while per-edge horizons confine it to the
-    // client neighborhoods.
-    cfg.client_propagation = 20;
-    // Hall-scale ToR <-> core optics: ~120 m of fiber. The wide trunk
-    // lookahead is what lets each rack neighborhood advance in trunk-sized
-    // epoch steps regardless of how dense the core's own event stream is.
-    cfg.trunk_propagation = 600;
-    cfg.warmup = Micros(50);
-    cfg.measure = kMeasure;
-    cfg.split = true;
-    return cfg;
-  };
-
-  struct Scope {
-    const char* name;
-    bool packed;
-  };
-  constexpr Scope kScopes[] = {{"node", false}, {"packed", true}};
-  constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-
-  for (const Scope& scope : kScopes) {
-    std::vector<std::uint64_t> pinned_client_ops;
-    std::uint64_t pinned_ops = 0, pinned_epochs = 0, pinned_skipped = 0;
-    bool identical = true;
-    int domains = 0;
-    for (const int workers : kWorkerCounts) {
-      ScaleWorkloadConfig cfg = base();
-      cfg.packed = scope.packed;
-      cfg.split_workers = workers;
-      ScaleWorkloadResult r;
-      const double wall_s =
-          WallSeconds([&] { r = workload::RunScaleWorkload(cfg); });
-      domains = r.domains;
-      if (pinned_client_ops.empty()) {
-        pinned_client_ops = r.client_ops;
-        pinned_ops = r.ops;
-        pinned_epochs = r.epochs;
-        pinned_skipped = r.epochs_skipped;
-      } else {
-        identical = identical && r.client_ops == pinned_client_ops &&
-                    r.ops == pinned_ops && r.epochs == pinned_epochs &&
-                    r.epochs_skipped == pinned_skipped;
-      }
-      table.Row({"cowbird",
-                 std::string("fabric-") + scope.name + "-w" +
-                     std::to_string(workers),
-                 std::to_string(r.ops), "-", "-", "-", "-", "-",
-                 Fmt(wall_s * 1e3, 1)});
-      json.Row({{"engine", "cowbird"},
-                {"rep", "fabric"},
-                {"scope", scope.name},
-                {"workers", std::to_string(workers)}},
-               {{"fabric_ops", static_cast<double>(r.ops)},
-                {"fabric_epochs", static_cast<double>(r.epochs)},
-                {"fabric_epochs_skipped",
-                 static_cast<double>(r.epochs_skipped)},
-                {"fabric_domains", static_cast<double>(r.domains)},
-                {"fabric_ms_wall", wall_s * 1e3}});
-    }
-
-    char claim[192];
-    std::snprintf(claim, sizeof(claim),
-                  "128-client two-tier %s scope bit-identical across workers "
-                  "1/2/4/8 (%llu ops, %llu epochs, %d domains)",
-                  scope.name, static_cast<unsigned long long>(pinned_ops),
-                  static_cast<unsigned long long>(pinned_epochs), domains);
-    json.ShapeCheck(identical && domains == (scope.packed ? 8 : 142), claim);
-
-    // Horizon A/B: one global-min rerun per scope. Epoch counts are
-    // deterministic for any worker count, so a single point suffices.
-    ScaleWorkloadConfig cfg = base();
-    cfg.packed = scope.packed;
-    cfg.split_workers = 4;
-    cfg.horizon_policy = sim::HorizonPolicy::kGlobalMin;
-    ScaleWorkloadResult gm;
-    const double gm_wall_s =
-        WallSeconds([&] { gm = workload::RunScaleWorkload(cfg); });
-    const double per_edge_rate = static_cast<double>(pinned_epochs) / sim_ms;
-    const double global_min_rate = static_cast<double>(gm.epochs) / sim_ms;
-    const double reduction =
-        pinned_epochs > 0 ? static_cast<double>(gm.epochs) /
-                                static_cast<double>(pinned_epochs)
-                          : 0;
-    table.Row({"cowbird", std::string("fabric-") + scope.name + "-gmin",
-               std::to_string(gm.ops), "-", "-", "-", "-", "-",
-               Fmt(gm_wall_s * 1e3, 1)});
-    json.Row({{"engine", "cowbird"},
-              {"rep", "horizon"},
-              {"scope", scope.name},
-              {"workers", "4"}},
-             {{"fabric_ops", static_cast<double>(gm.ops)},
-              {"epochs_per_edge", static_cast<double>(pinned_epochs)},
-              {"epochs_global_min", static_cast<double>(gm.epochs)},
-              {"epochs_per_sim_ms", per_edge_rate},
-              {"epochs_per_sim_ms_global_min", global_min_rate},
-              {"fabric_ms_wall", gm_wall_s * 1e3}});
-    std::snprintf(claim, sizeof(claim),
-                  "%s scope horizon-policy-invariant outcome (per-edge %llu "
-                  "ops == global-min %llu ops)",
-                  scope.name, static_cast<unsigned long long>(pinned_ops),
-                  static_cast<unsigned long long>(gm.ops));
-    json.ShapeCheck(gm.ops == pinned_ops && gm.client_ops == pinned_client_ops,
-                    claim);
-    if (scope.packed) {
-      std::snprintf(claim, sizeof(claim),
-                    "packed scope per-edge horizons reduce epochs "
-                    "(%.0f -> %.0f epochs/sim-ms, %.2fx)",
-                    global_min_rate, per_edge_rate, reduction);
-      json.ShapeCheck(pinned_epochs < gm.epochs, claim);
-    } else {
-      std::snprintf(claim, sizeof(claim),
-                    "node scope per-edge horizons cut epochs >= 3x "
-                    "(%.0f -> %.0f epochs/sim-ms, %.2fx)",
-                    global_min_rate, per_edge_rate, reduction);
-      json.ShapeCheck(reduction >= 3.0, claim);
-    }
-    const double exec_pe = static_cast<double>(pinned_epochs) * domains -
-                           static_cast<double>(pinned_skipped);
-    const double exec_gm = static_cast<double>(gm.epochs) * domains -
-                           static_cast<double>(gm.epochs_skipped);
-    std::printf("  fabric %s: %d domains, epochs/sim-ms %.0f per-edge vs "
-                "%.0f global-min (%.2fx); executed domain-epochs %.0f vs "
-                "%.0f (%.2fx)\n",
-                scope.name, domains, per_edge_rate, global_min_rate,
-                reduction, exec_pe, exec_gm, exec_pe > 0 ? exec_gm / exec_pe : 0);
-  }
 }
 
 int Main(int argc, char** argv) {
@@ -605,7 +302,7 @@ int Main(int argc, char** argv) {
          "parallel-execution speedups");
 
   const Paradigm engines[] = {Paradigm::kCowbird, Paradigm::kCowbirdP4};
-  BenchJson json("sim_throughput", "perf-gate", /*schema_version=*/4);
+  BenchJson json("sim_throughput", "perf-gate", /*schema_version=*/5);
   Table table({"engine", "rep", "ops", "ops/sec(wall)", "allocs/op",
                "bytes/op", "events/op", "sim MOPS", "wall ms"});
 
@@ -651,10 +348,8 @@ int Main(int argc, char** argv) {
               sim::MaxParallelism());
   for (const Paradigm paradigm : engines) {
     AggregateSection(paradigm, args, jobs, json, table);
-    SplitSection(paradigm, args, jobs, json, table);
   }
   ScaleSection(json, table);
-  FabricSection(json, table);
 
   table.Print();
   json.ShapeCheck(total_ops > 0, "workload retired operations");

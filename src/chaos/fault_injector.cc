@@ -5,108 +5,70 @@
 namespace cowbird::chaos {
 
 void FaultInjector::Attach(net::Link& link) {
-  auto state = std::make_unique<LinkState>();
-  state->link = &link;
-  state->clock = &link.destination();
-  if (split_streams_) {
-    state->rng = std::make_unique<Rng>(
-        seed_ ^ 0xFA017EC7ull ^
-        (0x9E3779B97F4A7C15ull *
-         static_cast<std::uint64_t>(links_.size() + 1)));
-  }
-  LinkState* raw = state.get();
   link.set_fault_filter(
-      [this, raw](const net::Packet& packet) { return Decide(*raw, packet); });
-  links_.push_back(std::move(state));
+      [this](const net::Packet& packet) { return Decide(packet); });
+  links_.push_back(&link);
 }
 
-net::FaultAction FaultInjector::Decide(LinkState& state,
-                                       const net::Packet& packet) {
+net::FaultAction FaultInjector::Decide(const net::Packet& packet) {
   net::FaultAction action;
   if (!rdma::LooksLikeRdma(packet)) return action;
 
   // Inside a partition window everything drops — counted as a decided
-  // drop so the audit stays exact. The clock is the destination domain's:
-  // that is the thread this filter runs on.
-  const Nanos now = state.clock->Now();
+  // drop so the audit stays exact.
+  const Nanos now = sim_->Now();
   for (const auto& window : plan_.partitions) {
     if (now >= window.start && now < window.end) {
       action.drop = true;
-      ++state.dropped;
+      ++dropped_;
       return action;
     }
   }
 
   // One uniform draw, partitioned by the (additive) rates: at most one
   // fault per packet, each with exactly its configured probability.
-  Rng& rng = state.rng != nullptr ? *state.rng : rng_;
-  const double u = rng.NextDouble();
+  const double u = rng_.NextDouble();
   double edge = plan_.drop_rate;
   if (u < edge) {
     action.drop = true;
-    ++state.dropped;
+    ++dropped_;
     return action;
   }
   edge += plan_.duplicate_rate;
   if (u < edge) {
     action.duplicate = static_cast<int>(
-        rng.Between(1, static_cast<std::uint64_t>(plan_.max_duplicates)));
-    state.duplicated += static_cast<std::uint64_t>(action.duplicate);
+        rng_.Between(1, static_cast<std::uint64_t>(plan_.max_duplicates)));
+    duplicated_ += static_cast<std::uint64_t>(action.duplicate);
     return action;
   }
   edge += plan_.reorder_rate;
   if (u < edge) {
     action.reorder = true;
     action.delay = plan_.reorder_delay;
-    ++state.reordered;
+    ++reordered_;
     return action;
   }
   edge += plan_.delay_rate;
   if (u < edge) {
     action.delay = static_cast<Nanos>(
-        rng.Between(static_cast<std::uint64_t>(plan_.delay_min),
-                    static_cast<std::uint64_t>(plan_.delay_max)));
-    ++state.delayed;
+        rng_.Between(static_cast<std::uint64_t>(plan_.delay_min),
+                     static_cast<std::uint64_t>(plan_.delay_max)));
+    ++delayed_;
     return action;
   }
   return action;
 }
 
-std::uint64_t FaultInjector::decided_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& state : links_) total += state->dropped;
-  return total;
-}
-
-std::uint64_t FaultInjector::decided_duplicated() const {
-  std::uint64_t total = 0;
-  for (const auto& state : links_) total += state->duplicated;
-  return total;
-}
-
-std::uint64_t FaultInjector::decided_reordered() const {
-  std::uint64_t total = 0;
-  for (const auto& state : links_) total += state->reordered;
-  return total;
-}
-
-std::uint64_t FaultInjector::decided_delayed() const {
-  std::uint64_t total = 0;
-  for (const auto& state : links_) total += state->delayed;
-  return total;
-}
-
 bool FaultInjector::CountersExact() const {
   std::uint64_t dropped = 0, duplicated = 0, reordered = 0, delayed = 0;
-  for (const auto& state : links_) {
-    dropped += state->link->faults_dropped();
-    duplicated += state->link->faults_duplicated();
-    reordered += state->link->faults_reordered();
-    delayed += state->link->faults_delayed();
+  for (const net::Link* link : links_) {
+    dropped += link->faults_dropped();
+    duplicated += link->faults_duplicated();
+    reordered += link->faults_reordered();
+    delayed += link->faults_delayed();
   }
-  return dropped == decided_dropped() &&
-         duplicated == decided_duplicated() &&
-         reordered == decided_reordered() && delayed == decided_delayed();
+  return dropped == dropped_ && duplicated == duplicated_ &&
+         reordered == reordered_ && delayed == delayed_;
 }
 
 }  // namespace cowbird::chaos

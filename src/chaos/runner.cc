@@ -56,12 +56,11 @@ constexpr std::uint64_t kBgLocalBase = 0xC000'0000;  // requester staging
 // knob at its default so pre-congestion runs stay byte-identical.
 workload::ClusterSpec ChaosSpec(const ChaosOptions& opt) {
   using Host = workload::ClusterSpec::Host;
-  using Split = workload::ClusterSpec::Split;
   workload::ClusterSpec spec;
   // The second memory server exists only for migration runs, appended after
-  // the legacy hosts so their addresses, switch ports and topology nodes —
-  // and everything seeded off insertion order — stay exactly as
-  // pre-migration runs had them.
+  // the legacy hosts so their addresses and switch ports — and everything
+  // seeded off insertion order — stay exactly as pre-migration runs had
+  // them.
   if (opt.plan.migrate) spec.hosts.push_back(Host::kMemory);
   switch (opt.plan.congestion) {
     case CongestionScenario::kNone:
@@ -77,37 +76,6 @@ workload::ClusterSpec ChaosSpec(const ChaosOptions& opt) {
       spec.switches.pfc_pause_threshold = KiB(32);
       spec.switches.pfc_resume_threshold = KiB(16);
       break;
-  }
-  if (opt.mode == ExecutionMode::kSerial) return spec;
-  spec.workers = opt.split_workers;
-  spec.horizon_policy = opt.horizon_policy;
-  switch (opt.split_scope) {
-    case SplitScope::kPair:
-      spec.split = Split::kPair;
-      break;
-    case SplitScope::kPerNode:
-      spec.split = Split::kPerNode;
-      break;
-    case SplitScope::kPacked: {
-      // The packed datapath on the small testbed: a static kind-weight rate
-      // vector (the switch forwards every packet, so it is the hottest node;
-      // hosts in between; the mostly-idle spot lightest) packed down to two
-      // domains. No profiling pre-run here — chaos pins outcomes, not
-      // placement quality, and a fixed vector keeps the sweep cheap and the
-      // packing trivially reproducible.
-      spec.split = Split::kPerNode;
-      const net::Topology topo = workload::Cluster::PlanTopology(spec);
-      std::vector<std::uint64_t> rates;
-      for (net::TopoNodeId n = 0; n < topo.node_count(); ++n) {
-        const net::TopoNodeKind kind = topo.node(n).kind;
-        rates.push_back(kind == net::TopoNodeKind::kSwitch     ? 6
-                        : kind == net::TopoNodeKind::kSpotHost ? 2
-                                                               : 3);
-      }
-      spec.pack_groups = workload::Cluster::PackGroups(topo, rates, 2);
-      spec.split = Split::kPacked;
-      break;
-    }
   }
   return spec;
 }
@@ -185,7 +153,6 @@ struct ChaosHarness {
 
     net::Switch& sw = cluster.sw();
     if (opt.plan.AnyPacketFaults()) {
-      injector.set_split_streams(cluster.split());
       injector.Attach(sw.EgressLink(compute.nic.switch_port()));
       injector.Attach(sw.EgressLink(memory.nic.switch_port()));
       injector.Attach(sw.EgressLink(cluster.spot().nic.switch_port()));
@@ -207,34 +174,29 @@ struct ChaosHarness {
     if (opt.plan.congestion == CongestionScenario::kPauseStorm) {
       // A storm of pause frames "received" at the switch egress: every
       // 200us between 1ms and 6ms, the links toward the memory and compute
-      // hosts pause their data classes for 50us. Egress-link transmit state
-      // lives in the switch domain, so the events schedule there and the
-      // storm is identical under any split.
+      // hosts pause their data classes for 50us.
       for (Nanos when = Millis(1); when < Millis(6); when += Micros(200)) {
-        cluster.sim_for(cluster.switch_node()).ScheduleAt(when, [this, &sw] {
+        sim.ScheduleAt(when, [this, &sw] {
           sw.EgressLink(memory.nic.switch_port()).PauseData(Micros(50));
           sw.EgressLink(compute.nic.switch_port()).PauseData(Micros(50));
         });
       }
     }
     for (const Nanos when : opt.plan.crashes) {
-      // Crash + migration spans every domain (registry, both NIC sides, the
-      // published red block); split, it runs between epochs with every
-      // domain quiescent and advanced to `when`.
-      cluster.ScheduleGlobal(when, [this] { CrashServingEngine(); });
+      sim.ScheduleAt(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
       // The copy stream's QP: source-device side `a` writes into memory2's
       // slab, congestion-controlled against the foreground traffic.
       migrate_qp =
           rdma::ConnectQueuePairs(*memory.dev, *cluster.memory(1).dev);
-      // Every coordinator tick is pre-scheduled up front: rescheduling a
-      // global event from inside one is undefined under conservative PDES,
-      // and a fixed tick train is bit-identical for any worker count. Ticks
-      // on a finished migration are cheap no-ops.
+      // Every coordinator tick is pre-scheduled up front rather than each
+      // tick scheduling the next, so the train keeps the queue sequence
+      // numbers the pinned outcomes were recorded with. Ticks on a finished
+      // migration are cheap no-ops.
       for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
            when += kMigrateTick) {
-        cluster.ScheduleGlobal(when, [this] { MigrationTick(); });
+        sim.ScheduleAt(when, [this] { MigrationTick(); });
       }
     }
   }
@@ -277,12 +239,9 @@ struct ChaosHarness {
     return binding;
   }
 
-  // One bystander flow: a closed-loop 4 KiB stream on its own QP pair,
-  // pumped from the requester's domain sim so splits see identical event
-  // orderings.
+  // One bystander flow: a closed-loop 4 KiB stream on its own QP pair.
   struct BgFlow {
     rdma::QpPair pair;
-    sim::Simulation* psim = nullptr;
     bool write = false;
     std::uint64_t laddr = 0;
     std::uint64_t raddr = 0;
@@ -307,26 +266,25 @@ struct ChaosHarness {
       spot.mem.PreFault(kBgMemBase, kBgSpan);
       compute.mem.PreFault(kBgLocalBase, 2 * kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
-                                &cluster.sim, /*write=*/false, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+                                /*write=*/false, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *spot.dev),
-                                &cluster.sim, /*write=*/false,
-                                kBgLocalBase + kBgSpan, spot_mr->base,
-                                spot_mr->rkey});
+                                /*write=*/false, kBgLocalBase + kBgSpan,
+                                spot_mr->base, spot_mr->rkey});
     } else {
       const auto* mem_mr = memory.dev->RegisterMemory(kBgMemBase, kBgSpan);
       memory.mem.PreFault(kBgMemBase, kBgSpan);
       compute.mem.PreFault(kBgLocalBase, kBgSpan);
       spot.mem.PreFault(kBgLocalBase, kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
-                                &cluster.sim, /*write=*/true, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+                                /*write=*/true, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*spot.dev, *memory.dev),
-                                &cluster.sim_for(spot.node), /*write=*/true,
-                                kBgLocalBase, mem_mr->base, mem_mr->rkey});
+                                /*write=*/true, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
     }
     for (BgFlow& f : bg_flows) {
-      f.psim->ScheduleAt(kBgStart, [this, &f] {
+      sim.ScheduleAt(kBgStart, [this, &f] {
         for (int i = 0; i < kBgWindow; ++i) PostBg(f);
         PumpBg(f);
       });
@@ -343,14 +301,11 @@ struct ChaosHarness {
 
   void PumpBg(BgFlow& f) {
     while (f.pair.a_send_cq->Pop()) PostBg(f);
-    f.psim->ScheduleAfter(500, [this, &f] { PumpBg(f); });
+    sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
   }
 
   // One step of the copy-then-cutover state machine (core/migration.h),
-  // driven by the pre-scheduled tick train. Runs as a global event under
-  // PDES splits because the cutover — registry handoff, translation flip,
-  // client range republish, re-attach — spans every domain; like the crash
-  // path it executes with all domains quiescent at the tick time.
+  // driven by the pre-scheduled tick train.
   void MigrationTick() {
     switch (migration_stage) {
       case MigrationStage::kArmed: {
@@ -430,7 +385,7 @@ struct ChaosHarness {
   const ChaosOptions& options;
   telemetry::Hub* telemetry_hub;
   workload::Cluster cluster;
-  sim::Simulation& sim;  // the root loop: the client's domain
+  sim::Simulation& sim;  // the cluster's event loop
   ClusterHost& compute;
   ClusterHost& memory;
   const rdma::MemoryRegion* pool_mr = nullptr;
@@ -651,7 +606,7 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   for (int t = 0; t < options.workload.threads; ++t) {
     harness.sim.Spawn(WorkloadThread(harness, t));
   }
-  harness.cluster.Run();
+  harness.sim.Run();
 
   ChaosResult result;
   result.history = harness.recorder.ops();
@@ -675,7 +630,7 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   result.pfc_pauses = fabric.pfc_pauses;
   result.link_pauses = fabric.link_pauses;
   result.cnps = fabric.cnps;
-  result.telemetry = harness.cluster.MergedSnapshot();
+  result.telemetry = harness.cluster.TakeSnapshot();
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "sim/parallel.h"
 
 namespace cowbird::net {
 
@@ -45,22 +44,6 @@ void Link::ResumeData() {
   if (!busy_ && HasEligible()) StartNext();
 }
 
-void Link::SetDestination(sim::Simulation& dst) {
-  dst_ = &dst;
-  sim::DomainGroup* group = sim_->domain_group();
-  if (group != nullptr && dst.domain_group() == group &&
-      dst.domain_id() != sim_->domain_id()) {
-    sim::CutEdge edge;
-    edge.src = sim_->domain_id();
-    edge.dst = dst.domain_id();
-    edge.lookahead = propagation_;
-    edge.link = name_;
-    edge.src_node = src_node_;
-    edge.dst_node = dst_node_;
-    group->NoteCrossLink(edge);
-  }
-}
-
 void Link::StartNext() {
   // Pick the first eligible packet (FIFO), or the highest-priority eligible
   // one under priority scheduling. While data-paused only kControl is
@@ -85,22 +68,10 @@ void Link::StartNext() {
   const Nanos tx = rate_.TransmitTime(packet.WireBytes());
   // Delivery is scheduled independently of transmitter availability so that
   // back-to-back packets pipeline across the propagation delay.
-  if (dst_ == sim_) {
-    sim_->ScheduleAfter(tx + propagation_,
-                        [this, p = std::move(packet)]() mutable {
-                          Deliver(std::move(p));
-                        });
-  } else {
-    // Domain cut: the delivery event belongs to the destination's loop. Its
-    // timestamp is at least propagation_ (>= the group lookahead) ahead of
-    // now, which is exactly what makes the epoch horizon safe.
-    sim_->domain_group()->CrossPost(
-        sim_->domain_id(), dst_->domain_id(),
-        sim_->Now() + tx + propagation_,
-        sim::EventFn([this, p = std::move(packet)]() mutable {
-          Deliver(std::move(p));
-        }));
-  }
+  sim_->ScheduleAfter(tx + propagation_,
+                      [this, p = std::move(packet)]() mutable {
+                        Deliver(std::move(p));
+                      });
   sim_->ScheduleAfter(tx, [this] {
     busy_ = false;
     if (HasEligible()) {
@@ -139,19 +110,17 @@ void Link::Deliver(Packet packet) {
   // Duplicates trail the original at the same (possibly delayed) arrival
   // time; scheduled deliveries bypass the filters so a fault is never
   // compounded with itself.
-  // Deliver runs on the destination domain, so delayed originals and copies
-  // reschedule on dst_'s own loop (== sim_ unless this link is a cut).
   const int duplicates = action.duplicate;
   Packet dup = duplicates > 0 ? packet : Packet{};
   if (action.delay > 0) {
-    dst_->ScheduleAfter(action.delay, [this, p = std::move(packet)]() mutable {
+    sim_->ScheduleAfter(action.delay, [this, p = std::move(packet)]() mutable {
       Arrive(std::move(p));
     });
   } else {
     Arrive(std::move(packet));
   }
   for (int copy = 0; copy < duplicates; ++copy) {
-    dst_->ScheduleAfter(action.delay, [this, p = dup]() mutable {
+    sim_->ScheduleAfter(action.delay, [this, p = dup]() mutable {
       Arrive(std::move(p));
     });
   }

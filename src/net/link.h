@@ -64,26 +64,9 @@ class Link {
 
   void Send(Packet packet);
 
-  // Names this link and its endpoints for diagnostics. When the link turns
-  // out to be a domain cut, the registered CutEdge carries these names so a
-  // zero-lookahead misconfiguration is reported against the topology the
-  // user wrote. Call before SetDestination.
-  void SetNames(std::string link_name, std::string src_node,
-                std::string dst_node) {
-    name_ = std::move(link_name);
-    src_node_ = std::move(src_node);
-    dst_node_ = std::move(dst_node);
-  }
+  // Names this link for telemetry labels (e.g. "uplink[client3]").
+  void set_name(std::string name) { name_ = std::move(name); }
   const std::string& name() const { return name_; }
-
-  // Declares that deliveries land in `dst`'s event loop. Defaults to the
-  // transmitting simulation; pointing it at a different member of the same
-  // sim::DomainGroup makes this link a domain cut: deliveries cross through
-  // the group's per-edge mailboxes and the link registers a CutEdge
-  // advertising its propagation delay as lookahead. Call during wiring,
-  // before traffic.
-  void SetDestination(sim::Simulation& dst);
-  sim::Simulation& destination() const { return *dst_; }
 
   // Host NICs can schedule their transmit queue by traffic class (strict
   // priority, highest first) instead of FIFO — how RDMA traffic is
@@ -141,13 +124,7 @@ class Link {
   void Arrive(Packet packet);
 
   sim::Simulation* sim_;
-  // Delivery-side event loop; == sim_ unless SetDestination made this link
-  // a domain cut. Deliver/Arrive (and the counters they touch) always run
-  // on the destination domain's thread.
-  sim::Simulation* dst_ = sim_;
   std::string name_ = "<link>";
-  std::string src_node_ = "<node>";
-  std::string dst_node_ = "<node>";
   BitRate rate_;
   Nanos propagation_;
   std::function<void(Packet)> receiver_;

@@ -20,39 +20,11 @@ void Switch::SetRoute(NodeId node, int port) {
   routes_.emplace_back(node, port);
 }
 
-void Switch::SetDefaultRoute(int port) {
-  COWBIRD_CHECK(port >= 0 && port < PortCount());
-  default_route_ = port;
-}
-
 int Switch::RouteFor(NodeId node) const {
   for (const auto& [n, p] : routes_) {
     if (n == node) return p;
   }
-  return default_route_;
-}
-
-TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation,
-                        const std::string& a_name, const std::string& b_name) {
-  TrunkPorts trunk;
-  trunk.a_port = a.AddPort(rate, propagation);
-  trunk.b_port = b.AddPort(rate, propagation);
-  a.EgressLink(trunk.a_port).set_receiver([&b, port = trunk.b_port](Packet p) {
-    b.OnIngress(port, std::move(p));
-  });
-  b.EgressLink(trunk.b_port).set_receiver([&a, port = trunk.a_port](Packet p) {
-    a.OnIngress(port, std::move(p));
-  });
-  a.EgressLink(trunk.a_port)
-      .SetNames("trunk[" + a_name + "->" + b_name + "]", a_name, b_name);
-  b.EgressLink(trunk.b_port)
-      .SetNames("trunk[" + b_name + "->" + a_name + "]", b_name, a_name);
-  // Same as the host attachment: deliveries run on the receiving switch's
-  // event loop, and these calls register the cut when the switches are in
-  // different PDES domains.
-  a.EgressLink(trunk.a_port).SetDestination(b.simulation());
-  b.EgressLink(trunk.b_port).SetDestination(a.simulation());
-  return trunk;
+  return -1;
 }
 
 void Switch::OnIngress(int ingress_port, Packet packet) {

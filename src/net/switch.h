@@ -72,12 +72,7 @@ class Switch {
   int PortCount() const { return static_cast<int>(ports_.size()); }
 
   void SetRoute(NodeId node, int port);
-  // Default-route fallback for nodes with no explicit entry — a leaf
-  // switch's trunk toward the core. -1 (the initial state) keeps unknown
-  // destinations dropping.
-  void SetDefaultRoute(int port);
-  // Port a node is reachable through; the default route (-1 if unset) when
-  // unknown.
+  // Port a node is reachable through; -1 (drop) when unknown.
   int RouteFor(NodeId node) const;
 
   // Entry point for device uplinks (wire this as the uplink's receiver).
@@ -162,7 +157,6 @@ class Switch {
   std::vector<std::unique_ptr<Port>> ports_;
   std::vector<std::pair<NodeId, int>> routes_;
   PacketProcessor* processor_ = nullptr;  // null → L3 forwarding
-  int default_route_ = -1;
   std::uint64_t forwarded_ = 0;
   std::uint64_t ecn_marked_ = 0;
   std::uint64_t pfc_pauses_sent_ = 0;
@@ -174,18 +168,6 @@ class Switch {
   // pipeline never reenters itself: it only runs from scheduled events).
   std::vector<ForwardAction> pipeline_scratch_;
 };
-
-// Switch-to-switch attachment: one port on each side, the egress links
-// cross-wired into the peer's ingress — the full-duplex trunk a leaf (group
-// ToR) hangs off the core with. Mirrors HostNic::ConnectTo, including the
-// SetDestination calls that turn the trunk into a PDES domain cut when the
-// two switches live in different domains.
-struct TrunkPorts {
-  int a_port = -1;  // port on `a` facing `b`
-  int b_port = -1;  // port on `b` facing `a`
-};
-TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation,
-                        const std::string& a_name, const std::string& b_name);
 
 // Star topology host endpoint: one full-duplex attachment to the switch,
 // with per-UDP-port receiver demultiplexing (RoCE traffic and benchmark
@@ -199,8 +181,9 @@ class HostNic {
 
   NodeId id() const { return id_; }
 
-  void ConnectTo(Switch& sw, const std::string& host_name = {},
-                 const std::string& switch_name = "switch") {
+  // `host_name` labels the two links ("uplink[<host>]", "egress[<host>]");
+  // empty means "node<id>".
+  void ConnectTo(Switch& sw, const std::string& host_name = {}) {
     switch_port_ = sw.AddPort(uplink_->rate(), uplink_->propagation());
     sw.SetRoute(id_, switch_port_);
     uplink_->set_receiver([&sw, port = switch_port_](Packet p) {
@@ -211,14 +194,8 @@ class HostNic {
     });
     const std::string host =
         host_name.empty() ? "node" + std::to_string(id_) : host_name;
-    uplink_->SetNames("uplink[" + host + "]", host, switch_name);
-    sw.EgressLink(switch_port_)
-        .SetNames("egress[" + host + "]", switch_name, host);
-    // Deliveries run on the receiving endpoint's event loop; when the host
-    // and the switch live in different DomainGroup domains these two calls
-    // turn the attachment into the domain cut (no-ops otherwise).
-    uplink_->SetDestination(sw.simulation());
-    sw.EgressLink(switch_port_).SetDestination(*sim_);
+    uplink_->set_name("uplink[" + host + "]");
+    sw.EgressLink(switch_port_).set_name("egress[" + host + "]");
   }
 
   void Send(Packet packet) { uplink_->Send(packet); }

@@ -1,70 +1,12 @@
-// Parallel execution layer, two levels.
-//
-// Level 1 — sweep parallelism: ParallelFor runs N completely independent
-// jobs (each typically owning a private Simulation) on a small
-// work-stealing pool. Each job stays bit-deterministic on its own; callers
-// keep results in job-index order, so an aggregated report is byte-identical
-// no matter how many workers ran it.
-//
-// Level 2 — intra-sim domains: DomainGroup partitions one logical
-// simulation into N Simulation instances (event-loop domains) cut at
-// net::Link boundaries. Synchronization is classic conservative PDES: every
-// cross-domain link registers a CutEdge advertising its propagation delay
-// as lookahead, and the group advances in barrier-separated epochs. Each
-// epoch gives every domain d an *appointment horizon*: under the default
-// HorizonPolicy::kPerEdge it is horizon(d) = LBTS(d) - 1, where the lower
-// bound on any future incoming message time is the fixpoint
-//
-//   LBTS(d) = min over incoming cut edges (s -> d) of
-//             min(NextEventTime(s), LBTS(s)) + lookahead(s -> d)
-//
-// computed by the coordinator (a Dijkstra-style relaxation over the
-// lookahead graph) while every domain is quiescent. The transitive form
-// matters: a relay chain a -> b -> c can hand b earlier work next epoch, so
-// c's horizon must honor next(a) + la(a,b) + la(b,c), not just b's current
-// earliest event. A domain whose own earliest event lies beyond its horizon
-// simply skips the epoch. HorizonPolicy::kGlobalMin degenerates to the
-// classic single horizon T_min + min-lookahead - 1 shared by all domains
-// (T_min = earliest pending event anywhere); since every lookahead path is
-// at least min-lookahead long, per-edge horizons dominate the global one,
-// and the two policies produce bit-identical outcomes — which the scale
-// tests pin.
-//
-// Cross-domain deliveries travel through per-(src,dst) mailboxes
-// (materialized only for registered cut pairs, so an N-node fabric does not
-// pay for N^2 rings) that are appended during dispatch and merged into the
-// destination heap between epochs. Merged entries take heap keys in the
-// cross band — bit 63, then source domain, then per-mailbox push order —
-// above every locally drawn sequence number, so the dispatch order of
-// same-time events is locals first (schedule order), then cross events by
-// (src, push order): a pure function of the published epoch contents,
-// independent of worker count, drain timing, and horizon policy.
-//
-// N domains run on W = worker_count() threads: domain d is owned by worker
-// d % W, each worker advancing its domains in ascending id within every
-// epoch phase. W = 1 degenerates to the sequential schedule, so the same
-// run is bit-identical for any worker count — the determinism tests pin
-// 1/2/4/8 workers against each other.
-//
-// Zero lookahead would make the horizon empty; the group refuses to run —
-// naming the offending link and both endpoints — instead of spinning
-// forever.
+// Run-level parallelism: ParallelFor runs N completely independent jobs
+// (each typically owning a private Simulation) on a small work-stealing
+// pool. Each job stays bit-deterministic on its own; callers keep results in
+// job-index order, so an aggregated report is byte-identical no matter how
+// many workers ran it. A single simulated run is always one event loop on
+// one thread.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
-#include "common/check.h"
-#include "common/units.h"
-#include "sim/simulation.h"
 
 namespace cowbird::sim {
 
@@ -83,288 +25,5 @@ inline int HardwareJobs() { return MaxParallelism(); }
 // index has completed. An explicit jobs > MaxParallelism() is honored
 // (oversubscription is harmless and the determinism tests need it).
 void ParallelFor(int jobs, int n, const std::function<void(int)>& body);
-
-// Bounded lock-free single-producer single-consumer ring. Capacity must be
-// a power of two. Push/Pop are wait-free; Push returns false when full.
-template <typename T, std::size_t kCapacity>
-class SpscQueue {
-  static_assert(kCapacity >= 2 && (kCapacity & (kCapacity - 1)) == 0,
-                "capacity must be a power of two");
-
- public:
-  bool TryPush(T&& value) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail == kCapacity) return false;
-    slots_[head & (kCapacity - 1)] = std::move(value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool TryPop(T& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return false;
-    out = std::move(slots_[tail & (kCapacity - 1)]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Producer-side view; exact when called from either endpoint's thread
-  // while the other endpoint is quiescent (how the epoch protocol uses it).
-  std::size_t SizeApprox() const {
-    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
-  }
-
- private:
-  std::array<T, kCapacity> slots_{};
-  std::atomic<std::uint64_t> head_{0};  // written by producer
-  std::atomic<std::uint64_t> tail_{0};  // written by consumer
-};
-
-// Sense-reversing counting barrier. Short adaptive spin, then parks on the
-// sense word (std::atomic::wait) — epochs are microseconds of work, but a
-// single-core host needs the loser to yield the CPU, not burn it.
-class EpochBarrier {
- public:
-  explicit EpochBarrier(int parties) : parties_(parties) {}
-
-  void ArriveAndWait() {
-    const std::uint32_t sense = sense_.load(std::memory_order_acquire);
-    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      count_.store(0, std::memory_order_relaxed);
-      sense_.store(sense + 1, std::memory_order_release);
-      sense_.notify_all();
-      return;
-    }
-    for (int spin = 0; spin < 64; ++spin) {
-      if (sense_.load(std::memory_order_acquire) != sense) return;
-    }
-    while (sense_.load(std::memory_order_acquire) == sense) {
-      sense_.wait(sense, std::memory_order_acquire);
-    }
-  }
-
- private:
-  const int parties_;
-  std::atomic<int> count_{0};
-  std::atomic<std::uint32_t> sense_{0};
-};
-
-// How DomainGroup bounds each epoch. Both policies yield bit-identical
-// simulation outcomes (the cross-band heap keys make same-time tie-breaks
-// independent of delivery timing); kPerEdge runs far fewer epochs on
-// fabrics where most domains are idle most of the time.
-enum class HorizonPolicy {
-  kGlobalMin,  // one horizon for all: T_min + min-lookahead - 1
-  kPerEdge,    // per-domain horizons from incoming cut edges (default)
-};
-
-// Heap-key band for cross-domain deliveries: above every locally drawn
-// sequence (bit 63), ordered by source domain then per-mailbox push order.
-inline constexpr std::uint64_t kCrossSeqBand = 1ull << 63;
-inline constexpr int kCrossSrcShift = 40;
-inline constexpr std::uint64_t kCrossSeqMask = (1ull << kCrossSrcShift) - 1;
-
-// One registered cross-domain link: the unit the partitioner hands to the
-// group. `lookahead` is the link's propagation delay; the names exist so a
-// zero-lookahead misconfiguration can be reported against the topology the
-// user actually wrote instead of as a bare CHECK.
-struct CutEdge {
-  int src = -1;
-  int dst = -1;
-  Nanos lookahead = 0;
-  std::string link;      // e.g. "uplink[client3]"
-  std::string src_node;  // e.g. "client3"
-  std::string dst_node;  // e.g. "tor"
-};
-
-// A set of Simulation domains advancing in lockstep epochs (see file
-// comment). The calling thread doubles as worker 0 / the epoch coordinator;
-// worker_count() - 1 extra threads are started per Run, each owning the
-// domains d with d % worker_count() == its index. worker_count() == 1 runs
-// every domain phase-by-phase in domain order on the calling thread —
-// producing the exact same schedule, which is what the cross-worker-count
-// determinism tests pin.
-class DomainGroup {
- public:
-  // workers <= 0 → MaxParallelism(). The resolved count is capped by the
-  // domain count; an explicit request above MaxParallelism() is honored.
-  explicit DomainGroup(int workers = 0) : requested_workers_(workers) {}
-  DomainGroup(const DomainGroup&) = delete;
-  DomainGroup& operator=(const DomainGroup&) = delete;
-  ~DomainGroup() = default;
-
-  // Registration order assigns domain ids 0..n-1. Must happen before any
-  // cross-domain wiring and before the first Run.
-  void AddDomain(Simulation& sim);
-  int domain_count() const { return static_cast<int>(sims_.size()); }
-  Simulation& domain(int d) { return *sims_[static_cast<std::size_t>(d)]; }
-  int worker_count() const;
-
-  // Called by net::Link when its endpoints land in different domains. The
-  // advertised lookahead bounds the epoch horizons (see HorizonPolicy);
-  // zero is refused at Run time (it would starve the epoch loop) with an
-  // error naming the offending link and endpoints. The named form
-  // materializes the mailbox for exactly that (src, dst) pair; the
-  // anonymous Nanos overload keeps every pair routable (small hand-built
-  // groups, tests).
-  void NoteCrossLink(const CutEdge& edge);
-  void NoteCrossLink(Nanos lookahead);
-  Nanos lookahead() const { return lookahead_; }
-  bool has_cross_link() const { return has_cross_link_; }
-  const std::vector<CutEdge>& cut_edges() const { return cut_edges_; }
-
-  // Epoch-horizon policy; may be changed between runs, not during one.
-  void set_horizon_policy(HorizonPolicy policy) { horizon_policy_ = policy; }
-  HorizonPolicy horizon_policy() const { return horizon_policy_; }
-
-  // Delivers `fn` into domain `dst` at virtual time `when`. Call only from
-  // domain `src`'s thread while it is dispatching an epoch; `when` must lie
-  // strictly beyond `dst`'s published horizon (any positive-lookahead link
-  // guarantees this, and the call CHECKs it).
-  void CrossPost(int src, int dst, Nanos when, EventFn fn);
-
-  // One-shot event executed between epochs with every domain quiescent and
-  // advanced to `when` — the escape hatch for control-plane actions that
-  // span domains (engine crash + migration in the chaos harness). Schedule
-  // before Run. Events run in (when, registration) order, before same-time
-  // domain events.
-  template <typename F>
-  void ScheduleGlobal(Nanos when, F&& fn) {
-    globals_.push_back(GlobalEvent{when, global_seq_++,
-                                   std::function<void()>(std::forward<F>(fn))});
-  }
-
-  // Invoked once per Run on the thread that owns `domain`, before its first
-  // epoch — how per-domain telemetry registries learn their owner thread.
-  // Hooks must not touch simulation state (the coordinator may already be
-  // reading event heaps while late workers are still starting up).
-  void SetDomainStartHook(int domain, std::function<void()> hook);
-
-  // Counterparts of Simulation::Run/RunUntil/RunFor over the whole group.
-  void Run() { RunInternal(kNoEventTime); }
-  void RunUntil(Nanos deadline) { RunInternal(deadline); }
-  void RunFor(Nanos duration) { RunUntil(Now() + duration); }
-
-  // Stops the group at the next epoch boundary. Simulation::Halt() on any
-  // member domain calls this (and additionally stops that domain's own
-  // dispatch loop immediately, exactly as in a serial run).
-  void RequestHalt() { halt_requested_.store(true, std::memory_order_release); }
-
-  Nanos Now() const;                      // max over domains
-  std::uint64_t EventsProcessed() const;  // sum over domains
-  std::uint64_t epochs() const { return epochs_; }
-  std::uint64_t cross_events_delivered() const {
-    return cross_events_delivered_.load(std::memory_order_relaxed);
-  }
-
-  // Per-domain epoch efficiency, accumulated across runs. `epochs_total`
-  // counts group epochs while the domain was registered; `epochs_skipped`
-  // counts those where the domain had no event inside its horizon (the
-  // per-edge policy's win). Both are deterministic. `barrier_wait_ns` is
-  // the *wall-clock* time the domain's owning worker spent parked at epoch
-  // barriers — nondeterministic by nature, report it like the benches'
-  // `_wall` metrics.
-  std::uint64_t epochs_total(int domain) const {
-    return epochs_total_[static_cast<std::size_t>(domain)];
-  }
-  std::uint64_t epochs_skipped(int domain) const {
-    return epochs_skipped_[static_cast<std::size_t>(domain)];
-  }
-  std::uint64_t barrier_wait_ns(int domain) const;
-
-  // Bench-only hooks (micro_hotpaths): one horizon recomputation over the
-  // current heap state / one full drain pass, on the calling thread.
-  void ComputeHorizonsForBench(Nanos deadline);
-  void DrainAllInboxesForBench();
-
- private:
-  struct CrossEvent {
-    Nanos when = 0;
-    std::uint64_t seq = 0;  // per-mailbox push order
-    EventFn fn;
-  };
-  // Appended by the source domain's worker during dispatch, drained into
-  // the destination heap between barriers — the epoch barriers provide the
-  // happens-before, so no per-event synchronization is needed.
-  struct Mailbox {
-    std::vector<CrossEvent> events;
-    std::uint64_t next_seq = 0;  // producer-owned, monotonic over the run
-  };
-  struct GlobalEvent {
-    Nanos when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct OutEdge {
-    int dst;
-    Nanos lookahead;  // min over registered edges src -> dst
-  };
-
-  void RunInternal(Nanos deadline);
-  void RunEpochsSequential(Nanos deadline);
-  void RunEpochsParallel(Nanos deadline);
-  // One scheduling decision by the coordinator (workers quiescent): either
-  // runs due global events / computes per-domain horizons into horizon_
-  // (returns true) or decides the run is over (returns false).
-  bool NextEpoch(Nanos deadline);
-  // Fills horizon_ for the active policy from next_times_, capping every
-  // entry at `cap` (per-edge: the LBTS relaxation from the file comment).
-  void ComputeHorizons(Nanos t_min, Nanos cap);
-  // Per-src (dst, min-lookahead) lists derived from cut_edges_ /
-  // route_all_pairs_; rebuilt at Run when registration changed.
-  void BuildEdgeIndex();
-  void DrainInboxes(int dst);
-  [[noreturn]] void FailZeroLookahead() const;
-  void EnsureMailbox(int src, int dst);
-  Mailbox* MailboxSlot(int src, int dst) {
-    return mailboxes_[static_cast<std::size_t>(src) * sims_.size() +
-                      static_cast<std::size_t>(dst)]
-        .get();
-  }
-
-  std::vector<Simulation*> sims_;
-  int requested_workers_ = 0;
-  Nanos lookahead_ = kNoEventTime;
-  bool has_cross_link_ = false;
-  bool route_all_pairs_ = false;  // anonymous NoteCrossLink(Nanos) was used
-  std::vector<CutEdge> cut_edges_;
-  HorizonPolicy horizon_policy_ = HorizonPolicy::kPerEdge;
-  // Src-major n*n grid of mailbox slots; only registered (src, dst) pairs
-  // are materialized (all pairs when route_all_pairs_).
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  // Dense per-dst list of sources with a materialized mailbox (ascending),
-  // so a drain touches live pairs only instead of scanning all n^2 slots.
-  std::vector<std::vector<int>> inbox_srcs_;
-  std::vector<std::vector<OutEdge>> out_edges_;  // per src, ascending dst
-  bool edge_index_dirty_ = true;
-  std::vector<GlobalEvent> globals_;
-  std::size_t next_global_ = 0;
-  std::uint64_t global_seq_ = 0;
-  std::vector<std::function<void()>> start_hooks_;
-  std::atomic<bool> halt_requested_{false};
-  std::uint64_t epochs_ = 0;
-  std::vector<std::uint64_t> epochs_total_;
-  std::vector<std::uint64_t> epochs_skipped_;
-  // Per-worker barrier wait, written only by the owning worker during a
-  // parallel run and read after it.
-  std::vector<std::uint64_t> barrier_wait_ns_;
-  int resolved_workers_ = 1;  // worker count of the last run
-  // Workers drain their own inboxes concurrently; the tally is the only
-  // shared word they touch.
-  std::atomic<std::uint64_t> cross_events_delivered_{0};
-  // Epoch protocol state, shared coordinator → workers. Plain fields: every
-  // write happens while the readers are parked at a barrier, and the
-  // barrier's atomics order the hand-off.
-  std::vector<Nanos> horizon_;     // per-domain epoch horizon (inclusive)
-  std::vector<Nanos> next_times_;  // coordinator scratch
-  std::vector<Nanos> lbts_;        // coordinator scratch (LBTS relaxation)
-  std::vector<Nanos> reach_;       // coordinator scratch (relaxation keys)
-  std::vector<std::pair<Nanos, int>> relax_heap_;  // coordinator scratch
-  bool stop_workers_ = false;
-  std::unique_ptr<EpochBarrier> barrier_;
-};
 
 }  // namespace cowbird::sim

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,10 +27,6 @@
 namespace cowbird::sim {
 
 class Simulation;
-class DomainGroup;
-
-// Sentinel "no pending event" time (NextEventTime, DomainGroup horizons).
-inline constexpr Nanos kNoEventTime = std::numeric_limits<Nanos>::max();
 
 // Event callbacks live inline in the queue entry: a std::function here
 // heap-allocated once per simulated event (any capture beyond 16 bytes),
@@ -96,19 +91,8 @@ class Simulation {
   // deadline still fire), the queue drains, or Halt() is called.
   void RunUntil(Nanos deadline);
   void RunFor(Nanos duration) { RunUntil(now_ + duration); }
-  // Stops this simulation's dispatch loop; when the simulation is a domain
-  // in a DomainGroup, also halts the group at its next epoch boundary.
-  void Halt();
-
-  // Earliest pending event time, or kNoEventTime when the queue is empty.
-  Nanos NextEventTime() const {
-    return queue_.empty() ? kNoEventTime : queue_.top().when;
-  }
-
-  // Domain membership (set by DomainGroup::AddDomain); standalone
-  // simulations report null / 0.
-  DomainGroup* domain_group() const { return group_; }
-  int domain_id() const { return domain_id_; }
+  // Stops the dispatch loop after the current event.
+  void Halt() { halted_ = true; }
 
   // Attach a root process. It is started via the event queue at the current
   // time; its frame is owned by the simulation and destroyed either on
@@ -244,37 +228,10 @@ class Simulation {
 
   bool PopAndDispatchOne();
 
-  // DomainGroup's cross-delivery entry: like ScheduleAt, but the heap
-  // sequence is supplied by the caller instead of drawn from next_seq_.
-  // DomainGroup passes keys in the cross band (bit 63 set, then source
-  // domain, then per-mailbox push order), so the tie-break order of
-  // same-time events is a pure function of the published epoch state —
-  // independent of which epoch boundary happened to deliver the message.
-  void ScheduleCross(Nanos when, std::uint64_t seq, EventFn fn) {
-    COWBIRD_CHECK(when >= now_);
-    const PoolHandle event = events_.Acquire(std::move(fn), PoolHandle{});
-    queue_.push(QueueEntry{when, seq, event});
-  }
-
-  // DomainGroup's epoch interface: dispatch everything up to an inclusive
-  // horizon, advance the clock over idle stretches, reset the halt latch.
-  void DispatchUpTo(Nanos limit) {
-    while (!halted_ && !queue_.empty() && queue_.top().when <= limit) {
-      PopAndDispatchOne();
-    }
-  }
-  void AdvanceTo(Nanos t) {
-    if (now_ < t) now_ = t;
-  }
-  void ClearHalt() { halted_ = false; }
-
   friend class TimerHandle;
-  friend class DomainGroup;
 
   Nanos now_ = 0;
   bool halted_ = false;
-  DomainGroup* group_ = nullptr;
-  int domain_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   EventHeap queue_;

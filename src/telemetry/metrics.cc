@@ -17,50 +17,17 @@ bool LegalAtom(std::string_view s) {
   return true;
 }
 
-// Quantile over a sparse (bucket index, count) list; replicates
-// LogHistogram::QuantileUpperBound exactly — the first crossing always lands
-// on a non-empty bucket, so skipping empty ones changes nothing.
-std::uint64_t SparseQuantileUpperBound(
-    const std::vector<std::pair<int, std::uint64_t>>& buckets,
-    std::uint64_t count, double q) {
-  if (count == 0) return 0;
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(count));
-  std::uint64_t seen = 0;
-  for (const auto& [bucket, bucket_count] : buckets) {
-    seen += bucket_count;
-    if (seen > target) {
-      if (bucket == 0) return 0;
-      if (bucket >= 64) return ~0ull;
-      return (1ull << bucket) - 1;
-    }
-  }
-  return ~0ull;
-}
-
 }  // namespace
 
-// Unbound handles hold nullptr: a thread-local dummy cell looks tempting but
-// handles are typically constructed on the harness thread and exercised on a
-// domain worker, so every "thread-local" fallback actually lands on the
-// constructing thread's word — shared across domains, a data race.
+// Unbound handles hold nullptr rather than a shared dummy cell, so two
+// unbound handles never alias one word.
 Counter::Counter() : cell_(nullptr) {}
 Gauge::Gauge() : cell_(nullptr) {}
 Histogram::Histogram() : cell_(nullptr) {}
 
-#ifndef NDEBUG
-Counter::Counter(std::uint64_t* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-Gauge::Gauge(std::int64_t* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-Histogram::Histogram(LogHistogram* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-#else
-Counter::Counter(std::uint64_t* cell, const MetricRegistry*) : cell_(cell) {}
-Gauge::Gauge(std::int64_t* cell, const MetricRegistry*) : cell_(cell) {}
-Histogram::Histogram(LogHistogram* cell, const MetricRegistry*)
-    : cell_(cell) {}
-#endif
+Counter::Counter(std::uint64_t* cell) : cell_(cell) {}
+Gauge::Gauge(std::int64_t* cell) : cell_(cell) {}
+Histogram::Histogram(LogHistogram* cell) : cell_(cell) {}
 
 std::string CanonicalMetricKey(std::string_view name, const Labels& labels) {
   COWBIRD_CHECK(LegalAtom(name));
@@ -86,18 +53,18 @@ std::string CanonicalMetricKey(std::string_view name, const Labels& labels) {
 
 Counter MetricRegistry::GetCounter(std::string_view name,
                                    const Labels& labels) {
-  return Counter(&counters_[CanonicalMetricKey(name, labels)], this);
+  return Counter(&counters_[CanonicalMetricKey(name, labels)]);
 }
 
 Gauge MetricRegistry::GetGauge(std::string_view name, const Labels& labels) {
   std::string key = CanonicalMetricKey(name, labels);
   COWBIRD_CHECK(!callback_gauges_.contains(key));
-  return Gauge(&gauges_[std::move(key)], this);
+  return Gauge(&gauges_[std::move(key)]);
 }
 
 Histogram MetricRegistry::GetHistogram(std::string_view name,
                                        const Labels& labels) {
-  return Histogram(&histograms_[CanonicalMetricKey(name, labels)], this);
+  return Histogram(&histograms_[CanonicalMetricKey(name, labels)]);
 }
 
 void MetricRegistry::RegisterCallbackGauge(std::string_view name,
@@ -150,95 +117,6 @@ Snapshot MetricRegistry::TakeSnapshot() const {
     snap.histograms.push_back(std::move(entry));
   }
   return snap;
-}
-
-void Snapshot::MergeFrom(const Snapshot& other) {
-  // All three sections are sorted by canonical key (TakeSnapshot emits them
-  // that way and this merge preserves it), so a linear two-pointer merge
-  // keeps the aggregate canonical.
-  {
-    std::vector<CounterEntry> merged;
-    merged.reserve(counters.size() + other.counters.size());
-    std::size_t a = 0, b = 0;
-    while (a < counters.size() || b < other.counters.size()) {
-      if (b == other.counters.size() ||
-          (a < counters.size() && counters[a].key < other.counters[b].key)) {
-        merged.push_back(std::move(counters[a++]));
-      } else if (a == counters.size() ||
-                 other.counters[b].key < counters[a].key) {
-        merged.push_back(other.counters[b++]);
-      } else {
-        merged.push_back(
-            {std::move(counters[a].key),
-             counters[a].value + other.counters[b].value});
-        ++a;
-        ++b;
-      }
-    }
-    counters = std::move(merged);
-  }
-  {
-    std::vector<GaugeEntry> merged;
-    merged.reserve(gauges.size() + other.gauges.size());
-    std::size_t a = 0, b = 0;
-    while (a < gauges.size() || b < other.gauges.size()) {
-      if (b == other.gauges.size() ||
-          (a < gauges.size() && gauges[a].key < other.gauges[b].key)) {
-        merged.push_back(std::move(gauges[a++]));
-      } else if (a == gauges.size() || other.gauges[b].key < gauges[a].key) {
-        merged.push_back(other.gauges[b++]);
-      } else {
-        merged.push_back({std::move(gauges[a].key),
-                          gauges[a].value + other.gauges[b].value});
-        ++a;
-        ++b;
-      }
-    }
-    gauges = std::move(merged);
-  }
-  {
-    std::vector<HistogramEntry> merged;
-    merged.reserve(histograms.size() + other.histograms.size());
-    std::size_t a = 0, b = 0;
-    while (a < histograms.size() || b < other.histograms.size()) {
-      if (b == other.histograms.size() ||
-          (a < histograms.size() &&
-           histograms[a].key < other.histograms[b].key)) {
-        merged.push_back(std::move(histograms[a++]));
-      } else if (a == histograms.size() ||
-                 other.histograms[b].key < histograms[a].key) {
-        merged.push_back(other.histograms[b++]);
-      } else {
-        HistogramEntry entry;
-        entry.key = std::move(histograms[a].key);
-        entry.count = histograms[a].count + other.histograms[b].count;
-        // Both bucket lists are sorted by index; merge, summing collisions.
-        const auto& ba = histograms[a].buckets;
-        const auto& bb = other.histograms[b].buckets;
-        std::size_t i = 0, j = 0;
-        while (i < ba.size() || j < bb.size()) {
-          if (j == bb.size() ||
-              (i < ba.size() && ba[i].first < bb[j].first)) {
-            entry.buckets.push_back(ba[i++]);
-          } else if (i == ba.size() || bb[j].first < ba[i].first) {
-            entry.buckets.push_back(bb[j++]);
-          } else {
-            entry.buckets.emplace_back(ba[i].first,
-                                       ba[i].second + bb[j].second);
-            ++i;
-            ++j;
-          }
-        }
-        entry.p50 = SparseQuantileUpperBound(entry.buckets, entry.count, 0.5);
-        entry.p99 =
-            SparseQuantileUpperBound(entry.buckets, entry.count, 0.99);
-        merged.push_back(std::move(entry));
-        ++a;
-        ++b;
-      }
-    }
-    histograms = std::move(merged);
-  }
 }
 
 std::optional<std::uint64_t> Snapshot::CounterValue(

@@ -19,25 +19,20 @@
 //     engine queue depths) surface through the registry without adding any
 //     cost to the code that maintains them.
 //
-// Each registry is single-threaded, like the event-loop domain it observes.
-// Sharded (multi-domain) runs give every domain its own registry and merge
-// the snapshots afterwards (Snapshot::MergeFrom) — the hot path stays a raw
-// increment. Debug builds additionally pin each registry to the thread that
-// called BindToCurrentThread() and CHECK every cell access against it.
+// Each registry is single-threaded, like the event loop it observes. Every
+// handle is one pointer and the registry has one layout in every build mode,
+// so code compiled with and without NDEBUG can share a registry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/stats.h"
 
 namespace cowbird::telemetry {
@@ -58,19 +53,14 @@ class Counter {
   Counter();  // unbound: Add is a no-op
   void Add(std::uint64_t delta = 1) const {
     if (cell_ == nullptr) return;
-    DCheckOwner();
     *cell_ += delta;
   }
   std::uint64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
 
  private:
   friend class MetricRegistry;
-  Counter(std::uint64_t* cell, const MetricRegistry* owner);
-  void DCheckOwner() const;
+  explicit Counter(std::uint64_t* cell);
   std::uint64_t* cell_;
-#ifndef NDEBUG
-  const MetricRegistry* owner_ = nullptr;
-#endif
 };
 
 // Settable signed gauge handle.
@@ -79,24 +69,18 @@ class Gauge {
   Gauge();  // unbound: Set/Add are no-ops
   void Set(std::int64_t v) const {
     if (cell_ == nullptr) return;
-    DCheckOwner();
     *cell_ = v;
   }
   void Add(std::int64_t delta) const {
     if (cell_ == nullptr) return;
-    DCheckOwner();
     *cell_ += delta;
   }
   std::int64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
 
  private:
   friend class MetricRegistry;
-  Gauge(std::int64_t* cell, const MetricRegistry* owner);
-  void DCheckOwner() const;
+  explicit Gauge(std::int64_t* cell);
   std::int64_t* cell_;
-#ifndef NDEBUG
-  const MetricRegistry* owner_ = nullptr;
-#endif
 };
 
 // Power-of-two histogram handle (see common/stats.h LogHistogram).
@@ -105,7 +89,6 @@ class Histogram {
   Histogram();  // unbound: Observe is a no-op
   void Observe(std::uint64_t value) const {
     if (cell_ == nullptr) return;
-    DCheckOwner();
     cell_->Add(value);
   }
   const LogHistogram& histogram() const {
@@ -115,12 +98,8 @@ class Histogram {
 
  private:
   friend class MetricRegistry;
-  Histogram(LogHistogram* cell, const MetricRegistry* owner);
-  void DCheckOwner() const;
+  explicit Histogram(LogHistogram* cell);
   LogHistogram* cell_;
-#ifndef NDEBUG
-  const MetricRegistry* owner_ = nullptr;
-#endif
 };
 
 // Point-in-time copy of every series in a registry, sorted by canonical key.
@@ -150,13 +129,6 @@ struct Snapshot {
   std::optional<std::uint64_t> CounterValue(std::string_view key) const;
   std::optional<std::int64_t> GaugeValue(std::string_view key) const;
   const HistogramEntry* FindHistogram(std::string_view key) const;
-
-  // Folds `other` into this snapshot: counters and gauges sum on key
-  // collision, histogram buckets add element-wise and p50/p99 are recomputed
-  // from the merged distribution. New keys are inserted at their canonical
-  // sorted position, so merging per-domain snapshots in domain order yields
-  // a byte-deterministic aggregate regardless of how many threads ran.
-  void MergeFrom(const Snapshot& other);
 
   // {"counters":{...},"gauges":{...},"histograms":{...}} with keys in
   // canonical (sorted) order. Deterministic byte-for-byte.
@@ -191,56 +163,12 @@ class MetricRegistry {
   }
   std::size_t histogram_series() const { return histograms_.size(); }
 
-  // Debug-build thread confinement. Binding pins the registry (and every
-  // handle it issued) to the calling thread; any cell access from another
-  // thread CHECK-fails. Release builds compile both to nothing — the hot
-  // path stays a raw increment. Rebinding is allowed (domain workers are
-  // respawned per Run); ReleaseThreadBinding restores "any thread".
-  void BindToCurrentThread() {
-#ifndef NDEBUG
-    owner_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
-#endif
-  }
-  void ReleaseThreadBinding() {
-#ifndef NDEBUG
-    owner_thread_.store(std::thread::id(), std::memory_order_relaxed);
-#endif
-  }
-#ifndef NDEBUG
-  void DCheckAccess() const {
-    const std::thread::id owner =
-        owner_thread_.load(std::memory_order_relaxed);
-    COWBIRD_CHECK(owner == std::thread::id() ||
-                  owner == std::this_thread::get_id());
-  }
-#endif
-
  private:
   // std::map: node-based, so cell addresses are stable across inserts.
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, std::int64_t> gauges_;
   std::map<std::string, LogHistogram> histograms_;
   std::map<std::string, std::function<std::int64_t()>> callback_gauges_;
-#ifndef NDEBUG
-  std::atomic<std::thread::id> owner_thread_{};
-#endif
 };
-
-#ifndef NDEBUG
-inline void Counter::DCheckOwner() const {
-  if (owner_ != nullptr) owner_->DCheckAccess();
-}
-inline void Gauge::DCheckOwner() const {
-  if (owner_ != nullptr) owner_->DCheckAccess();
-}
-inline void Histogram::DCheckOwner() const {
-  if (owner_ != nullptr) owner_->DCheckAccess();
-}
-#else
-inline void Counter::DCheckOwner() const {}
-inline void Gauge::DCheckOwner() const {}
-inline void Histogram::DCheckOwner() const {}
-#endif
 
 }  // namespace cowbird::telemetry

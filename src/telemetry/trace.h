@@ -129,13 +129,6 @@ class SpanTracer {
   std::uint64_t dropped_spans() const { return dropped_spans_; }
   std::uint64_t dropped_instants() const { return dropped_instants_; }
 
-  // Folds another tracer's records into this one: spans and instants are
-  // appended in the other tracer's order, op breakdowns merge per key with
-  // already-stamped phases winning (each side of a domain cut stamps a
-  // disjoint phase subset), dropped counters sum. Merging per-domain tracers
-  // in domain order gives a deterministic aggregate.
-  void MergeFrom(const SpanTracer& other);
-
   // Chrome Trace Event Format JSON: {"displayTimeUnit":"ns",
   // "traceEvents":[...]}. Deterministic for a deterministic run. Spans
   // still open are clamped to the current virtual time.

@@ -1,25 +1,24 @@
 // The one cluster builder behind every harness.
 //
 // The evaluation (Section 7) always runs one shape: compute clients, memory
-// servers and a spot host behind a switch. A ClusterSpec says which hosts,
-// in which order, with which switch/NIC profile and PDES partition; Cluster
-// builds it and owns everything the harnesses used to wire by hand:
+// servers and a spot host behind one switch, all on one event loop. A
+// ClusterSpec says which hosts, in which order, with which switch/NIC
+// profile; Cluster builds it and owns everything the harnesses used to wire
+// by hand:
 //
-//   * construction order. Hosts get fabric addresses, switch ports and
-//     topology nodes in spec order (clients first, then the core switch,
-//     then the other hosts, then two-tier group ToRs), which is what keeps
-//     every simulated outcome of a given shape byte-identical run to run;
-//   * telemetry. With a hub, every device, link (bound to the domain that
-//     delivers on it), switch and event pool is bound to its domain's
-//     telemetry::HubShards shard, the tracer clock is re-seated onto the run
-//     and frozen at teardown, and MergedSnapshot() folds the shards back;
-//   * engine attach. Clients and engines are built here, so each binds its
-//     telemetry to the right shard; AttachSpot/AttachP4 (and the registry
-//     bindings built on them) are the one place that runs
-//     ConnectSpotEngine/ConnectP4Engine + AddInstance;
-//   * teardown order. Shards outlive the engines and clients that register
-//     gauges in them, and every gauge the cluster bound is unbound before
-//     the object behind it is destroyed.
+//   * construction order. Hosts get names, fabric addresses and switch
+//     ports in spec order (clients first, then the other hosts), which is
+//     what keeps every simulated outcome of a given shape byte-identical
+//     run to run;
+//   * telemetry. With a hub, every device, link, the switch and the event
+//     pools are bound to it, the tracer clock is re-seated onto the run and
+//     frozen at teardown;
+//   * engine attach. Clients and engines are built here, so each gets the
+//     hub; AttachSpot/AttachP4 (and the registry bindings built on them)
+//     are the one place that runs ConnectSpotEngine/ConnectP4Engine +
+//     AddInstance;
+//   * teardown order. Every gauge the cluster bound is unbound before the
+//     object behind it is destroyed.
 #pragma once
 
 #include <cstdint>
@@ -28,17 +27,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/sparse_memory.h"
 #include "core/client.h"
 #include "net/switch.h"
-#include "net/topology.h"
 #include "offload/registry.h"
 #include "p4/engine.h"
 #include "rdma/device.h"
 #include "rdma/params.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "sim/thread.h"
 #include "spot/agent.h"
@@ -47,61 +45,31 @@
 
 namespace cowbird::workload {
 
-// The rack-shape knobs ScaleWorkloadConfig shares with ClusterSpec: both
-// derive from it, so the rack harness hands them over in one assignment.
-struct RackShape {
-  // Two-tier fabric: > 1 spreads the clients over this many group ToRs
-  // (contiguous blocks of ceil(clients/groups)), each trunked into the core.
-  int client_groups = 1;
-  // Client-uplink propagation; 0 keeps the fabric's link_propagation. Short
-  // in-rack DACs (tens of ns) make the lookahead graph heterogeneous, which
-  // is where per-edge horizons pull away from the global min.
-  Nanos client_propagation = 0;
-  // ToR <-> core trunk propagation; 0 keeps the fabric's link_propagation.
-  // Hall-scale optical runs are an order of magnitude longer than in-rack
-  // DACs; the wider the trunk lookahead, the coarser the per-edge epoch
-  // steps each client group can take independently of the core.
-  Nanos trunk_propagation = 0;
-  // Split only: the epoch-horizon policy. kPerEdge computes per-domain LBTS
-  // horizons at each barrier; kGlobalMin is the single min-lookahead
-  // horizon, kept for A/B epoch accounting. Outcomes are policy-invariant;
-  // only epoch counts move.
-  sim::HorizonPolicy horizon_policy = sim::HorizonPolicy::kPerEdge;
-};
-
-struct ClusterSpec : RackShape {
-  // Hosts after the clients, attached to the core switch in this order. A
+struct ClusterSpec {
+  // Hosts after the clients, attached to the switch in this order. A
   // memory server gets 8 cores; the spot host gets one 1-core machine per
   // agent (Cluster::AddSpotAgent); the bystander is a bare 25 Gbps NIC for
   // contending flows (Figure 14).
   enum class Host { kMemory, kSpot, kBystander };
-  // kPair cuts the clients off from everything else (two domains); kPacked
-  // takes one partition group per topology node from `pack_groups`.
-  enum class Split { kSerial, kPair, kPerNode, kPacked };
 
   int clients = 1;
   int client_cores = 16;
   BitRate client_uplink = BitRate::Gbps(100);
   std::vector<Host> hosts = {Host::kMemory, Host::kSpot};
-  // Every switch's queues, ECN and PFC, and every NIC's Go-Back-N and DCQCN.
+  // The switch's queues, ECN and PFC, and every NIC's Go-Back-N and DCQCN.
   net::Switch::Config switches{
       .pipeline_latency = rdma::FabricParams{}.switch_pipeline};
   rdma::NicConfig nic;
-  Split split = Split::kSerial;
-  std::vector<int> pack_groups;
-  int workers = 0;  // split only; 0 → hardware concurrency
 };
 
-// One host: its NIC on the owning domain's loop, its memory, and (except on
-// the bystander) its RDMA device and machine.
+// One host: its NIC, its memory, and (except on the bystander) its RDMA
+// device and machine.
 struct ClusterHost {
-  ClusterHost(sim::Simulation& sim, net::NodeId address, BitRate rate,
-              Nanos propagation)
-      : nic(sim, address, rate, propagation) {}
+  ClusterHost(sim::Simulation& sim, std::string host_name, net::NodeId address,
+              BitRate rate, Nanos propagation)
+      : name(std::move(host_name)), nic(sim, address, rate, propagation) {}
 
-  net::TopoNodeId node = 0;
-  net::TopoNodeId attach_node = 0;  // the switch node the NIC hangs off
-  net::Switch* attach = nullptr;
+  std::string name;  // "client0", "memory1", "spot", "bystander"
   net::HostNic nic;
   SparseMemory mem;
   std::optional<rdma::Device> dev;
@@ -110,8 +78,8 @@ struct ClusterHost {
   net::NodeId id() const { return nic.id(); }
 };
 
-// Fabric-wide congestion counters, whole run (switch ones across the core
-// and any group ToRs; NIC ones across every device).
+// Fabric-wide congestion counters, whole run (NIC ones across every
+// device).
 struct FabricCounters {
   std::uint64_t switch_drops = 0;
   std::uint64_t ecn_marked = 0;
@@ -123,7 +91,7 @@ struct FabricCounters {
 
 class Cluster {
  public:
-  // The root loop: client 0's domain (everything when serial).
+  // The run's one event loop.
   sim::Simulation sim;
 
   // `hub` may be null (telemetry off). The caller keeps the hub; the cluster
@@ -132,14 +100,6 @@ class Cluster {
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-
-  // The topology a spec builds, before anything exists: what a caller packs
-  // (net::PackDomains) into ClusterSpec::pack_groups.
-  static net::Topology PlanTopology(const ClusterSpec& spec);
-  // One partition group per node of a packed copy of `topo`.
-  static std::vector<int> PackGroups(net::Topology topo,
-                                     const std::vector<std::uint64_t>& rates,
-                                     int budget);
 
   // ---- hosts -------------------------------------------------------------
   ClusterHost& client(int k) { return *clients_[Index(k)]; }
@@ -150,55 +110,19 @@ class Cluster {
   ClusterHost& client_at(net::NodeId address);
 
   // ---- fabric ------------------------------------------------------------
-  net::Switch& sw() { return *core_; }
-  net::Switch& group_tor(int g) { return *leaves_[Index(g)].sw; }
-  const net::TrunkPorts& trunk(int g) const { return leaves_[Index(g)].trunk; }
-  int group_of_client(int k) const;
-  net::TopoNodeId switch_node() const { return spec_.clients; }
-  net::TopoNodeId group_tor_node(int g) const {
-    return spec_.clients + 1 + static_cast<int>(spec_.hosts.size()) + g;
-  }
-  const net::Topology& topology() const { return topo_; }
-  const net::Partition& partition() const { return partition_; }
+  net::Switch& sw() { return *switch_; }
   FabricCounters Counters() const;
 
-  // ---- event loops -------------------------------------------------------
-  sim::Simulation& sim_for(net::TopoNodeId node) {
-    return domains_.sim_for(node);
-  }
-  sim::Simulation& domain_sim(int domain) {
-    return domains_.domain_sim(domain);
-  }
-  sim::DomainGroup* group() const { return domains_.group(); }
-  bool split() const { return group() != nullptr; }
-  // Runs an event on every domain at `when`: a global event between epochs
-  // when split (all domains quiescent at `when`), a root event otherwise.
-  template <typename F>
-  void ScheduleGlobal(Nanos when, F&& fn) {
-    if (sim::DomainGroup* g = group()) {
-      g->ScheduleGlobal(when, std::forward<F>(fn));
-    } else {
-      sim.ScheduleAt(when, std::forward<F>(fn));
-    }
-  }
-  void Run() { domains_.Run(); }
-  void RunFor(Nanos duration) { domains_.RunFor(duration); }
-  Nanos Now() const { return domains_.Now(); }
-  std::uint64_t EventsProcessed() const { return domains_.EventsProcessed(); }
-  // Sum of per-domain epochs sat out (0 when serial).
-  std::uint64_t EpochsSkipped() const;
-
-  // ---- telemetry ---------------------------------------------------------
-  // The caller's hub snapshot with every shard folded in (shard tracers
-  // merge into the hub's tracer). Call once, after the run.
-  telemetry::Snapshot MergedSnapshot();
+  // The hub's snapshot, taken while every gauge the cluster bound is still
+  // live; empty with telemetry off.
+  telemetry::Snapshot TakeSnapshot() const;
 
   // ---- clients and engines -----------------------------------------------
-  // A Cowbird client on client host `k`, instrumented on that host's shard.
+  // A Cowbird client on client host `k`.
   core::CowbirdClient& AddClient(int k, core::CowbirdClient::Config config);
   // A spot agent on a fresh 1-core machine of the spot host.
   spot::SpotAgent& AddSpotAgent(spot::SpotAgent::Config config);
-  // The P4 engine, installed as the core switch's processor.
+  // The P4 engine, installed as the switch's processor.
   p4::CowbirdP4Engine& AddP4Engine(p4::CowbirdP4Engine::Config config);
   p4::CowbirdP4Engine& p4() { return *p4_; }
 
@@ -224,16 +148,7 @@ class Cluster {
   offload::EngineBinding P4Binding();
 
  private:
-  struct Leaf {
-    std::unique_ptr<net::Switch> sw;
-    net::TrunkPorts trunk;
-  };
-
   static std::size_t Index(int i) { return static_cast<std::size_t>(i); }
-  // The shard of the domain that owns `node` (null when telemetry is off).
-  telemetry::Hub* HubFor(net::TopoNodeId node) {
-    return shards_.ForDomain(partition_.domain_of(node));
-  }
   std::vector<rdma::Device*> MemoryDevices(const std::vector<int>& memories);
   std::vector<int> AllMemories() const;
   core::CowbirdClient* FindClient(std::uint32_t instance_id);
@@ -241,17 +156,10 @@ class Cluster {
 
   ClusterSpec spec_;
   telemetry::Hub* hub_;
-  net::Topology topo_;
-  net::Partition partition_;
-  net::FabricDomains domains_;
-  // Declared before everything that registers gauges in a shard, so the
-  // shards outlive them all.
-  telemetry::HubShards shards_;
   // One entry per binding BindTelemetry made; the destructor runs them all
   // while every bound object is still alive.
   std::vector<std::function<void()>> unbind_;
-  std::unique_ptr<net::Switch> core_;
-  std::vector<Leaf> leaves_;
+  std::unique_ptr<net::Switch> switch_;
   std::vector<std::unique_ptr<ClusterHost>> hosts_;  // spec order
   std::vector<ClusterHost*> clients_;
   std::vector<ClusterHost*> memories_;

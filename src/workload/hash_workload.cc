@@ -39,19 +39,9 @@ constexpr std::uint64_t kHeapBase = 0x8000'0000;
 constexpr std::uint64_t kHeapStride = MiB(4);
 constexpr std::uint16_t kRegion = 1;
 
-// The Section 7 testbed: the compute node (16 logical cores, as Xeon Silver
-// 4110 with HT), the memory pool and the spot node. `split_domains` cuts the
-// compute node off from the rest, with the cut links' propagation as the
-// lookahead.
-ClusterSpec TestbedSpec(const HashWorkloadConfig& cfg) {
-  ClusterSpec spec;
-  if (cfg.split_domains) {
-    spec.split = ClusterSpec::Split::kPair;
-    spec.workers = cfg.split_workers;
-  }
-  return spec;
-}
-
+// The Section 7 testbed (ClusterSpec's default shape): the compute node (16
+// logical cores, as Xeon Silver 4110 with HT), the memory pool and the spot
+// node.
 struct Harness {
   Harness(const HashWorkloadConfig& config, ClusterSpec spec)
       : cfg(config), cluster(std::move(spec), config.telemetry) {
@@ -141,28 +131,12 @@ struct Harness {
           &cluster.sw().EgressLink(memory.nic.switch_port()),
           &cluster.sw().EgressLink(cluster.spot().nic.switch_port()),
       };
-      if (!cluster.split()) {
-        // One shared stream drawn in delivery order — the historical
-        // behavior the golden-pinned serial runs depend on.
-        loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
-        auto filter = [this](const net::Packet& p) {
-          return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(cfg.loss_rate);
-        };
-        for (net::Link* link : lossy) link->set_drop_filter(filter);
-      } else {
-        // Drop filters run on each link's destination domain; a shared
-        // stream would race (and make drop decisions depend on thread
-        // interleaving), so split mode derives one stream per link.
-        for (std::size_t i = 0; i < std::size(lossy); ++i) {
-          loss_rngs.push_back(std::make_unique<Rng>(
-              cfg.seed * 104729 + 1 + 1000003 * (i + 1)));
-          lossy[i]->set_drop_filter(
-              [this, rng = loss_rngs.back().get()](const net::Packet& p) {
-                return rdma::LooksLikeRdma(p) &&
-                       rng->Bernoulli(cfg.loss_rate);
-              });
-        }
-      }
+      // One stream shared by the three links, drawn in delivery order.
+      loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
+      auto filter = [this](const net::Packet& p) {
+        return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(cfg.loss_rate);
+      };
+      for (net::Link* link : lossy) link->set_drop_filter(filter);
     }
   }
 
@@ -186,7 +160,6 @@ struct Harness {
   std::unique_ptr<baselines::AifmModel> aifm;
   std::unique_ptr<ZipfianGenerator> zipf;
   std::unique_ptr<Rng> loss_rng;
-  std::vector<std::unique_ptr<Rng>> loss_rngs;  // split mode: one per link
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<baselines::TwoSidedClient>> rpc_clients;
   std::vector<std::unique_ptr<baselines::AsyncPipeline>> pipelines;
@@ -385,21 +358,22 @@ void SpawnDrivers(Harness& h) {
 }  // namespace
 
 WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
-  Harness h(config, TestbedSpec(config));
+  Harness h(config, ClusterSpec{});
+  sim::Simulation& sim = h.cluster.sim;
   SpawnDrivers(h);
-  h.cluster.RunFor(config.warmup);
+  sim.RunFor(config.warmup);
   const CpuSnapshot start = Snapshot(h);
   if (config.on_measure_start) config.on_measure_start();
-  const Nanos t0 = h.cluster.sim.Now();
-  const std::uint64_t events0 = h.cluster.EventsProcessed();
-  h.cluster.RunFor(config.measure);
+  const Nanos t0 = sim.Now();
+  const std::uint64_t events0 = sim.EventsProcessed();
+  sim.RunFor(config.measure);
   if (config.on_measure_end) config.on_measure_end();
   const CpuSnapshot end = Snapshot(h);
-  const Nanos elapsed = h.cluster.sim.Now() - t0;
+  const Nanos elapsed = sim.Now() - t0;
 
   WorkloadResult result;
   result.ops = end.ops - start.ops;
-  result.sim_events = h.cluster.EventsProcessed() - events0;
+  result.sim_events = sim.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
   const Nanos comm = end.comm - start.comm;
@@ -412,7 +386,7 @@ WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
       h.agent ? static_cast<double>(end.agent_busy - start.agent_busy) /
                     static_cast<double>(elapsed)
               : 0.0;
-  result.telemetry = h.cluster.MergedSnapshot();
+  result.telemetry = h.cluster.TakeSnapshot();
   return result;
 }
 
@@ -431,7 +405,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
   base.agent = config.agent;
   base.costs = config.costs;
   base.telemetry = config.telemetry;
-  Harness h(base, TestbedSpec(base));
+  Harness h(base, ClusterSpec{});
 
   PercentileSampler sampler;
   sampler.Reserve(config.samples);
@@ -524,7 +498,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
   result.samples = sampler.count();
   result.median_us = sampler.Median() / 1000.0;
   result.p99_us = sampler.P99() / 1000.0;
-  result.telemetry = h.cluster.MergedSnapshot();
+  result.telemetry = h.cluster.TakeSnapshot();
   return result;
 }
 
@@ -535,11 +509,8 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
 ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
                                          int tcp_flows,
                                          BitRate compute_uplink) {
-  // The greedy flows drive the compute uplink from the host thread; the
-  // experiment has not been audited for the domain cut.
-  COWBIRD_CHECK(!config.split_domains);
   // A 25 Gbps bystander server sinks the flows.
-  ClusterSpec spec = TestbedSpec(config);
+  ClusterSpec spec;
   spec.client_uplink = compute_uplink;
   spec.hosts.push_back(ClusterSpec::Host::kBystander);
   // Figure 14 compares Cowbird against no Cowbird.

@@ -26,10 +26,14 @@ constexpr std::uint16_t kRegion = 1;
 // Physical slabs backing the migrating client's ClusterPool region live
 // away from the striped per-server pools so neither registration overlaps.
 constexpr std::uint64_t kSlabBase = 0x4000'0000;
-// Cadence of the migration coordinator. Ticks are pre-scheduled (global
-// events when split) because conservative PDES forbids rescheduling a
-// global event from inside one.
+// Cadence of the migration coordinator. The whole tick train is scheduled
+// up front rather than each tick scheduling the next, so its events keep
+// the queue sequence numbers the pinned outcomes were recorded with.
 constexpr Nanos kMigrateTick = Micros(25);
+// Per-op application work (hash + bucket probe), and the back-off between
+// completion polls while the window is full and nothing has finished.
+constexpr Nanos kAppCompute = 60;
+constexpr Nanos kPollIdle = 300;
 
 // Incast collapses the striping: every client hits memory server 0.
 int ServerFor(const ScaleWorkloadConfig& cfg, int k) {
@@ -37,13 +41,9 @@ int ServerFor(const ScaleWorkloadConfig& cfg, int k) {
 }
 
 // The rack: K clients and M memory servers fanning into one top-of-rack
-// switch (or, two-tier, into per-group ToRs trunked into it), plus the spot
-// host. Split runs put every node in a domain of its own, or in the packed
-// groups when the caller profiled them.
-ClusterSpec RackSpec(const ScaleWorkloadConfig& config,
-                     std::vector<int> pack_groups) {
+// switch, plus the spot host.
+ClusterSpec RackSpec(const ScaleWorkloadConfig& config) {
   ClusterSpec spec;
-  static_cast<RackShape&>(spec) = config;
   spec.clients = config.clients;
   spec.client_cores = std::max(2, config.threads_per_client);
   spec.hosts.assign(static_cast<std::size_t>(config.memory_servers),
@@ -54,20 +54,12 @@ ClusterSpec RackSpec(const ScaleWorkloadConfig& config,
   spec.switches.pfc_enabled = config.pfc;
   spec.nic.dcqcn = config.dcqcn;
   spec.nic.retransmit_timeout = config.retransmit_timeout;
-  if (config.split) {
-    spec.split = pack_groups.empty() ? ClusterSpec::Split::kPerNode
-                                     : ClusterSpec::Split::kPacked;
-    spec.pack_groups = std::move(pack_groups);
-    spec.workers = config.split_workers;
-  }
   return spec;
 }
 
 struct ScaleHarness {
-  explicit ScaleHarness(const ScaleWorkloadConfig& config,
-                        std::vector<int> pack_groups = {})
-      : cfg(config),
-        cluster(RackSpec(config, std::move(pack_groups)), config.telemetry) {
+  explicit ScaleHarness(const ScaleWorkloadConfig& config)
+      : cfg(config), cluster(RackSpec(config), config.telemetry) {
     latency_traces.resize(
         static_cast<std::size_t>(cfg.clients * cfg.threads_per_client));
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
@@ -137,9 +129,6 @@ struct ScaleHarness {
       // When the NICs run DCQCN, the switch-generated packets join the ECN
       // loop too (and the engine reflects CNPs to the memory hosts).
       ec.ecn_capable = cfg.dcqcn.enabled;
-      if (cfg.p4_probe_interval > 0) {
-        ec.probe_interval = cfg.p4_probe_interval;
-      }
       p4_engine = &cluster.AddP4Engine(ec);
       for (int k = 0; k < cfg.clients; ++k) {
         cluster.AttachP4(*clients[static_cast<std::size_t>(k)],
@@ -177,10 +166,10 @@ struct ScaleHarness {
     return total;
   }
 
-  // One pre-scheduled coordinator tick (a global event when split): drives
-  // the copy-then-cutover state machine for client 0's region. The cutover
-  // itself — translation flip, client range republish, engine re-attach —
-  // happens inside a single tick, atomic in virtual time.
+  // One pre-scheduled coordinator tick: drives the copy-then-cutover state
+  // machine for client 0's region. The cutover itself — translation flip,
+  // client range republish, engine re-attach — happens inside a single
+  // tick, atomic in virtual time.
   void MigrationTick(Nanos now) {
     switch (migration_stage) {
       case MigrationStage::kArmed: {
@@ -259,8 +248,7 @@ struct ScaleHarness {
   std::vector<std::vector<std::uint64_t>> ops;  // [client][thread]
   // One latency trace per (client, thread): (completion time, latency)
   // pairs, recorded only when cfg.sample_latency. Traces merge in fixed
-  // (k, t) order after the run so the percentile set is independent of
-  // worker count.
+  // (k, t) order after the run.
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
 
   // Live-rebalance state (untouched unless cfg.migrate).
@@ -281,8 +269,7 @@ struct ScaleHarness {
 };
 
 // The async read loop of the hash workload (DriveCowbird), reads only —
-// issue up to `window`, then harvest. Wiring is per (client, thread); the
-// coroutine runs on the client's own domain.
+// issue up to `window`, then harvest. Wiring is per (client, thread).
 sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
   sim::SimThread& thread = h.ThreadFor(k, t);
   auto& ctx = h.clients[static_cast<std::size_t>(k)]->thread(t);
@@ -298,17 +285,11 @@ sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
   const bool sample = h.cfg.sample_latency;
   std::unordered_map<std::uint64_t, Nanos> issued_at;
   auto& trace = h.TraceFor(k, t);
-  // Jittered back-off: each client parks for a slightly different interval,
-  // so the fleet's completion polls decorrelate instead of marching as one
-  // synchronized herd (deterministic — a function of the client index only).
-  const Nanos idle = h.cfg.poll_idle +
-                     h.cfg.poll_jitter * static_cast<Nanos>(k) +
-                     h.cfg.poll_jitter * static_cast<Nanos>(t) * 7;
   int outstanding = 0;
   for (;;) {
     if (outstanding < h.cfg.window) {
       const std::uint64_t key = rng.Below(h.cfg.records);
-      co_await thread.Work(h.cfg.app_compute, sim::CpuCategory::kCompute);
+      co_await thread.Work(kAppCompute, sim::CpuCategory::kCompute);
       const std::uint64_t slot =
           rng.Below(static_cast<std::uint64_t>(h.cfg.window));
       auto id = co_await ctx.AsyncRead(
@@ -324,7 +305,7 @@ sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
     }
     co_await ctx.PollWait(thread, poll, done, h.cfg.window, 0);
     if (done.empty()) {
-      co_await thread.Idle(idle);
+      co_await thread.Idle(kPollIdle);
       continue;
     }
     if (sample) {
@@ -345,40 +326,6 @@ sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
   }
 }
 
-// Event-rate profiling for the packed split: a short deterministic pre-run
-// of the same fabric and workload under the one-domain-per-node split, whose
-// per-domain event counts become the rate vector net::PackDomains balances.
-// The pre-run is itself a split run, so its counts — and therefore the
-// packing — are bit-identical for any worker count; and because the banded
-// cross-event keys make outcomes horizon-policy-invariant, the rates need no
-// policy pinning either. Telemetry, latency sampling, and migration are
-// disabled: none of them change event streams, but the pre-run should stay
-// cheap and side-effect-free.
-std::vector<int> PackGroupsFor(const ScaleWorkloadConfig& config) {
-  constexpr Nanos kProfileWindow = Micros(100);
-  ScaleWorkloadConfig prof = config;
-  prof.packed = false;
-  prof.telemetry = nullptr;
-  prof.sample_latency = false;
-  prof.migrate = false;
-  ScaleHarness h(prof);
-  for (int k = 0; k < prof.clients; ++k) {
-    for (int t = 0; t < prof.threads_per_client; ++t) {
-      h.cluster.sim_for(k).Spawn(DriveClient(h, k, t));
-    }
-  }
-  h.cluster.RunFor(kProfileWindow);
-  // Under the per-node split, domain ids equal node ids (singletons in node
-  // order), so the per-domain counters read out as per-node rates directly.
-  const int n = h.cluster.topology().node_count();
-  std::vector<std::uint64_t> rates(static_cast<std::size_t>(n), 0);
-  for (int node = 0; node < n; ++node) {
-    rates[static_cast<std::size_t>(node)] =
-        h.cluster.domain_sim(node).EventsProcessed();
-  }
-  return Cluster::PackGroups(h.cluster.topology(), rates, config.pack_budget);
-}
-
 std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
   std::vector<std::uint64_t> totals;
   totals.reserve(static_cast<std::size_t>(h.cfg.clients));
@@ -395,49 +342,39 @@ std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
 ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   COWBIRD_CHECK(config.clients >= 1);
   COWBIRD_CHECK(config.memory_servers >= 1);
-  std::vector<int> pack_groups;
-  if (config.split && config.packed) pack_groups = PackGroupsFor(config);
-  ScaleHarness h(config, std::move(pack_groups));
+  ScaleHarness h(config);
   Cluster& cluster = h.cluster;
+  sim::Simulation& sim = cluster.sim;
   for (int k = 0; k < config.clients; ++k) {
     for (int t = 0; t < config.threads_per_client; ++t) {
-      cluster.sim_for(k).Spawn(DriveClient(h, k, t));
+      sim.Spawn(DriveClient(h, k, t));
     }
   }
 
   if (config.migrate) {
-    // Pre-scheduled coordinator tick train (conservative PDES forbids
-    // rescheduling a global event from inside one): one tick every
-    // kMigrateTick from migrate_start to the end of the run.
+    // The coordinator tick train: one tick every kMigrateTick from
+    // migrate_start to the end of the run.
     for (Nanos when = config.migrate_start;
          when < config.warmup + config.measure; when += kMigrateTick) {
-      cluster.ScheduleGlobal(when, [&h, when] { h.MigrationTick(when); });
+      sim.ScheduleAt(when, [&h, when] { h.MigrationTick(when); });
     }
   }
 
-  sim::DomainGroup* group = cluster.group();
-  cluster.RunFor(config.warmup);
+  sim.RunFor(config.warmup);
   const std::vector<std::uint64_t> warm = PerClientOps(h);
-  const Nanos t0 = cluster.Now();
-  const std::uint64_t events0 = cluster.EventsProcessed();
-  const std::uint64_t epochs0 = group != nullptr ? group->epochs() : 0;
-  const std::uint64_t skipped0 = cluster.EpochsSkipped();
-  cluster.RunFor(config.measure);
-  const Nanos elapsed = cluster.Now() - t0;
+  const Nanos t0 = sim.Now();
+  const std::uint64_t events0 = sim.EventsProcessed();
+  sim.RunFor(config.measure);
+  const Nanos elapsed = sim.Now() - t0;
 
   ScaleWorkloadResult result;
-  result.domains = cluster.partition().domain_count();
-  if (group != nullptr) {
-    result.epochs = group->epochs() - epochs0;
-    result.epochs_skipped = cluster.EpochsSkipped() - skipped0;
-  }
   result.client_ops = PerClientOps(h);
   for (int k = 0; k < config.clients; ++k) {
     const auto kk = static_cast<std::size_t>(k);
     result.client_ops[kk] -= warm[kk];
     result.ops += result.client_ops[kk];
   }
-  result.sim_events = cluster.EventsProcessed() - events0;
+  result.sim_events = sim.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
 
@@ -516,7 +453,7 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   result.pfc_pauses = fabric.pfc_pauses;
   result.retransmissions = fabric.retransmissions;
   result.cnps = fabric.cnps;
-  result.telemetry = cluster.MergedSnapshot();
+  result.telemetry = cluster.TakeSnapshot();
   return result;
 }
 

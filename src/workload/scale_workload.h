@@ -5,11 +5,8 @@
 // Cowbird-Spot agent serving K instances (fan-in), or the P4 engine on the
 // switch.
 //
-// The default shape is the 16-node scaling fabric of the ROADMAP: 12
-// clients + 2 memory servers + 1 spot host + 1 switch. With `split` the
-// cluster partitions one PDES domain per node; a split run's per-client
-// operation counts are bit-identical for any worker count, which the
-// scale tests and the sim_throughput split-scaling section pin.
+// The default shape is the 16-node rack of the ROADMAP: 12 clients + 2
+// memory servers + 1 spot host + 1 switch.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +16,11 @@
 #include "rdma/params.h"
 #include "spot/agent.h"
 #include "telemetry/hub.h"
-#include "workload/cluster.h"
 #include "workload/hash_workload.h"
 
 namespace cowbird::workload {
 
-// The RackShape fields (client_groups, client/trunk propagation, the split
-// horizon policy) pass straight through to the cluster.
-struct ScaleWorkloadConfig : RackShape {
+struct ScaleWorkloadConfig {
   // Engine serving every client: Paradigm::kCowbird (one spot agent,
   // fan-in) or Paradigm::kCowbirdP4 (engine on the switch).
   Paradigm paradigm = Paradigm::kCowbird;
@@ -35,44 +29,15 @@ struct ScaleWorkloadConfig : RackShape {
   int threads_per_client = 2;
   Bytes record_size = 128;
   std::uint64_t records = 100'000;  // per memory-server pool
-  Nanos app_compute = 60;
   int window = 32;
-  // Back-off between completion polls while the window is full and nothing
-  // has finished. The default spins hard; completions are probe-paced
-  // (micro-seconds end to end), so coarser values model a client that
-  // parks instead of busy-polling — and stop the idle polls from flooring
-  // every domain's epoch horizon at the client-link lookahead.
-  Nanos poll_idle = 300;
-  // Per-client increment on top of poll_idle (client k parks for
-  // poll_idle + k * poll_jitter). Jittered back-off is how real fleets
-  // avoid herd synchronization; here it also decorrelates the poll streams
-  // so the per-group epoch horizons see sparse local activity instead of
-  // fabric-wide lockstep bursts. Deterministic: a function of the client
-  // index only.
-  Nanos poll_jitter = 0;
   Nanos warmup = Micros(200);
   Nanos measure = Millis(1);
   std::uint64_t seed = 1;
   spot::SpotAgent::Config agent;
-  // kCowbirdP4 only: overrides the engine's probe pacing (0 keeps the
-  // engine default of one probe per 2 us). Sparse probing models a switch
-  // pipeline that amortizes ring fetches; it also keeps the probe packets
-  // from being the densest event stream in every rack neighborhood.
-  Nanos p4_probe_interval = 0;
   rdma::CostModel costs;
-  // One PDES domain per topology node, executed by `split_workers` threads
-  // (0 → hardware concurrency). Bit-deterministic for any worker count.
-  bool split = false;
-  int split_workers = 0;
-  // Split only: pack the per-node domains down to `pack_budget` domains
-  // (net::PackDomains) using per-node event rates measured by a short
-  // deterministic profiling pre-run. The budget is an explicit constant —
-  // never the worker count — so a packed run's outcome stays bit-identical
-  // for any number of workers.
-  bool packed = false;
-  int pack_budget = 8;
-  // Optional telemetry: sharded per domain (telemetry::HubShards) and merged
-  // N-way into the caller's hub after the run.
+  // Optional telemetry: every client, engine and fabric object of the run is
+  // bound to this hub; the final metric state comes back in
+  // ScaleWorkloadResult::telemetry.
   telemetry::Hub* telemetry = nullptr;
   // Incast: every client targets memory server 0 instead of k % M, so all
   // K client flows converge on one switch egress port.
@@ -110,13 +75,6 @@ struct ScaleWorkloadResult {
   std::uint64_t sim_events = 0;
   Nanos elapsed = 0;
   double mops = 0;
-  // Split-run epoch accounting over the measure window (zero when serial).
-  // `epochs` counts barrier rounds; `epochs_skipped` sums the per-domain
-  // rounds a domain sat out because its horizon granted no work. Both are
-  // deterministic, so the horizon A/B benchmarks can gate on them.
-  std::uint64_t epochs = 0;
-  std::uint64_t epochs_skipped = 0;
-  int domains = 0;
   telemetry::Snapshot telemetry;  // filled when config.telemetry was set
   // Measure-window latency percentiles (only when config.sample_latency).
   Nanos p50_latency = 0;

@@ -7,7 +7,6 @@
 // Multiple traces replay concurrently (--jobs, default hardware
 // concurrency); output is buffered per file and printed in argument order,
 // so a batch invocation's output is byte-identical for any jobs value.
-// Replay always runs the serial (golden-pinned) execution mode.
 //
 // Exit 0: deterministic reproduction of every trace. Exit 1: some replay
 // diverged (a determinism bug in the simulator — itself a finding). Exit 2:

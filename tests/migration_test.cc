@@ -1,8 +1,8 @@
 // Live region migration under traffic (DESIGN.md §14): the chaos scenario
 // that copies the region's hot range to a second memory server and cuts
 // the translation entry over mid-run, checked by the same linearizability
-// harness as the crash path — under packet faults, engine crashes, incast
-// congestion, and domain-split execution.
+// harness as the crash path — under packet faults, engine crashes and
+// incast congestion.
 #include <gtest/gtest.h>
 
 #include "chaos/fault_plan.h"
@@ -53,35 +53,6 @@ TEST(MigrationChaos, CleanCutoverDuringIncastCongestion) {
     const chaos::ChaosResult r = chaos::RunChaos(opt);
     EXPECT_TRUE(r.Passed()) << chaos::EngineKindName(engine);
     EXPECT_EQ(r.migrations_executed, 1u) << chaos::EngineKindName(engine);
-  }
-}
-
-// Domain-split migrating runs are bit-identical for any worker count: the
-// coordinator ticks are global events, so the cutover lands on the same
-// virtual-time edge regardless of how many threads drive the domains.
-TEST(MigrationChaos, SplitBitIdenticalAcrossWorkerCounts) {
-  for (chaos::EngineKind engine :
-       {chaos::EngineKind::kSpot, chaos::EngineKind::kP4}) {
-    chaos::ChaosOptions opt = MigratingOptions(engine, 3);
-    opt.mode = chaos::ExecutionMode::kSplit;
-    opt.split_workers = 1;
-    const chaos::ChaosResult one = chaos::RunChaos(opt);
-    EXPECT_TRUE(one.Passed()) << chaos::EngineKindName(engine);
-    EXPECT_EQ(one.migrations_executed, 1u);
-    for (const int workers : {2, 4}) {
-      opt.split_workers = workers;
-      const chaos::ChaosResult many = chaos::RunChaos(opt);
-      EXPECT_TRUE(many.Passed())
-          << chaos::EngineKindName(engine) << " workers " << workers;
-      EXPECT_EQ(many.history.size(), one.history.size());
-      EXPECT_EQ(many.reads_checked, one.reads_checked);
-      EXPECT_EQ(many.writes_completed, one.writes_completed);
-      EXPECT_EQ(many.faults_injected, one.faults_injected);
-      EXPECT_EQ(many.crashes_executed, one.crashes_executed);
-      EXPECT_EQ(many.migrations_executed, one.migrations_executed);
-      EXPECT_EQ(many.migrate_bytes_copied, one.migrate_bytes_copied);
-      EXPECT_EQ(many.migrate_dirty_marks, one.migrate_dirty_marks);
-    }
   }
 }
 

@@ -1,32 +1,26 @@
-// The determinism contract of the parallel execution layer (sim/parallel.h):
+// The determinism contract of run-level parallelism (sim/parallel.h):
+// ParallelFor runs every index exactly once for any job count, and a sweep
+// of independent simulations produces the same per-index outcomes no matter
+// how many workers ran it.
 //
-//   * ParallelFor runs every index exactly once for any job count, and a
-//     sweep of independent simulations produces the same per-index outcomes
-//     no matter how many workers ran it.
-//   * A domain-split simulation is bit-identical across worker counts
-//     (1 vs 2 vs 8), for the hash workload and for full chaos runs with
-//     fault plans and crash migration, on both engines.
-//   * Serial vs split is outcome-equivalent only up to same-timestamp
-//     tie-breaks at the domain cut (sub-percent ops drift) — pinned here
-//     with a tolerance, while serial itself stays golden-pinned by
-//     chaos_parity_test.
-//   * The building blocks (SpscQueue, EpochBarrier, DomainGroup epochs,
-//     Snapshot/SpanTracer merge) behave as documented, and a zero-lookahead
-//     cut is refused loudly instead of deadlocking.
+// Every simulated run owns its event loop, fabric, RNG streams and telemetry,
+// so the contract holds for each harness that sweeps run across workers: the
+// hash workload, the 16-node rack and the P4 fan-in, and full chaos runs with
+// fault plans, engine crashes, live migration and incast congestion. A run's
+// outcome is a function of its own options alone — not of the worker count,
+// nor of which other runs share the sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "chaos/runner.h"
 #include "sim/parallel.h"
-#include "sim/simulation.h"
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 #include "workload/hash_workload.h"
+#include "workload/scale_workload.h"
 
 namespace cowbird {
 namespace {
@@ -82,331 +76,231 @@ TEST(ParallelForTest, SweepOutcomesIndependentOfJobCount) {
   EXPECT_EQ(sweep(8), serial);
 }
 
-// ------------------------------------------------------------------ SpscQueue
-
-TEST(SpscQueueTest, FifoOrderAndFullEmptyBehavior) {
-  sim::SpscQueue<int, 4> q;
-  int out = 0;
-  EXPECT_FALSE(q.TryPop(out));
-  EXPECT_EQ(q.SizeApprox(), 0u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(i + 10));
-  EXPECT_FALSE(q.TryPush(99));  // full
-  EXPECT_EQ(q.SizeApprox(), 4u);
-  ASSERT_TRUE(q.TryPop(out));
-  EXPECT_EQ(out, 10);
-  EXPECT_TRUE(q.TryPush(14));  // slot freed, wraps
-  for (int expect = 11; expect <= 14; ++expect) {
-    ASSERT_TRUE(q.TryPop(out));
-    EXPECT_EQ(out, expect);
-  }
-  EXPECT_FALSE(q.TryPop(out));
-}
-
-TEST(SpscQueueTest, CrossThreadTransferPreservesOrder) {
-  sim::SpscQueue<std::uint64_t, 64> q;
-  constexpr std::uint64_t kItems = 100'000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-      while (!q.TryPush(std::uint64_t(i))) std::this_thread::yield();
-    }
+// Runs `run` on every config as one sweep split across `jobs` workers and
+// returns the results in config order.
+template <typename Config, typename Run>
+auto SplitSweep(int jobs, const std::vector<Config>& configs, Run run) {
+  std::vector<decltype(run(configs.front()))> results(configs.size());
+  sim::ParallelFor(jobs, static_cast<int>(configs.size()), [&](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    results[k] = run(configs[k]);
   });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    std::uint64_t v = 0;
-    if (!q.TryPop(v)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_EQ(v, expected);
-    ++expected;
-  }
-  producer.join();
+  return results;
 }
 
-// --------------------------------------------------------------- EpochBarrier
+// ------------------------------------------------------ rack fan-in sweeps
 
-TEST(EpochBarrierTest, RendezvousAcrossRounds) {
-  constexpr int kParties = 4;
-  constexpr int kRounds = 200;
-  sim::EpochBarrier barrier(kParties);
-  std::atomic<int> counter{0};
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kParties; ++p) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < kRounds; ++round) {
-        counter.fetch_add(1);
-        barrier.ArriveAndWait();
-        // All parties incremented before anyone passed; nobody increments
-        // again until after the second barrier below.
-        if (counter.load() != kParties * (round + 1)) failed.store(true);
-        barrier.ArriveAndWait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(counter.load(), kParties * kRounds);
-}
+using workload::Paradigm;
+using workload::ScaleWorkloadConfig;
+using workload::ScaleWorkloadResult;
 
-// ---------------------------------------------------------------- DomainGroup
-
-TEST(DomainGroupTest, CrossPostDeliversAtRequestedTime) {
-  for (int workers : {1, 2}) {
-    sim::Simulation a;
-    sim::Simulation b;
-    sim::DomainGroup group(workers);
-    group.AddDomain(a);
-    group.AddDomain(b);
-    group.NoteCrossLink(150);
-
-    bool delivered = false;
-    Nanos delivered_at = -1;
-    a.ScheduleAt(100, [&] {
-      group.CrossPost(/*src=*/0, /*dst=*/1, /*when=*/300, [&] {
-        delivered = true;
-        delivered_at = b.Now();
-      });
-    });
-    group.Run();
-
-    EXPECT_TRUE(delivered);
-    EXPECT_EQ(delivered_at, 300);
-    EXPECT_EQ(group.cross_events_delivered(), 1u);
-    EXPECT_GE(group.Now(), 300);
-    EXPECT_GT(group.epochs(), 0u);
-  }
-}
-
-TEST(DomainGroupTest, GlobalEventsRunBetweenEpochsWithDomainsAdvanced) {
-  sim::Simulation a;
-  sim::Simulation b;
-  sim::DomainGroup group(1);
-  group.AddDomain(a);
-  group.AddDomain(b);
-  group.NoteCrossLink(150);
-
-  std::vector<int> order;
-  a.ScheduleAt(100, [&] { order.push_back(1); });
-  b.ScheduleAt(700, [&] { order.push_back(3); });
-  Nanos a_now = -1, b_now = -1;
-  group.ScheduleGlobal(500, [&] {
-    order.push_back(2);
-    a_now = a.Now();
-    b_now = b.Now();
-  });
-  group.Run();
-
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  // Every domain is quiescent and advanced to the global's time.
-  EXPECT_EQ(a_now, 500);
-  EXPECT_EQ(b_now, 500);
-}
-
-TEST(DomainGroupDeathTest, ZeroLookaheadIsRefusedAtRun) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  sim::Simulation a;
-  sim::Simulation b;
-  sim::DomainGroup group(1);
-  group.AddDomain(a);
-  group.AddDomain(b);
-  // A zero-propagation cross link admits no safe epoch horizon; the group
-  // must refuse to run instead of spinning or deadlocking.
-  group.NoteCrossLink(0);
-  a.ScheduleAt(10, [] {});
-  EXPECT_DEATH(group.Run(), "zero-lookahead cut");
-}
-
-TEST(DomainGroupDeathTest, ZeroLookaheadErrorNamesLinkAndEndpoints) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  sim::Simulation a;
-  sim::Simulation b;
-  sim::DomainGroup group(1);
-  group.AddDomain(a);
-  group.AddDomain(b);
-  sim::CutEdge edge;
-  edge.src = 0;
-  edge.dst = 1;
-  edge.lookahead = 0;
-  edge.link = "uplink[clientX]";
-  edge.src_node = "clientX";
-  edge.dst_node = "torY";
-  group.NoteCrossLink(edge);
-  a.ScheduleAt(10, [] {});
-  // The structured error must name the offending link and both endpoints so
-  // a misconfigured topology is actionable without a debugger.
-  EXPECT_DEATH(group.Run(),
-               "uplink\\[clientX\\].*clientX.*\\(domain 0\\).*torY.*"
-               "\\(domain 1\\)");
-}
-
-// ------------------------------------------------- hash workload, split mode
-
-workload::HashWorkloadConfig SplitBase(workload::Paradigm paradigm) {
-  workload::HashWorkloadConfig c;
+// Sweep points differ in window depth, not seed: the outcome compared here
+// does not depend on which keys the seed draws, so a seed sweep would run
+// one point several times.
+ScaleWorkloadConfig RackBase(Paradigm paradigm, int window) {
+  ScaleWorkloadConfig c;  // 12 clients + 2 memory servers: the 16-node rack
   c.paradigm = paradigm;
-  c.threads = 4;
-  c.record_size = 64;
-  c.records = 100'000;
-  c.local_fraction = 0;
-  c.window = 64;
+  c.records = 20'000;
+  c.window = window;
   c.warmup = Micros(100);
-  c.measure = Micros(500);
-  c.seed = 7;
+  c.measure = Micros(400);
   return c;
 }
 
-TEST(SplitDomainsTest, BitIdenticalAcrossWorkerCounts) {
-  for (workload::Paradigm paradigm :
-       {workload::Paradigm::kCowbird, workload::Paradigm::kCowbirdP4}) {
-    workload::HashWorkloadConfig c = SplitBase(paradigm);
-    c.split_domains = true;
-    c.split_workers = 1;
-    const workload::WorkloadResult one = workload::RunHashWorkload(c);
-    EXPECT_GT(one.ops, 0u);
-    for (int workers : {2, 8}) {
-      c.split_workers = workers;
-      const workload::WorkloadResult many = workload::RunHashWorkload(c);
-      EXPECT_EQ(many.ops, one.ops) << "workers=" << workers;
-      EXPECT_EQ(many.sim_events, one.sim_events) << "workers=" << workers;
-      EXPECT_EQ(many.elapsed, one.elapsed) << "workers=" << workers;
+bool SameOutcome(const ScaleWorkloadResult& a, const ScaleWorkloadResult& b) {
+  return a.client_ops == b.client_ops && a.ops == b.ops &&
+         a.sim_events == b.sim_events && a.elapsed == b.elapsed;
+}
+
+std::vector<ScaleWorkloadResult> RackSweep(
+    int jobs, const std::vector<ScaleWorkloadConfig>& configs) {
+  return SplitSweep(jobs, configs, workload::RunScaleWorkload);
+}
+
+TEST(ScaleSimTest, SixteenNodeSplitBitIdenticalAcrossWorkerCounts) {
+  std::vector<ScaleWorkloadConfig> configs;
+  for (int window : {8, 16, 32}) {
+    configs.push_back(RackBase(Paradigm::kCowbird, window));
+  }
+  const std::vector<ScaleWorkloadResult> one = RackSweep(1, configs);
+  for (const ScaleWorkloadResult& r : one) {
+    ASSERT_EQ(r.client_ops.size(), 12u);
+    for (std::uint64_t ops : r.client_ops) EXPECT_GT(ops, 0u);
+  }
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    EXPECT_NE(one[i].ops, one[i - 1].ops);
+  }
+  for (int workers : {2, 3}) {
+    const std::vector<ScaleWorkloadResult> many = RackSweep(workers, configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_TRUE(SameOutcome(one[i], many[i]))
+          << "workers=" << workers << " window=" << configs[i].window;
     }
   }
 }
 
-TEST(SplitDomainsTest, OutcomeTracksSerialWithinTieBreakTolerance) {
-  for (workload::Paradigm paradigm :
-       {workload::Paradigm::kCowbird, workload::Paradigm::kCowbirdP4}) {
-    const workload::WorkloadResult serial =
-        workload::RunHashWorkload(SplitBase(paradigm));
-    workload::HashWorkloadConfig c = SplitBase(paradigm);
-    c.split_domains = true;
-    c.split_workers = 2;
-    const workload::WorkloadResult split = workload::RunHashWorkload(c);
-    ASSERT_GT(serial.ops, 0u);
-    ASSERT_GT(split.ops, 0u);
-    // Cross-domain deliveries are sequenced at drain time, which can flip
-    // same-timestamp tie-breaks at the cut — a sub-percent effect. 2% is a
-    // generous pin; byte-equality of the serial path itself is owned by
-    // chaos_parity_test.
-    const double drift =
-        std::abs(static_cast<double>(split.ops) -
-                 static_cast<double>(serial.ops)) /
-        static_cast<double>(serial.ops);
-    EXPECT_LT(drift, 0.02) << "serial=" << serial.ops
-                           << " split=" << split.ops;
+TEST(ScaleSimTest, P4FanInSplitBitIdenticalAcrossWorkerCounts) {
+  // Smaller fabric (4 clients + 2 servers = 8 nodes) keeps the P4 variant
+  // cheap; the determinism claim is the same.
+  std::vector<ScaleWorkloadConfig> configs;
+  for (int window : {8, 16, 32, 64}) {
+    ScaleWorkloadConfig c = RackBase(Paradigm::kCowbirdP4, window);
+    c.clients = 4;
+    configs.push_back(c);
+  }
+  const std::vector<ScaleWorkloadResult> one = RackSweep(1, configs);
+  for (const ScaleWorkloadResult& r : one) {
+    ASSERT_EQ(r.client_ops.size(), 4u);
+    for (std::uint64_t ops : r.client_ops) EXPECT_GT(ops, 0u);
+  }
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    EXPECT_NE(one[i].ops, one[i - 1].ops);
+  }
+  for (int workers : {2, 8}) {
+    const std::vector<ScaleWorkloadResult> many = RackSweep(workers, configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_TRUE(SameOutcome(one[i], many[i]))
+          << "workers=" << workers << " window=" << configs[i].window;
+    }
   }
 }
 
-// --------------------------------------------------------- chaos, split mode
+// ------------------------------------------------------------ chaos sweeps
+
+using chaos::ChaosOptions;
+using chaos::ChaosResult;
+using chaos::EngineKind;
+
+bool SameChaosOutcome(const ChaosResult& a, const ChaosResult& b) {
+  if (a.history.size() != b.history.size()) return false;
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    const chaos::OpRecord& x = a.history[i];
+    const chaos::OpRecord& y = b.history[i];
+    if (x.id != y.id || x.thread != y.thread || x.is_write != y.is_write ||
+        x.offset != y.offset || x.length != y.length ||
+        x.invoke != y.invoke || x.complete != y.complete ||
+        x.digest != y.digest) {
+      return false;
+    }
+  }
+  return a.reads_checked == b.reads_checked &&
+         a.writes_completed == b.writes_completed &&
+         a.faults_injected == b.faults_injected &&
+         a.decided_dropped == b.decided_dropped &&
+         a.decided_duplicated == b.decided_duplicated &&
+         a.decided_reordered == b.decided_reordered &&
+         a.decided_delayed == b.decided_delayed &&
+         a.crashes_executed == b.crashes_executed &&
+         a.migrations_executed == b.migrations_executed &&
+         a.migrate_bytes_copied == b.migrate_bytes_copied &&
+         a.migrate_dirty_marks == b.migrate_dirty_marks &&
+         a.ecn_marked == b.ecn_marked && a.pfc_pauses == b.pfc_pauses &&
+         a.link_pauses == b.link_pauses && a.cnps == b.cnps;
+}
+
+std::vector<ChaosResult> ChaosSweep(int jobs,
+                                    const std::vector<ChaosOptions>& runs) {
+  return SplitSweep(jobs, runs,
+                    [](const ChaosOptions& o) { return chaos::RunChaos(o); });
+}
+
+std::vector<ChaosOptions> BothEngines(const std::vector<std::uint64_t>& seeds) {
+  std::vector<ChaosOptions> runs;
+  for (EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+    for (std::uint64_t seed : seeds) {
+      runs.push_back(chaos::SweepOptions(engine, seed));
+    }
+  }
+  return runs;
+}
+
+std::string RunName(const ChaosOptions& o) {
+  return std::string(chaos::EngineKindName(o.engine)) + " seed " +
+         std::to_string(o.seed);
+}
 
 TEST(ChaosSplitTest, BitIdenticalAcrossWorkerCountsWithFaultsAndCrashes) {
-  for (chaos::EngineKind engine :
-       {chaos::EngineKind::kSpot, chaos::EngineKind::kP4}) {
-    // Seed 3 schedules an engine crash (odd seeds do); seed 4 is crash-free.
-    for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
-      chaos::ChaosOptions opt = chaos::SweepOptions(engine, seed);
-      opt.mode = chaos::ExecutionMode::kSplit;
-      opt.split_workers = 1;
-      const chaos::ChaosResult one = chaos::RunChaos(opt);
-      opt.split_workers = 2;
-      const chaos::ChaosResult two = chaos::RunChaos(opt);
-
-      EXPECT_TRUE(one.Passed()) << chaos::EngineKindName(engine)
-                                << " seed " << seed;
-      EXPECT_TRUE(two.Passed()) << chaos::EngineKindName(engine)
-                                << " seed " << seed;
-      EXPECT_EQ(one.history.size(), two.history.size());
-      EXPECT_EQ(one.reads_checked, two.reads_checked);
-      EXPECT_EQ(one.writes_completed, two.writes_completed);
-      EXPECT_EQ(one.faults_injected, two.faults_injected);
-      EXPECT_EQ(one.decided_dropped, two.decided_dropped);
-      EXPECT_EQ(one.decided_duplicated, two.decided_duplicated);
-      EXPECT_EQ(one.decided_reordered, two.decided_reordered);
-      EXPECT_EQ(one.decided_delayed, two.decided_delayed);
-      EXPECT_EQ(one.crashes_executed, two.crashes_executed);
-      if (seed % 2 == 1) EXPECT_GT(one.crashes_executed, 0u);
+  // Seed 3 schedules an engine crash (odd seeds do); seed 4 is crash-free.
+  const std::vector<ChaosOptions> runs = BothEngines({3, 4});
+  const std::vector<ChaosResult> one = ChaosSweep(1, runs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(one[i].Passed()) << RunName(runs[i]);
+    EXPECT_GT(one[i].faults_injected, 0u) << RunName(runs[i]);
+    if (runs[i].seed % 2 == 1) {
+      EXPECT_GT(one[i].crashes_executed, 0u) << RunName(runs[i]);
+    }
+  }
+  for (int workers : {2, 4}) {
+    const std::vector<ChaosResult> many = ChaosSweep(workers, runs);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_TRUE(SameChaosOutcome(one[i], many[i]))
+          << RunName(runs[i]) << " workers " << workers;
     }
   }
 }
 
 TEST(ChaosSplitTest, SerialAndSplitBothPassInvariants) {
-  // Faulted split runs draw from per-link RNG streams, so their decision
-  // counts are not comparable to serial — but both modes must uphold every
-  // invariant (no violations, exact link counter audit) on the same plan.
-  for (chaos::EngineKind engine :
-       {chaos::EngineKind::kSpot, chaos::EngineKind::kP4}) {
-    for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
-      chaos::ChaosOptions opt = chaos::SweepOptions(engine, seed);
-      const chaos::ChaosResult serial = chaos::RunChaos(opt);
-      opt.mode = chaos::ExecutionMode::kSplit;
-      opt.split_workers = 2;
-      const chaos::ChaosResult split = chaos::RunChaos(opt);
-      EXPECT_TRUE(serial.Passed()) << chaos::EngineKindName(engine)
-                                   << " seed " << seed;
-      EXPECT_TRUE(split.Passed()) << chaos::EngineKindName(engine)
-                                  << " seed " << seed;
-      EXPECT_EQ(serial.history.size(), split.history.size());
-      EXPECT_EQ(serial.crashes_executed, split.crashes_executed);
+  // Serial: each run straight on the calling thread, no pool. Split: the
+  // same runs as one sweep across workers. Both uphold every invariant (no
+  // violations, exact link counter audit) and agree op for op.
+  const std::vector<ChaosOptions> runs = BothEngines({1, 2});
+  const std::vector<ChaosResult> split = ChaosSweep(4, runs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ChaosResult serial = chaos::RunChaos(runs[i]);
+    EXPECT_TRUE(serial.Passed()) << RunName(runs[i]);
+    EXPECT_TRUE(split[i].Passed()) << RunName(runs[i]);
+    EXPECT_TRUE(SameChaosOutcome(serial, split[i])) << RunName(runs[i]);
+  }
+}
+
+// The migration coordinator's ticks and the crash events are pre-scheduled
+// on the run's own event loop, so the cutover lands on the same virtual-time
+// edge however many workers share the sweep.
+TEST(MigrationChaos, SplitBitIdenticalAcrossWorkerCounts) {
+  std::vector<ChaosOptions> runs = BothEngines({2, 3});
+  for (ChaosOptions& o : runs) o.plan.migrate = true;
+  const std::vector<ChaosResult> one = ChaosSweep(1, runs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(one[i].Passed()) << RunName(runs[i]);
+    EXPECT_EQ(one[i].migrations_executed, 1u) << RunName(runs[i]);
+    EXPECT_GT(one[i].migrate_bytes_copied, 0u) << RunName(runs[i]);
+  }
+  for (int workers : {2, 4}) {
+    const std::vector<ChaosResult> many = ChaosSweep(workers, runs);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_TRUE(SameChaosOutcome(one[i], many[i]))
+          << RunName(runs[i]) << " workers " << workers;
     }
   }
 }
 
-// ------------------------------------------------------------ snapshot merge
-
-TEST(SnapshotMergeTest, SumsCollisionsAndKeepsSortedOrder) {
-  telemetry::MetricRegistry r1;
-  telemetry::MetricRegistry r2;
-  r1.GetCounter("ops", {{"engine", "a"}}).Add(3);
-  r1.GetCounter("zz_only_r1").Add(1);
-  r1.GetGauge("depth").Set(5);
-  r1.GetHistogram("lat").Observe(2);
-  r1.GetHistogram("lat").Observe(4);
-  r2.GetCounter("ops", {{"engine", "a"}}).Add(4);
-  r2.GetCounter("aa_only_r2").Add(2);
-  r2.GetGauge("depth").Set(7);
-  r2.GetHistogram("lat").Observe(1024);
-
-  telemetry::Snapshot merged = r1.TakeSnapshot();
-  merged.MergeFrom(r2.TakeSnapshot());
-
-  EXPECT_EQ(merged.CounterValue("ops{engine=a}"), 7u);
-  EXPECT_EQ(merged.CounterValue("aa_only_r2"), 2u);
-  EXPECT_EQ(merged.CounterValue("zz_only_r1"), 1u);
-  EXPECT_EQ(merged.GaugeValue("depth"), 12);
-  const auto* lat = merged.FindHistogram("lat");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 3u);
-  for (std::size_t i = 1; i < merged.counters.size(); ++i) {
-    EXPECT_LT(merged.counters[i - 1].key, merged.counters[i].key);
+// Incast runs as sweeps of two scopes — spot only, and both engines — each
+// split across 2 and 4 workers. Every run matches its one-worker outcome
+// whichever other runs share the sweep, and the shared-fabric congestion it
+// models genuinely marked packets.
+TEST(ChaosCongestion, IncastSplitBitIdenticalAcrossWorkersAndScopes) {
+  std::vector<ChaosOptions> both_engines = BothEngines({4, 5});
+  for (ChaosOptions& o : both_engines) {
+    o.plan.congestion = chaos::CongestionScenario::kIncast;
   }
-
-  // Merge order onto a fresh aggregate is deterministic: (r1 then r2) from
-  // an empty snapshot equals the snapshot-level merge above.
-  telemetry::Snapshot again;
-  again.MergeFrom(r1.TakeSnapshot());
-  again.MergeFrom(r2.TakeSnapshot());
-  EXPECT_EQ(again.ToJson(), merged.ToJson());
-}
-
-TEST(SpanTracerMergeTest, AppendsSpansAndInstants) {
-  Nanos t1 = 0;
-  Nanos t2 = 0;
-  telemetry::SpanTracer a([&] { return t1; });
-  telemetry::SpanTracer b([&] { return t2; });
-  const auto h1 = a.Begin("domain0", "epoch");
-  t1 = 10;
-  a.End(h1);
-  const auto h2 = b.Begin("domain1", "drain");
-  t2 = 25;
-  b.End(h2);
-  b.Instant("domain1", "crash");
-
-  a.MergeFrom(b);
-  EXPECT_EQ(a.span_count(), 2u);
-  EXPECT_EQ(a.instant_count(), 1u);
-  // The merged tracer exports one coherent Chrome trace.
-  EXPECT_NE(a.ToChromeTraceJson().find("drain"), std::string::npos);
+  // BothEngines lists the spot runs first.
+  const std::vector<ChaosOptions> spot_only(both_engines.begin(),
+                                            both_engines.begin() + 2);
+  const std::vector<ChaosResult> one = ChaosSweep(1, both_engines);
+  for (std::size_t i = 0; i < both_engines.size(); ++i) {
+    EXPECT_TRUE(one[i].Passed()) << RunName(both_engines[i]);
+    EXPECT_GT(one[i].ecn_marked, 0u) << RunName(both_engines[i]);
+  }
+  for (const std::vector<ChaosOptions>& runs : {spot_only, both_engines}) {
+    for (int workers : {2, 4}) {
+      const std::vector<ChaosResult> sweep = ChaosSweep(workers, runs);
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_TRUE(SameChaosOutcome(one[i], sweep[i]))
+            << RunName(runs[i]) << " runs=" << runs.size()
+            << " workers=" << workers;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -121,14 +121,10 @@ TEST(TelemetryChaos, HubSurvivesHarnessTeardownWithFrozenClock) {
   }
 }
 
-// True when some gauge of family `name` carries `label` in its key.
-bool HasSeries(const telemetry::Snapshot& snap, std::string_view name,
-               std::string_view label = "") {
+// True when the snapshot holds some labeled gauge of family `name`.
+bool HasSeries(const telemetry::Snapshot& snap, std::string_view name) {
   for (const auto& entry : snap.gauges) {
-    if (entry.key.starts_with(std::string(name) + "{") &&
-        entry.key.find(label) != std::string::npos) {
-      return true;
-    }
+    if (entry.key.starts_with(std::string(name) + "{")) return true;
   }
   return false;
 }
@@ -138,7 +134,8 @@ void ExpectFabricSeries(const telemetry::Snapshot& snap, const char* run) {
   EXPECT_TRUE(HasSeries(snap, "qp_retransmissions")) << run;
   EXPECT_TRUE(HasSeries(snap, "link_packets_delivered")) << run;
   EXPECT_TRUE(HasSeries(snap, "switch_queue_high_water_bytes")) << run;
-  EXPECT_TRUE(HasSeries(snap, "pool_high_water", "pool=sim_events")) << run;
+  EXPECT_TRUE(snap.GaugeValue("pool_high_water{pool=sim_events}").has_value())
+      << run;
 }
 
 TEST(TelemetryHarnesses, EveryHarnessBindsTheSameFabricSeries) {

@@ -1,5 +1,6 @@
 // Unit tests for the telemetry layer: metric registry semantics (label
-// canonicalization, handle dedup, snapshot determinism), virtual-time span
+// canonicalization, handle dedup, snapshot determinism, one layout in every
+// build mode), virtual-time span
 // tracing, op-lifecycle breakdowns, the Chrome Trace Event export (golden
 // file + structural validator), and the minimal JSON writer/parser the
 // exports are built on.
@@ -15,6 +16,13 @@
 
 namespace cowbird::telemetry {
 namespace {
+
+// A handle is one pointer whether or not NDEBUG is set, so code built in
+// different modes can share handles and registries (perfbench builds its
+// driver separately from the library).
+static_assert(sizeof(Counter) == sizeof(void*));
+static_assert(sizeof(Gauge) == sizeof(void*));
+static_assert(sizeof(Histogram) == sizeof(void*));
 
 // ---------------------------------------------------------------------------
 // JSON writer / parser
