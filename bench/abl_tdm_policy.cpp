@@ -26,7 +26,6 @@ namespace {
 constexpr std::uint64_t kPoolBase = 0x100'0000;
 constexpr std::uint64_t kHeap = 0x8000'0000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
   workload::Cluster cluster{workload::ClusterSpec{}};
@@ -34,7 +33,6 @@ double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
   const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
 
   p4::CowbirdP4Engine::Config ec;
-  ec.switch_node_id = kSwitchId;
   ec.probe_policy = policy;
   p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
 

@@ -77,14 +77,12 @@ class Table {
       std::printf("\n");
     };
     print_row(columns_);
-    rows_checked_ = true;
     for (const auto& row : rows_) print_row(row);
   }
 
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
-  mutable bool rows_checked_ = false;
 };
 
 inline std::string Fmt(double v, int precision = 2) {

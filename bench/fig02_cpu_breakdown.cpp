@@ -16,19 +16,21 @@ int main() {
   bench::Banner("Figure 2",
                 "CPU time of one read: async one-sided RDMA vs Cowbird");
 
-  const rdma::CostModel costs;
+  namespace cost = rdma::cost;
   std::printf("\nModelled per-operation compute-node CPU (ns):\n\n");
   bench::Table table({"path", "subtask", "ns"});
-  table.Row({"RDMA post", "lock", bench::Fmt(costs.post_lock, 0)});
-  table.Row({"RDMA post", "wqe", bench::Fmt(costs.post_wqe, 0)});
-  table.Row({"RDMA post", "doorbell", bench::Fmt(costs.post_doorbell, 0)});
-  table.Row({"RDMA poll", "lock", bench::Fmt(costs.poll_lock, 0)});
-  table.Row({"RDMA poll", "cqe", bench::Fmt(costs.poll_cqe, 0)});
-  table.Row({"RDMA total", "", bench::Fmt(costs.PostTotal() + costs.PollTotal(), 0)});
-  table.Row({"Cowbird post", "ring writes", bench::Fmt(costs.cowbird_post, 0)});
-  table.Row({"Cowbird poll", "counter check", bench::Fmt(costs.cowbird_poll, 0)});
+  table.Row({"RDMA post", "lock", bench::Fmt(cost::kPostLock, 0)});
+  table.Row({"RDMA post", "wqe", bench::Fmt(cost::kPostWqe, 0)});
+  table.Row({"RDMA post", "doorbell", bench::Fmt(cost::kPostDoorbell, 0)});
+  table.Row({"RDMA poll", "lock", bench::Fmt(cost::kPollLock, 0)});
+  table.Row({"RDMA poll", "cqe", bench::Fmt(cost::kPollCqe, 0)});
+  table.Row({"RDMA total", "",
+             bench::Fmt(cost::PostTotal() + cost::PollTotal(), 0)});
+  table.Row({"Cowbird post", "ring writes", bench::Fmt(cost::kCowbirdPost, 0)});
+  table.Row(
+      {"Cowbird poll", "counter check", bench::Fmt(cost::kCowbirdPoll, 0)});
   table.Row({"Cowbird total", "",
-             bench::Fmt(costs.cowbird_post + costs.cowbird_poll, 0)});
+             bench::Fmt(cost::kCowbirdPost + cost::kCowbirdPoll, 0)});
   table.Print();
 
   // Measured: issue+complete cost per op from a one-thread run of each
@@ -56,8 +58,8 @@ int main() {
 
   std::printf("\nShape checks vs the paper:\n");
   const double model_ratio =
-      static_cast<double>(costs.PostTotal() + costs.PollTotal()) /
-      static_cast<double>(costs.cowbird_post + costs.cowbird_poll);
+      static_cast<double>(cost::PostTotal() + cost::PollTotal()) /
+      static_cast<double>(cost::kCowbirdPost + cost::kCowbirdPoll);
   bench::ShapeCheck(model_ratio > 8,
                     "RDMA needs ~an order of magnitude more CPU per read");
   bench::ShapeCheck(rdma_comm > 5 * cowbird_comm,

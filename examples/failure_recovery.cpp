@@ -32,7 +32,6 @@ constexpr std::uint64_t kPoolBase = 0x100'0000;
 constexpr std::uint64_t kSpotPoolBase = 0x200'0000;
 constexpr std::uint64_t kAppBuf = 0x8000'0000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 int parts_done = 0;
 
@@ -167,9 +166,8 @@ int main() {
   client.RegisterRegion(core::RegionInfo{kRegion, memory.id(), kPoolBase,
                                          pool_mr->rkey, MiB(16)});
 
-  p4::CowbirdP4Engine::Config ec;
-  ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
+  p4::CowbirdP4Engine& engine =
+      cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
   cluster.AttachP4(client, 0x800);
   engine.Start();
 
@@ -181,12 +179,8 @@ int main() {
   spot_client.RegisterRegion(core::RegionInfo{
       kRegion, memory.id(), kSpotPoolBase, spot_pool_mr->rkey, MiB(16)});
 
-  spot::SpotAgent::Config sa;
-  sa.staging_base = 0x4000'0000;
-  spot::SpotAgent::Config sb;
-  sb.staging_base = 0x8000'0000;
-  spot::SpotAgent& agent_a = cluster.AddSpotAgent(sa);
-  spot::SpotAgent& agent_b = cluster.AddSpotAgent(sb);
+  spot::SpotAgent& agent_a = cluster.AddSpotAgent(spot::SpotAgent::Config{});
+  spot::SpotAgent& agent_b = cluster.AddSpotAgent(spot::SpotAgent::Config{});
 
   offload::InstanceRegistry registry;
   const auto engine_a_id =

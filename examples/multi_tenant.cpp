@@ -20,7 +20,6 @@ namespace {
 constexpr std::uint64_t kPoolBase = 0x100'0000;
 constexpr std::uint64_t kAppBuf = 0x8000'0000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 struct TenantStats {
   std::uint64_t ops = 0;
@@ -58,9 +57,8 @@ int main() {
   workload::ClusterHost& memory = cluster.memory(0);
   const auto* pool_mr = memory.dev->RegisterMemory(kPoolBase, MiB(64));
 
-  p4::CowbirdP4Engine::Config ec;
-  ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine& engine = cluster.AddP4Engine(ec);
+  p4::CowbirdP4Engine& engine =
+      cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
 
   std::vector<core::CowbirdClient*> tenants;
   for (int i = 0; i < 2; ++i) {

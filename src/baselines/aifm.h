@@ -12,12 +12,11 @@
 //
 // This is a cost model, not a reimplementation of AIFM: the comparison in
 // the paper hinges on AIFM's per-access compute-node CPU cost and its
-// cross-thread serialization, both of which are parameters here (documented
+// cross-thread serialization, both of which are constants here (documented
 // in DESIGN.md as a modelled comparator).
 #pragma once
 
 #include "common/units.h"
-#include "rdma/params.h"
 #include "sim/sync.h"
 #include "sim/thread.h"
 
@@ -25,38 +24,32 @@ namespace cowbird::baselines {
 
 class AifmModel {
  public:
-  struct Config {
-    // CPU on the app thread per remote dereference: descriptor check, green
-    // thread yield + resume, request marshalling, swap-in bookkeeping.
-    Nanos per_access_cpu = 1600;
-    // Runtime-shared dataplane section (serializes across threads).
-    Nanos serialized_cpu = 350;
-    // Per-byte swap-in copy cost.
-    double copy_ns_per_byte = 0.03;
-  };
+  // CPU on the app thread per remote dereference: descriptor check, green
+  // thread yield + resume, request marshalling, swap-in bookkeeping.
+  static constexpr Nanos kPerAccessCpu = 1600;
+  // Runtime-shared dataplane section (serializes across threads).
+  static constexpr Nanos kSerializedCpu = 350;
+  // Per-byte swap-in copy cost.
+  static constexpr double kCopyNsPerByte = 0.03;
 
-  AifmModel(sim::Simulation& sim, Config config)
-      : config_(config), dataplane_lock_(sim, 1) {}
+  explicit AifmModel(sim::Simulation& sim) : dataplane_lock_(sim, 1) {}
 
   // One remote object read of `length` bytes. Green threads hide the fabric
   // round-trip (the calling SimThread is never idle-blocked on latency);
   // the charged CPU is the bottleneck, as in AIFM's own small-object runs.
   sim::Task<void> RemoteGet(sim::SimThread& thread, std::uint32_t length) {
-    co_await thread.Work(config_.per_access_cpu,
-                         sim::CpuCategory::kCommunication);
+    co_await thread.Work(kPerAccessCpu, sim::CpuCategory::kCommunication);
     co_await dataplane_lock_.Acquire();
-    co_await thread.Work(config_.serialized_cpu,
-                         sim::CpuCategory::kCommunication);
+    co_await thread.Work(kSerializedCpu, sim::CpuCategory::kCommunication);
     dataplane_lock_.Release();
-    const auto copy = static_cast<Nanos>(config_.copy_ns_per_byte *
-                                         static_cast<double>(length));
+    const auto copy =
+        static_cast<Nanos>(kCopyNsPerByte * static_cast<double>(length));
     if (copy > 0) {
       co_await thread.Work(copy, sim::CpuCategory::kCommunication);
     }
   }
 
  private:
-  Config config_;
   sim::Semaphore dataplane_lock_;
 };
 

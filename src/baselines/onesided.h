@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "rdma/device.h"
-#include "rdma/params.h"
 #include "rdma/qp.h"
 #include "rdma/verbs.h"
 #include "sim/thread.h"
@@ -23,30 +22,26 @@ struct OneSidedEndpoint {
   std::uint32_t rkey = 0;  // pool MR
 };
 
-inline sim::Task<void> SyncRead(sim::SimThread& thread,
-                                const rdma::CostModel& costs,
-                                OneSidedEndpoint& ep,
+inline sim::Task<void> SyncRead(sim::SimThread& thread, OneSidedEndpoint& ep,
                                 std::uint64_t remote_addr,
                                 std::uint64_t local_dest,
                                 std::uint32_t length) {
-  co_await rdma::PostSendVerb(thread, costs, *ep.qp,
+  co_await rdma::PostSendVerb(thread, *ep.qp,
                               rdma::SendWqe{rdma::WqeOp::kRead, 0, local_dest,
                                             remote_addr, ep.rkey, length,
                                             true});
-  (void)co_await rdma::BusyPollCqVerb(thread, costs, *ep.cq);
+  (void)co_await rdma::BusyPollCqVerb(thread, *ep.cq);
 }
 
-inline sim::Task<void> SyncWrite(sim::SimThread& thread,
-                                 const rdma::CostModel& costs,
-                                 OneSidedEndpoint& ep,
+inline sim::Task<void> SyncWrite(sim::SimThread& thread, OneSidedEndpoint& ep,
                                  std::uint64_t local_src,
                                  std::uint64_t remote_addr,
                                  std::uint32_t length) {
-  co_await rdma::PostSendVerb(thread, costs, *ep.qp,
+  co_await rdma::PostSendVerb(thread, *ep.qp,
                               rdma::SendWqe{rdma::WqeOp::kWrite, 0, local_src,
                                             remote_addr, ep.rkey, length,
                                             true});
-  (void)co_await rdma::BusyPollCqVerb(thread, costs, *ep.cq);
+  (void)co_await rdma::BusyPollCqVerb(thread, *ep.cq);
 }
 
 // Asynchronous pipeline over one endpoint. The caller issues operations
@@ -54,8 +49,7 @@ inline sim::Task<void> SyncWrite(sim::SimThread& thread,
 // check pays a poll). `outstanding()` drives window management.
 class AsyncPipeline {
  public:
-  AsyncPipeline(OneSidedEndpoint ep, rdma::CostModel costs, int window)
-      : ep_(ep), costs_(costs), window_(window) {}
+  AsyncPipeline(OneSidedEndpoint ep, int window) : ep_(ep), window_(window) {}
 
   int window() const { return window_; }
   int outstanding() const { return outstanding_; }
@@ -66,7 +60,7 @@ class AsyncPipeline {
                             std::uint64_t wr_id = 0) {
     ++outstanding_;
     co_await rdma::PostSendVerb(
-        thread, costs_, *ep_.qp,
+        thread, *ep_.qp,
         rdma::SendWqe{rdma::WqeOp::kRead, wr_id, local_dest, remote_addr,
                       ep_.rkey, length, true});
   }
@@ -76,21 +70,20 @@ class AsyncPipeline {
                              std::uint64_t wr_id = 0) {
     ++outstanding_;
     co_await rdma::PostSendVerb(
-        thread, costs_, *ep_.qp,
+        thread, *ep_.qp,
         rdma::SendWqe{rdma::WqeOp::kWrite, wr_id, local_src, remote_addr,
                       ep_.rkey, length, true});
   }
 
   // One poll check; returns the completion if any.
   sim::Task<std::optional<rdma::Cqe>> Poll(sim::SimThread& thread) {
-    auto cqe = co_await rdma::PollCqVerb(thread, costs_, *ep_.cq);
+    auto cqe = co_await rdma::PollCqVerb(thread, *ep_.cq);
     if (cqe.has_value()) --outstanding_;
     co_return cqe;
   }
 
  private:
   OneSidedEndpoint ep_;
-  rdma::CostModel costs_;
   int window_;
   int outstanding_ = 0;
 };

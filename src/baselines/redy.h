@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "baselines/onesided.h"
-#include "rdma/params.h"
 #include "sim/sync.h"
 #include "sim/thread.h"
 
@@ -26,11 +25,11 @@ namespace cowbird::baselines {
 
 class RedyEngine {
  public:
-  struct Config {
-    int window = 100;           // async verbs in flight per I/O thread
-    Nanos enqueue_cost = 60;    // app-side cost to hand off one request
-    rdma::CostModel costs;
-  };
+  // Async verbs in flight per I/O thread: the FASTER YCSB pipeline depth,
+  // so an I/O thread never throttles below what its app thread keeps open.
+  static constexpr int kWindow = 32;
+  // App-side cost to hand off one request.
+  static constexpr Nanos kEnqueueCost = 60;
 
   struct Request {
     bool is_read = true;
@@ -42,13 +41,13 @@ class RedyEngine {
 
   // One I/O thread per endpoint; each permanently occupies a compute core
   // (pinned + spinning).
-  RedyEngine(sim::Machine& compute_machine, Config config)
-      : machine_(&compute_machine), config_(config) {}
+  explicit RedyEngine(sim::Machine& compute_machine)
+      : machine_(&compute_machine) {}
 
   // Adds an I/O thread bound to `ep` and returns its queue index.
   int AddIoThread(OneSidedEndpoint ep) {
-    auto worker = std::make_unique<Worker>(machine_->simulation(), *machine_,
-                                           ep, config_);
+    auto worker =
+        std::make_unique<Worker>(machine_->simulation(), *machine_, ep);
     machine_->AddPinnedLoad(1);  // the core burns whether or not work exists
     workers_.push_back(std::move(worker));
     workers_.back()->Start();
@@ -58,8 +57,7 @@ class RedyEngine {
   // Application-side submit: a queue hand-off, charged to the app thread.
   sim::Task<void> Submit(sim::SimThread& app_thread, int io_index,
                          Request request) {
-    co_await app_thread.Work(config_.enqueue_cost,
-                             sim::CpuCategory::kCommunication);
+    co_await app_thread.Work(kEnqueueCost, sim::CpuCategory::kCommunication);
     Worker& worker = *workers_[io_index];
     worker.queue.push_back(std::move(request));
     worker.wake.Send(true);
@@ -73,11 +71,10 @@ class RedyEngine {
 
  private:
   struct Worker {
-    Worker(sim::Simulation& sim, sim::Machine& machine, OneSidedEndpoint ep,
-           Config config)
+    Worker(sim::Simulation& sim, sim::Machine& machine, OneSidedEndpoint ep)
         : wake(sim),
           thread(machine, "redy-io"),
-          pipeline(ep, config.costs, config.window),
+          pipeline(ep, kWindow),
           endpoint(ep) {}
 
     void Start() {
@@ -134,7 +131,6 @@ class RedyEngine {
   };
 
   sim::Machine* machine_;
-  Config config_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -3,8 +3,27 @@
 #include <vector>
 
 #include "common/check.h"
+#include "rdma/params.h"
 
 namespace cowbird::baselines {
+
+namespace {
+// RPC buffers: every connection owns a run of fixed-size slots in each
+// direction, at base + conn_index * kSlotBytes * slots.
+constexpr std::uint32_t kSlotBytes = 8192;
+// Server side (memory pool).
+constexpr std::uint64_t kServerRecvBase = 0x7000'0000;
+constexpr std::uint64_t kServerSendBase = 0x7100'0000;
+constexpr int kServerSlots = 8;
+// Client side (compute node).
+constexpr std::uint64_t kClientRecvBase = 0x7200'0000;
+constexpr std::uint64_t kClientSendBase = 0x7300'0000;
+constexpr int kClientSlots = 4;
+
+std::uint64_t ConnBase(std::uint64_t base, int conn_index, int slots) {
+  return base + static_cast<std::uint64_t>(conn_index) * kSlotBytes * slots;
+}
+}  // namespace
 
 void TwoSidedServer::Serve(rdma::QueuePair* qp,
                            rdma::CompletionQueue* recv_cq, int conn_index) {
@@ -15,13 +34,11 @@ void TwoSidedServer::Serve(rdma::QueuePair* qp,
   });
   // Pre-post the receive window.
   const std::uint64_t base =
-      buffers_.recv_base + static_cast<std::uint64_t>(conn_index) *
-                               buffers_.slot_bytes * buffers_.slots;
-  for (int i = 0; i < buffers_.slots; ++i) {
-    qp->PostRecv(rdma::RecvWqe{static_cast<std::uint64_t>(i),
-                               base + static_cast<std::uint64_t>(i) *
-                                          buffers_.slot_bytes,
-                               buffers_.slot_bytes});
+      ConnBase(kServerRecvBase, conn_index, kServerSlots);
+  for (int i = 0; i < kServerSlots; ++i) {
+    qp->PostRecv(rdma::RecvWqe{
+        static_cast<std::uint64_t>(i),
+        base + static_cast<std::uint64_t>(i) * kSlotBytes, kSlotBytes});
   }
   device_->simulation().Spawn(ServeLoop(
       qp, arrivals, std::make_shared<sim::SimThread>(*machine_, "rpc-server"),
@@ -33,29 +50,25 @@ sim::Task<void> TwoSidedServer::ServeLoop(
     std::shared_ptr<sim::SimThread> server_thread, int conn_index) {
   auto& mem = device_->memory();
   const std::uint64_t recv_base =
-      buffers_.recv_base + static_cast<std::uint64_t>(conn_index) *
-                               buffers_.slot_bytes * buffers_.slots;
+      ConnBase(kServerRecvBase, conn_index, kServerSlots);
   const std::uint64_t send_base =
-      buffers_.send_base + static_cast<std::uint64_t>(conn_index) *
-                               buffers_.slot_bytes * buffers_.slots;
+      ConnBase(kServerSendBase, conn_index, kServerSlots);
   int send_slot = 0;
   for (;;) {
     const rdma::Cqe cqe = co_await arrivals->Receive();
     COWBIRD_CHECK(cqe.opcode == rdma::CqeOpcode::kRecv);
     // Server-side CPU (memory-pool cores, not the compute node's): poll the
     // recv CQ, process, post the response.
-    co_await server_thread->Work(costs_.PollTotal(),
+    co_await server_thread->Work(rdma::cost::PollTotal(),
                                  sim::CpuCategory::kCommunication);
-    const std::uint64_t slot_addr =
-        recv_base + cqe.wr_id * buffers_.slot_bytes;
+    const std::uint64_t slot_addr = recv_base + cqe.wr_id * kSlotBytes;
     std::vector<std::uint8_t> header(RpcRequest::kHeaderBytes);
     mem.Read(slot_addr, header);
     const RpcRequest request = RpcRequest::ParseHeader(header);
 
     const std::uint64_t out_addr =
-        send_base + static_cast<std::uint64_t>(send_slot) *
-                        buffers_.slot_bytes;
-    send_slot = (send_slot + 1) % buffers_.slots;
+        send_base + static_cast<std::uint64_t>(send_slot) * kSlotBytes;
+    send_slot = (send_slot + 1) % kServerSlots;
     RpcResponse response;
     response.client_cookie = request.client_cookie;
 
@@ -81,9 +94,9 @@ sim::Task<void> TwoSidedServer::ServeLoop(
 
     // Recycle the receive slot, then answer.
     co_await server_thread->Work(
-        costs_.CopyCost(request.length) + costs_.PostTotal(),
+        rdma::cost::CopyCost(request.length) + rdma::cost::PostTotal(),
         sim::CpuCategory::kCommunication);
-    qp->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, buffers_.slot_bytes});
+    qp->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
     qp->PostSend(rdma::SendWqe{
         rdma::WqeOp::kSend, /*wr_id=*/0, out_addr, 0, 0,
         static_cast<std::uint32_t>(RpcResponse::kHeaderBytes +
@@ -93,25 +106,16 @@ sim::Task<void> TwoSidedServer::ServeLoop(
 }
 
 TwoSidedClient::TwoSidedClient(rdma::Device& device, rdma::QueuePair* qp,
-                               rdma::CompletionQueue* recv_cq,
-                               rdma::CostModel costs, int conn_index,
-                               Buffers buffers)
+                               rdma::CompletionQueue* recv_cq, int conn_index)
     : device_(&device),
       qp_(qp),
       recv_cq_(recv_cq),
-      costs_(costs),
-      buffers_(buffers),
-      recv_addr_(buffers.recv_base +
-                 static_cast<std::uint64_t>(conn_index) * buffers.slot_bytes *
-                     buffers.slots),
-      send_addr_(buffers.send_base +
-                 static_cast<std::uint64_t>(conn_index) * buffers.slot_bytes *
-                     buffers.slots) {
-  for (int i = 0; i < buffers_.slots; ++i) {
-    qp_->PostRecv(rdma::RecvWqe{static_cast<std::uint64_t>(i),
-                                recv_addr_ + static_cast<std::uint64_t>(i) *
-                                                 buffers_.slot_bytes,
-                                buffers_.slot_bytes});
+      recv_addr_(ConnBase(kClientRecvBase, conn_index, kClientSlots)),
+      send_addr_(ConnBase(kClientSendBase, conn_index, kClientSlots)) {
+  for (int i = 0; i < kClientSlots; ++i) {
+    qp_->PostRecv(rdma::RecvWqe{
+        static_cast<std::uint64_t>(i),
+        recv_addr_ + static_cast<std::uint64_t>(i) * kSlotBytes, kSlotBytes});
   }
 }
 
@@ -148,20 +152,19 @@ sim::Task<void> TwoSidedClient::Call(sim::SimThread& thread, RpcOp op,
     std::vector<std::uint8_t> payload(length);
     mem.Read(local_addr, payload);
     mem.Write(send_addr_ + RpcRequest::kHeaderBytes, payload);
-    co_await thread.Work(costs_.CopyCost(length),
+    co_await thread.Work(rdma::cost::CopyCost(length),
                          sim::CpuCategory::kCommunication);
     send_len += length;
   }
 
-  co_await rdma::PostSendVerb(thread, costs_, *qp_,
+  co_await rdma::PostSendVerb(thread, *qp_,
                               rdma::SendWqe{rdma::WqeOp::kSend, 0,
                                             send_addr_, 0, 0, send_len,
                                             /*signaled=*/false});
   // Spin on the recv CQ for the response (the synchronous path).
-  const rdma::Cqe cqe = co_await rdma::BusyPollCqVerb(thread, costs_,
-                                                      *recv_cq_);
+  const rdma::Cqe cqe = co_await rdma::BusyPollCqVerb(thread, *recv_cq_);
   COWBIRD_CHECK(cqe.opcode == rdma::CqeOpcode::kRecv);
-  const std::uint64_t slot_addr = recv_addr_ + cqe.wr_id * buffers_.slot_bytes;
+  const std::uint64_t slot_addr = recv_addr_ + cqe.wr_id * kSlotBytes;
   std::vector<std::uint8_t> rhdr(RpcResponse::kHeaderBytes);
   mem.Read(slot_addr, rhdr);
   const RpcResponse response = RpcResponse::ParseHeader(rhdr);
@@ -170,11 +173,11 @@ sim::Task<void> TwoSidedClient::Call(sim::SimThread& thread, RpcOp op,
     std::vector<std::uint8_t> payload(response.payload_length);
     mem.Read(slot_addr + RpcResponse::kHeaderBytes, payload);
     mem.Write(local_addr, payload);
-    co_await thread.Work(costs_.CopyCost(response.payload_length),
+    co_await thread.Work(rdma::cost::CopyCost(response.payload_length),
                          sim::CpuCategory::kCommunication);
   }
   // Recycle the receive slot.
-  qp_->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, buffers_.slot_bytes});
+  qp_->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
 }
 
 }  // namespace cowbird::baselines

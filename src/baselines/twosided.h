@@ -7,7 +7,6 @@
 
 #include "baselines/rpc_wire.h"
 #include "rdma/device.h"
-#include "rdma/params.h"
 #include "rdma/qp.h"
 #include "rdma/verbs.h"
 #include "sim/sync.h"
@@ -18,28 +17,10 @@ namespace cowbird::baselines {
 // Server side: one coroutine per connection, event-driven on the recv CQ.
 // (The real server busy-polls; we do not account memory-pool CPU, so the
 // event-driven form is equivalent and keeps the event queue bounded.)
-struct ServerBuffers {
-  std::uint64_t recv_base = 0x7000'0000;
-  std::uint64_t send_base = 0x7100'0000;
-  std::uint32_t slot_bytes = 8192;
-  int slots = 8;
-};
-
-struct ClientBuffers {
-  std::uint64_t recv_base = 0x7200'0000;
-  std::uint64_t send_base = 0x7300'0000;
-  std::uint32_t slot_bytes = 8192;
-  int slots = 4;
-};
-
 class TwoSidedServer {
  public:
-  using Buffers = ServerBuffers;
-
-  TwoSidedServer(rdma::Device& device, sim::Machine& machine,
-                 rdma::CostModel costs, Buffers buffers = Buffers())
-      : device_(&device), machine_(&machine), costs_(costs),
-        buffers_(buffers) {}
+  TwoSidedServer(rdma::Device& device, sim::Machine& machine)
+      : device_(&device), machine_(&machine) {}
 
   // Starts serving a connected QP. `conn_index` selects a disjoint buffer
   // range so multiple connections can be served concurrently.
@@ -54,8 +35,6 @@ class TwoSidedServer {
 
   rdma::Device* device_;
   sim::Machine* machine_;
-  rdma::CostModel costs_;
-  Buffers buffers_;
 };
 
 // Client side: synchronous RPC — post the request (unsignaled SEND), spin on
@@ -63,11 +42,8 @@ class TwoSidedServer {
 // compute-node thread; this is the 80%+ communication ratio of Figure 10.
 class TwoSidedClient {
  public:
-  using Buffers = ClientBuffers;
-
   TwoSidedClient(rdma::Device& device, rdma::QueuePair* qp,
-                 rdma::CompletionQueue* recv_cq, rdma::CostModel costs,
-                 int conn_index, Buffers buffers = Buffers());
+                 rdma::CompletionQueue* recv_cq, int conn_index);
 
   // Synchronous read of `length` bytes at `remote_addr` into `local_dest`.
   sim::Task<void> Read(sim::SimThread& thread, std::uint64_t remote_addr,
@@ -85,8 +61,6 @@ class TwoSidedClient {
   rdma::Device* device_;
   rdma::QueuePair* qp_;
   rdma::CompletionQueue* recv_cq_;
-  rdma::CostModel costs_;
-  Buffers buffers_;
   std::uint64_t recv_addr_;
   std::uint64_t send_addr_;
   std::uint64_t next_cookie_ = 1;

@@ -24,7 +24,6 @@ using core::CowbirdClient;
 using core::ReqId;
 using workload::ClusterHost;
 
-constexpr net::NodeId kSwitchId = 100;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
@@ -125,20 +124,15 @@ struct ChaosHarness {
                                               pool_mr->rkey, MiB(64)});
     }
 
-    spot::SpotAgent::Config config_a;
-    config_a.staging_base = 0x4000'0000;
-    config_a.chaos_unsafe_skip_hazards = opt.break_fence;
-    spot::SpotAgent::Config config_b;
-    config_b.staging_base = 0x8000'0000;
-    config_b.chaos_unsafe_skip_hazards = opt.break_fence;
-    agent_a = &cluster.AddSpotAgent(config_a);
-    agent_b = &cluster.AddSpotAgent(config_b);
+    spot::SpotAgent::Config config;
+    config.chaos_unsafe_skip_hazards = opt.break_fence;
+    agent_a = &cluster.AddSpotAgent(config);
+    agent_b = &cluster.AddSpotAgent(config);
     agent_a->Start();
     agent_b->Start();
 
     if (opt.engine == EngineKind::kP4) {
       p4::CowbirdP4Engine::Config ec;
-      ec.switch_node_id = kSwitchId;
       ec.chaos_unsafe_skip_hazards = opt.break_fence;
       cluster.AddP4Engine(ec).Start();
       serving = registry.AddEngine(P4Binding());

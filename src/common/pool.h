@@ -12,8 +12,6 @@
 //                    pools report exhaustion (null handle + counter);
 //                    growable pools add slabs, keeping slot addresses
 //                    stable forever.
-//   * BufferArena  — bump allocator for short-lived payload scratch; Reset()
-//                    reclaims everything at a phase boundary.
 //   * FixedDeque<T>— ring-buffer deque for the protocol FIFOs (WQE queues,
 //                    CQ entries, switch egress queues). Steady-state
 //                    push/pop never touches the allocator, unlike
@@ -201,45 +199,6 @@ void UnbindPoolTelemetry(Registry& registry, const Labels& labels) {
   registry.UnregisterCallbackGauge("pool_high_water", labels);
   registry.UnregisterCallbackGauge("pool_exhausted_total", labels);
 }
-
-// Bump allocator for payload scratch whose lifetime ends at a well-defined
-// boundary (one parse pass, one batch flush). Alloc is pointer arithmetic;
-// Reset() reclaims the whole arena at once. Returns nullptr (and counts the
-// exhaustion) when the fixed capacity would overflow — callers fall back to
-// the heap and the gauge makes the misconfiguration visible.
-class BufferArena {
- public:
-  explicit BufferArena(Bytes capacity)
-      : storage_(std::make_unique<std::uint8_t[]>(capacity)),
-        capacity_(capacity) {}
-
-  std::uint8_t* Alloc(Bytes len) {
-    if (cursor_ + len > capacity_) {
-      ++stats_.exhausted_total;
-      return nullptr;
-    }
-    std::uint8_t* p = storage_.get() + cursor_;
-    cursor_ += len;
-    stats_.in_use = cursor_;
-    if (cursor_ > stats_.high_water) stats_.high_water = cursor_;
-    return p;
-  }
-
-  void Reset() {
-    cursor_ = 0;
-    stats_.in_use = 0;
-  }
-
-  Bytes used() const { return cursor_; }
-  Bytes capacity() const { return capacity_; }
-  const PoolStats& stats() const { return stats_; }  // in_use/high_water in bytes
-
- private:
-  std::unique_ptr<std::uint8_t[]> storage_;
-  Bytes capacity_;
-  Bytes cursor_ = 0;
-  PoolStats stats_;
-};
 
 // Ring-buffer deque for the protocol FIFOs. Grows by doubling (amortized,
 // and only until the workload's high-water mark); steady-state push/pop is

@@ -64,7 +64,6 @@ class SparseMemory {
   }
 
   std::size_t ResidentPages() const { return pages_.size(); }
-  Bytes ResidentBytes() const { return pages_.size() * kPageSize; }
 
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;

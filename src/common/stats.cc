@@ -43,13 +43,6 @@ double PercentileSampler::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-double PercentileSampler::Mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
 void LogHistogram::Add(std::uint64_t value) {
   const int bucket = value == 0 ? 0 : 64 - std::countl_zero(value);
   static_assert(kBuckets == 65, "bucket index for bit-63 values is 64");

@@ -45,7 +45,6 @@ class PercentileSampler {
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
   double P99() const { return Quantile(0.99); }
-  double Mean() const;
   void Clear() {
     samples_.clear();
     sorted_ = false;

@@ -116,7 +116,7 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncRead(
   const Nanos issue_ts = thread.simulation().Now();
 
   // The issue path itself: a handful of local-memory writes.
-  co_await thread.Work(client_->config_.costs.cowbird_post,
+  co_await thread.Work(rdma::cost::kCowbirdPost,
                        sim::CpuCategory::kCommunication);
 
   auto pad = ContiguousPad(resp_ring_, length);
@@ -172,7 +172,7 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
 
   const Nanos issue_ts = thread.simulation().Now();
 
-  co_await thread.Work(client_->config_.costs.cowbird_post,
+  co_await thread.Work(rdma::cost::kCowbirdPost,
                        sim::CpuCategory::kCommunication);
 
   auto pad = ContiguousPad(data_ring_, length);
@@ -197,7 +197,7 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
   copy_scratch_.resize(length);
   mem.Read(local_src, copy_scratch_);
   mem.Write(ring_addr, copy_scratch_);
-  co_await thread.Work(client_->config_.costs.CopyCost(length),
+  co_await thread.Work(rdma::cost::CopyCost(length),
                        sim::CpuCategory::kCommunication);
 
   RequestMetadata meta;
@@ -226,7 +226,7 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
 
 sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
     sim::SimThread& thread) {
-  co_await thread.Work(client_->config_.costs.cowbird_poll,
+  co_await thread.Work(rdma::cost::kCowbirdPoll,
                        sim::CpuCategory::kCommunication);
   auto& mem = client_->device_->memory();
   const auto& layout = client_->config_.layout;
@@ -265,9 +265,8 @@ sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
     copy_scratch_.resize(done.length);
     mem.Read(ring_addr, copy_scratch_);
     mem.Write(done.user_dest, copy_scratch_);
-    co_await thread.Work(
-        client_->config_.costs.DeliveryCopyCost(done.length),
-        sim::CpuCategory::kCommunication);
+    co_await thread.Work(rdma::cost::DeliveryCopyCost(done.length),
+                         sim::CpuCategory::kCommunication);
     // Stamped after the delivery copy: the op's lifecycle ends when its
     // payload is in the caller's buffer, which is what PollWait observes.
     if (hub != nullptr) {
@@ -342,8 +341,7 @@ sim::Task<int> CowbirdClient::ThreadContext::PollWait(
       co_return static_cast<int>(responses.size());
     }
     const Nanos remaining = deadline - thread.simulation().Now();
-    co_await thread.Idle(
-        std::min<Nanos>(client_->config_.poll_interval, remaining));
+    co_await thread.Idle(std::min<Nanos>(kPollInterval, remaining));
   }
 }
 

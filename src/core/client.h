@@ -5,7 +5,7 @@
 // background activity. Issuing a request is: reserve ring space, fill the
 // 24-byte metadata entry (rw_type last), bump the green-block tail. Checking
 // completions is: load the engine-written progress counters and compare
-// integers. The per-call CPU charges (CostModel::cowbird_post/cowbird_poll)
+// integers. The per-call CPU charges (rdma::cost::kCowbirdPost/kCowbirdPoll)
 // are an order of magnitude below a verbs post/poll — Figure 2.
 //
 // Completion-side data movement: when a read completes, the engine has
@@ -36,13 +36,13 @@ using PollId = std::uint32_t;
 
 class CowbirdClient {
  public:
+  // Gap between completion checks inside PollWait. The CPU is *not*
+  // charged for this gap (a real application overlaps it with compute);
+  // each check itself is charged.
+  static constexpr Nanos kPollInterval = 200;
+
   struct Config {
     InstanceLayout layout;
-    rdma::CostModel costs;
-    // Gap between completion checks inside PollWait. The CPU is *not*
-    // charged for this gap (a real application overlaps it with compute);
-    // each check itself is charged.
-    Nanos poll_interval = 200;
     // Optional telemetry hub. When set, the library stamps each op's
     // kIssue/kRetired lifecycle phases and surfaces per-thread issue/retire
     // counters as callback gauges. nullptr = telemetry off (no cost).
@@ -148,7 +148,7 @@ class CowbirdClient {
 
     // Synchronize with the engine-written red block: advance ring heads,
     // retire completed operations (copying read payloads to their user
-    // destinations). Charges one cowbird_poll plus copy costs.
+    // destinations). Charges one kCowbirdPoll plus copy costs.
     sim::Task<void> Reconcile(sim::SimThread& thread);
 
     // Computes a contiguous reservation in a byte ring: returns pad bytes

@@ -79,7 +79,6 @@ void RegionMigrator::PostChunk(std::size_t index) {
   wqe.length = static_cast<std::uint32_t>(len);
   qp_->PostSend(wqe);
   ++outstanding_;
-  ++chunks_copied_;
   bytes_copied_ += len;
 }
 
@@ -107,7 +106,6 @@ void RegionMigrator::Pump() {
     if (!dirty_[c]) continue;
     dirty_[c] = false;
     PostChunk(c);
-    if (draining_) ++drain_chunks_;
   }
 }
 

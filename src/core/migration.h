@@ -88,10 +88,8 @@ class RegionMigrator {
 
   bool started() const { return started_; }
   bool draining() const { return draining_; }
-  std::uint64_t chunks_copied() const { return chunks_copied_; }
   std::uint64_t bytes_copied() const { return bytes_copied_; }
   std::uint64_t dirty_marks() const { return dirty_marks_; }
-  std::uint64_t drain_chunks() const { return drain_chunks_; }
   const ClusterPool::MigrationPlan& plan() const { return plan_; }
 
  private:
@@ -114,10 +112,8 @@ class RegionMigrator {
   int outstanding_ = 0;
   std::vector<bool> dirty_;
 
-  std::uint64_t chunks_copied_ = 0;
   std::uint64_t bytes_copied_ = 0;
   std::uint64_t dirty_marks_ = 0;
-  std::uint64_t drain_chunks_ = 0;
 
   telemetry::SpanTracer::SpanHandle copy_span_{};
   telemetry::SpanTracer::SpanHandle drain_span_{};

@@ -16,23 +16,22 @@ namespace cowbird::faster {
 // One-sided RDMA, synchronous: the calling thread posts and spins per I/O.
 class OneSidedSyncDevice : public IDevice {
  public:
-  OneSidedSyncDevice(baselines::OneSidedEndpoint ep, std::uint64_t pool_base,
-                     rdma::CostModel costs)
-      : ep_(ep), pool_base_(pool_base), costs_(costs) {}
+  OneSidedSyncDevice(baselines::OneSidedEndpoint ep, std::uint64_t pool_base)
+      : ep_(ep), pool_base_(pool_base) {}
 
   sim::Task<void> ReadAsync(sim::SimThread& thread, std::uint64_t offset,
                             std::uint64_t dest_addr, std::uint32_t len,
                             CompletionFn done) override {
-    co_await baselines::SyncRead(thread, costs_, ep_, pool_base_ + offset,
-                                 dest_addr, len);
+    co_await baselines::SyncRead(thread, ep_, pool_base_ + offset, dest_addr,
+                                 len);
     done();
   }
 
   sim::Task<void> WriteAsync(sim::SimThread& thread, std::uint64_t src_addr,
                              std::uint64_t offset, std::uint32_t len,
                              CompletionFn done) override {
-    co_await baselines::SyncWrite(thread, costs_, ep_, src_addr,
-                                  pool_base_ + offset, len);
+    co_await baselines::SyncWrite(thread, ep_, src_addr, pool_base_ + offset,
+                                  len);
     done();
   }
 
@@ -41,17 +40,15 @@ class OneSidedSyncDevice : public IDevice {
  private:
   baselines::OneSidedEndpoint ep_;
   std::uint64_t pool_base_;
-  rdma::CostModel costs_;
 };
 
-// One-sided RDMA, asynchronous: pipelined posts, completions harvested from
-// Poll(). Every operation still pays the full post+poll verb cost on the
-// application thread.
+// One-sided RDMA, asynchronous: up to kPipelineDepth pipelined posts,
+// completions harvested from Poll(). Every operation still pays the full
+// post+poll verb cost on the application thread.
 class OneSidedAsyncDevice : public IDevice {
  public:
-  OneSidedAsyncDevice(baselines::OneSidedEndpoint ep, std::uint64_t pool_base,
-                      rdma::CostModel costs, int window)
-      : pipeline_(ep, costs, window), pool_base_(pool_base) {}
+  OneSidedAsyncDevice(baselines::OneSidedEndpoint ep, std::uint64_t pool_base)
+      : pipeline_(ep, kPipelineDepth), pool_base_(pool_base) {}
 
   sim::Task<void> ReadAsync(sim::SimThread& thread, std::uint64_t offset,
                             std::uint64_t dest_addr, std::uint32_t len,

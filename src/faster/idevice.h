@@ -26,6 +26,10 @@ namespace cowbird::faster {
 
 using CompletionFn = std::function<void()>;
 
+// Outstanding storage reads per application thread (the YCSB run phase's
+// pipeline, Section 7).
+constexpr int kPipelineDepth = 32;
+
 class IDevice {
  public:
   virtual ~IDevice() = default;
@@ -52,14 +56,13 @@ class IDevice {
 // Upper bound: "remote" data is actually in compute-node DRAM.
 class LocalMemoryDevice : public IDevice {
  public:
-  LocalMemoryDevice(SparseMemory& memory, std::uint64_t base,
-                    rdma::CostModel costs)
-      : memory_(&memory), base_(base), costs_(costs) {}
+  LocalMemoryDevice(SparseMemory& memory, std::uint64_t base)
+      : memory_(&memory), base_(base) {}
 
   sim::Task<void> ReadAsync(sim::SimThread& thread, std::uint64_t offset,
                             std::uint64_t dest_addr, std::uint32_t len,
                             CompletionFn done) override {
-    co_await thread.Work(costs_.LocalRecordCost(len),
+    co_await thread.Work(rdma::cost::LocalRecordCost(len),
                          sim::CpuCategory::kCompute);
     std::vector<std::uint8_t> buf(len);
     memory_->Read(base_ + offset, buf);
@@ -70,7 +73,7 @@ class LocalMemoryDevice : public IDevice {
   sim::Task<void> WriteAsync(sim::SimThread& thread, std::uint64_t src_addr,
                              std::uint64_t offset, std::uint32_t len,
                              CompletionFn done) override {
-    co_await thread.Work(costs_.CopyCost(len), sim::CpuCategory::kCompute);
+    co_await thread.Work(rdma::cost::CopyCost(len), sim::CpuCategory::kCompute);
     std::vector<std::uint8_t> buf(len);
     memory_->Read(src_addr, buf);
     memory_->Write(base_ + offset, buf);
@@ -82,51 +85,42 @@ class LocalMemoryDevice : public IDevice {
  private:
   SparseMemory* memory_;
   std::uint64_t base_;
-  rdma::CostModel costs_;
 };
 
 // Local SATA SSD (FASTER's default backend): 6 Gb/s of device bandwidth
 // shared across threads, ~80 us access latency, and a kernel I/O submission
 // path that costs real CPU per operation.
-struct SsdParams {
-  BitRate bandwidth = BitRate::Gbps(6);
-  Nanos access_latency = Micros(80);
-  // SATA SSDs are IOPS-bound on small random accesses (~90k IOPS): every
-  // command occupies the device for at least this long, regardless of size.
-  Nanos min_service = Micros(11);
-  Nanos submit_cpu = Micros(1.5);       // syscall + block layer + interrupt
-  Nanos complete_cpu = 400;             // completion reap per I/O
-};
-
 class SsdDevice : public IDevice {
  public:
-  using Params = SsdParams;
+  static constexpr BitRate kBandwidth = BitRate::Gbps(6);
+  static constexpr Nanos kAccessLatency = Micros(80);
+  // SATA SSDs are IOPS-bound on small random accesses (~90k IOPS): every
+  // command occupies the device for at least this long, regardless of size.
+  static constexpr Nanos kMinService = Micros(11);
+  // Syscall + block layer + interrupt.
+  static constexpr Nanos kSubmitCpu = Micros(1.5);
+  static constexpr Nanos kCompleteCpu = 400;  // completion reap per I/O
 
-  SsdDevice(sim::Simulation& sim, SparseMemory& memory, std::uint64_t base,
-            Params params = Params())
-      : sim_(&sim), memory_(&memory), base_(base), params_(params),
-        completions_(sim) {}
+  SsdDevice(sim::Simulation& sim, SparseMemory& memory, std::uint64_t base)
+      : sim_(&sim), memory_(&memory), base_(base), completions_(sim) {}
 
   sim::Task<void> ReadAsync(sim::SimThread& thread, std::uint64_t offset,
                             std::uint64_t dest_addr, std::uint32_t len,
                             CompletionFn done) override {
-    co_await thread.Work(params_.submit_cpu,
-                         sim::CpuCategory::kCommunication);
+    co_await thread.Work(kSubmitCpu, sim::CpuCategory::kCommunication);
     Submit(Job{true, offset, dest_addr, len, std::move(done)});
   }
 
   sim::Task<void> WriteAsync(sim::SimThread& thread, std::uint64_t src_addr,
                              std::uint64_t offset, std::uint32_t len,
                              CompletionFn done) override {
-    co_await thread.Work(params_.submit_cpu,
-                         sim::CpuCategory::kCommunication);
+    co_await thread.Work(kSubmitCpu, sim::CpuCategory::kCommunication);
     Submit(Job{false, offset, src_addr, len, std::move(done)});
   }
 
   sim::Task<void> Poll(sim::SimThread& thread) override {
     while (auto done = completions_.TryReceive()) {
-      co_await thread.Work(params_.complete_cpu,
-                           sim::CpuCategory::kCommunication);
+      co_await thread.Work(kCompleteCpu, sim::CpuCategory::kCommunication);
       (*done)();
     }
   }
@@ -153,12 +147,12 @@ class SsdDevice : public IDevice {
     busy_ = true;
     Job job = std::move(queue_.front());
     queue_.pop_front();
-    const Nanos service = std::max(params_.min_service,
-                                   params_.bandwidth.TransmitTime(job.len));
+    const Nanos service =
+        std::max(kMinService, kBandwidth.TransmitTime(job.len));
     // The device is occupied for the transfer time; access latency overlaps
     // with queueing of subsequent requests (NCQ-style).
     sim_->ScheduleAfter(service, [this] { StartNext(); });
-    sim_->ScheduleAfter(service + params_.access_latency,
+    sim_->ScheduleAfter(service + kAccessLatency,
                         [this, job = std::move(job)]() mutable {
                           std::vector<std::uint8_t> buf(job.len);
                           if (job.is_read) {
@@ -175,7 +169,6 @@ class SsdDevice : public IDevice {
   sim::Simulation* sim_;
   SparseMemory* memory_;
   std::uint64_t base_;
-  Params params_;
   std::deque<Job> queue_;
   bool busy_ = false;
   sim::Channel<CompletionFn> completions_;

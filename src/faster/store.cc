@@ -7,7 +7,7 @@ namespace cowbird::faster {
 FasterStore::FasterStore(SparseMemory& memory, Config config)
     : memory_(&memory), config_(config) {
   COWBIRD_CHECK((config_.index_buckets & (config_.index_buckets - 1)) == 0);
-  COWBIRD_CHECK(config_.memory_budget % config_.spill_page == 0);
+  COWBIRD_CHECK(config_.memory_budget % kSpillPage == 0);
   index_.resize(config_.index_buckets);
 }
 
@@ -41,7 +41,7 @@ sim::Task<void> FasterStore::MaybeSpill(sim::SimThread& thread,
     }
     spill_inflight_ = true;
     const std::uint64_t spill_at = head_;
-    const Bytes page = config_.spill_page;
+    const Bytes page = kSpillPage;
     ++spills_;
     // The page is contiguous in the circular buffer because budget is a
     // multiple of the page size.
@@ -64,13 +64,11 @@ sim::Task<void> FasterStore::Upsert(sim::SimThread& thread, IDevice& device,
                                     std::uint64_t key,
                                     std::span<const std::uint8_t> value) {
   const Bytes record = RecordSize(static_cast<std::uint32_t>(value.size()));
-  co_await thread.Work(config_.op_overhead, sim::CpuCategory::kCompute);
+  co_await thread.Work(kOpOverhead, sim::CpuCategory::kCompute);
   // Records never straddle a spill-page boundary (FASTER pads pages); a
   // straddling record would be half-spilled, half-mutable.
-  const std::uint64_t in_page = tail_ % config_.spill_page;
-  const Bytes pad =
-      in_page + record > config_.spill_page ? config_.spill_page - in_page
-                                            : 0;
+  const std::uint64_t in_page = tail_ % kSpillPage;
+  const Bytes pad = in_page + record > kSpillPage ? kSpillPage - in_page : 0;
   co_await MaybeSpill(thread, device, pad + record);
 
   // Append at the tail: header + value, one streaming copy.
@@ -83,7 +81,7 @@ sim::Task<void> FasterStore::Upsert(sim::SimThread& thread, IDevice& device,
                                      static_cast<std::uint32_t>(value.size()));
   memory_->WriteValue<std::uint32_t>(mem_addr + 12, 0);
   memory_->Write(mem_addr + 16, value);
-  co_await thread.Work(config_.costs.CopyCost(record),
+  co_await thread.Work(rdma::cost::CopyCost(record),
                        sim::CpuCategory::kCompute);
 
   // Index update: hash + one cache-missing bucket access.
@@ -91,7 +89,7 @@ sim::Task<void> FasterStore::Upsert(sim::SimThread& thread, IDevice& device,
   if (index_[slot].address == kInvalidAddress) ++live_keys_;
   index_[slot] = IndexEntry{key, addr,
                             static_cast<std::uint32_t>(value.size())};
-  co_await thread.Work(config_.hash_cost + config_.costs.local_access,
+  co_await thread.Work(kHashCost + rdma::cost::kLocalAccess,
                        sim::CpuCategory::kCompute);
 }
 
@@ -101,9 +99,8 @@ sim::Task<FasterStore::ReadStatus> FasterStore::Read(sim::SimThread& thread,
                                                      std::uint64_t dest_addr,
                                                      CompletionFn done) {
   // Operation context + index probe.
-  co_await thread.Work(
-      config_.op_overhead + config_.hash_cost + config_.costs.local_access,
-      sim::CpuCategory::kCompute);
+  co_await thread.Work(kOpOverhead + kHashCost + rdma::cost::kLocalAccess,
+                       sim::CpuCategory::kCompute);
   const std::uint64_t slot = IndexSlot(key);
   const IndexEntry& entry = index_[slot];
   if (entry.address == kInvalidAddress) co_return ReadStatus::kNotFound;
@@ -120,7 +117,7 @@ sim::Task<FasterStore::ReadStatus> FasterStore::Read(sim::SimThread& thread,
     std::vector<std::uint8_t> buf(record);
     memory_->Read(mem_addr, buf);
     memory_->Write(dest_addr, buf);
-    co_await thread.Work(config_.costs.LocalRecordCost(record),
+    co_await thread.Work(rdma::cost::LocalRecordCost(record),
                          sim::CpuCategory::kCompute);
     co_return ReadStatus::kLocal;
   }

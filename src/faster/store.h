@@ -31,18 +31,19 @@ constexpr std::uint64_t kInvalidAddress = ~0ull;
 
 class FasterStore {
  public:
+  static constexpr Bytes kSpillPage = KiB(32);  // eviction granularity
+  // Mutable region in compute memory.
+  static constexpr std::uint64_t kLogBase = 0x9000'0000;
+  // CPU model for index operations.
+  static constexpr Nanos kHashCost = 25;
+  // Per-operation FASTER machinery: epoch protection, operation context
+  // allocation, status plumbing. Calibrated so local-memory throughput per
+  // thread lands near the paper's Figure 9 testbed.
+  static constexpr Nanos kOpOverhead = 800;
+
   struct Config {
     std::uint64_t index_buckets = 1 << 20;  // power of two
     Bytes memory_budget = MiB(16);          // mutable-region size
-    Bytes spill_page = KiB(32);             // eviction granularity
-    std::uint64_t log_base = 0x9000'0000;   // mutable region in compute mem
-    rdma::CostModel costs;
-    // CPU model for index operations.
-    Nanos hash_cost = 25;
-    // Per-operation FASTER machinery: epoch protection, operation context
-    // allocation, status plumbing. Calibrated so local-memory throughput per
-    // thread lands near the paper's Figure 9 testbed.
-    Nanos op_overhead = 800;
   };
 
   FasterStore(SparseMemory& memory, Config config);
@@ -88,7 +89,7 @@ class FasterStore {
 
   // In-memory position of a logical address.
   std::uint64_t MemSlotAddr(std::uint64_t logical) const {
-    return config_.log_base + (logical % config_.memory_budget);
+    return kLogBase + (logical % config_.memory_budget);
   }
 
   sim::Task<void> MaybeSpill(sim::SimThread& thread, IDevice& device,

@@ -37,6 +37,7 @@ constexpr std::uint64_t kDestBase = 0x8000'0000;
 constexpr std::uint64_t kDestStride = MiB(4);
 constexpr std::uint64_t kValueScratch = 0x7800'0000;
 constexpr std::uint16_t kRegion = 1;
+constexpr double kReadFraction = 0.95;
 
 struct YcsbHarness {
   explicit YcsbHarness(const YcsbConfig& config) : cfg(config) {
@@ -49,11 +50,9 @@ struct YcsbHarness {
     const Bytes device_capacity = log_size * 8;
 
     FasterStore::Config sc;
-    sc.costs = cfg.costs;
     sc.memory_budget =
         RoundPage(static_cast<Bytes>(cfg.memory_fraction *
                                      static_cast<double>(log_size)));
-    sc.spill_page = KiB(32);
     store = std::make_unique<FasterStore>(compute.mem, sc);
 
     pool_mr = memory.dev->RegisterMemory(kPoolBase, device_capacity);
@@ -67,7 +66,7 @@ struct YcsbHarness {
       case Backend::kLocal:
         for (int t = 0; t < cfg.threads; ++t) {
           devices.push_back(std::make_unique<LocalMemoryDevice>(
-              compute.mem, kLocalDeviceBase, cfg.costs));
+              compute.mem, kLocalDeviceBase));
         }
         break;
       case Backend::kSsd: {
@@ -82,7 +81,7 @@ struct YcsbHarness {
           devices.push_back(std::make_unique<OneSidedSyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
-              kPoolBase, cfg.costs));
+              kPoolBase));
         }
         break;
       case Backend::kOneSidedAsync:
@@ -91,7 +90,7 @@ struct YcsbHarness {
           devices.push_back(std::make_unique<OneSidedAsyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
-              kPoolBase, cfg.costs, cfg.pipeline));
+              kPoolBase));
         }
         break;
       case Backend::kCowbirdSpot:
@@ -102,7 +101,6 @@ struct YcsbHarness {
         cc.layout.meta_slots = 4096;
         cc.layout.data_capacity = MiB(1);
         cc.layout.resp_capacity = MiB(1);
-        cc.costs = cfg.costs;
         client = &cluster.AddClient(0, cc);
         client->RegisterRegion(core::RegionInfo{
             kRegion, memory.id(), kPoolBase, pool_mr->rkey, device_capacity});
@@ -112,9 +110,7 @@ struct YcsbHarness {
           cluster.AttachP4(*client, 0x800);
           engine.Start();
         } else {
-          spot::SpotAgent::Config ac = cfg.agent;
-          ac.costs = cfg.costs;
-          spot::SpotAgent& agent = cluster.AddSpotAgent(ac);
+          spot::SpotAgent& agent = cluster.AddSpotAgent(cfg.agent);
           cluster.AttachSpot(agent, *client);
           agent.Start();
         }
@@ -125,11 +121,7 @@ struct YcsbHarness {
         break;
       }
       case Backend::kRedy: {
-        redy = std::make_unique<baselines::RedyEngine>(
-            *compute.machine,
-            baselines::RedyEngine::Config{.window = cfg.pipeline,
-                                          .enqueue_cost = 60,
-                                          .costs = cfg.costs});
+        redy = std::make_unique<baselines::RedyEngine>(*compute.machine);
         for (int t = 0; t < cfg.threads; ++t) {
           auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           const int io = redy->AddIoThread(baselines::OneSidedEndpoint{
@@ -143,7 +135,7 @@ struct YcsbHarness {
   }
 
   static Bytes RoundPage(Bytes b) {
-    const Bytes page = KiB(32);
+    const Bytes page = FasterStore::kSpillPage;
     const Bytes rounded = ((b + page - 1) / page) * page;
     return rounded < 2 * page ? 2 * page : rounded;
   }
@@ -219,16 +211,16 @@ sim::Task<void> RunThread(YcsbHarness& h, int t) {
   for (;;) {
     // Pump completions first so the pipeline never stalls full.
     co_await device.Poll(thread);
-    if (outstanding >= h.cfg.pipeline) {
+    if (outstanding >= kPipelineDepth) {
       co_await thread.Idle(300);
       continue;
     }
     const std::uint64_t key = h.cfg.zipfian
                                   ? h.zipf->NextScrambled(rng)
                                   : rng.Below(h.cfg.records);
-    if (rng.NextDouble() < h.cfg.read_fraction) {
+    if (rng.NextDouble() < kReadFraction) {
       const int slot = next_slot;
-      next_slot = (next_slot + 1) % (h.cfg.pipeline * 2);
+      next_slot = (next_slot + 1) % (kPipelineDepth * 2);
       const std::uint64_t dest = h.DestSlot(t, slot);
       auto status = co_await h.store->Read(
           thread, device, key, dest, [&h, t, key, dest, &outstanding] {
@@ -265,8 +257,8 @@ sim::Task<void> RunThread(YcsbHarness& h, int t) {
 YcsbResult RunYcsb(const YcsbConfig& config) {
   YcsbHarness h(config);
   if (config.zipfian) {
-    h.zipf = std::make_unique<workload::ZipfianGenerator>(config.records,
-                                                          config.zipf_theta);
+    // YCSB's theta = 0.99, the generator's default.
+    h.zipf = std::make_unique<workload::ZipfianGenerator>(config.records);
   }
   h.ops.assign(config.threads, 0);
 

@@ -2,16 +2,16 @@
 //
 // Load phase: `records` upserts with fixed-size values whose first 8 bytes
 // embed the key (every read, through any backend, is verified end-to-end).
-// Run phase: each thread issues a read_fraction/update mix over Zipfian
-// (theta = 0.99) or uniform keys, pipelining storage reads up to `pipeline`
-// outstanding per thread and pumping completions via IDevice::Poll — the
-// structure of the paper's IDevice integration (Section 7).
+// Run phase: each thread issues a 95% read / 5% update mix over Zipfian
+// (theta = 0.99) or uniform keys, pipelining storage reads up to
+// kPipelineDepth outstanding per thread and pumping completions via
+// IDevice::Poll — the structure of the paper's IDevice integration
+// (Section 7).
 #pragma once
 
 #include <cstdint>
 
 #include "common/units.h"
-#include "rdma/params.h"
 #include "spot/agent.h"
 
 namespace cowbird::faster {
@@ -33,18 +33,14 @@ struct YcsbConfig {
   int threads = 1;
   std::uint32_t value_size = 64;
   std::uint64_t records = 150'000;
-  double read_fraction = 0.95;
   bool zipfian = true;
-  double zipf_theta = 0.99;
   // Mutable-region budget as a fraction of total log size (paper: 5 GB of
   // 18-24 GB ≈ 20-28%).
   double memory_fraction = 0.25;
-  int pipeline = 32;  // outstanding storage reads per thread
   Nanos warmup = Micros(300);
   Nanos measure = Millis(2);
   std::uint64_t seed = 1;
   spot::SpotAgent::Config agent;
-  rdma::CostModel costs;
 };
 
 struct YcsbResult {

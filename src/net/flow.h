@@ -1,7 +1,7 @@
 // Contending traffic for the bandwidth-overhead experiment (Figure 14).
 //
 // A GreedyFlow models an always-backlogged bulk transfer (the paper uses
-// iperf3): the source keeps `window` MTU-sized packets in flight to a sink
+// iperf3): the source keeps kWindow MTU-sized packets in flight to a sink
 // on another host; the sink returns a small ACK per packet, and every ACK
 // releases the next data packet. With a deep window this saturates whatever
 // bandwidth strict-priority scheduling leaves to the bulk class, which is
@@ -22,18 +22,13 @@ constexpr std::uint16_t kFlowBasePort = 5001;
 
 class GreedyFlow {
  public:
-  struct Config {
-    Bytes payload_bytes = 1400;
-    int window = 64;
-    Priority priority = Priority::kBulk;
-  };
+  static constexpr Bytes kPayloadBytes = 1400;
+  static constexpr int kWindow = 64;
 
-  GreedyFlow(HostNic& source, HostNic& sink, std::uint16_t flow_index,
-             Config config)
+  GreedyFlow(HostNic& source, HostNic& sink, std::uint16_t flow_index)
       : source_(&source),
         sink_(&sink),
-        port_(static_cast<std::uint16_t>(kFlowBasePort + flow_index)),
-        config_(config) {
+        port_(static_cast<std::uint16_t>(kFlowBasePort + flow_index)) {
     // Data packets arrive at the sink; ACKs return to the source on the
     // same UDP port.
     sink_->SetPortReceiver(port_, [this](Packet p) { OnData(std::move(p)); });
@@ -43,7 +38,7 @@ class GreedyFlow {
   void Start() {
     running_ = true;
     started_at_ = source_->simulation().Now();
-    for (int i = 0; i < config_.window; ++i) SendData();
+    for (int i = 0; i < kWindow; ++i) SendData();
   }
   void Stop() { running_ = false; }
 
@@ -59,8 +54,8 @@ class GreedyFlow {
 
  private:
   void SendData() {
-    Packet p = MakeUdpPacket(source_->id(), sink_->id(),
-                             config_.payload_bytes, config_.priority, port_);
+    Packet p = MakeUdpPacket(source_->id(), sink_->id(), kPayloadBytes,
+                             Priority::kBulk, port_);
     source_->Send(std::move(p));
   }
 
@@ -78,7 +73,6 @@ class GreedyFlow {
   HostNic* source_;
   HostNic* sink_;
   std::uint16_t port_;
-  Config config_;
   bool running_ = false;
   Nanos started_at_ = 0;
   std::uint64_t delivered_bytes_ = 0;

@@ -88,7 +88,6 @@ class Link {
   bool data_paused() const { return data_paused_; }
 
   bool TransmitterIdle() const { return !busy_; }
-  std::size_t QueuedPackets() const { return queue_.size(); }
   BitRate rate() const { return rate_; }
   Nanos propagation() const { return propagation_; }
 

@@ -6,6 +6,12 @@
 
 namespace cowbird::net {
 
+namespace {
+// A PFC pause self-expires after this long: the deadline is the safety net
+// if the resume frame is lost by a fault filter.
+constexpr Nanos kPfcPauseDuration = Micros(10);
+}  // namespace
+
 int Switch::AddPort(BitRate rate, Nanos propagation) {
   auto port = std::make_unique<Port>();
   port->link = std::make_unique<Link>(*sim_, rate, propagation);
@@ -111,8 +117,6 @@ void Switch::Drain(int port_index) {
       UpdatePfcOnDequeue(entry.ingress);
     }
     ++forwarded_;
-    ++port.tx_packets;
-    port.tx_bytes += entry.packet.bytes.size();
     port.link->Send(std::move(entry.packet));
     return;
   }
@@ -127,7 +131,7 @@ void Switch::UpdatePfcOnEnqueue(int ingress_port) {
   // very congestion it relieves.
   if (!ingress.pause_asserted) ++pfc_pauses_sent_;
   ingress.pause_asserted = true;
-  ingress.link->Send(MakePfcFrame(0, 0, config_.pfc_pause_duration));
+  ingress.link->Send(MakePfcFrame(0, 0, kPfcPauseDuration));
 }
 
 void Switch::UpdatePfcOnDequeue(int ingress_port) {

@@ -53,12 +53,10 @@ class Switch {
     // PFC: per-ingress buffered-byte watermarks with hysteresis. Crossing
     // pause_threshold sends a pause frame back out of that ingress port's
     // egress link; draining to resume_threshold sends an explicit resume.
-    // The pause also self-expires after pfc_pause_duration (the deadline is
-    // the safety net if the resume frame is lost by a fault filter).
+    // The pause also self-expires (see kPfcPauseDuration in switch.cc).
     bool pfc_enabled = false;
     Bytes pfc_pause_threshold = KiB(64);
     Bytes pfc_resume_threshold = KiB(32);
-    Nanos pfc_pause_duration = Micros(10);
   };
 
   Switch(sim::Simulation& sim, Config config)
@@ -98,18 +96,6 @@ class Switch {
   sim::Simulation& simulation() { return *sim_; }
 
   std::uint64_t egress_drops(int port) const { return ports_[port]->drops; }
-  Bytes egress_queued_bytes(int port) const {
-    return ports_[port]->queued_bytes;
-  }
-  // Per-egress traffic counters — with one port per host these are the
-  // per-server counters the elastic-pool telemetry surfaces (a rebalance
-  // visibly shifts bytes from one server's port to another's).
-  std::uint64_t port_tx_packets(int port) const {
-    return ports_[port]->tx_packets;
-  }
-  std::uint64_t port_tx_bytes(int port) const {
-    return ports_[port]->tx_bytes;
-  }
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t ecn_marked() const { return ecn_marked_; }
   std::uint64_t pfc_pauses_sent() const { return pfc_pauses_sent_; }
@@ -139,8 +125,6 @@ class Switch {
         queues;
     Bytes queued_bytes = 0;
     std::uint64_t drops = 0;
-    std::uint64_t tx_packets = 0;  // packets sent out this egress
-    Bytes tx_bytes = 0;
     // PFC state for this port acting as an *ingress*: bytes it currently
     // has buffered anywhere in the switch, and whether it is paused.
     Bytes ingress_buffered = 0;

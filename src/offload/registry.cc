@@ -120,10 +120,6 @@ EngineId InstanceRegistry::CompleteHandoff(std::uint32_t instance_id,
   return target;
 }
 
-bool InstanceRegistry::HandoffInProgress(std::uint32_t instance_id) const {
-  return held_.find(instance_id) != held_.end();
-}
-
 EngineId InstanceRegistry::EngineOf(std::uint32_t instance_id) const {
   auto it = assignment_.find(instance_id);
   return it == assignment_.end() ? kNoEngine : it->second;

@@ -83,7 +83,6 @@ class InstanceRegistry {
   bool BeginHandoff(std::uint32_t instance_id);
   EngineId CompleteHandoff(std::uint32_t instance_id,
                            EngineId to = kNoEngine);
-  bool HandoffInProgress(std::uint32_t instance_id) const;
 
   EngineId EngineOf(std::uint32_t instance_id) const;
   std::vector<std::uint32_t> InstancesOn(EngineId id) const;

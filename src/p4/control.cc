@@ -166,9 +166,8 @@ std::optional<ControlMessage> ControlMessage::Parse(
 }
 
 ControlPlaneServer::ControlPlaneServer(CowbirdP4Engine& engine,
-                                       net::Switch& sw,
-                                       net::NodeId switch_node_id)
-    : engine_(&engine), sw_(&sw), switch_id_(switch_node_id) {
+                                       net::Switch& sw)
+    : engine_(&engine), sw_(&sw) {
   engine_->SetControlHandler(
       [this](const net::Packet& packet) { HandlePacket(packet); });
 }
@@ -196,18 +195,16 @@ void ControlPlaneServer::HandlePacket(const net::Packet& packet) {
     }
   }
   const auto body = reply.Serialize();
-  net::Packet out = net::MakeUdpPacket(switch_id_, packet.src, body.size(),
-                                       net::Priority::kControl,
-                                       kControlPort);
+  net::Packet out =
+      net::MakeUdpPacket(kSwitchAddress, packet.src, body.size(),
+                         net::Priority::kControl, kControlPort);
   std::copy(body.begin(), body.end(), out.MutableL4Payload().begin());
   const int port = sw_->RouteFor(packet.src);
   COWBIRD_CHECK(port >= 0);
   sw_->EnqueueEgress(port, std::move(out));
 }
 
-ControlPlaneClient::ControlPlaneClient(net::HostNic& nic,
-                                       net::NodeId switch_node_id)
-    : nic_(&nic), switch_id_(switch_node_id) {
+ControlPlaneClient::ControlPlaneClient(net::HostNic& nic) : nic_(&nic) {
   nic_->SetPortReceiver(kControlPort, [this](net::Packet packet) {
     const auto reply = ControlMessage::Parse(packet.L4Payload());
     if (!reply.has_value()) return;
@@ -225,7 +222,7 @@ ControlPlaneClient::ControlPlaneClient(net::HostNic& nic,
 sim::Task<bool> ControlPlaneClient::Call(ControlMessage message) {
   message.rpc_id = next_rpc_id_++;
   const auto body = message.Serialize();
-  net::Packet packet = net::MakeUdpPacket(nic_->id(), switch_id_,
+  net::Packet packet = net::MakeUdpPacket(nic_->id(), kSwitchAddress,
                                           body.size(),
                                           net::Priority::kControl,
                                           kControlPort);

@@ -47,8 +47,7 @@ struct ControlMessage {
 // the engine's packet pipeline and applies setup/teardown to the engine.
 class ControlPlaneServer {
  public:
-  ControlPlaneServer(CowbirdP4Engine& engine, net::Switch& sw,
-                     net::NodeId switch_node_id);
+  ControlPlaneServer(CowbirdP4Engine& engine, net::Switch& sw);
 
   // Called by the engine's pipeline for control packets (installed
   // automatically by the constructor).
@@ -60,7 +59,6 @@ class ControlPlaneServer {
  private:
   CowbirdP4Engine* engine_;
   net::Switch* sw_;
-  net::NodeId switch_id_;
   std::uint64_t setups_ = 0;
   std::uint64_t teardowns_ = 0;
 };
@@ -68,7 +66,7 @@ class ControlPlaneServer {
 // Compute-side client: sends the RPC and waits for the reply.
 class ControlPlaneClient {
  public:
-  ControlPlaneClient(net::HostNic& nic, net::NodeId switch_node_id);
+  explicit ControlPlaneClient(net::HostNic& nic);
 
   // Registers an instance with the switch; completes when the switch ACKs.
   // Returns false on an error reply.
@@ -82,7 +80,6 @@ class ControlPlaneClient {
   sim::Task<bool> Call(ControlMessage message);
 
   net::HostNic* nic_;
-  net::NodeId switch_id_;
   std::uint32_t next_rpc_id_ = 1;
   struct PendingRpc {
     std::uint32_t rpc_id;

@@ -50,8 +50,8 @@ CowbirdP4Engine::CowbirdP4Engine(net::Switch& sw, Config config)
       sim_(&sw.simulation()),
       config_(config),
       scheduler_(offload::ProbeScheduler::Config{
-          config.probe_interval, config.adaptive_probe,
-          config.probe_interval_max, config.probe_policy}) {
+          config.probe_interval, config.adaptive_probe, kProbeIntervalMax,
+          config.probe_policy}) {
   sw_->SetProcessor(this);
   if (auto* hub = config_.telemetry) {
     const telemetry::Labels labels = EngineLabels();
@@ -90,8 +90,7 @@ CowbirdP4Engine::~CowbirdP4Engine() {
 }
 
 telemetry::Labels CowbirdP4Engine::EngineLabels() const {
-  return {{"engine", "p4"},
-          {"node", std::to_string(config_.switch_node_id)}};
+  return {{"engine", "p4"}, {"node", std::to_string(kSwitchAddress)}};
 }
 
 telemetry::Labels CowbirdP4Engine::InstanceLabels(
@@ -345,7 +344,7 @@ void CowbirdP4Engine::Process(net::Switch& sw, int ingress_port,
                               net::Packet packet,
                               std::vector<net::ForwardAction>& out) {
   (void)ingress_port;
-  if (packet.dst == config_.switch_node_id) {
+  if (packet.dst == kSwitchAddress) {
     if (rdma::LooksLikeRdma(packet)) {
       ConsumeRdma(std::move(packet));
       return;
@@ -438,9 +437,9 @@ void CowbirdP4Engine::ConsumeRdma(net::Packet packet) {
     bth.opcode = rdma::Opcode::kCnp;
     bth.dest_qp = reflect->host_qpn;
     bth.psn = 0;
-    SendPacket(rdma::BuildRdmaPacket(
-        config_.switch_node_id, reflect->node,
-        net::Priority::kControl, bth, nullptr, nullptr, {}));
+    SendPacket(rdma::BuildRdmaPacket(kSwitchAddress, reflect->node,
+                                     net::Priority::kControl, bth, nullptr,
+                                     nullptr, {}));
   }
   // Anything else addressed to the switch endpoint is dropped.
 }
@@ -596,17 +595,13 @@ void CowbirdP4Engine::RefetchOrphans(Instance& inst) {
 void CowbirdP4Engine::MaybeFetchMetadata(Instance& inst, int thread) {
   ThreadState& ts = inst.threads[thread];
   if (ts.meta_fetch_inflight || ts.fetch_cursor >= ts.tail_seen) return;
-  if (ts.inflight.size() >=
-      static_cast<std::size_t>(config_.max_inflight_per_thread)) {
-    return;
-  }
+  if (ts.inflight.size() >= kMaxInflightPerThread) return;
   const auto& layout = inst.descriptor.layout;
   const std::uint64_t available = ts.tail_seen - ts.fetch_cursor;
   const std::uint64_t start_slot = ts.fetch_cursor % layout.meta_slots;
   const std::uint64_t contiguous = layout.meta_slots - start_slot;
-  const std::uint64_t count = std::min<std::uint64_t>(
-      {available, contiguous,
-       static_cast<std::uint64_t>(config_.meta_entries_per_fetch)});
+  const std::uint64_t count =
+      std::min<std::uint64_t>({available, contiguous, kMetaEntriesPerFetch});
   Pending p;
   p.kind = PendingKind::kMetaFetch;
   p.thread = thread;
@@ -639,10 +634,7 @@ void CowbirdP4Engine::OnMetaData(Instance& inst, Pending& pending,
     const core::RequestMetadata meta = core::RequestMetadata::ParseBytes(
         view.payload.subspan(at, core::kMetadataEntryBytes));
     if (meta.rw_type == core::RwType::kInvalid) break;
-    if (ts.inflight.size() >=
-        static_cast<std::size_t>(config_.max_inflight_per_thread)) {
-      break;
-    }
+    if (ts.inflight.size() >= kMaxInflightPerThread) break;
     if (meta.rw_type == core::RwType::kRead &&
         !config_.chaos_unsafe_skip_hazards &&
         ts.hazards.ReadBlocked(offload::HazardRange{
@@ -1058,7 +1050,7 @@ void CowbirdP4Engine::ArmTimer(Instance& inst, SwitchQp& qp) {
   qp.timer.Cancel();
   if (qp.pending.empty()) return;
   qp.timer = sim_->ScheduleCancelableAfter(
-      config_.gbn_timeout, [this, &inst, &qp] { Recover(inst, qp); });
+      kGbnTimeout, [this, &inst, &qp] { Recover(inst, qp); });
 }
 
 void CowbirdP4Engine::Recover(Instance& inst, SwitchQp& qp) {
@@ -1113,7 +1105,7 @@ net::Packet CowbirdP4Engine::BuildRequest(
   bth.dest_qp = qp.host.host_qpn;
   bth.psn = psn & rdma::kPsnMask;
   net::Packet packet =
-      rdma::BuildRdmaPacket(config_.switch_node_id, qp.host.node, priority,
+      rdma::BuildRdmaPacket(kSwitchAddress, qp.host.node, priority,
                             bth, reth, nullptr, payload);
   if (config_.ecn_capable && priority != net::Priority::kControl) {
     packet.SetEcnBits(net::kEcnEct0);
@@ -1129,33 +1121,17 @@ void CowbirdP4Engine::SendPacket(net::Packet packet) {
   sw_->EnqueueEgress(port, std::move(packet));
 }
 
-P4PipelineSpec CowbirdP4Engine::BuildPipelineSpec() const {
-  P4SpecParams params;
-  params.instances = std::max<int>(1, static_cast<int>(instances_.size()));
-  params.threads = instances_.empty()
-                       ? 16
-                       : instances_[0]->descriptor.layout.threads;
-  params.max_inflight = config_.max_inflight_per_thread;
-  params.meta_entries_per_fetch = config_.meta_entries_per_fetch;
-  for (const auto& inst : instances_) {
-    params.translation_ranges = std::max(
-        params.translation_ranges, static_cast<int>(inst->translation.size()));
-  }
-  return BuildCowbirdP4Spec(params);
-}
-
 // ---------------------------------------------------------------------------
 // Phase I plumbing
 // ---------------------------------------------------------------------------
 
 namespace {
-HostEndpoint SetupHostEndpoint(rdma::Device& dev, net::NodeId switch_id,
-                               std::uint32_t switch_qpn,
+HostEndpoint SetupHostEndpoint(rdma::Device& dev, std::uint32_t switch_qpn,
                                std::uint32_t host_psn,
                                std::uint32_t switch_psn) {
   auto* cq = dev.CreateCq();
   auto* qp = dev.CreateQp(cq, cq);
-  qp->Connect(switch_id, switch_qpn, host_psn, switch_psn);
+  qp->Connect(kSwitchAddress, switch_qpn, host_psn, switch_psn);
   HostEndpoint ep;
   ep.node = dev.node_id();
   ep.host_qpn = qp->qpn();
@@ -1165,41 +1141,32 @@ HostEndpoint SetupHostEndpoint(rdma::Device& dev, net::NodeId switch_id,
 }
 }  // namespace
 
-P4Connection ConnectP4Engine(CowbirdP4Engine& engine, net::NodeId switch_id,
-                             rdma::Device& compute, rdma::Device& memory,
-                             std::uint32_t qpn_base) {
+P4Connection ConnectP4Engine(CowbirdP4Engine& engine, rdma::Device& compute,
+                             rdma::Device& memory, std::uint32_t qpn_base) {
   (void)engine;
   P4Connection conn;
-  auto setup = [&](rdma::Device& dev, std::uint32_t switch_qpn,
-                   std::uint32_t host_psn,
-                   std::uint32_t switch_psn) -> HostEndpoint {
-    return SetupHostEndpoint(dev, switch_id, switch_qpn, host_psn,
-                             switch_psn);
-  };
-  conn.compute = setup(compute, qpn_base, 1000, 5000);
-  conn.probe = setup(compute, qpn_base + 1, 1500, 5500);
-  conn.memory = setup(memory, qpn_base + 2, 2000, 6000);
-  conn.wr_compute = setup(compute, qpn_base + 3, 2500, 6500);
-  conn.wr_memory = setup(memory, qpn_base + 4, 3000, 7000);
+  conn.compute = SetupHostEndpoint(compute, qpn_base, 1000, 5000);
+  conn.probe = SetupHostEndpoint(compute, qpn_base + 1, 1500, 5500);
+  conn.memory = SetupHostEndpoint(memory, qpn_base + 2, 2000, 6000);
+  conn.wr_compute = SetupHostEndpoint(compute, qpn_base + 3, 2500, 6500);
+  conn.wr_memory = SetupHostEndpoint(memory, qpn_base + 4, 3000, 7000);
   return conn;
 }
 
-P4Connection ConnectP4Engine(CowbirdP4Engine& engine, net::NodeId switch_id,
-                             rdma::Device& compute,
+P4Connection ConnectP4Engine(CowbirdP4Engine& engine, rdma::Device& compute,
                              std::span<rdma::Device* const> memories,
                              std::uint32_t qpn_base) {
   COWBIRD_CHECK(!memories.empty());
-  P4Connection conn =
-      ConnectP4Engine(engine, switch_id, compute, *memories[0], qpn_base);
+  P4Connection conn = ConnectP4Engine(engine, compute, *memories[0], qpn_base);
   std::uint32_t qpn = qpn_base + 5;
   for (std::uint32_t i = 1; i < memories.size(); ++i) {
     rdma::Device& dev = *memories[i];
     // Per-server PSN offsets keep every stream disjoint from the primary
     // pair (2000/6000, 3000/7000) and from each other.
-    const HostEndpoint mem = SetupHostEndpoint(
-        dev, switch_id, qpn++, 2000 + 100 * i, 6000 + 100 * i);
-    const HostEndpoint wr = SetupHostEndpoint(
-        dev, switch_id, qpn++, 3000 + 100 * i, 7000 + 100 * i);
+    const HostEndpoint mem =
+        SetupHostEndpoint(dev, qpn++, 2000 + 100 * i, 6000 + 100 * i);
+    const HostEndpoint wr =
+        SetupHostEndpoint(dev, qpn++, 3000 + 100 * i, 7000 + 100 * i);
     conn.extra_memory.emplace_back(mem, wr);
   }
   return conn;

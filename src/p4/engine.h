@@ -68,6 +68,10 @@
 
 namespace cowbird::p4 {
 
+// The switch's own fabric address: the RDMA endpoint identity every host QP
+// of the engine connects to, and the destination of control-plane RPCs.
+inline constexpr net::NodeId kSwitchAddress = 100;
+
 // Host-side endpoint the switch speaks RDMA with (established by the
 // control plane in Phase I).
 struct HostEndpoint {
@@ -97,20 +101,20 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // TDM selection now lives in the shared offload core (Section 5.4).
   using ProbePolicy = offload::ProbeSelection;
 
+  // Section 5.2 ramp-up ceiling: an adaptive probe interval doubles after
+  // idle probes up to this.
+  static constexpr Nanos kProbeIntervalMax = Micros(64);
+  static constexpr Nanos kGbnTimeout = Micros(100);
+  // Metadata entries fetched per read: limited by what the parser can
+  // walk through the PHV (Section 5.2 fetches head→tail; the PHV bounds
+  // one packet's parsed entries).
+  static constexpr std::uint64_t kMetaEntriesPerFetch = 8;
+
   struct Config {
-    net::NodeId switch_node_id = 100;
     Nanos probe_interval = Micros(2);  // 1 probe / 2 us (Section 5.2)
     ProbePolicy probe_policy = ProbePolicy::kRoundRobin;
     // Section 5.2 ramp-up: back off while idle, snap back on activity.
     bool adaptive_probe = false;
-    Nanos probe_interval_max = Micros(64);
-    Nanos gbn_timeout = Micros(100);
-    // Metadata entries fetched per read: limited by what the parser can
-    // walk through the PHV (Section 5.2 fetches head→tail; the PHV bounds
-    // one packet's parsed entries).
-    int meta_entries_per_fetch = 8;
-    // In-flight operations per thread the pending "hash table" can hold.
-    int max_inflight_per_thread = 64;
     // TEST-ONLY: disables the pause-all-reads write fence (Section 5.3).
     // Exists so the chaos harness can prove its linearizability checker
     // catches a real consistency bug; never enable outside tests.
@@ -166,9 +170,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // net::PacketProcessor: every packet entering the switch.
   void Process(net::Switch& sw, int ingress_port, net::Packet packet,
                std::vector<net::ForwardAction>& out) override;
-
-  // Table 5: resource usage of the configured pipeline.
-  P4PipelineSpec BuildPipelineSpec() const;
 
   // Counters.
   std::uint64_t probes_sent() const { return probes_sent_; }
@@ -383,16 +384,14 @@ class CowbirdP4Engine : public net::PacketProcessor {
 
 // Phase I helper: creates responder QPs on the hosts and wires them to the
 // switch endpoint identity. Consumes five switch QPNs starting at qpn_base.
-P4Connection ConnectP4Engine(CowbirdP4Engine& engine, net::NodeId switch_id,
-                             rdma::Device& compute, rdma::Device& memory,
-                             std::uint32_t qpn_base);
+P4Connection ConnectP4Engine(CowbirdP4Engine& engine, rdma::Device& compute,
+                             rdma::Device& memory, std::uint32_t qpn_base);
 
 // Multi-server variant (elastic pool): memories[0] is the primary endpoint
 // with the exact QPN/PSN layout of the two-device overload; every further
 // server consumes two more switch QPNs (read + write pair) with per-server
 // PSN offsets. Consumes 5 + 2*(memories.size()-1) QPNs from qpn_base.
-P4Connection ConnectP4Engine(CowbirdP4Engine& engine, net::NodeId switch_id,
-                             rdma::Device& compute,
+P4Connection ConnectP4Engine(CowbirdP4Engine& engine, rdma::Device& compute,
                              std::span<rdma::Device* const> memories,
                              std::uint32_t qpn_base);
 

@@ -2,6 +2,11 @@
 
 namespace cowbird::p4 {
 
+namespace {
+constexpr std::uint64_t kInstances = 32;  // worst case: every port
+constexpr std::uint64_t kThreads = 16;    // hardware threads per compute node
+}  // namespace
+
 P4PipelineSpec BuildCowbirdP4Spec(const P4SpecParams& p) {
   P4PipelineSpec spec;
 
@@ -28,9 +33,9 @@ P4PipelineSpec BuildCowbirdP4Spec(const P4SpecParams& p) {
       {"md.flags", 21},
   };
 
-  const auto iq = static_cast<std::uint64_t>(p.instances);
-  const auto tq = static_cast<std::uint64_t>(p.threads);
-  const auto fq = static_cast<std::uint64_t>(p.max_inflight);
+  constexpr std::uint64_t iq = kInstances;
+  constexpr std::uint64_t tq = kThreads;
+  constexpr std::uint64_t fq = kMaxInflightPerThread;
   const auto rq = static_cast<std::uint64_t>(p.translation_ranges);
 
   // --- Stages --------------------------------------------------------------
@@ -53,10 +58,6 @@ P4PipelineSpec BuildCowbirdP4Spec(const P4SpecParams& p) {
        /*tcam=*/static_cast<std::uint64_t>(1.25 * 1024 * 8), /*vliw=*/3, /*salu=*/0},
       {"ig1_qpn_to_instance", iq * 128 * kQpnMapEntry, 0, 3, 0},
       {"ig2_region_table", iq * 64 * kRegionEntry, 0, 2, 0},
-      // Elastic pool (DESIGN.md §14): range-match the virtual pool address
-      // to the owning memory server and rewrite raddr/rkey in the PHV.
-      {"ig3_range_translate", iq * rq * kRangeAction,
-       iq * rq * kRangeKey * 2, 3, 0},
       {"ig4_probe_tail_compare", iq * tq * kTailBlock, 0, 3, 2},
       {"ig5_meta_cursor_update", iq * tq * kTailBlock, 0, 3, 1},
       {"ig6_write_fence", iq * tq * 64, 0, 2, 1},
@@ -68,6 +69,13 @@ P4PipelineSpec BuildCowbirdP4Spec(const P4SpecParams& p) {
       {"eg3_progress_counters", iq * tq * kCounterBlock, 0, 2, 2},
       {"eg4_tdm_and_ack", iq * 64 + 64 * 1024 * 8, 0, 2, 1},
   };
+  if (rq > 0) {
+    // Elastic pool (DESIGN.md §14): range-match the virtual pool address
+    // to the owning memory server and rewrite raddr/rkey in the PHV.
+    const P4StageSpec ig3{"ig3_range_translate", iq * rq * kRangeAction,
+                          iq * rq * kRangeKey * 2, 3, 0};
+    spec.stages.insert(spec.stages.begin() + 3, ig3);
+  }
 
   return spec;
 }

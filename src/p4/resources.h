@@ -2,11 +2,13 @@
 //
 // The Cowbird-P4 logic is laid out as match-action stages below; the
 // estimator sums the resources each stage declares, with table/register
-// sizes derived from the engine configuration (instances, threads,
-// in-flight budget). Running `bench/table5_resources` for the paper's
-// worst case — all 32 ports driving Cowbird — reproduces the Table 5 row.
+// sizes derived from the paper's worst case — all 32 ports driving Cowbird,
+// 16 threads each, the engine's in-flight budget. Running
+// `bench/table5_resources` for the paper's program (no range table)
+// reproduces the Table 5 row.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,15 +57,16 @@ struct P4PipelineSpec {
   }
 };
 
+// In-flight operations per thread the pending "hash table" can hold: the
+// engine's admission bound and the size of the ig7 pending table.
+inline constexpr std::size_t kMaxInflightPerThread = 64;
+
 struct P4SpecParams {
-  int instances = 32;   // worst case: every port runs Cowbird
-  int threads = 16;     // hardware threads per compute node
-  int max_inflight = 64;
-  int meta_entries_per_fetch = 8;
   // Elastic-pool range-translation entries per instance (the
   // ig3_range_translate TCAM stage, DESIGN.md §14). The default covers a
   // region split across a handful of servers; single-server identity
-  // tables need one entry per region.
+  // tables need one entry per region. 0 is the paper's program: no range
+  // table, so no ig3 stage.
   int translation_ranges = 4;
 };
 

@@ -9,6 +9,20 @@
 
 namespace cowbird::rdma {
 
+namespace {
+// DCQCN control-law constants. Timer periods are compressed relative to
+// the published DCQCN constants (55 us / 40 Mbps steps) so flows converge
+// within the simulated millisecond-scale measure windows; the control
+// *law* is unchanged.
+constexpr double kAlphaGain = 1.0 / 16.0;  // alpha EWMA gain
+constexpr double kRateHaiGbps = 10.0;      // hyper-increase step
+// Stages of (rate+target)/2 before additive increase.
+constexpr int kFastRecoveryStages = 3;
+// Alpha decay period (no-CNP window).
+constexpr Nanos kAlphaTimer = Micros(20);
+constexpr Nanos kRecoveryTimer = Micros(25);  // rate-increase period
+}  // namespace
+
 CongestionManager::CongestionManager(Device& device,
                                      const DcqcnConfig& config,
                                      double line_rate_gbps)
@@ -52,7 +66,7 @@ void CongestionManager::OnCnpReceived(std::uint32_t qpn) {
   ++rate_decreases_;
   // DCQCN reaction point: raise alpha, cut the rate, remember the pre-cut
   // rate as the recovery target.
-  flow.alpha = (1.0 - config_.g) * flow.alpha + config_.g;
+  flow.alpha = (1.0 - kAlphaGain) * flow.alpha + kAlphaGain;
   flow.target_gbps = flow.rate_gbps;
   flow.rate_gbps = std::max(config_.min_rate_gbps,
                             flow.rate_gbps * (1.0 - flow.alpha / 2.0));
@@ -63,18 +77,18 @@ void CongestionManager::OnCnpReceived(std::uint32_t qpn) {
   }
   flow.alpha_timer.Cancel();
   flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.alpha_timer, [this, qpn] { DecayAlpha(qpn); });
+      kAlphaTimer, [this, qpn] { DecayAlpha(qpn); });
   flow.recovery_timer.Cancel();
   flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.recovery_timer, [this, qpn] { RecoverRate(qpn); });
+      kRecoveryTimer, [this, qpn] { RecoverRate(qpn); });
 }
 
 void CongestionManager::DecayAlpha(std::uint32_t qpn) {
   Flow& flow = flows_[qpn - 1];
   if (!flow.paced) return;
-  flow.alpha *= 1.0 - config_.g;
+  flow.alpha *= 1.0 - kAlphaGain;
   flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.alpha_timer, [this, qpn] { DecayAlpha(qpn); });
+      kAlphaTimer, [this, qpn] { DecayAlpha(qpn); });
 }
 
 void CongestionManager::RecoverRate(std::uint32_t qpn) {
@@ -82,12 +96,11 @@ void CongestionManager::RecoverRate(std::uint32_t qpn) {
   if (!flow.paced) return;
   // The DCQCN increase ladder: fast recovery halves the gap to the pre-cut
   // target, then the target itself climbs additively, then hyperactively.
-  if (flow.recovery_stage >= config_.fast_recovery_stages) {
-    const bool hyper =
-        flow.recovery_stage >= 2 * config_.fast_recovery_stages;
+  if (flow.recovery_stage >= kFastRecoveryStages) {
+    const bool hyper = flow.recovery_stage >= 2 * kFastRecoveryStages;
     flow.target_gbps = std::min(
-        line_rate_gbps_, flow.target_gbps + (hyper ? config_.rate_hai_gbps
-                                                   : config_.rate_ai_gbps));
+        line_rate_gbps_,
+        flow.target_gbps + (hyper ? kRateHaiGbps : config_.rate_ai_gbps));
   }
   flow.rate_gbps = (flow.rate_gbps + flow.target_gbps) / 2.0;
   ++flow.recovery_stage;
@@ -96,7 +109,7 @@ void CongestionManager::RecoverRate(std::uint32_t qpn) {
     return;
   }
   flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.recovery_timer, [this, qpn] { RecoverRate(qpn); });
+      kRecoveryTimer, [this, qpn] { RecoverRate(qpn); });
 }
 
 void CongestionManager::StopPacing(std::uint32_t qpn) {

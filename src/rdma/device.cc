@@ -14,6 +14,9 @@ namespace {
 std::uint32_t MakeRkey(std::size_t index) {
   return static_cast<std::uint32_t>((index + 1) * 2654435761u) | 1u;
 }
+
+// Doorbell-to-wire (TX) / wire-to-DMA-complete (RX) latency per packet.
+constexpr Nanos kProcessingDelay = 250;
 }  // namespace
 
 Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
@@ -63,7 +66,7 @@ QueuePair* Device::FindQp(std::uint32_t qpn) const {
 
 void Device::EmitPacket(net::Packet packet) {
   ++packets_sent_;
-  simulation().ScheduleAfter(config_.processing_delay,
+  simulation().ScheduleAfter(kProcessingDelay,
                              [this, p = std::move(packet)]() mutable {
                                nic_->Send(std::move(p));
                              });
@@ -75,7 +78,7 @@ void Device::EmitPaced(std::uint32_t qpn, net::Packet packet) {
     const Nanos delay = congestion_->ReserveSend(qpn, packet.WireBytes());
     if (delay > 0) {
       ++packets_sent_;
-      simulation().ScheduleAfter(delay + config_.processing_delay,
+      simulation().ScheduleAfter(delay + kProcessingDelay,
                                  [this, p = std::move(packet)]() mutable {
                                    nic_->Send(std::move(p));
                                  });
@@ -88,7 +91,7 @@ void Device::EmitPaced(std::uint32_t qpn, net::Packet packet) {
 void Device::OnPacket(net::Packet packet) {
   ++packets_received_;
   simulation().ScheduleAfter(
-      config_.processing_delay, [this, p = std::move(packet)]() mutable {
+      kProcessingDelay, [this, p = std::move(packet)]() mutable {
         const RdmaMessageView view = ParseRdmaPacket(p);
         if (view.bth.opcode == Opcode::kCnp) {
           // A CNP names the local QP whose flow must slow down; it never

@@ -13,114 +13,98 @@
 
 namespace cowbird::rdma {
 
-struct CostModel {
-  // ibv_post_send() — Figure 2, red segments.
-  Nanos post_lock = 100;
-  Nanos post_wqe = 150;
-  Nanos post_doorbell = 200;
-  // ibv_poll_cq(), one check — Figure 2, blue segments.
-  Nanos poll_lock = 80;
-  Nanos poll_cqe = 120;
+// The one CPU cost table, charged wherever the CPU time is spent (the verb
+// wrappers, the engines, the client library and the application models).
+namespace cost {
 
-  // Doorbell batching (linked work-request lists / wide CQ polls): the lock
-  // and doorbell are paid once per batch, and the marginal WQE/CQE cost is a
-  // cache-resident descriptor write/read. This is how Redy and the
-  // Cowbird-Spot agent reach high message rates on few cores; applications
-  // that issue one request at a time (Figures 1/2/8 baselines) cannot use it
-  // on their critical path.
-  Nanos post_wqe_each = 8;
-  Nanos poll_cqe_each = 6;
-  // Dedicated engine event loop (Cowbird-Spot agent): single-threaded send
-  // queue (no lock) and write-combined doorbells amortized across the whole
-  // drain pass — the fixed cost collapses to a store-fence + MMIO write.
-  Nanos engine_post_fixed = 50;
+// ibv_post_send() — Figure 2, red segments.
+inline constexpr Nanos kPostLock = 100;
+inline constexpr Nanos kPostWqe = 150;
+inline constexpr Nanos kPostDoorbell = 200;
+// ibv_poll_cq(), one check — Figure 2, blue segments.
+inline constexpr Nanos kPollLock = 80;
+inline constexpr Nanos kPollCqe = 120;
 
-  Nanos PostBatch(int n) const {
-    return post_lock + post_doorbell + n * post_wqe_each;
-  }
-  Nanos EnginePostBatch(int n) const {
-    return engine_post_fixed + n * post_wqe_each;
-  }
-  Nanos PollBatch(int n) const { return poll_lock + n * poll_cqe_each; }
+// Doorbell batching (linked work-request lists / wide CQ polls): the lock
+// and doorbell are paid once per batch, and the marginal WQE/CQE cost is a
+// cache-resident descriptor write/read. This is how Redy and the
+// Cowbird-Spot agent reach high message rates on few cores; applications
+// that issue one request at a time (Figures 1/2/8 baselines) cannot use it
+// on their critical path.
+inline constexpr Nanos kPostWqeEach = 8;
+inline constexpr Nanos kPollCqeEach = 6;
+// Dedicated engine event loop (Cowbird-Spot agent): single-threaded send
+// queue (no lock) and write-combined doorbells amortized across the whole
+// drain pass — the fixed cost collapses to a store-fence + MMIO write.
+inline constexpr Nanos kEnginePostFixed = 50;
 
-  // Cowbird client library (Section 4.3): plain local-memory writes for the
-  // request metadata + tail bump, and integer comparisons for completion
-  // checks. No locks, no fences, no doorbells.
-  Nanos cowbird_post = 40;
-  Nanos cowbird_poll = 20;
+// Cowbird client library (Section 4.3): plain local-memory writes for the
+// request metadata + tail bump, and integer comparisons for completion
+// checks. No locks, no fences, no doorbells.
+inline constexpr Nanos kCowbirdPost = 40;
+inline constexpr Nanos kCowbirdPoll = 20;
 
-  // First-touch DRAM access (row miss): what a *local* random record access
-  // pays for its first cache line. Subsequent lines stream at copy rate.
-  // This is the quantity Cowbird's ~60 ns issue+poll path is competing
-  // against — a remote record via Cowbird costs the client little more than
-  // a couple of cache misses, which is why Figure 1 shows it tracking local
-  // memory.
-  Nanos local_access = 90;
-  // Per-byte cost of touching/copying sequential memory.
-  double copy_ns_per_byte = 0.05;
-  // Leading-line latency for data that was just DMA-written by the NIC:
-  // DDIO places it in the LLC, so the client's delivery copy out of the
-  // response ring starts from L3, not DRAM.
-  Nanos llc_access = 40;
+// First-touch DRAM access (row miss): what a *local* random record access
+// pays for its first cache line. Subsequent lines stream at copy rate.
+// This is the quantity Cowbird's ~60 ns issue+poll path is competing
+// against — a remote record via Cowbird costs the client little more than
+// a couple of cache misses, which is why Figure 1 shows it tracking local
+// memory.
+inline constexpr Nanos kLocalAccess = 90;
+// Per-byte cost of touching/copying sequential memory.
+inline constexpr double kCopyNsPerByte = 0.05;
+// Leading-line latency for data that was just DMA-written by the NIC:
+// DDIO places it in the LLC, so the client's delivery copy out of the
+// response ring starts from L3, not DRAM.
+inline constexpr Nanos kLlcAccess = 40;
 
-  Nanos PostTotal() const { return post_lock + post_wqe + post_doorbell; }
-  Nanos PollTotal() const { return poll_lock + poll_cqe; }
+constexpr Nanos PostTotal() { return kPostLock + kPostWqe + kPostDoorbell; }
+constexpr Nanos PollTotal() { return kPollLock + kPollCqe; }
 
-  // Cost to materialize `n` sequential bytes that are not in L1/L2.
-  Nanos CopyCost(Bytes n) const {
-    const auto cost =
-        static_cast<Nanos>(copy_ns_per_byte * static_cast<double>(n));
-    return cost > 20 ? cost : 20;
-  }
-  // Cost of a local random record access: leading DRAM miss + streaming.
-  Nanos LocalRecordCost(Bytes n) const {
-    return local_access +
-           static_cast<Nanos>(copy_ns_per_byte * static_cast<double>(n));
-  }
-  // Client-side cost to copy a completed read out of the response ring
-  // (LLC-resident thanks to DDIO).
-  Nanos DeliveryCopyCost(Bytes n) const {
-    return llc_access +
-           static_cast<Nanos>(copy_ns_per_byte * static_cast<double>(n));
-  }
-};
+constexpr Nanos PostBatch(int n) {
+  return kPostLock + kPostDoorbell + n * kPostWqeEach;
+}
+constexpr Nanos EnginePostBatch(int n) {
+  return kEnginePostFixed + n * kPostWqeEach;
+}
+
+// Cost to materialize `n` sequential bytes that are not in L1/L2.
+constexpr Nanos CopyCost(Bytes n) {
+  const auto copy = static_cast<Nanos>(kCopyNsPerByte * static_cast<double>(n));
+  return copy > 20 ? copy : 20;
+}
+// Cost of a local random record access: leading DRAM miss + streaming.
+constexpr Nanos LocalRecordCost(Bytes n) {
+  return kLocalAccess +
+         static_cast<Nanos>(kCopyNsPerByte * static_cast<double>(n));
+}
+// Client-side cost to copy a completed read out of the response ring
+// (LLC-resident thanks to DDIO).
+constexpr Nanos DeliveryCopyCost(Bytes n) {
+  return kLlcAccess +
+         static_cast<Nanos>(kCopyNsPerByte * static_cast<double>(n));
+}
+
+}  // namespace cost
 
 // DCQCN-style per-QP rate control (the congestion half of the RoCEv2
 // engine split; the GBN half is rdma::ReliabilityManager). Disabled by
 // default: with `enabled` false the device builds no CongestionManager,
 // stamps no ECT bits, and every pre-existing run stays byte-identical.
-// Timer periods are compressed relative to the published DCQCN constants
-// (55 us / 40 Mbps steps) so flows converge within the simulated
-// millisecond-scale measure windows; the control *law* is unchanged.
+// The control-law constants live in rdma/congestion.cc.
 struct DcqcnConfig {
   bool enabled = false;
-  double g = 1.0 / 16.0;         // alpha EWMA gain
-  double min_rate_gbps = 1.0;    // floor under multiplicative decrease
-  double rate_ai_gbps = 2.0;     // additive-increase step
-  double rate_hai_gbps = 10.0;   // hyper-increase step
-  int fast_recovery_stages = 3;  // stages of (rate+target)/2 before AI
-  Nanos alpha_timer = Micros(20);     // alpha decay period (no-CNP window)
-  Nanos recovery_timer = Micros(25);  // rate-increase period
-  Nanos cnp_interval = Micros(5);     // min gap between CNPs per flow
+  double min_rate_gbps = 1.0;      // floor under multiplicative decrease
+  double rate_ai_gbps = 2.0;       // additive-increase step
+  Nanos cnp_interval = Micros(5);  // min gap between CNPs per flow
 };
 
 struct NicConfig {
-  // Doorbell-to-wire (TX) / wire-to-DMA-complete (RX) latency per packet.
-  Nanos processing_delay = 250;
-  // Go-Back-N window: maximum in-flight messages per QP.
-  int max_outstanding = 64;
   // Retransmission timeout. Datacenter RTTs here are a few microseconds;
   // the paper's recovery relies on data-plane timeouts in the same regime.
   Nanos retransmit_timeout = Micros(100);
   // Congestion control (ECN echo + rate limiting); off by default.
   DcqcnConfig dcqcn;
-};
-
-// Testbed-wide constants (Section 7): 100 Gbps ConnectX-5 NICs, one switch.
-struct FabricParams {
-  BitRate host_link = BitRate::Gbps(100);
-  Nanos link_propagation = 150;   // rack-scale cabling
-  Nanos switch_pipeline = 300;    // Tofino ingress-to-egress
 };
 
 }  // namespace cowbird::rdma

@@ -51,8 +51,6 @@ class QueuePair {
   std::uint32_t remote_qpn() const { return remote_qpn_; }
   bool Connected() const { return connected_; }
 
-  std::size_t OutstandingWqes() const { return reliability_.Outstanding(); }
-  std::size_t PostedRecvs() const { return recv_queue_.size(); }
   std::uint32_t next_psn() const { return reliability_.next_psn(); }
   std::uint32_t expected_psn() const { return epsn_; }
   std::uint64_t retransmissions() const {

@@ -9,6 +9,9 @@ namespace cowbird::rdma {
 
 namespace {
 
+// Go-Back-N window: maximum in-flight messages per QP.
+constexpr std::size_t kMaxOutstanding = 64;
+
 Opcode SegmentOpcode(WqeOp op, std::uint32_t index, std::uint32_t count) {
   const bool only = count == 1;
   const bool first = index == 0;
@@ -51,10 +54,7 @@ void ReliabilityManager::Halt() {
 }
 
 void ReliabilityManager::TryTransmit() {
-  Device* device = qp_->device_;
-  while (!pending_.empty() &&
-         inflight_.size() <
-             static_cast<std::size_t>(device->config().max_outstanding)) {
+  while (!pending_.empty() && inflight_.size() < kMaxOutstanding) {
     InflightWqe entry;
     entry.wqe = pending_.front();
     pending_.pop_front();

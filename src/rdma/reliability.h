@@ -52,9 +52,6 @@ class ReliabilityManager {
   // Engine-crash teardown: cancel the timer, discard all requester state.
   void Halt();
 
-  std::size_t Outstanding() const {
-    return inflight_.size() + pending_.size();
-  }
   std::uint32_t next_psn() const { return next_psn_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
 

@@ -19,44 +19,37 @@
 namespace cowbird::rdma {
 
 // ibv_post_send analogue: charges lock + WQE build + doorbell.
-inline sim::Task<void> PostSendVerb(sim::SimThread& thread,
-                                    const CostModel& costs, QueuePair& qp,
+inline sim::Task<void> PostSendVerb(sim::SimThread& thread, QueuePair& qp,
                                     SendWqe wqe) {
-  co_await thread.Work(costs.post_lock + costs.post_wqe,
+  co_await thread.Work(cost::kPostLock + cost::kPostWqe,
                        sim::CpuCategory::kCommunication);
   qp.PostSend(wqe);
-  co_await thread.Work(costs.post_doorbell,
-                       sim::CpuCategory::kCommunication);
+  co_await thread.Work(cost::kPostDoorbell, sim::CpuCategory::kCommunication);
 }
 
 // ibv_post_recv analogue.
-inline sim::Task<void> PostRecvVerb(sim::SimThread& thread,
-                                    const CostModel& costs, QueuePair& qp,
+inline sim::Task<void> PostRecvVerb(sim::SimThread& thread, QueuePair& qp,
                                     RecvWqe wqe) {
-  co_await thread.Work(costs.post_lock + costs.post_wqe,
+  co_await thread.Work(cost::kPostLock + cost::kPostWqe,
                        sim::CpuCategory::kCommunication);
   qp.PostRecv(wqe);
-  co_await thread.Work(costs.post_doorbell,
-                       sim::CpuCategory::kCommunication);
+  co_await thread.Work(cost::kPostDoorbell, sim::CpuCategory::kCommunication);
 }
 
 // One ibv_poll_cq check: charges the lock + CQE read whether or not a
 // completion is found (the paper's Figure 2 measures exactly this floor).
 inline sim::Task<std::optional<Cqe>> PollCqVerb(sim::SimThread& thread,
-                                                const CostModel& costs,
                                                 CompletionQueue& cq) {
-  co_await thread.Work(costs.poll_lock + costs.poll_cqe,
-                       sim::CpuCategory::kCommunication);
+  co_await thread.Work(cost::PollTotal(), sim::CpuCategory::kCommunication);
   co_return cq.Pop();
 }
 
 // Busy-poll until a completion arrives; the CPU burns a full poll cost per
 // check, exactly like a spin loop on a real completion queue.
 inline sim::Task<Cqe> BusyPollCqVerb(sim::SimThread& thread,
-                                     const CostModel& costs,
                                      CompletionQueue& cq) {
   for (;;) {
-    auto cqe = co_await PollCqVerb(thread, costs, cq);
+    auto cqe = co_await PollCqVerb(thread, cq);
     if (cqe.has_value()) co_return *cqe;
   }
 }
@@ -65,24 +58,21 @@ inline sim::Task<Cqe> BusyPollCqVerb(sim::SimThread& thread,
 // of work requests, marginal cost per WQE. The engines (Cowbird-Spot, Redy)
 // live on this; per-access application code cannot (requests arrive one at
 // a time on its critical path).
-inline sim::Task<void> PostSendBatchVerb(sim::SimThread& thread,
-                                         const CostModel& costs,
-                                         QueuePair& qp,
+inline sim::Task<void> PostSendBatchVerb(sim::SimThread& thread, QueuePair& qp,
                                          std::span<const SendWqe> wqes) {
   if (wqes.empty()) co_return;
-  co_await thread.Work(costs.PostBatch(static_cast<int>(wqes.size())),
+  co_await thread.Work(cost::PostBatch(static_cast<int>(wqes.size())),
                        sim::CpuCategory::kCommunication);
   for (const SendWqe& wqe : wqes) qp.PostSend(wqe);
 }
 
 // Engine-tier batched post: the dedicated single-threaded agent loop pays
-// no lock and an amortized doorbell (see CostModel::engine_post_fixed).
+// no lock and an amortized doorbell (see cost::kEnginePostFixed).
 inline sim::Task<void> EnginePostBatchVerb(sim::SimThread& thread,
-                                           const CostModel& costs,
                                            QueuePair& qp,
                                            std::span<const SendWqe> wqes) {
   if (wqes.empty()) co_return;
-  co_await thread.Work(costs.EnginePostBatch(static_cast<int>(wqes.size())),
+  co_await thread.Work(cost::EnginePostBatch(static_cast<int>(wqes.size())),
                        sim::CpuCategory::kCommunication);
   for (const SendWqe& wqe : wqes) qp.PostSend(wqe);
 }

@@ -21,8 +21,6 @@ class OneShotEvent {
  public:
   explicit OneShotEvent(Simulation& sim) : sim_(&sim) {}
 
-  bool IsSet() const { return set_; }
-
   void Set() {
     if (set_) return;
     set_ = true;
@@ -137,14 +135,6 @@ class Semaphore {
   };
 
   AcquireAwaiter Acquire() { return AcquireAwaiter{this}; }
-
-  bool TryAcquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
 
   void Release() {
     if (!waiters_.empty()) {

@@ -118,7 +118,6 @@ class SimThread {
     return static_cast<double>(TimeIn(CpuCategory::kCommunication)) /
            static_cast<double>(total);
   }
-  void ResetAccounting() { accounted_ = {}; }
 
   void Account(CpuCategory category, Nanos duration) {
     accounted_[static_cast<int>(category)] += duration;

@@ -38,18 +38,20 @@ std::uint64_t SpotAgent::MakeWrId(CompletionKind kind, std::uint32_t instance,
          (static_cast<std::uint64_t>(thread) << kThreadShift) | token;
 }
 
-SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine,
+SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
                      Config config)
     : device_(&device),
+      index_(index),
+      staging_base_(kStagingStride * static_cast<std::uint64_t>(index + 1)),
       thread_(machine, "spot-agent"),
       config_(config),
       completions_(machine.simulation()),
       scheduler_(offload::ProbeScheduler::Config{
-          config.probe_interval, config.adaptive_probe,
-          config.probe_interval_max, offload::ProbeSelection::kRoundRobin}) {
+          config.probe_interval, config.adaptive_probe, kProbeIntervalMax,
+          offload::ProbeSelection::kRoundRobin}) {
   // The agent's staging arena is a pinned buffer on real hardware; fault it
   // in now so the wrapping bump allocator never materializes pages mid-run.
-  device_->memory().PreFault(config_.staging_base, config_.staging_capacity);
+  device_->memory().PreFault(staging_base_, kStagingCapacity);
   if (auto* hub = config_.telemetry) {
     const telemetry::Labels labels = EngineLabels();
     scheduler_.BindTelemetry(hub->metrics, labels);
@@ -86,7 +88,8 @@ SpotAgent::~SpotAgent() {
 }
 
 telemetry::Labels SpotAgent::EngineLabels() const {
-  return {{"engine", "spot"},
+  return {{"agent", std::to_string(index_)},
+          {"engine", "spot"},
           {"node", std::to_string(device_->node_id())}};
 }
 
@@ -334,11 +337,11 @@ std::uint64_t SpotAgent::AllocStaging(Bytes len) {
   // live transfers. Wrapping returns to the floor, not zero: the permanent
   // probe/meta staging blocks carved out during AddInstance live below it
   // and must never be recycled as per-op scratch.
-  if (staging_cursor_ + len > config_.staging_capacity) {
+  if (staging_cursor_ + len > kStagingCapacity) {
     staging_cursor_ = staging_floor_;
-    COWBIRD_CHECK(staging_cursor_ + len <= config_.staging_capacity);
+    COWBIRD_CHECK(staging_cursor_ + len <= kStagingCapacity);
   }
-  const std::uint64_t addr = config_.staging_base + staging_cursor_;
+  const std::uint64_t addr = staging_base_ + staging_cursor_;
   staging_cursor_ += static_cast<std::uint32_t>((len + 63) & ~Bytes{63});
   return addr;
 }
@@ -348,7 +351,7 @@ sim::Task<void> SpotAgent::MainLoop() {
     rdma::Cqe cqe = co_await completions_.Receive();
     // One CQ lock acquisition per wake-up; each drained CQE then pays its
     // marginal cost (wide ibv_poll_cq, as an event-driven agent would use).
-    co_await thread_.Work(config_.costs.poll_lock,
+    co_await thread_.Work(rdma::cost::kPollLock,
                           sim::CpuCategory::kCommunication);
     co_await HandleCompletion(cqe);
     while (auto more = completions_.TryReceive()) {
@@ -377,8 +380,7 @@ sim::Task<void> SpotAgent::ProbeAll() {
         static_cast<std::uint32_t>(inst.descriptor.layout.GreenBytesTotal()),
         true};
     co_await rdma::EnginePostBatchVerb(
-        thread_, config_.costs, *inst.to_compute,
-        std::span<const rdma::SendWqe>(&probe, 1));
+        thread_, *inst.to_compute, std::span<const rdma::SendWqe>(&probe, 1));
   }
 }
 
@@ -387,7 +389,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
   const auto kind = static_cast<CompletionKind>(cqe.wr_id >> kKindShift);
   if (kind != CompletionKind::kBatchTimer &&
       kind != CompletionKind::kResumeFlush) {
-    co_await thread_.Work(config_.costs.poll_cqe_each,
+    co_await thread_.Work(rdma::cost::kPollCqeEach,
                           sim::CpuCategory::kCommunication);
   }
   const auto instance_index =
@@ -455,8 +457,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
                        static_cast<std::uint16_t>(thread_index), token),
               op.staging_addr, dst.addr, dst.rkey, op.meta.length, true};
           co_await rdma::EnginePostBatchVerb(
-              thread_, config_.costs, *pool_qp,
-              std::span<const rdma::SendWqe>(&pw, 1));
+              thread_, *pool_qp, std::span<const rdma::SendWqe>(&pw, 1));
           break;
         }
       }
@@ -562,8 +563,7 @@ sim::Task<void> SpotAgent::StartMetaFetch(Instance& inst, int thread) {
       staging, layout.MetaSlotAddr(thread, ts.fetch_cursor),
       inst.descriptor.compute_rkey,
       static_cast<std::uint32_t>(count * core::kMetadataEntryBytes), true};
-  co_await rdma::EnginePostBatchVerb(thread_, config_.costs,
-                                     *inst.to_compute,
+  co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute,
                                      std::span<const rdma::SendWqe>(&fetch, 1));
 }
 
@@ -636,7 +636,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
     return batches.back().wqes;
   };
   for (auto& op : ts.ops) {
-    if (inflight >= config_.max_inflight_per_thread) break;
+    if (inflight >= kMaxInflightPerThread) break;
     if (op.state != OpState::kQueued) continue;
     if (op.meta.rw_type == core::RwType::kRead) {
       if (!config_.chaos_unsafe_skip_hazards &&
@@ -707,8 +707,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
   }
   for (auto& b : batches) {
     if (b.qp == nullptr) break;
-    co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *b.qp,
-                                       b.wqes);
+    co_await rdma::EnginePostBatchVerb(thread_, *b.qp, b.wqes);
   }
 }
 
@@ -717,7 +716,7 @@ void SpotAgent::ArmBatchTimer(Instance& inst, int thread) {
   if (ts.batch_timer.Pending()) return;
   const std::uint32_t instance_index = inst.index;
   ts.batch_timer = thread_.simulation().ScheduleCancelableAfter(
-      config_.batch_timeout, [this, instance_index, thread] {
+      kBatchTimeout, [this, instance_index, thread] {
         completions_.Send(rdma::Cqe{
             MakeWrId(CompletionKind::kBatchTimer, instance_index,
                      static_cast<std::uint16_t>(thread), 0),
@@ -777,7 +776,7 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
                   telemetry::OpPhase::kDone);
   }
   co_await thread_.Work(
-      static_cast<Nanos>(run.size()) * config_.costs.post_wqe_each,
+      static_cast<Nanos>(run.size()) * rdma::cost::kPostWqeEach,
       sim::CpuCategory::kCommunication);
 
   const std::uint32_t instance_index = inst.index;
@@ -813,8 +812,7 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
                     static_cast<std::uint32_t>(core::kRedBlockBytes),
                     /*signaled=*/false},
   };
-  co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *inst.to_compute,
-                                   chained);
+  co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute, chained);
   // More staged reads may already form the next batch.
   co_await FlushBatch(inst, thread, force);
 }
@@ -844,8 +842,8 @@ sim::Task<void> SpotAgent::WriteRedBlock(Instance& inst, int thread) {
       rdma::WqeOp::kWrite, 0, staging,
       inst.descriptor.layout.RedAddr(thread), inst.descriptor.compute_rkey,
       static_cast<std::uint32_t>(core::kRedBlockBytes), /*signaled=*/false};
-  co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *inst.to_compute,
-                                   std::span<const rdma::SendWqe>(&wqe, 1));
+  co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute,
+                                     std::span<const rdma::SendWqe>(&wqe, 1));
 }
 
 }  // namespace cowbird::spot

@@ -53,29 +53,31 @@ namespace cowbird::spot {
 
 class SpotAgent {
  public:
+  // Ceiling of the adaptive probe interval (Config::adaptive_probe).
+  static constexpr Nanos kProbeIntervalMax = Micros(64);
+  // Flush a non-empty batch after this long even if not full.
+  static constexpr Nanos kBatchTimeout = Micros(2);
+  // Staging memory on the spot node: agent k of the host stages in
+  // [kStagingStride * (k + 1), + kStagingCapacity).
+  static constexpr std::uint64_t kStagingStride = 0x4000'0000;
+  static constexpr Bytes kStagingCapacity = MiB(64);
+  // Per-thread cap on simultaneously executing operations.
+  static constexpr int kMaxInflightPerThread = 128;
+
   struct Config {
     Nanos probe_interval = Micros(2);
     // Section 5.2 ramp-up: "start at a low baseline rate and ramp up only
     // when activity is detected". When enabled, the interval doubles after
-    // idle probes (up to probe_interval_max) and snaps back to
+    // idle probes (up to kProbeIntervalMax) and snaps back to
     // probe_interval on activity.
     bool adaptive_probe = false;
-    Nanos probe_interval_max = Micros(64);
     // Maximum read results coalesced into one RDMA write to the compute
     // node. 1 disables batching (the "Cowbird (batching disabled)" series).
     int batch_size = 16;
-    // Flush a non-empty batch after this long even if not full.
-    Nanos batch_timeout = Micros(2);
-    // Staging memory base on the spot node.
-    std::uint64_t staging_base = 0x4000'0000;
-    Bytes staging_capacity = MiB(64);
-    // Per-thread cap on simultaneously executing operations.
-    int max_inflight_per_thread = 128;
     // TEST-ONLY: disables the read-after-write hazard fence (Section 5.3).
     // Exists so the chaos harness can prove its linearizability checker
     // catches a real consistency bug; never enable outside tests.
     bool chaos_unsafe_skip_hazards = false;
-    rdma::CostModel costs;
     // Optional telemetry hub: op lifecycle phases (parsed/execute/done),
     // probe spans, per-instance queue-depth gauges, and engine counters.
     // nullptr = telemetry off.
@@ -86,7 +88,10 @@ class SpotAgent {
   // P4 analogue, what fits in the PHV).
   static constexpr std::uint64_t kMetaFetchLimit = 64;
 
-  SpotAgent(rdma::Device& device, sim::Machine& machine, Config config);
+  // `index` numbers the agents of one spot host (0, 1, ...): it places the
+  // agent's staging arena and labels its telemetry series (agent=<index>).
+  SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
+            Config config);
   ~SpotAgent();
 
   // Registers an instance. `to_compute` must be a connected QP whose peer is
@@ -270,6 +275,8 @@ class SpotAgent {
   }
 
   rdma::Device* device_;
+  int index_;
+  std::uint64_t staging_base_;
   sim::SimThread thread_;
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;

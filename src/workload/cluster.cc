@@ -33,11 +33,10 @@ Cluster::Cluster(ClusterSpec spec, telemetry::Hub* hub)
   COWBIRD_CHECK(spec_.clients >= 1);
   switch_ = std::make_unique<net::Switch>(sim, spec_.switches);
 
-  const rdma::FabricParams fabric;
   for (int k = 0; k < spec_.clients; ++k) {
     auto host = std::make_unique<ClusterHost>(
         sim, "client" + std::to_string(k), static_cast<net::NodeId>(1 + k),
-        spec_.client_uplink, fabric.link_propagation);
+        spec_.client_uplink, kLinkPropagation);
     host->machine.emplace(sim, spec_.client_cores);
     clients_.push_back(host.get());
     hosts_.push_back(std::move(host));
@@ -50,8 +49,8 @@ Cluster::Cluster(ClusterSpec spec, telemetry::Hub* hub)
     auto host = std::make_unique<ClusterHost>(
         sim, std::move(name), static_cast<net::NodeId>(1 + spec_.clients + i),
         kind == ClusterSpec::Host::kBystander ? kBystanderRate
-                                              : fabric.host_link,
-        fabric.link_propagation);
+                                              : kHostLinkRate,
+        kLinkPropagation);
     switch (kind) {
       case ClusterSpec::Host::kMemory:
         host->machine.emplace(sim, kMemoryCores);
@@ -151,14 +150,14 @@ spot::SpotAgent& Cluster::AddSpotAgent(spot::SpotAgent::Config config) {
   config.telemetry = hub_;
   spot_machines_.push_back(std::make_unique<sim::Machine>(sim, 1));
   agents_.push_back(std::make_unique<spot::SpotAgent>(
-      *spot().dev, *spot_machines_.back(), config));
+      *spot().dev, *spot_machines_.back(), static_cast<int>(agents_.size()),
+      config));
   return *agents_.back();
 }
 
 p4::CowbirdP4Engine& Cluster::AddP4Engine(p4::CowbirdP4Engine::Config config) {
   COWBIRD_CHECK(p4_ == nullptr);
   config.telemetry = hub_;
-  p4_switch_id_ = config.switch_node_id;
   p4_ = std::make_unique<p4::CowbirdP4Engine>(*switch_, config);
   return *p4_;
 }
@@ -188,8 +187,8 @@ void Cluster::AttachP4(const core::CowbirdClient& client,
                        const offload::InstanceProgress* resume) {
   const std::vector<rdma::Device*> devices = MemoryDevices(memories);
   const p4::P4Connection conn = p4::ConnectP4Engine(
-      *p4_, p4_switch_id_, *client_at(client.descriptor().compute_node).dev,
-      devices, qpn_base);
+      *p4_, *client_at(client.descriptor().compute_node).dev, devices,
+      qpn_base);
   p4_->AddInstance(client.descriptor(), conn, resume);
 }
 

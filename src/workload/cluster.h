@@ -45,6 +45,11 @@
 
 namespace cowbird::workload {
 
+// Testbed-wide constants (Section 7): 100 Gbps ConnectX-5 NICs, one switch.
+inline constexpr BitRate kHostLinkRate = BitRate::Gbps(100);
+inline constexpr Nanos kLinkPropagation = 150;  // rack-scale cabling
+inline constexpr Nanos kSwitchPipeline = 300;   // Tofino ingress-to-egress
+
 struct ClusterSpec {
   // Hosts after the clients, attached to the switch in this order. A
   // memory server gets 8 cores; the spot host gets one 1-core machine per
@@ -54,11 +59,10 @@ struct ClusterSpec {
 
   int clients = 1;
   int client_cores = 16;
-  BitRate client_uplink = BitRate::Gbps(100);
+  BitRate client_uplink = kHostLinkRate;
   std::vector<Host> hosts = {Host::kMemory, Host::kSpot};
   // The switch's queues, ECN and PFC, and every NIC's Go-Back-N and DCQCN.
-  net::Switch::Config switches{
-      .pipeline_latency = rdma::FabricParams{}.switch_pipeline};
+  net::Switch::Config switches{.pipeline_latency = kSwitchPipeline};
   rdma::NicConfig nic;
 };
 
@@ -120,7 +124,8 @@ class Cluster {
   // ---- clients and engines -----------------------------------------------
   // A Cowbird client on client host `k`.
   core::CowbirdClient& AddClient(int k, core::CowbirdClient::Config config);
-  // A spot agent on a fresh 1-core machine of the spot host.
+  // A spot agent on a fresh 1-core machine of the spot host. The k-th agent
+  // added gets index k (its staging arena and telemetry label).
   spot::SpotAgent& AddSpotAgent(spot::SpotAgent::Config config);
   // The P4 engine, installed as the switch's processor.
   p4::CowbirdP4Engine& AddP4Engine(p4::CowbirdP4Engine::Config config);
@@ -169,7 +174,6 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Machine>> spot_machines_;
   std::vector<std::unique_ptr<spot::SpotAgent>> agents_;
   std::unique_ptr<p4::CowbirdP4Engine> p4_;
-  net::NodeId p4_switch_id_ = 0;
   std::uint32_t p4_next_qpn_ = 0x800;
   // The QPs each crash-mode (agent, instance) attach made.
   std::map<std::pair<const spot::SpotAgent*, std::uint32_t>,

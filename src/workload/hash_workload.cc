@@ -14,7 +14,6 @@
 #include "net/flow.h"
 #include "p4/engine.h"
 #include "workload/cluster.h"
-#include "workload/generator.h"
 
 namespace cowbird::workload {
 
@@ -66,17 +65,16 @@ struct Harness {
       case Paradigm::kLocalMemory:
         break;
       case Paradigm::kAifm:
-        aifm = std::make_unique<baselines::AifmModel>(
-            cluster.sim, baselines::AifmModel::Config{});
+        aifm = std::make_unique<baselines::AifmModel>(cluster.sim);
         break;
       case Paradigm::kTwoSidedSync: {
-        server = std::make_unique<baselines::TwoSidedServer>(
-            *memory.dev, *memory.machine, cfg.costs);
+        server = std::make_unique<baselines::TwoSidedServer>(*memory.dev,
+                                                             *memory.machine);
         for (int t = 0; t < cfg.threads; ++t) {
           auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           server->Serve(pair.b, pair.b_recv_cq, t);
           rpc_clients.push_back(std::make_unique<baselines::TwoSidedClient>(
-              *compute.dev, pair.a, pair.a_recv_cq, cfg.costs, t));
+              *compute.dev, pair.a, pair.a_recv_cq, t));
         }
         break;
       }
@@ -87,8 +85,8 @@ struct Harness {
           baselines::OneSidedEndpoint ep{pair.a, pair.a_send_cq,
                                          pool_mr->rkey};
           endpoints.push_back(ep);
-          pipelines.push_back(std::make_unique<baselines::AsyncPipeline>(
-              ep, cfg.costs, cfg.window));
+          pipelines.push_back(
+              std::make_unique<baselines::AsyncPipeline>(ep, cfg.window));
         }
         break;
       }
@@ -101,7 +99,6 @@ struct Harness {
         cc.layout.meta_slots = 4096;
         cc.layout.data_capacity = MiB(1);
         cc.layout.resp_capacity = MiB(1);
-        cc.costs = cfg.costs;
         client = &cluster.AddClient(0, cc);
         client->RegisterRegion(core::RegionInfo{
             kRegion, memory.id(), kPoolBase, pool_mr->rkey, pool_bytes});
@@ -113,7 +110,6 @@ struct Harness {
           break;
         }
         spot::SpotAgent::Config ac = cfg.agent;
-        ac.costs = cfg.costs;
         if (cfg.paradigm == Paradigm::kCowbirdNoBatch) ac.batch_size = 1;
         agent = &cluster.AddSpotAgent(ac);
         cluster.AttachSpot(*agent, *client);
@@ -122,9 +118,6 @@ struct Harness {
       }
     }
 
-    if (cfg.zipfian) {
-      zipf = std::make_unique<ZipfianGenerator>(cfg.records, cfg.zipf_theta);
-    }
     if (cfg.loss_rate > 0) {
       net::Link* lossy[] = {
           &cluster.sw().EgressLink(compute.nic.switch_port()),
@@ -146,11 +139,6 @@ struct Harness {
   }
   std::uint64_t HeapFor(int t) const { return kHeapBase + t * kHeapStride; }
 
-  std::uint64_t NextKey(Rng& rng) const {
-    if (cfg.zipfian) return zipf->NextScrambled(rng);
-    return rng.Below(cfg.records);
-  }
-
   HashWorkloadConfig cfg;
   Cluster cluster;
   const rdma::MemoryRegion* pool_mr = nullptr;
@@ -158,7 +146,6 @@ struct Harness {
   spot::SpotAgent* agent = nullptr;
   std::unique_ptr<baselines::TwoSidedServer> server;
   std::unique_ptr<baselines::AifmModel> aifm;
-  std::unique_ptr<ZipfianGenerator> zipf;
   std::unique_ptr<Rng> loss_rng;
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<baselines::TwoSidedClient>> rpc_clients;
@@ -172,12 +159,12 @@ sim::Task<void> AppProbeWork(Harness& h, sim::SimThread& thread) {
   co_await thread.Work(h.cfg.app_compute, sim::CpuCategory::kCompute);
 }
 sim::Task<void> AppConsumeWork(Harness& h, sim::SimThread& thread) {
-  co_await thread.Work(h.cfg.costs.CopyCost(h.cfg.record_size),
+  co_await thread.Work(rdma::cost::CopyCost(h.cfg.record_size),
                        sim::CpuCategory::kCompute);
 }
 sim::Task<void> LocalAccessWork(Harness& h, sim::SimThread& thread) {
   co_await thread.Work(
-      h.cfg.costs.local_access + h.cfg.costs.CopyCost(h.cfg.record_size),
+      rdma::cost::kLocalAccess + rdma::cost::CopyCost(h.cfg.record_size),
       sim::CpuCategory::kCompute);
 }
 
@@ -187,7 +174,7 @@ sim::Task<void> DriveSync(Harness& h, int t) {
   const std::uint64_t local_keys = h.LocalKeyCount();
   const std::uint64_t dest = h.HeapFor(t);
   for (;;) {
-    const std::uint64_t key = h.NextKey(rng);
+    const std::uint64_t key = rng.Below(h.cfg.records);
     co_await AppProbeWork(h, thread);
     if (key < local_keys) {
       co_await LocalAccessWork(h, thread);
@@ -196,7 +183,7 @@ sim::Task<void> DriveSync(Harness& h, int t) {
       switch (h.cfg.paradigm) {
         case Paradigm::kOneSidedSync:
           co_await baselines::SyncRead(
-              thread, h.cfg.costs, h.endpoints[t], remote, dest,
+              thread, h.endpoints[t], remote, dest,
               static_cast<std::uint32_t>(h.cfg.record_size));
           break;
         case Paradigm::kTwoSidedSync:
@@ -221,7 +208,7 @@ sim::Task<void> DriveLocal(Harness& h, int t) {
   sim::SimThread& thread = *h.threads[t];
   Rng rng(h.cfg.seed * 7919 + t);
   for (;;) {
-    (void)h.NextKey(rng);
+    (void)rng.Below(h.cfg.records);
     co_await AppProbeWork(h, thread);
     co_await LocalAccessWork(h, thread);
     ++h.ops[t];
@@ -235,7 +222,7 @@ sim::Task<void> DriveOneSidedAsync(Harness& h, int t) {
   const std::uint64_t local_keys = h.LocalKeyCount();
   for (;;) {
     if (pipeline.CanIssue()) {
-      const std::uint64_t key = h.NextKey(rng);
+      const std::uint64_t key = rng.Below(h.cfg.records);
       co_await AppProbeWork(h, thread);
       if (key < local_keys) {
         co_await LocalAccessWork(h, thread);
@@ -271,7 +258,7 @@ sim::Task<void> DriveCowbird(Harness& h, int t) {
   int outstanding = 0;
   for (;;) {
     if (outstanding < h.cfg.window) {
-      const std::uint64_t key = h.NextKey(rng);
+      const std::uint64_t key = rng.Below(h.cfg.records);
       co_await AppProbeWork(h, thread);
       if (key < local_keys) {
         co_await LocalAccessWork(h, thread);
@@ -403,7 +390,6 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
   base.local_fraction = 0.0;  // every op goes remote
   base.window = config.inflight;
   base.agent = config.agent;
-  base.costs = config.costs;
   base.telemetry = config.telemetry;
   Harness h(base, ClusterSpec{});
 
@@ -420,7 +406,7 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
       for (int i = 0; i < cfg.samples; ++i) {
         const Nanos begin = hh.cluster.sim.Now();
         const std::uint64_t key = rng.Below(hh.cfg.records);
-        co_await baselines::SyncRead(thread, cfg.costs, hh.endpoints[0],
+        co_await baselines::SyncRead(thread, hh.endpoints[0],
                                      kPoolBase + key * cfg.record_size,
                                      hh.HeapFor(0), len);
         out.Add(static_cast<double>(hh.cluster.sim.Now() - begin));
@@ -527,7 +513,7 @@ ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
   for (int i = 0; i < tcp_flows; ++i) {
     flows.push_back(std::make_unique<net::GreedyFlow>(
         h.cluster.client(0).nic, h.cluster.bystander().nic,
-        static_cast<std::uint16_t>(i), net::GreedyFlow::Config{}));
+        static_cast<std::uint16_t>(i)));
   }
 
   h.cluster.sim.RunFor(config.warmup);

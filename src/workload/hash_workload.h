@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "common/units.h"
-#include "rdma/params.h"
 #include "spot/agent.h"
 #include "telemetry/hub.h"
 
@@ -43,8 +42,6 @@ struct HashWorkloadConfig {
   Nanos warmup = Micros(300);
   Nanos measure = Millis(2);
   std::uint64_t seed = 1;
-  bool zipfian = false;
-  double zipf_theta = 0.99;
   // Fraction of operations that are remote *writes* (ablation: write
   // interference with the two engines' read-fencing policies).
   double write_fraction = 0.0;
@@ -52,7 +49,6 @@ struct HashWorkloadConfig {
   // Go-Back-N recovery cost).
   double loss_rate = 0.0;
   spot::SpotAgent::Config agent;  // Cowbird engine knobs (batch_size etc.)
-  rdma::CostModel costs;
   // Optional telemetry hub: the tracer clock is re-seated onto the run's
   // private simulation, the client and engines are instrumented, and the
   // testbed's devices and fabric links are bound as labeled gauges. The
@@ -99,7 +95,6 @@ struct LatencyProbeConfig {
   int inflight = 1;  // >1 for the batched/async variants
   int samples = 2000;
   spot::SpotAgent::Config agent;
-  rdma::CostModel costs;
   telemetry::Hub* telemetry = nullptr;  // see HashWorkloadConfig::telemetry
 };
 

@@ -101,7 +101,6 @@ struct ScaleHarness {
       cc.layout.meta_slots = 4096;
       cc.layout.data_capacity = MiB(1);
       cc.layout.resp_capacity = MiB(1);
-      cc.costs = cfg.costs;
       clients.push_back(&cluster.AddClient(k, cc));
       const int server = ServerFor(cfg, k);
       if (cfg.migrate && k == 0) {
@@ -140,9 +139,7 @@ struct ScaleHarness {
       p4_engine->Start();
     } else {
       COWBIRD_CHECK(cfg.paradigm == Paradigm::kCowbird);
-      spot::SpotAgent::Config ac = cfg.agent;
-      ac.costs = cfg.costs;
-      agent = &cluster.AddSpotAgent(ac);
+      agent = &cluster.AddSpotAgent(cfg.agent);
       for (int k = 0; k < cfg.clients; ++k) {
         cluster.AttachSpot(*agent, *clients[static_cast<std::size_t>(k)],
                            memories_for(k));
@@ -179,8 +176,6 @@ struct ScaleHarness {
             pool.PlanMove(kRegion, kPoolBase, cluster.memory(1).id());
         COWBIRD_CHECK(migrate_plan.has_value());
         core::RegionMigrator::Config mc;
-        mc.chunk = cfg.migrate_chunk;
-        mc.window = cfg.migrate_window;
         mc.telemetry = cfg.telemetry;
         migrator = std::make_unique<core::RegionMigrator>(
             *cluster.memory(0).dev, *migrate_qp.a, *migrate_qp.a_send_cq,
@@ -318,7 +313,7 @@ sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
       }
     }
     for (std::size_t i = 0; i < done.size(); ++i) {
-      co_await thread.Work(h.cfg.costs.CopyCost(h.cfg.record_size),
+      co_await thread.Work(rdma::cost::CopyCost(h.cfg.record_size),
                            sim::CpuCategory::kCompute);
       ++counter;
     }

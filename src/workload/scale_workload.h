@@ -34,7 +34,6 @@ struct ScaleWorkloadConfig {
   Nanos measure = Millis(1);
   std::uint64_t seed = 1;
   spot::SpotAgent::Config agent;
-  rdma::CostModel costs;
   // Optional telemetry: every client, engine and fabric object of the run is
   // bound to this hub; the final metric state comes back in
   // ScaleWorkloadResult::telemetry.
@@ -61,12 +60,11 @@ struct ScaleWorkloadConfig {
   // allocated from a ClusterPool on memory server 0 and, at `migrate_start`
   // (absolute sim time, warmup included), live-migrated to memory server 1
   // while every client keeps issuing — copy pass, cutover, re-attach, all
-  // under the foreground read traffic. Off by default; a non-migrating run
-  // is byte-identical to a pre-rebalance build.
+  // under the foreground read traffic, with the RegionMigrator's default
+  // chunking. Off by default; a non-migrating run is byte-identical to a
+  // pre-rebalance build.
   bool migrate = false;
   Nanos migrate_start = Micros(400);
-  Bytes migrate_chunk = KiB(64);
-  int migrate_window = 4;  // outstanding copy WRITEs
 };
 
 struct ScaleWorkloadResult {

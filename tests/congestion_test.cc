@@ -28,6 +28,7 @@
 #include "rdma/qp.h"
 #include "sim/simulation.h"
 #include "test_seed.h"
+#include "workload/cluster.h"
 #include "workload/scale_workload.h"
 
 namespace cowbird {
@@ -52,7 +53,6 @@ struct CongestedFabric {
   static constexpr int kHosts = 5;
 
   sim::Simulation sim;
-  rdma::FabricParams fabric;
   rdma::NicConfig nic_config;
   net::Switch sw;
   std::vector<std::unique_ptr<net::HostNic>> nics;
@@ -83,13 +83,13 @@ struct CongestedFabric {
                     // turns the run into an RTO cycle instead of a pacing
                     // equilibrium. Marking still starts at 16 KiB.
                     .egress_queue_capacity = KiB(512),
-                    .pipeline_latency = fabric.switch_pipeline,
+                    .pipeline_latency = workload::kSwitchPipeline,
                     .ecn_threshold = KiB(16),
                 }) {
     for (int h = 0; h < kHosts; ++h) {
       nics.push_back(std::make_unique<net::HostNic>(
-          sim, static_cast<net::NodeId>(h + 1), fabric.host_link,
-          fabric.link_propagation));
+          sim, static_cast<net::NodeId>(h + 1), workload::kHostLinkRate,
+          workload::kLinkPropagation));
       mems.push_back(std::make_unique<SparseMemory>());
       devs.push_back(
           std::make_unique<rdma::Device>(*nics[h], *mems[h], nic_config));

@@ -292,11 +292,10 @@ TEST_F(ClientTest, IssueChargesCowbirdPostNotVerbs) {
     (void)co_await client_->thread(0).AsyncRead(*thread_, kRegion, 0, kHeap,
                                                 8);
   });
-  rdma::CostModel costs;
   EXPECT_EQ(thread_->TimeIn(sim::CpuCategory::kCommunication),
-            costs.cowbird_post);
+            rdma::cost::kCowbirdPost);
   EXPECT_LT(thread_->TimeIn(sim::CpuCategory::kCommunication),
-            costs.PostTotal() / 5);
+            rdma::cost::PostTotal() / 5);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ using workload::Cluster;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
-constexpr net::NodeId kSwitchId = 100;
 
 TEST(SpotMultiInstance, TwoClientsOneAgent) {
   Cluster f{workload::ClusterSpec{}};
@@ -106,14 +105,14 @@ TEST(AdaptiveProbe, SpotBacksOffWhenIdleAndSnapsBack) {
   spot::SpotAgent::Config ac;
   ac.adaptive_probe = true;
   ac.probe_interval = Micros(2);
-  ac.probe_interval_max = Micros(64);
   spot::SpotAgent& agent = f.AddSpotAgent(ac);
   f.AttachSpot(agent, client);
   agent.Start();
 
   // Idle for a while: the interval must ramp to the maximum.
   f.sim.RunFor(Millis(1));
-  EXPECT_EQ(agent.current_probe_interval(), Micros(64));
+  EXPECT_EQ(agent.current_probe_interval(),
+            spot::SpotAgent::kProbeIntervalMax);
   const auto idle_probes = agent.probes_sent();
   // Far fewer probes than the 500 a fixed 2 us interval would have sent.
   EXPECT_LT(idle_probes, 60u);
@@ -140,9 +139,7 @@ TEST(AdaptiveProbe, P4BacksOffWhenIdle) {
   CowbirdClient& client = f.AddClient(0, testing::SmallRings(1));
   client.RegisterRegion(pool);
   p4::CowbirdP4Engine::Config ec;
-  ec.switch_node_id = kSwitchId;
   ec.adaptive_probe = true;
-  ec.probe_interval_max = Micros(64);
   p4::CowbirdP4Engine& engine = f.AddP4Engine(ec);
   f.AttachP4(client, 0x800);
   engine.Start();

@@ -18,10 +18,9 @@ class StoreTest : public ::testing::Test {
     FasterStore::Config sc;
     sc.index_buckets = 1 << 12;
     sc.memory_budget = KiB(64);
-    sc.spill_page = KiB(32);
     store = std::make_unique<FasterStore>(cluster.client(0).mem, sc);
-    device = std::make_unique<LocalMemoryDevice>(
-        cluster.client(0).mem, kDeviceBase, rdma::CostModel{});
+    device =
+        std::make_unique<LocalMemoryDevice>(cluster.client(0).mem, kDeviceBase);
     thread = std::make_unique<sim::SimThread>(*cluster.client(0).machine, "t");
   }
 

@@ -35,12 +35,8 @@ class MultiEngineTest : public testing::ClusterTest {
  public:
   MultiEngineTest() {
     const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
-    SpotAgent::Config config_a;
-    config_a.staging_base = 0x4000'0000;
-    SpotAgent::Config config_b;
-    config_b.staging_base = 0x8000'0000;
-    agent_a_ = &f_.AddSpotAgent(config_a);
-    agent_b_ = &f_.AddSpotAgent(config_b);
+    agent_a_ = &f_.AddSpotAgent(SpotAgent::Config{});
+    agent_b_ = &f_.AddSpotAgent(SpotAgent::Config{});
 
     for (const std::uint64_t layout_base : {0x10000, 0x800000}) {
       clients_.push_back(

@@ -267,7 +267,7 @@ TEST_F(StarFixture, EgressTailDropWhenFull) {
 }
 
 TEST_F(StarFixture, GreedyFlowSaturatesBottleneck) {
-  GreedyFlow flow(host_a_, host_c_, 0, GreedyFlow::Config{});
+  GreedyFlow flow(host_a_, host_c_, 0);
   flow.Start();
   sim_.RunFor(Millis(2));
   // Host C's link is 25 Gbps; payload goodput should be close to line rate
@@ -277,8 +277,8 @@ TEST_F(StarFixture, GreedyFlowSaturatesBottleneck) {
 }
 
 TEST_F(StarFixture, TwoFlowsShareBottleneckFairly) {
-  GreedyFlow f1(host_a_, host_c_, 0, GreedyFlow::Config{});
-  GreedyFlow f2(host_b_, host_c_, 1, GreedyFlow::Config{});
+  GreedyFlow f1(host_a_, host_c_, 0);
+  GreedyFlow f2(host_b_, host_c_, 1);
   f1.Start();
   f2.Start();
   sim_.RunFor(Millis(4));

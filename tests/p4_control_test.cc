@@ -16,7 +16,6 @@ using core::ReqId;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 TEST(ControlMessage, SetupRoundTrip) {
   ControlMessage m;
@@ -77,18 +76,14 @@ TEST(ControlMessage, GarbageRejected) {
 class ControlPlaneTest : public ::testing::Test {
  public:
   ControlPlaneTest()
-      : engine_(f_.AddP4Engine([] {
-          CowbirdP4Engine::Config c;
-          c.switch_node_id = kSwitchId;
-          return c;
-        }())),
-        server_(engine_, f_.sw(), kSwitchId),
-        rpc_(f_.client(0).nic, kSwitchId) {
+      : engine_(f_.AddP4Engine(CowbirdP4Engine::Config{})),
+        server_(engine_, f_.sw()),
+        rpc_(f_.client(0).nic) {
     const core::RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
     client_ = &f_.AddClient(0, testing::SmallRings(1));
     client_->RegisterRegion(pool);
-    conn_ = ConnectP4Engine(engine_, kSwitchId, *f_.client(0).dev,
-                            *f_.memory(0).dev, 0x800);
+    conn_ = ConnectP4Engine(engine_, *f_.client(0).dev, *f_.memory(0).dev,
+                            0x800);
     engine_.Start();
   }
 

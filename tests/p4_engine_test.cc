@@ -18,7 +18,6 @@ using testing::Pattern;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 class P4EngineTest : public testing::ClusterTest {
  public:
@@ -26,9 +25,7 @@ class P4EngineTest : public testing::ClusterTest {
     const RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
     client_ = &f_.AddClient(0, testing::SmallRings(2));
     client_->RegisterRegion(pool);
-    CowbirdP4Engine::Config ec;
-    ec.switch_node_id = kSwitchId;
-    engine_ = &f_.AddP4Engine(ec);
+    engine_ = &f_.AddP4Engine(CowbirdP4Engine::Config{});
     f_.AttachP4(*client_, 0x800);
     engine_->Start();
   }
@@ -53,9 +50,9 @@ TEST_F(P4EngineTest, ReadFetchesPoolDataWithZeroComputeCpu) {
   // The compute node spent only Cowbird-API time (one issue + a handful of
   // completion checks while waiting) — far less than even two verb posts,
   // let alone a sync RDMA spin of the same duration (~4 us ≈ 4000 ns).
-  rdma::CostModel costs;
   EXPECT_LT(app_thread_->TimeIn(sim::CpuCategory::kCommunication),
-            costs.PostTotal() + 15 * costs.cowbird_poll + 10 * costs.llc_access);
+            rdma::cost::PostTotal() + 15 * rdma::cost::kCowbirdPoll +
+                10 * rdma::cost::kLlcAccess);
 }
 
 TEST_F(P4EngineTest, WriteLandsInPool) {
@@ -217,17 +214,28 @@ TEST_F(P4EngineTest, SurvivesPacketLossViaGoBackN) {
 }
 
 TEST_F(P4EngineTest, ResourceSpecMatchesTable5Shape) {
+  // The paper's program (no range table): Table 5's PHV 1085 b, SRAM
+  // 1424 KB, TCAM 1.28 KB, 12 stages, 38 VLIW, 11 sALU at 32 ports.
+  const auto paper =
+      BuildCowbirdP4Spec(P4SpecParams{.translation_ranges = 0}).Sum();
+  EXPECT_EQ(paper.phv_bits, 1085);
+  EXPECT_EQ(paper.stages, 12);
+  EXPECT_EQ(paper.vliw_instructions, 38);
+  EXPECT_EQ(paper.stateful_alus, 11);
+  EXPECT_NEAR(paper.sram_kib, 1424.0, 30.0);
+  EXPECT_NEAR(paper.tcam_kib, 1.28, 0.05);
+  // The full pipeline adds the elastic-pool ig3_range_translate stage
+  // (DESIGN.md §14): +1 stage, +3 VLIW, +2.5 KiB SRAM, +2.5 KiB TCAM.
   const P4PipelineSpec spec = BuildCowbirdP4Spec(P4SpecParams{});
   const auto totals = spec.Sum();
-  // Table 5 (PHV 1085 b, SRAM 1424 KB, TCAM 1.28 KB, 12 stages, 38 VLIW,
-  // 11 sALU at 32 ports) plus the elastic-pool ig3_range_translate stage
-  // (DESIGN.md §14): +1 stage, +3 VLIW, +2.5 KiB SRAM, +2.5 KiB TCAM.
   EXPECT_EQ(totals.phv_bits, 1085);
   EXPECT_EQ(totals.stages, 13);
   EXPECT_EQ(totals.vliw_instructions, 41);
   EXPECT_EQ(totals.stateful_alus, 11);
   EXPECT_NEAR(totals.sram_kib, 1426.5, 30.0);
   EXPECT_NEAR(totals.tcam_kib, 3.78, 0.05);
+  EXPECT_DOUBLE_EQ(totals.sram_kib - paper.sram_kib, 2.5);
+  EXPECT_DOUBLE_EQ(totals.tcam_kib - paper.tcam_kib, 2.5);
 }
 
 // Two instances share one switch: TDM probing must serve both.
@@ -235,9 +243,7 @@ TEST(P4MultiInstance, TimeDivisionMultiplexing) {
   workload::Cluster f{workload::ClusterSpec{}};
   const RegionInfo pool = testing::PoolRegion(f, kPoolBase, MiB(64));
 
-  CowbirdP4Engine::Config ec;
-  ec.switch_node_id = kSwitchId;
-  CowbirdP4Engine& engine = f.AddP4Engine(ec);
+  CowbirdP4Engine& engine = f.AddP4Engine(CowbirdP4Engine::Config{});
 
   std::vector<CowbirdClient*> clients;
   for (int i = 0; i < 2; ++i) {

@@ -129,23 +129,6 @@ TEST(PoolDeathTest, StaleGenerationIsCaughtNotAliased) {
   EXPECT_DEATH(pool.Release(a), "CHECK failed");
 }
 
-TEST(Arena, ResetReclaimsAndReusesTheSameStorage) {
-  BufferArena arena(128);
-  std::uint8_t* first = arena.Alloc(100);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(arena.used(), 100u);
-
-  // Over capacity: nullptr, counted, nothing corrupted.
-  EXPECT_EQ(arena.Alloc(64), nullptr);
-  EXPECT_EQ(arena.stats().exhausted_total, 1u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.used(), 0u);
-  std::uint8_t* again = arena.Alloc(100);
-  EXPECT_EQ(again, first);  // same storage, no new allocation
-  EXPECT_EQ(arena.stats().high_water, 100u);
-}
-
 TEST(FixedDeque, FifoOrderAndGrowth) {
   FixedDeque<int> dq(2);
   for (int i = 0; i < 100; ++i) dq.push_back(i);

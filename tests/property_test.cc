@@ -30,7 +30,6 @@ using core::ReqId;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 enum class Engine { kSpot, kP4 };
 
@@ -57,9 +56,7 @@ struct EngineHarness {
       fabric.AttachSpot(agent, *client);
       agent.Start();
     } else {
-      p4::CowbirdP4Engine::Config ec;
-      ec.switch_node_id = kSwitchId;
-      fabric.AddP4Engine(ec);
+      fabric.AddP4Engine(p4::CowbirdP4Engine::Config{});
       fabric.AttachP4(*client, 0x800);
       fabric.p4().Start();
     }

@@ -505,27 +505,25 @@ TEST_F(QpFaultTest, RandomDupReorderLossManyOpsAllComplete) {
 // ---------------------------------------------------------------------------
 
 TEST_F(QpTest, VerbWrappersChargeCommunicationTime) {
-  CostModel costs;
   sim::SimThread thread(*f_.client(0).machine, "app");
   const auto data = Pattern(64, 12);
   f_.memory(0).mem.Write(remote_mr_->base, data);
 
   bool done = false;
   f_.sim.Spawn([](QueuePair& qp, CompletionQueue& cq, const MemoryRegion* mr,
-                  sim::SimThread& thr, const CostModel& cm,
-                  bool& flag) -> sim::Task<void> {
+                  sim::SimThread& thr, bool& flag) -> sim::Task<void> {
     co_await PostSendVerb(
-        thr, cm, qp,
+        thr, qp,
         SendWqe{WqeOp::kRead, 1, 0x9000, mr->base, mr->rkey, 64, true});
-    const Cqe cqe = co_await BusyPollCqVerb(thr, cm, cq);
+    const Cqe cqe = co_await BusyPollCqVerb(thr, cq);
     flag = cqe.status == CqeStatus::kSuccess;
-  }(*pair_.a, *pair_.a_send_cq, remote_mr_, thread, costs, done));
+  }(*pair_.a, *pair_.a_send_cq, remote_mr_, thread, done));
   f_.sim.Run();
 
   EXPECT_TRUE(done);
   // Post charged exactly PostTotal; busy poll charged at least one PollTotal.
   EXPECT_GE(thread.TimeIn(sim::CpuCategory::kCommunication),
-            costs.PostTotal() + costs.PollTotal());
+            cost::PostTotal() + cost::PollTotal());
   EXPECT_EQ(thread.TimeIn(sim::CpuCategory::kCompute), 0);
 }
 

@@ -5,8 +5,10 @@
 // and PollWait success. Checked against both engines.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,7 +29,6 @@ using testing::Pattern;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
 constexpr std::uint16_t kRegion = 1;
-constexpr net::NodeId kSwitchId = 100;
 
 // Issue timestamp and observed completion timestamp of one op.
 struct OpTiming {
@@ -110,9 +111,8 @@ class SpotBreakdownTest : public BreakdownTestBase {
 class P4BreakdownTest : public BreakdownTestBase {
  public:
   P4BreakdownTest() {
-    p4::CowbirdP4Engine::Config ec;
-    ec.switch_node_id = kSwitchId;
-    p4::CowbirdP4Engine& engine = f_.AddP4Engine(ec);
+    p4::CowbirdP4Engine& engine =
+        f_.AddP4Engine(p4::CowbirdP4Engine::Config{});
     f_.AttachP4(*client_, 0x800);
     engine.Start();
   }
@@ -158,7 +158,7 @@ TEST_F(SpotBreakdownTest, BackToBackOpsEachTileExactly) {
   CheckExactBreakdown(r2, false, 2);
   // The engine-side counters surfaced through the registry agree.
   const Snapshot snap = hub_.metrics.TakeSnapshot();
-  const std::string labels = "{engine=spot,node=3}";
+  const std::string labels = "{agent=0,engine=spot,node=3}";
   EXPECT_EQ(snap.GaugeValue("engine_ops_completed" + labels), 3);
 }
 
@@ -189,6 +189,42 @@ TEST_F(P4BreakdownTest, WriteLatencyEqualsSumOfSegments) {
   const OpBreakdown* op = hub_.tracer.FindOp(key);
   ASSERT_NE(op, nullptr);
   EXPECT_EQ(op->Segment(1), 0);
+}
+
+// Two agents share the spot host (the migration standby layout): each keeps
+// its own engine series, so the one serving the client reports its work
+// and destroying either leaves the other's series registered.
+TEST(SpotAgentTelemetry, TwoAgentsOnOneHostKeepSeparateSeries) {
+  Hub hub([] { return Nanos{0}; });
+  workload::Cluster f{workload::ClusterSpec{}, &hub};
+  const RegionInfo pool = testing::PoolRegion(f, kPoolBase, MiB(16));
+  CowbirdClient& client = f.AddClient(0, testing::SmallRings(1));
+  client.RegisterRegion(pool);
+  spot::SpotAgent& serving = f.AddSpotAgent(spot::SpotAgent::Config{});
+  spot::SpotAgent& standby = f.AddSpotAgent(spot::SpotAgent::Config{});
+  f.AttachSpot(serving, client);
+  serving.Start();
+  standby.Start();
+
+  sim::SimThread thread(*f.client(0).machine, "app");
+  f.sim.Spawn([](workload::Cluster& ff, CowbirdClient& cl,
+                 sim::SimThread& thr) -> sim::Task<void> {
+    for (int i = 0; i < 100; ++i) {
+      (void)co_await testing::ReadAndWait(ff, cl, 0, thr, i * 64, 64, kHeap);
+    }
+    ff.sim.Halt();
+  }(f, client, thread));
+  f.sim.Run();
+  ASSERT_EQ(serving.ops_completed(), 100u);
+
+  std::int64_t spot_ops = 0;
+  for (const auto& entry : f.TakeSnapshot().gauges) {
+    if (entry.key.starts_with("engine_ops_completed{") &&
+        entry.key.find("engine=spot") != std::string::npos) {
+      spot_ops += entry.value;
+    }
+  }
+  EXPECT_EQ(spot_ops, 100);
 }
 
 }  // namespace

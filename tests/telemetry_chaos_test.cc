@@ -19,10 +19,10 @@
 namespace cowbird::chaos {
 namespace {
 
-// Sums one link gauge family ("link_faults_dropped", ...) across all links
-// in the snapshot.
-std::uint64_t SumLinkGauge(const telemetry::Snapshot& snap,
-                           const std::string& family) {
+// Sums one gauge family ("link_faults_dropped", ...) across all its series
+// in the snapshot (every link, every engine).
+std::uint64_t SumGauge(const telemetry::Snapshot& snap,
+                       const std::string& family) {
   std::uint64_t sum = 0;
   bool found = false;
   const std::string prefix = family + "{";
@@ -56,18 +56,21 @@ TEST(TelemetryChaos, LinkGaugesMatchInjectorAuditExactly) {
   EXPECT_GT(result.faults_injected, 0u);
 
   const telemetry::Snapshot& snap = result.telemetry;
-  EXPECT_EQ(SumLinkGauge(snap, "link_faults_dropped"),
+  EXPECT_EQ(SumGauge(snap, "link_faults_dropped"),
             result.decided_dropped);
-  EXPECT_EQ(SumLinkGauge(snap, "link_faults_duplicated"),
+  EXPECT_EQ(SumGauge(snap, "link_faults_duplicated"),
             result.decided_duplicated);
-  EXPECT_EQ(SumLinkGauge(snap, "link_faults_reordered"),
+  EXPECT_EQ(SumGauge(snap, "link_faults_reordered"),
             result.decided_reordered);
-  EXPECT_EQ(SumLinkGauge(snap, "link_faults_delayed"),
+  EXPECT_EQ(SumGauge(snap, "link_faults_delayed"),
             result.decided_delayed);
-  // Something actually flowed, and the engine counters surfaced too.
-  EXPECT_GT(SumLinkGauge(snap, "link_packets_delivered"), 0u);
+  // Something actually flowed, and the engine counters surfaced too: the
+  // serving agent's series, summed with its standby's, counts its work.
+  EXPECT_GT(SumGauge(snap, "link_packets_delivered"), 0u);
   EXPECT_TRUE(
-      snap.GaugeValue("engine_ops_completed{engine=spot,node=3}").has_value());
+      snap.GaugeValue("engine_ops_completed{agent=0,engine=spot,node=3}")
+          .has_value());
+  EXPECT_GT(SumGauge(snap, "engine_ops_completed"), 0u);
 }
 
 TEST(TelemetryChaos, CleanRunShowsZeroFaultGauges) {
@@ -79,8 +82,8 @@ TEST(TelemetryChaos, CleanRunShowsZeroFaultGauges) {
   const ChaosResult result = RunChaos(options, &hub);
   ASSERT_TRUE(result.Passed());
   EXPECT_EQ(result.faults_injected, 0u);
-  EXPECT_EQ(SumLinkGauge(result.telemetry, "link_faults_dropped"), 0u);
-  EXPECT_EQ(SumLinkGauge(result.telemetry, "link_faults_duplicated"), 0u);
+  EXPECT_EQ(SumGauge(result.telemetry, "link_faults_dropped"), 0u);
+  EXPECT_EQ(SumGauge(result.telemetry, "link_faults_duplicated"), 0u);
 }
 
 TEST(TelemetryChaos, InstrumentedRunMatchesUninstrumentedRun) {
