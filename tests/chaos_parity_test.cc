@@ -3,7 +3,10 @@
 // allocator-path changes. Four scenario overlays (live migration and the
 // incast, victim and pause-storm congestion scenarios, applied the way
 // chaos_sweep applies them) pin the second memory server, the congested
-// switch/NIC configurations and the bystander flows the same way.
+// switch/NIC configurations and the bystander flows the same way. A last
+// block of migration seeds pins the runs where an engine crash lands while
+// the instance is parked for the cutover, between its detach and its
+// re-attach.
 //
 // The pooled/allocation-free datapath work is only legal because it does not
 // perturb simulated behavior: pool slot addresses, recycled packet buffers,
@@ -39,6 +42,10 @@ namespace {
 
 constexpr std::uint64_t kSweepSeeds = 8;
 constexpr std::uint64_t kOverlaySeeds = 4;
+// Migration-overlay seeds whose crashes land inside the cutover window (in
+// Spot 9 and 49 and P4 9 and 17, both crashes do).
+constexpr std::uint64_t kCutoverCrashSpotSeeds[] = {9, 15, 49};
+constexpr std::uint64_t kCutoverCrashP4Seeds[] = {9, 17, 21};
 
 std::string GoldenPath() {
   return std::string(COWBIRD_SOURCE_DIR) + "/tests/goldens/chaos_parity.golden";
@@ -110,6 +117,12 @@ std::vector<std::string> SweepLines() {
         lines.push_back(RunLine(engine, seed, overlay));
       }
     }
+  }
+  for (const std::uint64_t seed : kCutoverCrashSpotSeeds) {
+    lines.push_back(RunLine(EngineKind::kSpot, seed, {.migrate = true}));
+  }
+  for (const std::uint64_t seed : kCutoverCrashP4Seeds) {
+    lines.push_back(RunLine(EngineKind::kP4, seed, {.migrate = true}));
   }
   return lines;
 }
