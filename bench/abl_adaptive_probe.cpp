@@ -48,7 +48,7 @@ Result RunBursty(bool adaptive, Nanos base_interval) {
   ac.probe_interval = base_interval;
   ac.adaptive_probe = adaptive;
   spot::SpotAgent& agent = cluster.AddSpotAgent(ac);
-  cluster.AttachSpot(agent, client);
+  cluster.Attach(agent, client);
   agent.Start();
 
   sim::SimThread thread(*cluster.client(0).machine, "app");

@@ -44,7 +44,7 @@ double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
     tenants.push_back(&cluster.AddClient(0, cc));
     tenants.back()->RegisterRegion(core::RegionInfo{
         kRegion, memory.id(), kPoolBase, pool_mr->rkey, MiB(64)});
-    cluster.AttachP4(*tenants.back(), 0x800 + i * 8);
+    cluster.Attach(engine, *tenants.back());
   }
   engine.Start();
 

@@ -6,9 +6,9 @@
 // host-side duplicate absorption) delivers every byte intact.
 //
 // Part 2 (engine decommission): a second instance is served by a fleet of
-// two Cowbird-Spot agents under the same packet loss. Mid-run the
-// InstanceRegistry stops agent A — exporting the instance's red-block
-// progress snapshot — and the surviving agent B resumes probing from
+// two Cowbird-Spot agents under the same packet loss. Mid-run the cluster
+// detaches the instance from agent A — exporting its red-block progress
+// snapshot — and attaches it to agent B, which resumes probing from
 // exactly that point. The client never notices: same API, same counters,
 // every record still verifies.
 //
@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "offload/registry.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
 #include "workload/cluster.h"
@@ -80,14 +79,13 @@ sim::Task<void> Run(core::CowbirdClient& client, sim::SimThread& thread,
   PartDone(sim);
 }
 
-// Part 2 driver: write+read-back rounds through whichever spot agent the
-// registry currently assigns; halfway through, decommission agent A.
+// Part 2 driver: write+read-back rounds through agent A; halfway through,
+// decommission it and move the instance to agent B.
 sim::Task<void> RunWithFailover(core::CowbirdClient& client,
                                 sim::SimThread& thread, SparseMemory& memory,
-                                sim::Simulation& sim,
-                                offload::InstanceRegistry& registry,
-                                offload::EngineId engine_a,
-                                spot::SpotAgent& agent_a, int& verified,
+                                workload::Cluster& cluster,
+                                spot::SpotAgent& agent_a,
+                                spot::SpotAgent& agent_b, int& verified,
                                 int& corrupt, bool& migrated_ok) {
   const std::uint32_t instance_id = client.descriptor().instance_id;
   auto& ctx = client.thread(0);
@@ -96,14 +94,15 @@ sim::Task<void> RunWithFailover(core::CowbirdClient& client,
   for (int i = 0; i < 200; ++i) {
     if (i == 100) {
       // Decommission agent A gracefully: stop probing, let in-flight work
-      // drain, then migrate through the registry. Agent B's attach resumes
-      // from the red-block snapshot A exported.
+      // drain, then detach. Agent B's attach resumes from the red-block
+      // snapshot A exported.
       agent_a.StopProbing();
       while (!agent_a.InstanceDrained(instance_id)) {
         co_await thread.Idle(Micros(10));
       }
-      const auto moved = registry.StopEngine(engine_a);
-      migrated_ok = moved.size() == 1 && moved[0] == instance_id;
+      const auto snapshot = cluster.Detach(agent_a, client);
+      migrated_ok = snapshot.has_value();
+      if (migrated_ok) cluster.Attach(agent_b, client, {}, &*snapshot);
     }
     const std::uint32_t len =
         static_cast<std::uint32_t>(rng.Between(16, 1500));
@@ -137,7 +136,7 @@ sim::Task<void> RunWithFailover(core::CowbirdClient& client,
       ++corrupt;
     }
   }
-  PartDone(sim);
+  PartDone(cluster.sim);
 }
 
 }  // namespace
@@ -168,7 +167,7 @@ int main() {
 
   p4::CowbirdP4Engine& engine =
       cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
-  cluster.AttachP4(client, 0x800);
+  cluster.Attach(engine, client);
   engine.Start();
 
   // ---- Part 2: engine decommission across a spot-agent fleet ---------
@@ -182,11 +181,7 @@ int main() {
   spot::SpotAgent& agent_a = cluster.AddSpotAgent(spot::SpotAgent::Config{});
   spot::SpotAgent& agent_b = cluster.AddSpotAgent(spot::SpotAgent::Config{});
 
-  offload::InstanceRegistry registry;
-  const auto engine_a_id =
-      registry.AddEngine(cluster.SpotBinding(agent_a, "spot-a"));
-  registry.AddEngine(cluster.SpotBinding(agent_b, "spot-b"));
-  registry.AddInstance(spot_client.descriptor().instance_id, engine_a_id);
+  cluster.Attach(agent_a, spot_client);
   agent_a.Start();
   agent_b.Start();
 
@@ -197,8 +192,8 @@ int main() {
   int spot_verified = 0, spot_corrupt = 0;
   bool migrated_ok = false;
   sim.Spawn(Run(client, thread, compute.mem, sim, verified, corrupt));
-  sim.Spawn(RunWithFailover(spot_client, spot_app, compute.mem, sim, registry,
-                            engine_a_id, agent_a, spot_verified, spot_corrupt,
+  sim.Spawn(RunWithFailover(spot_client, spot_app, compute.mem, cluster,
+                            agent_a, agent_b, spot_verified, spot_corrupt,
                             migrated_ok));
   sim.Run();
   std::printf("Part 1 — 500 write+read-back rounds under 1%% loss (P4):\n");

@@ -109,7 +109,7 @@ int main() {
                                          pool_mr->rkey, MiB(64)});
 
   spot::SpotAgent& agent = cluster.AddSpotAgent(spot::SpotAgent::Config{});
-  cluster.AttachSpot(agent, client);
+  cluster.Attach(agent, client);
   agent.Start();
 
   faster::FasterStore::Config sc;

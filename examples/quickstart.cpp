@@ -90,7 +90,7 @@ int main() {
 
   // Offload engine on the spot node (one core).
   spot::SpotAgent& agent = cluster.AddSpotAgent(spot::SpotAgent::Config{});
-  cluster.AttachSpot(agent, client);
+  cluster.Attach(agent, client);
   agent.Start();
 
   sim::SimThread app_thread(*compute.machine, "app");

@@ -2,9 +2,9 @@
 //
 // The plan is pure data: packet-level fault rates (drop / duplicate /
 // reorder / delay), link-partition windows during which every RDMA packet
-// is dropped, and engine crash times that drive registry migrations. A run
-// is fully determined by (engine, workload, plan, seed), which is what
-// makes a captured failure trace replayable bit-for-bit.
+// is dropped, and engine crash times that move the instance to a standby.
+// A run is fully determined by (engine, workload, plan, seed), which is
+// what makes a captured failure trace replayable bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +61,8 @@ struct FaultPlan {
   std::vector<Partition> partitions;
 
   // Engine crash times. At each, the chaos runner kills the serving engine
-  // without draining (halting its QPs) and migrates the instance through
-  // the registry.
+  // without draining (halting its QPs) and re-attaches the instance to a
+  // Spot standby.
   std::vector<Nanos> crashes;
 
   // Congestion scenario (kNone by default; Serialize omits the key then,

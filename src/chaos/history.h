@@ -68,7 +68,6 @@ class HistoryRecorder {
                   std::uint64_t read_digest = 0);
 
   const std::vector<OpRecord>& ops() const { return ops_; }
-  std::vector<OpRecord>& mutable_ops() { return ops_; }
 
  private:
   std::vector<OpRecord> ops_;  // indexed by id

@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "chaos/fault_injector.h"
@@ -14,8 +12,8 @@
 #include "core/client.h"
 #include "core/cluster_pool.h"
 #include "core/migration.h"
-#include "offload/registry.h"
 #include "workload/cluster.h"
+#include "workload/cutover.h"
 
 namespace cowbird::chaos {
 namespace {
@@ -80,12 +78,11 @@ workload::ClusterSpec ChaosSpec(const ChaosOptions& opt) {
 }
 
 // The whole deterministic world of one chaos run: the testbed cluster, a
-// client, the serving engine plus spot standbys behind an InstanceRegistry,
+// client, the serving engine plus two Spot agents to fail over between,
 // the fault injector, and the recorded history.
 struct ChaosHarness {
   ChaosHarness(const ChaosOptions& opt, telemetry::Hub* hub)
       : options(opt),
-        telemetry_hub(hub),
         cluster(ChaosSpec(opt), hub),
         sim(cluster.sim),
         compute(cluster.client(0)),
@@ -134,16 +131,14 @@ struct ChaosHarness {
     if (opt.engine == EngineKind::kP4) {
       p4::CowbirdP4Engine::Config ec;
       ec.chaos_unsafe_skip_hazards = opt.break_fence;
-      cluster.AddP4Engine(ec).Start();
-      serving = registry.AddEngine(P4Binding());
-      serving_agent = nullptr;
+      p4::CowbirdP4Engine& p4 = cluster.AddP4Engine(ec);
+      p4.Start();
+      serving = p4;
     } else {
-      serving = registry.AddEngine(SpotBinding(*agent_a, "spot-a"));
-      serving_agent = agent_a;
+      serving = *agent_a;
     }
-    const EngineId placed =
-        registry.AddInstance(client->descriptor().instance_id, serving);
-    COWBIRD_CHECK(placed == serving);
+    cluster.Attach(*serving, *client);
+    attached_agent = serving->agent;
 
     net::Switch& sw = cluster.sw();
     if (opt.plan.AnyPacketFaults()) {
@@ -180,57 +175,28 @@ struct ChaosHarness {
       sim.ScheduleAt(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
-      // The copy stream's QP: source-device side `a` writes into memory2's
-      // slab, congestion-controlled against the foreground traffic.
-      migrate_qp =
-          rdma::ConnectQueuePairs(*memory.dev, *cluster.memory(1).dev);
+      // The copy stream (its QP connects here) moves the hot range to
+      // memory2 in 16 KiB chunks, two in flight, so foreground writes race
+      // it. The instance parks the way a crash detaches it.
+      core::RegionMigrator::Config mc;
+      mc.chunk = KiB(16);
+      mc.window = 2;
+      mc.telemetry = hub;
+      cutover.emplace(cluster, pool, *client, kRegion, kPoolBase, 0, 1, mc,
+                      /*halt=*/true);
       // Every coordinator tick is pre-scheduled up front rather than each
       // tick scheduling the next, so the train keeps the queue sequence
       // numbers the pinned outcomes were recorded with. Ticks on a finished
       // migration are cheap no-ops.
       for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
            when += kMigrateTick) {
-        sim.ScheduleAt(when, [this] { MigrationTick(); });
+        sim.ScheduleAt(when, [this] {
+          if (cutover->Tick(*serving) && cutover->done()) {
+            attached_agent = serving->agent;
+          }
+        });
       }
     }
-  }
-
-  using EngineId = offload::EngineId;
-
-  // Spot engines detach with crash semantics: export, then kill the NIC
-  // state mid-flight — no drain, and no zombie retransmissions once the
-  // survivor takes over.
-  offload::EngineBinding SpotBinding(spot::SpotAgent& agent,
-                                     std::string name) {
-    offload::EngineBinding binding = cluster.SpotBinding(
-        agent, std::move(name), workload::Cluster::Detach::kCrash);
-    binding.attach = [this, &agent, attach = std::move(binding.attach)](
-                         std::uint32_t instance_id,
-                         const offload::InstanceProgress* resume) {
-      serving_agent = &agent;
-      return attach(instance_id, resume);
-    };
-    return binding;
-  }
-
-  // A crash detach also stops the switch's probe loop; a handoff detach
-  // keeps it alive — the same switch re-attaches the instance after the
-  // cutover.
-  offload::EngineBinding P4Binding() {
-    offload::EngineBinding binding = cluster.P4Binding();
-    binding.attach = [this, attach = std::move(binding.attach)](
-                         std::uint32_t instance_id,
-                         const offload::InstanceProgress* resume) {
-      serving_agent = nullptr;
-      return attach(instance_id, resume);
-    };
-    binding.detach = [this, detach = std::move(binding.detach)](
-                         std::uint32_t instance_id) {
-      auto snapshot = detach(instance_id);
-      if (!handoff_in_progress) cluster.p4().StopProbing();
-      return snapshot;
-    };
-    return binding;
   }
 
   // One bystander flow: a closed-loop 4 KiB stream on its own QP pair.
@@ -298,86 +264,27 @@ struct ChaosHarness {
     sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
   }
 
-  // One step of the copy-then-cutover state machine (core/migration.h),
-  // driven by the pre-scheduled tick train.
-  void MigrationTick() {
-    switch (migration_stage) {
-      case MigrationStage::kArmed: {
-        migrate_plan =
-            pool.PlanMove(kRegion, kPoolBase, cluster.memory(1).id());
-        COWBIRD_CHECK(migrate_plan.has_value());
-        core::RegionMigrator::Config mc;
-        mc.chunk = KiB(16);  // stretch the copy so foreground writes race it
-        mc.window = 2;
-        mc.telemetry = telemetry_hub;
-        migrator = std::make_unique<core::RegionMigrator>(
-            *memory.dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
-            mc);
-        migrator->Start();
-        migration_stage = MigrationStage::kCopying;
-        break;
-      }
-      case MigrationStage::kCopying: {
-        if (!migrator->ReadyForCutover()) break;
-        // Cutover, step 1: park the instance (the registry detach exports
-        // the resume snapshot and halts the engine-side QPs) and enter the
-        // final drain. Stragglers already on the wire still land on the
-        // source, re-mark their chunk, and are chased before Synced().
-        // BeginHandoff can refuse transiently (e.g. the instance is mid
-        // crash-migration and unassigned); retry on the next tick. The flag
-        // must be raised *before* the call: BeginHandoff synchronously runs
-        // the serving engine's detach, which keeps the P4 probe loop alive
-        // only while a handoff is in progress.
-        handoff_in_progress = true;
-        if (!registry.BeginHandoff(client->descriptor().instance_id)) {
-          handoff_in_progress = false;
-          break;
-        }
-        migrator->BeginFinalDrain();
-        migration_stage = MigrationStage::kDraining;
-        break;
-      }
-      case MigrationStage::kDraining: {
-        migrator->Nudge();
-        if (!migrator->Synced()) break;
-        // Cutover, step 2 — atomic in virtual time, all inside this one
-        // event: flip the pool's translation entry, republish the client's
-        // range table, and re-attach. The resumed engine rebuilds its
-        // translation mirror from the new placement, so every re-executed
-        // and new operation resolves to the destination server.
-        pool.CommitMove(*migrate_plan);
-        client->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
-        migrator->Finish();
-        const EngineId placed =
-            registry.CompleteHandoff(client->descriptor().instance_id);
-        COWBIRD_CHECK(placed != offload::kNoEngine);
-        handoff_in_progress = false;
-        serving = placed;
-        migration_stage = MigrationStage::kDone;
-        ++migrations_executed;
-        break;
-      }
-      case MigrationStage::kDone:
-        break;
-    }
-  }
-
+  // One engine serves at a time. A crash halts it mid-flight (and stops
+  // the switch's probe loop if it was the P4 engine), then re-attaches the
+  // instance to the Spot agent it was not last attached to, resuming from
+  // the exported snapshot. A crash while the instance is parked for the
+  // cutover detaches nothing: it only moves the cutover's target.
   void CrashServingEngine() {
-    if (serving == offload::kNoEngine) return;
-    // Bring up the standby as a *new* registry engine first so the
-    // migration has exactly one live target, then kill the serving one.
-    spot::SpotAgent* standby =
-        serving_agent == agent_a ? agent_b : agent_a;
-    const EngineId fresh = registry.AddEngine(
-        SpotBinding(*standby, standby == agent_a ? "spot-a" : "spot-b"));
-    const EngineId dying = serving;
-    registry.StopEngine(dying);
-    serving = fresh;
+    spot::SpotAgent& standby = attached_agent == agent_a ? *agent_b
+                                                         : *agent_a;
     ++crashes_executed;
+    if (cutover && cutover->parked()) {
+      serving = standby;
+      return;
+    }
+    const auto snapshot = cluster.Detach(*serving, *client, /*halt=*/true);
+    if (serving->agent == nullptr) cluster.p4().StopProbing();
+    serving = standby;
+    attached_agent = &standby;
+    cluster.Attach(standby, *client, {}, snapshot ? &*snapshot : nullptr);
   }
 
   const ChaosOptions& options;
-  telemetry::Hub* telemetry_hub;
   workload::Cluster cluster;
   sim::Simulation& sim;  // the cluster's event loop
   ClusterHost& compute;
@@ -386,18 +293,13 @@ struct ChaosHarness {
   CowbirdClient* client = nullptr;
   spot::SpotAgent* agent_a = nullptr;
   spot::SpotAgent* agent_b = nullptr;
-  offload::InstanceRegistry registry;
-  spot::SpotAgent* serving_agent = nullptr;
-  EngineId serving = offload::kNoEngine;
-  // Live-migration state (plan.migrate only).
-  enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
+  // The engine that serves the instance, or that it re-attaches to at the
+  // cutover while parked.
+  std::optional<workload::Cluster::Engine> serving;
+  // The Spot agent the instance was last attached to (null after P4).
+  spot::SpotAgent* attached_agent = nullptr;
   core::ClusterPool pool;
-  rdma::QpPair migrate_qp;
-  std::optional<core::ClusterPool::MigrationPlan> migrate_plan;
-  std::unique_ptr<core::RegionMigrator> migrator;
-  MigrationStage migration_stage = MigrationStage::kArmed;
-  bool handoff_in_progress = false;
-  std::uint64_t migrations_executed = 0;
+  std::optional<workload::RegionCutover> cutover;  // plan.migrate only
   FaultInjector injector;
   std::vector<BgFlow> bg_flows;
   HistoryRecorder recorder;
@@ -614,10 +516,12 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   result.decided_reordered = harness.injector.decided_reordered();
   result.decided_delayed = harness.injector.decided_delayed();
   result.crashes_executed = harness.crashes_executed;
-  result.migrations_executed = harness.migrations_executed;
-  if (harness.migrator != nullptr) {
-    result.migrate_bytes_copied = harness.migrator->bytes_copied();
-    result.migrate_dirty_marks = harness.migrator->dirty_marks();
+  if (harness.cutover) {
+    result.migrations_executed = harness.cutover->done() ? 1 : 0;
+    if (const core::RegionMigrator* migrator = harness.cutover->migrator()) {
+      result.migrate_bytes_copied = migrator->bytes_copied();
+      result.migrate_dirty_marks = migrator->dirty_marks();
+    }
   }
   const workload::FabricCounters fabric = harness.cluster.Counters();
   result.ecn_marked = fabric.ecn_marked;

@@ -2,13 +2,14 @@
 // + fault plan, with a checked operation history.
 //
 // A run stands up the testbed topology (compute + memory + spot node on one
-// switch), an InstanceRegistry over the chosen primary engine plus spot
-// standbys, and a multi-threaded client workload that records every
-// operation into a HistoryRecorder. The FaultPlan drives a FaultInjector on
-// every fabric link and schedules engine crashes: a crash halts the serving
-// engine's QPs mid-flight (no drain, zombie retransmissions killed) and
-// migrates the instance through the registry to a standby, reconciling the
-// crash-exported snapshot against the client's published red block.
+// switch), the chosen primary engine plus two Spot agents, and a
+// multi-threaded client workload that records every operation into a
+// HistoryRecorder. The FaultPlan drives a FaultInjector on every fabric link
+// and schedules engine crashes: a crash detaches the instance from the
+// serving engine, halting its QPs mid-flight (no drain, zombie
+// retransmissions killed), and attaches it to a Spot standby, which resumes
+// from the exported snapshot reconciled against the client's published red
+// block (workload::Cluster::Detach and Attach).
 //
 // Everything is derived from ChaosOptions — same options, same result,
 // bit for bit — which is what makes failure traces replayable.

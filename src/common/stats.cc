@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -26,8 +25,6 @@ double OnlineStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double PercentileSampler::Quantile(double q) const {
   COWBIRD_CHECK(q >= 0.0 && q <= 1.0);

@@ -17,7 +17,6 @@ class OnlineStats {
   std::uint64_t count() const { return count_; }
   double mean() const { return mean_; }
   double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 

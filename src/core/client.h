@@ -56,8 +56,8 @@ class CowbirdClient {
   void RegisterRegion(const RegionInfo& region);
   // Replaces the cluster-pool translation ranges for one region (elastic
   // pool, DESIGN.md §14). Control-plane only: engines copy the descriptor at
-  // attach time, so call this while the instance is detached (between
-  // BeginHandoff and CompleteHandoff) and the re-attached engine sees the
+  // attach time, so call this while the instance is detached (between the
+  // cutover's detach and re-attach) and the re-attached engine sees the
   // new placement atomically.
   void SetRegionRanges(std::uint16_t region_id,
                        const std::vector<RangeEntry>& ranges) {
@@ -71,7 +71,6 @@ class CowbirdClient {
 
   class ThreadContext;
   ThreadContext& thread(int index) { return *threads_[index]; }
-  int thread_count() const { return static_cast<int>(threads_.size()); }
 
   class ThreadContext {
    public:
@@ -120,7 +119,6 @@ class CowbirdClient {
     // progress counter *and* the library has retired it.
     bool IsRetired(ReqId id) const;
 
-    std::uint64_t reads_issued() const { return reads_issued_; }
     std::uint64_t writes_issued() const { return writes_issued_; }
     std::uint64_t issue_failures() const { return issue_failures_; }
     std::uint64_t reads_retired() const { return retired_read_seq_; }

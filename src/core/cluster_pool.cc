@@ -55,10 +55,6 @@ bool ClusterPool::RemoveServer(net::NodeId node, std::string* error) {
   return true;
 }
 
-bool ClusterPool::HasServer(net::NodeId node) const {
-  return FindServer(node) != nullptr;
-}
-
 ClusterPool::Server* ClusterPool::FindServer(net::NodeId node) {
   for (Server& s : servers_) {
     if (s.node == node) return &s;

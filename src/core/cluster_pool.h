@@ -177,7 +177,6 @@ class ClusterPool {
   // live ranges in `error`) while any range still owns bytes there.
   bool RemoveServer(net::NodeId node, std::string* error = nullptr);
 
-  bool HasServer(net::NodeId node) const;
   std::vector<ServerStats> servers() const;
 
   // Carves `size` virtual bytes rooted at `vbase`. Prefers `preferred`

@@ -14,8 +14,8 @@
 //                    bit is cleared *before* the chunk is re-read, so a
 //                    racing write re-marks it — never lost.
 //   3. final drain — the coordinator detaches the instance from its engine
-//                    (the registry handoff exports the resume snapshot and
-//                    halts the engine's QPs), calls BeginFinalDrain(), and
+//                    (workload::Cluster::Detach exports the resume
+//                    snapshot), calls BeginFinalDrain(), and
 //                    waits for Synced(): no dirty chunks, no copy in
 //                    flight. Straggler writes already on the wire still
 //                    land, re-mark their chunk, and are chased — Synced()

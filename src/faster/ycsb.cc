@@ -107,11 +107,11 @@ struct YcsbHarness {
         if (cfg.backend == Backend::kCowbirdP4) {
           p4::CowbirdP4Engine& engine =
               cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
-          cluster.AttachP4(*client, 0x800);
+          cluster.Attach(engine, *client);
           engine.Start();
         } else {
           spot::SpotAgent& agent = cluster.AddSpotAgent(cfg.agent);
-          cluster.AttachSpot(agent, *client);
+          cluster.Attach(agent, *client);
           agent.Start();
         }
         for (int t = 0; t < cfg.threads; ++t) {

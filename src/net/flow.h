@@ -36,13 +36,9 @@ class GreedyFlow {
   }
 
   void Start() {
-    running_ = true;
     started_at_ = source_->simulation().Now();
     for (int i = 0; i < kWindow; ++i) SendData();
   }
-  void Stop() { running_ = false; }
-
-  std::uint64_t delivered_bytes() const { return delivered_bytes_; }
 
   // Goodput since Start(), in Gbps of payload bytes.
   double GoodputGbps() const {
@@ -66,14 +62,11 @@ class GreedyFlow {
     sink_->Send(std::move(ack));
   }
 
-  void OnAck() {
-    if (running_) SendData();
-  }
+  void OnAck() { SendData(); }
 
   HostNic* source_;
   HostNic* sink_;
   std::uint16_t port_;
-  bool running_ = false;
   Nanos started_at_ = 0;
   std::uint64_t delivered_bytes_ = 0;
 };

@@ -97,7 +97,6 @@ class Link {
   std::uint64_t pauses_received() const { return pauses_received_; }
 
   std::uint64_t packets_delivered() const { return packets_delivered_; }
-  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
   std::uint64_t packets_dropped() const { return packets_dropped_; }
 
   // Exact injected-fault accounting (each FaultAction is counted once, in

@@ -6,9 +6,9 @@
 // packing used to be hand-rolled twice — a put64 loop in the P4 engine's
 // packet builder and WriteValue calls in the spot agent's staging composer.
 // It lives here now, together with the counter struct itself, which doubles
-// as the progress snapshot an InstanceRegistry migration hands from a
-// stopping engine to the survivor: the red block is by construction exactly
-// the state a fresh engine needs to resume an instance.
+// as the progress snapshot a detach hands from one engine to the next
+// attach: the red block is by construction exactly the state a fresh engine
+// needs to resume an instance.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +30,8 @@ struct ThreadProgress {
   std::uint64_t resp_tail = 0;       // response bytes delivered
   std::uint64_t write_progress = 0;  // seq of last completed write
   std::uint64_t read_progress = 0;   // seq of last completed read
+
+  bool operator==(const ThreadProgress&) const = default;
 };
 
 class ProgressPublisher {
@@ -101,6 +103,10 @@ struct PendingOp {
 struct InstanceProgress {
   std::vector<ThreadProgress> threads;
   std::vector<std::vector<PendingOp>> pending;
+  // Set by ReconcileWithPublished, one flag per thread: the counters run
+  // ahead of the client's red block, so the engine taking over must publish
+  // them even when the thread has nothing pending.
+  std::vector<bool> unpublished;
 };
 
 // Crash-export reconciliation (the control plane's half of a migration).
@@ -111,12 +117,19 @@ struct InstanceProgress {
 // chained behind the payload on the same RC QP, so counters are never
 // visible before data). Resuming from the conservative side would re-deliver
 // reads the client already retired, clobbering reused response-ring bytes.
-// The registry glue therefore reads each thread's published red block and
+// Every attach therefore reads each thread's published red block and
 // merges: every counter is monotone, so element-wise max is exact, and
 // pending ops the merged counters cover are dropped.
+//
+// The merge can also land *ahead* of the red block: a dead engine may have
+// completed work whose red write it never got onto the wire. Such threads
+// are marked `unpublished`; until an engine publishes them, the client
+// cannot retire those ops, and with its window full it issues nothing a
+// probe could find.
 inline void ReconcileWithPublished(
     InstanceProgress& snapshot, const std::vector<ThreadProgress>& published) {
   COWBIRD_CHECK(snapshot.threads.size() == published.size());
+  snapshot.unpublished.assign(snapshot.threads.size(), false);
   for (std::size_t t = 0; t < snapshot.threads.size(); ++t) {
     ThreadProgress& s = snapshot.threads[t];
     const ThreadProgress& p = published[t];
@@ -134,6 +147,7 @@ inline void ReconcileWithPublished(
         return op.seq <= covered;
       });
     }
+    snapshot.unpublished[t] = s != p;
   }
 }
 

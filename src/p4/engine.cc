@@ -239,7 +239,7 @@ void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
   }
   inst->threads.resize(descriptor.layout.threads);
   if (resume != nullptr) {
-    // Registry migration: continue from the counters the previous engine
+    // Re-attach: continue from the counters the previous engine
     // published. Everything at or past meta_head is still in the client's
     // rings and will be re-discovered by the next probe.
     COWBIRD_CHECK(resume->threads.size() == inst->threads.size());

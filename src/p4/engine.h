@@ -138,7 +138,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // table references must have an endpoint (conn.memory or an extra_memory
   // pair) — checked here, not on the data path. When `resume` is non-null
   // the instance continues from a progress snapshot exported by another
-  // engine (InstanceRegistry migration) instead of starting fresh.
+  // engine (a re-attach) instead of starting fresh.
   void AddInstance(const core::InstanceDescriptor& descriptor,
                    const P4Connection& conn,
                    const offload::InstanceProgress* resume = nullptr);
@@ -147,8 +147,8 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // false if the instance id is unknown.
   bool RemoveInstance(std::uint32_t instance_id);
 
-  // Red-block counters for every thread of an instance — the snapshot an
-  // InstanceRegistry migration hands to the engine taking over. Exported
+  // Red-block counters for every thread of an instance — the snapshot a
+  // detach hands to the engine taking over. Exported
   // counters only cover *completed* work; a drained instance (no in-flight
   // ops) resumes losslessly, an undrained one re-executes the tail
   // idempotently on the new engine.
@@ -173,9 +173,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
 
   // Counters.
   std::uint64_t probes_sent() const { return probes_sent_; }
-  std::uint64_t pending_depth_compute(std::size_t instance) const {
-    return instances_[instance]->to_compute.pending.size();
-  }
   std::uint64_t packets_recycled() const { return packets_recycled_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
   std::uint64_t reads_paused_by_writes() const {
@@ -329,7 +326,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   void PopDonePendings(SwitchQp& qp);
   void MaybeFetchMetadata(Instance& inst, int thread);
   void RefetchOrphans(Instance& inst);
-  void StartOps(Instance& inst, int thread);
 
   // Pool QP selection by owning server (translation output). The primary
   // pair serves conn.memory's node; extra servers get their own pair.
@@ -372,7 +368,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   std::function<void(const net::Packet&)> control_handler_;
   bool started_ = false;
   bool probing_stopped_ = false;
-  std::uint32_t next_switch_qpn_ = 0x800;
 
   std::uint64_t probes_sent_ = 0;
   std::uint64_t packets_recycled_ = 0;

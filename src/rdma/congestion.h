@@ -50,7 +50,6 @@ class CongestionManager {
   void NoteCeMark(const QueuePair& qp);
 
   double FlowRateGbps(std::uint32_t qpn) const;
-  std::uint64_t cnps_sent() const { return cnps_sent_; }
   std::uint64_t cnps_received() const { return cnps_received_; }
   std::uint64_t rate_decreases() const { return rate_decreases_; }
 

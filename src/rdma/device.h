@@ -105,9 +105,6 @@ class Device {
   const NicConfig& config() const { return config_; }
   net::NodeId node_id() const { return nic_->id(); }
 
-  std::uint64_t packets_sent() const { return packets_sent_; }
-  std::uint64_t packets_received() const { return packets_received_; }
-
   // Null unless config.dcqcn.enabled.
   CongestionManager* congestion() { return congestion_.get(); }
 

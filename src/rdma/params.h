@@ -61,9 +61,6 @@ inline constexpr Nanos kLlcAccess = 40;
 constexpr Nanos PostTotal() { return kPostLock + kPostWqe + kPostDoorbell; }
 constexpr Nanos PollTotal() { return kPollLock + kPollCqe; }
 
-constexpr Nanos PostBatch(int n) {
-  return kPostLock + kPostDoorbell + n * kPostWqeEach;
-}
 constexpr Nanos EnginePostBatch(int n) {
   return kEnginePostFixed + n * kPostWqeEach;
 }

@@ -215,9 +215,9 @@ void QueuePair::Emit(Opcode opcode, std::uint32_t psn, bool ack_request,
   bth.ack_request = ack_request;
   bth.dest_qp = remote_qpn_;
   bth.psn = psn & kPsnMask;
-  net::Packet packet = BuildRdmaPacket(
-      device_->node_id(), remote_node_, data_priority_, bth, reth, aeth,
-      payload);
+  net::Packet packet = BuildRdmaPacket(device_->node_id(), remote_node_,
+                                       net::Priority::kRdma, bth, reth, aeth,
+                                       payload);
   device_->EmitPaced(qpn_, std::move(packet));
 }
 
@@ -231,9 +231,9 @@ void QueuePair::EmitFromMemory(Opcode opcode, std::uint32_t psn,
   bth.dest_qp = remote_qpn_;
   bth.psn = psn & kPsnMask;
   std::span<std::uint8_t> payload;
-  net::Packet packet =
-      BuildRdmaPacketInPlace(device_->node_id(), remote_node_, data_priority_,
-                             bth, reth, aeth, len, &payload);
+  net::Packet packet = BuildRdmaPacketInPlace(
+      device_->node_id(), remote_node_, net::Priority::kRdma, bth, reth, aeth,
+      len, &payload);
   device_->memory().Read(addr, payload);
   device_->EmitPaced(qpn_, std::move(packet));
 }

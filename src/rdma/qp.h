@@ -52,13 +52,9 @@ class QueuePair {
   bool Connected() const { return connected_; }
 
   std::uint32_t next_psn() const { return reliability_.next_psn(); }
-  std::uint32_t expected_psn() const { return epsn_; }
   std::uint64_t retransmissions() const {
     return reliability_.retransmissions();
   }
-
-  // Priority used for data packets (ACKs always use kControl).
-  void set_data_priority(net::Priority p) { data_priority_ = p; }
 
   // Models the NIC-level teardown of an engine crash: cancels the
   // retransmission timer, discards pending and in-flight WQEs without
@@ -97,7 +93,6 @@ class QueuePair {
   std::uint32_t remote_qpn_ = 0;
   bool connected_ = false;
   bool halted_ = false;
-  net::Priority data_priority_ = net::Priority::kRdma;
 
   // Requester state machine (window, PSNs, Go-Back-N).
   ReliabilityManager reliability_{*this};

@@ -27,15 +27,6 @@ inline sim::Task<void> PostSendVerb(sim::SimThread& thread, QueuePair& qp,
   co_await thread.Work(cost::kPostDoorbell, sim::CpuCategory::kCommunication);
 }
 
-// ibv_post_recv analogue.
-inline sim::Task<void> PostRecvVerb(sim::SimThread& thread, QueuePair& qp,
-                                    RecvWqe wqe) {
-  co_await thread.Work(cost::kPostLock + cost::kPostWqe,
-                       sim::CpuCategory::kCommunication);
-  qp.PostRecv(wqe);
-  co_await thread.Work(cost::kPostDoorbell, sim::CpuCategory::kCommunication);
-}
-
 // One ibv_poll_cq check: charges the lock + CQE read whether or not a
 // completion is found (the paper's Figure 2 measures exactly this floor).
 inline sim::Task<std::optional<Cqe>> PollCqVerb(sim::SimThread& thread,
@@ -52,18 +43,6 @@ inline sim::Task<Cqe> BusyPollCqVerb(sim::SimThread& thread,
     auto cqe = co_await PollCqVerb(thread, cq);
     if (cqe.has_value()) co_return *cqe;
   }
-}
-
-// Doorbell-batched post: one lock + one doorbell for the whole linked list
-// of work requests, marginal cost per WQE. The engines (Cowbird-Spot, Redy)
-// live on this; per-access application code cannot (requests arrive one at
-// a time on its critical path).
-inline sim::Task<void> PostSendBatchVerb(sim::SimThread& thread, QueuePair& qp,
-                                         std::span<const SendWqe> wqes) {
-  if (wqes.empty()) co_return;
-  co_await thread.Work(cost::PostBatch(static_cast<int>(wqes.size())),
-                       sim::CpuCategory::kCommunication);
-  for (const SendWqe& wqe : wqes) qp.PostSend(wqe);
 }
 
 // Engine-tier batched post: the dedicated single-threaded agent loop pays

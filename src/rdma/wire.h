@@ -116,11 +116,6 @@ constexpr bool IsLastOrOnly(Opcode op) {
          op == Opcode::kWriteLast || op == Opcode::kWriteOnly ||
          op == Opcode::kReadResponseLast || op == Opcode::kReadResponseOnly;
 }
-constexpr bool IsFirstOrOnly(Opcode op) {
-  return op == Opcode::kSendFirst || op == Opcode::kSendOnly ||
-         op == Opcode::kWriteFirst || op == Opcode::kWriteOnly ||
-         op == Opcode::kReadResponseFirst || op == Opcode::kReadResponseOnly;
-}
 
 // Number of data packets needed to move `len` payload bytes. A zero-length
 // message still occupies one packet.

@@ -117,8 +117,6 @@ class Semaphore {
     COWBIRD_CHECK(initial >= 0);
   }
 
-  std::int64_t Available() const { return count_; }
-
   struct AcquireAwaiter {
     Semaphore* sem;
     bool await_ready() {
@@ -168,7 +166,6 @@ class CountdownLatch {
   }
 
   auto Wait() { return event_.Wait(); }
-  std::int64_t Remaining() const { return count_; }
 
  private:
   OneShotEvent event_;

@@ -36,9 +36,6 @@ class Machine {
     COWBIRD_CHECK(cores > 0);
   }
 
-  int cores() const { return cores_; }
-  int active_workers() const { return active_; }
-
   // Permanently occupies `n` cores (e.g. pinned spinning I/O threads that
   // burn a core whether or not work is available — Redy's design).
   void AddPinnedLoad(int n) {

@@ -158,7 +158,7 @@ void SpotAgent::AddInstance(
   staging_floor_ = staging_cursor_;  // pin the fixed blocks below the wrap
   bool resumed_with_pending = false;
   if (resume != nullptr) {
-    // Registry migration: continue from the counters the previous engine
+    // Re-attach: continue from the counters the previous engine
     // exported. Entries at or past meta_head are re-discovered by the
     // next probe; sequence counters continue where the old engine stopped
     // so red-block progress stays monotonic for the client. Ops the old
@@ -209,19 +209,23 @@ void SpotAgent::AddInstance(
   }
   instances_.push_back(std::move(inst));
   RegisterInstanceTelemetry(*instances_.back());
-  if (resumed_with_pending) {
-    // Kick the main loop once per thread: publish the merged counters and
-    // pump the seeded ops (same synthetic-completion channel the batch
-    // timer uses). Attach happens while the agent runs, so the sends are
-    // drained on the next main-loop wake-up.
-    const auto index = static_cast<std::uint32_t>(instances_.size() - 1);
-    const int threads = instances_.back()->descriptor.layout.threads;
-    for (int t = 0; t < threads; ++t) {
-      completions_.Send(rdma::Cqe{
-          MakeWrId(CompletionKind::kResumeFlush, index,
-                   static_cast<std::uint16_t>(t), 0),
-          rdma::CqeOpcode::kWrite, rdma::CqeStatus::kSuccess, 0});
-    }
+  // Kick the main loop once per thread that resumed with pending ops, or
+  // whose counters the client has not seen: publish the merged counters and
+  // pump the seeded ops (same synthetic-completion channel the batch timer
+  // uses). Attach happens while the agent runs, so the sends are drained on
+  // the next main-loop wake-up.
+  const auto index = static_cast<std::uint32_t>(instances_.size() - 1);
+  const int threads = instances_.back()->descriptor.layout.threads;
+  for (int t = 0; t < threads; ++t) {
+    const bool unpublished =
+        resume != nullptr &&
+        static_cast<std::size_t>(t) < resume->unpublished.size() &&
+        resume->unpublished[static_cast<std::size_t>(t)];
+    if (!resumed_with_pending && !unpublished) continue;
+    completions_.Send(rdma::Cqe{
+        MakeWrId(CompletionKind::kResumeFlush, index,
+                 static_cast<std::uint16_t>(t), 0),
+        rdma::CqeOpcode::kWrite, rdma::CqeStatus::kSuccess, 0});
   }
 
   auto pump = [this](rdma::CompletionQueue* cq) {
@@ -271,7 +275,7 @@ std::optional<offload::InstanceProgress> SpotAgent::ExportProgress(
     // Export the *durable* read frontier, not the optimistic publication:
     // an in-flight batch dies with the engine's QPs on a crash, and claiming
     // its reads would lose their payloads. (If the optimistic red write did
-    // land, the registry glue reconciles the snapshot with the client's
+    // land, the next attach reconciles the snapshot with the client's
     // published counters — see offload::ReconcileWithPublished.)
     offload::ThreadProgress exported = ts.progress;
     exported.read_progress = ts.read_durable_seq;
@@ -362,8 +366,8 @@ sim::Task<void> SpotAgent::MainLoop() {
 
 sim::Task<void> SpotAgent::ProbeAll() {
   // Indexed iteration: AddInstance may run while this coroutine is
-  // suspended at a post (registry-driven migration), reallocating the
-  // vector under a range-for.
+  // suspended at a post (a re-attach), reallocating the vector under a
+  // range-for.
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     Instance& inst = *instances_[i];
     if (!inst.active || inst.probe_inflight) continue;
@@ -512,8 +516,8 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
       co_await FlushBatch(inst, thread_index, /*force=*/true);
       break;
     case CompletionKind::kResumeFlush:
-      // Resume-with-pending: publish the merged counters on the new QP and
-      // start executing the seeded operations.
+      // Resume with pending or unpublished work: publish the merged counters
+      // on the new QP and start executing the seeded operations.
       co_await WriteRedBlock(inst, thread_index);
       co_await PumpThread(inst, thread_index);
       co_await StartMetaFetch(inst, thread_index);

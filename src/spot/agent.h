@@ -97,9 +97,10 @@ class SpotAgent {
   // Registers an instance. `to_compute` must be a connected QP whose peer is
   // the instance's compute node; `to_memory[node]` likewise for every memory
   // node appearing in the region table. CQ completion routing is installed
-  // here. May be called while the agent is running (registry-driven
-  // migration); `resume` seeds the instance from a progress snapshot
-  // exported by the engine previously serving it.
+  // here. May be called while the agent is running (a re-attach);
+  // `resume` seeds the instance from a progress snapshot exported by the
+  // engine previously serving it, and threads it marks `unpublished` get
+  // their counters republished.
   void AddInstance(const core::InstanceDescriptor& descriptor,
                    rdma::QueuePair* to_compute,
                    rdma::CompletionQueue* compute_cq,
@@ -114,8 +115,8 @@ class SpotAgent {
   // effect of an engine crash).
   bool RemoveInstance(std::uint32_t instance_id);
 
-  // Crash-safe progress snapshot — what a registry migration hands to the
-  // engine taking over. Counters cover only ACKed-durable work (read
+  // Crash-safe progress snapshot — what a detach hands to the engine
+  // taking over. Counters cover only ACKed-durable work (read
   // delivery is published optimistically but exported conservatively), and
   // parsed-but-incomplete operations ride along explicitly (see
   // offload::PendingOp): the client has already freed their metadata slots,
@@ -227,7 +228,7 @@ class SpotAgent {
     kBatchWrite,    // batch of read results landed in compute resp ring
     kRedWrite,      // red block update landed
     kBatchTimer,    // synthetic: batch timeout tick
-    kResumeFlush,   // synthetic: publish + pump after a resume-with-pending
+    kResumeFlush,   // synthetic: publish + pump after a resume
   };
 
  private:

@@ -158,10 +158,6 @@ class MetricRegistry {
   Snapshot TakeSnapshot() const;
 
   std::size_t counter_series() const { return counters_.size(); }
-  std::size_t gauge_series() const {
-    return gauges_.size() + callback_gauges_.size();
-  }
-  std::size_t histogram_series() const { return histograms_.size(); }
 
  private:
   // std::map: node-based, so cell addresses are stable across inserts.

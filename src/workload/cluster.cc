@@ -165,113 +165,76 @@ p4::CowbirdP4Engine& Cluster::AddP4Engine(p4::CowbirdP4Engine::Config config) {
 std::vector<rdma::Device*> Cluster::MemoryDevices(
     const std::vector<int>& memories) {
   std::vector<rdma::Device*> devices;
+  if (memories.empty()) {
+    for (ClusterHost* host : memories_) devices.push_back(&*host->dev);
+  }
   for (const int m : memories) devices.push_back(&*memory(m).dev);
   return devices;
 }
 
-spot::SpotConnection Cluster::AttachSpot(
-    spot::SpotAgent& agent, const core::CowbirdClient& client,
-    const std::vector<int>& memories,
-    const offload::InstanceProgress* resume) {
-  const std::vector<rdma::Device*> devices = MemoryDevices(memories);
-  spot::SpotConnection conn = spot::ConnectSpotEngine(
-      *spot().dev, *client_at(client.descriptor().compute_node).dev, devices);
-  agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
-                    conn.to_memory, conn.memory_cqs, resume);
-  return conn;
-}
-
-void Cluster::AttachP4(const core::CowbirdClient& client,
-                       std::uint32_t qpn_base,
-                       const std::vector<int>& memories,
-                       const offload::InstanceProgress* resume) {
-  const std::vector<rdma::Device*> devices = MemoryDevices(memories);
-  const p4::P4Connection conn = p4::ConnectP4Engine(
-      *p4_, *client_at(client.descriptor().compute_node).dev, devices,
-      qpn_base);
-  p4_->AddInstance(client.descriptor(), conn, resume);
-}
-
-core::CowbirdClient* Cluster::FindClient(std::uint32_t instance_id) {
-  for (auto& client : cowbird_clients_) {
-    if (client->descriptor().instance_id == instance_id) return client.get();
+std::vector<offload::ThreadProgress> Cluster::PublishedProgress(
+    const core::CowbirdClient& client) {
+  const core::InstanceLayout& layout = client.descriptor().layout;
+  SparseMemory& mem = client_at(client.descriptor().compute_node).mem;
+  std::vector<offload::ThreadProgress> published;
+  std::vector<std::uint8_t> block(core::kRedBlockBytes);
+  for (int t = 0; t < layout.threads; ++t) {
+    mem.Read(layout.RedAddr(t), block);
+    published.push_back(offload::ProgressPublisher::Unpack(block));
   }
-  return nullptr;
+  return published;
 }
 
-std::vector<int> Cluster::AllMemories() const {
-  std::vector<int> all(memories_.size());
-  for (std::size_t m = 0; m < all.size(); ++m) all[m] = static_cast<int>(m);
-  return all;
+void Cluster::Attach(Engine engine, const core::CowbirdClient& client,
+                     const std::vector<int>& memories,
+                     const offload::InstanceProgress* resume) {
+  offload::InstanceProgress reconciled;
+  if (resume != nullptr) {
+    // Red writes on the wire at export time may have landed since: the
+    // client's published red block is the floor to resume from.
+    reconciled = *resume;
+    offload::ReconcileWithPublished(reconciled, PublishedProgress(client));
+    resume = &reconciled;
+  }
+  const std::vector<rdma::Device*> devices = MemoryDevices(memories);
+  rdma::Device& compute = *client_at(client.descriptor().compute_node).dev;
+  if (engine.agent == nullptr) {
+    const p4::P4Connection conn =
+        p4::ConnectP4Engine(*p4_, compute, devices, p4_next_qpn_);
+    p4_next_qpn_ += 0x20;
+    p4_->AddInstance(client.descriptor(), conn, resume);
+    return;
+  }
+  const spot::SpotConnection conn =
+      spot::ConnectSpotEngine(*spot().dev, compute, devices);
+  engine.agent->AddInstance(client.descriptor(), conn.to_compute,
+                            conn.compute_cq, conn.to_memory, conn.memory_cqs,
+                            resume);
+  spot_conns_[{engine.agent, client.descriptor().instance_id}] = conn;
 }
 
-offload::EngineBinding Cluster::SpotBinding(spot::SpotAgent& agent,
-                                            std::string name, Detach detach) {
-  offload::EngineBinding binding;
-  binding.name = std::move(name);
-  binding.attach = [this, &agent, detach](
-                       std::uint32_t instance_id,
-                       const offload::InstanceProgress* resume) {
-    const core::CowbirdClient* client = FindClient(instance_id);
-    if (client == nullptr) return false;
-    offload::InstanceProgress reconciled;
-    if (detach == Detach::kCrash && resume != nullptr) {
-      // Red writes on the wire at export time may have landed since: the
-      // client's published red block is the floor to resume from.
-      const core::InstanceLayout& layout = client->descriptor().layout;
-      SparseMemory& mem = client_at(client->descriptor().compute_node).mem;
-      std::vector<offload::ThreadProgress> published;
-      std::vector<std::uint8_t> block(core::kRedBlockBytes);
-      for (int t = 0; t < layout.threads; ++t) {
-        mem.Read(layout.RedAddr(t), block);
-        published.push_back(offload::ProgressPublisher::Unpack(block));
-      }
-      reconciled = *resume;
-      offload::ReconcileWithPublished(reconciled, published);
-      resume = &reconciled;
-    }
-    const spot::SpotConnection conn =
-        AttachSpot(agent, *client, AllMemories(), resume);
-    if (detach == Detach::kCrash) spot_conns_[{&agent, instance_id}] = conn;
-    return true;
-  };
-  binding.detach = [this, &agent](std::uint32_t instance_id) {
-    auto snapshot = agent.ExportProgress(instance_id);
-    agent.RemoveInstance(instance_id);
-    // Crash attaches recorded their QPs: halt them mid-flight.
-    auto it = spot_conns_.find({&agent, instance_id});
-    if (it != spot_conns_.end()) {
-      it->second.to_compute->Halt();
-      for (auto& [node, qp] : it->second.to_memory) qp->Halt();
-      spot_conns_.erase(it);
-    }
+std::optional<offload::InstanceProgress> Cluster::Detach(
+    Engine engine, const core::CowbirdClient& client, bool halt) {
+  const std::uint32_t id = client.descriptor().instance_id;
+  if (engine.agent == nullptr) {
+    // The engine's counters only cover completed work and its pipeline
+    // state dies with the instance entry, so the export is crash-safe
+    // as-is; packets already on the wire land harmlessly (idempotent
+    // re-execution, Section 5.3).
+    auto snapshot = p4_->ExportProgress(id);
+    p4_->RemoveInstance(id);
     return snapshot;
-  };
-  return binding;
-}
-
-offload::EngineBinding Cluster::P4Binding() {
-  offload::EngineBinding binding;
-  binding.name = "p4";
-  binding.attach = [this](std::uint32_t instance_id,
-                          const offload::InstanceProgress* resume) {
-    const core::CowbirdClient* client = FindClient(instance_id);
-    if (client == nullptr) return false;
-    const std::uint32_t qpn_base = p4_next_qpn_;
-    p4_next_qpn_ += 0x40;
-    AttachP4(*client, qpn_base, AllMemories(), resume);
-    return true;
-  };
-  // The engine's counters only cover completed work and its in-flight
-  // pipeline state dies with the instance entry, so the export is crash-safe
-  // as-is; packets already on the wire land harmlessly (idempotent
-  // re-execution, Section 5.3).
-  binding.detach = [this](std::uint32_t instance_id) {
-    auto snapshot = p4_->ExportProgress(instance_id);
-    p4_->RemoveInstance(instance_id);
-    return snapshot;
-  };
-  return binding;
+  }
+  auto snapshot = engine.agent->ExportProgress(id);
+  engine.agent->RemoveInstance(id);
+  const auto it = spot_conns_.find({engine.agent, id});
+  COWBIRD_CHECK(it != spot_conns_.end());
+  if (halt) {
+    it->second.to_compute->Halt();
+    for (auto& [node, qp] : it->second.to_memory) qp->Halt();
+  }
+  spot_conns_.erase(it);
+  return snapshot;
 }
 
 }  // namespace cowbird::workload

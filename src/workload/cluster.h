@@ -13,10 +13,10 @@
 //   * telemetry. With a hub, every device, link, the switch and the event
 //     pools are bound to it, the tracer clock is re-seated onto the run and
 //     frozen at teardown;
-//   * engine attach. Clients and engines are built here, so each gets the
-//     hub; AttachSpot/AttachP4 (and the registry bindings built on them)
-//     are the one place that runs ConnectSpotEngine/ConnectP4Engine +
-//     AddInstance;
+//   * engine attach and detach. Clients and engines are built here, so
+//     each gets the hub; Attach and Detach are the only way an instance
+//     reaches or leaves an engine (ConnectSpotEngine/ConnectP4Engine +
+//     AddInstance, and ExportProgress + RemoveInstance);
 //   * teardown order. Every gauge the cluster bound is unbound before the
 //     object behind it is destroyed.
 #pragma once
@@ -33,7 +33,7 @@
 #include "common/sparse_memory.h"
 #include "core/client.h"
 #include "net/switch.h"
-#include "offload/registry.h"
+#include "offload/progress.h"
 #include "p4/engine.h"
 #include "rdma/device.h"
 #include "rdma/params.h"
@@ -131,32 +131,35 @@ class Cluster {
   p4::CowbirdP4Engine& AddP4Engine(p4::CowbirdP4Engine::Config config);
   p4::CowbirdP4Engine& p4() { return *p4_; }
 
-  // Phase I: connects `client`'s instance to an engine through memory
-  // servers `memories` (indices), then adds it, resuming from `resume`.
-  spot::SpotConnection AttachSpot(
-      spot::SpotAgent& agent, const core::CowbirdClient& client,
-      const std::vector<int>& memories = {0},
-      const offload::InstanceProgress* resume = nullptr);
-  void AttachP4(const core::CowbirdClient& client, std::uint32_t qpn_base,
-                const std::vector<int>& memories = {0},
-                const offload::InstanceProgress* resume = nullptr);
+  // An engine this cluster built, as Attach and Detach name it: one of its
+  // Spot agents, or its P4 engine (`agent` null).
+  struct Engine {
+    Engine(spot::SpotAgent& spot_agent) : agent(&spot_agent) {}
+    Engine(p4::CowbirdP4Engine&) {}
+    spot::SpotAgent* agent = nullptr;
+  };
 
-  // Registry hooks for one engine over every memory server. A graceful
-  // spot detach exports and removes the instance; a crash detach also halts
-  // the engine's QPs mid-flight (no zombie retransmissions), and its attach
-  // reconciles a resume snapshot with the client's published red block.
-  // Every P4 attach takes a fresh QPN block starting at 0x800, so a
-  // re-attach never collides with the QPs an earlier one left behind.
-  enum class Detach { kGraceful, kCrash };
-  offload::EngineBinding SpotBinding(spot::SpotAgent& agent, std::string name,
-                                     Detach detach = Detach::kGraceful);
-  offload::EngineBinding P4Binding();
+  // Phase I: connects `client`'s instance to `engine` through memory servers
+  // `memories` (indices; empty = every server), then adds it. A `resume`
+  // snapshot is reconciled with the client's published red block first, so
+  // the engine never re-delivers what the client already retired. Each P4
+  // attach takes the next QPN block (0x800, 0x820, ...), so a re-attach
+  // never collides with the QPs an earlier one left behind.
+  void Attach(Engine engine, const core::CowbirdClient& client,
+              const std::vector<int>& memories = {},
+              const offload::InstanceProgress* resume = nullptr);
+  // Exports the instance's progress from `engine` and removes it, returning
+  // the snapshot to resume from. `halt` is a crash: the Spot QPs of the
+  // attach stop mid-flight (no drain, no zombie retransmissions).
+  std::optional<offload::InstanceProgress> Detach(
+      Engine engine, const core::CowbirdClient& client, bool halt = false);
+  // The red block `client` has seen published, one entry per thread.
+  std::vector<offload::ThreadProgress> PublishedProgress(
+      const core::CowbirdClient& client);
 
  private:
   static std::size_t Index(int i) { return static_cast<std::size_t>(i); }
   std::vector<rdma::Device*> MemoryDevices(const std::vector<int>& memories);
-  std::vector<int> AllMemories() const;
-  core::CowbirdClient* FindClient(std::uint32_t instance_id);
   void BindTelemetry();
 
   ClusterSpec spec_;
@@ -175,7 +178,7 @@ class Cluster {
   std::vector<std::unique_ptr<spot::SpotAgent>> agents_;
   std::unique_ptr<p4::CowbirdP4Engine> p4_;
   std::uint32_t p4_next_qpn_ = 0x800;
-  // The QPs each crash-mode (agent, instance) attach made.
+  // The QPs each Spot (agent, instance) attach made, for a halting detach.
   std::map<std::pair<const spot::SpotAgent*, std::uint32_t>,
            spot::SpotConnection>
       spot_conns_;

@@ -105,14 +105,14 @@ struct Harness {
         if (cfg.paradigm == Paradigm::kCowbirdP4) {
           p4::CowbirdP4Engine& engine =
               cluster.AddP4Engine(p4::CowbirdP4Engine::Config{});
-          cluster.AttachP4(*client, 0x800);
+          cluster.Attach(engine, *client);
           engine.Start();
           break;
         }
         spot::SpotAgent::Config ac = cfg.agent;
         if (cfg.paradigm == Paradigm::kCowbirdNoBatch) ac.batch_size = 1;
         agent = &cluster.AddSpotAgent(ac);
-        cluster.AttachSpot(*agent, *client);
+        cluster.Attach(*agent, *client);
         agent->Start();
         break;
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "core/migration.h"
 #include "p4/engine.h"
 #include "workload/cluster.h"
+#include "workload/cutover.h"
 
 namespace cowbird::workload {
 namespace {
@@ -128,30 +130,32 @@ struct ScaleHarness {
       // When the NICs run DCQCN, the switch-generated packets join the ECN
       // loop too (and the engine reflects CNPs to the memory hosts).
       ec.ecn_capable = cfg.dcqcn.enabled;
-      p4_engine = &cluster.AddP4Engine(ec);
+      p4::CowbirdP4Engine& p4 = cluster.AddP4Engine(ec);
+      engine = p4;
       for (int k = 0; k < cfg.clients; ++k) {
-        cluster.AttachP4(*clients[static_cast<std::size_t>(k)],
-                         0x800 + 0x20 * static_cast<std::uint32_t>(k),
-                         memories_for(k));
+        cluster.Attach(p4, *clients[static_cast<std::size_t>(k)],
+                       memories_for(k));
       }
-      reattach_qpn_base = 0x800 + 0x20 * static_cast<std::uint32_t>(
-                                             cfg.clients);
-      p4_engine->Start();
+      p4.Start();
     } else {
       COWBIRD_CHECK(cfg.paradigm == Paradigm::kCowbird);
-      agent = &cluster.AddSpotAgent(cfg.agent);
+      spot::SpotAgent& agent = cluster.AddSpotAgent(cfg.agent);
+      engine = agent;
       for (int k = 0; k < cfg.clients; ++k) {
-        cluster.AttachSpot(*agent, *clients[static_cast<std::size_t>(k)],
-                           memories_for(k));
+        cluster.Attach(agent, *clients[static_cast<std::size_t>(k)],
+                       memories_for(k));
       }
-      agent->Start();
+      agent.Start();
     }
 
     if (cfg.migrate) {
-      // The copy stream rides a dedicated QP src→dst, sharing the fabric —
-      // and therefore contending — with the foreground read traffic.
-      migrate_qp = rdma::ConnectQueuePairs(*cluster.memory(0).dev,
-                                           *cluster.memory(1).dev);
+      // The copy stream rides a dedicated QP src→dst (connected here),
+      // sharing the fabric — and therefore contending — with the
+      // foreground read traffic.
+      core::RegionMigrator::Config mc;
+      mc.telemetry = cfg.telemetry;
+      cutover.emplace(cluster, pool, *clients[0], kRegion, kPoolBase, 0, 1,
+                      mc, /*halt=*/false);
     }
   }
 
@@ -163,64 +167,18 @@ struct ScaleHarness {
     return total;
   }
 
-  // One pre-scheduled coordinator tick: drives the copy-then-cutover state
-  // machine for client 0's region. The cutover itself — translation flip,
-  // client range republish, engine re-attach — happens inside a single
-  // tick, atomic in virtual time.
+  // One pre-scheduled coordinator tick for client 0's region. The phase
+  // split reads the stage transitions: the copy starts on the first tick,
+  // and the cutover (translation flip, range republish, re-attach) happens
+  // inside a single later one.
   void MigrationTick(Nanos now) {
-    switch (migration_stage) {
-      case MigrationStage::kArmed: {
-        migrate_started_at = now;
-        ops_at_migrate_start = TotalOps();
-        migrate_plan =
-            pool.PlanMove(kRegion, kPoolBase, cluster.memory(1).id());
-        COWBIRD_CHECK(migrate_plan.has_value());
-        core::RegionMigrator::Config mc;
-        mc.telemetry = cfg.telemetry;
-        migrator = std::make_unique<core::RegionMigrator>(
-            *cluster.memory(0).dev, *migrate_qp.a, *migrate_qp.a_send_cq,
-            *migrate_plan, mc);
-        migrator->Start();
-        migration_stage = MigrationStage::kCopying;
-        break;
-      }
-      case MigrationStage::kCopying: {
-        if (!migrator->ReadyForCutover()) break;
-        // Detach: export the resume snapshot and stop serving client 0.
-        // Reads it had in flight are re-executed after the re-attach.
-        const std::uint32_t id = clients[0]->descriptor().instance_id;
-        if (p4_engine != nullptr) {
-          migrate_resume = p4_engine->ExportProgress(id);
-          p4_engine->RemoveInstance(id);
-        } else {
-          migrate_resume = agent->ExportProgress(id);
-          agent->RemoveInstance(id);
-        }
-        COWBIRD_CHECK(migrate_resume.has_value());
-        migrator->BeginFinalDrain();
-        migration_stage = MigrationStage::kDraining;
-        break;
-      }
-      case MigrationStage::kDraining: {
-        migrator->Nudge();
-        if (!migrator->Synced()) break;
-        pool.CommitMove(*migrate_plan);
-        clients[0]->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
-        migrator->Finish();
-        if (p4_engine != nullptr) {
-          cluster.AttachP4(*clients[0], reattach_qpn_base, {0, 1},
-                           &*migrate_resume);
-        } else {
-          cluster.AttachSpot(*agent, *clients[0], {0, 1}, &*migrate_resume);
-        }
-        migrate_cutover_at = now;
-        ops_at_cutover = TotalOps();
-        ++migrations;
-        migration_stage = MigrationStage::kDone;
-        break;
-      }
-      case MigrationStage::kDone:
-        break;
+    if (!cutover->Tick(*engine)) return;
+    if (cutover->done()) {
+      migrate_cutover_at = now;
+      ops_at_cutover = TotalOps();
+    } else if (!cutover->parked()) {
+      migrate_started_at = now;
+      ops_at_migrate_start = TotalOps();
     }
   }
 
@@ -237,8 +195,7 @@ struct ScaleHarness {
   Cluster cluster;
   std::vector<const rdma::MemoryRegion*> pool_mrs;
   std::vector<core::CowbirdClient*> clients;
-  spot::SpotAgent* agent = nullptr;
-  p4::CowbirdP4Engine* p4_engine = nullptr;
+  std::optional<Cluster::Engine> engine;  // serves every client
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::vector<std::uint64_t>> ops;  // [client][thread]
   // One latency trace per (client, thread): (completion time, latency)
@@ -247,16 +204,9 @@ struct ScaleHarness {
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
 
   // Live-rebalance state (untouched unless cfg.migrate).
-  enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
   core::ClusterPool pool;
   Bytes slab_bytes = 0;
-  std::uint32_t reattach_qpn_base = 0;
-  rdma::QpPair migrate_qp;
-  std::optional<core::ClusterPool::MigrationPlan> migrate_plan;
-  std::unique_ptr<core::RegionMigrator> migrator;
-  std::optional<offload::InstanceProgress> migrate_resume;
-  MigrationStage migration_stage = MigrationStage::kArmed;
-  std::uint64_t migrations = 0;
+  std::optional<RegionCutover> cutover;
   Nanos migrate_started_at = 0;
   Nanos migrate_cutover_at = 0;
   std::uint64_t ops_at_migrate_start = 0;
@@ -391,16 +341,16 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   }
 
   if (config.migrate) {
-    result.migrations = h.migrations;
-    if (h.migrator != nullptr) {
-      result.migrate_bytes_copied = h.migrator->bytes_copied();
-      result.migrate_dirty_marks = h.migrator->dirty_marks();
+    result.migrations = h.cutover->done() ? 1 : 0;
+    if (const core::RegionMigrator* migrator = h.cutover->migrator()) {
+      result.migrate_bytes_copied = migrator->bytes_copied();
+      result.migrate_dirty_marks = migrator->dirty_marks();
     }
     result.migrate_started_at = h.migrate_started_at;
     result.migrate_cutover_at = h.migrate_cutover_at;
     // Phase split of the measure window, defined only when the whole
     // migration happened inside it.
-    if (h.migrations == 1 && h.migrate_started_at >= t0) {
+    if (result.migrations == 1 && h.migrate_started_at >= t0) {
       std::uint64_t warm_total = 0;
       for (const std::uint64_t w : warm) warm_total += w;
       const Nanos t_end = t0 + elapsed;

@@ -191,6 +191,36 @@ TEST(ChaosRunTest, InjectedFaultCountersMatchDecisionsExactly) {
   EXPECT_GT(result.reads_checked, 50u);
 }
 
+// A P4 primary that dies while the red writes of its last completions are
+// in Go-Back-N recovery: its registers cover ops the client's red block
+// does not. The Spot standby resumes from those counters with nothing
+// pending (P4 exports none). Unless it republishes them, the client's
+// window stays full of ops it cannot retire, it issues nothing a probe
+// could find, and those ops never retire. The shape is perfbench's
+// chaos-faults run on a P4 primary; without the republish, these seeds
+// strand 32 and 16 ops.
+TEST(ChaosRunTest, SurvivorRepublishesCountersADeadP4EngineNeverPublished) {
+  for (const std::uint64_t seed : {32002, 32113}) {
+    COWBIRD_SCOPED_SEED(seed);
+    ChaosOptions opt;
+    opt.engine = EngineKind::kP4;
+    opt.seed = seed;
+    opt.workload.threads = 4;
+    opt.workload.slots_per_thread = 64;
+    opt.workload.len = 256;
+    opt.workload.write_ratio = 0.3;
+    opt.workload.max_outstanding = 16;
+    opt.workload.ops_per_thread = 1'000'000;  // bounded by the issue deadline
+    opt.plan.drop_rate = 0.0005;
+    opt.plan.duplicate_rate = 0.0005;
+    opt.plan.reorder_rate = 0.0005;
+    opt.plan.crashes = {Millis(10)};
+    const ChaosResult result = RunChaos(opt);
+    EXPECT_EQ(result.crashes_executed, 1u);
+    EXPECT_TRUE(result.Passed()) << Report(result);
+  }
+}
+
 class ChaosEngineTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(ChaosEngineTest, LinearizesUnderMixedPacketFaults) {

@@ -245,7 +245,7 @@ TEST_F(ClusterPoolTest, OneServerRegionServesRdmaThroughSpot) {
   client.RegisterRegion(*region);
   client.SetRegionRanges(kRegion, pool_.RangesFor(kRegion));
   spot::SpotAgent& agent = f_.AddSpotAgent(spot::SpotAgent::Config{});
-  f_.AttachSpot(agent, client);
+  f_.Attach(agent, client);
   agent.Start();
 
   const std::vector<std::uint8_t> data(64, 0x5C);

@@ -23,7 +23,7 @@ class ConvenienceTest : public testing::ClusterTest {
     client_ = &f_.AddClient(0, testing::SmallRings(1));
     client_->RegisterRegion(pool);
     spot::SpotAgent& agent = f_.AddSpotAgent(spot::SpotAgent::Config{});
-    f_.AttachSpot(agent, *client_);
+    f_.Attach(agent, *client_);
     agent.Start();
   }
 };

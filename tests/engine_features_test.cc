@@ -31,7 +31,7 @@ TEST(SpotMultiInstance, TwoClientsOneAgent) {
     clients.push_back(
         &f.AddClient(0, testing::SmallRings(1, 0x10000 + i * MiB(8))));
     clients.back()->RegisterRegion(pool);
-    f.AttachSpot(agent, *clients.back());
+    f.Attach(agent, *clients.back());
   }
   agent.Start();
 
@@ -71,7 +71,7 @@ TEST(MultiRegion, TwoRegionsOneInstance) {
   client.RegisterRegion(region_b);
 
   spot::SpotAgent& agent = f.AddSpotAgent(spot::SpotAgent::Config{});
-  f.AttachSpot(agent, client);
+  f.Attach(agent, client);
   agent.Start();
 
   const auto da = Pattern(100, 3);
@@ -106,7 +106,7 @@ TEST(AdaptiveProbe, SpotBacksOffWhenIdleAndSnapsBack) {
   ac.adaptive_probe = true;
   ac.probe_interval = Micros(2);
   spot::SpotAgent& agent = f.AddSpotAgent(ac);
-  f.AttachSpot(agent, client);
+  f.Attach(agent, client);
   agent.Start();
 
   // Idle for a while: the interval must ramp to the maximum.
@@ -141,7 +141,7 @@ TEST(AdaptiveProbe, P4BacksOffWhenIdle) {
   p4::CowbirdP4Engine::Config ec;
   ec.adaptive_probe = true;
   p4::CowbirdP4Engine& engine = f.AddP4Engine(ec);
-  f.AttachP4(client, 0x800);
+  f.Attach(engine, client);
   engine.Start();
 
   f.sim.RunFor(Millis(1));

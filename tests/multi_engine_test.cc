@@ -1,12 +1,11 @@
 // Multi-engine sharding: one deployment's instances spread across several
-// concurrently running offload engines by an InstanceRegistry, with
-// registry-driven migration when an engine is decommissioned.
+// concurrently running offload engines, moved between them through the
+// cluster's Detach and Attach when an engine is decommissioned or dies.
 //
 // Two spot agents run on the same harvested node (disjoint staging arenas,
 // separate QPs/CQs); two client instances on the compute node are sharded
-// one-per-engine. Stopping an engine exports the red-block progress
-// snapshot through the registry and the surviving engine resumes the
-// instance from it.
+// one-per-engine. Detaching an instance exports its red-block progress
+// snapshot, and the engine it attaches to next resumes it from there.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +14,7 @@
 #include "common/rng.h"
 #include "core/client.h"
 #include "fabric_fixture.h"
-#include "offload/registry.h"
+#include "offload/progress.h"
 #include "spot/agent.h"
 
 namespace cowbird::spot {
@@ -25,7 +24,6 @@ using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
 using testing::Pattern;
-using workload::Cluster;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -43,12 +41,6 @@ class MultiEngineTest : public testing::ClusterTest {
           &f_.AddClient(0, testing::SmallRings(1, layout_base)));
       clients_.back()->RegisterRegion(pool);
     }
-
-    // The registry sees every engine through a backend-agnostic binding:
-    // attach wires fresh QPs and resumes from the snapshot, detach exports
-    // the snapshot and deactivates the instance.
-    engine_a_ = registry_.AddEngine(f_.SpotBinding(*agent_a_, "spot-a"));
-    engine_b_ = registry_.AddEngine(f_.SpotBinding(*agent_b_, "spot-b"));
     agent_a_->Start();
     agent_b_->Start();
   }
@@ -67,26 +59,21 @@ class MultiEngineTest : public testing::ClusterTest {
                                      len);
   }
 
+  // Moves client 0's instance from agent A to agent B; `halt` is a crash.
+  void MoveToB(bool halt = false) {
+    const offload::InstanceProgress snapshot =
+        f_.Detach(*agent_a_, *clients_[0], halt).value();
+    f_.Attach(*agent_b_, *clients_[0], {}, &snapshot);
+  }
+
   SpotAgent* agent_a_ = nullptr;
   SpotAgent* agent_b_ = nullptr;
   std::vector<CowbirdClient*> clients_;
-  offload::InstanceRegistry registry_;
-  offload::EngineId engine_a_ = offload::kNoEngine;
-  offload::EngineId engine_b_ = offload::kNoEngine;
 };
 
 TEST_F(MultiEngineTest, DisjointShardsServedConcurrently) {
-  const std::uint32_t id0 = clients_[0]->descriptor().instance_id;
-  const std::uint32_t id1 = clients_[1]->descriptor().instance_id;
-
-  // Least-loaded placement spreads the two instances one-per-engine.
-  const auto placed0 = registry_.AddInstance(id0);
-  const auto placed1 = registry_.AddInstance(id1);
-  ASSERT_NE(placed0, offload::kNoEngine);
-  ASSERT_NE(placed1, offload::kNoEngine);
-  EXPECT_NE(placed0, placed1);
-  EXPECT_EQ(registry_.InstancesOn(placed0), std::vector<std::uint32_t>{id0});
-  EXPECT_EQ(registry_.InstancesOn(placed1), std::vector<std::uint32_t>{id1});
+  f_.Attach(*agent_a_, *clients_[0]);
+  f_.Attach(*agent_b_, *clients_[1]);
 
   const auto d0 = Pattern(256, 1);
   const auto d1 = Pattern(512, 2);
@@ -118,9 +105,8 @@ TEST_F(MultiEngineTest, DisjointShardsServedConcurrently) {
 
 TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
   const std::uint32_t id0 = clients_[0]->descriptor().instance_id;
-  const std::uint32_t id1 = clients_[1]->descriptor().instance_id;
-  ASSERT_EQ(registry_.AddInstance(id0, engine_a_), engine_a_);
-  ASSERT_EQ(registry_.AddInstance(id1, engine_b_), engine_b_);
+  f_.Attach(*agent_a_, *clients_[0]);
+  f_.Attach(*agent_b_, *clients_[1]);
 
   f_.sim.Spawn([](MultiEngineTest& t, std::uint32_t inst0)
                    -> sim::Task<void> {
@@ -140,10 +126,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
     while (!t.agent_a_->InstanceDrained(inst0)) {
       co_await t.app_thread_->Idle(Micros(10));
     }
-    const auto migrated = t.registry_.StopEngine(t.engine_a_);
-    EXPECT_EQ(migrated, std::vector<std::uint32_t>{inst0});
-    EXPECT_EQ(t.registry_.EngineOf(inst0), t.engine_b_);
-    EXPECT_EQ(t.registry_.live_engines(), 1u);
+    t.MoveToB();
 
     // Phase 2: the same instance keeps working, now served by engine B
     // resuming from the exported red-block snapshot.
@@ -165,7 +148,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
 
 TEST_F(MultiEngineTest, ExplicitReassignMovesLiveInstance) {
   const std::uint32_t id0 = clients_[0]->descriptor().instance_id;
-  ASSERT_EQ(registry_.AddInstance(id0, engine_a_), engine_a_);
+  f_.Attach(*agent_a_, *clients_[0]);
 
   f_.sim.Spawn([](MultiEngineTest& t, std::uint32_t inst0)
                    -> sim::Task<void> {
@@ -173,12 +156,11 @@ TEST_F(MultiEngineTest, ExplicitReassignMovesLiveInstance) {
     t.f_.client(0).mem.Write(kHeap, data);
     co_await t.WriteAndWait(0, kHeap, 0x3000, 300);
 
-    // Drain A before moving (lossless handoff), then Reassign.
+    // Drain A before moving (lossless handoff); A keeps running.
     while (!t.agent_a_->InstanceDrained(inst0)) {
       co_await t.app_thread_->Idle(Micros(10));
     }
-    EXPECT_TRUE(t.registry_.Reassign(inst0, t.engine_b_));
-    EXPECT_EQ(t.registry_.EngineOf(inst0), t.engine_b_);
+    t.MoveToB();
 
     auto got = co_await t.ReadAndWait(0, 0x3000, 300, kHeap + 0x10000);
     EXPECT_EQ(got, data);
@@ -188,6 +170,46 @@ TEST_F(MultiEngineTest, ExplicitReassignMovesLiveInstance) {
   EXPECT_GE(agent_b_->ops_completed(), 1u);
 }
 
+// The cluster is the instance registry: Attach and Detach are the record of
+// which engine serves an instance. Moving an instance between two live
+// engines hands the second the snapshot the first exported, and leaves the
+// first with nothing of the instance.
+using InstanceRegistry = MultiEngineTest;
+
+TEST_F(InstanceRegistry, ReassignMovesSnapshotBetweenEngines) {
+  const std::uint32_t id0 = clients_[0]->descriptor().instance_id;
+  f_.Attach(*agent_a_, *clients_[0]);
+
+  f_.sim.Spawn([](InstanceRegistry& t, std::uint32_t inst0)
+                   -> sim::Task<void> {
+    for (int i = 0; i < 5; ++i) {
+      const auto data = Pattern(200, 700 + i);
+      t.f_.client(0).mem.Write(kHeap, data);
+      co_await t.WriteAndWait(0, kHeap, i * 1024, 200);
+    }
+    while (!t.agent_a_->InstanceDrained(inst0)) {
+      co_await t.app_thread_->Idle(Micros(10));
+    }
+
+    const offload::InstanceProgress snapshot =
+        t.f_.Detach(*t.agent_a_, *t.clients_[0]).value();
+    EXPECT_EQ(snapshot.threads[0].write_progress, 5u);
+    EXPECT_FALSE(t.agent_a_->ExportProgress(inst0).has_value());
+    t.f_.Attach(*t.agent_b_, *t.clients_[0], {}, &snapshot);
+    EXPECT_EQ(t.agent_b_->ExportProgress(inst0).value().threads,
+              snapshot.threads);
+
+    // A stays up but no longer serves the instance; B does.
+    const auto a_ops = t.agent_a_->ops_completed();
+    auto got = co_await t.ReadAndWait(0, 4 * 1024, 200, kHeap + 0x10000);
+    EXPECT_EQ(got, Pattern(200, 704));
+    EXPECT_EQ(t.agent_a_->ops_completed(), a_ops);
+    EXPECT_EQ(t.agent_b_->ops_completed(), 1u);
+    t.f_.sim.Halt();
+  }(*this, id0));
+  f_.sim.Run();
+}
+
 TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
   // Unlike the graceful decommission above, the engine dies with an
   // operation in flight: no StopProbing, no InstanceDrained wait. The
@@ -195,17 +217,9 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
   // published red block (which may have advanced between ExportProgress and
   // the survivor's attach) must neither lose the in-flight write nor apply
   // any completed one twice.
-  const std::uint32_t inst = clients_[0]->descriptor().instance_id;
-  offload::InstanceRegistry crash_reg;
-  const auto crash_a = crash_reg.AddEngine(
-      f_.SpotBinding(*agent_a_, "crash-a", Cluster::Detach::kCrash));
-  const auto crash_b = crash_reg.AddEngine(
-      f_.SpotBinding(*agent_b_, "crash-b", Cluster::Detach::kCrash));
-  ASSERT_EQ(crash_reg.AddInstance(inst, crash_a), crash_a);
+  f_.Attach(*agent_a_, *clients_[0]);
 
-  f_.sim.Spawn([](MultiEngineTest& t, offload::InstanceRegistry& reg,
-                  offload::EngineId ea, offload::EngineId eb,
-                  std::uint32_t inst0) -> sim::Task<void> {
+  f_.sim.Spawn([](MultiEngineTest& t) -> sim::Task<void> {
     // Durable pre-crash history: six completed writes.
     for (int i = 0; i < 6; ++i) {
       const auto data = Pattern(200, 300 + i);
@@ -228,10 +242,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
       co_await t.app_thread_->Idle(Micros(5));
     }
     co_await t.app_thread_->Idle(Micros(3));
-    const auto migrated = reg.StopEngine(ea);
-    EXPECT_EQ(migrated, std::vector<std::uint32_t>{inst0});
-    EXPECT_EQ(reg.EngineOf(inst0), eb);
-    EXPECT_EQ(reg.live_engines(), 1u);
+    t.MoveToB(/*halt=*/true);
 
     // The in-flight write still completes, exactly once, on the survivor.
     const core::PollId poll = ctx.PollCreate();
@@ -262,9 +273,90 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
       EXPECT_EQ(back, data) << "post-crash iteration " << i;
     }
     t.f_.sim.Halt();
-  }(*this, crash_reg, crash_a, crash_b, inst));
+  }(*this));
   f_.sim.Run();
   EXPECT_GE(agent_b_->ops_completed(), 1u);
+}
+
+TEST_F(MultiEngineTest, SurvivorResumesFromTheExportedSnapshot) {
+  const std::uint32_t id0 = clients_[0]->descriptor().instance_id;
+  f_.Attach(*agent_a_, *clients_[0]);
+
+  f_.sim.Spawn([](MultiEngineTest& t, std::uint32_t inst0)
+                   -> sim::Task<void> {
+    for (int i = 0; i < 4; ++i) {
+      const auto data = Pattern(128, 600 + i);
+      t.f_.client(0).mem.Write(kHeap, data);
+      co_await t.WriteAndWait(0, kHeap, i * 1024, 128);
+      auto got = co_await t.ReadAndWait(0, i * 1024, 128, kHeap + 0x10000);
+      EXPECT_EQ(got, data);
+    }
+    t.agent_a_->StopProbing();
+    while (!t.agent_a_->InstanceDrained(inst0)) {
+      co_await t.app_thread_->Idle(Micros(10));
+    }
+
+    // A drained export is exactly the client's red block, and the engine
+    // attached with it continues from exactly that point.
+    const offload::InstanceProgress snapshot =
+        t.f_.Detach(*t.agent_a_, *t.clients_[0]).value();
+    EXPECT_EQ(snapshot.threads, t.f_.PublishedProgress(*t.clients_[0]));
+    EXPECT_EQ(snapshot.threads[0].write_progress, 4u);
+    EXPECT_EQ(snapshot.threads[0].read_progress, 4u);
+    t.f_.Attach(*t.agent_b_, *t.clients_[0], {}, &snapshot);
+    EXPECT_EQ(t.agent_b_->ExportProgress(inst0).value().threads,
+              snapshot.threads);
+
+    auto got = co_await t.ReadAndWait(0, 3 * 1024, 128, kHeap + 0x10000);
+    EXPECT_EQ(got, Pattern(128, 603));
+    EXPECT_EQ(t.agent_b_->ops_completed(), 1u);
+    t.f_.sim.Halt();
+  }(*this, id0));
+  f_.sim.Run();
+}
+
+// An undrained graceful handoff: the export's read frontier only covers
+// batches whose ACK agent A saw, so reads A delivered (and the client
+// retired) ride along as pending. The attach reconciles them against the
+// client's red block, so across both agents every read executes once.
+TEST_F(MultiEngineTest, UndrainedHandoffExecutesEveryReadOnce) {
+  f_.Attach(*agent_a_, *clients_[0]);
+
+  f_.sim.Spawn([](MultiEngineTest& t) -> sim::Task<void> {
+    constexpr int kReads = 400;
+    constexpr int kWindow = 8;
+    constexpr std::uint32_t kLen = 256;
+    auto& ctx = t.clients_[0]->thread(0);
+    sim::SimThread& thread = *t.app_thread_;
+    const core::PollId poll = ctx.PollCreate();
+    int issued = 0;
+    int retired = 0;
+    while (retired < kReads) {
+      if (issued < kReads && issued - retired < kWindow) {
+        const auto slot = static_cast<std::uint64_t>(issued % kWindow);
+        const auto id = co_await ctx.AsyncRead(
+            thread, kRegion, static_cast<std::uint64_t>(issued) * kLen,
+            kHeap + 0x10000 + slot * kLen, kLen);
+        if (id.has_value()) {
+          ctx.PollAdd(poll, *id);
+          if (++issued == kReads / 2) {
+            const offload::InstanceProgress snapshot =
+                t.f_.Detach(*t.agent_a_, *t.clients_[0]).value();
+            co_await thread.Idle(Micros(20));
+            t.f_.Attach(*t.agent_b_, *t.clients_[0], {}, &snapshot);
+          }
+          continue;
+        }
+      }
+      const auto done = co_await ctx.PollWait(thread, poll, kWindow, 0);
+      retired += static_cast<int>(done.size());
+      if (done.empty()) co_await thread.Idle(Micros(1));
+    }
+    t.f_.sim.Halt();
+  }(*this));
+  f_.sim.Run();
+  EXPECT_GT(agent_a_->ops_completed(), 0u);
+  EXPECT_EQ(agent_a_->ops_completed() + agent_b_->ops_completed(), 400u);
 }
 
 }  // namespace

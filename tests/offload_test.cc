@@ -1,18 +1,16 @@
 // Unit tests for the shared offload-engine core: hazard policies, probe
-// scheduling, red-block packing, and the instance registry.
+// scheduling, and red-block packing.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "offload/hazard_tracker.h"
 #include "offload/probe_scheduler.h"
 #include "offload/progress.h"
-#include "offload/registry.h"
 
 namespace cowbird::offload {
 namespace {
@@ -213,137 +211,33 @@ TEST(ProgressPublisher, WireLayoutIsLittleEndianU64s) {
   static_assert(ProgressPublisher::kBlockBytes == 40);
 }
 
-// --------------------------------------------------------------- registry
+TEST(ReconcileWithPublished, TakesTheNewerSideAndMarksUnpublishedThreads) {
+  // Thread 0's export trails the red block (a delivered batch whose ACK the
+  // engine never saw); thread 1's runs ahead of it (completions whose red
+  // write never landed).
+  InstanceProgress snapshot;
+  snapshot.threads.resize(2);
+  snapshot.threads[0].read_progress = 480;
+  snapshot.threads[1].meta_head = 8228;
+  snapshot.threads[1].read_progress = 5781;
+  PendingOp covered;
+  covered.meta.rw_type = core::RwType::kRead;
+  covered.seq = 490;
+  PendingOp beyond = covered;
+  beyond.seq = 510;
+  snapshot.pending = {{covered, beyond}, {}};
+  std::vector<ThreadProgress> published(2);
+  published[0].read_progress = 502;
+  published[1].meta_head = 8212;
+  published[1].read_progress = 5770;
 
-// Fake engine recording attach/detach traffic.
-struct FakeEngine {
-  explicit FakeEngine(std::string n) : name(std::move(n)) {}
-
-  std::string name;
-  std::vector<std::uint32_t> attached;
-  std::vector<std::optional<InstanceProgress>> resumes;  // per attach
-  bool fail_attach = false;
-  std::uint64_t snapshot_mark = 0;  // stamped into exported snapshots
-
-  EngineBinding Binding() {
-    EngineBinding b;
-    b.name = name;
-    b.attach = [this](std::uint32_t id, const InstanceProgress* resume) {
-      if (fail_attach) return false;
-      attached.push_back(id);
-      resumes.push_back(resume ? std::optional<InstanceProgress>(*resume)
-                               : std::nullopt);
-      return true;
-    };
-    b.detach = [this](std::uint32_t id) {
-      for (auto it = attached.begin(); it != attached.end(); ++it) {
-        if (*it == id) {
-          attached.erase(it);
-          InstanceProgress snap;
-          snap.threads.resize(1);
-          snap.threads[0].meta_head = snapshot_mark;
-          return std::optional<InstanceProgress>(snap);
-        }
-      }
-      return std::optional<InstanceProgress>();
-    };
-    return b;
-  }
-};
-
-TEST(InstanceRegistry, LeastLoadedPlacementSpreadsInstances) {
-  InstanceRegistry reg;
-  FakeEngine a("a"), b("b");
-  const auto ea = reg.AddEngine(a.Binding());
-  const auto eb = reg.AddEngine(b.Binding());
-  reg.AddInstance(1);
-  reg.AddInstance(2);
-  reg.AddInstance(3);
-  reg.AddInstance(4);
-  EXPECT_EQ(reg.InstancesOn(ea).size(), 2u);
-  EXPECT_EQ(reg.InstancesOn(eb).size(), 2u);
-  EXPECT_EQ(a.attached.size(), 2u);
-  EXPECT_EQ(b.attached.size(), 2u);
-  EXPECT_EQ(reg.live_engines(), 2u);
-  EXPECT_EQ(*reg.EngineName(ea), "a");
-}
-
-TEST(InstanceRegistry, PreferredEngineHonored) {
-  InstanceRegistry reg;
-  FakeEngine a("a"), b("b");
-  const auto ea = reg.AddEngine(a.Binding());
-  const auto eb = reg.AddEngine(b.Binding());
-  (void)ea;
-  EXPECT_EQ(reg.AddInstance(7, eb), eb);
-  EXPECT_EQ(reg.EngineOf(7), eb);
-  EXPECT_EQ(b.attached, std::vector<std::uint32_t>{7});
-  EXPECT_TRUE(a.attached.empty());
-}
-
-TEST(InstanceRegistry, AttachFailureLeavesInstanceUnplaced) {
-  InstanceRegistry reg;
-  FakeEngine a("a");
-  a.fail_attach = true;
-  const auto ea = reg.AddEngine(a.Binding());
-  EXPECT_EQ(reg.AddInstance(1, ea), kNoEngine);
-  EXPECT_EQ(reg.EngineOf(1), kNoEngine);
-}
-
-TEST(InstanceRegistry, StopEngineMigratesWithSnapshot) {
-  InstanceRegistry reg;
-  FakeEngine a("a"), b("b");
-  a.snapshot_mark = 77;
-  const auto ea = reg.AddEngine(a.Binding());
-  const auto eb = reg.AddEngine(b.Binding());
-  reg.AddInstance(1, ea);
-  reg.AddInstance(2, ea);
-
-  const auto migrated = reg.StopEngine(ea);
-  EXPECT_EQ(migrated.size(), 2u);
-  EXPECT_EQ(reg.EngineOf(1), eb);
-  EXPECT_EQ(reg.EngineOf(2), eb);
-  EXPECT_EQ(reg.live_engines(), 1u);
-  ASSERT_EQ(b.resumes.size(), 2u);
-  // The survivor received the exact snapshot the stopping engine exported.
-  for (const auto& resume : b.resumes) {
-    ASSERT_TRUE(resume.has_value());
-    ASSERT_EQ(resume->threads.size(), 1u);
-    EXPECT_EQ(resume->threads[0].meta_head, 77u);
-  }
-  // A dead engine cannot take instances or be stopped twice.
-  EXPECT_EQ(reg.AddInstance(3, ea), kNoEngine);
-  EXPECT_TRUE(reg.StopEngine(ea).empty());
-}
-
-TEST(InstanceRegistry, StopLastEngineLeavesInstancesUnassigned) {
-  InstanceRegistry reg;
-  FakeEngine a("a");
-  const auto ea = reg.AddEngine(a.Binding());
-  reg.AddInstance(1, ea);
-  EXPECT_TRUE(reg.StopEngine(ea).empty());
-  EXPECT_EQ(reg.EngineOf(1), kNoEngine);
-  EXPECT_EQ(reg.live_engines(), 0u);
-  EXPECT_EQ(reg.AddInstance(2), kNoEngine);  // nowhere to place
-}
-
-TEST(InstanceRegistry, ReassignMovesSnapshotBetweenEngines) {
-  InstanceRegistry reg;
-  FakeEngine a("a"), b("b");
-  a.snapshot_mark = 5;
-  const auto ea = reg.AddEngine(a.Binding());
-  const auto eb = reg.AddEngine(b.Binding());
-  reg.AddInstance(1, ea);
-
-  EXPECT_TRUE(reg.Reassign(1, eb));
-  EXPECT_EQ(reg.EngineOf(1), eb);
-  ASSERT_EQ(b.resumes.size(), 1u);
-  ASSERT_TRUE(b.resumes[0].has_value());
-  EXPECT_EQ(b.resumes[0]->threads[0].meta_head, 5u);
-  EXPECT_TRUE(a.attached.empty());
-
-  EXPECT_TRUE(reg.Reassign(1, eb));   // no-op: already there
-  EXPECT_EQ(b.resumes.size(), 1u);    // no second attach happened
-  EXPECT_FALSE(reg.Reassign(99, eb));  // unknown instance
+  ReconcileWithPublished(snapshot, published);
+  EXPECT_EQ(snapshot.threads[0].read_progress, 502u);
+  ASSERT_EQ(snapshot.pending[0].size(), 1u);
+  EXPECT_EQ(snapshot.pending[0][0].seq, 510u);
+  EXPECT_EQ(snapshot.threads[1].meta_head, 8228u);
+  EXPECT_EQ(snapshot.threads[1].read_progress, 5781u);
+  EXPECT_EQ(snapshot.unpublished, (std::vector<bool>{false, true}));
 }
 
 }  // namespace

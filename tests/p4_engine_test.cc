@@ -26,7 +26,7 @@ class P4EngineTest : public testing::ClusterTest {
     client_ = &f_.AddClient(0, testing::SmallRings(2));
     client_->RegisterRegion(pool);
     engine_ = &f_.AddP4Engine(CowbirdP4Engine::Config{});
-    f_.AttachP4(*client_, 0x800);
+    f_.Attach(*engine_, *client_);
     engine_->Start();
   }
 
@@ -53,6 +53,48 @@ TEST_F(P4EngineTest, ReadFetchesPoolDataWithZeroComputeCpu) {
   EXPECT_LT(app_thread_->TimeIn(sim::CpuCategory::kCommunication),
             rdma::cost::PostTotal() + 15 * rdma::cost::kCowbirdPoll +
                 10 * rdma::cost::kLlcAccess);
+}
+
+// The switch QPNs the compute node's QPs talk to, in creation order.
+std::vector<std::uint32_t> SwitchQpns(rdma::Device& compute) {
+  std::vector<std::uint32_t> qpns;
+  for (std::uint32_t q = 1; const rdma::QueuePair* qp = compute.FindQp(q);
+       ++q) {
+    if (qp->remote_node() == kSwitchAddress) qpns.push_back(qp->remote_qpn());
+  }
+  return qpns;
+}
+
+TEST_F(P4EngineTest, DetachAndReattachServesOnAFreshQpnBlock) {
+  const auto before = Pattern(256, 11);
+  const auto after = Pattern(256, 12);
+  f_.sim.Spawn([](P4EngineTest& t, const std::vector<std::uint8_t>& first,
+                  const std::vector<std::uint8_t>& second)
+                   -> sim::Task<void> {
+    t.f_.client(0).mem.Write(kHeap, first);
+    co_await t.WriteAndWait(0, kHeap, 0x4000, 256);
+    // The switch keeps probing; the instance leaves it and comes back from
+    // its exported counters.
+    const offload::InstanceProgress snapshot =
+        t.f_.Detach(*t.engine_, *t.client_).value();
+    EXPECT_EQ(snapshot.threads[0].write_progress, 1u);
+    t.f_.Attach(*t.engine_, *t.client_, {}, &snapshot);
+
+    auto got = co_await t.ReadAndWait(0, 0x4000, 256, kHeap + 0x10000);
+    EXPECT_EQ(got, first);
+    t.f_.client(0).mem.Write(kHeap, second);
+    co_await t.WriteAndWait(1, kHeap, 0x5000, 256);
+    got = co_await t.ReadAndWait(1, 0x5000, 256, kHeap + 0x10000);
+    EXPECT_EQ(got, second);
+    t.f_.sim.Halt();
+  }(*this, before, after));
+  f_.sim.Run();
+  EXPECT_EQ(engine_->ops_completed(), 4u);
+  // Compute, probe and payload-write QPs of each attach: the re-attach took
+  // the next block instead of reusing the first one's QPNs.
+  EXPECT_EQ(SwitchQpns(*f_.client(0).dev),
+            (std::vector<std::uint32_t>{0x800, 0x801, 0x803, 0x820, 0x821,
+                                        0x823}));
 }
 
 TEST_F(P4EngineTest, WriteLandsInPool) {
@@ -250,7 +292,7 @@ TEST(P4MultiInstance, TimeDivisionMultiplexing) {
     clients.push_back(
         &f.AddClient(0, testing::SmallRings(1, 0x10000 + i * MiB(8))));
     clients.back()->RegisterRegion(pool);
-    f.AttachP4(*clients.back(), 0x800 + i * 8);  // 5 QPs per instance
+    f.Attach(engine, *clients.back());
   }
   engine.Start();
 

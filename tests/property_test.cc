@@ -53,11 +53,11 @@ struct EngineHarness {
     if (engine == Engine::kSpot) {
       spot::SpotAgent& agent =
           fabric.AddSpotAgent(spot::SpotAgent::Config{});
-      fabric.AttachSpot(agent, *client);
+      fabric.Attach(agent, *client);
       agent.Start();
     } else {
       fabric.AddP4Engine(p4::CowbirdP4Engine::Config{});
-      fabric.AttachP4(*client, 0x800);
+      fabric.Attach(fabric.p4(), *client);
       fabric.p4().Start();
     }
     if (loss_rate > 0) {

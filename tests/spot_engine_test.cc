@@ -27,7 +27,7 @@ class SpotEngineTest : public testing::ClusterTest {
     client_ = &f_.AddClient(0, testing::SmallRings(client_threads));
     client_->RegisterRegion(pool);
     agent_ = &f_.AddSpotAgent(agent_config);
-    f_.AttachSpot(*agent_, *client_);
+    f_.Attach(*agent_, *client_);
     agent_->Start();
   }
 

@@ -103,7 +103,7 @@ class SpotBreakdownTest : public BreakdownTestBase {
  public:
   SpotBreakdownTest() {
     spot::SpotAgent& agent = f_.AddSpotAgent(spot::SpotAgent::Config{});
-    f_.AttachSpot(agent, *client_);
+    f_.Attach(agent, *client_);
     agent.Start();
   }
 };
@@ -113,7 +113,7 @@ class P4BreakdownTest : public BreakdownTestBase {
   P4BreakdownTest() {
     p4::CowbirdP4Engine& engine =
         f_.AddP4Engine(p4::CowbirdP4Engine::Config{});
-    f_.AttachP4(*client_, 0x800);
+    f_.Attach(engine, *client_);
     engine.Start();
   }
 };
@@ -202,7 +202,7 @@ TEST(SpotAgentTelemetry, TwoAgentsOnOneHostKeepSeparateSeries) {
   client.RegisterRegion(pool);
   spot::SpotAgent& serving = f.AddSpotAgent(spot::SpotAgent::Config{});
   spot::SpotAgent& standby = f.AddSpotAgent(spot::SpotAgent::Config{});
-  f.AttachSpot(serving, client);
+  f.Attach(serving, client);
   serving.Start();
   standby.Start();
 
