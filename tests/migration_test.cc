@@ -42,6 +42,17 @@ TEST(MigrationChaos, CleanCutoverUnderFaultsAndCrashes) {
   }
 }
 
+// CI's migration sweep, P4 seed 16: after the cutover, writes of one
+// thread overtook an orphaned earlier write on the destination server
+// (versions 17-19 at PSNs 7212-7214, version 16 at 7215) and a read saw
+// version 16 again.
+TEST(MigrationChaos, P4WritesLandInSequenceOrderAfterTheCutover) {
+  const chaos::ChaosResult r =
+      chaos::RunChaos(MigratingOptions(chaos::EngineKind::kP4, 16));
+  EXPECT_TRUE(r.Passed());
+  EXPECT_EQ(r.migrations_executed, 1u);
+}
+
 // The copy stream must survive sharing the fabric with an incast: the
 // congestion scenario layers finite switch queues + ECN + DCQCN over the
 // same seeds.
