@@ -146,4 +146,17 @@ std::vector<RangeEntry> TranslationTable::RangesFor(
   return out;
 }
 
+Translation MustTranslate(const TranslationTable& table,
+                          std::uint16_t region_id, std::uint64_t vaddr,
+                          std::uint32_t length) {
+  TranslateError error;
+  const std::optional<Translation> t =
+      table.Lookup(region_id, vaddr, length, &error);
+  if (!t.has_value()) [[unlikely]] {
+    std::fprintf(stderr, "translation failed: %s\n", error.ToString().c_str());
+    COWBIRD_CHECK(t.has_value());
+  }
+  return *t;
+}
+
 }  // namespace cowbird::core

@@ -111,4 +111,12 @@ class TranslationTable {
   std::vector<RangeEntry> entries_;
 };
 
+// An engine's lookup of a pool access it is about to issue. A miss means
+// the client addressed outside its regions or the engine's mirror is stale
+// (a control-plane bug), so it aborts with the structured error: the log
+// names the address and its nearest mapped neighbours.
+Translation MustTranslate(const TranslationTable& table,
+                          std::uint16_t region_id, std::uint64_t vaddr,
+                          std::uint32_t length);
+
 }  // namespace cowbird::core

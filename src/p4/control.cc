@@ -72,17 +72,13 @@ std::vector<std::uint8_t> ControlMessage::Serialize() const {
   }
   PutEndpoint(out, conn.compute);
   PutEndpoint(out, conn.probe);
-  PutEndpoint(out, conn.memory);
   PutEndpoint(out, conn.wr_compute);
-  PutEndpoint(out, conn.wr_memory);
-  // Elastic-pool extension (DESIGN.md §14), appended after the original
-  // five endpoints so old messages parse as zero extra servers and zero
-  // translation ranges: extra (read, write) endpoint pairs, then the
-  // cluster-pool range table.
-  put16(static_cast<std::uint16_t>(conn.extra_memory.size()));
-  for (const auto& [mem_ep, wr_ep] : conn.extra_memory) {
-    PutEndpoint(out, mem_ep);
-    PutEndpoint(out, wr_ep);
+  // One (read, write) endpoint pair per memory server, then the
+  // cluster-pool range table (DESIGN.md §14).
+  put16(static_cast<std::uint16_t>(conn.memory.size()));
+  for (const P4Connection::MemoryEndpoints& server : conn.memory) {
+    PutEndpoint(out, server.read);
+    PutEndpoint(out, server.write);
   }
   put16(static_cast<std::uint16_t>(descriptor.ranges.size()));
   for (const auto& range : descriptor.ranges) {
@@ -132,22 +128,17 @@ std::optional<ControlMessage> ControlMessage::Parse(
     region.size = net::GetU64(raw, at); at += 8;
     m.descriptor.regions.push_back(region);
   }
-  if (!need(5 * 16)) return std::nullopt;
+  if (!need(3 * 16 + 2)) return std::nullopt;
   m.conn.compute = GetEndpoint(raw, at); at += 16;
   m.conn.probe = GetEndpoint(raw, at); at += 16;
-  m.conn.memory = GetEndpoint(raw, at); at += 16;
   m.conn.wr_compute = GetEndpoint(raw, at); at += 16;
-  m.conn.wr_memory = GetEndpoint(raw, at); at += 16;
-  // Elastic-pool extension: absent in legacy messages (zero extras, zero
-  // ranges — the single-server identity path).
-  if (at == raw.size()) return m;
-  if (!need(2)) return std::nullopt;
-  const std::uint16_t extras = net::GetU16(raw, at); at += 2;
-  for (std::uint16_t i = 0; i < extras; ++i) {
+  const std::uint16_t servers = net::GetU16(raw, at); at += 2;
+  for (std::uint16_t i = 0; i < servers; ++i) {
     if (!need(2 * 16)) return std::nullopt;
-    const HostEndpoint mem_ep = GetEndpoint(raw, at); at += 16;
-    const HostEndpoint wr_ep = GetEndpoint(raw, at); at += 16;
-    m.conn.extra_memory.emplace_back(mem_ep, wr_ep);
+    P4Connection::MemoryEndpoints server;
+    server.read = GetEndpoint(raw, at); at += 16;
+    server.write = GetEndpoint(raw, at); at += 16;
+    m.conn.memory.push_back(server);
   }
   if (!need(2)) return std::nullopt;
   const std::uint16_t ranges = net::GetU16(raw, at); at += 2;

@@ -36,7 +36,7 @@ struct ControlMessage {
   ControlOp op = ControlOp::kSetup;
   std::uint32_t rpc_id = 0;  // echoed in the reply
   core::InstanceDescriptor descriptor;
-  P4Connection conn;  // all five per-instance QPs (Phase I)
+  P4Connection conn;  // every per-instance QP (Phase I)
 
   std::vector<std::uint8_t> Serialize() const;
   static std::optional<ControlMessage> Parse(

@@ -11,24 +11,6 @@ namespace {
 constexpr std::uint8_t kKindShift = 60;
 constexpr std::uint64_t kInstanceShift = 48;
 constexpr std::uint64_t kThreadShift = 32;
-
-// Pool-address resolution through the instance's translation mirror. A miss
-// is a control-plane bug (the client addressed outside its regions, or the
-// mirror is stale); abort with the structured error so the log names the
-// address and its nearest mapped neighbours.
-core::Translation MustTranslate(const core::TranslationTable& table,
-                                std::uint16_t region_id, std::uint64_t vaddr,
-                                std::uint32_t length) {
-  core::TranslateError error;
-  const std::optional<core::Translation> t =
-      table.Lookup(region_id, vaddr, length, &error);
-  if (!t.has_value()) [[unlikely]] {
-    std::fprintf(stderr, "spot translation failed: %s\n",
-                 error.ToString().c_str());
-    COWBIRD_CHECK(t.has_value());
-  }
-  return *t;
-}
 }  // namespace
 
 std::uint64_t SpotAgent::MakeWrId(CompletionKind kind, std::uint32_t instance,
@@ -130,24 +112,18 @@ void SpotAgent::UnregisterInstanceTelemetry(std::uint32_t instance_id) {
                                        InstanceLabels(instance_id));
 }
 
-void SpotAgent::AddInstance(
-    const core::InstanceDescriptor& descriptor, rdma::QueuePair* to_compute,
-    rdma::CompletionQueue* compute_cq,
-    std::map<net::NodeId, rdma::QueuePair*> to_memory,
-    std::map<net::NodeId, rdma::CompletionQueue*> memory_cqs,
-    const offload::InstanceProgress* resume) {
+void SpotAgent::AddInstance(const core::InstanceDescriptor& descriptor,
+                            const SpotConnection& conn,
+                            const offload::InstanceProgress* resume) {
   auto inst = std::make_unique<Instance>();
   inst->descriptor = descriptor;
   inst->translation = descriptor.BuildTranslation();
-  inst->to_compute = to_compute;
-  inst->to_memory.reserve(to_memory.size());
-  for (const auto& [node, qp] : to_memory) {
-    inst->to_memory.emplace_back(node, qp);
-  }
+  inst->to_compute = conn.compute.qp;
+  inst->to_memory = conn.memory;
   // Every server the translation table can point at must be reachable now;
   // discovering a missing QP on the data path would be far harder to debug.
   for (const core::RangeEntry& range : inst->translation.entries()) {
-    COWBIRD_CHECK(to_memory.find(range.node) != to_memory.end());
+    COWBIRD_CHECK(MemoryQp(*inst, range.node) != nullptr);
   }
   inst->index = static_cast<std::uint32_t>(instances_.size());
   inst->threads.resize(descriptor.layout.threads);
@@ -233,11 +209,8 @@ void SpotAgent::AddInstance(
       while (auto cqe = cq->Pop()) completions_.Send(*cqe);
     });
   };
-  pump(compute_cq);
-  for (auto& [node, cq] : memory_cqs) {
-    (void)node;
-    pump(cq);
-  }
+  pump(conn.compute.cq);
+  for (const SpotConnection::Path& path : conn.memory) pump(path.cq);
 }
 
 bool SpotAgent::RemoveInstance(std::uint32_t instance_id) {
@@ -450,7 +423,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
           COWBIRD_CHECK(op.state == OpState::kFetching);
           op.state = OpState::kWriting;
           ts.progress.data_head += op.meta.length;
-          const core::Translation dst = MustTranslate(
+          const core::Translation dst = core::MustTranslate(
               inst.translation, op.meta.region_id, op.meta.resp_addr,
               op.meta.length);
           rdma::QueuePair* pool_qp = MemoryQp(inst, dst.node);
@@ -658,7 +631,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
       ++inflight;
       RecordOpPhase(inst, thread, /*is_write=*/false, op.seq,
                     telemetry::OpPhase::kExecute);
-      const core::Translation src = MustTranslate(
+      const core::Translation src = core::MustTranslate(
           inst.translation, op.meta.region_id, op.meta.req_addr,
           op.meta.length);
       rdma::QueuePair* pool_qp = MemoryQp(inst, src.node);
@@ -681,7 +654,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
       ++inflight;
       RecordOpPhase(inst, thread, /*is_write=*/true, op.seq,
                     telemetry::OpPhase::kExecute);
-      const core::Translation dst = MustTranslate(
+      const core::Translation dst = core::MustTranslate(
           inst.translation, op.meta.region_id, op.meta.resp_addr,
           op.meta.length);
       rdma::QueuePair* pool_qp = MemoryQp(inst, dst.node);

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "rdma/verbs.h"
 #include "sim/sync.h"
 #include "sim/thread.h"
+#include "spot/setup.h"
 #include "telemetry/hub.h"
 
 namespace cowbird::spot {
@@ -94,18 +94,14 @@ class SpotAgent {
             Config config);
   ~SpotAgent();
 
-  // Registers an instance. `to_compute` must be a connected QP whose peer is
-  // the instance's compute node; `to_memory[node]` likewise for every memory
-  // node appearing in the region table. CQ completion routing is installed
-  // here. May be called while the agent is running (a re-attach);
-  // `resume` seeds the instance from a progress snapshot exported by the
-  // engine previously serving it, and threads it marks `unpublished` get
-  // their counters republished.
+  // Registers an instance over `conn` (ConnectSpotEngine): a connected QP to
+  // the instance's compute node and one to every memory node the region
+  // table names. CQ completion routing is installed here. May be called
+  // while the agent is running (a re-attach); `resume` seeds the instance
+  // from a progress snapshot exported by the engine previously serving it,
+  // and threads it marks `unpublished` get their counters republished.
   void AddInstance(const core::InstanceDescriptor& descriptor,
-                   rdma::QueuePair* to_compute,
-                   rdma::CompletionQueue* compute_cq,
-                   std::map<net::NodeId, rdma::QueuePair*> to_memory,
-                   std::map<net::NodeId, rdma::CompletionQueue*> memory_cqs,
+                   const SpotConnection& conn,
                    const offload::InstanceProgress* resume = nullptr);
 
   // Detaches an instance: no further probes or fetches for it, and stale
@@ -201,9 +197,9 @@ class SpotAgent {
     // detaches, retargets the authoritative table, and re-attaches.
     core::TranslationTable translation;
     rdma::QueuePair* to_compute = nullptr;
-    // Flattened from the AddInstance map (node-sorted): region lookups run
-    // per issued op, and a handful of memory nodes scan faster than a tree.
-    std::vector<std::pair<net::NodeId, rdma::QueuePair*>> to_memory;
+    // Region lookups run per issued op, and a handful of memory nodes scan
+    // faster than a tree.
+    std::vector<SpotConnection::Path> to_memory;
     std::uint32_t index = 0;  // slot in instances_ (stable; encoded in wr_ids)
     std::vector<ThreadState> threads;
     std::uint64_t probe_staging = 0;     // staging addr for green blocks
@@ -254,8 +250,8 @@ class SpotAgent {
   const Instance* FindInstance(std::uint32_t instance_id) const;
 
   static rdma::QueuePair* MemoryQp(const Instance& inst, net::NodeId node) {
-    for (const auto& [n, qp] : inst.to_memory) {
-      if (n == node) return qp;
+    for (const SpotConnection::Path& path : inst.to_memory) {
+      if (path.node == node) return path.qp;
     }
     return nullptr;
   }

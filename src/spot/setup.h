@@ -3,8 +3,8 @@
 // control-plane setup the paper performs over an RPC endpoint).
 #pragma once
 
-#include <map>
 #include <span>
+#include <vector>
 
 #include "rdma/device.h"
 #include "rdma/qp.h"
@@ -12,24 +12,28 @@
 namespace cowbird::spot {
 
 struct SpotConnection {
-  rdma::QueuePair* to_compute = nullptr;
-  rdma::CompletionQueue* compute_cq = nullptr;
-  std::map<net::NodeId, rdma::QueuePair*> to_memory;
-  std::map<net::NodeId, rdma::CompletionQueue*> memory_cqs;
+  // One connected QP toward a host, and the CQ its completions land on.
+  struct Path {
+    net::NodeId node = 0;
+    rdma::QueuePair* qp = nullptr;
+    rdma::CompletionQueue* cq = nullptr;
+  };
+  Path compute;
+  std::vector<Path> memory;  // one per memory server
 };
 
 inline SpotConnection ConnectSpotEngine(rdma::Device& spot,
                                         rdma::Device& compute,
                                         std::span<rdma::Device* const>
                                             memory_nodes) {
+  const auto connect = [&spot](rdma::Device& peer) {
+    const rdma::QpPair pair = rdma::ConnectQueuePairs(spot, peer);
+    return SpotConnection::Path{peer.node_id(), pair.a, pair.a_send_cq};
+  };
   SpotConnection conn;
-  auto compute_pair = rdma::ConnectQueuePairs(spot, compute);
-  conn.to_compute = compute_pair.a;
-  conn.compute_cq = compute_pair.a_send_cq;
+  conn.compute = connect(compute);
   for (rdma::Device* memory : memory_nodes) {
-    auto pair = rdma::ConnectQueuePairs(spot, *memory);
-    conn.to_memory[memory->node_id()] = pair.a;
-    conn.memory_cqs[memory->node_id()] = pair.a_send_cq;
+    conn.memory.push_back(connect(*memory));
   }
   return conn;
 }

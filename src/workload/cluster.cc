@@ -200,16 +200,14 @@ void Cluster::Attach(Engine engine, const core::CowbirdClient& client,
   rdma::Device& compute = *client_at(client.descriptor().compute_node).dev;
   if (engine.agent == nullptr) {
     const p4::P4Connection conn =
-        p4::ConnectP4Engine(*p4_, compute, devices, p4_next_qpn_);
+        p4::ConnectP4Engine(compute, devices, p4_next_qpn_);
     p4_next_qpn_ += 0x20;
     p4_->AddInstance(client.descriptor(), conn, resume);
     return;
   }
   const spot::SpotConnection conn =
       spot::ConnectSpotEngine(*spot().dev, compute, devices);
-  engine.agent->AddInstance(client.descriptor(), conn.to_compute,
-                            conn.compute_cq, conn.to_memory, conn.memory_cqs,
-                            resume);
+  engine.agent->AddInstance(client.descriptor(), conn, resume);
   spot_conns_[{engine.agent, client.descriptor().instance_id}] = conn;
 }
 
@@ -230,8 +228,10 @@ std::optional<offload::InstanceProgress> Cluster::Detach(
   const auto it = spot_conns_.find({engine.agent, id});
   COWBIRD_CHECK(it != spot_conns_.end());
   if (halt) {
-    it->second.to_compute->Halt();
-    for (auto& [node, qp] : it->second.to_memory) qp->Halt();
+    it->second.compute.qp->Halt();
+    for (const spot::SpotConnection::Path& path : it->second.memory) {
+      path.qp->Halt();
+    }
   }
   spot_conns_.erase(it);
   return snapshot;

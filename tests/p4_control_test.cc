@@ -35,9 +35,9 @@ TEST(ControlMessage, SetupRoundTrip) {
       core::RegionInfo{2, 2, 0x9000000, 0xBEEF, MiB(16)});
   m.conn.compute = HostEndpoint{1, 10, 0x800, 5000};
   m.conn.probe = HostEndpoint{1, 11, 0x801, 5500};
-  m.conn.memory = HostEndpoint{2, 12, 0x802, 6000};
   m.conn.wr_compute = HostEndpoint{1, 13, 0x803, 6500};
-  m.conn.wr_memory = HostEndpoint{2, 14, 0x804, 7000};
+  m.conn.memory.push_back(
+      {HostEndpoint{2, 12, 0x802, 6000}, HostEndpoint{2, 14, 0x804, 7000}});
 
   const auto raw = m.Serialize();
   const auto parsed = ControlMessage::Parse(raw);
@@ -50,9 +50,10 @@ TEST(ControlMessage, SetupRoundTrip) {
   ASSERT_EQ(parsed->descriptor.regions.size(), 2u);
   EXPECT_EQ(parsed->descriptor.regions[1].rkey, 0xBEEFu);
   EXPECT_EQ(parsed->conn.probe.switch_qpn, 0x801u);
-  EXPECT_EQ(parsed->conn.memory.start_psn, 6000u);
+  ASSERT_EQ(parsed->conn.memory.size(), 1u);
+  EXPECT_EQ(parsed->conn.memory[0].read.start_psn, 6000u);
   EXPECT_EQ(parsed->conn.wr_compute.host_qpn, 13u);
-  EXPECT_EQ(parsed->conn.wr_memory.switch_qpn, 0x804u);
+  EXPECT_EQ(parsed->conn.memory[0].write.switch_qpn, 0x804u);
 }
 
 TEST(ControlMessage, TeardownRoundTrip) {
@@ -82,8 +83,8 @@ class ControlPlaneTest : public ::testing::Test {
     const core::RegionInfo pool = testing::PoolRegion(f_, kPoolBase, MiB(64));
     client_ = &f_.AddClient(0, testing::SmallRings(1));
     client_->RegisterRegion(pool);
-    conn_ = ConnectP4Engine(engine_, *f_.client(0).dev, *f_.memory(0).dev,
-                            0x800);
+    rdma::Device* const memories[] = {&*f_.memory(0).dev};
+    conn_ = ConnectP4Engine(*f_.client(0).dev, memories, 0x800);
     engine_.Start();
   }
 
