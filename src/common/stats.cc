@@ -7,25 +7,6 @@
 
 namespace cowbird {
 
-void OnlineStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
 double PercentileSampler::Quantile(double q) const {
   COWBIRD_CHECK(q >= 0.0 && q <= 1.0);
   if (samples_.empty()) return 0.0;

@@ -9,25 +9,6 @@
 
 namespace cowbird {
 
-// Streaming mean/variance/min/max (Welford).
-class OnlineStats {
- public:
-  void Add(double x);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double variance() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // Exact percentile sampler: stores every sample. Our benchmark runs collect
 // at most a few million latency samples, so exactness is affordable and we
 // avoid the bin-boundary artifacts of streaming sketches in the p99 plots.

@@ -1,6 +1,6 @@
 #include "core/cluster_pool.h"
 
-#include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
@@ -22,37 +22,6 @@ std::size_t ClusterPool::RangesOn(net::NodeId node) const {
   std::size_t n = 0;
   for (const RangeEntry& e : table_.entries()) n += e.node == node;
   return n;
-}
-
-bool ClusterPool::RemoveServer(net::NodeId node, std::string* error) {
-  auto it = std::find_if(servers_.begin(), servers_.end(),
-                         [node](const Server& s) { return s.node == node; });
-  if (it == servers_.end()) {
-    if (error != nullptr) {
-      *error = "shrink refused: node " + std::to_string(node) +
-               " is not part of the pool";
-    }
-    return false;
-  }
-  // Shrink refusal: a server leaves only once every range was migrated or
-  // released — name the squatters so the caller knows what to move.
-  std::string squatters;
-  for (const RangeEntry& e : table_.entries()) {
-    if (e.node != node) continue;
-    if (!squatters.empty()) squatters += ", ";
-    squatters += "region " + std::to_string(e.region_id) + " range @" +
-                 std::to_string(e.vbase) + " (" + std::to_string(e.length) +
-                 " bytes)";
-  }
-  if (!squatters.empty()) {
-    if (error != nullptr) {
-      *error = "shrink refused: node " + std::to_string(node) +
-               " still owns live ranges: " + squatters;
-    }
-    return false;
-  }
-  servers_.erase(it);
-  return true;
 }
 
 ClusterPool::Server* ClusterPool::FindServer(net::NodeId node) {
@@ -130,15 +99,6 @@ std::optional<RegionInfo> ClusterPool::AllocateRegion(std::uint16_t region_id,
   return region;
 }
 
-void ClusterPool::ReleaseRegion(std::uint16_t region_id) {
-  for (const RangeEntry& e : table_.RangesFor(region_id)) {
-    Server* server = FindServer(e.node);
-    COWBIRD_CHECK(server != nullptr);
-    server->arena.Release(e.server_base, e.length);
-    table_.Remove(e.region_id, e.vbase);
-  }
-}
-
 std::optional<ClusterPool::MigrationPlan> ClusterPool::PlanMove(
     std::uint16_t region_id, std::uint64_t vbase, net::NodeId to) {
   const RangeEntry* range = nullptr;
@@ -173,13 +133,6 @@ void ClusterPool::CommitMove(const MigrationPlan& plan) {
                      ExtentAllocator::AlignUp(plan.length, kRangeAlign));
 }
 
-void ClusterPool::AbortMove(const MigrationPlan& plan) {
-  Server* dst = FindServer(plan.dst_node);
-  COWBIRD_CHECK(dst != nullptr);
-  dst->arena.Release(plan.dst_addr,
-                     ExtentAllocator::AlignUp(plan.length, kRangeAlign));
-}
-
 void ClusterPool::BindTelemetry(telemetry::MetricRegistry& registry,
                                 const telemetry::Labels& labels) {
   UnbindTelemetry();
@@ -191,17 +144,12 @@ void ClusterPool::BindTelemetry(telemetry::MetricRegistry& registry,
     const net::NodeId node = server.node;
     registry.RegisterCallbackGauge(
         "pool_server_capacity_bytes", with_server, [this, node] {
-          const Server* s = FindServer(node);
-          return s == nullptr
-                     ? 0
-                     : static_cast<std::int64_t>(s->arena.capacity());
+          return static_cast<std::int64_t>(FindServer(node)->arena.capacity());
         });
     registry.RegisterCallbackGauge(
         "pool_server_allocated_bytes", with_server, [this, node] {
-          const Server* s = FindServer(node);
-          return s == nullptr
-                     ? 0
-                     : static_cast<std::int64_t>(s->arena.allocated());
+          return static_cast<std::int64_t>(
+              FindServer(node)->arena.allocated());
         });
     registry.RegisterCallbackGauge(
         "pool_server_ranges", with_server, [this, node] {

@@ -12,8 +12,6 @@
 // Elasticity:
 //   * grow    — AddServer registers a new slab; subsequent allocations and
 //               spills can land on it.
-//   * shrink  — RemoveServer succeeds only when no live range owns bytes on
-//               that server (the structured refusal names the squatters).
 //   * spill   — AllocateRegion carves from the preferred server first and
 //               splits the region across the remaining servers, in 4 KiB
 //               chunks, when the preferred slab is exhausted.
@@ -27,7 +25,6 @@
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -173,10 +170,6 @@ class ClusterPool {
   // Grow: registers `capacity` bytes at `base` on `device` as one slab MR.
   void AddServer(rdma::Device& device, std::uint64_t base, Bytes capacity);
 
-  // Shrink: drops an empty server. Refuses (returning false and naming the
-  // live ranges in `error`) while any range still owns bytes there.
-  bool RemoveServer(net::NodeId node, std::string* error = nullptr);
-
   std::vector<ServerStats> servers() const;
 
   // Carves `size` virtual bytes rooted at `vbase`. Prefers `preferred`
@@ -189,9 +182,6 @@ class ClusterPool {
                                            std::uint64_t vbase, Bytes size,
                                            net::NodeId preferred = 0);
 
-  // Frees every range of the region.
-  void ReleaseRegion(std::uint16_t region_id);
-
   // Rebalance, step 1: reserve a destination extent on `to` for the range
   // identified by (region_id, vbase). The translation still points at the
   // source; nothing is live on the destination yet.
@@ -202,9 +192,6 @@ class ClusterPool {
   // entry at the destination and free the source extent. Every lookup
   // strictly after this call resolves to the destination.
   void CommitMove(const MigrationPlan& plan);
-
-  // Abandons a planned move: frees the reserved destination extent.
-  void AbortMove(const MigrationPlan& plan);
 
   const TranslationTable& table() const { return table_; }
   std::vector<RangeEntry> RangesFor(std::uint16_t region_id) const {

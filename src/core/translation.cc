@@ -90,17 +90,6 @@ bool TranslationTable::Retarget(std::uint16_t region_id, std::uint64_t vbase,
   return true;
 }
 
-bool TranslationTable::Remove(std::uint16_t region_id, std::uint64_t vbase) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                             std::make_pair(region_id, vbase), Before);
-  if (it == entries_.end() || it->region_id != region_id ||
-      it->vbase != vbase) {
-    return false;
-  }
-  entries_.erase(it);
-  return true;
-}
-
 std::optional<Translation> TranslationTable::Lookup(
     std::uint16_t region_id, std::uint64_t vaddr, std::uint64_t length,
     TranslateError* error) const {

@@ -87,9 +87,6 @@ class TranslationTable {
                 net::NodeId node, std::uint32_t rkey,
                 std::uint64_t server_base);
 
-  // Removes the range identified by (region_id, vbase); false if unknown.
-  bool Remove(std::uint16_t region_id, std::uint64_t vbase);
-
   // Resolves `length` bytes at virtual address `vaddr` of `region_id`.
   // On failure returns nullopt and fills `error` (when non-null) with the
   // address and its nearest mapped neighbours.
@@ -103,7 +100,6 @@ class TranslationTable {
   const std::vector<RangeEntry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
-  void Clear() { entries_.clear(); }
 
  private:
   // Sorted by (region_id, vbase) — lookups lower-bound into the region's

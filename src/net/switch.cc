@@ -48,15 +48,6 @@ void Switch::OnIngress(int ingress_port, Packet packet) {
                       });
 }
 
-void Switch::InjectGenerated(int gen_port, Packet packet) {
-  // Generated packets enter the pipeline directly; generator-to-parser
-  // latency is folded into the pipeline latency.
-  sim_->ScheduleAfter(config_.pipeline_latency,
-                      [this, gen_port, p = std::move(packet)]() mutable {
-                        RunPipeline(gen_port, std::move(p));
-                      });
-}
-
 void Switch::RunPipeline(int ingress_port, Packet packet) {
   std::vector<ForwardAction>& actions = pipeline_scratch_;
   actions.clear();

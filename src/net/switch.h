@@ -4,8 +4,8 @@
 // The processor hook is where Cowbird-P4 lives: every ingress packet flows
 // through Process(), which may rewrite it, consume it, or emit additional
 // packets (packet "recycling", Section 5.2). The default processor is plain
-// L3 forwarding. Generated packets (probes) enter through InjectGenerated(),
-// mirroring the Tofino packet generator feeding the ingress pipeline.
+// L3 forwarding. A processor's own packets (P4 probes and recycled packets)
+// skip the pipeline and go straight onto an egress queue (EnqueueEgress).
 #pragma once
 
 #include <array>
@@ -75,11 +75,6 @@ class Switch {
 
   // Entry point for device uplinks (wire this as the uplink's receiver).
   void OnIngress(int ingress_port, Packet packet);
-
-  // Entry point for the switch's internal packet generator: the packet goes
-  // through the same pipeline as an ingress packet would. `gen_port` is the
-  // nominal ingress port the generator is bound to.
-  void InjectGenerated(int gen_port, Packet packet);
 
   void SetProcessor(PacketProcessor* processor) { processor_ = processor; }
 

@@ -163,7 +163,7 @@ void CowbirdP4Engine::UnregisterInstanceTelemetry(const Instance& inst) {
 void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
                                   const P4Connection& conn,
                                   const offload::InstanceProgress* resume) {
-  // Instances can be added before or after Start (the control plane
+  // Instances can be added before or after Start (Cluster::Attach
   // registers them at application startup, Section 5.2 Phase I).
   auto inst = std::make_unique<Instance>();
   inst->descriptor = descriptor;
@@ -296,21 +296,9 @@ void CowbirdP4Engine::Process(net::Switch& sw, int ingress_port,
                               std::vector<net::ForwardAction>& out) {
   (void)ingress_port;
   if (packet.dst == kSwitchAddress) {
-    if (rdma::LooksLikeRdma(packet)) {
-      ConsumeRdma(std::move(packet));
-      return;
-    }
-    // Control-plane RPC (Phase I) rides the switch's UDP control port.
-    if (control_handler_ && packet.bytes.size() >= net::kL2L3L4Bytes) {
-      const auto udp = net::UdpHeader::Parse(
-          std::span<const std::uint8_t>(packet.bytes)
-              .subspan(net::kEthernetHeaderBytes + net::kIpv4HeaderBytes));
-      if (udp.dst_port == 9000) {
-        control_handler_(packet);
-        return;
-      }
-    }
-    return;  // other traffic to the switch endpoint is dropped
+    // Other traffic to the switch endpoint is dropped.
+    if (rdma::LooksLikeRdma(packet)) ConsumeRdma(std::move(packet));
+    return;
   }
   const int port = sw.RouteFor(packet.dst);
   if (port >= 0) out.push_back({port, std::move(packet)});

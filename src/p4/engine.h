@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -70,11 +69,11 @@
 namespace cowbird::p4 {
 
 // The switch's own fabric address: the RDMA endpoint identity every host QP
-// of the engine connects to, and the destination of control-plane RPCs.
+// of the engine connects to. Other traffic addressed to it is dropped.
 inline constexpr net::NodeId kSwitchAddress = 100;
 
-// Host-side endpoint the switch speaks RDMA with (established by the
-// control plane in Phase I).
+// Host-side endpoint the switch speaks RDMA with (established in Phase I,
+// ConnectP4Engine).
 struct HostEndpoint {
   net::NodeId node = 0;
   std::uint32_t host_qpn = 0;    // QP on the host, responder role
@@ -135,18 +134,18 @@ class CowbirdP4Engine : public net::PacketProcessor {
   CowbirdP4Engine(net::Switch& sw, Config config);
   ~CowbirdP4Engine();
 
-  // Control-plane RPC (Phase I): registers an instance with its descriptor
-  // and established QPs, laid out as one QPN block (ConnectP4Engine). Every
-  // memory server the descriptor's translation table references must have
-  // an endpoint pair in conn.memory — checked here, not on the data path.
-  // When `resume` is non-null the instance continues from a progress
-  // snapshot exported by another engine (a re-attach) instead of starting
-  // fresh.
+  // Phase I (called by workload::Cluster::Attach): registers an instance
+  // with its descriptor and established QPs, laid out as one QPN block
+  // (ConnectP4Engine). Every memory server the descriptor's translation
+  // table references must have an endpoint pair in conn.memory — checked
+  // here, not on the data path. When `resume` is non-null the instance
+  // continues from a progress snapshot exported by another engine (a
+  // re-attach) instead of starting fresh.
   void AddInstance(const core::InstanceDescriptor& descriptor,
                    const P4Connection& conn,
                    const offload::InstanceProgress* resume = nullptr);
 
-  // Tears down an instance (control-plane channel termination). Returns
+  // Tears down an instance (called by workload::Cluster::Detach). Returns
   // false if the instance id is unknown.
   bool RemoveInstance(std::uint32_t instance_id);
 
@@ -161,12 +160,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // Stops the probe generator (engine decommission). In-flight operations
   // keep completing through the pipeline; no new probes are emitted.
   void StopProbing() { probing_stopped_ = true; }
-
-  // Installs the control-plane endpoint handler (packets to the switch's
-  // UDP control port are routed here instead of the RDMA pipeline).
-  void SetControlHandler(std::function<void(const net::Packet&)> handler) {
-    control_handler_ = std::move(handler);
-  }
 
   void Start();
 
@@ -378,7 +371,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;
   offload::ProbeScheduler scheduler_;  // TDM + adaptive ramp (shared core)
-  std::function<void(const net::Packet&)> control_handler_;
   bool started_ = false;
   bool probing_stopped_ = false;
 

@@ -9,12 +9,8 @@
 namespace cowbird::sim {
 
 int MaxParallelism() {
-#ifdef COWBIRD_PARALLEL_DISABLED
-  return 1;
-#else
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#endif
 }
 
 namespace {
@@ -47,11 +43,7 @@ struct WorkerDeque {
 
 void ParallelFor(int jobs, int n, const std::function<void(int)>& body) {
   if (n <= 0) return;
-  int workers = jobs <= 0 ? MaxParallelism() : jobs;
-#ifdef COWBIRD_PARALLEL_DISABLED
-  workers = 1;
-#endif
-  workers = std::min(workers, n);
+  const int workers = std::min(jobs <= 0 ? MaxParallelism() : jobs, n);
   if (workers <= 1) {
     for (int i = 0; i < n; ++i) body(i);
     return;

@@ -151,25 +151,4 @@ class Semaphore {
   FixedDeque<std::coroutine_handle<>> waiters_;
 };
 
-// Latch that releases all waiters when the count reaches zero.
-class CountdownLatch {
- public:
-  CountdownLatch(Simulation& sim, std::int64_t count)
-      : event_(sim), count_(count) {
-    COWBIRD_CHECK(count >= 0);
-    if (count_ == 0) event_.Set();
-  }
-
-  void CountDown() {
-    COWBIRD_CHECK(count_ > 0);
-    if (--count_ == 0) event_.Set();
-  }
-
-  auto Wait() { return event_.Wait(); }
-
- private:
-  OneShotEvent event_;
-  std::int64_t count_;
-};
-
 }  // namespace cowbird::sim

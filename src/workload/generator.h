@@ -13,15 +13,6 @@
 
 namespace cowbird::workload {
 
-class UniformGenerator {
- public:
-  explicit UniformGenerator(std::uint64_t n) : n_(n) { COWBIRD_CHECK(n > 0); }
-  std::uint64_t Next(Rng& rng) const { return rng.Below(n_); }
-
- private:
-  std::uint64_t n_;
-};
-
 class ZipfianGenerator {
  public:
   ZipfianGenerator(std::uint64_t n, double theta = 0.99)

@@ -1,9 +1,11 @@
 // The rack-scale fan-in workload: K compute clients and M memory servers
 // around one top-of-rack switch (a workload::Cluster), every client
-// running the async read loop of the hash workload against a pool on
-// memory server k % M, all offloaded through one engine — a single
-// Cowbird-Spot agent serving K instances (fan-in), or the P4 engine on the
-// switch.
+// running the hash workload's closed loop, reads only and every op remote,
+// against a pool on memory server k % M, all offloaded through one engine —
+// a single Cowbird-Spot agent serving K instances (fan-in), or the P4
+// engine on the switch. It runs on the hash workload's harness
+// (hash_workload.cc): one client on one server retires exactly the ops and
+// events of RunHashWorkload with local_fraction = 0.
 //
 // The default shape is the 16-node rack of the ROADMAP: 12 clients + 2
 // memory servers + 1 spot host + 1 switch.

@@ -348,8 +348,9 @@ TEST_P(ChaosEngineTest, BrokenFenceIsCaught) {
 INSTANTIATE_TEST_SUITE_P(Engines, ChaosEngineTest,
                          ::testing::Values(EngineKind::kSpot,
                                            EngineKind::kP4),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           return std::string(EngineKindName(info.param));
+                         [](const ::testing::TestParamInfo<EngineKind>&
+                                param_info) {
+                           return std::string(EngineKindName(param_info.param));
                          });
 
 }  // namespace

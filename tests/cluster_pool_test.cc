@@ -1,4 +1,4 @@
-// Elastic cluster pool (DESIGN.md §14): grow/shrink/spill semantics of the
+// Elastic cluster pool (DESIGN.md §14): grow/spill/rebalance semantics of the
 // multi-server allocator, and the exactness of the translation table the
 // P4 range-match stage and the spot agent both mirror.
 #include <gtest/gtest.h>
@@ -94,25 +94,6 @@ TEST_F(ClusterPoolTest, AllocationTooBigForTheWholeClusterLeaksNothing) {
           .has_value());
 }
 
-TEST_F(ClusterPoolTest, ShrinkRefusesWhileRangesAreLiveAndNamesThem) {
-  pool_.AddServer(*f_.memory(0).dev, kSlabA, KiB(64));
-  pool_.AddServer(*f_.spot().dev, kSlabB, KiB(64));
-  ASSERT_TRUE(pool_.AllocateRegion(kRegion, kVbase, KiB(16),
-                                   testing::kMemoryId)
-                  .has_value());
-  std::string error;
-  EXPECT_FALSE(pool_.RemoveServer(testing::kMemoryId, &error));
-  // The refusal names the squatting region so the operator knows what to
-  // migrate first.
-  EXPECT_NE(error.find("region 7"), std::string::npos) << error;
-  // The idle server shrinks fine; after releasing the region, so does the
-  // occupied one.
-  EXPECT_TRUE(pool_.RemoveServer(testing::kSpotId));
-  pool_.ReleaseRegion(kRegion);
-  EXPECT_TRUE(pool_.RemoveServer(testing::kMemoryId, &error)) << error;
-  EXPECT_TRUE(pool_.servers().empty());
-}
-
 TEST_F(ClusterPoolTest, TranslationResolvesFirstAndLastByteOfEachRange) {
   pool_.AddServer(*f_.memory(0).dev, kSlabA, KiB(16));
   pool_.AddServer(*f_.spot().dev, kSlabB, MiB(1));
@@ -187,24 +168,12 @@ TEST_F(ClusterPoolTest, CommitMoveRetargetsAtomicallyAndFreesTheSource) {
   pool_.CommitMove(*plan);
   EXPECT_EQ(pool_.table().Lookup(kRegion, kVbase, 1)->node,
             testing::kSpotId);
-  // The source extent was released: the source server is now removable.
-  EXPECT_TRUE(pool_.RemoveServer(testing::kMemoryId));
-}
-
-TEST_F(ClusterPoolTest, AbortMoveReleasesTheReservedDestination) {
-  pool_.AddServer(*f_.memory(0).dev, kSlabA, KiB(64));
-  pool_.AddServer(*f_.spot().dev, kSlabB, KiB(16));
-  ASSERT_TRUE(pool_.AllocateRegion(kRegion, kVbase, KiB(16),
-                                   testing::kMemoryId)
-                  .has_value());
-  const auto plan = pool_.PlanMove(kRegion, kVbase, testing::kSpotId);
-  ASSERT_TRUE(plan.has_value());
-  // The destination slab is fully reserved: a second plan cannot fit.
-  EXPECT_FALSE(
-      pool_.PlanMove(kRegion, kVbase, testing::kSpotId).has_value());
-  pool_.AbortMove(*plan);
-  EXPECT_TRUE(
-      pool_.PlanMove(kRegion, kVbase, testing::kSpotId).has_value());
+  // The source extent was released: nothing is left allocated on the
+  // source server.
+  const auto servers = pool_.servers();
+  ASSERT_EQ(servers.size(), 2u);
+  EXPECT_EQ(servers[0].node, testing::kMemoryId);
+  EXPECT_EQ(servers[0].allocated, 0u);
 }
 
 TEST_F(ClusterPoolTest, DescriptorShipsClusterRangesToTheEngineMirror) {

@@ -77,16 +77,6 @@ TEST(Rng, DoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(OnlineStats, MeanAndVariance) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.571428, 1e-5);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(PercentileSampler, ExactQuantiles) {
   PercentileSampler p;
   for (int i = 1; i <= 100; ++i) p.Add(i);

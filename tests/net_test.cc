@@ -462,17 +462,5 @@ TEST(SwitchProcessor, CustomProcessorCanRewriteAndMultiply) {
   EXPECT_EQ(received, 2);
 }
 
-TEST(SwitchProcessor, InjectGeneratedEntersPipeline) {
-  sim::Simulation sim;
-  Switch sw(sim, Switch::Config{});
-  HostNic a(sim, 1, BitRate::Gbps(100), 100);
-  a.ConnectTo(sw);
-  int received = 0;
-  a.SetDefaultReceiver([&](Packet) { ++received; });
-  sw.InjectGenerated(0, TestPacket(99, 1, 64, Priority::kProbe));
-  sim.Run();
-  EXPECT_EQ(received, 1);
-}
-
 }  // namespace
 }  // namespace cowbird::net

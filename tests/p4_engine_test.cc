@@ -99,6 +99,45 @@ TEST_F(P4EngineTest, DetachAndReattachServesOnAFreshQpnBlock) {
                                         0x822}));
 }
 
+// Phase I teardown (Section 5.2): the instance leaves the switch through the
+// one attach path, Cluster::Detach.
+using ControlPlaneTest = P4EngineTest;
+
+// One read through the full stack, polled for up to `timeout`; true if it
+// completed.
+sim::Task<bool> TryRead(P4EngineTest& t, Nanos timeout) {
+  auto& ctx = t.client_->thread(0);
+  auto id = co_await ctx.AsyncRead(*t.app_thread_, kRegion, 0x2000, kHeap, 64);
+  if (!id.has_value()) co_return false;
+  const core::PollId poll = ctx.PollCreate();
+  ctx.PollAdd(poll, *id);
+  const Nanos deadline = t.f_.sim.Now() + timeout;
+  while (t.f_.sim.Now() < deadline) {
+    auto done = co_await ctx.PollWait(*t.app_thread_, poll, 1, Micros(50));
+    if (!done.empty()) co_return true;
+  }
+  co_return false;
+}
+
+TEST_F(ControlPlaneTest, TeardownStopsService) {
+  bool before = false, detached = false, after = true;
+  f_.sim.Spawn([](ControlPlaneTest& t, bool& b, bool& d,
+                  bool& a) -> sim::Task<void> {
+    b = co_await TryRead(t, Millis(2));
+    d = t.f_.Detach(*t.engine_, *t.client_).has_value();
+    a = co_await TryRead(t, Millis(1));
+    t.f_.sim.Halt();
+  }(*this, before, detached, after));
+  f_.sim.Run();
+  EXPECT_TRUE(before);
+  EXPECT_TRUE(detached);
+  EXPECT_FALSE(after);  // nothing probes the rings anymore
+}
+
+TEST_F(ControlPlaneTest, TeardownOfUnknownInstanceFails) {
+  EXPECT_FALSE(engine_->RemoveInstance(4242));
+}
+
 TEST_F(P4EngineTest, WriteLandsInPool) {
   const auto data = Pattern(512, 2);
   f_.client(0).mem.Write(kHeap, data);

@@ -224,23 +224,6 @@ TEST(Sync, SemaphoreLimitsConcurrency) {
   EXPECT_EQ(sim.Now(), 30);  // 6 jobs, 2 at a time, 10 ns each
 }
 
-TEST(Sync, CountdownLatch) {
-  Simulation sim;
-  CountdownLatch latch(sim, 3);
-  bool released = false;
-  sim.Spawn([](CountdownLatch& l, bool& out) -> Task<void> {
-    co_await l.Wait();
-    out = true;
-  }(latch, released));
-  sim.ScheduleAt(1, [&] { latch.CountDown(); });
-  sim.ScheduleAt(2, [&] { latch.CountDown(); });
-  sim.RunUntil(5);
-  EXPECT_FALSE(released);
-  latch.CountDown();
-  sim.Run();
-  EXPECT_TRUE(released);
-}
-
 TEST(Thread, WorkChargesCategory) {
   Simulation sim;
   Machine machine(sim, 4);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "workload/generator.h"
 #include "workload/hash_workload.h"
+#include "workload/scale_workload.h"
 
 namespace cowbird::workload {
 namespace {
@@ -43,18 +45,6 @@ TEST(Zipfian, StaysInRange) {
   Rng rng(3);
   ZipfianGenerator gen(50, 0.99);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(gen.Next(rng), 50u);
-}
-
-TEST(Uniform, CoversRange) {
-  Rng rng(4);
-  UniformGenerator gen(10);
-  std::map<std::uint64_t, int> counts;
-  for (int i = 0; i < 10000; ++i) counts[gen.Next(rng)]++;
-  EXPECT_EQ(counts.size(), 10u);
-  for (auto& [k, c] : counts) {
-    (void)k;
-    EXPECT_NEAR(c, 1000, 250);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +140,45 @@ TEST(HashWorkload, SpotAgentFitsInOneCore) {
   // work items overlap on the single agent core.
   EXPECT_LE(r.offload_core_util, 1.3);
   EXPECT_GT(r.offload_core_util, 0.0);
+}
+
+// The rack is the hash workload's closed loop fanned out: one client on one
+// memory server, every op remote, retires exactly the hash workload's ops
+// and dispatches exactly its events, on either engine.
+TEST(HashWorkload, OneClientRackRetiresTheSameOpsAndEvents) {
+  for (const Paradigm paradigm : {Paradigm::kCowbird, Paradigm::kCowbirdP4}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(ParadigmName(paradigm)) + " threads=" +
+                   std::to_string(threads));
+      HashWorkloadConfig hash;
+      hash.paradigm = paradigm;
+      hash.threads = threads;
+      hash.record_size = 256;
+      hash.records = 200'000;
+      hash.local_fraction = 0;
+      hash.window = 32;
+      hash.warmup = Micros(100);
+      hash.measure = Micros(500);
+      hash.seed = 7;
+      ScaleWorkloadConfig rack;
+      rack.paradigm = paradigm;
+      rack.clients = 1;
+      rack.memory_servers = 1;
+      rack.threads_per_client = threads;
+      rack.record_size = hash.record_size;
+      rack.records = hash.records;
+      rack.window = hash.window;
+      rack.warmup = hash.warmup;
+      rack.measure = hash.measure;
+      rack.seed = hash.seed;
+
+      const WorkloadResult h = RunHashWorkload(hash);
+      const ScaleWorkloadResult r = RunScaleWorkload(rack);
+      EXPECT_GT(h.ops, 0u);
+      EXPECT_EQ(r.ops, h.ops);
+      EXPECT_EQ(r.sim_events, h.sim_events);
+    }
+  }
 }
 
 TEST(LatencyProbe, SyncAndCowbirdUnbatchedAreClose) {
