@@ -30,7 +30,7 @@ void BM_WireBuildParseReadRequest(benchmark::State& state) {
     net::Packet p = rdma::BuildRdmaPacket(1, 2, net::Priority::kRdma, bth,
                                           &reth, nullptr, {});
     auto view = rdma::ParseRdmaPacket(p);
-    benchmark::DoNotOptimize(view.bth.psn);
+    benchmark::DoNotOptimize(view->bth.psn);
   }
 }
 BENCHMARK(BM_WireBuildParseReadRequest);
@@ -44,7 +44,7 @@ void BM_WireBuildParseWithPayload(benchmark::State& state) {
     net::Packet p = rdma::BuildRdmaPacket(2, 1, net::Priority::kRdma, bth,
                                           nullptr, &aeth, payload);
     auto view = rdma::ParseRdmaPacket(p);
-    benchmark::DoNotOptimize(view.payload.size());
+    benchmark::DoNotOptimize(view->payload.size());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
@@ -76,18 +76,32 @@ void BM_MetadataPublishParse(benchmark::State& state) {
 }
 BENCHMARK(BM_MetadataPublishParse);
 
-void BM_SparseMemoryCopy(benchmark::State& state) {
+// A write and a read-back striding a 64 MiB range: `pages` through the page
+// hash (unregistered space), `mapped` through one flat extent (a registered
+// MR, staging arena or app heap).
+void BM_SparseMemoryCopy(benchmark::State& state, bool mapped) {
+  constexpr std::uint64_t kRange = 64 << 20;
   SparseMemory mem;
+  if (mapped) mem.Map(0, kRange);
   std::vector<std::uint8_t> buf(state.range(0), 0xAB);
   std::uint64_t addr = 0;
   for (auto _ : state) {
     mem.Write(addr, buf);
     mem.Read(addr, buf);
-    addr = (addr + 8192) % (64 << 20);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+    addr = (addr + 8192) % kRange;
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * 2);
 }
-BENCHMARK(BM_SparseMemoryCopy)->Arg(64)->Arg(1024)->Arg(32768);
+BENCHMARK_CAPTURE(BM_SparseMemoryCopy, pages, false)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(32768);
+BENCHMARK_CAPTURE(BM_SparseMemoryCopy, mapped, true)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(32768);
 
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(1);

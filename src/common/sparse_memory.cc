@@ -1,40 +1,117 @@
 #include "common/sparse_memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <utility>
 
 namespace cowbird {
 
-std::uint8_t* SparseMemory::EnsurePage(std::uint64_t page_index) {
-  CachedPage& slot = cache_[page_index % kCacheWays];
-  if (slot.index == page_index) return slot.page;
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
-    it = pages_.emplace(page_index, std::move(page)).first;
+SparseMemory::~SparseMemory() { UnmapAll(); }
+
+SparseMemory::SparseMemory(SparseMemory&& other) noexcept
+    : extents_(std::exchange(other.extents_, {})),
+      pages_(std::move(other.pages_)) {
+  other.cache_ = {};
+}
+
+SparseMemory& SparseMemory::operator=(SparseMemory&& other) noexcept {
+  if (this != &other) {
+    UnmapAll();
+    extents_ = std::exchange(other.extents_, {});
+    pages_ = std::move(other.pages_);
+    last_extent_ = 0;
+    cache_ = {};
+    other.cache_ = {};
   }
-  slot = CachedPage{page_index, it->second.get()};
-  return slot.page;
+  return *this;
 }
 
-const std::uint8_t* SparseMemory::FindPage(std::uint64_t page_index) const {
+void SparseMemory::UnmapAll() {
+  for (const Extent& e : extents_) munmap(e.data, e.len);
+  extents_.clear();
+}
+
+void SparseMemory::Map(std::uint64_t addr, Bytes len) {
+  if (len == 0) return;
+  const std::uint64_t base = addr / kPageSize * kPageSize;
+  const std::uint64_t end =
+      (addr + len + kPageSize - 1) / kPageSize * kPageSize;
+  for (const Extent& e : extents_) {
+    if (base >= e.base && end <= e.base + e.len) return;  // already flat
+    COWBIRD_CHECK(end <= e.base || base >= e.base + e.len);
+  }
+  void* raw = mmap(nullptr, end - base, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  COWBIRD_CHECK(raw != MAP_FAILED);
+  // Keep RSS in 4 KiB pages whatever the host's transparent-huge-page mode
+  // (a kernel without THP rejects the advice, which is just as good).
+  (void)madvise(raw, end - base, MADV_NOHUGEPAGE);
+  const Extent extent{base, end - base, static_cast<std::uint8_t*>(raw)};
+  for (auto it = pages_.begin(); it != pages_.end();) {
+    const std::uint64_t page_addr = it->first * kPageSize;
+    if (page_addr >= base && page_addr < end) {
+      std::memcpy(extent.data + (page_addr - base), it->second.get(),
+                  kPageSize);
+      it = pages_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  cache_ = {};
+  extents_.push_back(extent);
+}
+
+const SparseMemory::Extent* SparseMemory::FindExtent(std::uint64_t addr,
+                                                     std::uint64_t len) const {
+  const auto holds = [addr, len](const Extent& e) {
+    return addr >= e.base && len <= e.len && addr - e.base <= e.len - len;
+  };
+  if (last_extent_ < extents_.size() && holds(extents_[last_extent_])) {
+    return &extents_[last_extent_];
+  }
+  for (std::size_t i = 0; i < extents_.size(); ++i) {
+    if (holds(extents_[i])) {
+      last_extent_ = i;
+      return &extents_[i];
+    }
+  }
+  return nullptr;
+}
+
+std::uint8_t* SparseMemory::FindPage(std::uint64_t page_index) const {
   CachedPage& slot = cache_[page_index % kCacheWays];
   if (slot.index == page_index) return slot.page;
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) return nullptr;  // not cached: stays a miss until written
-  slot = CachedPage{page_index, it->second.get()};
-  return slot.page;
+  const std::uint64_t page_addr = page_index * kPageSize;
+  std::uint8_t* page = nullptr;
+  if (const Extent* e = FindExtent(page_addr, kPageSize)) {
+    page = e->data + (page_addr - e->base);
+  } else if (auto it = pages_.find(page_index); it != pages_.end()) {
+    page = it->second.get();
+  } else {
+    return nullptr;  // not cached: stays a miss until written
+  }
+  slot = CachedPage{page_index, page};
+  return page;
 }
 
-void SparseMemory::PreFault(std::uint64_t addr, Bytes len) {
-  if (len <= 0) return;
-  const std::uint64_t first = addr / kPageSize;
-  const std::uint64_t last = (addr + static_cast<std::uint64_t>(len) - 1) / kPageSize;
-  for (std::uint64_t page = first; page <= last; ++page) EnsurePage(page);
+std::uint8_t* SparseMemory::EnsurePage(std::uint64_t page_index) {
+  if (std::uint8_t* page = FindPage(page_index)) return page;
+  auto fresh = std::make_unique<std::uint8_t[]>(kPageSize);
+  std::memset(fresh.get(), 0, kPageSize);
+  std::uint8_t* page = fresh.get();
+  pages_.emplace(page_index, std::move(fresh));
+  cache_[page_index % kCacheWays] = CachedPage{page_index, page};
+  return page;
 }
 
 void SparseMemory::Write(std::uint64_t addr,
                          std::span<const std::uint8_t> data) {
+  if (data.empty()) return;
+  if (const Extent* e = FindExtent(addr, data.size())) {
+    std::memcpy(e->data + (addr - e->base), data.data(), data.size());
+    return;
+  }
   std::uint64_t pos = addr;
   std::size_t done = 0;
   while (done < data.size()) {
@@ -49,6 +126,11 @@ void SparseMemory::Write(std::uint64_t addr,
 }
 
 void SparseMemory::Read(std::uint64_t addr, std::span<std::uint8_t> out) const {
+  if (out.empty()) return;
+  if (const Extent* e = FindExtent(addr, out.size())) {
+    std::memcpy(out.data(), e->data + (addr - e->base), out.size());
+    return;
+  }
   std::uint64_t pos = addr;
   std::size_t done = 0;
   while (done < out.size()) {

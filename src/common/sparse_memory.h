@@ -1,9 +1,12 @@
 // Byte-addressable memory for simulated nodes.
 //
 // Node address spaces in the simulation can be large (a memory pool is tens
-// of GiB in the paper), but benchmarks only touch a fraction. SparseMemory
-// materializes 4 KiB pages on first write; reads of never-written memory
-// return zeros, like fresh anonymous mappings.
+// of GiB in the paper), but benchmarks only touch a fraction. Registered
+// ranges (MRs, staging arenas, app heaps) are Map()ped: each becomes one
+// flat, demand-zero extent, so a span inside it is a single memcpy and the
+// OS materializes only the pages a run writes. Everything else is sparse:
+// 4 KiB pages materialize in a hash on first write. Either way, reads of
+// never-written memory return zeros, like fresh anonymous mappings.
 #pragma once
 
 #include <array>
@@ -12,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -23,26 +27,22 @@ class SparseMemory {
   static constexpr std::uint64_t kPageSize = 4096;
 
   SparseMemory() = default;
+  ~SparseMemory();
   SparseMemory(const SparseMemory&) = delete;
   SparseMemory& operator=(const SparseMemory&) = delete;
-  SparseMemory(SparseMemory&& other) noexcept : pages_(std::move(other.pages_)) {
-    other.cache_ = {};
-  }
-  SparseMemory& operator=(SparseMemory&& other) noexcept {
-    pages_ = std::move(other.pages_);
-    cache_ = {};
-    other.cache_ = {};
-    return *this;
-  }
+  SparseMemory(SparseMemory&& other) noexcept;
+  SparseMemory& operator=(SparseMemory&& other) noexcept;
 
   void Write(std::uint64_t addr, std::span<const std::uint8_t> data);
   void Read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
-  // Materialize every page of [addr, addr+len) up front, the way an RDMA
-  // stack pins a registered MR at ibv_reg_mr time. Contents are unchanged
-  // (fresh pages read as zeros either way); this only moves the page
-  // allocations out of the datapath and into setup.
-  void PreFault(std::uint64_t addr, Bytes len);
+  // Backs [addr, addr+len), rounded out to whole pages, with one flat
+  // demand-zero extent: the simulator's ibv_reg_mr. Contents are unchanged —
+  // pages already written in the range move into the extent, and the rest
+  // reads as zeros without taking any memory until written. A range inside
+  // an existing extent maps nothing new; one that partially overlaps an
+  // extent is a CHECK failure.
+  void Map(std::uint64_t addr, Bytes len);
 
   // Typed helpers for the fixed-width fields the protocol moves around.
   template <typename T>
@@ -63,19 +63,35 @@ class SparseMemory {
     return value;
   }
 
+  // Pages materialized in the hash, i.e. written outside every extent.
   std::size_t ResidentPages() const { return pages_.size(); }
 
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;
 
-  std::uint8_t* EnsurePage(std::uint64_t page_index);
-  const std::uint8_t* FindPage(std::uint64_t page_index) const;
+  // One mapped range: page-aligned, a whole number of pages.
+  struct Extent {
+    std::uint64_t base = 0;
+    std::uint64_t len = 0;
+    std::uint8_t* data = nullptr;
+  };
 
+  // The extent holding all of [addr, addr+len), or null. Tries the last hit
+  // first: a node has a few extents and the datapath stays in one a while.
+  const Extent* FindExtent(std::uint64_t addr, std::uint64_t len) const;
+  // The page's bytes, whether in an extent or the hash; null if unwritten
+  // and unmapped. EnsurePage materializes a hash page instead of null.
+  std::uint8_t* FindPage(std::uint64_t page_index) const;
+  std::uint8_t* EnsurePage(std::uint64_t page_index);
+  void UnmapAll();
+
+  std::vector<Extent> extents_;
+  mutable std::size_t last_extent_ = 0;
   std::unordered_map<std::uint64_t, Page> pages_;
-  // Direct-mapped cache over the page table. The datapath hammers a handful
-  // of ring/staging pages per op, and the hash lookup was ~15% of simulator
-  // wall time. Pages are never unmapped, so a cached pointer can only go
-  // stale through move (handled above) — never through eviction.
+  // Direct-mapped cache over page lookups, for spans outside every extent
+  // (or crossing an extent's edge). Pages and extents are never unmapped
+  // while the memory lives, so a cached pointer only goes stale through
+  // Map (pages move into the extent) or move — both clear the cache.
   struct CachedPage {
     std::uint64_t index = ~std::uint64_t{0};
     std::uint8_t* page = nullptr;

@@ -327,7 +327,13 @@ CowbirdP4Engine::MemoryPath& CowbirdP4Engine::PoolPath(Instance& inst,
 }
 
 void CowbirdP4Engine::ConsumeRdma(net::Packet packet) {
-  const rdma::RdmaMessageView view = rdma::ParseRdmaPacket(packet);
+  const std::optional<rdma::RdmaMessageView> parsed =
+      rdma::ParseRdmaPacket(packet);
+  if (!parsed) {
+    ++malformed_dropped_;
+    return;
+  }
+  const rdma::RdmaMessageView& view = *parsed;
   SwitchQp* qp = nullptr;
   Instance* inst = InstanceForQpn(view.bth.dest_qp, &qp);
   if (inst == nullptr) return;  // stale packet from a removed instance

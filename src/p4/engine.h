@@ -176,6 +176,9 @@ class CowbirdP4Engine : public net::PacketProcessor {
   }
   std::uint64_t recoveries() const { return recoveries_; }
   std::uint64_t cnps_reflected() const { return cnps_reflected_; }
+  // RoCE packets to the switch endpoint too short for the headers they
+  // name, dropped.
+  std::uint64_t malformed_dropped() const { return malformed_dropped_; }
 
  public:
   enum class PendingKind : std::uint8_t {
@@ -380,6 +383,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   std::uint64_t reads_paused_by_writes_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t cnps_reflected_ = 0;
+  std::uint64_t malformed_dropped_ = 0;
 };
 
 // Phase I helper: creates responder QPs on the hosts and wires them to the

@@ -32,6 +32,7 @@ Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
 Device::~Device() = default;
 
 const MemoryRegion* Device::RegisterMemory(std::uint64_t base, Bytes length) {
+  memory_->Map(base, length);
   auto region = std::make_unique<MemoryRegion>();
   region->base = base;
   region->length = length;
@@ -92,7 +93,12 @@ void Device::OnPacket(net::Packet packet) {
   ++packets_received_;
   simulation().ScheduleAfter(
       kProcessingDelay, [this, p = std::move(packet)]() mutable {
-        const RdmaMessageView view = ParseRdmaPacket(p);
+        const std::optional<RdmaMessageView> parsed = ParseRdmaPacket(p);
+        if (!parsed) {
+          ++malformed_dropped_;
+          return;
+        }
+        const RdmaMessageView& view = *parsed;
         if (view.bth.opcode == Opcode::kCnp) {
           // A CNP names the local QP whose flow must slow down; it never
           // reaches the QP state machines.

@@ -82,6 +82,8 @@ class Device {
   Device& operator=(const Device&) = delete;
   ~Device();
 
+  // Registers [base, base+length) and maps it flat in the host's memory,
+  // the way ibv_reg_mr pins an MR: no access to it allocates a page later.
   const MemoryRegion* RegisterMemory(std::uint64_t base, Bytes length);
   const MemoryRegion* LookupRkey(std::uint32_t rkey) const;
 
@@ -133,6 +135,8 @@ class Device {
 
   // Sum of Go-Back-N retransmissions across every QP on this device.
   std::uint64_t total_retransmissions() const;
+  // Packets to the RoCE port too short for the headers they name, dropped.
+  std::uint64_t malformed_dropped() const { return malformed_dropped_; }
 
   // Surfaces packet and retransmission counters as callback gauges. The
   // device must outlive the registry or UnbindTelemetry first.
@@ -152,6 +156,7 @@ class Device {
   std::unique_ptr<CongestionManager> congestion_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;
+  std::uint64_t malformed_dropped_ = 0;
   std::uint64_t watch_base_ = 0;
   Bytes watch_length_ = 0;  // 0 = watch unarmed
   std::function<void(std::uint64_t, std::uint32_t)> write_watch_;

@@ -99,21 +99,22 @@ bool LooksLikeRdma(const net::Packet& packet) {
   return udp.dst_port == net::kRoceUdpPort;
 }
 
-RdmaMessageView ParseRdmaPacket(const net::Packet& packet) {
+std::optional<RdmaMessageView> ParseRdmaPacket(const net::Packet& packet) {
   auto body = packet.L4Payload();
-  COWBIRD_CHECK(body.size() >= kBthBytes + kIcrcBytes);
+  if (body.size() < kBthBytes + kIcrcBytes) return std::nullopt;
   RdmaMessageView view;
   view.bth = Bth::Parse(body);
   std::size_t offset = kBthBytes;
   if (HasReth(view.bth.opcode)) {
+    if (body.size() < offset + kRethBytes + kIcrcBytes) return std::nullopt;
     view.reth = Reth::Parse(body.subspan(offset));
     offset += kRethBytes;
   }
   if (HasAeth(view.bth.opcode)) {
+    if (body.size() < offset + kAethBytes + kIcrcBytes) return std::nullopt;
     view.aeth = Aeth::Parse(body.subspan(offset));
     offset += kAethBytes;
   }
-  COWBIRD_CHECK(body.size() >= offset + kIcrcBytes);
   view.payload = body.subspan(offset, body.size() - offset - kIcrcBytes);
   return view;
 }

@@ -132,9 +132,10 @@ struct RdmaMessageView {
   std::span<const std::uint8_t> payload;  // upper-layer data, no iCRC
 };
 
-// Parses the UDP payload of `packet`. CHECK-fails on malformed input: in the
-// simulation, a malformed RDMA packet is a bug, not an input condition.
-RdmaMessageView ParseRdmaPacket(const net::Packet& packet);
+// Parses the UDP payload of `packet`; nullopt if it is too short for its BTH,
+// the RETH or AETH its opcode names, or the iCRC. Anything can arrive on the
+// wire, so a malformed packet is dropped by the receiver, never fatal.
+std::optional<RdmaMessageView> ParseRdmaPacket(const net::Packet& packet);
 
 // True if the UDP payload looks like an RDMA message (used by demux).
 bool LooksLikeRdma(const net::Packet& packet);

@@ -85,14 +85,13 @@ struct Harness {
       : cfg(config), fan(fan_in), cluster(spec, config.telemetry) {
     const bool cowbird = IsCowbird(cfg.paradigm);
     COWBIRD_CHECK(cowbird || fan.clients == 1);
-    // Registered memory is pinned at ibv_reg_mr time on real hardware, so
-    // fault the record pools and the per-thread delivery windows in up
-    // front; page materialization must never land on the measured datapath.
+    // Registering the record pools maps them flat, and each client host's
+    // per-thread delivery windows are mapped as one heap below: no page
+    // materializes on the measured datapath.
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
     for (int m = 0; m < fan.memory_servers; ++m) {
-      ClusterHost& memory = cluster.memory(m);
-      pool_mrs.push_back(memory.dev->RegisterMemory(kPoolBase, pool_bytes));
-      memory.mem.PreFault(kPoolBase, pool_bytes);
+      pool_mrs.push_back(
+          cluster.memory(m).dev->RegisterMemory(kPoolBase, pool_bytes));
     }
     if (fan.migrate) {
       // Client 0's region comes from an elastic ClusterPool instead of the
@@ -103,7 +102,6 @@ struct Harness {
           pool_bytes, core::ClusterPool::kRangeAlign);
       for (int m = 0; m < 2; ++m) {
         pool.AddServer(*cluster.memory(m).dev, kSlabBase, slab_bytes);
-        cluster.memory(m).mem.PreFault(kSlabBase, slab_bytes);
       }
       if (cfg.telemetry != nullptr) {
         pool.BindTelemetry(cfg.telemetry->metrics, telemetry::Labels{});
@@ -111,8 +109,8 @@ struct Harness {
     }
     for (int k = 0; k < fan.clients; ++k) {
       ClusterHost& host = cluster.client(k);
+      host.mem.Map(HeapFor(0), cfg.threads * kHeapStride);
       for (int t = 0; t < cfg.threads; ++t) {
-        host.mem.PreFault(HeapFor(t), kHeapStride);
         threads.push_back(std::make_unique<sim::SimThread>(
             *host.machine,
             "app-" + std::to_string(k) + "-" + std::to_string(t)));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/ring.h"
@@ -220,6 +222,107 @@ TEST(SparseMemory, TypedValues) {
   mem.WriteValue<std::uint64_t>(8, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(mem.ReadValue<std::uint64_t>(8), 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(mem.ReadValue<std::uint32_t>(8), 0xCAFEF00Du);  // little endian
+}
+
+std::vector<std::uint8_t> Filled(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 31 + seed);
+  }
+  return data;
+}
+
+constexpr std::uint64_t kPage = SparseMemory::kPageSize;
+
+TEST(SparseMemory, MappedRangeReadsZeroAndMaterializesNoPage) {
+  SparseMemory mem;
+  mem.Map(0x10000 + 100, MiB(1));
+  std::vector<std::uint8_t> out(3 * kPage, 0xFF);
+  mem.Read(0x10000, out);
+  for (auto b : out) EXPECT_EQ(b, 0);
+
+  const auto data = Filled(10000, 1);
+  mem.Write(0x10000 + kPage - 7, data);  // spans three pages of the extent
+  std::vector<std::uint8_t> back(data.size());
+  mem.Read(0x10000 + kPage - 7, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(mem.ResidentPages(), 0u);
+}
+
+TEST(SparseMemory, PagesWrittenBeforeMapSurviveIt) {
+  SparseMemory mem;
+  const auto inside = Filled(2 * kPage, 2);
+  const auto outside = Filled(64, 3);
+  mem.Write(8 * kPage + 500, inside);  // three pages, all to be mapped
+  mem.Write(64 * kPage, outside);      // stays on the page path
+  ASSERT_EQ(mem.ResidentPages(), 4u);
+
+  mem.Map(8 * kPage, 16 * kPage);
+  EXPECT_EQ(mem.ResidentPages(), 1u);
+  std::vector<std::uint8_t> back(inside.size());
+  mem.Read(8 * kPage + 500, back);
+  EXPECT_EQ(back, inside);
+  std::vector<std::uint8_t> rest(outside.size());
+  mem.Read(64 * kPage, rest);
+  EXPECT_EQ(rest, outside);
+}
+
+TEST(SparseMemory, SpanCrossingAnExtentEndReadsBackIntact) {
+  SparseMemory mem;
+  mem.Map(0, 2 * kPage);
+  const auto data = Filled(3000, 4);
+  const std::uint64_t addr = 2 * kPage - 1000;  // 1000 bytes in, 2000 past
+  mem.Write(addr, data);
+  std::vector<std::uint8_t> back(data.size());
+  mem.Read(addr, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(mem.ResidentPages(), 1u);  // only the page past the extent
+}
+
+TEST(SparseMemory, MapInsideAnExistingExtentIsANoOp) {
+  SparseMemory mem;
+  mem.Map(0, 16 * kPage);
+  const auto data = Filled(2 * kPage, 5);
+  mem.Write(0, data);
+  mem.Map(kPage + 10, 100);
+  // One extent still serves the nested range and the spans around it.
+  std::vector<std::uint8_t> nested(100);
+  mem.Read(kPage + 10, nested);
+  EXPECT_TRUE(std::equal(nested.begin(), nested.end(),
+                         data.begin() + kPage + 10));
+  mem.Write(kPage, Filled(kPage, 6));
+  std::vector<std::uint8_t> back(2 * kPage);
+  mem.Read(0, back);
+  EXPECT_TRUE(std::equal(back.begin(), back.begin() + kPage, data.begin()));
+  EXPECT_EQ(std::vector<std::uint8_t>(back.begin() + kPage, back.end()),
+            Filled(kPage, 6));
+  EXPECT_EQ(mem.ResidentPages(), 0u);
+}
+
+TEST(SparseMemory, MoveTransfersExtents) {
+  SparseMemory mem;
+  mem.Map(0x100000, MiB(1));
+  const auto data = Filled(256, 7);
+  mem.Write(0x100000 + 40, data);
+  SparseMemory moved(std::move(mem));
+  std::vector<std::uint8_t> back(data.size());
+  moved.Read(0x100000 + 40, back);
+  EXPECT_EQ(back, data);
+  SparseMemory assigned;
+  assigned.Map(0, kPage);
+  assigned = std::move(moved);
+  assigned.Read(0x100000 + 40, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(assigned.ResidentPages(), 0u);
+}
+
+using SparseMemoryDeathTest = ::testing::Test;
+
+TEST(SparseMemoryDeathTest, PartialOverlapIsRejected) {
+  SparseMemory mem;
+  mem.Map(4 * kPage, 8 * kPage);
+  EXPECT_DEATH(mem.Map(8 * kPage, 8 * kPage), "CHECK failed");
+  EXPECT_DEATH(mem.Map(0, 5 * kPage), "CHECK failed");
 }
 
 }  // namespace

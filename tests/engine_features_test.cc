@@ -1,6 +1,6 @@
 // Coverage for engine features outside the core data path: multiple
-// instances per spot agent, multiple memory regions per instance, and the
-// adaptive probe ramp-up in both engines.
+// instances per spot agent, multiple memory regions per instance, the
+// adaptive probe ramp-up in both engines, and flat registered memory.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -157,6 +157,53 @@ TEST(AdaptiveProbe, P4BacksOffWhenIdle) {
   }(f, client, thread));
   f.sim.Run();
   EXPECT_EQ(engine.ops_completed(), 1u);
+}
+
+// Registered memory is flat: reads and writes through a pool region
+// materialize no page in the hash of the memory host (the pool MR) or of
+// the spot host (the staging arenas), whichever engine moves the data.
+void ExpectPoolTrafficMaterializesNoPage(bool p4_engine) {
+  Cluster f{workload::ClusterSpec{}};
+  const core::RegionInfo pool = testing::PoolRegion(f, kPoolBase, MiB(16));
+  CowbirdClient& client = f.AddClient(0, testing::SmallRings(1));
+  client.RegisterRegion(pool);
+  if (p4_engine) {
+    p4::CowbirdP4Engine& engine = f.AddP4Engine(p4::CowbirdP4Engine::Config{});
+    f.Attach(engine, client);
+    engine.Start();
+  } else {
+    spot::SpotAgent& agent = f.AddSpotAgent(spot::SpotAgent::Config{});
+    f.Attach(agent, client);
+    agent.Start();
+  }
+  const auto written = Pattern(3000, 5);  // multi-packet both ways
+  const auto seeded = Pattern(700, 6);
+  f.client(0).mem.Write(kHeap, written);
+  f.memory(0).mem.Write(kPoolBase + MiB(8), seeded);
+
+  sim::SimThread thread(*f.client(0).machine, "app");
+  std::vector<std::uint8_t> read_back, read_seeded;
+  f.sim.Spawn([](Cluster& ff, CowbirdClient& cl, sim::SimThread& thr,
+                 std::vector<std::uint8_t>& back,
+                 std::vector<std::uint8_t>& other) -> sim::Task<void> {
+    (void)co_await testing::WriteAndWait(cl, 0, thr, kHeap, 0x3000, 3000);
+    back = co_await ReadAndWait(ff, cl, 0, thr, 0x3000, 3000, kHeap + MiB(1));
+    other = co_await ReadAndWait(ff, cl, 0, thr, MiB(8), 700, kHeap + MiB(2));
+    ff.sim.Halt();
+  }(f, client, thread, read_back, read_seeded));
+  f.sim.Run();
+  EXPECT_EQ(read_back, written);
+  EXPECT_EQ(read_seeded, seeded);
+  EXPECT_EQ(f.memory(0).mem.ResidentPages(), 0u);
+  EXPECT_EQ(f.spot().mem.ResidentPages(), 0u);
+}
+
+TEST(FlatMemory, SpotTrafficMaterializesNoPoolOrStagingPage) {
+  ExpectPoolTrafficMaterializesNoPage(/*p4_engine=*/false);
+}
+
+TEST(FlatMemory, P4TrafficMaterializesNoPoolPage) {
+  ExpectPoolTrafficMaterializesNoPage(/*p4_engine=*/true);
 }
 
 }  // namespace

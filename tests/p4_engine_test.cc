@@ -151,6 +151,32 @@ TEST_F(P4EngineTest, WriteLandsInPool) {
   EXPECT_EQ(out, data);
 }
 
+// A RoCE packet to the switch whose opcode names a RETH that the body is too
+// short to hold is dropped and counted; the engine goes on serving.
+TEST_F(P4EngineTest, TruncatedRethToTheSwitchIsDroppedAndCounted) {
+  rdma::Bth bth;
+  bth.opcode = rdma::Opcode::kReadRequest;
+  bth.dest_qp = 1;
+  net::Packet packet = net::MakeUdpPacket(
+      testing::kComputeId, kSwitchAddress,
+      rdma::kBthBytes + rdma::kRethBytes / 2 + rdma::kIcrcBytes,
+      net::Priority::kRdma);
+  bth.Serialize(packet.MutableL4Payload());
+  f_.client(0).nic.Send(std::move(packet));
+
+  const auto data = Pattern(128, 9);
+  f_.memory(0).mem.Write(kPoolBase + 0xA000, data);
+  std::vector<std::uint8_t> got;
+  f_.sim.Spawn([](P4EngineTest& t,
+                  std::vector<std::uint8_t>& out) -> sim::Task<void> {
+    out = co_await t.ReadAndWait(0, 0xA000, 128, kHeap);
+    t.f_.sim.Halt();
+  }(*this, got));
+  f_.sim.Run();
+  EXPECT_EQ(engine_->malformed_dropped(), 1u);
+  EXPECT_EQ(got, data);
+}
+
 TEST_F(P4EngineTest, ReadAfterWriteSeesNewData) {
   const auto new_data = Pattern(128, 4);
   f_.memory(0).mem.Write(kPoolBase + 0x9000, Pattern(128, 3));

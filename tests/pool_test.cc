@@ -111,6 +111,23 @@ TEST(Pool, GrowablePoolKeepsAddressesStableAcrossGrowth) {
     EXPECT_EQ(pool.Get(handles[i]), addrs[i]);
     EXPECT_EQ(*pool.Get(handles[i]), i);
   }
+
+  // One-slot slabs: every Acquire adds a slab, and addresses still hold
+  // past 10,000 slots.
+  Pool<int> fine(1, /*growable=*/true);
+  constexpr int kSlots = 10'001;
+  std::vector<PoolHandle> fine_handles;
+  std::vector<int*> fine_addrs;
+  for (int i = 0; i < kSlots; ++i) {
+    fine_handles.push_back(fine.Acquire(i));
+    fine_addrs.push_back(fine.Get(fine_handles.back()));
+  }
+  EXPECT_EQ(fine.capacity(), static_cast<std::size_t>(kSlots));
+  EXPECT_EQ(fine.stats().exhausted_total, 0u);
+  for (int i = 0; i < kSlots; ++i) {
+    ASSERT_EQ(fine.Get(fine_handles[i]), fine_addrs[i]);
+    ASSERT_EQ(*fine.Get(fine_handles[i]), i);
+  }
 }
 
 using PoolDeathTest = ::testing::Test;

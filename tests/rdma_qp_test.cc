@@ -172,6 +172,22 @@ TEST_F(QpTest, SendBeforeRecvPostedRecoversViaRnr) {
   EXPECT_GT(pair_.a->retransmissions(), 0u);
 }
 
+// Anything can arrive on the RoCE port: a body too short for even a BTH is
+// dropped and counted, and the device goes on serving its QPs.
+TEST_F(QpTest, ShortRocePacketIsDroppedAndCounted) {
+  f_.client(0).nic.Send(net::MakeUdpPacket(
+      testing::kComputeId, testing::kMemoryId, 4, net::Priority::kRdma));
+  const auto data = Pattern(64, 8);
+  f_.client(0).mem.Write(0x5000, data);
+  pair_.a->PostSend(SendWqe{WqeOp::kWrite, 15, 0x5000, remote_mr_->base,
+                            remote_mr_->rkey, 64, true});
+  f_.sim.Run();
+  EXPECT_EQ(f_.memory(0).dev->malformed_dropped(), 1u);
+  std::vector<std::uint8_t> out(64);
+  f_.memory(0).mem.Read(remote_mr_->base, out);
+  EXPECT_EQ(out, data);
+}
+
 // ---------------------------------------------------------------------------
 // Loss recovery (Go-Back-N)
 // ---------------------------------------------------------------------------

@@ -89,14 +89,15 @@ TEST(Wire, PacketBuildParseReadRequest) {
                                   nullptr, {});
   EXPECT_TRUE(LooksLikeRdma(p));
   const auto view = ParseRdmaPacket(p);
-  EXPECT_EQ(view.bth.opcode, Opcode::kReadRequest);
-  EXPECT_EQ(view.bth.dest_qp, 7u);
-  EXPECT_EQ(view.bth.psn, 42u);
-  ASSERT_TRUE(view.reth.has_value());
-  EXPECT_EQ(view.reth->vaddr, 0x1000u);
-  EXPECT_EQ(view.reth->dma_length, 4096u);
-  EXPECT_FALSE(view.aeth.has_value());
-  EXPECT_TRUE(view.payload.empty());
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->bth.opcode, Opcode::kReadRequest);
+  EXPECT_EQ(view->bth.dest_qp, 7u);
+  EXPECT_EQ(view->bth.psn, 42u);
+  ASSERT_TRUE(view->reth.has_value());
+  EXPECT_EQ(view->reth->vaddr, 0x1000u);
+  EXPECT_EQ(view->reth->dma_length, 4096u);
+  EXPECT_FALSE(view->aeth.has_value());
+  EXPECT_TRUE(view->payload.empty());
 }
 
 TEST(Wire, PacketBuildParseWithPayload) {
@@ -112,10 +113,11 @@ TEST(Wire, PacketBuildParseWithPayload) {
   net::Packet p =
       BuildRdmaPacket(2, 1, net::Priority::kRdma, bth, nullptr, &aeth, data);
   const auto view = ParseRdmaPacket(p);
-  ASSERT_TRUE(view.aeth.has_value());
-  EXPECT_EQ(view.aeth->msn, 17u);
-  ASSERT_EQ(view.payload.size(), data.size());
-  EXPECT_TRUE(std::equal(data.begin(), data.end(), view.payload.begin()));
+  ASSERT_TRUE(view.has_value());
+  ASSERT_TRUE(view->aeth.has_value());
+  EXPECT_EQ(view->aeth->msn, 17u);
+  ASSERT_EQ(view->payload.size(), data.size());
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), view->payload.begin()));
 }
 
 TEST(Wire, PacketSizeAccounting) {
