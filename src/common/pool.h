@@ -23,7 +23,6 @@
 // None of these are thread-safe; a simulation is single-threaded by design.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -155,14 +154,6 @@ class Pool {
     const std::size_t old = slots_.size();
     if (old + slab_slots_ > PoolHandle::kInvalidIndex) return false;
     auto slab = std::make_unique<Slot[]>(slab_slots_);
-    // Grow both index vectors geometrically: reserving exactly one more slab
-    // would copy them on every growth, O(N^2 / slab) slots in all.
-    if (slots_.capacity() < old + slab_slots_) {
-      const std::size_t cap =
-          std::max(old + slab_slots_, 2 * slots_.capacity());
-      free_.reserve(cap);
-      slots_.reserve(cap);
-    }
     for (std::size_t i = 0; i < slab_slots_; ++i) {
       slots_.push_back(&slab[i]);
     }

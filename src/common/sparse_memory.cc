@@ -20,7 +20,6 @@ SparseMemory& SparseMemory::operator=(SparseMemory&& other) noexcept {
     UnmapAll();
     extents_ = std::exchange(other.extents_, {});
     pages_ = std::move(other.pages_);
-    last_extent_ = 0;
     cache_ = {};
     other.cache_ = {};
   }
@@ -37,9 +36,11 @@ void SparseMemory::Map(std::uint64_t addr, Bytes len) {
   const std::uint64_t base = addr / kPageSize * kPageSize;
   const std::uint64_t end =
       (addr + len + kPageSize - 1) / kPageSize * kPageSize;
+  // Already flat, or overlapping an extent without lying inside it (two
+  // byte-disjoint MRs can share a boundary page): the rest of such a range
+  // stays on the page path, whose lookup finds the extent's bytes first.
   for (const Extent& e : extents_) {
-    if (base >= e.base && end <= e.base + e.len) return;  // already flat
-    COWBIRD_CHECK(end <= e.base || base >= e.base + e.len);
+    if (end > e.base && base < e.base + e.len) return;
   }
   void* raw = mmap(nullptr, end - base, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
@@ -64,16 +65,9 @@ void SparseMemory::Map(std::uint64_t addr, Bytes len) {
 
 const SparseMemory::Extent* SparseMemory::FindExtent(std::uint64_t addr,
                                                      std::uint64_t len) const {
-  const auto holds = [addr, len](const Extent& e) {
-    return addr >= e.base && len <= e.len && addr - e.base <= e.len - len;
-  };
-  if (last_extent_ < extents_.size() && holds(extents_[last_extent_])) {
-    return &extents_[last_extent_];
-  }
-  for (std::size_t i = 0; i < extents_.size(); ++i) {
-    if (holds(extents_[i])) {
-      last_extent_ = i;
-      return &extents_[i];
+  for (const Extent& e : extents_) {
+    if (addr >= e.base && len <= e.len && addr - e.base <= e.len - len) {
+      return &e;
     }
   }
   return nullptr;

@@ -316,13 +316,37 @@ TEST(SparseMemory, MoveTransfersExtents) {
   EXPECT_EQ(assigned.ResidentPages(), 0u);
 }
 
-using SparseMemoryDeathTest = ::testing::Test;
-
-TEST(SparseMemoryDeathTest, PartialOverlapIsRejected) {
+TEST(SparseMemory, ByteDisjointRangesSharingAPageReadBackIntact) {
   SparseMemory mem;
-  mem.Map(4 * kPage, 8 * kPage);
-  EXPECT_DEATH(mem.Map(8 * kPage, 8 * kPage), "CHECK failed");
-  EXPECT_DEATH(mem.Map(0, 5 * kPage), "CHECK failed");
+  // A ends mid-page and B starts there: B's page-rounded range overlaps A's
+  // extent without lying inside it, so B's later pages stay on the page path.
+  const std::uint64_t a = 16 * kPage;
+  const std::uint64_t b = a + kPage / 2;
+  mem.Map(a, kPage / 2);
+  mem.Map(b, 2 * kPage);
+  const auto in_a = Filled(kPage / 2, 8);
+  const auto in_b = Filled(2 * kPage, 9);
+  mem.Write(a, in_a);
+  mem.Write(b, in_b);
+  std::vector<std::uint8_t> back_a(in_a.size());
+  std::vector<std::uint8_t> back_b(in_b.size());
+  mem.Read(a, back_a);
+  mem.Read(b, back_b);
+  EXPECT_EQ(back_a, in_a);
+  EXPECT_EQ(back_b, in_b);
+  EXPECT_EQ(mem.ResidentPages(), 2u);  // B's two pages past A's extent
+}
+
+TEST(SparseMemory, RangeHoldingAnExtentReadsBackIntact) {
+  SparseMemory mem;
+  mem.Map(4 * kPage, kPage);
+  mem.Map(0, 16 * kPage);  // holds the first extent: stays on the page path
+  const auto data = Filled(16 * kPage, 10);
+  mem.Write(0, data);
+  std::vector<std::uint8_t> back(data.size());
+  mem.Read(0, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(mem.ResidentPages(), 15u);  // every page but the extent's
 }
 
 }  // namespace
