@@ -4,6 +4,7 @@
 // the modelled virtual-time costs.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -125,6 +126,36 @@ void BM_EventQueueScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleDispatch);
+
+// The retransmit pattern: 256 live events (in-flight packets) each
+// reschedule themselves about 1 us ahead, and every dispatch re-arms one
+// timer 100 us ahead, the way each ACK re-arms a QP's Go-Back-N timer.
+// Reports host ns per dispatched event.
+void BM_TimerRearm(benchmark::State& state) {
+  struct Flow {
+    sim::Simulation* sim;
+    sim::TimerHandle* timer;
+    Nanos period;
+    void Fire() {
+      timer->ArmAfter(*sim, 100'000, [] {});
+      sim->ScheduleAfter(period, [this] { Fire(); });
+    }
+  };
+  sim::Simulation sim;
+  sim::TimerHandle timer;
+  std::vector<Flow> flows;
+  for (int i = 0; i < 256; ++i) flows.push_back({&sim, &timer, 1'000 + i});
+  for (Flow& flow : flows) flow.Fire();
+  sim.RunFor(200'000);  // past the first timeout: the heap is at steady state
+  const std::uint64_t events0 = sim.EventsProcessed();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) sim.RunFor(10'000);
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_event"] =
+      elapsed.count() / static_cast<double>(sim.EventsProcessed() - events0);
+}
+BENCHMARK(BM_TimerRearm);
 
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   for (auto _ : state) {

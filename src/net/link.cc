@@ -31,9 +31,7 @@ void Link::PauseData(Nanos duration) {
   }
   // A refresh extends the deadline: congestion that persists keeps the port
   // paused without gaps.
-  pause_timer_.Cancel();
-  pause_timer_ =
-      sim_->ScheduleCancelableAfter(duration, [this] { ResumeData(); });
+  pause_timer_.ArmAfter(*sim_, duration, [this] { ResumeData(); });
 }
 
 void Link::ResumeData() {

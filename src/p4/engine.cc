@@ -235,14 +235,10 @@ void CowbirdP4Engine::Start() {
 bool CowbirdP4Engine::RemoveInstance(std::uint32_t instance_id) {
   for (auto it = instances_.begin(); it != instances_.end(); ++it) {
     if ((*it)->descriptor.instance_id != instance_id) continue;
-    // Quiesce: cancel retransmission timers so no callback touches the
-    // instance after destruction; in-flight packets for its QPNs fall
-    // through InstanceForQpn as stale and are dropped.
-    Instance& inst = **it;
-    for (std::uint32_t slot = 0; slot < inst.qp_count(); ++slot) {
-      inst.qp(slot).timer.Cancel();
-    }
-    UnregisterInstanceTelemetry(inst);
+    // Destroying the instance destroys its QPs' retransmission timers, so
+    // no callback touches it afterwards; in-flight packets for its QPNs
+    // fall through InstanceForQpn as stale and are dropped.
+    UnregisterInstanceTelemetry(**it);
     instances_.erase(it);
     return true;
   }
@@ -259,12 +255,12 @@ void CowbirdP4Engine::ProbeTick() {
     // Time-division multiplexing across instances (Section 5.4), delegated
     // to the shared scheduler: eligibility = no probe already in flight,
     // credit = recent tail movement.
-    std::vector<offload::ProbeScheduler::Candidate> candidates;
-    candidates.reserve(instances_.size());
+    probe_candidates_.clear();
     for (const auto& inst : instances_) {
-      candidates.push_back({!inst->probe_inflight, inst->activity_credit});
+      probe_candidates_.push_back(
+          {!inst->probe_inflight, inst->activity_credit});
     }
-    const std::size_t at = scheduler_.PickNext(candidates);
+    const std::size_t at = scheduler_.PickNext(probe_candidates_);
     Instance& pick = *instances_[at];
     if (!pick.probe_inflight) EmitProbe(pick);
   }
@@ -874,10 +870,12 @@ void CowbirdP4Engine::PopDonePendings(SwitchQp& qp) {
 }
 
 void CowbirdP4Engine::ArmTimer(Instance& inst, SwitchQp& qp) {
-  qp.timer.Cancel();
-  if (qp.pending.empty()) return;
-  qp.timer = sim_->ScheduleCancelableAfter(
-      kGbnTimeout, [this, &inst, &qp] { Recover(inst, qp); });
+  if (qp.pending.empty()) {
+    qp.timer.Cancel();
+    return;
+  }
+  qp.timer.ArmAfter(*sim_, kGbnTimeout,
+                    [this, &inst, &qp] { Recover(inst, qp); });
 }
 
 void CowbirdP4Engine::Recover(Instance& inst, SwitchQp& qp) {

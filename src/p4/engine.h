@@ -374,6 +374,8 @@ class CowbirdP4Engine : public net::PacketProcessor {
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;
   offload::ProbeScheduler scheduler_;  // TDM + adaptive ramp (shared core)
+  // ProbeTick's scratch, reused so a tick does not allocate.
+  std::vector<offload::ProbeScheduler::Candidate> probe_candidates_;
   bool started_ = false;
   bool probing_stopped_ = false;
 

@@ -75,20 +75,18 @@ void CongestionManager::OnCnpReceived(std::uint32_t qpn) {
     flow.paced = true;
     flow.next_free = device_->simulation().Now();
   }
-  flow.alpha_timer.Cancel();
-  flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      kAlphaTimer, [this, qpn] { DecayAlpha(qpn); });
-  flow.recovery_timer.Cancel();
-  flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      kRecoveryTimer, [this, qpn] { RecoverRate(qpn); });
+  flow.alpha_timer.ArmAfter(device_->simulation(), kAlphaTimer,
+                            [this, qpn] { DecayAlpha(qpn); });
+  flow.recovery_timer.ArmAfter(device_->simulation(), kRecoveryTimer,
+                               [this, qpn] { RecoverRate(qpn); });
 }
 
 void CongestionManager::DecayAlpha(std::uint32_t qpn) {
   Flow& flow = flows_[qpn - 1];
   if (!flow.paced) return;
   flow.alpha *= 1.0 - kAlphaGain;
-  flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      kAlphaTimer, [this, qpn] { DecayAlpha(qpn); });
+  flow.alpha_timer.ArmAfter(device_->simulation(), kAlphaTimer,
+                            [this, qpn] { DecayAlpha(qpn); });
 }
 
 void CongestionManager::RecoverRate(std::uint32_t qpn) {
@@ -108,8 +106,8 @@ void CongestionManager::RecoverRate(std::uint32_t qpn) {
     StopPacing(qpn);
     return;
   }
-  flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      kRecoveryTimer, [this, qpn] { RecoverRate(qpn); });
+  flow.recovery_timer.ArmAfter(device_->simulation(), kRecoveryTimer,
+                               [this, qpn] { RecoverRate(qpn); });
 }
 
 void CongestionManager::StopPacing(std::uint32_t qpn) {

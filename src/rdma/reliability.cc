@@ -139,9 +139,9 @@ void ReliabilityManager::HandleAck(const RdmaMessageView& view) {
     // Receiver-not-ready: back off briefly before rewinding so we do not
     // hammer a responder that has no RECV posted yet.
     Device* device = qp_->device_;
-    retransmit_timer_.Cancel();
-    retransmit_timer_ = device->simulation().ScheduleCancelableAfter(
-        device->config().retransmit_timeout / 8, [this] { GoBackN(); });
+    retransmit_timer_.ArmAfter(device->simulation(),
+                               device->config().retransmit_timeout / 8,
+                               [this] { GoBackN(); });
     return;
   }
   if (syndrome == kSyndromeNakRemoteAccess) {
@@ -188,8 +188,9 @@ void ReliabilityManager::GoBackN() {
 void ReliabilityManager::ArmTimer() {
   if (retransmit_timer_.Pending()) return;
   Device* device = qp_->device_;
-  retransmit_timer_ = device->simulation().ScheduleCancelableAfter(
-      device->config().retransmit_timeout, [this] { GoBackN(); });
+  retransmit_timer_.ArmAfter(device->simulation(),
+                             device->config().retransmit_timeout,
+                             [this] { GoBackN(); });
 }
 
 void ReliabilityManager::OnProgress() {

@@ -21,28 +21,42 @@ bool Simulation::PopAndDispatchOne() {
   queue_.pop();
   COWBIRD_CHECK(entry.when >= now_);
   now_ = entry.when;
-  EventRecord* record = events_.Get(entry.event);
-  if (record->timer) {
-    // The cell is released here whether the timer fired or was canceled;
-    // outstanding TimerHandles go stale (generation mismatch) rather than
-    // dangling.
-    TimerCell* cell = timer_cells_.TryGet(record->timer);
-    COWBIRD_CHECK(cell != nullptr);
-    const bool armed = cell->armed;
-    timer_cells_.Release(record->timer);
-    if (!armed) {
-      events_.Release(entry.event);
-      return true;  // canceled timer
-    }
+  if (entry.IsTimer()) {
+    DispatchTimer(entry);
+    return true;
   }
   ++events_processed_;
   // Invoke in place: the pool slot address is stable even if the callback
   // schedules new events (slab growth never moves slots), so there is no
   // need to move the 64-byte closure out first. The slot is recycled after
   // the call returns.
-  record->fn();
-  events_.Release(entry.event);
+  (*events_.Get(entry.ref))();
+  events_.Release(entry.ref);
   return true;
+}
+
+void Simulation::DispatchTimer(const QueueEntry& entry) {
+  // Dropped and re-queued pops are not events: only a firing counts.
+  TimerCell* cell = timers_.TryGet(entry.ref);
+  if (cell == nullptr || cell->queued_seq != entry.seq()) {
+    return;  // the handle is gone, or an earlier re-arm superseded this
+  }
+  if (cell->armed && cell->seq != entry.seq()) {
+    // Re-armed to a later deadline while queued: move to the armed key,
+    // which keeps the seq it took at arm time.
+    cell->queued_when = cell->when;
+    cell->queued_seq = cell->seq;
+    queue_.push(QueueEntry::Timer(cell->when, cell->seq, entry.ref));
+    return;
+  }
+  cell->queued = false;
+  if (!cell->armed) return;  // canceled
+  cell->armed = false;
+  ++events_processed_;
+  // Moved out first: the callback may re-arm this timer (replacing the
+  // cell's callback) or destroy its handle (returning the cell).
+  EventFn fn = std::move(cell->fn);
+  fn();
 }
 
 void Simulation::Run() {

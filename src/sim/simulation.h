@@ -33,22 +33,49 @@ class Simulation;
 // which dominated the simulator's allocator traffic.
 using EventFn = InlineFunction<void()>;
 
-// Handle to a scheduled event that may be canceled (e.g. retransmission
-// timers). Cancellation is lazy: the queue entry stays but becomes a no-op.
-// The armed/disarmed bit lives in a pooled slab cell owned by the
-// Simulation; the cell is recycled when the event dispatches, and the
-// generation tag on the handle makes later Cancel()/Pending() calls on the
-// stale handle safe no-ops.
+// A re-armable timer (retransmission, DCQCN, PFC and batch timers) that
+// owns at most one event-queue entry however often it is re-armed. Its
+// state lives in a pooled cell owned by the Simulation: the callback, the
+// armed (deadline, seq), and the key of its one queued entry. Arming takes
+// a fresh seq exactly as ScheduleAt does, so a firing keeps the (time, seq)
+// key a freshly scheduled event would have had. A re-arm to a later
+// deadline only rewrites the armed key; when the early entry pops it is
+// re-queued at that key. Cancellation clears the armed bit and the entry
+// is dropped when it pops.
+//
+// Lifetime: the handle is move-only and owns its cell. The cell is taken
+// on the first arm and returned when the handle is destroyed (disarming
+// the timer): a queued entry of a returned cell fails its generation check
+// and is dropped when it pops. The Simulation must outlive its timers.
 class TimerHandle {
  public:
   TimerHandle() = default;
+  TimerHandle(TimerHandle&& other) noexcept
+      : sim_(std::exchange(other.sim_, nullptr)),
+        cell_(std::exchange(other.cell_, PoolHandle{})) {}
+  TimerHandle& operator=(TimerHandle&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      sim_ = std::exchange(other.sim_, nullptr);
+      cell_ = std::exchange(other.cell_, PoolHandle{});
+    }
+    return *this;
+  }
+  TimerHandle(const TimerHandle&) = delete;
+  TimerHandle& operator=(const TimerHandle&) = delete;
+  ~TimerHandle() { Reset(); }
 
+  // Runs `fn` at sim.Now() + delay unless the timer is canceled or re-armed
+  // first; a re-arm replaces both the deadline and the callback. The
+  // callback may re-arm its own timer.
+  template <typename F>
+  void ArmAfter(Simulation& sim, Nanos delay, F&& fn);
   void Cancel();
   bool Pending() const;
 
  private:
-  friend class Simulation;
-  TimerHandle(Simulation* sim, PoolHandle cell) : sim_(sim), cell_(cell) {}
+  void Reset();
+
   Simulation* sim_ = nullptr;
   PoolHandle cell_;
 };
@@ -63,26 +90,18 @@ class Simulation {
   Nanos Now() const { return now_; }
 
   // Templated so the closure is constructed directly inside the pooled
-  // event record (InlineFunction's converting constructor) instead of being
+  // event slot (InlineFunction's converting constructor) instead of being
   // relocated through an EventFn parameter — two 64-byte moves per event on
   // the hottest path in the simulator.
   template <typename F>
   void ScheduleAt(Nanos when, F&& fn) {
     COWBIRD_CHECK(when >= now_);
-    const PoolHandle event =
-        events_.Acquire(std::forward<F>(fn), PoolHandle{});
-    queue_.push(QueueEntry{when, next_seq_++, event});
+    const PoolHandle event = events_.Acquire(std::forward<F>(fn));
+    queue_.push(QueueEntry{when, next_seq_++ << 1, event});
   }
   template <typename F>
   void ScheduleAfter(Nanos delay, F&& fn) {
     ScheduleAt(now_ + delay, std::forward<F>(fn));
-  }
-  template <typename F>
-  TimerHandle ScheduleCancelableAfter(Nanos delay, F&& fn) {
-    const PoolHandle cell = timer_cells_.Acquire();
-    const PoolHandle event = events_.Acquire(std::forward<F>(fn), cell);
-    queue_.push(QueueEntry{now_ + delay, next_seq_++, event});
-    return TimerHandle(this, cell);
   }
 
   // Runs until the event queue drains or Halt() is called.
@@ -125,29 +144,32 @@ class Simulation {
 
   std::uint64_t EventsProcessed() const { return events_processed_; }
 
-  // Live counters of the pooled event/timer records, for BindPoolTelemetry
-  // (harnesses bind them as pool_in_use / pool_high_water /
-  // pool_exhausted_total gauges labeled by pool name).
+  // Live counters of the pooled event callbacks and timer cells (one cell
+  // per TimerHandle that has been armed and not destroyed), for
+  // BindPoolTelemetry (harnesses bind them as pool_in_use / pool_high_water
+  // / pool_exhausted_total gauges labeled by pool name).
   const PoolStats& EventPoolStats() const { return events_.stats(); }
-  const PoolStats& TimerPoolStats() const { return timer_cells_.stats(); }
+  const PoolStats& TimerPoolStats() const { return timers_.stats(); }
 
  private:
-  // The callable and timer handle live in a pooled record; the heap itself
-  // holds only small POD entries, so sift-up/down moves 24 bytes instead of
-  // relocating a 64-byte inline closure per swap.
-  struct EventRecord {
-    EventFn fn;
-    PoolHandle timer;  // null → not cancelable
-  };
-
+  // The heap holds only small POD entries naming a pooled callback or timer
+  // cell, so sift-up/down moves 24 bytes instead of relocating a 64-byte
+  // inline closure per swap. The low bit of `order` marks a timer entry;
+  // seqs are unique, so (when, order) sorts exactly as (when, seq).
   struct QueueEntry {
     Nanos when;
-    std::uint64_t seq;
-    PoolHandle event;
+    std::uint64_t order;  // seq << 1 | is-timer
+    PoolHandle ref;       // into events_, or into timers_ for a timer
+
+    static QueueEntry Timer(Nanos when, std::uint64_t seq, PoolHandle cell) {
+      return QueueEntry{when, (seq << 1) | 1, cell};
+    }
+    bool IsTimer() const { return (order & 1) != 0; }
+    std::uint64_t seq() const { return order >> 1; }
 
     bool operator>(const QueueEntry& other) const {
       if (when != other.when) return when > other.when;
-      return seq > other.seq;
+      return order > other.order;
     }
   };
 
@@ -195,7 +217,13 @@ class Simulation {
   };
 
   struct TimerCell {
-    bool armed = true;
+    EventFn fn;
+    Nanos when = 0;         // armed deadline
+    std::uint64_t seq = 0;  // armed seq
+    bool armed = false;
+    bool queued = false;  // one live heap entry, at the key below
+    Nanos queued_when = 0;
+    std::uint64_t queued_seq = 0;
   };
 
   // Driver coroutine wrapping a spawned task; destroys itself on completion.
@@ -227,6 +255,24 @@ class Simulation {
   static RootTask RunRoot(Task<void> task);
 
   bool PopAndDispatchOne();
+  void DispatchTimer(const QueueEntry& entry);
+
+  template <typename F>
+  void Arm(PoolHandle handle, Nanos when, F&& fn) {
+    TimerCell* cell = timers_.Get(handle);
+    cell->fn = std::forward<F>(fn);
+    cell->when = when;
+    cell->seq = next_seq_++;
+    cell->armed = true;
+    // The new key's seq is the largest yet, so it is later than the queued
+    // entry's unless its deadline is earlier: only then does it need an
+    // entry of its own (the old one becomes superseded).
+    if (cell->queued && cell->queued_when <= when) return;
+    cell->queued = true;
+    cell->queued_when = when;
+    cell->queued_seq = cell->seq;
+    queue_.push(QueueEntry::Timer(when, cell->seq, handle));
+  }
 
   friend class TimerHandle;
 
@@ -235,24 +281,38 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   EventHeap queue_;
-  // Event payloads, recycled at dispatch.
-  Pool<EventRecord> events_{1024, /*growable=*/true};
-  // Armed bits for cancelable timers; a cell is acquired per timer and
-  // released when its event dispatches (fired or canceled).
-  Pool<TimerCell> timer_cells_{64, /*growable=*/true};
+  // Event callbacks, recycled at dispatch.
+  Pool<EventFn> events_{1024, /*growable=*/true};
+  // One cell per live TimerHandle, returned when the handle is destroyed.
+  Pool<TimerCell> timers_{64, /*growable=*/true};
   // address → handle of still-live root coroutines, for teardown.
   std::unordered_map<void*, std::coroutine_handle<>> live_roots_;
 };
 
+template <typename F>
+void TimerHandle::ArmAfter(Simulation& sim, Nanos delay, F&& fn) {
+  COWBIRD_CHECK(delay >= 0);
+  if (sim_ == nullptr) {
+    sim_ = &sim;
+    cell_ = sim.timers_.Acquire();
+  }
+  COWBIRD_CHECK(sim_ == &sim);
+  sim.Arm(cell_, sim.now_ + delay, std::forward<F>(fn));
+}
+
 inline void TimerHandle::Cancel() {
-  if (sim_ == nullptr) return;
-  if (auto* cell = sim_->timer_cells_.TryGet(cell_)) cell->armed = false;
+  if (sim_ != nullptr) sim_->timers_.Get(cell_)->armed = false;
 }
 
 inline bool TimerHandle::Pending() const {
-  if (sim_ == nullptr) return false;
-  const auto* cell = sim_->timer_cells_.TryGet(cell_);
-  return cell != nullptr && cell->armed;
+  return sim_ != nullptr && sim_->timers_.Get(cell_)->armed;
+}
+
+inline void TimerHandle::Reset() {
+  if (sim_ == nullptr) return;
+  sim_->timers_.Release(cell_);
+  sim_ = nullptr;
+  cell_ = PoolHandle{};
 }
 
 }  // namespace cowbird::sim

@@ -692,8 +692,8 @@ void SpotAgent::ArmBatchTimer(Instance& inst, int thread) {
   ThreadState& ts = inst.threads[thread];
   if (ts.batch_timer.Pending()) return;
   const std::uint32_t instance_index = inst.index;
-  ts.batch_timer = thread_.simulation().ScheduleCancelableAfter(
-      kBatchTimeout, [this, instance_index, thread] {
+  ts.batch_timer.ArmAfter(
+      thread_.simulation(), kBatchTimeout, [this, instance_index, thread] {
         completions_.Send(rdma::Cqe{
             MakeWrId(CompletionKind::kBatchTimer, instance_index,
                      static_cast<std::uint16_t>(thread), 0),

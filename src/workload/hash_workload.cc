@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "baselines/onesided.h"
 #include "baselines/twosided.h"
 #include "common/check.h"
+#include "common/pool.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/client.h"
@@ -411,7 +411,10 @@ sim::Task<void> DriveCowbird(Harness& h, int k, int t) {
   // Opt-in latency bookkeeping. It draws no RNG values and charges no
   // simulated time, so op streams match a non-sampling run exactly.
   const bool sample = h.fan.sample_latency;
-  std::unordered_map<std::uint64_t, Nanos> issued_at;
+  // At most `window` ops are outstanding, so a table of twice that never
+  // grows and sampling allocates nothing per op.
+  const auto window = static_cast<std::size_t>(h.cfg.window);
+  DenseMap<Nanos> issued_at(sample ? 2 * window : 0);
   int outstanding = 0;
   for (;;) {
     if (outstanding < h.cfg.window) {
@@ -453,10 +456,10 @@ sim::Task<void> DriveCowbird(Harness& h, int k, int t) {
     if (sample) {
       const Nanos now = thread.simulation().Now();
       for (const core::ReqId id : done) {
-        const auto it = issued_at.find(id.value());
-        if (it == issued_at.end()) continue;
-        h.latency_traces[i].emplace_back(now, now - it->second);
-        issued_at.erase(it);
+        const Nanos* issued = issued_at.Find(id.value());
+        if (issued == nullptr) continue;
+        h.latency_traces[i].emplace_back(now, now - *issued);
+        issued_at.Erase(id.value());
       }
     }
     for (std::size_t n = 0; n < done.size(); ++n) {

@@ -99,6 +99,23 @@ TEST_F(P4EngineTest, DetachAndReattachServesOnAFreshQpnBlock) {
                                         0x822}));
 }
 
+// The switch QPs' retransmission timers die with the detached instance and
+// return their cells, so attach/detach churn does not grow the timer pool.
+TEST_F(P4EngineTest, DetachReturnsTheSwitchQpTimerCells) {
+  std::uint64_t attached = 0, detached = 0;
+  f_.sim.Spawn([](P4EngineTest& t, std::uint64_t& a,
+                  std::uint64_t& d) -> sim::Task<void> {
+    t.f_.client(0).mem.Write(kHeap, Pattern(256, 13));
+    co_await t.WriteAndWait(0, kHeap, 0x4000, 256);
+    a = t.f_.sim.TimerPoolStats().in_use;
+    t.f_.Detach(*t.engine_, *t.client_).value();
+    d = t.f_.sim.TimerPoolStats().in_use;
+    t.f_.sim.Halt();
+  }(*this, attached, detached));
+  f_.sim.Run();
+  EXPECT_LT(detached, attached);
+}
+
 // Phase I teardown (Section 5.2): the instance leaves the switch through the
 // one attach path, Cluster::Detach.
 using ControlPlaneTest = P4EngineTest;

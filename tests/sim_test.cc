@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -46,11 +47,148 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
 TEST(Simulation, CancelableTimerDoesNotFire) {
   Simulation sim;
   int fired = 0;
-  auto handle = sim.ScheduleCancelableAfter(50, [&] { ++fired; });
+  TimerHandle handle;
+  handle.ArmAfter(sim, 50, [&] { ++fired; });
   EXPECT_TRUE(handle.Pending());
   handle.Cancel();
   sim.Run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Timer, RearmToALaterDeadlineFiresOnceThere) {
+  Simulation sim;
+  std::vector<Nanos> fired_at;
+  TimerHandle timer;
+  timer.ArmAfter(sim, 50, [&] { fired_at.push_back(-1); });
+  timer.ArmAfter(sim, 100, [&] { fired_at.push_back(sim.Now()); });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{100}));
+  // The early entry's pop re-queues it; only the firing is an event.
+  EXPECT_EQ(sim.EventsProcessed(), 1u);
+  EXPECT_FALSE(timer.Pending());
+}
+
+TEST(Timer, RearmToAnEarlierDeadlineFiresOnceThere) {
+  Simulation sim;
+  std::vector<Nanos> fired_at;
+  TimerHandle timer;
+  timer.ArmAfter(sim, 100, [&] { fired_at.push_back(-1); });
+  timer.ArmAfter(sim, 30, [&] { fired_at.push_back(sim.Now()); });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{30}));
+  EXPECT_EQ(sim.EventsProcessed(), 1u);
+}
+
+TEST(Timer, CancelThenRearmFiresAtTheNewDeadline) {
+  Simulation sim;
+  std::vector<Nanos> fired_at;
+  TimerHandle timer;
+  timer.ArmAfter(sim, 50, [&] { fired_at.push_back(sim.Now()); });
+  timer.Cancel();
+  EXPECT_FALSE(timer.Pending());
+  timer.ArmAfter(sim, 80, [&] { fired_at.push_back(sim.Now()); });
+  EXPECT_TRUE(timer.Pending());
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{80}));
+}
+
+TEST(Timer, CallbackThatRearmsItselfFiresPeriodically) {
+  Simulation sim;
+  std::vector<Nanos> fired_at;
+  TimerHandle timer;
+  std::function<void()> tick = [&] {
+    fired_at.push_back(sim.Now());
+    if (fired_at.size() < 5) timer.ArmAfter(sim, 10, [&] { tick(); });
+  };
+  timer.ArmAfter(sim, 10, [&] { tick(); });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Nanos>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(sim.EventsProcessed(), 5u);
+}
+
+// The seq is taken at arm time: a timer armed at t1 and re-armed at t2 for
+// deadline T fires after events scheduled for T before t2 and before those
+// scheduled for T after t2 — where a freshly scheduled event would fire.
+TEST(Timer, RearmTakesItsSeqAtArmTime) {
+  Simulation sim;
+  std::vector<char> order;
+  TimerHandle timer;
+  timer.ArmAfter(sim, 100, [&] { order.push_back('x'); });  // t1 = 0
+  sim.ScheduleAt(10, [&] {  // before t2
+    sim.ScheduleAt(100, [&] { order.push_back('a'); });
+  });
+  sim.ScheduleAt(40, [&] {  // t2 = 40, same deadline T = 100
+    timer.ArmAfter(sim, 60, [&] { order.push_back('t'); });
+  });
+  sim.ScheduleAt(50, [&] {  // after t2
+    sim.ScheduleAt(100, [&] { order.push_back('b'); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 't', 'b'}));
+}
+
+TEST(Timer, RearmsBetweenDispatchesTakeNoEventRecord) {
+  Simulation sim;
+  int fired = 0;
+  TimerHandle timer;
+  sim.ScheduleAt(1, [&] {
+    const std::uint64_t high_water = sim.EventPoolStats().high_water;
+    for (int i = 0; i < 10'000; ++i) {
+      timer.ArmAfter(sim, 100, [&] { ++fired; });
+    }
+    EXPECT_EQ(sim.EventPoolStats().high_water, high_water);
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.Now(), 101);
+  EXPECT_EQ(sim.TimerPoolStats().in_use, 1u);
+}
+
+TEST(Timer, DestroyedArmedHandleNeverFiresAndReturnsItsCell) {
+  Simulation sim;
+  int fired = 0;
+  {
+    TimerHandle timer;
+    timer.ArmAfter(sim, 50, [&] { ++fired; });
+    EXPECT_EQ(sim.TimerPoolStats().in_use, 1u);
+  }
+  EXPECT_EQ(sim.TimerPoolStats().in_use, 0u);
+  // A new timer may take the returned cell; the old entry still drops.
+  TimerHandle other;
+  other.ArmAfter(sim, 80, [&] { fired += 10; });
+  sim.Run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(sim.EventsProcessed(), 1u);
+}
+
+TEST(Timer, MovedHandleKeepsItsTimer) {
+  Simulation sim;
+  int fired = 0;
+  TimerHandle timer;
+  timer.ArmAfter(sim, 50, [&] { ++fired; });
+  TimerHandle moved = std::move(timer);
+  EXPECT_TRUE(moved.Pending());
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.TimerPoolStats().in_use, 1u);
+}
+
+// Owners that come and go (P4 instances, DCQCN flows) return their cells:
+// churn keeps the pool at the number of live handles.
+TEST(Timer, HandleChurnKeepsThePoolBounded) {
+  Simulation sim;
+  int fired = 0;
+  for (int round = 0; round < 1'000; ++round) {
+    std::vector<TimerHandle> timers(8);
+    for (TimerHandle& timer : timers) {
+      timer.ArmAfter(sim, 100, [&] { ++fired; });
+    }
+    sim.RunFor(10);
+  }
+  sim.Run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.TimerPoolStats().in_use, 0u);
+  EXPECT_LE(sim.TimerPoolStats().high_water, 8u);
 }
 
 TEST(Simulation, NestedScheduling) {
