@@ -13,6 +13,10 @@
 //   * allocations_per_op      — datapath heap discipline; fails HIGH only,
 //                               with a small absolute slack so a 0.03 → 0.05
 //                               jitter does not page anyone.
+//   * events_per_op           — simulator events per retired op; fails HIGH
+//                               only, with no slack and whatever the
+//                               --tolerance: it is deterministic, so any
+//                               rise is a real extra event on the datapath.
 //   * mops / latency / etc.   — simulated outcomes, bit-deterministic by
 //                               construction; fail on drift in EITHER
 //                               direction (a drift here is a behavior
@@ -48,9 +52,10 @@ using telemetry::JsonValue;
 using telemetry::ParseJson;
 
 enum class Direction {
-  kLowerFails,   // throughput-like
-  kHigherFails,  // cost-like
-  kBothFail,     // deterministic simulated outcome
+  kLowerFails,        // throughput-like
+  kHigherFails,       // cost-like
+  kHigherFailsExact,  // deterministic cost: any rise fails
+  kBothFail,          // deterministic simulated outcome
   kIgnored,
 };
 
@@ -66,6 +71,7 @@ Direction DirectionFor(const std::string& metric, bool gate_wall) {
     return gate_wall ? Direction::kLowerFails : Direction::kIgnored;
   }
   if (metric == "allocations_per_op") return Direction::kHigherFails;
+  if (metric == "events_per_op") return Direction::kHigherFailsExact;
   if (metric == "ops" || metric == "wall_ms" ||
       metric == "alloc_bytes_per_op" || metric == "samples" ||
       metric == "jobs") {
@@ -168,16 +174,23 @@ int CompareOne(const fs::path& baseline_path, const fs::path& candidate_path,
     switch (dir) {
       case Direction::kLowerFails: ok = cand >= base - slack; break;
       case Direction::kHigherFails: ok = cand <= base + slack; break;
+      case Direction::kHigherFailsExact: ok = cand <= base; break;
       case Direction::kBothFail: ok = std::abs(cand - base) <= slack; break;
       case Direction::kIgnored: break;
     }
     ++checked;
     if (!ok) {
-      std::fprintf(stderr, "  FAIL %s%s: baseline median %.4f, candidate "
-                   "%.4f (tolerance %.0f%%%s)\n",
-                   group.c_str(), metric.c_str(), base, cand,
-                   args.tolerance * 100,
-                   metric == "allocations_per_op" ? " + slack" : "");
+      char bound[64];
+      if (dir == Direction::kHigherFailsExact) {
+        std::snprintf(bound, sizeof(bound), "no rise allowed");
+      } else {
+        std::snprintf(bound, sizeof(bound), "tolerance %.0f%%%s",
+                      args.tolerance * 100,
+                      metric == "allocations_per_op" ? " + slack" : "");
+      }
+      std::fprintf(stderr, "  FAIL %s%s: baseline median %.6f, candidate "
+                   "%.6f (%s)\n",
+                   group.c_str(), metric.c_str(), base, cand, bound);
       ++failures;
     }
   }

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/sparse_memory.h"
 #include "core/request.h"
+#include "net/switch.h"
 #include "rdma/wire.h"
 #include "sim/simulation.h"
 #include "telemetry/hub.h"
@@ -156,6 +157,36 @@ void BM_TimerRearm(benchmark::State& state) {
       elapsed.count() / static_cast<double>(sim.EventsProcessed() - events0);
 }
 BENCHMARK(BM_TimerRearm);
+
+// One frame per iteration from host to switch to host through an idle
+// fabric: uplink, switch pipeline and egress link, L3 forwarding. Reports
+// host ns per delivered packet, frame copy included.
+void BM_LinkHop(benchmark::State& state) {
+  sim::Simulation sim;
+  net::Switch sw(sim, net::Switch::Config{});
+  net::HostNic a(sim, 1, BitRate::Gbps(100), 500);
+  net::HostNic b(sim, 2, BitRate::Gbps(100), 500);
+  a.ConnectTo(sw);
+  b.ConnectTo(sw);
+  std::uint64_t delivered = 0;
+  b.SetDefaultReceiver([&](net::Packet) { ++delivered; });
+  const net::Packet frame =
+      net::MakeUdpPacket(1, 2, 1024, net::Priority::kRdma);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    a.Send(frame);
+    sim.Run();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  benchmark::DoNotOptimize(delivered);
+  if (delivered != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("packet lost");
+  }
+  state.counters["ns_per_packet"] =
+      elapsed.count() / static_cast<double>(delivered);
+}
+BENCHMARK(BM_LinkHop);
 
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   for (auto _ : state) {

@@ -19,7 +19,8 @@
 //     wall time.
 //
 // All *_wall metrics are informational in bench_gate unless --gate-wall;
-// the deterministic outcome totals (ops_total, scale_ops) are gated tight.
+// the deterministic outcome totals (ops_total, scale_ops) are gated tight,
+// and events_per_op may not rise at all.
 //
 // Emits BENCH_sim_throughput.json (schema v5). The committed baseline under
 // bench/baselines/ plus the bench_gate comparator turn this into the CI
@@ -326,6 +327,7 @@ int Main(int argc, char** argv) {
                 {"ops_per_sec_wall", s.ops_per_sec_wall},
                 {"allocations_per_op", s.allocs_per_op},
                 {"alloc_bytes_per_op", s.alloc_bytes_per_op},
+                {"events_per_op", s.events_per_op},
                 {"mops_sim", s.mops_sim}});
     }
     median_allocs.push_back(MedianOf(allocs_per_op));

@@ -56,13 +56,30 @@ class InlineFunction<R(Args...), Cap> {
     return ops_->call(storage_, std::forward<Args>(args)...);
   }
 
+  // Invokes the callable and then destroys it, in one indirect call, and
+  // leaves this function empty: how the event queue runs a closure that
+  // fires exactly once.
+  R CallOnce(Args... args) {
+    COWBIRD_DCHECK(ops_ != nullptr);
+    return std::exchange(ops_, nullptr)
+        ->call_once(storage_, std::forward<Args>(args)...);
+  }
+
  private:
-  // One static vtable per stored callable type: invoke, relocate (move into
-  // fresh storage + destroy source), destroy.
+  // One static vtable per stored callable type: invoke, invoke-then-destroy,
+  // relocate (move into fresh storage + destroy source), destroy.
   struct Ops {
     R (*call)(void*, Args&&...);
+    R (*call_once)(void*, Args&&...);
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
+  };
+
+  // Destroys the stored callable when the call that owns it returns.
+  template <typename Decayed>
+  struct DestroyOnExit {
+    Decayed* f;
+    ~DestroyOnExit() { f->~Decayed(); }
   };
 
   template <typename F>
@@ -76,6 +93,11 @@ class InlineFunction<R(Args...), Cap> {
           [](void* s, Args&&... args) -> R {
             return (*std::launder(reinterpret_cast<Decayed*>(s)))(
                 std::forward<Args>(args)...);
+          },
+          [](void* s, Args&&... args) -> R {
+            DestroyOnExit<Decayed> fn{
+                std::launder(reinterpret_cast<Decayed*>(s))};
+            return (*fn.f)(std::forward<Args>(args)...);
           },
           [](void* dst, void* src) noexcept {
             Decayed* from = std::launder(reinterpret_cast<Decayed*>(src));
@@ -98,6 +120,11 @@ class InlineFunction<R(Args...), Cap> {
           [](void* s, Args&&... args) -> R {
             return (**std::launder(reinterpret_cast<Box*>(s)))(
                 std::forward<Args>(args)...);
+          },
+          [](void* s, Args&&... args) -> R {
+            const std::unique_ptr<Decayed> fn(
+                *std::launder(reinterpret_cast<Box*>(s)));
+            return (*fn)(std::forward<Args>(args)...);
           },
           [](void* dst, void* src) noexcept {
             Box* from = std::launder(reinterpret_cast<Box*>(src));

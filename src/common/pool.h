@@ -122,11 +122,19 @@ class Pool {
   // Destroys the object and recycles the slot under a new generation.
   void Release(PoolHandle handle) {
     COWBIRD_CHECK(Valid(handle));
-    Slot& slot = *slots_[handle.index];
-    Destroy(slot);
-    ++slot.generation;
-    free_.push_back(handle.index);
-    --stats_.in_use;
+    Recycle(handle.index);
+  }
+
+  // The owner's forms, for a handle that cannot be stale because the pool's
+  // owner alone holds it and releases it once (the event queue's slots):
+  // the generation check is a DCHECK.
+  T* GetOwned(PoolHandle handle) {
+    COWBIRD_DCHECK(Valid(handle));
+    return Ptr(handle.index);
+  }
+  void ReleaseOwned(PoolHandle handle) {
+    COWBIRD_DCHECK(Valid(handle));
+    Recycle(handle.index);
   }
 
   const PoolStats& stats() const { return stats_; }
@@ -148,6 +156,13 @@ class Pool {
   void Destroy(Slot& slot) {
     std::launder(reinterpret_cast<T*>(slot.storage))->~T();
     slot.live = false;
+  }
+  void Recycle(std::uint32_t index) {
+    Slot& slot = *slots_[index];
+    Destroy(slot);
+    ++slot.generation;
+    free_.push_back(index);
+    --stats_.in_use;
   }
 
   bool AddSlab() {

@@ -8,7 +8,19 @@ namespace cowbird::net {
 
 void Link::Send(Packet packet) {
   queue_.push_back(std::move(packet));
-  if (!busy_ && HasEligible()) StartNext();
+  if (!TransmitterIdle()) {
+    PushTransmitDone();
+  } else if (HasEligible()) {
+    StartNext();
+  }
+}
+
+void Link::WakeWhenIdle() {
+  COWBIRD_CHECK(idle_callback_);
+  wake_requested_ = true;
+  // An idle transmitter has nothing to finish: the wake rides the next
+  // packet it starts (one held by a pause, say).
+  if (!TransmitterIdle()) PushTransmitDone();
 }
 
 bool Link::HasEligible() const {
@@ -39,7 +51,7 @@ void Link::ResumeData() {
   data_paused_ = false;
   paused_ns_ += static_cast<std::uint64_t>(sim_->Now() - pause_started_at_);
   pause_timer_.Cancel();
-  if (!busy_ && HasEligible()) StartNext();
+  if (TransmitterIdle() && HasEligible()) StartNext();
 }
 
 void Link::StartNext() {
@@ -60,7 +72,6 @@ void Link::StartNext() {
     }
   }
   COWBIRD_CHECK(next < queue_.size());
-  busy_ = true;
   Packet packet = std::move(queue_[next]);
   queue_.erase_at(next);
   const Nanos tx = rate_.TransmitTime(packet.WireBytes());
@@ -70,17 +81,31 @@ void Link::StartNext() {
                       [this, p = std::move(packet)]() mutable {
                         Deliver(std::move(p));
                       });
-  sim_->ScheduleAfter(tx, [this] {
-    busy_ = false;
-    if (HasEligible()) {
-      StartNext();
-    } else if (queue_.empty() && idle_callback_) {
-      // Data held behind a pause is neither transmitted nor "drained": the
-      // idle callback only fires on a genuinely empty queue; ResumeData
-      // re-kicks held packets when the pause lifts.
-      idle_callback_();
-    }
-  });
+  // The transmit-done key is taken now, right after the delivery's, as an
+  // eagerly scheduled event would take it; the event itself is queued only
+  // if there will be something for it to do.
+  busy_until_ = sim_->Now() + tx;
+  tx_seq_ = sim_->Reserve();
+  tx_done_queued_ = false;
+  if (!queue_.empty() || wake_requested_) PushTransmitDone();
+}
+
+void Link::PushTransmitDone() {
+  if (tx_done_queued_) return;
+  tx_done_queued_ = true;
+  sim_->ScheduleReserved(busy_until_, tx_seq_, [this] { TransmitDone(); });
+}
+
+void Link::TransmitDone() {
+  if (HasEligible()) {
+    StartNext();
+  } else if (queue_.empty() && wake_requested_) {
+    // Data held behind a pause is neither transmitted nor "drained": the
+    // wake waits for a genuinely empty queue; ResumeData re-kicks held
+    // packets when the pause lifts.
+    wake_requested_ = false;
+    idle_callback_();
+  }
 }
 
 void Link::Deliver(Packet packet) {

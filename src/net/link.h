@@ -47,10 +47,13 @@ class Link {
   void set_receiver(std::function<void(Packet)> receiver) {
     receiver_ = std::move(receiver);
   }
-  // Fires whenever the transmitter drains its queue and goes idle.
+  // Runs `cb` once per WakeWhenIdle() request, when the transmitter next
+  // finishes a packet and leaves its queue empty (the switch's egress hook:
+  // a port with packets waiting asks to be woken). Never fires unasked.
   void set_idle_callback(std::function<void()> cb) {
     idle_callback_ = std::move(cb);
   }
+  void WakeWhenIdle();
   // Return true to drop the packet (applied as the packet would arrive).
   void set_drop_filter(std::function<bool(const Packet&)> filter) {
     drop_filter_ = std::move(filter);
@@ -87,7 +90,9 @@ class Link {
   void ResumeData();
   bool data_paused() const { return data_paused_; }
 
-  bool TransmitterIdle() const { return !busy_; }
+  // The transmitter is busy until its transmit-done key (busy_until_,
+  // tx_seq_) passes, whether or not that event was ever queued.
+  bool TransmitterIdle() const { return sim_->Passed(busy_until_, tx_seq_); }
   BitRate rate() const { return rate_; }
   Nanos propagation() const { return propagation_; }
 
@@ -118,6 +123,9 @@ class Link {
   // only kControl while data-paused).
   bool HasEligible() const;
   void StartNext();
+  // Queues the transmit-done event at its reserved key, once per packet.
+  void PushTransmitDone();
+  void TransmitDone();
   void Deliver(Packet packet);
   void Arrive(Packet packet);
 
@@ -131,7 +139,13 @@ class Link {
   std::function<FaultAction(const Packet&)> fault_filter_;
   FixedDeque<Packet> queue_;
   bool priority_scheduling_ = false;
-  bool busy_ = false;
+  // Transmit-done key of the packet on (or last on) the transmitter: the
+  // seq is reserved when the packet starts, and the event is queued only
+  // when a packet waits behind it or a wake is requested.
+  Nanos busy_until_ = -1;
+  std::uint64_t tx_seq_ = 0;
+  bool tx_done_queued_ = false;
+  bool wake_requested_ = false;
   bool data_paused_ = false;
   Nanos pause_started_at_ = 0;
   sim::TimerHandle pause_timer_;

@@ -170,7 +170,7 @@ class PacketBuffer {
   }
   PacketBuffer& operator=(PacketBuffer&& other) noexcept {
     if (this != &other) {
-      ReleaseStorage();
+      if (cap_ != 0) ReleaseStorage();
       data_ = other.data_;
       size_ = other.size_;
       cap_ = other.cap_;
@@ -180,7 +180,12 @@ class PacketBuffer {
     }
     return *this;
   }
-  ~PacketBuffer() { ReleaseStorage(); }
+  // Moved-from buffers (most of them: every hop moves its packet on) own
+  // no storage, so the slot-cache call stays off their path, here and in
+  // the move assignment above.
+  ~PacketBuffer() {
+    if (cap_ != 0) ReleaseStorage();
+  }
 
   std::uint8_t* data() { return data_; }
   const std::uint8_t* data() const { return data_; }

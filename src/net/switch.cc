@@ -89,7 +89,11 @@ void Switch::EnqueueEgress(int port_index, Packet packet, int ingress_port) {
     ports_[ingress_port]->ingress_buffered += size;
     UpdatePfcOnEnqueue(ingress_port);
   }
-  if (port.link->TransmitterIdle()) Drain(port_index);
+  if (port.link->TransmitterIdle()) {
+    Drain(port_index);
+  } else {
+    port.link->WakeWhenIdle();
+  }
 }
 
 void Switch::Drain(int port_index) {
@@ -109,6 +113,9 @@ void Switch::Drain(int port_index) {
     }
     ++forwarded_;
     port.link->Send(std::move(entry.packet));
+    // The link wakes the port only on request: ask again while packets
+    // still wait, or they would sit until the next enqueue.
+    if (port.queued_bytes > 0) port.link->WakeWhenIdle();
     return;
   }
 }

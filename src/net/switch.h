@@ -177,7 +177,7 @@ class HostNic {
     sw.EgressLink(switch_port_).set_name("egress[" + host + "]");
   }
 
-  void Send(Packet packet) { uplink_->Send(packet); }
+  void Send(Packet packet) { uplink_->Send(std::move(packet)); }
 
   void SetPortReceiver(std::uint16_t udp_port,
                        std::function<void(Packet)> receiver) {

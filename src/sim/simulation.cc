@@ -17,10 +17,10 @@ Simulation::~Simulation() {
 
 bool Simulation::PopAndDispatchOne() {
   if (queue_.empty()) return false;
-  const QueueEntry entry = queue_.top();
-  queue_.pop();
+  const QueueEntry entry = queue_.pop();
   COWBIRD_CHECK(entry.when >= now_);
   now_ = entry.when;
+  cursor_end_ = entry.order + 1;
   if (entry.IsTimer()) {
     DispatchTimer(entry);
     return true;
@@ -28,10 +28,11 @@ bool Simulation::PopAndDispatchOne() {
   ++events_processed_;
   // Invoke in place: the pool slot address is stable even if the callback
   // schedules new events (slab growth never moves slots), so there is no
-  // need to move the 64-byte closure out first. The slot is recycled after
-  // the call returns.
-  (*events_.Get(entry.ref))();
-  events_.Release(entry.ref);
+  // need to move the 64-byte closure out first. The slot belongs to the
+  // queue (no stale handle can name it), and the closure destroys itself
+  // as the call returns; the slot is recycled after.
+  events_.GetOwned(entry.ref)->CallOnce();
+  events_.ReleaseOwned(entry.ref);
   return true;
 }
 
@@ -63,14 +64,19 @@ void Simulation::Run() {
   halted_ = false;
   while (!halted_ && PopAndDispatchOne()) {
   }
+  // Drained: every key taken so far at or before now_ would have run.
+  if (!halted_) cursor_end_ = next_seq_ << 1;
 }
 
 void Simulation::RunUntil(Nanos deadline) {
   halted_ = false;
-  while (!halted_ && !queue_.empty() && queue_.top().when <= deadline) {
+  while (!halted_ && !queue_.empty() && queue_.top_when() <= deadline) {
     PopAndDispatchOne();
   }
-  if (now_ < deadline && !halted_) now_ = deadline;
+  if (now_ <= deadline && !halted_) {
+    now_ = deadline;
+    cursor_end_ = next_seq_ << 1;
+  }
 }
 
 Simulation::RootTask Simulation::RunRoot(Task<void> task) {

@@ -104,6 +104,29 @@ class Simulation {
     ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
+  // Deferred events. Reserve() takes the seq a ScheduleAt made now would
+  // take, without queueing anything; ScheduleReserved(when, seq, fn) later
+  // queues `fn` under exactly that (when, seq) key, as long as the key has
+  // not Passed(). An owner that may never need its event (a link's
+  // transmit-done when no packet waits) reserves the key and pushes the
+  // event only on demand, so the events that do run keep the keys, and the
+  // order, that scheduling them eagerly would have given.
+  std::uint64_t Reserve() { return next_seq_++; }
+  template <typename F>
+  void ScheduleReserved(Nanos when, std::uint64_t seq, F&& fn) {
+    COWBIRD_CHECK(seq < next_seq_ && !Passed(when, seq));
+    const PoolHandle event = events_.Acquire(std::forward<F>(fn));
+    queue_.push(QueueEntry{when, seq << 1, event});
+  }
+  // True when an event keyed (when, seq) would already have run: the key
+  // sorts at or before the dispatch cursor. The cursor is the key of the
+  // entry being dispatched, or of the last one dispatched; once a Run()
+  // drains the queue, or a RunUntil() ends at its deadline, every key
+  // taken so far at or before Now() counts as passed.
+  bool Passed(Nanos when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && (seq << 1) < cursor_end_);
+  }
+
   // Runs until the event queue drains or Halt() is called.
   void Run();
   // Runs until virtual time reaches `deadline` (events exactly at the
@@ -153,9 +176,9 @@ class Simulation {
 
  private:
   // The heap holds only small POD entries naming a pooled callback or timer
-  // cell, so sift-up/down moves 24 bytes instead of relocating a 64-byte
-  // inline closure per swap. The low bit of `order` marks a timer entry;
-  // seqs are unique, so (when, order) sorts exactly as (when, seq).
+  // cell, so a sift moves 24 bytes instead of relocating a 64-byte inline
+  // closure. The low bit of `order` marks a timer entry; seqs are unique,
+  // so (when, order) sorts exactly as (when, seq).
   struct QueueEntry {
     Nanos when;
     std::uint64_t order;  // seq << 1 | is-timer
@@ -167,49 +190,66 @@ class Simulation {
     bool IsTimer() const { return (order & 1) != 0; }
     std::uint64_t seq() const { return order >> 1; }
 
-    bool operator>(const QueueEntry& other) const {
-      if (when != other.when) return when > other.when;
-      return order > other.order;
+    // (when, order) as one unsigned 128-bit number, compared in one go
+    // (queued times are never negative). Built on demand so the entry
+    // keeps 8-byte alignment and its 24 bytes.
+    __uint128_t Key() const {
+      return (static_cast<__uint128_t>(static_cast<std::uint64_t>(when))
+              << 64) |
+             order;
     }
   };
 
   // 4-ary min-heap on (when, seq). The key is unique per entry, so pop
   // order — and therefore the simulation — is identical to any other
   // conforming heap; the wider fan-out just halves the sift depth of the
-  // hottest loop in the simulator. Entries are 24-byte PODs by design.
+  // hottest loop in the simulator. Both sifts move a hole and write the
+  // moving entry once, where it lands.
   class EventHeap {
    public:
     bool empty() const { return v_.empty(); }
-    const QueueEntry& top() const { return v_[0]; }
+    Nanos top_when() const { return v_[0].when; }
 
     void push(QueueEntry e) {
-      std::size_t i = v_.size();
-      v_.push_back(e);
-      while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (!(v_[parent] > v_[i])) break;
-        std::swap(v_[parent], v_[i]);
-        i = parent;
+      const __uint128_t key = e.Key();
+      std::size_t hole = v_.size();
+      v_.emplace_back();
+      while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 4;
+        if (v_[parent].Key() < key) break;
+        v_[hole] = v_[parent];
+        hole = parent;
       }
+      v_[hole] = e;
     }
 
-    void pop() {
-      v_[0] = v_.back();
+    QueueEntry pop() {
+      const QueueEntry top = v_[0];
+      const QueueEntry last = v_.back();
       v_.pop_back();
       const std::size_t n = v_.size();
-      std::size_t i = 0;
+      if (n == 0) return top;
+      const __uint128_t key = last.Key();
+      std::size_t hole = 0;
       for (;;) {
-        const std::size_t first = i * 4 + 1;
+        const std::size_t first = hole * 4 + 1;
         if (first >= n) break;
         std::size_t best = first;
-        const std::size_t last = std::min(first + 4, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-          if (v_[best] > v_[c]) best = c;
+        __uint128_t best_key = v_[first].Key();
+        const std::size_t end = std::min(first + 4, n);
+        for (std::size_t c = first + 1; c < end; ++c) {
+          const __uint128_t child = v_[c].Key();
+          if (child < best_key) {
+            best = c;
+            best_key = child;
+          }
         }
-        if (!(v_[i] > v_[best])) break;
-        std::swap(v_[i], v_[best]);
-        i = best;
+        if (key < best_key) break;
+        v_[hole] = v_[best];
+        hole = best;
       }
+      v_[hole] = last;
+      return top;
     }
 
    private:
@@ -277,6 +317,9 @@ class Simulation {
   friend class TimerHandle;
 
   Nanos now_ = 0;
+  // The dispatch cursor's order word plus one, at time now_: keys at now_
+  // with (seq << 1) below it have passed (see Passed()).
+  std::uint64_t cursor_end_ = 0;
   bool halted_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/rng.h"
 #include "net/flow.h"
 #include "net/link.h"
@@ -175,11 +177,133 @@ TEST(Link, IdleCallbackFiresAfterDrain) {
   sim::Simulation sim;
   Link link(sim, BitRate::Gbps(100), 10);
   int idle_count = 0;
-  link.set_idle_callback([&] { ++idle_count; });
+  Nanos idle_at = -1;
+  link.set_idle_callback([&] {
+    ++idle_count;
+    idle_at = sim.Now();
+  });
+  Packet p = TestPacket(1, 2, 64);
+  const Nanos tx = BitRate::Gbps(100).TransmitTime(p.WireBytes());
+  link.Send(std::move(p));
   link.Send(TestPacket(1, 2, 64));
-  link.Send(TestPacket(1, 2, 64));
+  link.WakeWhenIdle();  // the callback fires on request only
   sim.Run();
   EXPECT_EQ(idle_count, 1);  // only when the queue fully drains
+  EXPECT_EQ(idle_at, 2 * tx);
+}
+
+// A link reserves its transmit-done key when a packet starts and queues
+// the event only when a packet waits: packets that each find the link idle
+// cost one delivery event apiece and no transmit-done event.
+TEST(Link, IdleLinkDispatchesOnlyDeliveryEvents) {
+  sim::Simulation sim;
+  Link link(sim, BitRate::Gbps(100), /*propagation=*/500);
+  std::vector<Nanos> deliveries;
+  link.set_receiver([&](Packet) { deliveries.push_back(sim.Now()); });
+  constexpr int kPackets = 10;
+  for (int i = 0; i < kPackets; ++i) {
+    sim.ScheduleAt(i * 1'000, [&] { link.Send(TestPacket(1, 2, 64)); });
+  }
+  sim.Run();
+  ASSERT_EQ(deliveries.size(), static_cast<std::size_t>(kPackets));
+  const Nanos tx = BitRate::Gbps(100).TransmitTime(
+      TestPacket(1, 2, 64).WireBytes());
+  EXPECT_EQ(deliveries.back(), (kPackets - 1) * 1'000 + tx + 500);
+  // kPackets send events plus kPackets deliveries.
+  EXPECT_EQ(sim.EventsProcessed(), 2u * kPackets);
+}
+
+// A send at exactly the end of a transmission finds the link busy when its
+// event sorts before the transmit-done key (the packet queues and the
+// transmit-done event starts it) and idle when it sorts after (the packet
+// starts at once). Either way it leaves at the same instant.
+TEST(Link, SendAtExactlyBusyUntilOrdersAgainstTheReservedKey) {
+  for (const bool before : {true, false}) {
+    sim::Simulation sim;
+    Link link(sim, BitRate::Gbps(10), /*propagation=*/100);
+    std::vector<Nanos> deliveries;
+    link.set_receiver([&](Packet) { deliveries.push_back(sim.Now()); });
+    Packet first = TestPacket(1, 2, 64);
+    const Nanos tx = BitRate::Gbps(10).TransmitTime(first.WireBytes());
+    bool idle_at_send = false;
+    auto send_second = [&] {
+      idle_at_send = link.TransmitterIdle();
+      link.Send(TestPacket(1, 2, 64));
+    };
+    if (before) sim.ScheduleAt(tx, send_second);
+    link.Send(std::move(first));
+    if (!before) sim.ScheduleAt(tx, send_second);
+    sim.Run();
+    EXPECT_EQ(idle_at_send, !before) << (before ? "before" : "after");
+    EXPECT_EQ(deliveries, (std::vector<Nanos>{tx + 100, 2 * tx + 100}))
+        << (before ? "before" : "after");
+    // The send event, two deliveries, and a transmit-done event only when
+    // the second packet had to wait for it.
+    EXPECT_EQ(sim.EventsProcessed(), before ? 4u : 3u)
+        << (before ? "before" : "after");
+    EXPECT_TRUE(link.TransmitterIdle());
+  }
+}
+
+// With no propagation delay a delivery sorts before its transmit-done key;
+// once the run drains, the link still reads idle and starts the next
+// packet at once.
+TEST(Link, ZeroPropagationLinkIsIdleOnceTheRunDrains) {
+  sim::Simulation sim;
+  Link link(sim, BitRate::Gbps(100), /*propagation=*/0);
+  std::vector<Nanos> deliveries;
+  link.set_receiver([&](Packet) { deliveries.push_back(sim.Now()); });
+  Packet p = TestPacket(1, 2, 64);
+  const Nanos tx = BitRate::Gbps(100).TransmitTime(p.WireBytes());
+  link.Send(std::move(p));
+  sim.Run();
+  EXPECT_EQ(sim.Now(), tx);
+  EXPECT_TRUE(link.TransmitterIdle());
+  link.Send(TestPacket(1, 2, 64));
+  sim.Run();
+  EXPECT_EQ(deliveries, (std::vector<Nanos>{tx, 2 * tx}));
+  EXPECT_EQ(sim.EventsProcessed(), 2u);
+}
+
+// Packets held by a pause start when it lifts: at the pause timer if the
+// transmitter is idle then, and at the end of the control frame on the
+// wire if the pause lifts while one is still transmitting.
+TEST(Link, PauseHeldPacketsStartWhenThePauseLifts) {
+  {
+    sim::Simulation sim;
+    Link link(sim, BitRate::Gbps(100), /*propagation=*/10);
+    std::vector<Nanos> deliveries;
+    link.set_receiver([&](Packet) { deliveries.push_back(sim.Now()); });
+    link.PauseData(Micros(5));
+    Packet p = TestPacket(1, 2, 64);
+    const Nanos tx = BitRate::Gbps(100).TransmitTime(p.WireBytes());
+    link.Send(std::move(p));
+    link.Send(TestPacket(1, 2, 64));
+    sim.Run();
+    EXPECT_EQ(deliveries, (std::vector<Nanos>{Micros(5) + tx + 10,
+                                              Micros(5) + 2 * tx + 10}));
+  }
+  {
+    sim::Simulation sim;
+    Link link(sim, BitRate::Mbps(100), /*propagation=*/10);
+    std::vector<std::pair<Priority, Nanos>> deliveries;
+    link.set_receiver(
+        [&](Packet p) { deliveries.emplace_back(p.priority, sim.Now()); });
+    Packet data = TestPacket(1, 2, 64);
+    Packet control = TestPacket(1, 2, 64, Priority::kControl);
+    const Nanos tx = BitRate::Mbps(100).TransmitTime(data.WireBytes());
+    ASSERT_GT(tx, 1'000);
+    link.PauseData(1'000);  // lifts while the control frame transmits
+    link.Send(std::move(data));
+    link.Send(std::move(control));
+    sim.Run();
+    ASSERT_EQ(deliveries.size(), 2u);
+    EXPECT_EQ(deliveries[0],
+              std::make_pair(Priority::kControl, tx + Nanos{10}));
+    EXPECT_EQ(deliveries[1],
+              std::make_pair(Priority::kRdma, 2 * tx + Nanos{10}));
+    EXPECT_FALSE(link.data_paused());
+  }
 }
 
 class StarFixture : public ::testing::Test {
@@ -247,6 +371,28 @@ TEST_F(StarFixture, StrictPriorityServesHighFirst) {
     if (arrival_order[i] == Priority::kControl) control_pos = i;
   }
   EXPECT_LT(control_pos, 8u);
+}
+
+// Frames move through a HostNic onto its uplink: the sender's buffer slot
+// travels with the frame, no copy is taken. The slot cache is per thread,
+// so a fresh thread counts from zero.
+TEST(HostNic, SendMovesTheFrameOntoTheUplink) {
+  std::uint64_t high_water = 0;
+  int received = 0;
+  std::thread([&] {
+    sim::Simulation sim;
+    Switch sw(sim, Switch::Config{});
+    HostNic a(sim, 1, BitRate::Gbps(100), 100);
+    HostNic b(sim, 2, BitRate::Gbps(100), 100);
+    a.ConnectTo(sw);
+    b.ConnectTo(sw);
+    b.SetDefaultReceiver([&](Packet) { ++received; });
+    a.Send(TestPacket(1, 2, 1024));
+    sim.Run();
+    high_water = PacketBuffer::stats().high_water;
+  }).join();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(high_water, 1u);
 }
 
 TEST_F(StarFixture, EgressTailDropWhenFull) {
@@ -383,6 +529,31 @@ TEST(SwitchQueue, OverflowAuditsDropsAndPreservesFifoOrder) {
   EXPECT_EQ(sw.egress_drops(a.switch_port()), 0u);
   EXPECT_EQ(sw.total_drops(), 5u);
   EXPECT_EQ(seen.size() + sw.total_drops(), 10u);
+}
+
+// Every packet that waits at a busy egress port gets sent: each hand-over
+// asks the link for another wake while bytes remain queued, so a backlog
+// of several packets drains back to back instead of stalling after one.
+TEST(SwitchQueue, BackloggedPortDrainsEveryPacketBackToBack) {
+  sim::Simulation sim;
+  Switch sw(sim, Switch::Config{.pipeline_latency = 100});
+  HostNic a(sim, 1, BitRate::Gbps(100), 100);
+  HostNic b(sim, 2, BitRate::Mbps(10), 100);  // slow egress
+  a.ConnectTo(sw);
+  b.ConnectTo(sw);
+  std::vector<Nanos> arrivals;
+  b.SetDefaultReceiver([&](Packet) { arrivals.push_back(sim.Now()); });
+  constexpr int kPackets = 5;
+  for (int i = 0; i < kPackets; ++i) a.Send(TestPacket(1, 2, kCongPayload));
+  sim.Run();
+  ASSERT_EQ(arrivals.size(), static_cast<std::size_t>(kPackets));
+  const Nanos egress_tx = BitRate::Mbps(10).TransmitTime(
+      TestPacket(1, 2, kCongPayload).WireBytes());
+  for (int i = 1; i < kPackets; ++i) {
+    EXPECT_EQ(arrivals[i] - arrivals[i - 1], egress_tx) << "packet " << i;
+  }
+  EXPECT_EQ(sw.forwarded(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_TRUE(sw.EgressLink(b.switch_port()).TransmitterIdle());
 }
 
 TEST(SwitchPfc, PauseResumeRoundTripIsLossless) {

@@ -1,6 +1,7 @@
 #include "common/pool.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,29 @@ TEST(InlineFunction, OversizedCapturesStillWork) {
   InlineFunction<int(), 64> f([big] { return int{big.bytes[200]}; });
   InlineFunction<int(), 64> g = std::move(f);
   EXPECT_EQ(g(), 7);
+}
+
+// CallOnce runs the callable and destroys its captures before returning,
+// inline or boxed, and leaves the function empty.
+TEST(InlineFunction, CallOnceInvokesThenDestroys) {
+  auto token = std::make_shared<int>(5);
+  std::weak_ptr<int> watch = token;
+  InlineFunction<int()> inline_fn(
+      [t = std::move(token), &watch] { return *t + watch.use_count(); });
+  EXPECT_EQ(inline_fn.CallOnce(), 6);  // the capture was alive in the call
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(static_cast<bool>(inline_fn));
+
+  struct Big {
+    char bytes[256] = {};
+  };
+  auto boxed_token = std::make_shared<int>(9);
+  std::weak_ptr<int> boxed_watch = boxed_token;
+  InlineFunction<int(), 64> boxed(
+      [big = Big{}, t = std::move(boxed_token)] { return *t + big.bytes[0]; });
+  EXPECT_EQ(boxed.CallOnce(), 9);
+  EXPECT_TRUE(boxed_watch.expired());
+  EXPECT_FALSE(static_cast<bool>(boxed));
 }
 
 }  // namespace

@@ -191,6 +191,93 @@ TEST(Timer, HandleChurnKeepsThePoolBounded) {
   EXPECT_LE(sim.TimerPoolStats().high_water, 8u);
 }
 
+// A reserved event keeps the key it was reserved under: it fires after the
+// same-time events scheduled before the Reserve() and before those
+// scheduled after it, however late it is actually queued.
+TEST(Simulation, ReservedEventFiresInReserveOrder) {
+  Simulation sim;
+  std::vector<char> order;
+  sim.ScheduleAt(100, [&] { order.push_back('a'); });
+  const std::uint64_t seq = sim.Reserve();
+  sim.ScheduleAt(100, [&] { order.push_back('b'); });
+  sim.ScheduleAt(50, [&] {
+    sim.ScheduleAt(100, [&] { order.push_back('c'); });
+    sim.ScheduleReserved(100, seq, [&] { order.push_back('r'); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b', 'c'}));
+  EXPECT_EQ(sim.EventsProcessed(), 5u);
+}
+
+TEST(Simulation, PassedDuringDispatch) {
+  Simulation sim;
+  std::vector<bool> seen;
+  // Keys (10, 0), (10, 1) reserved and never queued, (10, 2).
+  sim.ScheduleAt(10, [&] {
+    seen.push_back(sim.Passed(10, 0));  // the entry being dispatched
+    seen.push_back(sim.Passed(10, 1));  // a later key at the same time
+    seen.push_back(sim.Passed(9, 1'000));
+    seen.push_back(sim.Passed(11, 0));
+  });
+  const std::uint64_t reserved = sim.Reserve();
+  EXPECT_FALSE(sim.Passed(10, reserved));
+  sim.ScheduleAt(10, [&] {
+    seen.push_back(sim.Passed(10, reserved));  // sorts before this entry
+    seen.push_back(sim.Passed(10, sim.Reserve()));  // taken now: after it
+  });
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, false, true, false}));
+}
+
+TEST(Simulation, PassedAfterRunUntilAdvancedTheClock) {
+  Simulation sim;
+  const std::uint64_t at_120 = sim.Reserve();
+  sim.ScheduleAt(100, [] {});
+  const std::uint64_t at_150 = sim.Reserve();  // after the last dispatch
+  sim.RunUntil(110);
+  EXPECT_FALSE(sim.Passed(120, at_120));
+  sim.RunUntil(150);
+  EXPECT_EQ(sim.Now(), 150);
+  // Every key at or before the deadline would have run...
+  EXPECT_TRUE(sim.Passed(120, at_120));
+  EXPECT_TRUE(sim.Passed(150, at_150));
+  // ...but not one taken afterwards, nor a later time.
+  EXPECT_FALSE(sim.Passed(150, sim.Reserve()));
+  EXPECT_FALSE(sim.Passed(151, at_150));
+}
+
+TEST(Simulation, PassedAfterHalt) {
+  Simulation sim;
+  sim.ScheduleAt(10, [&] { sim.Halt(); });
+  const std::uint64_t at_10 = sim.Reserve();
+  const std::uint64_t at_15 = sim.Reserve();
+  sim.ScheduleAt(20, [] {});
+  sim.RunUntil(100);
+  // A halted run leaves the cursor at the halting event and the clock
+  // where it stopped.
+  EXPECT_EQ(sim.Now(), 10);
+  EXPECT_FALSE(sim.Passed(10, at_10));
+  EXPECT_FALSE(sim.Passed(15, at_15));
+  sim.ScheduleReserved(15, at_15, [] {});
+  sim.Run();
+  EXPECT_EQ(sim.Now(), 20);
+  EXPECT_TRUE(sim.Passed(10, at_10));
+  EXPECT_TRUE(sim.Passed(15, at_15));
+  EXPECT_EQ(sim.EventsProcessed(), 3u);
+}
+
+// A drained queue has nothing left to run at Now(): a key reserved there
+// earlier counts as passed even when it sorts after the last dispatch.
+TEST(Simulation, PassedAfterRunDrainsTheQueue) {
+  Simulation sim;
+  sim.ScheduleAt(20, [] {});
+  const std::uint64_t at_20 = sim.Reserve();
+  sim.Run();
+  EXPECT_EQ(sim.Now(), 20);
+  EXPECT_TRUE(sim.Passed(20, at_20));
+  EXPECT_FALSE(sim.Passed(20, sim.Reserve()));
+}
+
 TEST(Simulation, NestedScheduling) {
   Simulation sim;
   int value = 0;
