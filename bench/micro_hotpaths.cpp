@@ -11,11 +11,15 @@
 #include "common/ring.h"
 #include "common/rng.h"
 #include "common/sparse_memory.h"
+#include "core/client.h"
 #include "core/request.h"
 #include "net/switch.h"
+#include "rdma/qp.h"
 #include "rdma/wire.h"
 #include "sim/simulation.h"
+#include "sim/thread.h"
 #include "telemetry/hub.h"
+#include "workload/cluster.h"
 #include "workload/generator.h"
 
 namespace {
@@ -199,6 +203,82 @@ void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayRoundTrip);
+
+// A client thread with its window full waits for a read whose completion
+// an emulated engine writes into its red block over a QP about 30 us after
+// issue: the eager loop {PollWait(0); Idle(300)} pays two events for each
+// of its ~95 empty checks, a parked PollAny one two-step wake. Reports
+// host ns and simulator events per wait (issue and the write's packets
+// included, the same in both modes).
+void BM_ParkedPoll(benchmark::State& state, bool parked) {
+  constexpr std::uint64_t kPool = 0x100000;
+  constexpr std::uint64_t kHeap = 0x4000000;
+  constexpr std::uint64_t kStaging = 0x9000000;  // on the memory server
+  constexpr Nanos kGap = 300;
+  workload::Cluster cluster{workload::ClusterSpec{}};
+  core::CowbirdClient::Config config;
+  config.layout.base = 0x10000;
+  config.layout.meta_slots = 64;
+  config.layout.data_capacity = KiB(64);
+  config.layout.resp_capacity = KiB(64);
+  core::CowbirdClient& client = cluster.AddClient(0, config);
+  const rdma::MemoryRegion* mr =
+      cluster.memory(0).dev->RegisterMemory(kPool, MiB(1));
+  client.RegisterRegion(
+      core::RegionInfo{1, cluster.memory(0).id(), kPool, mr->rkey, MiB(1)});
+  const rdma::QpPair qp =
+      rdma::ConnectQueuePairs(*cluster.memory(0).dev, *cluster.client(0).dev);
+  sim::SimThread thread(*cluster.client(0).machine, "app");
+  auto& ctx = client.thread(0);
+  const core::PollId poll = ctx.PollCreate();
+  std::vector<core::ReqId> done;
+  std::uint64_t retired = 0;
+  // The engine's publication: meta_head and read_progress both advance.
+  auto publish = [&] {
+    ++retired;
+    auto& mem = cluster.memory(0).mem;
+    mem.WriteValue<std::uint64_t>(kStaging, retired);
+    mem.WriteValue<std::uint64_t>(kStaging + 32, retired);
+    qp.a->PostSend(rdma::SendWqe{rdma::WqeOp::kWrite, 0, kStaging,
+                                 config.layout.RedAddr(0),
+                                 client.descriptor().compute_rkey,
+                                 static_cast<std::uint32_t>(
+                                     core::kRedBlockBytes),
+                                 /*signaled=*/false});
+  };
+  auto wait_once = [&]() -> sim::Task<void> {
+    const auto id = co_await ctx.AsyncRead(thread, 1, 0, kHeap, 64);
+    ctx.PollAdd(poll, *id);
+    cluster.sim.ScheduleAfter(Micros(30), publish);
+    if (parked) {
+      co_await ctx.PollAny(thread, poll, done, 1, kGap);
+    } else {
+      for (;;) {
+        co_await ctx.PollWait(thread, poll, done, 1, 0);
+        if (!done.empty()) break;
+        co_await thread.Idle(kGap);
+      }
+    }
+  };
+  const std::uint64_t events0 = cluster.sim.EventsProcessed();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    cluster.sim.Spawn(wait_once());
+    cluster.sim.Run();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  if (retired != static_cast<std::uint64_t>(state.iterations()) ||
+      ctx.reads_retired() != retired) {
+    state.SkipWithError("a wait did not complete");
+  }
+  const auto waits = static_cast<double>(state.iterations());
+  state.counters["ns_per_wait"] = elapsed.count() / waits;
+  state.counters["events_per_wait"] =
+      static_cast<double>(cluster.sim.EventsProcessed() - events0) / waits;
+}
+BENCHMARK_CAPTURE(BM_ParkedPoll, eager, false);
+BENCHMARK_CAPTURE(BM_ParkedPoll, parked, true);
 
 // --- telemetry hot paths -------------------------------------------------
 // The registry's claim is near-zero hot-path cost: a bound Counter::Add is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "common/check.h"
 
@@ -42,6 +43,24 @@ CowbirdClient::CowbirdClient(rdma::Device& device, Config config)
     mem.WriteValue<std::uint64_t>(r + 16, red.resp_tail);
     mem.WriteValue<std::uint64_t>(r + 24, red.write_progress);
     mem.WriteValue<std::uint64_t>(r + 32, red.read_progress);
+  }
+  red_watch_ = device.AddWriteWatch(
+      config_.layout.RedBase(), config_.layout.RedBytesTotal(),
+      [this](std::uint64_t addr, std::uint32_t len) { OnRedWrite(addr, len); });
+}
+
+CowbirdClient::~CowbirdClient() { device_->RemoveWriteWatch(red_watch_); }
+
+void CowbirdClient::OnRedWrite(std::uint64_t addr, std::uint32_t len) {
+  const std::uint64_t base = config_.layout.RedBase();
+  const std::uint64_t first = addr > base ? (addr - base) / kRedBlockBytes : 0;
+  const std::uint64_t last =
+      std::min<std::uint64_t>((addr + len - 1 - base) / kRedBlockBytes,
+                              threads_.size() - 1);
+  for (std::uint64_t t = first; t <= last; ++t) {
+    if (auto* thread = std::exchange(threads_[t]->parked_, nullptr)) {
+      thread->Wake();
+    }
   }
 }
 
@@ -225,9 +244,11 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
 }
 
 sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
-    sim::SimThread& thread) {
-  co_await thread.Work(rdma::cost::kCowbirdPoll,
-                       sim::CpuCategory::kCommunication);
+    sim::SimThread& thread, bool check_charged) {
+  if (!check_charged) {
+    co_await thread.Work(rdma::cost::kCowbirdPoll,
+                         sim::CpuCategory::kCommunication);
+  }
   auto& mem = client_->device_->memory();
   const auto& layout = client_->config_.layout;
   const std::uint64_t red_addr = layout.RedAddr(index_);
@@ -313,29 +334,37 @@ void CowbirdClient::ThreadContext::PollRemove(PollId poll_id, ReqId req_id) {
   }
 }
 
+int CowbirdClient::ThreadContext::Harvest(PollId poll_id,
+                                          std::vector<ReqId>& responses,
+                                          int max_ret) {
+  // Completion checks are integer comparisons against the progress
+  // counters (Section 4.4).
+  auto& group = poll_groups_[poll_id];
+  const std::size_t before = responses.size();
+  while (static_cast<int>(responses.size()) < max_ret &&
+         !group.reads.empty() &&
+         group.reads.front().seq() <= retired_read_seq_) {
+    responses.push_back(group.reads.front());
+    group.reads.pop_front();
+  }
+  while (static_cast<int>(responses.size()) < max_ret &&
+         !group.writes.empty() &&
+         group.writes.front().seq() <= retired_write_seq_) {
+    responses.push_back(group.writes.front());
+    group.writes.pop_front();
+  }
+  return static_cast<int>(responses.size() - before);
+}
+
 sim::Task<int> CowbirdClient::ThreadContext::PollWait(
     sim::SimThread& thread, PollId poll_id, std::vector<ReqId>& responses,
     int max_ret, Nanos timeout) {
   COWBIRD_CHECK(poll_id < poll_groups_.size() && poll_groups_[poll_id].live);
-  auto& group = poll_groups_[poll_id];
   const Nanos deadline = thread.simulation().Now() + timeout;
   responses.clear();
   for (;;) {
     co_await Reconcile(thread);
-    // Completion checks are integer comparisons against the progress
-    // counters (Section 4.4).
-    while (static_cast<int>(responses.size()) < max_ret &&
-           !group.reads.empty() &&
-           group.reads.front().seq() <= retired_read_seq_) {
-      responses.push_back(group.reads.front());
-      group.reads.pop_front();
-    }
-    while (static_cast<int>(responses.size()) < max_ret &&
-           !group.writes.empty() &&
-           group.writes.front().seq() <= retired_write_seq_) {
-      responses.push_back(group.writes.front());
-      group.writes.pop_front();
-    }
+    Harvest(poll_id, responses, max_ret);
     if (static_cast<int>(responses.size()) >= max_ret ||
         thread.simulation().Now() >= deadline) {
       co_return static_cast<int>(responses.size());
@@ -343,6 +372,24 @@ sim::Task<int> CowbirdClient::ThreadContext::PollWait(
     const Nanos remaining = deadline - thread.simulation().Now();
     co_await thread.Idle(std::min<Nanos>(kPollInterval, remaining));
   }
+}
+
+sim::Task<int> CowbirdClient::ThreadContext::PollAny(
+    sim::SimThread& thread, PollId poll_id, std::vector<ReqId>& responses,
+    int max_ret, Nanos gap) {
+  COWBIRD_CHECK(poll_id < poll_groups_.size() && poll_groups_[poll_id].live);
+  COWBIRD_CHECK(max_ret > 0 && parked_ == nullptr);
+  responses.clear();
+  co_await Reconcile(thread);
+  while (Harvest(poll_id, responses, max_ret) == 0) {
+    // Every value the next checks would read stays as this one read it
+    // until an engine write lands in the red block: skip them.
+    parked_ = &thread;
+    co_await thread.Park(gap, rdma::cost::kCowbirdPoll,
+                         sim::CpuCategory::kCommunication);
+    co_await Reconcile(thread, /*check_charged=*/true);
+  }
+  co_return static_cast<int>(responses.size());
 }
 
 sim::Task<std::vector<ReqId>> CowbirdClient::ThreadContext::PollWait(

@@ -50,8 +50,10 @@ class CowbirdClient {
   };
 
   // Registers the client buffer area with the compute node's RDMA device so
-  // offload engines can reach it.
+  // offload engines can reach it, and watches the red blocks there so a
+  // parked PollAny wakes when an engine writes one.
   CowbirdClient(rdma::Device& device, Config config);
+  ~CowbirdClient();
 
   void RegisterRegion(const RegionInfo& region);
   // Replaces the cluster-pool translation ranges for one region (elastic
@@ -114,6 +116,17 @@ class CowbirdClient {
                                            PollId poll_id, int max_ret,
                                            Nanos timeout);
 
+    // Waits for at least one completion, with no timeout: the model of
+    // repeating {PollWait(..., 0); Idle(gap)} until a check harvests
+    // something, with the same check instants, CPU charges and results.
+    // After an empty check the thread parks (SimThread::Park) with no
+    // queued event until an engine write lands in this context's red block,
+    // since nothing a check reads changes before then (DESIGN.md §10). The
+    // thread's machine must not stretch work (Machine::CanStretch).
+    sim::Task<int> PollAny(sim::SimThread& thread, PollId poll_id,
+                           std::vector<ReqId>& responses, int max_ret,
+                           Nanos gap);
+
     // Completion state without a poll group (used by tests/integrations):
     // true once the request's sequence number is covered by the engine's
     // progress counter *and* the library has retired it.
@@ -146,8 +159,13 @@ class CowbirdClient {
 
     // Synchronize with the engine-written red block: advance ring heads,
     // retire completed operations (copying read payloads to their user
-    // destinations). Charges one kCowbirdPoll plus copy costs.
-    sim::Task<void> Reconcile(sim::SimThread& thread);
+    // destinations). Charges one kCowbirdPoll plus copy costs; only the
+    // copies when `check_charged` (a parked wake charged the check).
+    sim::Task<void> Reconcile(sim::SimThread& thread,
+                              bool check_charged = false);
+    // Moves retired requests of poll group `poll_id` into `responses`
+    // (reads first) until it holds `max_ret`; returns the count moved.
+    int Harvest(PollId poll_id, std::vector<ReqId>& responses, int max_ret);
 
     // Computes a contiguous reservation in a byte ring: returns pad bytes
     // to skip (ring-wrap padding), or nullopt if it does not fit.
@@ -166,6 +184,9 @@ class CowbirdClient {
     FixedDeque<OutstandingRead> outstanding_reads_;
     FixedDeque<OutstandingWrite> outstanding_writes_;
     std::vector<PollGroup> poll_groups_;
+    // The thread parked in PollAny on this context, woken by the next
+    // write to its red block.
+    sim::SimThread* parked_ = nullptr;
     std::uint64_t reads_issued_ = 0;
     std::uint64_t writes_issued_ = 0;
     std::uint64_t issue_failures_ = 0;
@@ -178,10 +199,15 @@ class CowbirdClient {
  private:
   friend class ThreadContext;
 
+  // Write watch over every thread's red block: wakes the parked threads of
+  // the blocks [addr, addr+len) overlaps.
+  void OnRedWrite(std::uint64_t addr, std::uint32_t len);
+
   rdma::Device* device_;
   Config config_;
   InstanceDescriptor descriptor_;
   std::vector<std::unique_ptr<ThreadContext>> threads_;
+  std::uint64_t red_watch_ = 0;
 };
 
 }  // namespace cowbird::core

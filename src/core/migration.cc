@@ -24,7 +24,7 @@ RegionMigrator::RegionMigrator(rdma::Device& src_device,
 }
 
 RegionMigrator::~RegionMigrator() {
-  if (started_ && !finished_) src_device_->ClearWriteWatch();
+  if (started_ && !finished_) src_device_->RemoveWriteWatch(watch_);
 }
 
 std::size_t RegionMigrator::ChunkCount() const {
@@ -38,7 +38,7 @@ void RegionMigrator::Start() {
   if (config_.telemetry != nullptr) {
     copy_span_ = config_.telemetry->tracer.Begin("migration", "copy");
   }
-  src_device_->SetWriteWatch(
+  watch_ = src_device_->AddWriteWatch(
       plan_.src_addr, plan_.length,
       [this](std::uint64_t addr, std::uint32_t len) { OnWrite(addr, len); });
   cq_->SetCompletionCallback([this] {
@@ -131,7 +131,7 @@ bool RegionMigrator::Synced() const {
 void RegionMigrator::Finish() {
   COWBIRD_CHECK(Synced());
   finished_ = true;
-  src_device_->ClearWriteWatch();
+  src_device_->RemoveWriteWatch(watch_);
   cq_->SetCompletionCallback(nullptr);
   if (config_.telemetry != nullptr) {
     config_.telemetry->tracer.End(drain_span_);

@@ -99,6 +99,7 @@ class RegionMigrator {
   std::size_t ChunkCount() const;
 
   rdma::Device* src_device_;
+  std::uint64_t watch_ = 0;  // the dirty-tracking write watch, once started
   rdma::QueuePair* qp_;
   rdma::CompletionQueue* cq_;
   ClusterPool::MigrationPlan plan_;

@@ -9,12 +9,14 @@
 // (verbs.h) are where the compute node pays.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/pool.h"
 #include "common/sparse_memory.h"
 #include "common/units.h"
@@ -110,26 +112,31 @@ class Device {
   // Null unless config.dcqcn.enabled.
   CongestionManager* congestion() { return congestion_.get(); }
 
-  // Write watch for live region migration (core::RegionMigrator): `cb`
-  // fires for every RDMA WRITE payload chunk a responder lands inside
-  // [base, base+length) on this device — the dirty-tracking hook a real
-  // NIC would implement with ODP/dirty-bit scanning. One watch per device;
-  // re-arming replaces the previous one.
-  void SetWriteWatch(std::uint64_t base, Bytes length,
-                     std::function<void(std::uint64_t, std::uint32_t)> cb) {
-    watch_base_ = base;
-    watch_length_ = length;
-    write_watch_ = std::move(cb);
+  // Write watches: a watch's callback fires for every RDMA WRITE payload
+  // chunk a responder lands overlapping [base, base+length) on this device
+  // — the hook a real NIC would implement with ODP/dirty-bit scanning. A
+  // device holds any number (a RegionMigrator's dirty tracking, each
+  // CowbirdClient's red-block wake-ups); they fire in the order they were
+  // added. A callback must not add or remove watches.
+  using WriteWatchFn = std::function<void(std::uint64_t, std::uint32_t)>;
+  std::uint64_t AddWriteWatch(std::uint64_t base, Bytes length,
+                              WriteWatchFn cb) {
+    COWBIRD_CHECK(length > 0 && cb);
+    write_watches_.push_back(
+        WriteWatch{next_watch_id_, base, length, std::move(cb)});
+    return next_watch_id_++;
   }
-  void ClearWriteWatch() {
-    write_watch_ = nullptr;
-    watch_length_ = 0;
+  void RemoveWriteWatch(std::uint64_t id) {
+    const auto it = std::find_if(
+        write_watches_.begin(), write_watches_.end(),
+        [id](const WriteWatch& w) { return w.id == id; });
+    COWBIRD_CHECK(it != write_watches_.end());
+    write_watches_.erase(it);
   }
-  // Called by QueuePair on every landed WRITE chunk; no cost when unarmed.
+  // Called by QueuePair on every landed WRITE chunk.
   void NotifyWrite(std::uint64_t addr, std::uint32_t len) {
-    if (write_watch_ && addr < watch_base_ + watch_length_ &&
-        addr + len > watch_base_) {
-      write_watch_(addr, len);
+    for (const WriteWatch& w : write_watches_) {
+      if (addr < w.base + w.length && addr + len > w.base) w.fn(addr, len);
     }
   }
 
@@ -157,9 +164,14 @@ class Device {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t malformed_dropped_ = 0;
-  std::uint64_t watch_base_ = 0;
-  Bytes watch_length_ = 0;  // 0 = watch unarmed
-  std::function<void(std::uint64_t, std::uint32_t)> write_watch_;
+  struct WriteWatch {
+    std::uint64_t id;
+    std::uint64_t base;
+    Bytes length;
+    WriteWatchFn fn;
+  };
+  std::vector<WriteWatch> write_watches_;
+  std::uint64_t next_watch_id_ = 1;
   telemetry::MetricRegistry* telemetry_registry_ = nullptr;
   telemetry::Labels telemetry_labels_;
 };

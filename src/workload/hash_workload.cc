@@ -446,12 +446,15 @@ sim::Task<void> DriveCowbird(Harness& h, int k, int t) {
         ++outstanding;
         continue;
       }
-      // Rings full: fall through to harvest completions.
-    }
-    co_await ctx.PollWait(thread, poll, done, h.cfg.window, 0);
-    if (done.empty()) {
-      co_await thread.Idle(kPollIdle);
-      continue;
+      // Rings full: one check, then back to the issue attempt.
+      co_await ctx.PollWait(thread, poll, done, h.cfg.window, 0);
+      if (done.empty()) {
+        co_await thread.Idle(kPollIdle);
+        continue;
+      }
+    } else {
+      // Window full: check every kPollIdle until something completes.
+      co_await ctx.PollAny(thread, poll, done, h.cfg.window, kPollIdle);
     }
     if (sample) {
       const Nanos now = thread.simulation().Now();
@@ -787,11 +790,13 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
             ++outstanding;
             continue;
           }
-        }
-        co_await ctx.PollWait(thread, poll, done_ids, cfg.inflight, 0);
-        if (done_ids.empty()) {
-          co_await thread.Idle(200);
-          continue;
+          co_await ctx.PollWait(thread, poll, done_ids, cfg.inflight, 0);
+          if (done_ids.empty()) {
+            co_await thread.Idle(200);
+            continue;
+          }
+        } else {
+          co_await ctx.PollAny(thread, poll, done_ids, cfg.inflight, 200);
         }
         for (const auto& id : done_ids) {
           COWBIRD_CHECK(!issue_times.empty() &&

@@ -3,10 +3,13 @@
 // the memory-level interface an engine uses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/client.h"
 #include "core/layout.h"
 #include "core/request.h"
 #include "fabric_fixture.h"
+#include "rdma/qp.h"
 
 namespace cowbird::core {
 namespace {
@@ -296,6 +299,256 @@ TEST_F(ClientTest, IssueChargesCowbirdPostNotVerbs) {
             rdma::cost::kCowbirdPost);
   EXPECT_LT(thread_->TimeIn(sim::CpuCategory::kCommunication),
             rdma::cost::PostTotal() / 5);
+}
+
+// ---------------------------------------------------------------------------
+// Parked polling: PollAny against the eager loop it stands in for,
+// {PollWait(..., 0); Idle(gap)} until a check harvests, with the red block
+// written by an emulated engine over a real QP from the memory server.
+// ---------------------------------------------------------------------------
+
+constexpr Nanos kGap = 300;
+constexpr Nanos kPeriod = kGap + rdma::cost::kCowbirdPoll;
+// Red-block field offsets (RedBlock).
+constexpr std::uint64_t kMetaHead = 0;
+constexpr std::uint64_t kRespTail = 16;
+constexpr std::uint64_t kReadProgress = 32;
+
+struct RedWrite {
+  Nanos when;  // the instant the write lands in compute memory
+  std::uint64_t offset;
+  std::uint64_t value;
+};
+
+enum class PollMode { kEager, kParked };
+
+struct PollTrace {
+  std::vector<Nanos> returns;  // instant each wait returned
+  std::vector<std::vector<ReqId>> harvested;
+  std::vector<Nanos> comm_at;  // TimeIn(kCommunication) at each snapshot
+  std::vector<Nanos> reads;    // eager: the read instant of every check
+  std::uint64_t events = 0;
+};
+
+class PollRig {
+ public:
+  static constexpr std::uint64_t kHeap = 0x4000000;
+  static constexpr std::uint64_t kStaging = 0x9000000;  // on the server
+  // The thread starts here, once the timing write has landed and been
+  // acknowledged.
+  static constexpr Nanos kStart = Micros(5);
+
+  PollRig() {
+    client_ = &f_.AddClient(0, testing::SmallRings(1));
+    client_->RegisterRegion(
+        testing::PoolRegion(f_, 0x100000, MiB(1), kRegionId));
+    pair_ = rdma::ConnectQueuePairs(*f_.memory(0).dev, *f_.client(0).dev);
+    // One write into the informational resp_tail field, which no check
+    // reads, times the one-way landing latency.
+    Nanos landed = -1;
+    auto& dev = *f_.client(0).dev;
+    const std::uint64_t watch = dev.AddWriteWatch(
+        RedAddr(), kRedBlockBytes,
+        [&](std::uint64_t, std::uint32_t) { landed = f_.sim.Now(); });
+    Post(kRespTail, 0);
+    f_.sim.RunUntil(kStart);
+    dev.RemoveWriteWatch(watch);
+    COWBIRD_CHECK(landed > 0);
+    latency_ = landed;
+  }
+
+  // Issues `reads` reads, then waits in `mode` until all have completed;
+  // `writes` land as scheduled and TimeIn is sampled after RunUntil(s) for
+  // every `snapshots` instant s.
+  PollTrace Run(PollMode mode, int reads, const std::vector<RedWrite>& writes,
+                const std::vector<Nanos>& snapshots) {
+    for (const RedWrite& w : writes) {
+      COWBIRD_CHECK(w.when - latency_ >= kStart);
+      f_.sim.ScheduleAt(w.when - latency_,
+                        [this, w] { Post(w.offset, w.value); });
+    }
+    PollTrace trace;
+    bool finished = false;
+    f_.sim.Spawn([](PollRig& rig, PollMode m, int n, PollTrace& out,
+                    bool& done) -> sim::Task<void> {
+      auto& ctx = rig.client_->thread(0);
+      sim::SimThread& thread = rig.thread_;
+      const PollId poll = ctx.PollCreate();
+      for (int i = 0; i < n; ++i) {
+        const auto id = co_await ctx.AsyncRead(thread, kRegionId, 64u * i,
+                                               kHeap + 64u * i, 64);
+        ctx.PollAdd(poll, *id);
+      }
+      std::vector<ReqId> got;
+      for (int left = n; left > 0;) {
+        if (m == PollMode::kParked) {
+          co_await ctx.PollAny(thread, poll, got, n, kGap);
+        } else {
+          for (;;) {
+            co_await ctx.PollWait(thread, poll, got, n, 0);
+            out.reads.push_back(thread.simulation().Now());
+            if (!got.empty()) break;
+            co_await thread.Idle(kGap);
+          }
+        }
+        out.returns.push_back(thread.simulation().Now());
+        out.harvested.push_back(got);
+        left -= static_cast<int>(got.size());
+      }
+      done = true;
+    }(*this, mode, reads, trace, finished));
+    for (const Nanos s : snapshots) {
+      f_.sim.RunUntil(s);
+      trace.comm_at.push_back(
+          thread_.TimeIn(sim::CpuCategory::kCommunication));
+    }
+    f_.sim.Run();
+    EXPECT_TRUE(finished);
+    trace.events = f_.sim.EventsProcessed();
+    return trace;
+  }
+
+  workload::Cluster& cluster() { return f_; }
+
+ private:
+  static constexpr std::uint16_t kRegionId = 1;
+
+  std::uint64_t RedAddr() const {
+    return client_->descriptor().layout.RedAddr(0);
+  }
+
+  // Posts an 8-byte RDMA WRITE of `value` into thread 0's red block.
+  void Post(std::uint64_t offset, std::uint64_t value) {
+    const std::uint64_t src = kStaging + 8 * next_slot_++;
+    f_.memory(0).mem.WriteValue<std::uint64_t>(src, value);
+    pair_.a->PostSend(rdma::SendWqe{rdma::WqeOp::kWrite, 0, src,
+                                    RedAddr() + offset,
+                                    client_->descriptor().compute_rkey, 8,
+                                    /*signaled=*/false});
+  }
+
+  workload::Cluster f_{workload::ClusterSpec{}};
+  CowbirdClient* client_ = nullptr;
+  rdma::QpPair pair_;
+  sim::SimThread thread_{*f_.client(0).machine, "app"};
+  Nanos latency_ = 0;
+  std::uint64_t next_slot_ = 0;
+};
+
+// The read instants of the eager loop's checks while nothing lands: every
+// check instant a parked wait must reproduce.
+std::vector<Nanos> EagerCheckReads() {
+  PollRig rig;
+  const PollTrace trace =
+      rig.Run(PollMode::kEager, 1, {{Micros(40), kReadProgress, 1}}, {});
+  return trace.reads;
+}
+
+void ExpectSameModel(const PollTrace& eager, const PollTrace& parked) {
+  EXPECT_EQ(parked.returns, eager.returns);
+  EXPECT_EQ(parked.harvested, eager.harvested);
+  EXPECT_EQ(parked.comm_at, eager.comm_at);
+  EXPECT_LT(parked.events, eager.events);
+}
+
+TEST(ParkedPoll, WakesAtTheEagerCheckAndHarvestsTheSameIds) {
+  const std::vector<RedWrite> writes = {{Micros(12) + 7, kReadProgress, 1},
+                                        {Micros(25) + 150, kReadProgress, 3}};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 3, writes, {});
+  const PollTrace parked = PollRig().Run(PollMode::kParked, 3, writes, {});
+  ASSERT_EQ(eager.returns.size(), 2u);
+  EXPECT_EQ(eager.harvested[0].size(), 1u);
+  EXPECT_EQ(eager.harvested[1].size(), 2u);
+  ExpectSameModel(eager, parked);
+}
+
+TEST(ParkedPoll, ChargesTheChecksBegunByEachMidParkSnapshot) {
+  const std::vector<Nanos> reads = EagerCheckReads();
+  ASSERT_GT(reads.size(), 20u);
+  EXPECT_EQ(reads[11] - reads[10], kPeriod);
+  const Nanos begin = reads[10] - rdma::cost::kCowbirdPoll;
+  // Mid-park instants, including one exactly at a check's Work start and
+  // one inside its Work.
+  const std::vector<Nanos> snapshots = {reads[3] + 100, begin - 1, begin,
+                                        begin + 5,      reads[10],
+                                        Micros(30) + 1};
+  const std::vector<RedWrite> writes = {{Micros(40), kReadProgress, 1}};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 1, writes, snapshots);
+  const PollTrace parked =
+      PollRig().Run(PollMode::kParked, 1, writes, snapshots);
+  EXPECT_EQ(eager.comm_at[2] - eager.comm_at[1], rdma::cost::kCowbirdPoll);
+  ExpectSameModel(eager, parked);
+}
+
+TEST(ParkedPoll, WriteAtACheckReadInstantIsSeenByThatCheck) {
+  const std::vector<Nanos> reads = EagerCheckReads();
+  ASSERT_GT(reads.size(), 20u);
+  // The NIC's event takes its seq kProcessingDelay before it lands, the
+  // check's read only kCowbirdPoll before: a write landing exactly at r_k
+  // is visible to check k, in both loops.
+  const std::vector<RedWrite> writes = {{reads[15], kReadProgress, 1}};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 1, writes, {});
+  const PollTrace parked = PollRig().Run(PollMode::kParked, 1, writes, {});
+  // Check 15 (the 16th) harvests.
+  EXPECT_EQ(eager.reads.size(), 16u);
+  ExpectSameModel(eager, parked);
+}
+
+TEST(ParkedPoll, WriteInsideACheckWorkIsSeenByThatCheck) {
+  const std::vector<Nanos> reads = EagerCheckReads();
+  ASSERT_GT(reads.size(), 20u);
+  const std::vector<RedWrite> writes = {
+      {reads[15] - rdma::cost::kCowbirdPoll / 2, kReadProgress, 1}};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 1, writes, {});
+  const PollTrace parked = PollRig().Run(PollMode::kParked, 1, writes, {});
+  // Check 15 (the 16th) harvests.
+  EXPECT_EQ(eager.reads.size(), 16u);
+  ExpectSameModel(eager, parked);
+}
+
+TEST(ParkedPoll, MetaHeadOnlyWriteReparks) {
+  // The first write completes nothing: the woken check comes up empty and
+  // the thread parks again until the progress write.
+  const std::vector<RedWrite> writes = {{Micros(9) + 33, kMetaHead, 2},
+                                        {Micros(21) + 2, kReadProgress, 2}};
+  const std::vector<Nanos> snapshots = {Micros(9) + 200, Micros(15)};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 2, writes, snapshots);
+  const PollTrace parked =
+      PollRig().Run(PollMode::kParked, 2, writes, snapshots);
+  ASSERT_EQ(eager.returns.size(), 1u);
+  EXPECT_EQ(eager.harvested[0].size(), 2u);
+  ExpectSameModel(eager, parked);
+}
+
+TEST(ParkedPoll, SkipsTheEventsOfEmptyChecks) {
+  const std::vector<RedWrite> writes = {{Micros(30), kReadProgress, 1}};
+  const PollTrace eager = PollRig().Run(PollMode::kEager, 1, writes, {});
+  const PollTrace parked = PollRig().Run(PollMode::kParked, 1, writes, {});
+  ExpectSameModel(eager, parked);
+  // About 78 empty checks at two events each, against one two-step wake.
+  EXPECT_GT(eager.events - parked.events, 150u);
+}
+
+TEST(ParkedPollDeathTest, RefusesAMachineThatCanStretchWork) {
+  const std::vector<RedWrite> writes = {{Micros(30), kReadProgress, 1}};
+  EXPECT_DEATH(
+      {
+        PollRig rig;
+        rig.cluster().client(0).machine->AddPinnedLoad(1);
+        rig.Run(PollMode::kParked, 1, writes, {});
+      },
+      "CanStretch");
+  EXPECT_DEATH(
+      {
+        PollRig rig;
+        std::vector<std::unique_ptr<sim::SimThread>> more;
+        for (int i = 0; i < 16; ++i) {
+          more.push_back(std::make_unique<sim::SimThread>(
+              *rig.cluster().client(0).machine, "extra"));
+        }
+        rig.Run(PollMode::kParked, 1, writes, {});
+      },
+      "CanStretch");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +38,41 @@ TEST_F(QpTest, SmallWriteLandsInRemoteMemory) {
   EXPECT_EQ(cqe->wr_id, 7u);
   EXPECT_EQ(cqe->opcode, CqeOpcode::kWrite);
   EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+}
+
+TEST_F(QpTest, WriteWatchesFireTogetherAndRemoveIndependently) {
+  Device& dev = *f_.memory(0).dev;
+  using Landed = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+  Landed wide, narrow;
+  const std::uint64_t base = remote_mr_->base;
+  const std::uint64_t wide_id = dev.AddWriteWatch(
+      base, 4096, [&](std::uint64_t addr, std::uint32_t len) {
+        wide.emplace_back(addr, len);
+      });
+  const std::uint64_t narrow_id = dev.AddWriteWatch(
+      base + 64, 64, [&](std::uint64_t addr, std::uint32_t len) {
+        narrow.emplace_back(addr, len);
+      });
+  f_.client(0).mem.Write(0x5000, Pattern(128, 5));
+  auto write = [&](std::uint64_t raddr, std::uint32_t len) {
+    pair_.a->PostSend(
+        SendWqe{WqeOp::kWrite, 0, 0x5000, raddr, remote_mr_->rkey, len, true});
+    f_.sim.Run();
+  };
+  write(base, 128);  // overlaps both
+  EXPECT_EQ(wide, (Landed{{base, 128}}));
+  EXPECT_EQ(narrow, (Landed{{base, 128}}));
+  write(base + 2048, 8);  // inside the wide watch only
+  EXPECT_EQ(wide.size(), 2u);
+  EXPECT_EQ(narrow.size(), 1u);
+
+  dev.RemoveWriteWatch(wide_id);
+  write(base + 96, 8);
+  EXPECT_EQ(wide.size(), 2u);
+  EXPECT_EQ(narrow, (Landed{{base, 128}, {base + 96, 8}}));
+  dev.RemoveWriteWatch(narrow_id);
+  write(base + 96, 8);
+  EXPECT_EQ(narrow.size(), 2u);
 }
 
 TEST_F(QpTest, SmallReadFetchesRemoteData) {

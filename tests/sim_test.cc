@@ -490,6 +490,22 @@ TEST(Thread, OversubscriptionStretchesWork) {
   EXPECT_EQ(sim.Now(), 200);
 }
 
+TEST(Thread, MachineCanStretchWithPinnedLoadOrMoreThreadsThanCores) {
+  Simulation sim;
+  Machine machine(sim, 2);
+  SimThread a(machine, "a");
+  SimThread b(machine, "b");
+  EXPECT_FALSE(machine.CanStretch());
+  SimThread c(machine, "c");
+  EXPECT_TRUE(machine.CanStretch());
+
+  Machine pinned(sim, 2);
+  SimThread d(pinned, "d");
+  EXPECT_FALSE(pinned.CanStretch());
+  pinned.AddPinnedLoad(1);
+  EXPECT_TRUE(pinned.CanStretch());
+}
+
 TEST(Thread, ZeroWorkIsFree) {
   Simulation sim;
   Machine machine(sim, 1);
