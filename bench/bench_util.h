@@ -40,7 +40,7 @@ class ParallelFlags {
   bool ok() const { return ok_; }
   const char* Usage() const { return "[--jobs N]"; }
   // Resolved sweep width: the explicit --jobs value or hardware concurrency.
-  int Jobs() const { return jobs > 0 ? jobs : sim::HardwareJobs(); }
+  int Jobs() const { return jobs > 0 ? jobs : sim::MaxParallelism(); }
 
   int jobs = 0;  // 0 → hardware concurrency
 

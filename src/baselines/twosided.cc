@@ -27,10 +27,10 @@ std::uint64_t ConnBase(std::uint64_t base, int conn_index, int slots) {
 
 void TwoSidedServer::Serve(rdma::QueuePair* qp,
                            rdma::CompletionQueue* recv_cq, int conn_index) {
-  auto arrivals =
-      std::make_shared<sim::Channel<rdma::Cqe>>(device_->simulation());
-  recv_cq->SetCompletionCallback([recv_cq, arrivals] {
-    while (auto cqe = recv_cq->Pop()) arrivals->Send(*cqe);
+  Connection& conn =
+      *connections_.emplace_back(std::make_unique<Connection>(*machine_));
+  recv_cq->SetCompletionCallback([recv_cq, &conn] {
+    while (auto cqe = recv_cq->Pop()) conn.arrivals.Send(*cqe);
   });
   // Pre-post the receive window.
   const std::uint64_t base =
@@ -40,14 +40,26 @@ void TwoSidedServer::Serve(rdma::QueuePair* qp,
         static_cast<std::uint64_t>(i),
         base + static_cast<std::uint64_t>(i) * kSlotBytes, kSlotBytes});
   }
-  device_->simulation().Spawn(ServeLoop(
-      qp, arrivals, std::make_shared<sim::SimThread>(*machine_, "rpc-server"),
-      conn_index));
+  device_->simulation().Spawn(ServeLoop(*qp, conn, conn_index));
 }
 
-sim::Task<void> TwoSidedServer::ServeLoop(
-    rdma::QueuePair* qp, std::shared_ptr<sim::Channel<rdma::Cqe>> arrivals,
-    std::shared_ptr<sim::SimThread> server_thread, int conn_index) {
+bool TwoSidedServer::Serves(const RpcRequest& request,
+                            std::uint32_t byte_len) const {
+  if (byte_len < RpcRequest::kHeaderBytes ||
+      !pool_->Contains(request.remote_addr, request.length)) {
+    return false;
+  }
+  switch (request.op) {
+    case RpcOp::kRead:
+      return request.length <= kSlotBytes - RpcResponse::kHeaderBytes;
+    case RpcOp::kWrite:
+      return request.length <= byte_len - RpcRequest::kHeaderBytes;
+  }
+  return false;
+}
+
+sim::Task<void> TwoSidedServer::ServeLoop(rdma::QueuePair& qp,
+                                          Connection& conn, int conn_index) {
   auto& mem = device_->memory();
   const std::uint64_t recv_base =
       ConnBase(kServerRecvBase, conn_index, kServerSlots);
@@ -55,16 +67,21 @@ sim::Task<void> TwoSidedServer::ServeLoop(
       ConnBase(kServerSendBase, conn_index, kServerSlots);
   int send_slot = 0;
   for (;;) {
-    const rdma::Cqe cqe = co_await arrivals->Receive();
+    const rdma::Cqe cqe = co_await conn.arrivals.Receive();
     COWBIRD_CHECK(cqe.opcode == rdma::CqeOpcode::kRecv);
     // Server-side CPU (memory-pool cores, not the compute node's): poll the
     // recv CQ, process, post the response.
-    co_await server_thread->Work(rdma::cost::PollTotal(),
-                                 sim::CpuCategory::kCommunication);
+    co_await conn.thread.Work(rdma::cost::PollTotal(),
+                              sim::CpuCategory::kCommunication);
     const std::uint64_t slot_addr = recv_base + cqe.wr_id * kSlotBytes;
     std::vector<std::uint8_t> header(RpcRequest::kHeaderBytes);
     mem.Read(slot_addr, header);
     const RpcRequest request = RpcRequest::ParseHeader(header);
+    if (!Serves(request, cqe.byte_len)) {
+      ++rejected_requests_;
+      qp.PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
+      continue;
+    }
 
     const std::uint64_t out_addr =
         send_base + static_cast<std::uint64_t>(send_slot) * kSlotBytes;
@@ -93,11 +110,11 @@ sim::Task<void> TwoSidedServer::ServeLoop(
     }
 
     // Recycle the receive slot, then answer.
-    co_await server_thread->Work(
+    co_await conn.thread.Work(
         rdma::cost::CopyCost(request.length) + rdma::cost::PostTotal(),
         sim::CpuCategory::kCommunication);
-    qp->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
-    qp->PostSend(rdma::SendWqe{
+    qp.PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
+    qp.PostSend(rdma::SendWqe{
         rdma::WqeOp::kSend, /*wr_id=*/0, out_addr, 0, 0,
         static_cast<std::uint32_t>(RpcResponse::kHeaderBytes +
                                    response.payload_length),
@@ -137,6 +154,7 @@ sim::Task<void> TwoSidedClient::Call(sim::SimThread& thread, RpcOp op,
                                      std::uint64_t remote_addr,
                                      std::uint64_t local_addr,
                                      std::uint32_t length) {
+  COWBIRD_CHECK(length <= kSlotBytes - RpcRequest::kHeaderBytes);
   auto& mem = device_->memory();
   RpcRequest request;
   request.op = op;
@@ -161,23 +179,32 @@ sim::Task<void> TwoSidedClient::Call(sim::SimThread& thread, RpcOp op,
                               rdma::SendWqe{rdma::WqeOp::kSend, 0,
                                             send_addr_, 0, 0, send_len,
                                             /*signaled=*/false});
-  // Spin on the recv CQ for the response (the synchronous path).
-  const rdma::Cqe cqe = co_await rdma::BusyPollCqVerb(thread, *recv_cq_);
-  COWBIRD_CHECK(cqe.opcode == rdma::CqeOpcode::kRecv);
-  const std::uint64_t slot_addr = recv_addr_ + cqe.wr_id * kSlotBytes;
-  std::vector<std::uint8_t> rhdr(RpcResponse::kHeaderBytes);
-  mem.Read(slot_addr, rhdr);
-  const RpcResponse response = RpcResponse::ParseHeader(rhdr);
-  COWBIRD_CHECK(response.client_cookie == request.client_cookie);
-  if (op == RpcOp::kRead) {
-    std::vector<std::uint8_t> payload(response.payload_length);
-    mem.Read(slot_addr + RpcResponse::kHeaderBytes, payload);
-    mem.Write(local_addr, payload);
-    co_await thread.Work(rdma::cost::CopyCost(response.payload_length),
-                         sim::CpuCategory::kCommunication);
+  // Spin on the recv CQ for the response (the synchronous path), recycling
+  // any that is not this call's.
+  const std::uint32_t payload_length = op == RpcOp::kRead ? length : 0;
+  for (;;) {
+    const rdma::Cqe cqe = co_await rdma::BusyPollCqVerb(thread, *recv_cq_);
+    COWBIRD_CHECK(cqe.opcode == rdma::CqeOpcode::kRecv);
+    const std::uint64_t slot_addr = recv_addr_ + cqe.wr_id * kSlotBytes;
+    std::vector<std::uint8_t> rhdr(RpcResponse::kHeaderBytes);
+    mem.Read(slot_addr, rhdr);
+    const RpcResponse response = RpcResponse::ParseHeader(rhdr);
+    const bool ours =
+        cqe.byte_len == RpcResponse::kHeaderBytes + payload_length &&
+        response.client_cookie == request.client_cookie &&
+        response.payload_length == payload_length;
+    if (ours && op == RpcOp::kRead) {
+      std::vector<std::uint8_t> payload(payload_length);
+      mem.Read(slot_addr + RpcResponse::kHeaderBytes, payload);
+      mem.Write(local_addr, payload);
+      co_await thread.Work(rdma::cost::CopyCost(payload_length),
+                           sim::CpuCategory::kCommunication);
+    }
+    // Recycle the receive slot.
+    qp_->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
+    if (ours) co_return;
+    ++ignored_responses_;
   }
-  // Recycle the receive slot.
-  qp_->PostRecv(rdma::RecvWqe{cqe.wr_id, slot_addr, kSlotBytes});
 }
 
 }  // namespace cowbird::baselines

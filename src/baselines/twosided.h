@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "baselines/rpc_wire.h"
 #include "rdma/device.h"
@@ -17,24 +18,47 @@ namespace cowbird::baselines {
 // Server side: one coroutine per connection, event-driven on the recv CQ.
 // (The real server busy-polls; we do not account memory-pool CPU, so the
 // event-driven form is equivalent and keeps the event queue bounded.)
+// Everything in a request comes off the wire, so each one is checked before
+// it touches memory; a refused request is counted and gets no response.
 class TwoSidedServer {
  public:
-  TwoSidedServer(rdma::Device& device, sim::Machine& machine)
-      : device_(&device), machine_(&machine) {}
+  // Serves reads and writes inside `pool`, an MR of `device`. The server
+  // must be destroyed before `machine`.
+  TwoSidedServer(rdma::Device& device, sim::Machine& machine,
+                 const rdma::MemoryRegion& pool)
+      : device_(&device), machine_(&machine), pool_(&pool) {}
+  TwoSidedServer(const TwoSidedServer&) = delete;
+  TwoSidedServer& operator=(const TwoSidedServer&) = delete;
 
   // Starts serving a connected QP. `conn_index` selects a disjoint buffer
   // range so multiple connections can be served concurrently.
   void Serve(rdma::QueuePair* qp, rdma::CompletionQueue* recv_cq,
              int conn_index);
 
+  // Requests refused: shorter than a header, an unknown op, a span outside
+  // the pool, a read whose response overflows one slot, or a write whose
+  // payload runs past the bytes received.
+  std::uint64_t rejected_requests() const { return rejected_requests_; }
+
  private:
-  sim::Task<void> ServeLoop(rdma::QueuePair* qp,
-                            std::shared_ptr<sim::Channel<rdma::Cqe>> arrivals,
-                            std::shared_ptr<sim::SimThread> server_thread,
+  // One connection's receive completions and the memory-pool thread that
+  // serves them, owned here so neither outlives the server.
+  struct Connection {
+    explicit Connection(sim::Machine& machine)
+        : arrivals(machine.simulation()), thread(machine, "rpc-server") {}
+    sim::Channel<rdma::Cqe> arrivals;
+    sim::SimThread thread;
+  };
+
+  sim::Task<void> ServeLoop(rdma::QueuePair& qp, Connection& conn,
                             int conn_index);
+  bool Serves(const RpcRequest& request, std::uint32_t byte_len) const;
 
   rdma::Device* device_;
   sim::Machine* machine_;
+  const rdma::MemoryRegion* pool_;
+  std::vector<std::unique_ptr<Connection>> connections_;
+  std::uint64_t rejected_requests_ = 0;
 };
 
 // Client side: synchronous RPC — post the request (unsignaled SEND), spin on
@@ -46,12 +70,17 @@ class TwoSidedClient {
                  rdma::CompletionQueue* recv_cq, int conn_index);
 
   // Synchronous read of `length` bytes at `remote_addr` into `local_dest`.
+  // A call's request and its response must each fit one 8 KiB slot.
   sim::Task<void> Read(sim::SimThread& thread, std::uint64_t remote_addr,
                        std::uint64_t local_dest, std::uint32_t length);
 
   // Synchronous write.
   sim::Task<void> Write(sim::SimThread& thread, std::uint64_t local_src,
                         std::uint64_t remote_addr, std::uint32_t length);
+
+  // Responses received that were not the outstanding call's (its cookie,
+  // payload length and received bytes must all match), recycled unread.
+  std::uint64_t ignored_responses() const { return ignored_responses_; }
 
  private:
   sim::Task<void> Call(sim::SimThread& thread, RpcOp op,
@@ -64,6 +93,7 @@ class TwoSidedClient {
   std::uint64_t recv_addr_;
   std::uint64_t send_addr_;
   std::uint64_t next_cookie_ = 1;
+  std::uint64_t ignored_responses_ = 0;
 };
 
 }  // namespace cowbird::baselines

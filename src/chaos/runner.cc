@@ -106,10 +106,6 @@ struct ChaosHarness {
     cc.layout.data_capacity = KiB(128);
     cc.layout.resp_capacity = KiB(128);
     client = &cluster.AddClient(0, cc);
-    // The app threads' write scratch (kHeap + 4 MiB * t) and read
-    // destinations (kHeap + 32 MiB + 1 MiB * t) are heap: map it flat, like
-    // the registered ranges.
-    compute.mem.Map(kHeap, MiB(32) + opt.workload.threads * MiB(1));
     if (opt.plan.migrate) {
       // Preferred-first allocation carves the hot head on the primary
       // server and spills the tail to memory2; the client publishes the
@@ -221,14 +217,11 @@ struct ChaosHarness {
   // streams untouched — the bystander packets go through the same
   // injector, which is part of the scenario's determinism surface.
   void SetupBackgroundTraffic(CongestionScenario scenario) {
-    // Registration maps the responders' spans flat; the requesters' local
-    // staging is unregistered, so it is mapped directly.
     ClusterHost& spot = cluster.spot();
     bg_flows.reserve(2);
     if (scenario == CongestionScenario::kIncast) {
       const auto* mem_mr = memory.dev->RegisterMemory(kBgMemBase, kBgSpan);
       const auto* spot_mr = spot.dev->RegisterMemory(kBgMemBase, kBgSpan);
-      compute.mem.Map(kBgLocalBase, 2 * kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
                                 /*write=*/false, kBgLocalBase, mem_mr->base,
                                 mem_mr->rkey});
@@ -237,8 +230,6 @@ struct ChaosHarness {
                                 spot_mr->base, spot_mr->rkey});
     } else {
       const auto* mem_mr = memory.dev->RegisterMemory(kBgMemBase, kBgSpan);
-      compute.mem.Map(kBgLocalBase, kBgSpan);
-      spot.mem.Map(kBgLocalBase, kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(*compute.dev, *memory.dev),
                                 /*write=*/true, kBgLocalBase, mem_mr->base,
                                 mem_mr->rkey});

@@ -56,7 +56,7 @@ SweepOutcome RunSweep(const SweepConfig& config) {
     ChaosResult result;
   };
   std::vector<RunRecord> records(items.size());
-  const int jobs = config.jobs > 0 ? config.jobs : sim::HardwareJobs();
+  const int jobs = config.jobs > 0 ? config.jobs : sim::MaxParallelism();
   sim::ParallelFor(jobs, static_cast<int>(items.size()), [&](int i) {
     const auto index = static_cast<std::size_t>(i);
     ChaosOptions opt = SweepOptions(items[index].engine, items[index].seed,

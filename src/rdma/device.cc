@@ -32,7 +32,7 @@ Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
 Device::~Device() = default;
 
 const MemoryRegion* Device::RegisterMemory(std::uint64_t base, Bytes length) {
-  memory_->Map(base, length);
+  COWBIRD_CHECK(SparseMemory::Contains(base, length));
   auto region = std::make_unique<MemoryRegion>();
   region->base = base;
   region->length = length;

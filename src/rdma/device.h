@@ -36,8 +36,9 @@ struct MemoryRegion {
   Bytes length = 0;
   std::uint32_t rkey = 0;
 
+  // Overflow-safe: vaddr and len may come off the wire.
   bool Contains(std::uint64_t vaddr, std::uint64_t len) const {
-    return vaddr >= base && vaddr + len <= base + length && len <= length;
+    return vaddr >= base && len <= length && vaddr - base <= length - len;
   }
 };
 
@@ -84,8 +85,8 @@ class Device {
   Device& operator=(const Device&) = delete;
   ~Device();
 
-  // Registers [base, base+length) and maps it flat in the host's memory,
-  // the way ibv_reg_mr pins an MR: no access to it allocates a page later.
+  // Registers [base, base+length) of the host's address space (which it
+  // must fit) for rkey access, as ibv_reg_mr does.
   const MemoryRegion* RegisterMemory(std::uint64_t base, Bytes length);
   const MemoryRegion* LookupRkey(std::uint32_t rkey) const;
 
@@ -142,8 +143,11 @@ class Device {
 
   // Sum of Go-Back-N retransmissions across every QP on this device.
   std::uint64_t total_retransmissions() const;
-  // Packets to the RoCE port too short for the headers they name, dropped.
+  // Packets to the RoCE port dropped as malformed: too short for the
+  // headers they name, or refused by a QP for an unknown request opcode or
+  // a payload past the span validated for it.
   std::uint64_t malformed_dropped() const { return malformed_dropped_; }
+  void CountMalformed() { ++malformed_dropped_; }
 
   // Surfaces packet and retransmission counters as callback gauges. The
   // device must outlive the registry or UnbindTelemetry first.

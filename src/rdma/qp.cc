@@ -108,16 +108,25 @@ void QueuePair::HandleRequest(const RdmaMessageView& view) {
         return;
       }
       write_target_ = view.reth->vaddr;
+      write_remaining_ = view.reth->dma_length;
+      write_active_ = true;
       [[fallthrough]];
     }
     case Opcode::kWriteMiddle:
     case Opcode::kWriteLast: {
+      // Only inside the span the WRITE_FIRST/ONLY validated.
+      if (!write_active_ || view.payload.size() > write_remaining_) {
+        RejectRequest();
+        return;
+      }
       device_->memory().Write(write_target_, view.payload);
       device_->NotifyWrite(write_target_,
                            static_cast<std::uint32_t>(view.payload.size()));
       write_target_ += view.payload.size();
+      write_remaining_ -= static_cast<std::uint32_t>(view.payload.size());
       epsn_ = PsnAdd(epsn_, 1);
       if (IsLastOrOnly(op)) {
+        write_active_ = false;
         ++msn_;
         if (view.bth.ack_request) SendAck(kSyndromeAck, psn);
       }
@@ -135,10 +144,14 @@ void QueuePair::HandleRequest(const RdmaMessageView& view) {
         SendAck(kSyndromeRnrNak, epsn_);
         return;
       }
+      // A refused first packet leaves the receive posted.
+      if (view.payload.size() > recv_queue_.front().length) {
+        RejectRequest();
+        return;
+      }
       active_recv_ = recv_queue_.front();
       recv_queue_.pop_front();
       recv_active_ = true;
-      send_target_ = active_recv_.addr;
       send_received_ = 0;
       [[fallthrough]];
     }
@@ -148,10 +161,12 @@ void QueuePair::HandleRequest(const RdmaMessageView& view) {
         SendAck(kSyndromeNakSequenceError, epsn_);
         return;
       }
-      COWBIRD_CHECK(send_received_ + view.payload.size() <=
-                    active_recv_.length);
-      device_->memory().Write(send_target_, view.payload);
-      send_target_ += view.payload.size();
+      if (view.payload.size() > active_recv_.length - send_received_) {
+        RejectRequest();
+        return;
+      }
+      device_->memory().Write(active_recv_.addr + send_received_,
+                              view.payload);
       send_received_ += static_cast<std::uint32_t>(view.payload.size());
       epsn_ = PsnAdd(epsn_, 1);
       if (IsLastOrOnly(op)) {
@@ -166,8 +181,14 @@ void QueuePair::HandleRequest(const RdmaMessageView& view) {
       return;
     }
     default:
-      COWBIRD_CHECK(false);
+      RejectRequest();
+      return;
   }
+}
+
+void QueuePair::RejectRequest() {
+  device_->CountMalformed();
+  SendAck(kSyndromeNakRemoteAccess, epsn_);
 }
 
 void QueuePair::ExecuteReadRequest(const RdmaMessageView& view,

@@ -74,6 +74,10 @@ class QueuePair {
   // ---- responder side ----
   void HandleRequest(const RdmaMessageView& view);
   void ExecuteReadRequest(const RdmaMessageView& view, bool duplicate);
+  // Refuses a request at the expected PSN that names an unknown opcode or
+  // carries a payload past the span validated for it: counted as malformed
+  // and NAKed as an MR miss is, without advancing the expected PSN.
+  void RejectRequest();
   void SendAck(std::uint8_t syndrome, std::uint32_t psn);
 
   void Emit(Opcode opcode, std::uint32_t psn, bool ack_request,
@@ -101,9 +105,12 @@ class QueuePair {
   std::uint32_t epsn_ = 0;
   std::uint32_t msn_ = 0;
   bool nak_outstanding_ = false;
-  std::uint64_t write_target_ = 0;  // cursor for WRITE_MIDDLE/LAST
-  std::uint64_t send_target_ = 0;   // cursor within the active RECV buffer
-  std::uint32_t send_received_ = 0;
+  // The WRITE in progress: its cursor and the bytes its WRITE_FIRST
+  // validated past it.
+  bool write_active_ = false;
+  std::uint64_t write_target_ = 0;
+  std::uint32_t write_remaining_ = 0;
+  std::uint32_t send_received_ = 0;  // bytes landed in the active RECV
   bool recv_active_ = false;
   FixedDeque<RecvWqe> recv_queue_;
   RecvWqe active_recv_{};

@@ -103,14 +103,15 @@ void ReliabilityManager::HandleReadResponse(const RdmaMessageView& view) {
   const std::uint32_t expected =
       PsnAdd(target->first_psn, target->bytes_done / kPathMtu);
   if (view.bth.psn != expected) return;  // gap or stale; timer recovers
+  if (view.payload.size() > target->wqe.length - target->bytes_done) {
+    qp_->device_->CountMalformed();  // would land past the WQE's buffer
+    return;
+  }
 
   qp_->device_->memory().Write(target->wqe.laddr + target->bytes_done,
                                view.payload);
   target->bytes_done += static_cast<std::uint32_t>(view.payload.size());
-  if (target->bytes_done >= target->wqe.length) {
-    COWBIRD_CHECK(target->bytes_done == target->wqe.length);
-    target->done = true;
-  }
+  if (target->bytes_done == target->wqe.length) target->done = true;
   OnProgress();
   CompleteInOrder();
 }

@@ -1,8 +1,8 @@
 // Synchronization primitives for simulation coroutines.
 //
 // All primitives resume waiters *through the event queue* (Simulation::
-// Resume) rather than inline, so a Send/Set never runs the waiter's code in
-// the sender's stack frame. This keeps the event ordering model uniform:
+// Resume) rather than inline, so a Send/Release never runs the waiter's code
+// in the sender's stack frame. This keeps the event ordering model uniform:
 // anything that happens, happens as a dispatched event.
 #pragma once
 
@@ -15,34 +15,6 @@
 #include "sim/simulation.h"
 
 namespace cowbird::sim {
-
-// One-shot event: waiters block until Set(); afterwards awaits are no-ops.
-class OneShotEvent {
- public:
-  explicit OneShotEvent(Simulation& sim) : sim_(&sim) {}
-
-  void Set() {
-    if (set_) return;
-    set_ = true;
-    for (auto waiter : waiters_) sim_->Resume(waiter);
-    waiters_.clear();
-  }
-
-  struct Awaiter {
-    OneShotEvent* event;
-    bool await_ready() const noexcept { return event->set_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      event->waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter Wait() { return Awaiter{this}; }
-
- private:
-  Simulation* sim_;
-  bool set_ = false;
-  FixedDeque<std::coroutine_handle<>> waiters_;
-};
 
 // Unbounded multi-producer / multi-consumer FIFO channel.
 //

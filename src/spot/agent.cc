@@ -31,9 +31,7 @@ SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
       scheduler_(offload::ProbeScheduler::Config{
           config.probe_interval, config.adaptive_probe, kProbeIntervalMax,
           offload::ProbeSelection::kRoundRobin}) {
-  // The agent's staging arena is a pinned buffer on real hardware: map it
-  // flat, so the wrapping bump allocator never materializes pages mid-run.
-  device_->memory().Map(staging_base_, kStagingCapacity);
+  COWBIRD_CHECK(SparseMemory::Contains(staging_base_, kStagingCapacity));
   if (auto* hub = config_.telemetry) {
     const telemetry::Labels labels = EngineLabels();
     scheduler_.BindTelemetry(hub->metrics, labels);

@@ -85,9 +85,6 @@ struct Harness {
       : cfg(config), fan(fan_in), cluster(spec, config.telemetry) {
     const bool cowbird = IsCowbird(cfg.paradigm);
     COWBIRD_CHECK(cowbird || fan.clients == 1);
-    // Registering the record pools maps them flat, and each client host's
-    // per-thread delivery windows are mapped as one heap below: no page
-    // materializes on the measured datapath.
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
     for (int m = 0; m < fan.memory_servers; ++m) {
       pool_mrs.push_back(
@@ -108,11 +105,9 @@ struct Harness {
       }
     }
     for (int k = 0; k < fan.clients; ++k) {
-      ClusterHost& host = cluster.client(k);
-      host.mem.Map(HeapFor(0), cfg.threads * kHeapStride);
       for (int t = 0; t < cfg.threads; ++t) {
         threads.push_back(std::make_unique<sim::SimThread>(
-            *host.machine,
+            *cluster.client(k).machine,
             "app-" + std::to_string(k) + "-" + std::to_string(t)));
         ops.push_back(0);
       }
@@ -129,8 +124,8 @@ struct Harness {
         aifm = std::make_unique<baselines::AifmModel>(cluster.sim);
         break;
       case Paradigm::kTwoSidedSync: {
-        server = std::make_unique<baselines::TwoSidedServer>(*memory.dev,
-                                                             *memory.machine);
+        server = std::make_unique<baselines::TwoSidedServer>(
+            *memory.dev, *memory.machine, *pool_mrs[0]);
         for (int t = 0; t < cfg.threads; ++t) {
           auto pair = rdma::ConnectQueuePairs(*compute.dev, *memory.dev);
           server->Serve(pair.b, pair.b_recv_cq, t);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   };
   std::vector<FileOutcome> outcomes(files.size());
   cowbird::sim::ParallelFor(
-      jobs > 0 ? jobs : cowbird::sim::HardwareJobs(),
+      jobs > 0 ? jobs : cowbird::sim::MaxParallelism(),
       static_cast<int>(files.size()), [&](int i) {
         const auto index = static_cast<std::size_t>(i);
         FileOutcome& out = outcomes[index];

@@ -206,15 +206,16 @@ TEST(SparseMemory, UnwrittenReadsZero) {
   for (auto b : out) EXPECT_EQ(b, 0);
 }
 
+constexpr std::uint64_t kPage = 4096;
+
 TEST(SparseMemory, CrossPageWrite) {
   SparseMemory mem;
-  std::vector<std::uint8_t> data(SparseMemory::kPageSize * 3, 0xAB);
-  const std::uint64_t addr = SparseMemory::kPageSize - 100;
+  std::vector<std::uint8_t> data(kPage * 3, 0xAB);
+  const std::uint64_t addr = kPage - 100;
   mem.Write(addr, data);
   std::vector<std::uint8_t> out(data.size());
   mem.Read(addr, out);
   EXPECT_EQ(out, data);
-  EXPECT_EQ(mem.ResidentPages(), 4u);
 }
 
 TEST(SparseMemory, TypedValues) {
@@ -232,121 +233,47 @@ std::vector<std::uint8_t> Filled(std::size_t n, std::uint8_t seed) {
   return data;
 }
 
-constexpr std::uint64_t kPage = SparseMemory::kPageSize;
+constexpr std::uint64_t kSpace = SparseMemory::kAddressSpace;
 
-TEST(SparseMemory, MappedRangeReadsZeroAndMaterializesNoPage) {
+TEST(SparseMemory, LastBytesOfTheSpaceReadBack) {
   SparseMemory mem;
-  mem.Map(0x10000 + 100, MiB(1));
-  std::vector<std::uint8_t> out(3 * kPage, 0xFF);
-  mem.Read(0x10000, out);
-  for (auto b : out) EXPECT_EQ(b, 0);
-
-  const auto data = Filled(10000, 1);
-  mem.Write(0x10000 + kPage - 7, data);  // spans three pages of the extent
+  const auto data = Filled(3 * kPage, 1);
+  mem.Write(kSpace - data.size(), data);
   std::vector<std::uint8_t> back(data.size());
-  mem.Read(0x10000 + kPage - 7, back);
+  mem.Read(kSpace - data.size(), back);
   EXPECT_EQ(back, data);
-  EXPECT_EQ(mem.ResidentPages(), 0u);
+  // A read running off the end gets the last bytes, then zeros.
+  std::vector<std::uint8_t> straddle(16, 0xFF);
+  mem.Read(kSpace - 8, straddle);
+  EXPECT_TRUE(std::equal(straddle.begin(), straddle.begin() + 8,
+                         data.end() - 8));
+  for (std::size_t i = 8; i < straddle.size(); ++i) EXPECT_EQ(straddle[i], 0);
 }
 
-TEST(SparseMemory, PagesWrittenBeforeMapSurviveIt) {
+TEST(SparseMemoryDeathTest, WriteLeavingTheSpaceDies) {
   SparseMemory mem;
-  const auto inside = Filled(2 * kPage, 2);
-  const auto outside = Filled(64, 3);
-  mem.Write(8 * kPage + 500, inside);  // three pages, all to be mapped
-  mem.Write(64 * kPage, outside);      // stays on the page path
-  ASSERT_EQ(mem.ResidentPages(), 4u);
-
-  mem.Map(8 * kPage, 16 * kPage);
-  EXPECT_EQ(mem.ResidentPages(), 1u);
-  std::vector<std::uint8_t> back(inside.size());
-  mem.Read(8 * kPage + 500, back);
-  EXPECT_EQ(back, inside);
-  std::vector<std::uint8_t> rest(outside.size());
-  mem.Read(64 * kPage, rest);
-  EXPECT_EQ(rest, outside);
+  const auto data = Filled(16, 2);
+  EXPECT_DEATH(mem.Write(kSpace - 8, data), "CHECK failed");
+  EXPECT_DEATH(mem.Write(kSpace, data), "CHECK failed");
+  EXPECT_DEATH(mem.Write(~std::uint64_t{0} - 4, data), "CHECK failed");
 }
 
-TEST(SparseMemory, SpanCrossingAnExtentEndReadsBackIntact) {
-  SparseMemory mem;
-  mem.Map(0, 2 * kPage);
-  const auto data = Filled(3000, 4);
-  const std::uint64_t addr = 2 * kPage - 1000;  // 1000 bytes in, 2000 past
-  mem.Write(addr, data);
-  std::vector<std::uint8_t> back(data.size());
-  mem.Read(addr, back);
-  EXPECT_EQ(back, data);
-  EXPECT_EQ(mem.ResidentPages(), 1u);  // only the page past the extent
-}
-
-TEST(SparseMemory, MapInsideAnExistingExtentIsANoOp) {
-  SparseMemory mem;
-  mem.Map(0, 16 * kPage);
-  const auto data = Filled(2 * kPage, 5);
-  mem.Write(0, data);
-  mem.Map(kPage + 10, 100);
-  // One extent still serves the nested range and the spans around it.
-  std::vector<std::uint8_t> nested(100);
-  mem.Read(kPage + 10, nested);
-  EXPECT_TRUE(std::equal(nested.begin(), nested.end(),
-                         data.begin() + kPage + 10));
-  mem.Write(kPage, Filled(kPage, 6));
-  std::vector<std::uint8_t> back(2 * kPage);
-  mem.Read(0, back);
-  EXPECT_TRUE(std::equal(back.begin(), back.begin() + kPage, data.begin()));
-  EXPECT_EQ(std::vector<std::uint8_t>(back.begin() + kPage, back.end()),
-            Filled(kPage, 6));
-  EXPECT_EQ(mem.ResidentPages(), 0u);
-}
-
-TEST(SparseMemory, MoveTransfersExtents) {
-  SparseMemory mem;
-  mem.Map(0x100000, MiB(1));
-  const auto data = Filled(256, 7);
-  mem.Write(0x100000 + 40, data);
-  SparseMemory moved(std::move(mem));
-  std::vector<std::uint8_t> back(data.size());
-  moved.Read(0x100000 + 40, back);
-  EXPECT_EQ(back, data);
-  SparseMemory assigned;
-  assigned.Map(0, kPage);
-  assigned = std::move(moved);
-  assigned.Read(0x100000 + 40, back);
-  EXPECT_EQ(back, data);
-  EXPECT_EQ(assigned.ResidentPages(), 0u);
-}
-
-TEST(SparseMemory, ByteDisjointRangesSharingAPageReadBackIntact) {
-  SparseMemory mem;
-  // A ends mid-page and B starts there: B's page-rounded range overlaps A's
-  // extent without lying inside it, so B's later pages stay on the page path.
-  const std::uint64_t a = 16 * kPage;
-  const std::uint64_t b = a + kPage / 2;
-  mem.Map(a, kPage / 2);
-  mem.Map(b, 2 * kPage);
-  const auto in_a = Filled(kPage / 2, 8);
-  const auto in_b = Filled(2 * kPage, 9);
-  mem.Write(a, in_a);
-  mem.Write(b, in_b);
-  std::vector<std::uint8_t> back_a(in_a.size());
-  std::vector<std::uint8_t> back_b(in_b.size());
-  mem.Read(a, back_a);
-  mem.Read(b, back_b);
-  EXPECT_EQ(back_a, in_a);
-  EXPECT_EQ(back_b, in_b);
-  EXPECT_EQ(mem.ResidentPages(), 2u);  // B's two pages past A's extent
-}
-
-TEST(SparseMemory, RangeHoldingAnExtentReadsBackIntact) {
-  SparseMemory mem;
-  mem.Map(4 * kPage, kPage);
-  mem.Map(0, 16 * kPage);  // holds the first extent: stays on the page path
-  const auto data = Filled(16 * kPage, 10);
-  mem.Write(0, data);
-  std::vector<std::uint8_t> back(data.size());
-  mem.Read(0, back);
-  EXPECT_EQ(back, data);
-  EXPECT_EQ(mem.ResidentPages(), 15u);  // every page but the extent's
+TEST(SparseMemory, TwoMemoriesNeverAlias) {
+  SparseMemory a;
+  SparseMemory b;
+  const auto in_a = Filled(2 * kPage, 3);
+  const auto in_b = Filled(2 * kPage, 4);
+  a.Write(0x10000 + 100, in_a);
+  b.Write(0x10000 + 100, in_b);
+  std::vector<std::uint8_t> back(in_a.size());
+  a.Read(0x10000 + 100, back);
+  EXPECT_EQ(back, in_a);
+  b.Read(0x10000 + 100, back);
+  EXPECT_EQ(back, in_b);
+  // Bytes one memory wrote read as zeros in the other.
+  a.Write(kSpace - in_a.size(), in_a);
+  b.Read(kSpace - in_a.size(), back);
+  EXPECT_EQ(back, std::vector<std::uint8_t>(back.size(), 0));
 }
 
 }  // namespace

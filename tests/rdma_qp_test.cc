@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/rpc_wire.h"
+#include "baselines/twosided.h"
 #include "common/rng.h"
 #include "fabric_fixture.h"
 #include "rdma/verbs.h"
@@ -18,10 +20,54 @@ class QpTest : public ::testing::Test {
     remote_mr_ = f_.memory(0).dev->RegisterMemory(0x100000, MiB(16));
   }
 
+  // QP b's expected PSN until a request lands there.
+  static constexpr std::uint32_t kFirstPsn = 100;
+
+  // Sends one hand-built request straight from the compute NIC to QP b at
+  // `psn` and runs the fabric dry: anything can arrive at a QP.
+  void InjectRequest(Opcode op, std::uint32_t psn,
+                     std::span<const std::uint8_t> payload,
+                     const Reth* reth = nullptr) {
+    Bth bth;
+    bth.opcode = op;
+    bth.dest_qp = pair_.b->qpn();
+    bth.psn = psn;
+    bth.ack_request = true;
+    f_.client(0).nic.Send(BuildRdmaPacket(testing::kComputeId,
+                                          testing::kMemoryId,
+                                          net::Priority::kRdma, bth, reth,
+                                          nullptr, payload));
+    f_.sim.Run();
+  }
+
+  std::vector<std::uint8_t> RemoteBytes(std::uint64_t addr, std::size_t n) {
+    std::vector<std::uint8_t> out(n, 0xFF);
+    f_.memory(0).mem.Read(addr, out);
+    return out;
+  }
+
+  // QP a's next WRITE still lands and completes.
+  void ExpectWriteStillLands() {
+    const auto data = Pattern(64, 30);
+    f_.client(0).mem.Write(0x5000, data);
+    pair_.a->PostSend(SendWqe{WqeOp::kWrite, 31, 0x5000, remote_mr_->base,
+                              remote_mr_->rkey, 64, true});
+    f_.sim.Run();
+    EXPECT_EQ(RemoteBytes(remote_mr_->base, 64), data);
+    const auto cqe = pair_.a_send_cq->Pop();
+    ASSERT_TRUE(cqe.has_value());
+    EXPECT_EQ(cqe->wr_id, 31u);
+    EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+  }
+
   workload::Cluster f_{workload::ClusterSpec{}};
   QpPair pair_;
   const MemoryRegion* remote_mr_;
 };
+
+std::vector<std::uint8_t> Zeros(std::size_t n) {
+  return std::vector<std::uint8_t>(n, 0);
+}
 
 TEST_F(QpTest, SmallWriteLandsInRemoteMemory) {
   const auto data = Pattern(64, 1);
@@ -222,6 +268,167 @@ TEST_F(QpTest, ShortRocePacketIsDroppedAndCounted) {
   std::vector<std::uint8_t> out(64);
   f_.memory(0).mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
+}
+
+// A request the responder cannot serve inside the span validated for it is
+// NAKed as an MR miss is and counted, and touches no memory.
+TEST_F(QpTest, UnknownOpcodeIsNakedAndCounted) {
+  InjectRequest(static_cast<Opcode>(0x05), kFirstPsn, Pattern(64, 20));
+  EXPECT_EQ(f_.memory(0).dev->malformed_dropped(), 1u);
+  ExpectWriteStillLands();
+}
+
+TEST_F(QpTest, SendOverrunningItsReceiveIsNakedAndCounted) {
+  pair_.b->PostRecv(RecvWqe{77, 0x300000, 64});
+  InjectRequest(Opcode::kSendOnly, kFirstPsn, Pattern(128, 21));
+  EXPECT_EQ(f_.memory(0).dev->malformed_dropped(), 1u);
+  EXPECT_FALSE(pair_.b_recv_cq->Pop().has_value());
+  EXPECT_EQ(RemoteBytes(0x300000, 128), Zeros(128));
+
+  // The receive stays posted: a send that fits lands in it.
+  const auto request = Pattern(64, 22);
+  f_.client(0).mem.Write(0x5000, request);
+  pair_.a->PostSend(SendWqe{WqeOp::kSend, 13, 0x5000, 0, 0, 64, true});
+  f_.sim.Run();
+  const auto recv = pair_.b_recv_cq->Pop();
+  ASSERT_TRUE(recv.has_value());
+  EXPECT_EQ(recv->wr_id, 77u);
+  EXPECT_EQ(recv->byte_len, 64u);
+  EXPECT_EQ(RemoteBytes(0x300000, 64), request);
+}
+
+TEST_F(QpTest, WriteMiddleWithoutFirstIsNakedAndCounted) {
+  InjectRequest(Opcode::kWriteMiddle, kFirstPsn, Pattern(64, 23));
+  InjectRequest(Opcode::kWriteLast, kFirstPsn, Pattern(64, 24));
+  EXPECT_EQ(f_.memory(0).dev->malformed_dropped(), 2u);
+  EXPECT_EQ(RemoteBytes(0, 128), Zeros(128));  // no cursor to write at
+  ExpectWriteStillLands();
+}
+
+TEST_F(QpTest, WritePastItsDmaLengthIsNakedAndCounted) {
+  // The WRITE_FIRST validates the MR's last KiB; its LAST runs past it.
+  const std::uint64_t vaddr = remote_mr_->base + remote_mr_->length - 1024;
+  const Reth reth{vaddr, remote_mr_->rkey, 1024};
+  const auto first = Pattern(1024, 25);
+  InjectRequest(Opcode::kWriteFirst, kFirstPsn, first, &reth);
+  InjectRequest(Opcode::kWriteLast, kFirstPsn + 1, Pattern(512, 26));
+  EXPECT_EQ(f_.memory(0).dev->malformed_dropped(), 1u);
+  EXPECT_EQ(RemoteBytes(vaddr, 1024), first);
+  EXPECT_EQ(RemoteBytes(vaddr + 1024, 512), Zeros(512));
+}
+
+// A RETH whose span wraps past 2^64 names no byte of the MR.
+TEST_F(QpTest, WrappingRethIsAnMrMiss) {
+  const Reth reth{~std::uint64_t{0} - 15, remote_mr_->rkey, 64};
+  InjectRequest(Opcode::kWriteOnly, kFirstPsn, Pattern(64, 27), &reth);
+  EXPECT_EQ(RemoteBytes(0, 64), Zeros(64));
+  ExpectWriteStillLands();
+}
+
+// The requester keeps a read response inside its WQE's buffer: one that
+// would run past it is dropped and counted, and the genuine one completes
+// the read.
+TEST_F(QpTest, ReadResponsePastItsWqeIsDroppedAndCounted) {
+  const auto data = Pattern(64, 28);
+  f_.memory(0).mem.Write(remote_mr_->base, data);
+  pair_.a->PostSend(SendWqe{WqeOp::kRead, 9, 0x9000, remote_mr_->base,
+                            remote_mr_->rkey, 64, true});
+  // Ahead of the genuine response: the read's PSN, twice its bytes.
+  Bth bth;
+  bth.opcode = Opcode::kReadResponseOnly;
+  bth.dest_qp = pair_.a->qpn();
+  bth.psn = 100;
+  const Aeth aeth{kSyndromeAck, 1};
+  f_.memory(0).nic.Send(BuildRdmaPacket(testing::kMemoryId,
+                                        testing::kComputeId,
+                                        net::Priority::kRdma, bth, nullptr,
+                                        &aeth, Pattern(128, 29)));
+  f_.sim.Run();
+  EXPECT_EQ(f_.client(0).dev->malformed_dropped(), 1u);
+  std::vector<std::uint8_t> out(128);
+  f_.client(0).mem.Read(0x9000, out);
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), out.begin()));
+  EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 64, out.end()),
+            Zeros(64));
+  const auto cqe = pair_.a_send_cq->Pop();
+  ASSERT_TRUE(cqe.has_value());
+  EXPECT_EQ(cqe->wr_id, 9u);
+  EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+}
+
+// ---------------------------------------------------------------------------
+// Two-sided RPC baseline: every wire-supplied length and address is checked
+// ---------------------------------------------------------------------------
+
+// Memory server 0 serves the pool MR over QP b; the client calls over QP a.
+class TwoSidedRpcTest : public QpTest {
+ protected:
+  TwoSidedRpcTest()
+      : server_(*f_.memory(0).dev, *f_.memory(0).machine, *remote_mr_),
+        client_(*f_.client(0).dev, pair_.a, pair_.a_recv_cq, 0) {
+    server_.Serve(pair_.b, pair_.b_recv_cq, 0);
+  }
+
+  // Runs one client read of `len` bytes at pool offset `offset` into
+  // 0x9000 and returns what landed there.
+  std::vector<std::uint8_t> Read(std::uint64_t offset, std::uint32_t len) {
+    sim::SimThread thread(*f_.client(0).machine, "app");
+    f_.sim.Spawn([](baselines::TwoSidedClient& c, sim::SimThread& thr,
+                    std::uint64_t raddr,
+                    std::uint32_t n) -> sim::Task<void> {
+      co_await c.Read(thr, raddr, 0x9000, n);
+    }(client_, thread, remote_mr_->base + offset, len));
+    f_.sim.Run();
+    std::vector<std::uint8_t> out(len);
+    f_.client(0).mem.Read(0x9000, out);
+    return out;
+  }
+
+  baselines::TwoSidedServer server_;
+  baselines::TwoSidedClient client_;
+};
+
+TEST_F(TwoSidedRpcTest, OutOfPoolRequestIsCountedAndTheNextServed) {
+  // A raw SEND of a write request aimed below the pool MR.
+  baselines::RpcRequest request;
+  request.op = baselines::RpcOp::kWrite;
+  request.remote_addr = 0;
+  request.length = 64;
+  request.client_cookie = 99;
+  std::vector<std::uint8_t> raw(baselines::RpcRequest::kHeaderBytes);
+  request.SerializeHeader(raw);
+  const auto payload = Pattern(64, 40);
+  raw.insert(raw.end(), payload.begin(), payload.end());
+  f_.client(0).mem.Write(0x5000, raw);
+  pair_.a->PostSend(SendWqe{WqeOp::kSend, 0, 0x5000, 0, 0,
+                            static_cast<std::uint32_t>(raw.size()), false});
+  f_.sim.Run();
+  EXPECT_EQ(server_.rejected_requests(), 1u);
+  EXPECT_EQ(RemoteBytes(0, 64), Zeros(64));
+
+  const auto data = Pattern(256, 41);
+  f_.memory(0).mem.Write(remote_mr_->base + 512, data);
+  EXPECT_EQ(Read(512, 256), data);
+  EXPECT_EQ(server_.rejected_requests(), 1u);
+  EXPECT_EQ(client_.ignored_responses(), 0u);
+}
+
+TEST_F(TwoSidedRpcTest, StrayResponseIsCountedAndIgnored) {
+  // A response no call is waiting for reaches the client first.
+  baselines::RpcResponse stray;
+  stray.client_cookie = 12345;
+  stray.payload_length = 256;
+  std::vector<std::uint8_t> raw(baselines::RpcResponse::kHeaderBytes + 256);
+  stray.SerializeHeader(raw);
+  f_.memory(0).mem.Write(0x5000, raw);
+  pair_.b->PostSend(SendWqe{WqeOp::kSend, 0, 0x5000, 0, 0,
+                            static_cast<std::uint32_t>(raw.size()), false});
+  f_.sim.Run();
+
+  const auto data = Pattern(256, 42);
+  f_.memory(0).mem.Write(remote_mr_->base, data);
+  EXPECT_EQ(Read(0, 256), data);
+  EXPECT_EQ(client_.ignored_responses(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -354,34 +354,6 @@ TEST(Coroutine, SuspendedRootIsDestroyedAtTeardown) {
   sim.reset();  // destroys the suspended frame; channel outlives it
 }
 
-TEST(Sync, OneShotEventReleasesAllWaiters) {
-  Simulation sim;
-  OneShotEvent event(sim);
-  int released = 0;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn([](OneShotEvent& e, int& out) -> Task<void> {
-      co_await e.Wait();
-      ++out;
-    }(event, released));
-  }
-  sim.ScheduleAt(100, [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(released, 3);
-}
-
-TEST(Sync, EventAlreadySetDoesNotBlock) {
-  Simulation sim;
-  OneShotEvent event(sim);
-  event.Set();
-  bool done = false;
-  sim.Spawn([](OneShotEvent& e, bool& out) -> Task<void> {
-    co_await e.Wait();
-    out = true;
-  }(event, done));
-  sim.Run();
-  EXPECT_TRUE(done);
-}
-
 TEST(Sync, ChannelDeliversInFifoOrder) {
   Simulation sim;
   Channel<int> channel(sim);
