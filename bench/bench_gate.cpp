@@ -11,8 +11,9 @@
 //                               --gate-wall is passed (then they fail LOW
 //                               only).
 //   * allocations_per_op      — datapath heap discipline; fails HIGH only,
-//                               with a small absolute slack so a 0.03 → 0.05
-//                               jitter does not page anyone.
+//                               with an absolute slack (--alloc-slack, 0.01
+//                               by default): one allocation per 100 ops
+//                               fails.
 //   * events_per_op           — simulator events per retired op; fails HIGH
 //                               only, with no slack and whatever the
 //                               --tolerance: it is deterministic, so any
@@ -133,7 +134,7 @@ struct GateArgs {
   fs::path baseline_dir;
   fs::path candidate_dir = ".";
   double tolerance = 0.10;
-  double alloc_slack = 0.25;  // absolute allocations/op headroom
+  double alloc_slack = 0.01;  // absolute allocations/op headroom
   bool write_baseline = false;
   bool gate_wall = false;  // opt-in gating of *_wall metrics
 };

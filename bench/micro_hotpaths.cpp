@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ring.h"
@@ -18,6 +19,8 @@
 #include "rdma/wire.h"
 #include "sim/simulation.h"
 #include "sim/thread.h"
+#include "spot/agent.h"
+#include "spot/staging_arena.h"
 #include "telemetry/hub.h"
 #include "workload/cluster.h"
 #include "workload/generator.h"
@@ -110,6 +113,21 @@ void BM_SparseMemoryHost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseMemoryHost);
+
+// One staging block per Spot op: an alloc and its release in one size
+// class, served from the class's free list after the first iteration.
+void BM_SpotStaging(benchmark::State& state) {
+  spot::StagingArena arena(spot::SpotAgent::kStagingStride,
+                           spot::SpotAgent::kStagingCapacity);
+  const auto len = static_cast<Bytes>(state.range(0));
+  for (auto _ : state) {
+    const std::optional<std::uint64_t> addr = arena.Alloc(len);
+    benchmark::DoNotOptimize(addr);
+    arena.Release(*addr, len);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpotStaging)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(1);

@@ -34,6 +34,13 @@ void SparseMemory::Write(std::uint64_t addr,
   std::memcpy(base_ + addr, data.data(), data.size());
 }
 
+void SparseMemory::Copy(std::uint64_t dst, std::uint64_t src,
+                        std::uint64_t len) {
+  if (len == 0) return;
+  COWBIRD_CHECK(Contains(dst, len) && Contains(src, len));
+  std::memmove(base_ + dst, base_ + src, len);
+}
+
 void SparseMemory::Read(std::uint64_t addr, std::span<std::uint8_t> out) const {
   // Bytes past the space read as zeros, like never-written ones.
   const std::size_t inside =

@@ -37,6 +37,9 @@ class SparseMemory {
 
   void Write(std::uint64_t addr, std::span<const std::uint8_t> data);
   void Read(std::uint64_t addr, std::span<std::uint8_t> out) const;
+  // Copies [src, src+len) to [dst, dst+len) within the space; both ranges
+  // must lie inside it (the ranges may overlap).
+  void Copy(std::uint64_t dst, std::uint64_t src, std::uint64_t len);
 
   // Typed helpers for the fixed-width fields the protocol moves around.
   template <typename T>

@@ -213,9 +213,7 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
   // Stage the payload into the request data ring (the one copy the write
   // path pays; the engine fetches it from here asynchronously).
   auto& mem = client_->device_->memory();
-  copy_scratch_.resize(length);
-  mem.Read(local_src, copy_scratch_);
-  mem.Write(ring_addr, copy_scratch_);
+  mem.Copy(ring_addr, local_src, length);
   co_await thread.Work(rdma::cost::CopyCost(length),
                        sim::CpuCategory::kCommunication);
 
@@ -283,9 +281,7 @@ sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
     const std::uint64_t ring_addr =
         layout.RespRingAddr(index_) +
         ((done.ring_cursor + done.pad) % resp_ring_.capacity());
-    copy_scratch_.resize(done.length);
-    mem.Read(ring_addr, copy_scratch_);
-    mem.Write(done.user_dest, copy_scratch_);
+    mem.Copy(done.user_dest, ring_addr, done.length);
     co_await thread.Work(rdma::cost::DeliveryCopyCost(done.length),
                          sim::CpuCategory::kCommunication);
     // Stamped after the delivery copy: the op's lifecycle ends when its

@@ -190,10 +190,6 @@ class CowbirdClient {
     std::uint64_t reads_issued_ = 0;
     std::uint64_t writes_issued_ = 0;
     std::uint64_t issue_failures_ = 0;
-    // Payload shuttle for staging/delivery copies. Safe to share across the
-    // thread's coroutines: every use is a resize+read+write stretch with no
-    // suspension point inside it.
-    std::vector<std::uint8_t> copy_scratch_;
   };
 
  private:

@@ -79,14 +79,46 @@ void Device::EmitPaced(std::uint32_t qpn, net::Packet packet) {
     const Nanos delay = congestion_->ReserveSend(qpn, packet.WireBytes());
     if (delay > 0) {
       ++packets_sent_;
-      simulation().ScheduleAfter(delay + kProcessingDelay,
-                                 [this, p = std::move(packet)]() mutable {
-                                   nic_->Send(std::move(p));
-                                 });
+      QueuePaced(qpn, simulation().Now() + delay + kProcessingDelay,
+                 std::move(packet));
       return;
     }
   }
   EmitPacket(std::move(packet));
+}
+
+void Device::QueuePaced(std::uint32_t qpn, Nanos when, net::Packet packet) {
+  sim::Simulation& sim = simulation();
+  const std::uint64_t seq = sim.Reserve();
+  if (paced_.size() < qpn) paced_.resize(qpn);
+  FixedDeque<PacedPacket>& flow = paced_[qpn - 1];
+  // The leaky bucket hands a flow rising departure times, so a packet
+  // queues behind the ones waiting and leaves at its own key once they
+  // have gone. A flow re-paced after StopPacing restarts its bucket at
+  // now, possibly before packets still waiting from its previous pacing
+  // spell: such a packet gets an event of its own.
+  if (!flow.empty() && when < flow.back().when) {
+    sim.ScheduleReserved(when, seq, [this, p = std::move(packet)]() mutable {
+      nic_->Send(std::move(p));
+    });
+    return;
+  }
+  flow.push_back(PacedPacket{when, seq, std::move(packet)});
+  if (flow.size() == 1) {
+    sim.ScheduleReserved(when, seq, [this, qpn] { SendPacedHead(qpn); });
+  }
+}
+
+void Device::SendPacedHead(std::uint32_t qpn) {
+  FixedDeque<PacedPacket>& flow = paced_[qpn - 1];
+  net::Packet packet = std::move(flow.front().packet);
+  flow.pop_front();
+  if (!flow.empty()) {
+    // Later than the running key: same or later time, larger seq.
+    simulation().ScheduleReserved(flow.front().when, flow.front().seq,
+                                  [this, qpn] { SendPacedHead(qpn); });
+  }
+  nic_->Send(std::move(packet));
 }
 
 void Device::OnPacket(net::Packet packet) {

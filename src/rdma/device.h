@@ -101,7 +101,9 @@ class Device {
   // stamped ECT and may be held by the flow's leaky bucket before the
   // processing delay. Unpaced flows (never marked, or fully recovered)
   // take the exact EmitPacket path, byte- and timestamp-identical to a
-  // congestion-disabled run.
+  // congestion-disabled run. A held packet takes its departure key
+  // (time, seq) at emit and waits in its flow's queue; only the flow's
+  // head has an event queued.
   void EmitPaced(std::uint32_t qpn, net::Packet packet);
 
   SparseMemory& memory() { return *memory_; }
@@ -156,7 +158,17 @@ class Device {
   void UnbindTelemetry();
 
  private:
+  // A packet the flow's leaky bucket holds, keyed as the event that sends
+  // it would have been when scheduled at emit.
+  struct PacedPacket {
+    Nanos when = 0;
+    std::uint64_t seq = 0;
+    net::Packet packet;
+  };
+
   void OnPacket(net::Packet packet);
+  void QueuePaced(std::uint32_t qpn, Nanos when, net::Packet packet);
+  void SendPacedHead(std::uint32_t qpn);
 
   net::HostNic* nic_;
   SparseMemory* memory_;
@@ -165,6 +177,8 @@ class Device {
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<QueuePair>> qps_;
   std::unique_ptr<CongestionManager> congestion_;
+  // Per QP (index qpn - 1): held packets in departure order.
+  std::vector<FixedDeque<PacedPacket>> paced_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t malformed_dropped_ = 0;

@@ -37,6 +37,8 @@ void QueuePair::Connect(net::NodeId remote_node, std::uint32_t remote_qpn,
 void QueuePair::PostSend(SendWqe wqe) {
   COWBIRD_CHECK(connected_);
   COWBIRD_CHECK(wqe.length > 0);
+  COWBIRD_CHECK(wqe.inline_data == nullptr ||
+                (wqe.op != WqeOp::kRead && wqe.length <= kMaxInlineBytes));
   if (halted_) return;
   reliability_.Enqueue(wqe);
 }

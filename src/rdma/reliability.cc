@@ -43,6 +43,12 @@ CqeOpcode ToCqeOpcode(WqeOp op) {
 }  // namespace
 
 void ReliabilityManager::Enqueue(SendWqe wqe) {
+  if (wqe.inline_data != nullptr) {
+    InlinePayload payload{};
+    std::copy_n(wqe.inline_data, wqe.length, payload.begin());
+    wqe.laddr = inline_front_ + inline_.size();
+    inline_.push_back(payload);
+  }
   pending_.push_back(wqe);
   TryTransmit();
 }
@@ -51,6 +57,8 @@ void ReliabilityManager::Halt() {
   retransmit_timer_.Cancel();
   pending_.clear();
   inflight_.clear();
+  inline_front_ += inline_.size();
+  inline_.clear();
 }
 
 void ReliabilityManager::TryTransmit() {
@@ -74,6 +82,15 @@ void ReliabilityManager::EmitMessage(const InflightWqe& entry) {
     Reth reth{wqe.raddr, wqe.rkey, wqe.length};
     qp_->Emit(Opcode::kReadRequest, entry.first_psn, /*ack_request=*/false,
               &reth, nullptr, {});
+    return;
+  }
+  if (wqe.inline_data != nullptr) {
+    const InlinePayload& payload = inline_[wqe.laddr - inline_front_];
+    const Opcode opcode = SegmentOpcode(wqe.op, 0, 1);
+    Reth reth{wqe.raddr, wqe.rkey, wqe.length};
+    qp_->Emit(opcode, entry.first_psn, /*ack_request=*/true,
+              HasReth(opcode) ? &reth : nullptr, nullptr,
+              std::span<const std::uint8_t>(payload.data(), wqe.length));
     return;
   }
   for (std::uint32_t i = 0; i < entry.segments; ++i) {
@@ -166,6 +183,11 @@ void ReliabilityManager::CompleteInOrder() {
     if (entry.wqe.signaled) {
       qp_->send_cq_->Push(Cqe{entry.wqe.wr_id, ToCqeOpcode(entry.wqe.op),
                               entry.status, entry.wqe.length});
+    }
+    if (entry.wqe.inline_data != nullptr) {
+      COWBIRD_DCHECK(entry.wqe.laddr == inline_front_);
+      inline_.pop_front();
+      ++inline_front_;
     }
     inflight_.pop_front();
     freed = true;

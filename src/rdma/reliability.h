@@ -11,6 +11,7 @@
 // to the same per-flow rate as first transmissions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/pool.h"
@@ -24,6 +25,13 @@ class QueuePair;
 
 enum class WqeOp : std::uint8_t { kRead, kWrite, kSend };
 
+// Largest payload a WRITE or SEND may carry inline (IBV_SEND_INLINE): the
+// bytes are copied at post, so the NIC never reads the source buffer and
+// the poster may reuse it at once. Sized to the 40-byte red block, the
+// only inline payload posted; one packet carries it.
+constexpr std::size_t kMaxInlineBytes = 40;
+static_assert(kMaxInlineBytes <= kPathMtu);
+
 struct SendWqe {
   WqeOp op = WqeOp::kRead;
   std::uint64_t wr_id = 0;
@@ -33,6 +41,13 @@ struct SendWqe {
   std::uint32_t rkey = 0;
   std::uint32_t length = 0;
   bool signaled = true;
+  // Inline WRITE/SEND: the payload is the `length` bytes at inline_data,
+  // which need only stay valid until PostSend returns. The send queue
+  // keeps a copy beside the WQE (numbered in laddr, which an inline WQE
+  // does not use), and every transmission, Go-Back-N resends included,
+  // sends that copy, so what a queued WQE carries cannot change after its
+  // post. After the post only the pointer's being non-null is read.
+  const std::uint8_t* inline_data = nullptr;
 };
 
 class ReliabilityManager {
@@ -67,6 +82,8 @@ class ReliabilityManager {
     CqeStatus status = CqeStatus::kSuccess;
   };
 
+  using InlinePayload = std::array<std::uint8_t, kMaxInlineBytes>;
+
   void TryTransmit();
   void EmitMessage(const InflightWqe& entry);
   void CompleteInOrder();
@@ -79,6 +96,11 @@ class ReliabilityManager {
   // churn would put the allocator on the datapath.
   FixedDeque<SendWqe> pending_;       // posted, not yet transmitted
   FixedDeque<InflightWqe> inflight_;  // transmitted, not completed
+  // Payloads of the inline WQEs posted and not yet completed, in post
+  // order (WQEs complete in order), kept out of the queued WQEs so those
+  // stay small.
+  FixedDeque<InlinePayload> inline_;
+  std::uint64_t inline_front_ = 0;  // number of inline_.front()
   std::uint32_t next_psn_ = 0;
   sim::TimerHandle retransmit_timer_;
   std::uint64_t retransmissions_ = 0;

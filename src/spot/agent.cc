@@ -24,30 +24,43 @@ SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
                      Config config)
     : device_(&device),
       index_(index),
-      staging_base_(kStagingStride * static_cast<std::uint64_t>(index + 1)),
       thread_(machine, "spot-agent"),
       config_(config),
       completions_(machine.simulation()),
+      staging_(kStagingStride * static_cast<std::uint64_t>(index + 1),
+               config.staging_capacity),
       scheduler_(offload::ProbeScheduler::Config{
           config.probe_interval, config.adaptive_probe, kProbeIntervalMax,
           offload::ProbeSelection::kRoundRobin}) {
-  COWBIRD_CHECK(SparseMemory::Contains(staging_base_, kStagingCapacity));
+  COWBIRD_CHECK(
+      SparseMemory::Contains(staging_.base(), staging_.capacity()));
   if (auto* hub = config_.telemetry) {
     const telemetry::Labels labels = EngineLabels();
     scheduler_.BindTelemetry(hub->metrics, labels);
     const struct {
       const char* name;
-      const std::uint64_t* cell;
+      std::uint64_t (*read)(const SpotAgent&);
     } series[] = {
-        {"engine_ops_completed", &ops_completed_},
-        {"engine_probes_sent", &probes_sent_},
-        {"engine_batches_flushed", &batches_flushed_},
-        {"engine_reads_stalled_by_writes", &reads_stalled_by_writes_},
+        {"engine_ops_completed",
+         [](const SpotAgent& a) { return a.ops_completed_; }},
+        {"engine_probes_sent",
+         [](const SpotAgent& a) { return a.probes_sent_; }},
+        {"engine_batches_flushed",
+         [](const SpotAgent& a) { return a.batches_flushed_; }},
+        {"engine_reads_stalled_by_writes",
+         [](const SpotAgent& a) { return a.reads_stalled_by_writes_; }},
+        {"engine_staging_bytes_in_use",
+         [](const SpotAgent& a) { return a.staging_.in_use(); }},
+        {"engine_staging_high_water_bytes",
+         [](const SpotAgent& a) { return a.staging_.high_water(); }},
+        {"engine_staging_waits",
+         [](const SpotAgent& a) { return a.staging_waits_; }},
     };
     for (const auto& s : series) {
-      hub->metrics.RegisterCallbackGauge(s.name, labels, [cell = s.cell] {
-        return static_cast<std::int64_t>(*cell);
-      });
+      hub->metrics.RegisterCallbackGauge(
+          s.name, labels, [this, read = s.read] {
+            return static_cast<std::int64_t>(read(*this));
+          });
     }
   }
 }
@@ -61,7 +74,9 @@ SpotAgent::~SpotAgent() {
     }
     for (const char* name :
          {"engine_ops_completed", "engine_probes_sent",
-          "engine_batches_flushed", "engine_reads_stalled_by_writes"}) {
+          "engine_batches_flushed", "engine_reads_stalled_by_writes",
+          "engine_staging_bytes_in_use", "engine_staging_high_water_bytes",
+          "engine_staging_waits"}) {
       hub->metrics.UnregisterCallbackGauge(name, EngineLabels());
     }
   }
@@ -125,11 +140,15 @@ void SpotAgent::AddInstance(const core::InstanceDescriptor& descriptor,
   }
   inst->index = static_cast<std::uint32_t>(instances_.size());
   inst->threads.resize(descriptor.layout.threads);
-  inst->probe_staging = AllocStaging(descriptor.layout.GreenBytesTotal());
-  inst->meta_staging = AllocStaging(
+  // The instance's own blocks, held for good.
+  const auto probe_staging =
+      staging_.Alloc(descriptor.layout.GreenBytesTotal());
+  const auto meta_staging = staging_.Alloc(
       static_cast<Bytes>(descriptor.layout.threads) * kMetaFetchLimit *
       core::kMetadataEntryBytes);
-  staging_floor_ = staging_cursor_;  // pin the fixed blocks below the wrap
+  COWBIRD_CHECK(probe_staging.has_value() && meta_staging.has_value());
+  inst->probe_staging = *probe_staging;
+  inst->meta_staging = *meta_staging;
   bool resumed_with_pending = false;
   if (resume != nullptr) {
     // Re-attach: continue from the counters the previous engine
@@ -267,9 +286,13 @@ std::optional<offload::InstanceProgress> SpotAgent::ExportProgress(
           // are consumed), pool write not yet ACKed: carry the bytes.
           p.payload.resize(op.meta.length);
           device_->memory().Read(op.staging_addr, p.payload);
+        } else if (op.carried_payload != nullptr) {
+          // A carried write still queued (waiting for staging): its
+          // data-ring bytes were consumed before the last crash.
+          p.payload = *op.carried_payload;
         }
-        // kQueued / kFetching writes replay through the data ring: their
-        // data_head bytes were not consumed yet.
+        // Other kQueued / kFetching writes replay through the data ring:
+        // their data_head bytes were not consumed yet.
       } else {
         if (op.seq <= ts.read_durable_seq) continue;  // durably delivered
         // Reads replay idempotently; the client's response-ring reservation
@@ -306,19 +329,35 @@ void SpotAgent::Start() {
   }(*this));
 }
 
-std::uint64_t SpotAgent::AllocStaging(Bytes len) {
-  // Bump allocator over the staging arena; wraps when exhausted. The arena
-  // is sized far above the in-flight window, so reuse cannot collide with
-  // live transfers. Wrapping returns to the floor, not zero: the permanent
-  // probe/meta staging blocks carved out during AddInstance live below it
-  // and must never be recycled as per-op scratch.
-  if (staging_cursor_ + len > kStagingCapacity) {
-    staging_cursor_ = staging_floor_;
-    COWBIRD_CHECK(staging_cursor_ + len <= kStagingCapacity);
+bool SpotAgent::StageOp(Instance& inst, int thread, Op& op) {
+  const std::optional<std::uint64_t> addr = staging_.Alloc(op.meta.length);
+  if (!addr.has_value()) {
+    ++staging_waits_;
+    const std::pair<std::uint32_t, int> waiter{inst.index, thread};
+    if (std::find(staging_waiters_.begin(), staging_waiters_.end(), waiter) ==
+        staging_waiters_.end()) {
+      staging_waiters_.push_back(waiter);
+    }
+    return false;
   }
-  const std::uint64_t addr = staging_base_ + staging_cursor_;
-  staging_cursor_ += static_cast<std::uint32_t>((len + 63) & ~Bytes{63});
-  return addr;
+  op.staging_addr = *addr;
+  return true;
+}
+
+void SpotAgent::ReleaseStaging(std::uint64_t addr, Bytes len) {
+  staging_.Release(addr, len);
+  staging_released_ = true;
+}
+
+sim::Task<void> SpotAgent::PumpStagingWaiters() {
+  // A pumped thread that still finds the arena full queues itself again,
+  // so walk the list as it stood.
+  const std::vector<std::pair<std::uint32_t, int>> waiters =
+      std::exchange(staging_waiters_, {});
+  for (const auto& [index, thread] : waiters) {
+    Instance& inst = *instances_[index];
+    if (inst.active) co_await PumpThread(inst, thread);
+  }
 }
 
 sim::Task<void> SpotAgent::MainLoop() {
@@ -444,6 +483,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
         if (op.meta.rw_type == core::RwType::kWrite && op.seq == token) {
           COWBIRD_CHECK(op.state == OpState::kWriting);
           op.state = OpState::kDone;
+          ReleaseStaging(op.staging_addr, op.meta.length);
           ts.hazards.RetireWrite(op.hazard_ticket);
           ++ops_completed_;
           RecordOpPhase(inst, thread_index, /*is_write=*/true, op.seq,
@@ -475,6 +515,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
       ts.read_durable_seq = std::max(ts.read_durable_seq, batch->seq_end);
       ts.resp_tail_durable =
           std::max(ts.resp_tail_durable, batch->resp_tail_end);
+      ReleaseStaging(batch->block_addr, batch->block_len);
       inflight_batches_.Erase(cqe.wr_id);
       while (!ts.ops.empty() && ts.ops.front().state == OpState::kDone) {
         ts.ops.pop_front();
@@ -493,6 +534,9 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
       co_await PumpThread(inst, thread_index);
       co_await StartMetaFetch(inst, thread_index);
       break;
+  }
+  if (std::exchange(staging_released_, false) && !staging_waiters_.empty()) {
+    co_await PumpStagingWaiters();
   }
 }
 
@@ -624,7 +668,8 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
         ++reads_stalled_by_writes_;
         continue;
       }
-      op.staging_addr = AllocStaging(op.meta.length);
+      // A full arena holds this op and every later one of the thread.
+      if (!StageOp(inst, thread, op)) break;
       op.state = OpState::kFetching;
       ++inflight;
       RecordOpPhase(inst, thread, /*is_write=*/false, op.seq,
@@ -646,7 +691,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
       // dead engine had consumed the client's data-ring bytes. Stage it
       // locally and go straight to the pool write (data_head was already
       // advanced before the crash).
-      op.staging_addr = AllocStaging(op.meta.length);
+      if (!StageOp(inst, thread, op)) break;
       device_->memory().Write(op.staging_addr, *op.carried_payload);
       op.state = OpState::kWriting;
       ++inflight;
@@ -665,7 +710,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
                        static_cast<std::uint32_t>(op.seq)),
               op.staging_addr, dst.addr, dst.rkey, op.meta.length, true});
     } else {
-      op.staging_addr = AllocStaging(op.meta.length);
+      if (!StageOp(inst, thread, op)) break;
       op.state = OpState::kFetching;
       ++inflight;
       RecordOpPhase(inst, thread, /*is_write=*/true, op.seq,
@@ -731,19 +776,34 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
 
   // Coalesce payloads into one write. The agent does not memcpy: it builds
   // a scatter-gather list over the staged buffers (one SGE per result) and
-  // lets the NIC gather them — per-entry descriptor cost only. The staging
-  // block here stands in for the gather.
+  // lets the NIC gather them — per-entry descriptor cost only. The batch
+  // block here stands in for the gather. A run of one needs no gather and
+  // is written straight from its read's staging. When the arena has no
+  // block for a longer run, its first read goes alone that way, so a full
+  // arena never stalls delivery, nor the releases delivery brings.
+  auto& mem = device_->memory();
   std::uint64_t total = 0;
   for (const std::uint32_t i : run) total += ts.ops[i].meta.length;
-  const std::uint64_t batch_staging = AllocStaging(total);
-  auto& mem = device_->memory();
+  std::uint64_t block_addr = ts.ops[run.front()].staging_addr;
+  Bytes block_len = ts.ops[run.front()].meta.length;
+  if (run.size() > 1) {
+    const std::optional<std::uint64_t> block = staging_.Alloc(total);
+    if (block.has_value()) {
+      block_addr = *block;
+      block_len = total;
+    } else {
+      ++staging_waits_;
+      run.resize(1);
+      total = block_len;
+    }
+  }
   std::uint64_t offset = 0;
-  auto& tmp = copy_scratch_;
   for (const std::uint32_t i : run) {
     Op& op = ts.ops[i];
-    tmp.resize(op.meta.length);
-    mem.Read(op.staging_addr, tmp);
-    mem.Write(batch_staging + offset, tmp);
+    if (run.size() > 1) {
+      mem.Copy(block_addr + offset, op.staging_addr, op.meta.length);
+      ReleaseStaging(op.staging_addr, op.meta.length);
+    }
     offset += op.meta.length;
     op.state = OpState::kDelivering;
     ++ops_completed_;  // delivered (progress published with this batch)
@@ -764,7 +824,8 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
   const std::uint64_t seq_begin = ts.ops[run.front()].seq;
   const std::uint64_t seq_end = ts.ops[run.back()].seq;
   inflight_batches_[wr_id] =
-      BatchToken{seq_begin, seq_end, ts.progress.resp_tail + total};
+      BatchToken{seq_begin, seq_end, ts.progress.resp_tail + total,
+                 block_addr, block_len};
   ts.deliver_cursor = seq_end;
   ++batches_flushed_;
 
@@ -774,49 +835,41 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
   // enforced by the transport instead of by waiting for the ACK).
   ts.progress.read_progress = seq_end;
   ts.progress.resp_tail += total;
-  const std::uint64_t red_staging = AllocStaging(core::kRedBlockBytes);
-  ComposeRedBlock(inst, thread, red_staging);
+  RedBlock red;
   const rdma::SendWqe chained[] = {
-      rdma::SendWqe{rdma::WqeOp::kWrite, wr_id, batch_staging,
+      rdma::SendWqe{rdma::WqeOp::kWrite, wr_id, block_addr,
                     ts.ops[run.front()].meta.resp_addr,
                     inst.descriptor.compute_rkey,
                     static_cast<std::uint32_t>(total), true},
-      rdma::SendWqe{rdma::WqeOp::kWrite, 0, red_staging,
-                    inst.descriptor.layout.RedAddr(thread),
-                    inst.descriptor.compute_rkey,
-                    static_cast<std::uint32_t>(core::kRedBlockBytes),
-                    /*signaled=*/false},
+      RedBlockWqe(inst, thread, red),
   };
   co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute, chained);
   // More staged reads may already form the next batch.
   co_await FlushBatch(inst, thread, force);
 }
 
-void SpotAgent::ComposeRedBlock(Instance& inst, int thread,
-                                std::uint64_t staging) {
-  ThreadState& ts = inst.threads[thread];
-  (void)inst;
-  std::array<std::uint8_t, offload::ProgressPublisher::kBlockBytes> block;
-  offload::ProgressPublisher::Pack(ts.progress, block);
-  device_->memory().Write(staging, block);
+rdma::SendWqe SpotAgent::RedBlockWqe(const Instance& inst, int thread,
+                                     RedBlock& block) const {
+  // Inline, so the block is copied at post: a queued red write keeps the
+  // counters it was posted with whatever is published after it, and never
+  // advertises a payload still queued behind it (DESIGN.md §12 note 5).
+  offload::ProgressPublisher::Pack(inst.threads[thread].progress, block);
+  return rdma::SendWqe{rdma::WqeOp::kWrite,
+                       0,
+                       0,
+                       inst.descriptor.layout.RedAddr(thread),
+                       inst.descriptor.compute_rkey,
+                       static_cast<std::uint32_t>(core::kRedBlockBytes),
+                       /*signaled=*/false,
+                       block.data()};
 }
 
 sim::Task<void> SpotAgent::WriteRedBlock(Instance& inst, int thread) {
-  // Compose the 40-byte block in local staging, then one RDMA write updates
-  // every pointer and counter (Phase IV, single-message requirement). The
-  // write is unsignaled: nothing depends on its completion.
-  //
-  // Each publication gets a *fresh* staging slot: the NIC reads the block
-  // at transmit time, so a shared slot would let a newer publication rewrite
-  // a still-queued red write's contents — advertising counters whose payload
-  // sits behind it in the send queue. Under Go-Back-N stalls the client
-  // could then read a response slot before the data arrived.
-  const std::uint64_t staging = AllocStaging(core::kRedBlockBytes);
-  ComposeRedBlock(inst, thread, staging);
-  const rdma::SendWqe wqe{
-      rdma::WqeOp::kWrite, 0, staging,
-      inst.descriptor.layout.RedAddr(thread), inst.descriptor.compute_rkey,
-      static_cast<std::uint32_t>(core::kRedBlockBytes), /*signaled=*/false};
+  // One RDMA write updates every pointer and counter (Phase IV,
+  // single-message requirement). The write is unsignaled: nothing depends
+  // on its completion.
+  RedBlock red;
+  const rdma::SendWqe wqe = RedBlockWqe(inst, thread, red);
   co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute,
                                      std::span<const rdma::SendWqe>(&wqe, 1));
 }

@@ -28,9 +28,11 @@
 // the compute node — that asymmetry is the entire point of Cowbird.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/pool.h"
@@ -47,6 +49,7 @@
 #include "sim/sync.h"
 #include "sim/thread.h"
 #include "spot/setup.h"
+#include "spot/staging_arena.h"
 #include "telemetry/hub.h"
 
 namespace cowbird::spot {
@@ -58,7 +61,7 @@ class SpotAgent {
   // Flush a non-empty batch after this long even if not full.
   static constexpr Nanos kBatchTimeout = Micros(2);
   // Staging memory on the spot node: agent k of the host stages in
-  // [kStagingStride * (k + 1), + kStagingCapacity).
+  // [kStagingStride * (k + 1), + Config::staging_capacity).
   static constexpr std::uint64_t kStagingStride = 0x4000'0000;
   static constexpr Bytes kStagingCapacity = MiB(64);
   // Per-thread cap on simultaneously executing operations.
@@ -78,6 +81,9 @@ class SpotAgent {
     // Exists so the chaos harness can prove its linearizability checker
     // catches a real consistency bug; never enable outside tests.
     bool chaos_unsafe_skip_hazards = false;
+    // Bytes of the staging arena. Far above any workload's live staging;
+    // tests shrink it to exercise back-pressure.
+    Bytes staging_capacity = kStagingCapacity;
     // Optional telemetry hub: op lifecycle phases (parsed/execute/done),
     // probe spans, per-instance queue-depth gauges, and engine counters.
     // nullptr = telemetry off.
@@ -141,6 +147,9 @@ class SpotAgent {
   std::uint64_t reads_stalled_by_writes() const {
     return reads_stalled_by_writes_;
   }
+  const StagingArena& staging() const { return staging_; }
+  // Times an op or a batch found the staging arena full.
+  std::uint64_t staging_waits() const { return staging_waits_; }
 
  private:
   enum class OpState : std::uint8_t {
@@ -241,11 +250,20 @@ class SpotAgent {
   // Strict in-order write_progress advance + front pops of finished ops
   // (shared by the pool-write completion path and crash-resume seeding).
   static void AdvanceWriteProgressInOrder(ThreadState& ts);
-  void ComposeRedBlock(Instance& inst, int thread, std::uint64_t staging);
+  using RedBlock = std::array<std::uint8_t, core::kRedBlockBytes>;
+  // The thread's red block, packed into `block`, as an unsignaled inline
+  // WRITE; `block` must outlive the post.
+  rdma::SendWqe RedBlockWqe(const Instance& inst, int thread,
+                            RedBlock& block) const;
   sim::Task<void> WriteRedBlock(Instance& inst, int thread);
   void ArmBatchTimer(Instance& inst, int thread);
 
-  std::uint64_t AllocStaging(Bytes len);
+  // Stages `op` (sets its staging_addr). On a full arena the op stays
+  // queued, its thread joins staging_waiters_, and this returns false.
+  bool StageOp(Instance& inst, int thread, Op& op);
+  void ReleaseStaging(std::uint64_t addr, Bytes len);
+  // Re-pumps the threads waiting for staging (after a release).
+  sim::Task<void> PumpStagingWaiters();
 
   const Instance* FindInstance(std::uint32_t instance_id) const;
 
@@ -273,15 +291,22 @@ class SpotAgent {
 
   rdma::Device* device_;
   int index_;
-  std::uint64_t staging_base_;
   sim::SimThread thread_;
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;
   sim::Channel<rdma::Cqe> completions_;
-  std::uint32_t staging_cursor_ = 0;
-  // First per-op byte of the staging arena; the wrap target. Everything
-  // below holds the instances' permanent probe/meta staging blocks.
-  std::uint32_t staging_floor_ = 0;
+  // Every op, batch and instance block stages here. An op's block returns
+  // when its transfer completes: a read's once FlushBatch has gathered it
+  // into its batch block (or, for a batch of one, when the batch lands),
+  // a batch block when it lands, a write's when its pool write lands. The
+  // instances' probe/meta blocks, and the blocks of ops an instance
+  // removal abandons (a response may still land in them), never return.
+  StagingArena staging_;
+  // (instance index, thread) of the threads whose next op found the arena
+  // full; re-pumped after a release.
+  std::vector<std::pair<std::uint32_t, int>> staging_waiters_;
+  bool staging_released_ = false;
+  std::uint64_t staging_waits_ = 0;
   offload::ProbeScheduler scheduler_;  // Section 5.2 adaptive ramp (shared)
   bool last_probe_found_work_ = false;
   std::uint64_t probes_sent_ = 0;
@@ -300,6 +325,9 @@ class SpotAgent {
     std::uint64_t seq_end = 0;
     // Durable frontier this batch's ACK establishes.
     std::uint64_t resp_tail_end = 0;
+    // The staging block the batch was written from, released when it lands.
+    std::uint64_t block_addr = 0;
+    Bytes block_len = 0;
   };
   DenseMap<BatchToken> inflight_batches_;
   std::uint32_t next_token_ = 1;
@@ -312,8 +340,7 @@ class SpotAgent {
     std::vector<rdma::SendWqe> wqes;
   };
   std::vector<PumpBatch> pump_scratch_;
-  std::vector<std::uint32_t> flush_run_;   // indices into ThreadState::ops
-  std::vector<std::uint8_t> copy_scratch_; // payload shuttle for coalescing
+  std::vector<std::uint32_t> flush_run_;  // indices into ThreadState::ops
 };
 
 }  // namespace cowbird::spot

@@ -258,6 +258,27 @@ TEST(SparseMemoryDeathTest, WriteLeavingTheSpaceDies) {
   EXPECT_DEATH(mem.Write(~std::uint64_t{0} - 4, data), "CHECK failed");
 }
 
+TEST(SparseMemory, CopyMovesBytesWithinTheSpace) {
+  SparseMemory mem;
+  const auto data = Filled(3 * kPage, 5);
+  mem.Write(0x20000 + 7, data);
+  mem.Copy(0x90000, 0x20000 + 7, data.size());
+  std::vector<std::uint8_t> back(data.size());
+  mem.Read(0x90000, back);
+  EXPECT_EQ(back, data);
+  // Overlapping ranges copy as if through a buffer.
+  mem.Copy(0x90000 + 100, 0x90000, data.size());
+  mem.Read(0x90000 + 100, back);
+  EXPECT_EQ(back, data);
+}
+
+TEST(SparseMemoryDeathTest, CopyLeavingTheSpaceDies) {
+  SparseMemory mem;
+  mem.Copy(kSpace - 16, 0x90000, 16);
+  EXPECT_DEATH(mem.Copy(kSpace - 8, 0x90000, 16), "CHECK failed");
+  EXPECT_DEATH(mem.Copy(0x90000, kSpace - 8, 16), "CHECK failed");
+}
+
 TEST(SparseMemory, TwoMemoriesNeverAlias) {
   SparseMemory a;
   SparseMemory b;

@@ -274,6 +274,98 @@ TEST(ScaleSimTest, DcqcnEnabledButUnmarkedIsByteIdenticalToDefault) {
   EXPECT_TRUE(SameOutcome(off, on));
 }
 
+// ------------------------------------------------- paced emission
+
+// A packet as it reached the switch: when, and (flow, index) from its PSN.
+struct Departure {
+  Nanos at = 0;
+  std::uint32_t flow = 0;
+  std::uint32_t index = 0;
+};
+
+// Order-sensitive FNV-1a digest of a departure list.
+std::uint64_t Digest(const std::vector<Departure>& seen) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Departure& d : seen) {
+    mix(static_cast<std::uint64_t>(d.at));
+    mix(d.flow);
+    mix(d.index);
+  }
+  return h;
+}
+
+// Two DCQCN flows of one NIC held by their leaky buckets: flow 1 cut to the
+// 5 Gbps floor with 400 packets queued, flow 2 cut to 25 Gbps with 8.
+// Flow 1 recovers to line rate (which stops its pacing) while packets of
+// it still wait, is cut again, and sends four more that its restarted
+// bucket times ahead of the waiting ones. Every packet leaves at the time
+// its bucket gave it at emit; the pins are the departures of the
+// one-event-per-packet scheduling this replaced.
+TEST(PacedEmission, TwoFlowsOneRepacedLeaveAtPinnedTimesAndOrder) {
+  CongestedFabric f;
+  rdma::Device& dev = *f.devs[0];
+  rdma::CongestionManager& cc = *dev.congestion();
+  std::vector<Departure> seen;
+  f.nics[0]->uplink().set_drop_filter([&](const net::Packet& p) {
+    const std::uint32_t tag = rdma::ParseRdmaPacket(p)->bth.psn;
+    seen.push_back(Departure{f.sim.Now(), tag >> 16, tag & 0xFFFF});
+    return true;  // observed at the switch; nothing needs delivering
+  });
+  auto emit = [&](std::uint32_t flow, std::uint32_t index) {
+    rdma::Bth bth;
+    bth.opcode = rdma::Opcode::kSendOnly;
+    bth.dest_qp = 1;
+    bth.psn = (flow << 16) | index;
+    const std::vector<std::uint8_t> payload(1000, 0);
+    dev.EmitPaced(flow, rdma::BuildRdmaPacket(f.nics[0]->id(),
+                                              f.nics[1]->id(),
+                                              net::Priority::kRdma, bth,
+                                              nullptr, nullptr, payload));
+  };
+  for (int i = 0; i < 5; ++i) cc.OnCnpReceived(1);
+  for (int i = 0; i < 2; ++i) cc.OnCnpReceived(2);
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    emit(1, i);
+    if (i < 8) emit(2, i);
+  }
+  const double line = cc.FlowRateGbps(3);  // a flow never cut
+  while (cc.FlowRateGbps(1) < line) f.sim.RunFor(Micros(5));
+  const Nanos repaced_at = f.sim.Now();
+  const std::size_t left_before = seen.size();
+  cc.OnCnpReceived(1);
+  for (std::uint32_t i = 1000; i < 1004; ++i) emit(1, i);
+  f.sim.Run();
+
+  ASSERT_EQ(seen.size(), 412u);
+  EXPECT_LT(left_before, 408u);  // flow 1 still had packets waiting
+  std::vector<std::uint32_t> next(3, 0);
+  std::size_t new_ones_at = 0;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const Departure& d = seen[i];
+    if (d.index >= 1000) {
+      if (new_ones_at == 0) new_ones_at = i;
+      continue;
+    }
+    EXPECT_EQ(d.index, next[d.flow]++) << "departure " << i;
+  }
+  // The re-paced packets overtake the flow's waiting ones.
+  EXPECT_LT(new_ones_at, seen.size() - 4);
+  EXPECT_GT(seen[new_ones_at].at, repaced_at);
+  // Pinned departures.
+  EXPECT_EQ(repaced_at, 525000);
+  EXPECT_EQ(left_before, 312u);
+  EXPECT_EQ(new_ones_at, 312u);
+  EXPECT_EQ(seen[new_ones_at].at, 525487);
+  EXPECT_EQ(seen.back().at, 691156);
+  EXPECT_EQ(Digest(seen), 12219918002697916908ull);
+}
+
 // ------------------------------------------------- chaos scenario suite
 
 using chaos::ChaosOptions;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,29 @@ TEST_F(QpTest, SmallWriteLandsInRemoteMemory) {
   EXPECT_EQ(cqe->wr_id, 7u);
   EXPECT_EQ(cqe->opcode, CqeOpcode::kWrite);
   EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+}
+
+// An inline WRITE of `data` (at most kMaxInlineBytes) to `raddr`.
+SendWqe InlineWrite(std::uint64_t wr_id, std::uint64_t raddr,
+                    std::uint32_t rkey, const std::vector<std::uint8_t>& data) {
+  return SendWqe{WqeOp::kWrite, wr_id, /*laddr=*/0, raddr, rkey,
+                 static_cast<std::uint32_t>(data.size()), /*signaled=*/true,
+                 data.data()};
+}
+
+TEST_F(QpTest, InlineWriteLandsItsPostedBytes) {
+  const auto data = Pattern(kMaxInlineBytes, 40);
+  // Local address 0 holds other bytes: an inline WRITE never reads memory.
+  f_.client(0).mem.Write(0, Pattern(kMaxInlineBytes, 41));
+  pair_.a->PostSend(
+      InlineWrite(5, remote_mr_->base + 64, remote_mr_->rkey, data));
+  f_.sim.Run();
+  EXPECT_EQ(RemoteBytes(remote_mr_->base + 64, kMaxInlineBytes), data);
+  const auto cqe = pair_.a_send_cq->Pop();
+  ASSERT_TRUE(cqe.has_value());
+  EXPECT_EQ(cqe->wr_id, 5u);
+  EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+  EXPECT_EQ(cqe->byte_len, kMaxInlineBytes);
 }
 
 TEST_F(QpTest, WriteWatchesFireTogetherAndRemoveIndependently) {
@@ -469,6 +493,32 @@ TEST_F(QpLossTest, WriteRecoversFromLostDataPacket) {
   EXPECT_EQ(out, data);
   EXPECT_TRUE(pair_.a_send_cq->Pop().has_value());
   EXPECT_GT(pair_.a->retransmissions(), 0u);
+}
+
+TEST_F(QpLossTest, InlineWriteResendCarriesItsPostedBytes) {
+  // Two inline WRITEs posted from one buffer, rewritten between the posts.
+  // The first one's packet is lost, so Go-Back-N sends both again: each
+  // resend must carry the bytes of its own post.
+  const auto first = Pattern(kMaxInlineBytes, 42);
+  const auto second = Pattern(24, 43);
+  DropNthTowardMemory(1);
+  std::vector<std::uint8_t> buffer = first;
+  pair_.a->PostSend(
+      InlineWrite(1, remote_mr_->base, remote_mr_->rkey, buffer));
+  buffer = second;
+  pair_.a->PostSend(
+      InlineWrite(2, remote_mr_->base + 256, remote_mr_->rkey, buffer));
+  buffer.assign(buffer.size(), 0);
+  f_.sim.Run();
+  EXPECT_EQ(RemoteBytes(remote_mr_->base, kMaxInlineBytes), first);
+  EXPECT_EQ(RemoteBytes(remote_mr_->base + 256, 24), second);
+  EXPECT_GT(pair_.a->retransmissions(), 0u);
+  for (const std::uint64_t wr_id : {1u, 2u}) {
+    const auto cqe = pair_.a_send_cq->Pop();
+    ASSERT_TRUE(cqe.has_value());
+    EXPECT_EQ(cqe->wr_id, wr_id);
+    EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
+  }
 }
 
 TEST_F(QpLossTest, WriteRecoversFromLostAck) {
