@@ -33,8 +33,9 @@ int main() {
 
   // One hub for every Cowbird run: counters accumulate across runs, so the
   // embedded snapshot describes the whole instrumented portion of the
-  // bench. (The clock is re-seated per run; per-run gauges unbind at each
-  // teardown and the final bound set comes from the last run's snapshot.)
+  // bench. (The clock is re-seated per run; per-run gauges leave the hub
+  // with each run and the final bound set comes from the last run's
+  // snapshot.)
   telemetry::Hub hub([] { return Nanos{0}; });
   telemetry::Snapshot last_instrumented;
 

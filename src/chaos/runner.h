@@ -83,9 +83,9 @@ struct ChaosResult {
   std::uint64_t link_pauses = 0;      // pauses honored across fabric links
   std::uint64_t cnps = 0;             // CNPs received across every NIC
   // Metric snapshot taken just before teardown when RunChaos was given a
-  // hub (empty otherwise). Teardown unbinds every per-run gauge — the links
-  // and engines die with the harness — so this is the instrumented run's
-  // complete observable state.
+  // hub (empty otherwise). Each per-run gauge leaves the hub with the
+  // link, device or engine it reads when the harness dies, so this is the
+  // instrumented run's complete observable state.
   telemetry::Snapshot telemetry;
 
   bool Passed() const { return violations.empty() && counters_exact; }

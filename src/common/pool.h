@@ -188,29 +188,23 @@ class Pool {
   PoolStats stats_;
 };
 
-// Surfaces a pool's counters through a metric registry as callback gauges.
-// Templated so common/ does not link against telemetry/: instantiated only
-// where a registry type is already in scope (engines, benches, harnesses).
-// The stats object must outlive the registry or be unregistered first.
-template <typename Registry, typename Labels>
-void BindPoolTelemetry(Registry& registry, const Labels& labels,
-                       const PoolStats& stats) {
-  registry.RegisterCallbackGauge("pool_in_use", labels, [&stats] {
+// Surfaces a pool's counters through a metric registry as callback gauges
+// held by `gauges` (a telemetry::CallbackGauges). Templated so common/ does
+// not link against telemetry/: instantiated only where the telemetry types
+// are already in scope (harnesses, tests). The stats object must outlive
+// `gauges`.
+template <typename Gauges, typename Registry, typename Labels>
+void BindPoolTelemetry(Gauges& gauges, Registry& registry,
+                       const Labels& labels, const PoolStats& stats) {
+  gauges.Register(registry, "pool_in_use", labels, [&stats] {
     return static_cast<std::int64_t>(stats.in_use);
   });
-  registry.RegisterCallbackGauge("pool_high_water", labels, [&stats] {
+  gauges.Register(registry, "pool_high_water", labels, [&stats] {
     return static_cast<std::int64_t>(stats.high_water);
   });
-  registry.RegisterCallbackGauge("pool_exhausted_total", labels, [&stats] {
+  gauges.Register(registry, "pool_exhausted_total", labels, [&stats] {
     return static_cast<std::int64_t>(stats.exhausted_total);
   });
-}
-
-template <typename Registry, typename Labels>
-void UnbindPoolTelemetry(Registry& registry, const Labels& labels) {
-  registry.UnregisterCallbackGauge("pool_in_use", labels);
-  registry.UnregisterCallbackGauge("pool_high_water", labels);
-  registry.UnregisterCallbackGauge("pool_exhausted_total", labels);
 }
 
 // Ring-buffer deque for the protocol FIFOs. Grows by doubling (amortized,

@@ -79,34 +79,20 @@ CowbirdClient::ThreadContext::ThreadContext(CowbirdClient& client, int index)
     const telemetry::Labels labels = {
         {"instance", std::to_string(client.descriptor_.instance_id)},
         {"thread", std::to_string(index)}};
-    hub->metrics.RegisterCallbackGauge(
-        "client_reads_issued", labels,
-        [this] { return static_cast<std::int64_t>(reads_issued_); });
-    hub->metrics.RegisterCallbackGauge(
-        "client_writes_issued", labels,
-        [this] { return static_cast<std::int64_t>(writes_issued_); });
-    hub->metrics.RegisterCallbackGauge(
-        "client_issue_failures", labels,
-        [this] { return static_cast<std::int64_t>(issue_failures_); });
-    hub->metrics.RegisterCallbackGauge(
-        "client_reads_retired", labels,
-        [this] { return static_cast<std::int64_t>(retired_read_seq_); });
-    hub->metrics.RegisterCallbackGauge(
-        "client_writes_retired", labels,
-        [this] { return static_cast<std::int64_t>(retired_write_seq_); });
-  }
-}
-
-CowbirdClient::ThreadContext::~ThreadContext() {
-  if (auto* hub = client_->config_.telemetry) {
-    const telemetry::Labels labels = {
-        {"instance", std::to_string(client_->descriptor_.instance_id)},
-        {"thread", std::to_string(index_)}};
-    for (const char* name :
-         {"client_reads_issued", "client_writes_issued",
-          "client_issue_failures", "client_reads_retired",
-          "client_writes_retired"}) {
-      hub->metrics.UnregisterCallbackGauge(name, labels);
+    const struct {
+      const char* name;
+      const std::uint64_t* cell;
+    } series[] = {
+        {"client_reads_issued", &reads_issued_},
+        {"client_writes_issued", &writes_issued_},
+        {"client_issue_failures", &issue_failures_},
+        {"client_reads_retired", &retired_read_seq_},
+        {"client_writes_retired", &retired_write_seq_},
+    };
+    for (const auto& s : series) {
+      gauges_.Register(hub->metrics, s.name, labels, [cell = s.cell] {
+        return static_cast<std::int64_t>(*cell);
+      });
     }
   }
 }

@@ -77,7 +77,6 @@ class CowbirdClient {
   class ThreadContext {
    public:
     ThreadContext(CowbirdClient& client, int index);
-    ~ThreadContext();
 
     // Table 2: async_read(region_id, src, dest, length).
     // `remote_src_offset` is relative to the region base; `local_dest` is a
@@ -190,6 +189,7 @@ class CowbirdClient {
     std::uint64_t reads_issued_ = 0;
     std::uint64_t writes_issued_ = 0;
     std::uint64_t issue_failures_ = 0;
+    telemetry::CallbackGauges gauges_;  // with a hub: the client_* series
   };
 
  private:

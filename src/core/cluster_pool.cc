@@ -6,8 +6,6 @@
 
 namespace cowbird::core {
 
-ClusterPool::~ClusterPool() { UnbindTelemetry(); }
-
 void ClusterPool::AddServer(rdma::Device& device, std::uint64_t base,
                             Bytes capacity) {
   COWBIRD_CHECK(capacity >= kRangeAlign);
@@ -135,42 +133,25 @@ void ClusterPool::CommitMove(const MigrationPlan& plan) {
 
 void ClusterPool::BindTelemetry(telemetry::MetricRegistry& registry,
                                 const telemetry::Labels& labels) {
-  UnbindTelemetry();
-  telemetry_registry_ = &registry;
-  telemetry_labels_ = labels;
+  gauges_.Clear();
   for (const Server& server : servers_) {
     telemetry::Labels with_server = labels;
     with_server.emplace_back("server", std::to_string(server.node));
     const net::NodeId node = server.node;
-    registry.RegisterCallbackGauge(
-        "pool_server_capacity_bytes", with_server, [this, node] {
+    gauges_.Register(
+        registry, "pool_server_capacity_bytes", with_server, [this, node] {
           return static_cast<std::int64_t>(FindServer(node)->arena.capacity());
         });
-    registry.RegisterCallbackGauge(
-        "pool_server_allocated_bytes", with_server, [this, node] {
+    gauges_.Register(
+        registry, "pool_server_allocated_bytes", with_server, [this, node] {
           return static_cast<std::int64_t>(
               FindServer(node)->arena.allocated());
         });
-    registry.RegisterCallbackGauge(
-        "pool_server_ranges", with_server, [this, node] {
+    gauges_.Register(
+        registry, "pool_server_ranges", with_server, [this, node] {
           return static_cast<std::int64_t>(RangesOn(node));
         });
   }
-}
-
-void ClusterPool::UnbindTelemetry() {
-  if (telemetry_registry_ == nullptr) return;
-  for (const Server& server : servers_) {
-    telemetry::Labels with_server = telemetry_labels_;
-    with_server.emplace_back("server", std::to_string(server.node));
-    telemetry_registry_->UnregisterCallbackGauge("pool_server_capacity_bytes",
-                                                 with_server);
-    telemetry_registry_->UnregisterCallbackGauge(
-        "pool_server_allocated_bytes", with_server);
-    telemetry_registry_->UnregisterCallbackGauge("pool_server_ranges",
-                                                 with_server);
-  }
-  telemetry_registry_ = nullptr;
 }
 
 }  // namespace cowbird::core

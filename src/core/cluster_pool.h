@@ -165,8 +165,6 @@ class ClusterPool {
     std::uint64_t dst_addr = 0;
   };
 
-  ~ClusterPool();
-
   // Grow: registers `capacity` bytes at `base` on `device` as one slab MR.
   void AddServer(rdma::Device& device, std::uint64_t base, Bytes capacity);
 
@@ -198,13 +196,11 @@ class ClusterPool {
     return table_.RangesFor(region_id);
   }
 
-  // Per-server occupancy as callback gauges:
+  // Per-server occupancy as callback gauges, removed when the pool dies:
   //   pool_server_capacity_bytes{server=N}, pool_server_allocated_bytes{...},
-  //   pool_server_ranges{...}. The pool must outlive the registry or call
-  //   UnbindTelemetry first.
+  //   pool_server_ranges{...}. A second bind replaces the first.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
-  void UnbindTelemetry();
 
  private:
   struct Server {
@@ -219,8 +215,7 @@ class ClusterPool {
 
   std::vector<Server> servers_;  // in AddServer order
   TranslationTable table_;
-  telemetry::MetricRegistry* telemetry_registry_ = nullptr;
-  telemetry::Labels telemetry_labels_;
+  telemetry::CallbackGauges gauges_;
 };
 
 }  // namespace cowbird::core

@@ -157,9 +157,7 @@ void Link::Arrive(Packet packet) {
 
 void Link::BindTelemetry(telemetry::MetricRegistry& registry,
                          const telemetry::Labels& labels) {
-  UnbindTelemetry();
-  telemetry_registry_ = &registry;
-  telemetry_labels_ = labels;
+  gauges_.Clear();
   const struct {
     const char* name;
     const std::uint64_t* cell;
@@ -175,23 +173,10 @@ void Link::BindTelemetry(telemetry::MetricRegistry& registry,
       {"link_pfc_pauses", &pauses_received_},
   };
   for (const auto& s : series) {
-    registry.RegisterCallbackGauge(s.name, labels, [cell = s.cell] {
+    gauges_.Register(registry, s.name, labels, [cell = s.cell] {
       return static_cast<std::int64_t>(*cell);
     });
   }
-}
-
-void Link::UnbindTelemetry() {
-  if (telemetry_registry_ == nullptr) return;
-  for (const char* name :
-       {"link_packets_delivered", "link_bytes_delivered",
-        "link_packets_dropped", "link_faults_dropped",
-        "link_faults_duplicated", "link_faults_delayed",
-        "link_faults_reordered", "link_paused_ns", "link_pfc_pauses"}) {
-    telemetry_registry_->UnregisterCallbackGauge(name, telemetry_labels_);
-  }
-  telemetry_registry_ = nullptr;
-  telemetry_labels_.clear();
 }
 
 }  // namespace cowbird::net

@@ -112,11 +112,10 @@ class Link {
   std::uint64_t faults_reordered() const { return faults_reordered_; }
 
   // Surfaces delivery and fault counters through a registry as callback
-  // gauges (evaluated at snapshot time; the link pays nothing per packet).
-  // The link must outlive the registry or UnbindTelemetry first.
+  // gauges (evaluated at snapshot time; the link pays nothing per packet),
+  // removed when the link dies. A second bind replaces the first.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
-  void UnbindTelemetry();
 
  private:
   // True when some queued packet may transmit now (any packet normally;
@@ -158,8 +157,7 @@ class Link {
   std::uint64_t faults_duplicated_ = 0;
   std::uint64_t faults_delayed_ = 0;
   std::uint64_t faults_reordered_ = 0;
-  telemetry::MetricRegistry* telemetry_registry_ = nullptr;
-  telemetry::Labels telemetry_labels_;
+  telemetry::CallbackGauges gauges_;
 };
 
 }  // namespace cowbird::net

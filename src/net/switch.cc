@@ -146,44 +146,30 @@ void Switch::UpdatePfcOnDequeue(int ingress_port) {
 
 void Switch::BindTelemetry(telemetry::MetricRegistry& registry,
                            const telemetry::Labels& labels) {
-  UnbindTelemetry();
-  telemetry_registry_ = &registry;
-  telemetry_labels_ = labels;
-  registry.RegisterCallbackGauge(
-      "switch_forwarded", labels,
+  gauges_.Clear();
+  gauges_.Register(
+      registry, "switch_forwarded", labels,
       [this] { return static_cast<std::int64_t>(forwarded_); });
-  registry.RegisterCallbackGauge(
-      "switch_ecn_marked", labels,
+  gauges_.Register(
+      registry, "switch_ecn_marked", labels,
       [this] { return static_cast<std::int64_t>(ecn_marked_); });
-  registry.RegisterCallbackGauge(
-      "switch_pfc_pauses_sent", labels,
+  gauges_.Register(
+      registry, "switch_pfc_pauses_sent", labels,
       [this] { return static_cast<std::int64_t>(pfc_pauses_sent_); });
-  registry.RegisterCallbackGauge(
-      "switch_pfc_resumes_sent", labels,
+  gauges_.Register(
+      registry, "switch_pfc_resumes_sent", labels,
       [this] { return static_cast<std::int64_t>(pfc_resumes_sent_); });
-  registry.RegisterCallbackGauge(
-      "switch_egress_drops", labels,
+  gauges_.Register(
+      registry, "switch_egress_drops", labels,
       [this] { return static_cast<std::int64_t>(total_drops()); });
-  registry.RegisterCallbackGauge("switch_queued_bytes", labels, [this] {
+  gauges_.Register(registry, "switch_queued_bytes", labels, [this] {
     Bytes total = 0;
     for (const auto& port : ports_) total += port->queued_bytes;
     return static_cast<std::int64_t>(total);
   });
-  registry.RegisterCallbackGauge(
-      "switch_queue_high_water_bytes", labels,
+  gauges_.Register(
+      registry, "switch_queue_high_water_bytes", labels,
       [this] { return static_cast<std::int64_t>(queue_high_water_); });
-}
-
-void Switch::UnbindTelemetry() {
-  if (telemetry_registry_ == nullptr) return;
-  for (const char* name :
-       {"switch_forwarded", "switch_ecn_marked", "switch_pfc_pauses_sent",
-        "switch_pfc_resumes_sent", "switch_egress_drops",
-        "switch_queued_bytes", "switch_queue_high_water_bytes"}) {
-    telemetry_registry_->UnregisterCallbackGauge(name, telemetry_labels_);
-  }
-  telemetry_registry_ = nullptr;
-  telemetry_labels_.clear();
 }
 
 }  // namespace cowbird::net

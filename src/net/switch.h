@@ -102,10 +102,9 @@ class Switch {
   }
 
   // Queue-depth / mark-rate / pause counters as snapshot-time callback
-  // gauges. The switch must outlive the registry or UnbindTelemetry first.
+  // gauges, removed when the switch dies. A second bind replaces the first.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
-  void UnbindTelemetry();
 
  private:
   struct Queued {
@@ -141,8 +140,7 @@ class Switch {
   std::uint64_t pfc_pauses_sent_ = 0;
   std::uint64_t pfc_resumes_sent_ = 0;
   Bytes queue_high_water_ = 0;  // deepest any single egress queue has been
-  telemetry::MetricRegistry* telemetry_registry_ = nullptr;
-  telemetry::Labels telemetry_labels_;
+  telemetry::CallbackGauges gauges_;
   // Per-packet action scratch, reused across pipeline invocations (the
   // pipeline never reenters itself: it only runs from scheduled events).
   std::vector<ForwardAction> pipeline_scratch_;

@@ -73,24 +73,9 @@ CowbirdP4Engine::CowbirdP4Engine(net::Switch& sw, Config config)
         {"engine_gbn_recoveries", &recoveries_},
     };
     for (const auto& s : series) {
-      hub->metrics.RegisterCallbackGauge(s.name, labels, [cell = s.cell] {
+      gauges_.Register(hub->metrics, s.name, labels, [cell = s.cell] {
         return static_cast<std::int64_t>(*cell);
       });
-    }
-  }
-}
-
-CowbirdP4Engine::~CowbirdP4Engine() {
-  if (auto* hub = config_.telemetry) {
-    while (!instances_.empty()) {
-      UnregisterInstanceTelemetry(*instances_.back());
-      instances_.pop_back();
-    }
-    for (const char* name :
-         {"engine_ops_completed", "engine_probes_sent",
-          "engine_packets_recycled", "engine_reads_paused_by_writes",
-          "engine_gbn_recoveries"}) {
-      hub->metrics.UnregisterCallbackGauge(name, EngineLabels());
     }
   }
 }
@@ -111,53 +96,27 @@ void CowbirdP4Engine::RegisterInstanceTelemetry(Instance& inst) {
   if (hub == nullptr) return;
   const std::uint32_t id = inst.descriptor.instance_id;
   inst.probe_track = "p4/i" + std::to_string(id) + "/probe";
-  // Queue-depth gauges look the instance up by id so an export taken after
-  // RemoveInstance (or during migration) reads 0 instead of freed memory.
   for (std::uint32_t slot = 0; slot < inst.qp_count(); ++slot) {
     telemetry::Labels labels = InstanceLabels(id);
     labels.emplace_back("qp", QpLabel(inst, slot));
-    hub->metrics.RegisterCallbackGauge(
-        "qp_pending_depth", labels, [this, id, slot] {
-          for (const auto& candidate : instances_) {
-            if (candidate->descriptor.instance_id == id &&
-                slot < candidate->qp_count()) {
-              return static_cast<std::int64_t>(
-                  candidate->qp(slot).pending.size());
-            }
-          }
-          return std::int64_t{0};
-        });
+    const SwitchQp* qp = &inst.qp(slot);
+    inst.gauges.Register(hub->metrics, "qp_pending_depth", labels, [qp] {
+      return static_cast<std::int64_t>(qp->pending.size());
+    });
   }
-  hub->metrics.RegisterCallbackGauge(
-      "engine_inflight_ops", InstanceLabels(id), [this, id] {
-        for (const auto& candidate : instances_) {
-          if (candidate->descriptor.instance_id != id) continue;
-          std::int64_t total = 0;
-          for (const ThreadState& ts : candidate->threads) {
-            total += static_cast<std::int64_t>(ts.inflight.size());
-          }
-          return total;
+  inst.gauges.Register(
+      hub->metrics, "engine_inflight_ops", InstanceLabels(id), [&inst] {
+        std::int64_t total = 0;
+        for (const ThreadState& ts : inst.threads) {
+          total += static_cast<std::int64_t>(ts.inflight.size());
         }
-        return std::int64_t{0};
+        return total;
       });
   for (std::size_t t = 0; t < inst.threads.size(); ++t) {
     telemetry::Labels labels = InstanceLabels(id);
     labels.emplace_back("thread", std::to_string(t));
     inst.threads[t].hazards.BindTelemetry(hub->metrics, labels);
   }
-}
-
-void CowbirdP4Engine::UnregisterInstanceTelemetry(const Instance& inst) {
-  auto* hub = config_.telemetry;
-  if (hub == nullptr) return;
-  const std::uint32_t id = inst.descriptor.instance_id;
-  for (std::uint32_t slot = 0; slot < inst.qp_count(); ++slot) {
-    telemetry::Labels labels = InstanceLabels(id);
-    labels.emplace_back("qp", QpLabel(inst, slot));
-    hub->metrics.UnregisterCallbackGauge("qp_pending_depth", labels);
-  }
-  hub->metrics.UnregisterCallbackGauge("engine_inflight_ops",
-                                       InstanceLabels(id));
 }
 
 void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
@@ -181,6 +140,8 @@ void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
     bind(inst->memory[i].read, conn.memory[i].read);
     bind(inst->memory[i].write, conn.memory[i].write);
   }
+  COWBIRD_CHECK(conn.retransmit_timeout > 0);
+  inst->gbn_timeout = conn.retransmit_timeout;
   // InstanceForQpn names a packet's QP by its offset in the QPN block.
   COWBIRD_CHECK(!inst->memory.empty());
   for (std::uint32_t slot = 0; slot < inst->qp_count(); ++slot) {
@@ -235,10 +196,9 @@ void CowbirdP4Engine::Start() {
 bool CowbirdP4Engine::RemoveInstance(std::uint32_t instance_id) {
   for (auto it = instances_.begin(); it != instances_.end(); ++it) {
     if ((*it)->descriptor.instance_id != instance_id) continue;
-    // Destroying the instance destroys its QPs' retransmission timers, so
-    // no callback touches it afterwards; in-flight packets for its QPNs
-    // fall through InstanceForQpn as stale and are dropped.
-    UnregisterInstanceTelemetry(**it);
+    // Destroying the instance destroys its QPs' retransmission timers and
+    // its gauges, so no callback touches it afterwards; in-flight packets
+    // for its QPNs fall through InstanceForQpn as stale and are dropped.
     instances_.erase(it);
     return true;
   }
@@ -334,7 +294,7 @@ void CowbirdP4Engine::ConsumeRdma(net::Packet packet) {
   Instance* inst = InstanceForQpn(view.bth.dest_qp, &qp);
   if (inst == nullptr) return;  // stale packet from a removed instance
   if (rdma::IsReadResponse(view.bth.opcode)) {
-    HandleReadResponse(*inst, *qp, view, packet);
+    HandleReadResponse(*inst, *qp, view);
   } else if (view.bth.opcode == rdma::Opcode::kAcknowledge) {
     HandleAck(*inst, *qp, view);
   } else if (view.bth.opcode == rdma::Opcode::kCnp) {
@@ -362,9 +322,7 @@ void CowbirdP4Engine::ConsumeRdma(net::Packet packet) {
 }
 
 void CowbirdP4Engine::HandleReadResponse(Instance& inst, SwitchQp& qp,
-                                         const rdma::RdmaMessageView& view,
-                                         const net::Packet& packet) {
-  (void)packet;
+                                         const rdma::RdmaMessageView& view) {
   // Responses arrive in request order: find the oldest read-kind pending
   // still collecting bytes.
   Pending* target = nullptr;
@@ -378,6 +336,12 @@ void CowbirdP4Engine::HandleReadResponse(Instance& inst, SwitchQp& qp,
   const std::uint32_t expected = rdma::PsnAdd(
       target->first_psn, target->bytes_done / rdma::kPathMtu);
   if (view.bth.psn != expected) return;  // gap; the GBN timer recovers
+  // No responder sends more than was asked for; recycling the excess would
+  // make an over-long write.
+  if (view.payload.size() > target->length - target->bytes_done) {
+    ++malformed_dropped_;
+    return;
+  }
 
   const std::uint32_t chunk_offset = target->bytes_done;
   target->bytes_done += static_cast<std::uint32_t>(view.payload.size());
@@ -874,7 +838,7 @@ void CowbirdP4Engine::ArmTimer(Instance& inst, SwitchQp& qp) {
     qp.timer.Cancel();
     return;
   }
-  qp.timer.ArmAfter(*sim_, kGbnTimeout,
+  qp.timer.ArmAfter(*sim_, inst.gbn_timeout,
                     [this, &inst, &qp] { Recover(inst, qp); });
 }
 
@@ -971,6 +935,7 @@ P4Connection ConnectP4Engine(rdma::Device& compute,
                              std::uint32_t qpn_base) {
   COWBIRD_CHECK(!memories.empty());
   P4Connection conn;
+  conn.retransmit_timeout = compute.config().retransmit_timeout;
   conn.compute = SetupHostEndpoint(compute, qpn_base, 1000, 5000);
   conn.probe = SetupHostEndpoint(compute, qpn_base + 1, 1500, 5500);
   conn.wr_compute = SetupHostEndpoint(compute, qpn_base + 2, 2500, 6500);

@@ -95,6 +95,9 @@ struct P4Connection {
   HostEndpoint probe;       // lowest-priority green-region probes
   HostEndpoint wr_compute;  // recycled payload writes + red writes
   std::vector<MemoryEndpoints> memory;  // one per memory server, first first
+  // Go-Back-N timeout of the switch's side of every QP: the fabric's, as
+  // the compute NIC is configured (NicConfig::retransmit_timeout).
+  Nanos retransmit_timeout = 0;
 };
 
 class CowbirdP4Engine : public net::PacketProcessor {
@@ -105,7 +108,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // Section 5.2 ramp-up ceiling: an adaptive probe interval doubles after
   // idle probes up to this.
   static constexpr Nanos kProbeIntervalMax = Micros(64);
-  static constexpr Nanos kGbnTimeout = Micros(100);
   // Metadata entries fetched per read: limited by what the parser can
   // walk through the PHV (Section 5.2 fetches head→tail; the PHV bounds
   // one packet's parsed entries).
@@ -132,7 +134,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   };
 
   CowbirdP4Engine(net::Switch& sw, Config config);
-  ~CowbirdP4Engine();
 
   // Phase I (called by workload::Cluster::Attach): registers an instance
   // with its descriptor and established QPs, laid out as one QPN block
@@ -177,7 +178,8 @@ class CowbirdP4Engine : public net::PacketProcessor {
   std::uint64_t recoveries() const { return recoveries_; }
   std::uint64_t cnps_reflected() const { return cnps_reflected_; }
   // RoCE packets to the switch endpoint too short for the headers they
-  // name, dropped.
+  // name, or read responses longer than their request still expects,
+  // dropped.
   std::uint64_t malformed_dropped() const { return malformed_dropped_; }
 
  public:
@@ -281,11 +283,14 @@ class CowbirdP4Engine : public net::PacketProcessor {
     // One pair per memory server, in connection order. Sized once at
     // attach: the retransmission timers capture SwitchQp addresses.
     std::vector<MemoryPath> memory;
+    Nanos gbn_timeout = 0;  // P4Connection::retransmit_timeout
     std::vector<ThreadState> threads;
     bool probe_inflight = false;
-    // Telemetry: probe round-trip span + precomputed track name.
+    // Telemetry: probe round-trip span, precomputed track name, and the
+    // queue-depth gauges (removed with the instance).
     telemetry::SpanTracer::SpanHandle probe_span;
     std::string probe_track;
+    telemetry::CallbackGauges gauges;
 
     // The QPs by their offset in the instance's QPN block: compute +0,
     // probe +1, payload write +2, server i's read +3+2i and write +4+2i.
@@ -303,8 +308,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // --- pipeline packet handling ---
   void ConsumeRdma(net::Packet packet);
   void HandleReadResponse(Instance& inst, SwitchQp& qp,
-                          const rdma::RdmaMessageView& view,
-                          const net::Packet& packet);
+                          const rdma::RdmaMessageView& view);
   void HandleAck(Instance& inst, SwitchQp& qp,
                  const rdma::RdmaMessageView& view);
 
@@ -356,7 +360,6 @@ class CowbirdP4Engine : public net::PacketProcessor {
   telemetry::Labels EngineLabels() const;
   telemetry::Labels InstanceLabels(std::uint32_t instance_id) const;
   void RegisterInstanceTelemetry(Instance& inst);
-  void UnregisterInstanceTelemetry(const Instance& inst);
   void RecordOpPhase(const Instance& inst, int thread, bool is_write,
                      std::uint64_t seq, telemetry::OpPhase phase) {
     if (config_.telemetry != nullptr) {
@@ -386,6 +389,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   std::uint64_t recoveries_ = 0;
   std::uint64_t cnps_reflected_ = 0;
   std::uint64_t malformed_dropped_ = 0;
+  telemetry::CallbackGauges gauges_;  // with a hub: the engine_* series
 };
 
 // Phase I helper: creates responder QPs on the hosts and wires them to the

@@ -30,8 +30,6 @@ CongestionManager::CongestionManager(Device& device,
   COWBIRD_CHECK(line_rate_gbps_ > 0);
 }
 
-CongestionManager::~CongestionManager() { UnbindTelemetry(); }
-
 CongestionManager::Flow& CongestionManager::FlowFor(std::uint32_t qpn) {
   COWBIRD_CHECK(qpn >= 1);
   if (flows_.size() < qpn) {
@@ -146,14 +144,11 @@ double CongestionManager::FlowRateGbps(std::uint32_t qpn) const {
 }
 
 void CongestionManager::BindFlowGauge(std::uint32_t qpn) {
-  Flow& flow = flows_[qpn - 1];
-  if (flow.gauge_bound) return;
-  flow.gauge_bound = true;
   telemetry::Labels labels = telemetry_labels_;
   labels.emplace_back("qp", std::to_string(qpn));
   // Captured by index, not pointer: flows_ may reallocate as QPs appear.
-  telemetry_registry_->RegisterCallbackGauge(
-      "dcqcn_rate_gbps", labels, [this, qpn] {
+  gauges_.Register(
+      *telemetry_registry_, "dcqcn_rate_gbps", labels, [this, qpn] {
         return static_cast<std::int64_t>(FlowRateGbps(qpn) *
                                          1000.0);  // milli-Gbps
       });
@@ -161,38 +156,21 @@ void CongestionManager::BindFlowGauge(std::uint32_t qpn) {
 
 void CongestionManager::BindTelemetry(telemetry::MetricRegistry& registry,
                                       const telemetry::Labels& labels) {
-  UnbindTelemetry();
+  gauges_.Clear();
   telemetry_registry_ = &registry;
   telemetry_labels_ = labels;
-  registry.RegisterCallbackGauge("dcqcn_cnps_sent", labels, [this] {
+  gauges_.Register(registry, "dcqcn_cnps_sent", labels, [this] {
     return static_cast<std::int64_t>(cnps_sent_);
   });
-  registry.RegisterCallbackGauge("dcqcn_cnps_received", labels, [this] {
+  gauges_.Register(registry, "dcqcn_cnps_received", labels, [this] {
     return static_cast<std::int64_t>(cnps_received_);
   });
-  registry.RegisterCallbackGauge("dcqcn_rate_decreases", labels, [this] {
+  gauges_.Register(registry, "dcqcn_rate_decreases", labels, [this] {
     return static_cast<std::int64_t>(rate_decreases_);
   });
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     BindFlowGauge(static_cast<std::uint32_t>(i + 1));
   }
-}
-
-void CongestionManager::UnbindTelemetry() {
-  if (telemetry_registry_ == nullptr) return;
-  for (const char* name :
-       {"dcqcn_cnps_sent", "dcqcn_cnps_received", "dcqcn_rate_decreases"}) {
-    telemetry_registry_->UnregisterCallbackGauge(name, telemetry_labels_);
-  }
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (!flows_[i].gauge_bound) continue;
-    telemetry::Labels labels = telemetry_labels_;
-    labels.emplace_back("qp", std::to_string(i + 1));
-    telemetry_registry_->UnregisterCallbackGauge("dcqcn_rate_gbps", labels);
-    flows_[i].gauge_bound = false;
-  }
-  telemetry_registry_ = nullptr;
-  telemetry_labels_.clear();
 }
 
 }  // namespace cowbird::rdma

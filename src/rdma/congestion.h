@@ -35,7 +35,6 @@ class CongestionManager {
                     double line_rate_gbps);
   CongestionManager(const CongestionManager&) = delete;
   CongestionManager& operator=(const CongestionManager&) = delete;
-  ~CongestionManager();
 
   // Sender side: admission delay (ns from now) before `wire_bytes` may
   // leave on flow `qpn`, accounting its serialization at the flow rate.
@@ -55,10 +54,10 @@ class CongestionManager {
 
   // Aggregate counters plus a per-flow dcqcn_rate_gbps gauge (labelled
   // qp=<qpn>) for every flow that exists at bind time or is created while
-  // bound. The manager must outlive the registry or UnbindTelemetry first.
+  // bound, all removed when the manager dies. A second bind replaces the
+  // first.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
-  void UnbindTelemetry();
 
  private:
   struct Flow {
@@ -71,7 +70,6 @@ class CongestionManager {
     Nanos last_cnp_out = -1;  // receiver-side echo rate limit
     sim::TimerHandle alpha_timer;
     sim::TimerHandle recovery_timer;
-    bool gauge_bound = false;
   };
 
   Flow& FlowFor(std::uint32_t qpn);
@@ -87,8 +85,10 @@ class CongestionManager {
   std::uint64_t cnps_sent_ = 0;
   std::uint64_t cnps_received_ = 0;
   std::uint64_t rate_decreases_ = 0;
+  // Where flows created while bound register their rate gauge.
   telemetry::MetricRegistry* telemetry_registry_ = nullptr;
   telemetry::Labels telemetry_labels_;
+  telemetry::CallbackGauges gauges_;
 };
 
 }  // namespace cowbird::rdma

@@ -157,30 +157,17 @@ std::uint64_t Device::total_retransmissions() const {
 
 void Device::BindTelemetry(telemetry::MetricRegistry& registry,
                            const telemetry::Labels& labels) {
-  UnbindTelemetry();
-  telemetry_registry_ = &registry;
-  telemetry_labels_ = labels;
-  registry.RegisterCallbackGauge("nic_packets_sent", labels, [this] {
+  gauges_.Clear();
+  gauges_.Register(registry, "nic_packets_sent", labels, [this] {
     return static_cast<std::int64_t>(packets_sent_);
   });
-  registry.RegisterCallbackGauge("nic_packets_received", labels, [this] {
+  gauges_.Register(registry, "nic_packets_received", labels, [this] {
     return static_cast<std::int64_t>(packets_received_);
   });
-  registry.RegisterCallbackGauge("qp_retransmissions", labels, [this] {
+  gauges_.Register(registry, "qp_retransmissions", labels, [this] {
     return static_cast<std::int64_t>(total_retransmissions());
   });
   if (congestion_ != nullptr) congestion_->BindTelemetry(registry, labels);
-}
-
-void Device::UnbindTelemetry() {
-  if (telemetry_registry_ == nullptr) return;
-  for (const char* name :
-       {"nic_packets_sent", "nic_packets_received", "qp_retransmissions"}) {
-    telemetry_registry_->UnregisterCallbackGauge(name, telemetry_labels_);
-  }
-  if (congestion_ != nullptr) congestion_->UnbindTelemetry();
-  telemetry_registry_ = nullptr;
-  telemetry_labels_.clear();
 }
 
 }  // namespace cowbird::rdma

@@ -151,11 +151,11 @@ class Device {
   std::uint64_t malformed_dropped() const { return malformed_dropped_; }
   void CountMalformed() { ++malformed_dropped_; }
 
-  // Surfaces packet and retransmission counters as callback gauges. The
-  // device must outlive the registry or UnbindTelemetry first.
+  // Surfaces packet and retransmission counters (and the congestion
+  // manager's) as callback gauges, removed when the device dies. A second
+  // bind replaces the first.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
-  void UnbindTelemetry();
 
  private:
   // A packet the flow's leaky bucket holds, keyed as the event that sends
@@ -190,8 +190,7 @@ class Device {
   };
   std::vector<WriteWatch> write_watches_;
   std::uint64_t next_watch_id_ = 1;
-  telemetry::MetricRegistry* telemetry_registry_ = nullptr;
-  telemetry::Labels telemetry_labels_;
+  telemetry::CallbackGauges gauges_;
 };
 
 }  // namespace cowbird::rdma

@@ -57,27 +57,9 @@ SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
          [](const SpotAgent& a) { return a.staging_waits_; }},
     };
     for (const auto& s : series) {
-      hub->metrics.RegisterCallbackGauge(
-          s.name, labels, [this, read = s.read] {
-            return static_cast<std::int64_t>(read(*this));
-          });
-    }
-  }
-}
-
-SpotAgent::~SpotAgent() {
-  if (auto* hub = config_.telemetry) {
-    for (const auto& inst : instances_) {
-      if (inst->active) {
-        UnregisterInstanceTelemetry(inst->descriptor.instance_id);
-      }
-    }
-    for (const char* name :
-         {"engine_ops_completed", "engine_probes_sent",
-          "engine_batches_flushed", "engine_reads_stalled_by_writes",
-          "engine_staging_bytes_in_use", "engine_staging_high_water_bytes",
-          "engine_staging_waits"}) {
-      hub->metrics.UnregisterCallbackGauge(name, EngineLabels());
+      gauges_.Register(hub->metrics, s.name, labels, [this, read = s.read] {
+        return static_cast<std::int64_t>(read(*this));
+      });
     }
   }
 }
@@ -99,14 +81,10 @@ void SpotAgent::RegisterInstanceTelemetry(Instance& inst) {
   if (hub == nullptr) return;
   const std::uint32_t id = inst.descriptor.instance_id;
   inst.probe_track = "spot/i" + std::to_string(id) + "/probe";
-  // The depth gauge looks the instance up by id so a snapshot taken after
-  // RemoveInstance reads 0 instead of walking an abandoned slot.
-  hub->metrics.RegisterCallbackGauge(
-      "engine_inflight_ops", InstanceLabels(id), [this, id] {
-        const Instance* candidate = FindInstance(id);
-        if (candidate == nullptr) return std::int64_t{0};
+  inst.gauges.Register(
+      hub->metrics, "engine_inflight_ops", InstanceLabels(id), [&inst] {
         std::int64_t total = 0;
-        for (const ThreadState& ts : candidate->threads) {
+        for (const ThreadState& ts : inst.threads) {
           total += static_cast<std::int64_t>(ts.ops.size());
         }
         return total;
@@ -116,13 +94,6 @@ void SpotAgent::RegisterInstanceTelemetry(Instance& inst) {
     labels.emplace_back("thread", std::to_string(t));
     inst.threads[t].hazards.BindTelemetry(hub->metrics, labels);
   }
-}
-
-void SpotAgent::UnregisterInstanceTelemetry(std::uint32_t instance_id) {
-  auto* hub = config_.telemetry;
-  if (hub == nullptr) return;
-  hub->metrics.UnregisterCallbackGauge("engine_inflight_ops",
-                                       InstanceLabels(instance_id));
 }
 
 void SpotAgent::AddInstance(const core::InstanceDescriptor& descriptor,
@@ -235,7 +206,7 @@ bool SpotAgent::RemoveInstance(std::uint32_t instance_id) {
     if (inst->descriptor.instance_id != instance_id || !inst->active) {
       continue;
     }
-    UnregisterInstanceTelemetry(instance_id);
+    inst->gauges.Clear();
     inst->active = false;
     for (ThreadState& ts : inst->threads) ts.batch_timer.Cancel();
     return true;

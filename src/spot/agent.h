@@ -98,7 +98,6 @@ class SpotAgent {
   // agent's staging arena and labels its telemetry series (agent=<index>).
   SpotAgent(rdma::Device& device, sim::Machine& machine, int index,
             Config config);
-  ~SpotAgent();
 
   // Registers an instance over `conn` (ConnectSpotEngine): a connected QP to
   // the instance's compute node and one to every memory node the region
@@ -217,9 +216,11 @@ class SpotAgent {
     // Cleared by RemoveInstance: the slot stays (wr_ids encode the index)
     // but the instance is no longer probed and its completions are dropped.
     bool active = true;
-    // Telemetry: probe round-trip span + precomputed track name.
+    // Telemetry: probe round-trip span, precomputed track name, and the
+    // engine_inflight_ops gauge (cleared by RemoveInstance).
     telemetry::SpanTracer::SpanHandle probe_span;
     std::string probe_track;
+    telemetry::CallbackGauges gauges;
   };
 
  public:
@@ -278,7 +279,6 @@ class SpotAgent {
   telemetry::Labels EngineLabels() const;
   telemetry::Labels InstanceLabels(std::uint32_t instance_id) const;
   void RegisterInstanceTelemetry(Instance& inst);
-  void UnregisterInstanceTelemetry(std::uint32_t instance_id);
   void RecordOpPhase(const Instance& inst, int thread, bool is_write,
                      std::uint64_t seq, telemetry::OpPhase phase) {
     if (config_.telemetry != nullptr) {
@@ -341,6 +341,7 @@ class SpotAgent {
   };
   std::vector<PumpBatch> pump_scratch_;
   std::vector<std::uint32_t> flush_run_;  // indices into ThreadState::ops
+  telemetry::CallbackGauges gauges_;  // with a hub: the engine_* series
 };
 
 }  // namespace cowbird::spot

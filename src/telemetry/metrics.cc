@@ -22,11 +22,9 @@ bool LegalAtom(std::string_view s) {
 // Unbound handles hold nullptr rather than a shared dummy cell, so two
 // unbound handles never alias one word.
 Counter::Counter() : cell_(nullptr) {}
-Gauge::Gauge() : cell_(nullptr) {}
 Histogram::Histogram() : cell_(nullptr) {}
 
 Counter::Counter(std::uint64_t* cell) : cell_(cell) {}
-Gauge::Gauge(std::int64_t* cell) : cell_(cell) {}
 Histogram::Histogram(LogHistogram* cell) : cell_(cell) {}
 
 std::string CanonicalMetricKey(std::string_view name, const Labels& labels) {
@@ -56,29 +54,32 @@ Counter MetricRegistry::GetCounter(std::string_view name,
   return Counter(&counters_[CanonicalMetricKey(name, labels)]);
 }
 
-Gauge MetricRegistry::GetGauge(std::string_view name, const Labels& labels) {
-  std::string key = CanonicalMetricKey(name, labels);
-  COWBIRD_CHECK(!callback_gauges_.contains(key));
-  return Gauge(&gauges_[std::move(key)]);
-}
-
 Histogram MetricRegistry::GetHistogram(std::string_view name,
                                        const Labels& labels) {
   return Histogram(&histograms_[CanonicalMetricKey(name, labels)]);
 }
 
-void MetricRegistry::RegisterCallbackGauge(std::string_view name,
-                                           const Labels& labels,
-                                           std::function<std::int64_t()> fn) {
+void CallbackGauges::Register(MetricRegistry& registry, std::string_view name,
+                              const Labels& labels,
+                              std::function<std::int64_t()> fn) {
   COWBIRD_CHECK(fn != nullptr);
+  COWBIRD_CHECK(registry_ == nullptr || registry_ == &registry);
+  registry_ = &registry;
   std::string key = CanonicalMetricKey(name, labels);
-  COWBIRD_CHECK(!gauges_.contains(key));
-  callback_gauges_[std::move(key)] = std::move(fn);
+  const std::uint64_t id = ++registry.last_gauge_id_;
+  registry.gauges_[key] = {std::move(fn), id};
+  held_.push_back({std::move(key), id});
 }
 
-void MetricRegistry::UnregisterCallbackGauge(std::string_view name,
-                                             const Labels& labels) {
-  callback_gauges_.erase(CanonicalMetricKey(name, labels));
+void CallbackGauges::Clear() {
+  if (registry_ == nullptr) return;
+  auto& gauges = registry_->gauges_;
+  for (const Held& held : held_) {
+    const auto it = gauges.find(held.key);
+    if (it != gauges.end() && it->second.id == held.id) gauges.erase(it);
+  }
+  held_.clear();
+  registry_ = nullptr;
 }
 
 Snapshot MetricRegistry::TakeSnapshot() const {
@@ -87,22 +88,9 @@ Snapshot MetricRegistry::TakeSnapshot() const {
   for (const auto& [key, value] : counters_) {
     snap.counters.push_back({key, value});
   }
-  // Stored and callback gauges share one sorted namespace; merge the two
-  // already-sorted maps so snapshot order stays canonical.
-  snap.gauges.reserve(gauges_.size() + callback_gauges_.size());
-  auto stored = gauges_.begin();
-  auto lazy = callback_gauges_.begin();
-  while (stored != gauges_.end() || lazy != callback_gauges_.end()) {
-    const bool take_stored =
-        lazy == callback_gauges_.end() ||
-        (stored != gauges_.end() && stored->first < lazy->first);
-    if (take_stored) {
-      snap.gauges.push_back({stored->first, stored->second});
-      ++stored;
-    } else {
-      snap.gauges.push_back({lazy->first, lazy->second()});
-      ++lazy;
-    }
+  snap.gauges.reserve(gauges_.size());
+  for (const auto& [key, gauge] : gauges_) {
+    snap.gauges.push_back({key, gauge.fn()});
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [key, hist] : histograms_) {

@@ -1,5 +1,5 @@
-// Metric registry: labeled counters, gauges, and log-histograms with
-// near-zero hot-path cost.
+// Metric registry: labeled counters, log-histograms and callback gauges
+// with near-zero hot-path cost.
 //
 // Design:
 //
@@ -14,10 +14,12 @@
 //   * The registry stores cells in `std::map` keyed by the canonical series
 //     key ("name{k=v,...}" with label keys sorted), which gives pointer
 //     stability for handles and sorted — hence deterministic — snapshots.
-//   * Callback gauges are evaluated only at snapshot time. They are how
+//   * Gauges are callbacks evaluated only at snapshot time. They are how
 //     pre-existing member counters (net::Link fault counts, QP retransmits,
 //     engine queue depths) surface through the registry without adding any
-//     cost to the code that maintains them.
+//     cost to the code that maintains them. The object a gauge reads owns
+//     it through a CallbackGauges member, so the series leaves the registry
+//     when the object dies and nothing else has to name it again.
 //
 // Each registry is single-threaded, like the event loop it observes. Every
 // handle is one pointer and the registry has one layout in every build mode,
@@ -61,26 +63,6 @@ class Counter {
   friend class MetricRegistry;
   explicit Counter(std::uint64_t* cell);
   std::uint64_t* cell_;
-};
-
-// Settable signed gauge handle.
-class Gauge {
- public:
-  Gauge();  // unbound: Set/Add are no-ops
-  void Set(std::int64_t v) const {
-    if (cell_ == nullptr) return;
-    *cell_ = v;
-  }
-  void Add(std::int64_t delta) const {
-    if (cell_ == nullptr) return;
-    *cell_ += delta;
-  }
-  std::int64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
-
- private:
-  friend class MetricRegistry;
-  explicit Gauge(std::int64_t* cell);
-  std::int64_t* cell_;
 };
 
 // Power-of-two histogram handle (see common/stats.h LogHistogram).
@@ -144,27 +126,61 @@ class MetricRegistry {
   // Get-or-create. Repeated calls with the same name+labels return handles
   // to the same cell (label-set dedup).
   Counter GetCounter(std::string_view name, const Labels& labels = {});
-  Gauge GetGauge(std::string_view name, const Labels& labels = {});
   Histogram GetHistogram(std::string_view name, const Labels& labels = {});
 
-  // Gauge evaluated lazily at TakeSnapshot(); zero cost until then. The
-  // callback must outlive the registry or be unregistered first.
-  // Re-registering the same series replaces the callback (instances rebind
-  // after migration).
-  void RegisterCallbackGauge(std::string_view name, const Labels& labels,
-                             std::function<std::int64_t()> fn);
-  void UnregisterCallbackGauge(std::string_view name, const Labels& labels);
-
+  // Evaluates every gauge; gauges are registered through CallbackGauges.
   Snapshot TakeSnapshot() const;
 
-  std::size_t counter_series() const { return counters_.size(); }
-
  private:
+  friend class CallbackGauges;
+  struct GaugeCell {
+    std::function<std::int64_t()> fn;
+    // Which registration holds the series: a later one replaces the
+    // callback, and only the holder may remove it.
+    std::uint64_t id;
+  };
+
   // std::map: node-based, so cell addresses are stable across inserts.
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::int64_t> gauges_;
   std::map<std::string, LogHistogram> histograms_;
-  std::map<std::string, std::function<std::int64_t()>> callback_gauges_;
+  std::map<std::string, GaugeCell> gauges_;
+  std::uint64_t last_gauge_id_ = 0;
+};
+
+// The gauges one object registers, removed when the object dies. An owner
+// holds one as a member, registers every series it surfaces through it, and
+// never names them again:
+//
+//   void Link::BindTelemetry(MetricRegistry& registry, const Labels& labels) {
+//     gauges_.Clear();  // a second bind replaces the first
+//     gauges_.Register(registry, "link_packets_delivered", labels,
+//                      [this] { return std::int64_t(packets_delivered_); });
+//   }
+//
+// Registering a series another set holds takes it over (an instance
+// re-attached after migration); the earlier holder then leaves it alone.
+// One set registers in one registry, and must not outlive it.
+class CallbackGauges {
+ public:
+  CallbackGauges() = default;
+  CallbackGauges(const CallbackGauges&) = delete;
+  CallbackGauges& operator=(const CallbackGauges&) = delete;
+  ~CallbackGauges() { Clear(); }
+
+  // Gauge `name{labels}`, evaluated by `fn` at TakeSnapshot(); zero cost
+  // until then.
+  void Register(MetricRegistry& registry, std::string_view name,
+                const Labels& labels, std::function<std::int64_t()> fn);
+  // Removes every series this set still holds. Idempotent.
+  void Clear();
+
+ private:
+  struct Held {
+    std::string key;
+    std::uint64_t id;
+  };
+  MetricRegistry* registry_ = nullptr;
+  std::vector<Held> held_;
 };
 
 }  // namespace cowbird::telemetry

@@ -77,36 +77,27 @@ Cluster::Cluster(ClusterSpec spec, telemetry::Hub* hub)
 }
 
 Cluster::~Cluster() {
-  if (hub_ == nullptr) return;
-  for (const auto& unbind : unbind_) unbind();
   // The run's loop dies with the cluster but the caller keeps the hub.
-  hub_->tracer.SetClock([now = sim.Now()] { return now; });
+  if (hub_ != nullptr) hub_->tracer.SetClock([now = sim.Now()] { return now; });
 }
 
 void Cluster::BindTelemetry() {
   hub_->tracer.SetClock([this] { return sim.Now(); });
   telemetry::MetricRegistry& registry = hub_->metrics;
-  // Binds `x` in the hub; the destructor unbinds it.
-  auto bind = [this, &registry](auto& x, telemetry::Labels labels) {
-    x.BindTelemetry(registry, std::move(labels));
-    unbind_.push_back([&x] { x.UnbindTelemetry(); });
-  };
   for (auto& host : hosts_) {
-    if (host->dev) bind(*host->dev, {{"node", host->name}});
+    if (host->dev) host->dev->BindTelemetry(registry, {{"node", host->name}});
     net::Link& up = host->nic.uplink();
     net::Link& down = switch_->EgressLink(host->nic.switch_port());
-    bind(up, {{"link", up.name()}});
-    bind(down, {{"link", down.name()}});
+    up.BindTelemetry(registry, {{"link", up.name()}});
+    down.BindTelemetry(registry, {{"link", down.name()}});
   }
-  bind(*switch_, {{"switch", kSwitchName}});
+  switch_->BindTelemetry(registry, {{"switch", kSwitchName}});
   // Datapath object pools: a mis-sized pool shows up as exhaustion instead
   // of silently degrading to the heap.
   const PoolStats* stats[] = {&sim.EventPoolStats(), &sim.TimerPoolStats()};
   for (int p = 0; p < 2; ++p) {
-    const telemetry::Labels labels{{"pool", kPoolNames[p]}};
-    BindPoolTelemetry(registry, labels, *stats[p]);
-    unbind_.push_back(
-        [&registry, labels] { UnbindPoolTelemetry(registry, labels); });
+    BindPoolTelemetry(pool_gauges_, registry,
+                      telemetry::Labels{{"pool", kPoolNames[p]}}, *stats[p]);
   }
 }
 
@@ -130,7 +121,10 @@ FabricCounters Cluster::Counters() const {
                      switch_->EgressLink(host->nic.switch_port())
                          .pauses_received();
     if (!host->dev) continue;
-    c.retransmissions += host->dev->total_retransmissions();
+    if (const std::uint64_t n = host->dev->total_retransmissions()) {
+      c.retransmissions += n;
+      c.retransmissions_by_node.emplace_back(host->name, n);
+    }
     if (const rdma::CongestionManager* cm = host->dev->congestion()) {
       c.cnps += cm->cnps_received();
     }

@@ -12,17 +12,15 @@
 //     run to run;
 //   * telemetry. With a hub, every device, link, the switch and the event
 //     pools are bound to it, the tracer clock is re-seated onto the run and
-//     frozen at teardown;
+//     frozen at teardown. Each bound object owns its gauges and removes them
+//     when it dies, so teardown needs no unbinding step;
 //   * engine attach and detach. Clients and engines are built here, so
 //     each gets the hub; Attach and Detach are the only way an instance
 //     reaches or leaves an engine (ConnectSpotEngine/ConnectP4Engine +
-//     AddInstance, and ExportProgress + RemoveInstance);
-//   * teardown order. Every gauge the cluster bound is unbound before the
-//     object behind it is destroyed.
+//     AddInstance, and ExportProgress + RemoveInstance).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -90,6 +88,8 @@ struct FabricCounters {
   std::uint64_t pfc_pauses = 0;
   std::uint64_t link_pauses = 0;
   std::uint64_t retransmissions = 0;
+  // The hosts whose NIC retransmitted, in spec order: (name, count).
+  std::vector<std::pair<std::string, std::uint64_t>> retransmissions_by_node;
   std::uint64_t cnps = 0;
 };
 
@@ -164,9 +164,8 @@ class Cluster {
 
   ClusterSpec spec_;
   telemetry::Hub* hub_;
-  // One entry per binding BindTelemetry made; the destructor runs them all
-  // while every bound object is still alive.
-  std::vector<std::function<void()>> unbind_;
+  // The event pools' gauges (the Simulation does not link telemetry/).
+  telemetry::CallbackGauges pool_gauges_;
   std::unique_ptr<net::Switch> switch_;
   std::vector<std::unique_ptr<ClusterHost>> hosts_;  // spec order
   std::vector<ClusterHost*> clients_;

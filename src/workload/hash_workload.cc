@@ -572,8 +572,12 @@ struct Percentiles {
 };
 
 Percentiles LatencyIn(const Harness& h, Nanos lo, Nanos hi) {
-  // Traces merge in fixed (client, thread) order.
+  // Traces merge in fixed (client, thread) order, into storage reserved
+  // once for every sample.
+  std::size_t samples = 0;
+  for (const auto& trace : h.latency_traces) samples += trace.size();
   PercentileSampler sampler;
+  sampler.Reserve(samples);
   for (const auto& trace : h.latency_traces) {
     for (const auto& [completed_at, latency] : trace) {
       if (completed_at > lo && completed_at <= hi) {
@@ -700,6 +704,10 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   result.ecn_marked = fabric.ecn_marked;
   result.pfc_pauses = fabric.pfc_pauses;
   result.retransmissions = fabric.retransmissions;
+  result.retransmissions_by_node = fabric.retransmissions_by_node;
+  if (config.paradigm == Paradigm::kCowbirdP4) {
+    result.gbn_recoveries = h.cluster.p4().recoveries();
+  }
   result.cnps = fabric.cnps;
   result.telemetry = h.cluster.TakeSnapshot();
   return result;

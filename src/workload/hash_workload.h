@@ -53,7 +53,7 @@ struct HashWorkloadConfig {
   // private simulation, the client and engines are instrumented, and the
   // testbed's devices and fabric links are bound as labeled gauges. The
   // run's final metric state comes back in WorkloadResult::telemetry
-  // (the per-run gauges are unbound at teardown).
+  // (the per-run gauges leave the hub with the objects they read).
   telemetry::Hub* telemetry = nullptr;
   // Fired on the host thread at the boundaries of the measure window —
   // after warmup has drained and before the post-measure bookkeeping — so

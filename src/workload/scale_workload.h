@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -85,6 +87,11 @@ struct ScaleWorkloadResult {
   std::uint64_t ecn_marked = 0;
   std::uint64_t pfc_pauses = 0;
   std::uint64_t retransmissions = 0;
+  // FabricCounters::retransmissions_by_node: the hosts whose NIC resent.
+  std::vector<std::pair<std::string, std::uint64_t>> retransmissions_by_node;
+  // The P4 engine's Go-Back-N rewinds (its QPs are not a NIC's, so they
+  // are not in `retransmissions`); 0 on Spot.
+  std::uint64_t gbn_recoveries = 0;
   std::uint64_t cnps = 0;  // CNPs received across every NIC
   // Live-rebalance observability (all zero unless config.migrate). The
   // before/during/after split covers the measure window only: before ends

@@ -194,6 +194,49 @@ TEST_F(P4EngineTest, TruncatedRethToTheSwitchIsDroppedAndCounted) {
   EXPECT_EQ(got, data);
 }
 
+// A pool read response carrying more bytes than its request asked for is
+// dropped and counted, not recycled into an over-long write toward the
+// compute node; Go-Back-N re-reads and the op completes with the right
+// bytes.
+TEST_F(P4EngineTest, OverlongReadResponseIsDroppedAndCounted) {
+  const auto data = Pattern(128, 10);
+  f_.memory(0).mem.Write(kPoolBase + 0xB000, data);
+  // The memory server's first read response (the op's pool read) is
+  // replaced by a copy with 64 extra bytes at the same PSN.
+  bool crafted = false;
+  net::HostNic& memory_nic = f_.memory(0).nic;
+  memory_nic.uplink().set_drop_filter([&](const net::Packet& packet) {
+    if (crafted || !rdma::LooksLikeRdma(packet)) return false;
+    const auto view = rdma::ParseRdmaPacket(packet);
+    if (!view || !rdma::IsReadResponse(view->bth.opcode)) return false;
+    crafted = true;
+    std::vector<std::uint8_t> payload(view->payload.begin(),
+                                      view->payload.end());
+    payload.resize(payload.size() + 64, 0xEE);
+    net::Packet longer = rdma::BuildRdmaPacket(
+        packet.src, packet.dst, packet.priority, view->bth, nullptr,
+        view->aeth ? &*view->aeth : nullptr, payload);
+    f_.sim.ScheduleAfter(
+        0, [&memory_nic, longer = std::move(longer)]() mutable {
+          memory_nic.Send(std::move(longer));
+        });
+    return true;
+  });
+  std::vector<std::uint8_t> got;
+  f_.sim.Spawn([](P4EngineTest& t,
+                  std::vector<std::uint8_t>& out) -> sim::Task<void> {
+    out = co_await t.ReadAndWait(0, 0xB000, 128, kHeap);
+    t.f_.sim.Halt();
+  }(*this, got));
+  f_.sim.RunFor(Millis(20));
+  EXPECT_TRUE(crafted);
+  EXPECT_EQ(engine_->malformed_dropped(), 1u);
+  // Nothing over-long reached the compute node.
+  EXPECT_EQ(f_.client(0).dev->malformed_dropped(), 0u);
+  EXPECT_EQ(engine_->ops_completed(), 1u);
+  EXPECT_EQ(got, data);
+}
+
 TEST_F(P4EngineTest, ReadAfterWriteSeesNewData) {
   const auto new_data = Pattern(128, 4);
   f_.memory(0).mem.Write(kPoolBase + 0x9000, Pattern(128, 3));

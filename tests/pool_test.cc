@@ -61,8 +61,9 @@ TEST(Pool, ExhaustionReturnsNullHandleAndCounts) {
 TEST(Pool, ExhaustedCounterSurfacesThroughRegistryGauge) {
   Pool<int> pool(1);
   telemetry::MetricRegistry registry;
-  const telemetry::Labels labels{{"pool", "test"}};
-  BindPoolTelemetry(registry, labels, pool.stats());
+  telemetry::CallbackGauges gauges;
+  BindPoolTelemetry(gauges, registry, telemetry::Labels{{"pool", "test"}},
+                    pool.stats());
 
   (void)pool.Acquire(1);
   (void)pool.Acquire(2);  // exhausts
@@ -83,7 +84,8 @@ TEST(Pool, ExhaustedCounterSurfacesThroughRegistryGauge) {
   EXPECT_TRUE(saw_exhausted);
   EXPECT_TRUE(saw_in_use);
   EXPECT_TRUE(saw_high_water);
-  UnbindPoolTelemetry(registry, labels);
+  gauges.Clear();
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
 }
 
 TEST(Pool, HighWaterTracksPeakNotCurrent) {

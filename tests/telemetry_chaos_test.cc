@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "chaos/runner.h"
 #include "telemetry/hub.h"
@@ -102,6 +104,13 @@ TEST(TelemetryChaos, InstrumentedRunMatchesUninstrumentedRun) {
   EXPECT_EQ(with_hub.decided_dropped, without_hub.decided_dropped);
 }
 
+// Every gauge a run registered left the hub with the object it read.
+void ExpectNoGaugeLeft(const telemetry::Hub& hub, std::string_view run) {
+  for (const auto& entry : hub.metrics.TakeSnapshot().gauges) {
+    ADD_FAILURE() << run << " left gauge " << entry.key;
+  }
+}
+
 TEST(TelemetryChaos, HubSurvivesHarnessTeardownWithFrozenClock) {
   // The run's simulation dies inside RunChaos; the tracer clock must have
   // been frozen at the final virtual time, and the trace must still export
@@ -114,13 +123,69 @@ TEST(TelemetryChaos, HubSurvivesHarnessTeardownWithFrozenClock) {
   EXPECT_TRUE(
       telemetry::ValidateChromeTrace(hub.tracer.ToChromeTraceJson(), &error))
       << error;
-  // Post-teardown snapshots no longer see the per-run gauges: a callback
-  // gauge left bound would read a destroyed link, device, switch or pool.
-  const telemetry::Snapshot after = hub.metrics.TakeSnapshot();
-  for (const auto& entry : after.gauges) {
-    for (const char* family : {"link_", "nic_", "switch_", "pool_high_water"}) {
-      EXPECT_EQ(entry.key.find(family), std::string::npos) << entry.key;
-    }
+  // Post-teardown snapshots see no gauge at all: one left registered would
+  // read a destroyed link, device, switch, pool, client or engine. Every
+  // harness and shape that binds something of its own is checked, each
+  // into a fresh hub.
+  ExpectNoGaugeLeft(hub, "chaos spot");
+
+  std::vector<std::pair<std::string, ChaosOptions>> chaos_runs;
+  for (const EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+    ChaosOptions options = FaultyOptions(5);
+    options.engine = engine;
+    options.workload.ops_per_thread = 100;
+    const std::string name =
+        std::string("chaos ") + (engine == EngineKind::kSpot ? "spot" : "p4");
+    chaos_runs.emplace_back(name, options);
+    options.plan.migrate = true;
+    chaos_runs.emplace_back(name + " migration", options);
+    options.plan.migrate = false;
+    options.plan.congestion = CongestionScenario::kIncast;
+    chaos_runs.emplace_back(name + " incast", options);
+  }
+  for (const auto& [name, options] : chaos_runs) {
+    telemetry::Hub h([] { return Nanos{0}; });
+    EXPECT_TRUE(RunChaos(options, &h).Passed()) << name;
+    ExpectNoGaugeLeft(h, name);
+  }
+
+  for (const workload::Paradigm paradigm :
+       {workload::Paradigm::kCowbird, workload::Paradigm::kCowbirdP4}) {
+    telemetry::Hub h([] { return Nanos{0}; });
+    workload::HashWorkloadConfig c;
+    c.paradigm = paradigm;
+    c.records = 10'000;
+    c.warmup = Micros(20);
+    c.measure = Micros(100);
+    c.write_fraction = 0.3;
+    c.telemetry = &h;
+    (void)workload::RunHashWorkload(c);
+    ExpectNoGaugeLeft(h, workload::ParadigmName(paradigm));
+  }
+
+  workload::ScaleWorkloadConfig scale;
+  scale.clients = 2;
+  scale.records = 1'000;
+  scale.warmup = Micros(20);
+  scale.measure = Micros(200);
+  {
+    telemetry::Hub h([] { return Nanos{0}; });
+    workload::ScaleWorkloadConfig c = scale;
+    c.incast = true;
+    c.ecn_threshold = KiB(20);
+    c.dcqcn.enabled = true;
+    c.telemetry = &h;
+    (void)workload::RunScaleWorkload(c);
+    ExpectNoGaugeLeft(h, "scale dcqcn");
+  }
+  {
+    telemetry::Hub h([] { return Nanos{0}; });
+    workload::ScaleWorkloadConfig c = scale;
+    c.migrate = true;
+    c.migrate_start = Micros(60);
+    c.telemetry = &h;
+    (void)workload::RunScaleWorkload(c);
+    ExpectNoGaugeLeft(h, "scale migration");
   }
 }
 

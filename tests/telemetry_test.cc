@@ -1,6 +1,6 @@
 // Unit tests for the telemetry layer: metric registry semantics (label
 // canonicalization, handle dedup, snapshot determinism, one layout in every
-// build mode), virtual-time span
+// build mode), callback-gauge ownership, virtual-time span
 // tracing, op-lifecycle breakdowns, the Chrome Trace Event export (golden
 // file + structural validator), and the minimal JSON writer/parser the
 // exports are built on.
@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/units.h"
+#include "net/link.h"
+#include "sim/simulation.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -21,7 +23,6 @@ namespace {
 // different modes can share handles and registries (perfbench builds its
 // driver separately from the library).
 static_assert(sizeof(Counter) == sizeof(void*));
-static_assert(sizeof(Gauge) == sizeof(void*));
 static_assert(sizeof(Histogram) == sizeof(void*));
 
 // ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ TEST(MetricRegistry, LabelOrderDedupsToOneSeries) {
   c1.Add();
   c2.Add(2);
   EXPECT_EQ(c1.value(), 3u);
-  EXPECT_EQ(registry.counter_series(), 1u);
+  EXPECT_EQ(registry.TakeSnapshot().counters.size(), 1u);
 }
 
 TEST(MetricRegistry, InstanceLabelsIsolateSeries) {
@@ -116,55 +117,59 @@ TEST(MetricRegistry, InstanceLabelsIsolateSeries) {
 
 TEST(MetricRegistry, UnboundHandlesAreSafe) {
   Counter counter;
-  Gauge gauge;
   Histogram histogram;
+  CallbackGauges gauges;
   counter.Add(3);
-  gauge.Set(-4);
   histogram.Observe(100);
-  // No registry involved; the dummies absorb the writes.
-  SUCCEED();
+  gauges.Clear();  // holds nothing, bound to no registry
+  // No registry involved; the writes go nowhere.
+  EXPECT_EQ(counter.value(), 0u);
 }
 
 TEST(MetricRegistry, GaugesAndCallbackGauges) {
   MetricRegistry registry;
-  Gauge g = registry.GetGauge("depth", {{"qp", "to_compute"}});
-  g.Set(12);
-  g.Add(-2);
+  CallbackGauges gauges;
   std::int64_t live = 99;
-  registry.RegisterCallbackGauge("live", {}, [&live] { return live; });
+  gauges.Register(registry, "live", {}, [&live] { return live; });
+  gauges.Register(registry, "depth", {{"qp", "to_compute"}},
+                  [] { return std::int64_t{-2}; });
   live = 41;  // evaluated only at snapshot time
 
   Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.GaugeValue("depth{qp=to_compute}"), 10);
+  EXPECT_EQ(snap.GaugeValue("depth{qp=to_compute}"), -2);
   EXPECT_EQ(snap.GaugeValue("live"), 41);
 
-  registry.UnregisterCallbackGauge("live", {});
-  registry.UnregisterCallbackGauge("live", {});  // idempotent
+  gauges.Clear();
+  gauges.Clear();  // idempotent
   snap = registry.TakeSnapshot();
-  EXPECT_FALSE(snap.GaugeValue("live").has_value());
+  EXPECT_TRUE(snap.gauges.empty());
 }
 
 TEST(MetricRegistry, ReregisteringCallbackGaugeReplacesIt) {
   // Migration rebinds: the new instance's callback takes over the series.
   MetricRegistry registry;
-  registry.RegisterCallbackGauge("inflight", {}, [] { return 1; });
-  registry.RegisterCallbackGauge("inflight", {}, [] { return 2; });
-  EXPECT_EQ(registry.TakeSnapshot().GaugeValue("inflight"), 2);
+  CallbackGauges old_owner, new_owner;
+  old_owner.Register(registry, "inflight", {}, [] { return 1; });
+  new_owner.Register(registry, "inflight", {}, [] { return 2; });
+  const Snapshot snap = registry.TakeSnapshot();
+  EXPECT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.GaugeValue("inflight"), 2);
 }
 
 TEST(MetricRegistry, SnapshotIsDeterministic) {
-  auto populate = [](MetricRegistry& registry) {
+  auto populate = [](MetricRegistry& registry, CallbackGauges& gauges) {
     // Insertion order differs from canonical order on purpose.
     registry.GetCounter("z_ops", {{"b", "2"}}).Add(9);
     registry.GetCounter("a_ops", {{"x", "1"}, {"a", "0"}}).Add(4);
-    registry.GetGauge("depth").Set(-3);
+    gauges.Register(registry, "depth", {}, [] { return -3; });
     registry.GetHistogram("lat").Observe(1000);
     registry.GetHistogram("lat").Observe(3);
-    registry.RegisterCallbackGauge("cb", {{"k", "v"}}, [] { return 7; });
+    gauges.Register(registry, "cb", {{"k", "v"}}, [] { return 7; });
   };
   MetricRegistry r1, r2;
-  populate(r1);
-  populate(r2);
+  CallbackGauges g1, g2;
+  populate(r1, g1);
+  populate(r2, g2);
   const std::string j1 = r1.TakeSnapshot().ToJson();
   const std::string j2 = r2.TakeSnapshot().ToJson();
   EXPECT_EQ(j1, j2);
@@ -180,6 +185,82 @@ TEST(MetricRegistry, SnapshotIsDeterministic) {
   // Canonical (sorted) order, not insertion order.
   EXPECT_EQ(counters->object[0].first, "a_ops{a=0,x=1}");
   EXPECT_EQ(counters->object[1].first, "z_ops{b=2}");
+  const JsonValue* gauges = doc->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_EQ(gauges->object.size(), 2u);
+  EXPECT_EQ(gauges->object[0].first, "cb{k=v}");
+  EXPECT_EQ(gauges->object[1].first, "depth");
+}
+
+// ---------------------------------------------------------------------------
+// Callback-gauge ownership
+// ---------------------------------------------------------------------------
+
+TEST(CallbackGauges, DestroyingOrClearingTheSetRemovesItsSeries) {
+  MetricRegistry registry;
+  CallbackGauges kept;
+  kept.Register(registry, "kept", {}, [] { return 1; });
+  {
+    CallbackGauges scoped;
+    scoped.Register(registry, "scoped", {{"k", "a"}}, [] { return 2; });
+    scoped.Register(registry, "scoped", {{"k", "b"}}, [] { return 3; });
+    EXPECT_EQ(registry.TakeSnapshot().gauges.size(), 3u);
+  }
+  Snapshot snap = registry.TakeSnapshot();
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.GaugeValue("kept"), 1);
+
+  kept.Clear();
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
+  kept.Clear();  // idempotent
+  // A cleared set registers again, and its destructor removes that too.
+  kept.Register(registry, "again", {}, [] { return 4; });
+  EXPECT_EQ(registry.TakeSnapshot().GaugeValue("again"), 4);
+}
+
+TEST(CallbackGauges, SeriesALaterOwnerReplacedSurvivesTheEarlierOwner) {
+  // An instance re-attached elsewhere re-registers its series before the
+  // old binding dies; the old owner must not take the new one with it.
+  MetricRegistry registry;
+  CallbackGauges later;
+  {
+    CallbackGauges earlier;
+    earlier.Register(registry, "inflight", {{"instance", "1"}},
+                     [] { return 1; });
+    earlier.Register(registry, "only_earlier", {}, [] { return 5; });
+    later.Register(registry, "inflight", {{"instance", "1"}},
+                   [] { return 2; });
+  }
+  const Snapshot snap = registry.TakeSnapshot();
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.GaugeValue("inflight{instance=1}"), 2);
+}
+
+TEST(CallbackGauges, SecondBindTelemetryReplacesTheObjectsSeries) {
+  sim::Simulation sim;
+  MetricRegistry registry;
+  auto link_series = [&registry](std::string_view label) {
+    int n = 0;
+    for (const auto& entry : registry.TakeSnapshot().gauges) {
+      if (entry.key.starts_with("link_") &&
+          entry.key.find(label) != std::string::npos) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  {
+    net::Link link(sim, BitRate::Gbps(100), 150);
+    link.BindTelemetry(registry, {{"link", "first"}});
+    const int per_bind = link_series("link=first");
+    EXPECT_GT(per_bind, 0);
+    link.BindTelemetry(registry, {{"link", "second"}});
+    EXPECT_EQ(link_series("link=first"), 0);
+    EXPECT_EQ(link_series("link=second"), per_bind);
+    EXPECT_EQ(registry.TakeSnapshot().gauges.size(),
+              static_cast<std::size_t>(per_bind));
+  }
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
 }
 
 TEST(MetricRegistry, SnapshotHistogramEntries) {
