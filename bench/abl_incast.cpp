@@ -131,10 +131,14 @@ int main(int argc, char** argv) {
   std::uint64_t drops_at_12 = 0;
   // P4 MOPS at 4 and 12 clients, per policy (drops, ecn).
   double p4_at_4[2] = {0, 0}, p4_at_12[2] = {0, 0};
+  bool ecn_without_recovery = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     const ScaleWorkloadResult& r = results[i];
     const char* const policy = p.ecn ? "ecn" : "drops";
+    if (p.ecn && (r.retransmissions > 0 || r.gbn_recoveries > 0)) {
+      ecn_without_recovery = false;
+    }
     if (p.paradigm == Paradigm::kCowbirdP4) {
       if (p.clients == 4) p4_at_4[p.ecn] = r.mops;
       if (p.clients == 12) p4_at_12[p.ecn] = r.mops;
@@ -193,6 +197,9 @@ int main(int argc, char** argv) {
                       p4_at_12[1] >= 0.9 * p4_at_4[1],
                   "p4: 12 clients keep >= 0.9x the 4-client MOPS under "
                   "both policies");
+  json.ShapeCheck(ecn_without_recovery,
+                  "ECN policy (PFC on): no NIC retransmissions and no GBN "
+                  "recoveries at any client count, both engines");
 
   return json.WriteFile() ? 0 : 1;
 }

@@ -14,9 +14,6 @@ namespace {
 std::uint32_t MakeRkey(std::size_t index) {
   return static_cast<std::uint32_t>((index + 1) * 2654435761u) | 1u;
 }
-
-// Doorbell-to-wire (TX) / wire-to-DMA-complete (RX) latency per packet.
-constexpr Nanos kProcessingDelay = 250;
 }  // namespace
 
 Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
@@ -74,51 +71,11 @@ void Device::EmitPacket(net::Packet packet) {
 }
 
 void Device::EmitPaced(std::uint32_t qpn, net::Packet packet) {
-  if (congestion_ != nullptr) {
-    packet.SetEcnBits(net::kEcnEct0);
-    const Nanos delay = congestion_->ReserveSend(qpn, packet.WireBytes());
-    if (delay > 0) {
-      ++packets_sent_;
-      QueuePaced(qpn, simulation().Now() + delay + kProcessingDelay,
-                 std::move(packet));
-      return;
-    }
-  }
-  EmitPacket(std::move(packet));
-}
-
-void Device::QueuePaced(std::uint32_t qpn, Nanos when, net::Packet packet) {
-  sim::Simulation& sim = simulation();
-  const std::uint64_t seq = sim.Reserve();
-  if (paced_.size() < qpn) paced_.resize(qpn);
-  FixedDeque<PacedPacket>& flow = paced_[qpn - 1];
-  // The leaky bucket hands a flow rising departure times, so a packet
-  // queues behind the ones waiting and leaves at its own key once they
-  // have gone. A flow re-paced after StopPacing restarts its bucket at
-  // now, possibly before packets still waiting from its previous pacing
-  // spell: such a packet gets an event of its own.
-  if (!flow.empty() && when < flow.back().when) {
-    sim.ScheduleReserved(when, seq, [this, p = std::move(packet)]() mutable {
-      nic_->Send(std::move(p));
-    });
+  if (congestion_ != nullptr && congestion_->Hold(qpn, packet)) {
+    ++packets_sent_;
     return;
   }
-  flow.push_back(PacedPacket{when, seq, std::move(packet)});
-  if (flow.size() == 1) {
-    sim.ScheduleReserved(when, seq, [this, qpn] { SendPacedHead(qpn); });
-  }
-}
-
-void Device::SendPacedHead(std::uint32_t qpn) {
-  FixedDeque<PacedPacket>& flow = paced_[qpn - 1];
-  net::Packet packet = std::move(flow.front().packet);
-  flow.pop_front();
-  if (!flow.empty()) {
-    // Later than the running key: same or later time, larger seq.
-    simulation().ScheduleReserved(flow.front().when, flow.front().seq,
-                                  [this, qpn] { SendPacedHead(qpn); });
-  }
-  nic_->Send(std::move(packet));
+  EmitPacket(std::move(packet));
 }
 
 void Device::OnPacket(net::Packet packet) {

@@ -94,16 +94,17 @@ class Device {
   QueuePair* CreateQp(CompletionQueue* send_cq, CompletionQueue* recv_cq);
   QueuePair* FindQp(std::uint32_t qpn) const;
 
+  // Doorbell-to-wire (TX) / wire-to-DMA-complete (RX) latency per packet.
+  static constexpr Nanos kProcessingDelay = 250;
+
   // Hands a fully-built packet to the NIC after the TX processing delay.
   void EmitPacket(net::Packet packet);
 
   // Data-path emit for QP `qpn`: when DCQCN is enabled the packet is
-  // stamped ECT and may be held by the flow's leaky bucket before the
-  // processing delay. Unpaced flows (never marked, or fully recovered)
+  // stamped ECT and its flow may hold it (CongestionManager::Hold).
+  // Unpaced flows that hold nothing (never marked, or fully recovered)
   // take the exact EmitPacket path, byte- and timestamp-identical to a
-  // congestion-disabled run. A held packet takes its departure key
-  // (time, seq) at emit and waits in its flow's queue; only the flow's
-  // head has an event queued.
+  // congestion-disabled run.
   void EmitPaced(std::uint32_t qpn, net::Packet packet);
 
   SparseMemory& memory() { return *memory_; }
@@ -158,17 +159,7 @@ class Device {
                      const telemetry::Labels& labels);
 
  private:
-  // A packet the flow's leaky bucket holds, keyed as the event that sends
-  // it would have been when scheduled at emit.
-  struct PacedPacket {
-    Nanos when = 0;
-    std::uint64_t seq = 0;
-    net::Packet packet;
-  };
-
   void OnPacket(net::Packet packet);
-  void QueuePaced(std::uint32_t qpn, Nanos when, net::Packet packet);
-  void SendPacedHead(std::uint32_t qpn);
 
   net::HostNic* nic_;
   SparseMemory* memory_;
@@ -177,8 +168,6 @@ class Device {
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<QueuePair>> qps_;
   std::unique_ptr<CongestionManager> congestion_;
-  // Per QP (index qpn - 1): held packets in departure order.
-  std::vector<FixedDeque<PacedPacket>> paced_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t malformed_dropped_ = 0;
