@@ -142,6 +142,7 @@ void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
   }
   COWBIRD_CHECK(conn.retransmit_timeout > 0);
   inst->gbn_timeout = conn.retransmit_timeout;
+  inst->ecn_capable = conn.ecn_capable;
   // InstanceForQpn names a packet's QP by its offset in the QPN block.
   COWBIRD_CHECK(!inst->memory.empty());
   for (std::uint32_t slot = 0; slot < inst->qp_count(); ++slot) {
@@ -634,8 +635,9 @@ void CowbirdP4Engine::OnSourceChunk(Instance& inst, Pending& pending,
   const bool last = rdma::IsLastOrOnly(opcode);
   rdma::Reth reth{dest->raddr, dest->rkey, dest->length};
   ++packets_recycled_;
-  SendPacket(BuildRequest(qp, opcode, rdma::PsnAdd(dest->first_psn, index),
-                          last, rdma::HasReth(opcode) ? &reth : nullptr,
+  SendPacket(BuildRequest(inst, qp, opcode,
+                          rdma::PsnAdd(dest->first_psn, index), last,
+                          rdma::HasReth(opcode) ? &reth : nullptr,
                           view.payload, net::Priority::kRdma));
   dest->bytes_sent += static_cast<std::uint32_t>(view.payload.size());
   if (dest->bytes_sent >= dest->length) {
@@ -800,7 +802,7 @@ void CowbirdP4Engine::EmitRequestPacket(Instance& inst, SwitchQp& qp,
       const net::Priority priority = pending.kind == PendingKind::kProbe
                                          ? net::Priority::kProbe
                                          : net::Priority::kRdma;
-      SendPacket(BuildRequest(qp, rdma::Opcode::kReadRequest,
+      SendPacket(BuildRequest(inst, qp, rdma::Opcode::kReadRequest,
                               pending.first_psn, false, &reth, {},
                               priority));
       break;
@@ -812,7 +814,7 @@ void CowbirdP4Engine::EmitRequestPacket(Instance& inst, SwitchQp& qp,
       std::uint8_t block[core::kRedBlockBytes];
       offload::ProgressPublisher::Pack(ts.progress, block);
       rdma::Reth reth{pending.raddr, pending.rkey, pending.length};
-      SendPacket(BuildRequest(qp, rdma::Opcode::kWriteOnly,
+      SendPacket(BuildRequest(inst, qp, rdma::Opcode::kWriteOnly,
                               pending.first_psn, /*ack_request=*/true, &reth,
                               std::span<const std::uint8_t>(
                                   block, core::kRedBlockBytes),
@@ -885,8 +887,8 @@ void CowbirdP4Engine::Recover(Instance& inst, SwitchQp& qp) {
 // ---------------------------------------------------------------------------
 
 net::Packet CowbirdP4Engine::BuildRequest(
-    const SwitchQp& qp, rdma::Opcode opcode, std::uint32_t psn,
-    bool ack_request, const rdma::Reth* reth,
+    const Instance& inst, const SwitchQp& qp, rdma::Opcode opcode,
+    std::uint32_t psn, bool ack_request, const rdma::Reth* reth,
     std::span<const std::uint8_t> payload, net::Priority priority) {
   rdma::Bth bth;
   bth.opcode = opcode;
@@ -896,7 +898,7 @@ net::Packet CowbirdP4Engine::BuildRequest(
   net::Packet packet =
       rdma::BuildRdmaPacket(kSwitchAddress, qp.host.node, priority,
                             bth, reth, nullptr, payload);
-  if (config_.ecn_capable && priority != net::Priority::kControl) {
+  if (inst.ecn_capable && priority != net::Priority::kControl) {
     packet.SetEcnBits(net::kEcnEct0);
   }
   return packet;
@@ -936,6 +938,7 @@ P4Connection ConnectP4Engine(rdma::Device& compute,
   COWBIRD_CHECK(!memories.empty());
   P4Connection conn;
   conn.retransmit_timeout = compute.config().retransmit_timeout;
+  conn.ecn_capable = compute.config().dcqcn.enabled;
   conn.compute = SetupHostEndpoint(compute, qpn_base, 1000, 5000);
   conn.probe = SetupHostEndpoint(compute, qpn_base + 1, 1500, 5500);
   conn.wr_compute = SetupHostEndpoint(compute, qpn_base + 2, 2500, 6500);

@@ -149,7 +149,7 @@ struct Harness {
       case Paradigm::kCowbirdNoBatch:
       case Paradigm::kCowbird:
       case Paradigm::kCowbirdP4:
-        AttachEngine(spec);
+        AttachEngine();
         break;
     }
 
@@ -207,7 +207,7 @@ struct Harness {
   }
 
   // Builds the engine, attaches every client in order, then starts it.
-  void AttachEngine(const ClusterSpec& spec) {
+  void AttachEngine() {
     // The migrating instance needs an endpoint on both servers:
     // post-cutover translations resolve to the destination.
     const auto attach_all = [this](Cluster::Engine serving) {
@@ -219,11 +219,7 @@ struct Harness {
       }
     };
     if (cfg.paradigm == Paradigm::kCowbirdP4) {
-      p4::CowbirdP4Engine::Config ec;
-      // When the NICs run DCQCN, the switch-generated packets join the ECN
-      // loop too (and the engine reflects CNPs to the memory hosts).
-      ec.ecn_capable = spec.nic.dcqcn.enabled;
-      p4::CowbirdP4Engine& p4 = cluster.AddP4Engine(ec);
+      p4::CowbirdP4Engine& p4 = cluster.AddP4Engine({});
       attach_all(p4);
       p4.Start();
       return;

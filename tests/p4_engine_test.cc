@@ -481,6 +481,52 @@ TEST(P4TwoServers, SpilledRegionServesBothServersAndReflectsCnpsPerServer) {
   EXPECT_EQ(f.memory(0).dev->congestion()->cnps_received(), 0u);
 }
 
+// The switch's ECN stamping comes from the fabric: with a default engine
+// Config, the data packets it generates (requests, probes and recycled
+// writes, toward both hosts) are ECT(0) exactly when the NICs run DCQCN.
+TEST(P4Ecn, GeneratedDataPacketsAreEcnCapableExactlyOnADcqcnFabric) {
+  for (const bool dcqcn : {false, true}) {
+    workload::ClusterSpec spec;
+    spec.nic.dcqcn.enabled = dcqcn;
+    workload::Cluster f{spec};
+    const RegionInfo pool = testing::PoolRegion(f, kPoolBase, MiB(1));
+    CowbirdClient& client = f.AddClient(0, testing::SmallRings(1));
+    client.RegisterRegion(pool);
+    CowbirdP4Engine& engine = f.AddP4Engine(CowbirdP4Engine::Config{});
+    f.Attach(engine, client);
+    engine.Start();
+
+    std::uint64_t generated = 0, capable = 0;
+    const auto observe = [&](const net::Packet& p) {
+      if (p.src == kSwitchAddress && p.priority != net::Priority::kControl) {
+        ++generated;
+        if (p.EcnBits() == net::kEcnEct0) ++capable;
+      }
+      return false;  // observe only
+    };
+    f.sw().EgressLink(f.memory(0).nic.switch_port()).set_drop_filter(observe);
+    f.sw().EgressLink(f.client(0).nic.switch_port()).set_drop_filter(observe);
+
+    std::vector<std::uint8_t> got;
+    sim::SimThread app(*f.client(0).machine, "app");
+    f.sim.Spawn([](workload::Cluster& ff, CowbirdClient& c,
+                   sim::SimThread& thread,
+                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
+      ff.client(0).mem.Write(kHeap, Pattern(256, 41));
+      (void)co_await testing::WriteAndWait(c, 0, thread, kHeap, 0x3000, 256);
+      out = co_await testing::ReadAndWait(ff, c, 0, thread, 0x3000, 256,
+                                          kHeap + 0x10000);
+      ff.sim.Halt();
+    }(f, client, app, got));
+    f.sim.Run();
+
+    EXPECT_EQ(got, Pattern(256, 41)) << "dcqcn=" << dcqcn;
+    EXPECT_GT(engine.packets_recycled(), 0u);
+    EXPECT_GT(generated, 0u);
+    EXPECT_EQ(capable, dcqcn ? generated : 0u) << "dcqcn=" << dcqcn;
+  }
+}
+
 // Two instances share one switch: TDM probing must serve both.
 TEST(P4MultiInstance, TimeDivisionMultiplexing) {
   workload::Cluster f{workload::ClusterSpec{}};
