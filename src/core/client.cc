@@ -381,9 +381,4 @@ sim::Task<std::vector<ReqId>> CowbirdClient::ThreadContext::PollWait(
   co_return results;
 }
 
-bool CowbirdClient::ThreadContext::IsRetired(ReqId id) const {
-  if (id.type() == RwType::kRead) return id.seq() <= retired_read_seq_;
-  return id.seq() <= retired_write_seq_;
-}
-
 }  // namespace cowbird::core

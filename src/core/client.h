@@ -126,11 +126,6 @@ class CowbirdClient {
                            std::vector<ReqId>& responses, int max_ret,
                            Nanos gap);
 
-    // Completion state without a poll group (used by tests/integrations):
-    // true once the request's sequence number is covered by the engine's
-    // progress counter *and* the library has retired it.
-    bool IsRetired(ReqId id) const;
-
     std::uint64_t writes_issued() const { return writes_issued_; }
     std::uint64_t issue_failures() const { return issue_failures_; }
     std::uint64_t reads_retired() const { return retired_read_seq_; }
