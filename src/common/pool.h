@@ -257,7 +257,7 @@ class FixedDeque {
   }
 
   // Removes element i, preserving order (shifts the shorter side). Rare
-  // path: only the priority-scheduling link scan uses it.
+  // path: only the client's PollRemove uses it.
   void erase_at(std::size_t i) {
     COWBIRD_DCHECK(i < size_);
     if (i <= size_ / 2) {

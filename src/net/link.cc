@@ -6,29 +6,34 @@
 
 namespace cowbird::net {
 
-void Link::Send(Packet packet) {
-  queue_.push_back(std::move(packet));
+void Link::Send(Packet packet, int tag) {
+  auto& queue = queues_[static_cast<std::size_t>(packet.priority)];
+  queue.push_back({std::move(packet), arrivals_++, tag});
+  ++queued_;
   if (!TransmitterIdle()) {
     PushTransmitDone();
-  } else if (HasEligible()) {
-    StartNext();
+  } else if (const int cls = PickClass(); cls >= 0) {
+    StartNext(cls);
   }
 }
 
-void Link::WakeWhenIdle() {
-  COWBIRD_CHECK(idle_callback_);
-  wake_requested_ = true;
-  // An idle transmitter has nothing to finish: the wake rides the next
-  // packet it starts (one held by a pause, say).
-  if (!TransmitterIdle()) PushTransmitDone();
-}
-
-bool Link::HasEligible() const {
-  if (!data_paused_) return !queue_.empty();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].priority == Priority::kControl) return true;
+int Link::PickClass() const {
+  // The classes sort by priority, so a pause leaves the top ones (control
+  // and PFC frames) eligible; held packets stay queued, never dropped.
+  const int lowest = data_paused_ ? static_cast<int>(Priority::kControl) : 0;
+  int pick = -1;
+  for (int cls = static_cast<int>(Priority::kLevels) - 1; cls >= lowest;
+       --cls) {
+    const auto& queue = queues_[static_cast<std::size_t>(cls)];
+    if (queue.empty()) continue;
+    if (priority_scheduling_) return cls;
+    if (pick < 0 ||
+        queue.front().arrival <
+            queues_[static_cast<std::size_t>(pick)].front().arrival) {
+      pick = cls;
+    }
   }
-  return false;
+  return pick;
 }
 
 void Link::PauseData(Nanos duration) {
@@ -51,43 +56,34 @@ void Link::ResumeData() {
   data_paused_ = false;
   paused_ns_ += static_cast<std::uint64_t>(sim_->Now() - pause_started_at_);
   pause_timer_.Cancel();
-  if (TransmitterIdle() && HasEligible()) StartNext();
+  if (!TransmitterIdle()) return;
+  if (const int cls = PickClass(); cls >= 0) StartNext(cls);
 }
 
-void Link::StartNext() {
-  // Pick the first eligible packet (FIFO), or the highest-priority eligible
-  // one under priority scheduling. While data-paused only kControl is
-  // eligible; ineligible packets are held in place, never dropped.
-  std::size_t next = queue_.size();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (data_paused_ && queue_[i].priority != Priority::kControl) continue;
-    if (next == queue_.size()) {
-      next = i;
-      if (!priority_scheduling_) break;
-      continue;
-    }
-    if (static_cast<int>(queue_[i].priority) >
-        static_cast<int>(queue_[next].priority)) {
-      next = i;
-    }
-  }
-  COWBIRD_CHECK(next < queue_.size());
-  Packet packet = std::move(queue_[next]);
-  queue_.erase_at(next);
-  const Nanos tx = rate_.TransmitTime(packet.WireBytes());
+void Link::StartNext(int cls) {
+  auto& queue = queues_[static_cast<std::size_t>(cls)];
+  Queued entry = std::move(queue.front());
+  queue.pop_front();
+  --queued_;
+  const Nanos tx = rate_.TransmitTime(entry.packet.WireBytes());
+  // Busy from here on: a packet the callback sends on this very link (a
+  // PFC resume out of a port that is also the packet's ingress) queues
+  // behind this one and leaves the transmit-done push to the end.
+  busy_until_ = sim_->Now() + tx;
+  tx_done_queued_ = true;
+  if (on_dequeue_) on_dequeue_(entry.packet, entry.tag);
   // Delivery is scheduled independently of transmitter availability so that
   // back-to-back packets pipeline across the propagation delay.
   sim_->ScheduleAfter(tx + propagation_,
-                      [this, p = std::move(packet)]() mutable {
+                      [this, p = std::move(entry.packet)]() mutable {
                         Deliver(std::move(p));
                       });
   // The transmit-done key is taken now, right after the delivery's, as an
   // eagerly scheduled event would take it; the event itself is queued only
   // if there will be something for it to do.
-  busy_until_ = sim_->Now() + tx;
   tx_seq_ = sim_->Reserve();
   tx_done_queued_ = false;
-  if (!queue_.empty() || wake_requested_) PushTransmitDone();
+  if (queued_ > 0) PushTransmitDone();
 }
 
 void Link::PushTransmitDone() {
@@ -97,15 +93,8 @@ void Link::PushTransmitDone() {
 }
 
 void Link::TransmitDone() {
-  if (HasEligible()) {
-    StartNext();
-  } else if (queue_.empty() && wake_requested_) {
-    // Data held behind a pause is neither transmitted nor "drained": the
-    // wake waits for a genuinely empty queue; ResumeData re-kicks held
-    // packets when the pause lifts.
-    wake_requested_ = false;
-    idle_callback_();
-  }
+  // Packets held by a pause wait for ResumeData to re-kick the transmitter.
+  if (const int cls = PickClass(); cls >= 0) StartNext(cls);
 }
 
 void Link::Deliver(Packet packet) {

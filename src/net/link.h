@@ -2,6 +2,9 @@
 //
 // A link transmits one packet at a time at its configured rate; completed
 // packets propagate for `propagation` ns and are handed to the receiver.
+// Packets waiting for the transmitter sit in one FIFO per traffic class,
+// and the link alone picks which starts next (see set_priority_scheduling
+// and PauseData): a switch port's egress link is that port's only queue.
 // Multiple packets can be in flight on the wire simultaneously (transmission
 // pipelines with propagation). Loss is injected at delivery time through an
 // optional drop filter — corruption and congestive loss look identical to
@@ -14,6 +17,7 @@
 // plan's decisions can be audited against the link's counters.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
 
@@ -47,13 +51,11 @@ class Link {
   void set_receiver(std::function<void(Packet)> receiver) {
     receiver_ = std::move(receiver);
   }
-  // Runs `cb` once per WakeWhenIdle() request, when the transmitter next
-  // finishes a packet and leaves its queue empty (the switch's egress hook:
-  // a port with packets waiting asks to be woken). Never fires unasked.
-  void set_idle_callback(std::function<void()> cb) {
-    idle_callback_ = std::move(cb);
+  // Runs `cb` with each packet, and the tag it was sent with, as the packet
+  // starts transmitting: the switch's egress accounting.
+  void set_dequeue_callback(std::function<void(const Packet&, int)> cb) {
+    on_dequeue_ = std::move(cb);
   }
-  void WakeWhenIdle();
   // Return true to drop the packet (applied as the packet would arrive).
   void set_drop_filter(std::function<bool(const Packet&)> filter) {
     drop_filter_ = std::move(filter);
@@ -65,22 +67,24 @@ class Link {
     fault_filter_ = std::move(filter);
   }
 
-  void Send(Packet packet);
+  // Queues `packet` behind the others of its class; `tag` is handed back to
+  // the dequeue callback.
+  void Send(Packet packet, int tag = -1);
 
   // Names this link for telemetry labels (e.g. "uplink[client3]").
   void set_name(std::string name) { name_ = std::move(name); }
   const std::string& name() const { return name_; }
 
-  // Host NICs can schedule their transmit queue by traffic class (strict
-  // priority, highest first) instead of FIFO — how RDMA traffic is
-  // prioritized above user TCP in the Figure 14 worst case.
+  // Strict priority (the highest eligible class starts next) instead of
+  // FIFO (the earliest eligible packet). Every switch port runs it; a host
+  // NIC runs it to put RDMA above user TCP in the Figure 14 worst case.
   void set_priority_scheduling(bool enabled) {
     priority_scheduling_ = enabled;
   }
 
   // PFC: pauses the data classes (everything below Priority::kControl) for
-  // `duration` ns. Control frames keep flowing — that is what keeps the
-  // pause/CNP loop itself deadlock-free. A refresh while already paused
+  // `duration` ns. Control and PFC frames keep flowing — that is what keeps
+  // the pause/CNP loop itself deadlock-free. A refresh while already paused
   // extends the deadline; a zero/negative duration (or the timer expiring)
   // resumes and re-kicks the transmitter. Queued data packets are *held*,
   // not dropped, so delivery back-pressures instead of losing frames — and
@@ -118,10 +122,15 @@ class Link {
                      const telemetry::Labels& labels);
 
  private:
-  // True when some queued packet may transmit now (any packet normally;
-  // only kControl while data-paused).
-  bool HasEligible() const;
-  void StartNext();
+  struct Queued {
+    Packet packet;
+    std::uint64_t arrival = 0;  // orders the classes' heads on a FIFO link
+    int tag = -1;
+  };
+
+  // The class whose head starts next, or -1 when no queued packet may.
+  int PickClass() const;
+  void StartNext(int cls);
   // Queues the transmit-done event at its reserved key, once per packet.
   void PushTransmitDone();
   void TransmitDone();
@@ -133,18 +142,21 @@ class Link {
   BitRate rate_;
   Nanos propagation_;
   std::function<void(Packet)> receiver_;
-  std::function<void()> idle_callback_;
+  std::function<void(const Packet&, int)> on_dequeue_;
   std::function<bool(const Packet&)> drop_filter_;
   std::function<FaultAction(const Packet&)> fault_filter_;
-  FixedDeque<Packet> queue_;
+  // One FIFO per class, indexed by Priority.
+  std::array<FixedDeque<Queued>, static_cast<std::size_t>(Priority::kLevels)>
+      queues_;
+  std::size_t queued_ = 0;  // packets across all classes
+  std::uint64_t arrivals_ = 0;
   bool priority_scheduling_ = false;
   // Transmit-done key of the packet on (or last on) the transmitter: the
   // seq is reserved when the packet starts, and the event is queued only
-  // when a packet waits behind it or a wake is requested.
+  // when a packet waits behind it.
   Nanos busy_until_ = -1;
   std::uint64_t tx_seq_ = 0;
   bool tx_done_queued_ = false;
-  bool wake_requested_ = false;
   bool data_paused_ = false;
   Nanos pause_started_at_ = 0;
   sim::TimerHandle pause_timer_;

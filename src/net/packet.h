@@ -133,7 +133,8 @@ enum class Priority : std::uint8_t {
   kRdma = 2,      // RDMA data packets (configured *above* user traffic in
                   // Fig 14 to bound the worst case, per the paper)
   kControl = 3,   // ACKs / control
-  kLevels = 4,
+  kPause = 4,     // PFC frames: leave a port ahead of everything queued
+  kLevels = 5,
 };
 
 // Frame storage backed by a recycled slot cache instead of the heap. Every
@@ -361,7 +362,8 @@ inline Packet MakeUdpPacket(NodeId src, NodeId dst, std::size_t payload_len,
 // explicit duration and refreshes before expiry while congestion
 // persists). A duration of zero is a resume. Pause applies to the data
 // classes only — Priority::kControl always flows, which is what keeps the
-// pause/CNP control loop itself deadlock-free.
+// pause/CNP control loop itself deadlock-free. The frames ride their own
+// top class, Priority::kPause, so they leave ahead of any queued packet.
 constexpr std::uint16_t kPfcOpcodePause = 0x0101;
 constexpr std::size_t kPfcFrameBytes = kEthernetHeaderBytes + 2 + 8;
 
@@ -369,7 +371,7 @@ inline Packet MakePfcFrame(NodeId src, NodeId dst, Nanos pause_duration) {
   Packet p;
   p.src = src;
   p.dst = dst;
-  p.priority = Priority::kControl;
+  p.priority = Priority::kPause;
   p.bytes.resize(kPfcFrameBytes);
   EthernetHeader eth;
   eth.dst_mac = 0x0180'C200'0001ull;  // 802.3x reserved multicast

@@ -16,7 +16,11 @@ int Switch::AddPort(BitRate rate, Nanos propagation) {
   auto port = std::make_unique<Port>();
   port->link = std::make_unique<Link>(*sim_, rate, propagation);
   const int index = static_cast<int>(ports_.size());
-  port->link->set_idle_callback([this, index] { Drain(index); });
+  port->link->set_priority_scheduling(true);
+  port->link->set_dequeue_callback(
+      [this, index](const Packet& packet, int ingress_port) {
+        OnDequeue(index, packet, ingress_port);
+      });
   ports_.push_back(std::move(port));
   return index;
 }
@@ -83,41 +87,24 @@ void Switch::EnqueueEgress(int port_index, Packet packet, int ingress_port) {
   if (port.queued_bytes > queue_high_water_) {
     queue_high_water_ = port.queued_bytes;
   }
-  port.queues[static_cast<std::size_t>(packet.priority)].push_back(
-      {std::move(packet), ingress_port});
   if (ingress_port >= 0) {
     ports_[ingress_port]->ingress_buffered += size;
     UpdatePfcOnEnqueue(ingress_port);
   }
-  if (port.link->TransmitterIdle()) {
-    Drain(port_index);
-  } else {
-    port.link->WakeWhenIdle();
-  }
+  port.link->Send(std::move(packet), ingress_port);
 }
 
-void Switch::Drain(int port_index) {
-  Port& port = *ports_[port_index];
-  if (!port.link->TransmitterIdle()) return;
-  // Strict priority: highest class first.
-  for (int prio = static_cast<int>(Priority::kLevels) - 1; prio >= 0;
-       --prio) {
-    auto& queue = port.queues[static_cast<std::size_t>(prio)];
-    if (queue.empty()) continue;
-    Queued entry = std::move(queue.front());
-    queue.pop_front();
-    port.queued_bytes -= entry.packet.bytes.size();
-    if (entry.ingress >= 0) {
-      ports_[entry.ingress]->ingress_buffered -= entry.packet.bytes.size();
-      UpdatePfcOnDequeue(entry.ingress);
-    }
-    ++forwarded_;
-    port.link->Send(std::move(entry.packet));
-    // The link wakes the port only on request: ask again while packets
-    // still wait, or they would sit until the next enqueue.
-    if (port.queued_bytes > 0) port.link->WakeWhenIdle();
-    return;
+void Switch::OnDequeue(int port_index, const Packet& packet,
+                       int ingress_port) {
+  // PFC frames are the port's own, never buffered bytes.
+  if (packet.priority == Priority::kPause) return;
+  const Bytes size = packet.bytes.size();
+  ports_[port_index]->queued_bytes -= size;
+  if (ingress_port >= 0) {
+    ports_[ingress_port]->ingress_buffered -= size;
+    UpdatePfcOnDequeue(ingress_port);
   }
+  ++forwarded_;
 }
 
 void Switch::UpdatePfcOnEnqueue(int ingress_port) {
@@ -125,8 +112,8 @@ void Switch::UpdatePfcOnEnqueue(int ingress_port) {
   Port& ingress = *ports_[ingress_port];
   if (ingress.ingress_buffered < config_.pfc_pause_threshold) return;
   // Assert (or refresh, if in-flight packets keep arriving) the pause. The
-  // frame bypasses egress queueing: flow control must not sit behind the
-  // very congestion it relieves.
+  // frame rides the top class: flow control must not sit behind the very
+  // congestion it relieves.
   if (!ingress.pause_asserted) ++pfc_pauses_sent_;
   ingress.pause_asserted = true;
   ingress.link->Send(MakePfcFrame(0, 0, kPfcPauseDuration));

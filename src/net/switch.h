@@ -8,13 +8,11 @@
 // skip the pipeline and go straight onto an egress queue (EnqueueEgress).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/pool.h"
 #include "common/units.h"
 #include "net/link.h"
 #include "net/packet.h"
@@ -78,7 +76,8 @@ class Switch {
 
   void SetProcessor(PacketProcessor* processor) { processor_ = processor; }
 
-  // Places a processed packet on an egress queue (tail-drops when full).
+  // Places a processed packet on an egress queue (tail-drops when full):
+  // the port's egress link, which holds it until it starts transmitting.
   // The overload taking `ingress_port` attributes the buffered bytes to the
   // port the packet came in on, which is what PFC watermarks count;
   // processor-generated packets (P4 recycling, probes) use the two-argument
@@ -107,16 +106,10 @@ class Switch {
                      const telemetry::Labels& labels);
 
  private:
-  struct Queued {
-    Packet packet;
-    int ingress = -1;  // attributed ingress port; -1 = generated
-  };
-
   struct Port {
+    // Queues the port's packets (strict priority, PFC pause) and hands each
+    // back to OnDequeue, tagged with its ingress port, as it starts.
     std::unique_ptr<Link> link;
-    std::array<FixedDeque<Queued>,
-               static_cast<std::size_t>(Priority::kLevels)>
-        queues;
     Bytes queued_bytes = 0;
     std::uint64_t drops = 0;
     // PFC state for this port acting as an *ingress*: bytes it currently
@@ -126,7 +119,9 @@ class Switch {
   };
 
   void RunPipeline(int ingress_port, Packet packet);
-  void Drain(int port);
+  // Egress accounting for a packet leaving `port`: its bytes stop counting
+  // against the port and its ingress (which may resume that ingress).
+  void OnDequeue(int port, const Packet& packet, int ingress_port);
   void UpdatePfcOnEnqueue(int ingress_port);
   void UpdatePfcOnDequeue(int ingress_port);
 
