@@ -90,8 +90,11 @@ void Device::OnPacket(net::Packet packet) {
         const RdmaMessageView& view = *parsed;
         if (view.bth.opcode == Opcode::kCnp) {
           // A CNP names the local QP whose flow must slow down; it never
-          // reaches the QP state machines.
-          if (congestion_ != nullptr) {
+          // reaches the QP state machines. One naming no local QP is
+          // malformed: it must not grow the flow table or cut any rate.
+          if (FindQp(view.bth.dest_qp) == nullptr) {
+            ++malformed_dropped_;
+          } else if (congestion_ != nullptr) {
             congestion_->OnCnpReceived(view.bth.dest_qp);
           }
           return;

@@ -8,6 +8,7 @@
 #include "baselines/twosided.h"
 #include "common/rng.h"
 #include "fabric_fixture.h"
+#include "rdma/congestion.h"
 #include "rdma/verbs.h"
 
 namespace cowbird::rdma {
@@ -17,7 +18,10 @@ using testing::Pattern;
 
 class QpTest : public ::testing::Test {
  protected:
-  QpTest() : pair_(ConnectQueuePairs(*f_.client(0).dev, *f_.memory(0).dev)) {
+  QpTest() : QpTest(workload::ClusterSpec{}) {}
+  explicit QpTest(const workload::ClusterSpec& spec)
+      : f_(spec),
+        pair_(ConnectQueuePairs(*f_.client(0).dev, *f_.memory(0).dev)) {
     remote_mr_ = f_.memory(0).dev->RegisterMemory(0x100000, MiB(16));
   }
 
@@ -61,7 +65,7 @@ class QpTest : public ::testing::Test {
     EXPECT_EQ(cqe->status, CqeStatus::kSuccess);
   }
 
-  workload::Cluster f_{workload::ClusterSpec{}};
+  workload::Cluster f_;
   QpPair pair_;
   const MemoryRegion* remote_mr_;
 };
@@ -292,6 +296,36 @@ TEST_F(QpTest, ShortRocePacketIsDroppedAndCounted) {
   std::vector<std::uint8_t> out(64);
   f_.memory(0).mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
+}
+
+// The same two QPs on a fabric that runs DCQCN.
+class DcqcnQpTest : public QpTest {
+ protected:
+  DcqcnQpTest() : QpTest(DcqcnSpec()) {}
+  static workload::ClusterSpec DcqcnSpec() {
+    workload::ClusterSpec spec;
+    spec.nic.dcqcn.enabled = true;
+    return spec;
+  }
+};
+
+// A CNP names the local QP whose flow must slow down. One naming no QP of
+// the device (QPN 0, or one far past its QPs) is dropped and counted: it
+// neither aborts, nor grows the flow table, nor cuts any rate.
+TEST_F(DcqcnQpTest, CnpNamingNoLocalQpIsDroppedAndCounted) {
+  for (const std::uint32_t qpn : {0u, 0xFFFFFFu}) {
+    Bth bth;
+    bth.opcode = Opcode::kCnp;
+    bth.dest_qp = qpn;
+    f_.memory(0).nic.Send(BuildRdmaPacket(testing::kMemoryId,
+                                          testing::kComputeId,
+                                          net::Priority::kControl, bth,
+                                          nullptr, nullptr, {}));
+  }
+  f_.sim.Run();
+  EXPECT_EQ(f_.client(0).dev->malformed_dropped(), 2u);
+  EXPECT_EQ(f_.client(0).dev->congestion()->cnps_received(), 0u);
+  ExpectWriteStillLands();
 }
 
 // A request the responder cannot serve inside the span validated for it is
