@@ -40,7 +40,13 @@ struct WorkloadParams {
   double write_ratio = 0.4;
   int max_outstanding = 8;
 
+  // What RunChaos runs: at least one thread and one slot per thread,
+  // records of 16..4096 bytes, 1..32 operations outstanding.
+  bool Valid() const;
+
   std::string Serialize() const;
+  // Refuses (nullopt) an unknown key, a value that is not wholly a number,
+  // and parameters that are not Valid().
   static std::optional<WorkloadParams> Parse(std::string_view line);
 };
 

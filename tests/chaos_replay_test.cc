@@ -96,5 +96,51 @@ TEST(ChaosTraceTest, CleanRunReplaysClean) {
   EXPECT_TRUE(outcome.result.violations.empty());
 }
 
+// A trace of an unrun default workload whose `key` reads `value` instead:
+// the file chaos_replay would be handed.
+std::string TraceWithWorkloadValue(const std::string& key,
+                                   const std::string& value) {
+  std::string workload = WorkloadParams{}.Serialize();
+  const auto at = workload.find(key + "=") + key.size() + 1;
+  workload.replace(at, workload.find(' ', at) - at, value);
+  std::string text = SerializeTrace(MakeTrace(ChaosOptions{}, ChaosResult{}));
+  const std::string line = "\nworkload ";
+  const auto from = text.find(line) + line.size();
+  text.replace(from, text.find('\n', from) - from, workload);
+  return text;
+}
+
+bool Refused(const std::string& key, const std::string& value) {
+  return !ParseTrace(TraceWithWorkloadValue(key, value)).has_value();
+}
+
+TEST(ChaosTraceTest, InRangeWorkloadValueParses) {
+  const auto trace = ParseTrace(TraceWithWorkloadValue("slots", "1"));
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_EQ(trace->options.workload.slots_per_thread, 1);
+}
+
+// Workload values RunChaos cannot run are refused at parse, so
+// chaos_replay reports "cannot parse" instead of aborting mid-replay.
+TEST(ChaosTraceTest, ZeroThreadsAreRefused) {
+  EXPECT_TRUE(Refused("threads", "0"));
+}
+
+TEST(ChaosTraceTest, NonNumericThreadsAreRefused) {
+  EXPECT_TRUE(Refused("threads", "x"));
+}
+
+TEST(ChaosTraceTest, RecordLongerThanAPageIsRefused) {
+  EXPECT_TRUE(Refused("len", "9000"));
+}
+
+TEST(ChaosTraceTest, OutstandingPastTheWindowIsRefused) {
+  EXPECT_TRUE(Refused("outstanding", "999"));
+}
+
+TEST(ChaosTraceTest, ZeroSlotsAreRefused) {
+  EXPECT_TRUE(Refused("slots", "0"));
+}
+
 }  // namespace
 }  // namespace cowbird::chaos
