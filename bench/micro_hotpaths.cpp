@@ -182,35 +182,40 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm);
 
-// One frame per iteration from host to switch to host through an idle
-// fabric: uplink, switch pipeline and egress link, L3 forwarding. Reports
-// host ns per delivered packet, frame copy included.
+// Frames from host to switch to host: uplink, switch pipeline and egress
+// link, L3 forwarding. /1 sends one frame per iteration through an idle
+// fabric; /64 sends 64, alternating kRdma and kControl, into a 25 Gbps
+// egress port, so each packet start picks a class behind a backlog.
+// Reports host ns per delivered packet, frame copies included.
 void BM_LinkHop(benchmark::State& state) {
+  const int burst = static_cast<int>(state.range(0));
   sim::Simulation sim;
   net::Switch sw(sim, net::Switch::Config{});
   net::HostNic a(sim, 1, BitRate::Gbps(100), 500);
-  net::HostNic b(sim, 2, BitRate::Gbps(100), 500);
+  net::HostNic b(sim, 2, BitRate::Gbps(burst == 1 ? 100 : 25), 500);
   a.ConnectTo(sw);
   b.ConnectTo(sw);
   std::uint64_t delivered = 0;
   b.SetDefaultReceiver([&](net::Packet) { ++delivered; });
-  const net::Packet frame =
-      net::MakeUdpPacket(1, 2, 1024, net::Priority::kRdma);
+  const net::Packet frames[] = {
+      net::MakeUdpPacket(1, 2, 1024, net::Priority::kRdma),
+      net::MakeUdpPacket(1, 2, 1024, net::Priority::kControl)};
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    a.Send(frame);
+    for (int i = 0; i < burst; ++i) a.Send(frames[i % 2]);
     sim.Run();
   }
   const std::chrono::duration<double, std::nano> elapsed =
       std::chrono::steady_clock::now() - start;
   benchmark::DoNotOptimize(delivered);
-  if (delivered != static_cast<std::uint64_t>(state.iterations())) {
+  if (delivered != static_cast<std::uint64_t>(state.iterations()) *
+                       static_cast<std::uint64_t>(burst)) {
     state.SkipWithError("packet lost");
   }
   state.counters["ns_per_packet"] =
       elapsed.count() / static_cast<double>(delivered);
 }
-BENCHMARK(BM_LinkHop);
+BENCHMARK(BM_LinkHop)->Arg(1)->Arg(64);
 
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
