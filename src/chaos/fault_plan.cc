@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/rng.h"
@@ -67,7 +66,38 @@ std::string FaultPlan::Serialize() const {
   return out.str();
 }
 
+bool FaultPlan::Valid() const {
+  double rate_sum = 0;
+  for (const double rate :
+       {drop_rate, duplicate_rate, reorder_rate, delay_rate}) {
+    if (!(rate >= 0 && rate <= 1)) return false;  // NaN fails too
+    rate_sum += rate;
+  }
+  if (rate_sum > 1) return false;
+  if (delay_min < 0 || delay_min > delay_max || reorder_delay < 0) {
+    return false;
+  }
+  if (max_duplicates < 1 || max_duplicates > 16) return false;
+  for (const Partition& p : partitions) {
+    if (p.start < 0 || p.start > p.end) return false;
+  }
+  for (const Nanos when : crashes) {
+    if (when < 0) return false;
+  }
+  return migrate_start >= 0;
+}
+
 std::optional<FaultPlan> FaultPlan::Parse(std::string_view line) {
+  // Calls `item` on each comma-separated piece; an empty list has none.
+  const auto each_item = [](std::string_view list, const auto& item) {
+    if (list.empty()) return true;
+    for (;;) {
+      const auto comma = list.find(',');
+      if (!item(list.substr(0, comma))) return false;
+      if (comma == std::string_view::npos) return true;
+      list.remove_prefix(comma + 1);
+    }
+  };
   FaultPlan plan;
   std::istringstream in{std::string(line)};
   std::string token;
@@ -75,58 +105,58 @@ std::optional<FaultPlan> FaultPlan::Parse(std::string_view line) {
     const auto eq = token.find('=');
     if (eq == std::string::npos) return std::nullopt;
     const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    char* end = nullptr;
+    const std::string_view value = std::string_view(token).substr(eq + 1);
+    bool ok = false;
     if (key == "drop") {
-      plan.drop_rate = std::strtod(value.c_str(), &end);
+      ok = ParseWhole(value, plan.drop_rate);
     } else if (key == "dup") {
-      plan.duplicate_rate = std::strtod(value.c_str(), &end);
+      ok = ParseWhole(value, plan.duplicate_rate);
     } else if (key == "reorder") {
-      plan.reorder_rate = std::strtod(value.c_str(), &end);
+      ok = ParseWhole(value, plan.reorder_rate);
     } else if (key == "delay") {
-      plan.delay_rate = std::strtod(value.c_str(), &end);
+      ok = ParseWhole(value, plan.delay_rate);
     } else if (key == "delay_min") {
-      plan.delay_min = std::strtoll(value.c_str(), &end, 10);
+      ok = ParseWhole(value, plan.delay_min);
     } else if (key == "delay_max") {
-      plan.delay_max = std::strtoll(value.c_str(), &end, 10);
+      ok = ParseWhole(value, plan.delay_max);
     } else if (key == "reorder_delay") {
-      plan.reorder_delay = std::strtoll(value.c_str(), &end, 10);
+      ok = ParseWhole(value, plan.reorder_delay);
     } else if (key == "max_dup") {
-      plan.max_duplicates =
-          static_cast<int>(std::strtol(value.c_str(), &end, 10));
+      ok = ParseWhole(value, plan.max_duplicates);
     } else if (key == "partitions") {
-      std::istringstream list(value);
-      std::string item;
-      while (std::getline(list, item, ',')) {
+      ok = each_item(value, [&plan](std::string_view item) {
         const auto dash = item.find('-');
-        if (dash == std::string::npos) return std::nullopt;
         Partition p;
-        p.start = std::strtoll(item.substr(0, dash).c_str(), nullptr, 10);
-        p.end = std::strtoll(item.substr(dash + 1).c_str(), nullptr, 10);
+        if (dash == std::string_view::npos ||
+            !ParseWhole(item.substr(0, dash), p.start) ||
+            !ParseWhole(item.substr(dash + 1), p.end)) {
+          return false;
+        }
         plan.partitions.push_back(p);
-      }
-      continue;
+        return true;
+      });
     } else if (key == "crashes") {
-      std::istringstream list(value);
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        plan.crashes.push_back(std::strtoll(item.c_str(), nullptr, 10));
-      }
-      continue;
+      ok = each_item(value, [&plan](std::string_view item) {
+        Nanos when = 0;
+        if (!ParseWhole(item, when)) return false;
+        plan.crashes.push_back(when);
+        return true;
+      });
     } else if (key == "congestion") {
       const auto scenario = ParseCongestionScenario(value);
-      if (!scenario.has_value()) return std::nullopt;
-      plan.congestion = *scenario;
-      continue;
+      ok = scenario.has_value();
+      if (ok) plan.congestion = *scenario;
     } else if (key == "migrate") {
-      plan.migrate = std::strtol(value.c_str(), &end, 10) != 0;
+      int migrate = 0;
+      ok = ParseWhole(value, migrate) && (migrate == 0 || migrate == 1);
+      plan.migrate = migrate == 1;
     } else if (key == "migrate_start") {
-      plan.migrate_start = std::strtoll(value.c_str(), &end, 10);
-    } else {
-      return std::nullopt;  // unknown key: refuse to half-parse a trace
+      ok = ParseWhole(value, plan.migrate_start);
     }
-    if (end == value.c_str()) return std::nullopt;
+    // An unknown key is refused too: never half-parse a trace.
+    if (!ok) return std::nullopt;
   }
+  if (!plan.Valid()) return std::nullopt;
   return plan;
 }
 

@@ -7,15 +7,26 @@
 // what makes a captured failure trace replayable bit-for-bit.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/units.h"
 
 namespace cowbird::chaos {
+
+// Whole-value parse shared by the trace parsers: an empty value, trailing
+// characters or a value out of T's range refuse it.
+template <typename T>
+bool ParseWhole(std::string_view value, T& out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 // Shared-fabric congestion scenarios a chaos run can layer on top of the
 // packet faults. kIncast shrinks the switch's egress queues and turns on
@@ -82,8 +93,16 @@ struct FaultPlan {
            delay_rate > 0 || !partitions.empty();
   }
 
+  // What RunChaos runs: every rate in [0, 1] and their sum at most 1,
+  // 0 <= delay_min <= delay_max, reorder_delay >= 0, 1..16 duplicates,
+  // partitions with 0 <= start <= end, and no crash or migration start
+  // before time 0.
+  bool Valid() const;
+
   // One-line key=value form used in failure traces.
   std::string Serialize() const;
+  // Refuses (nullopt) an unknown key, a value that is not wholly a number,
+  // and plans that are not Valid().
   static std::optional<FaultPlan> Parse(std::string_view line);
 
   // Derives a randomized mixed plan from a seed: moderate fault rates, a

@@ -1,6 +1,5 @@
 #include "chaos/runner.h"
 
-#include <charconv>
 #include <cstdio>
 #include <deque>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
-#include "core/migration.h"
 #include "workload/cluster.h"
 #include "workload/cutover.h"
 
@@ -70,9 +68,13 @@ workload::ClusterSpec ChaosSpec(const ChaosOptions& opt) {
       spec.nic.dcqcn.enabled = true;
       break;
     case CongestionScenario::kPauseStorm:
+      // Watermarks low enough for the chaos workload to cross: it keeps at
+      // most 16 operations of 128 B in flight, so a switch queue behind a
+      // stormed link holds a few KiB at most, and higher watermarks would
+      // leave the switch's own PFC unexercised under faults and crashes.
       spec.switches.pfc_enabled = true;
-      spec.switches.pfc_pause_threshold = KiB(32);
-      spec.switches.pfc_resume_threshold = KiB(16);
+      spec.switches.pfc_pause_threshold = KiB(1);
+      spec.switches.pfc_resume_threshold = 512;
       break;
   }
   return spec;
@@ -179,10 +181,9 @@ struct ChaosHarness {
       // The copy stream (its QP connects here) moves the hot range to
       // memory2 in 16 KiB chunks, two in flight, so foreground writes race
       // it. The instance parks the way a crash detaches it.
-      core::RegionMigrator::Config mc;
+      workload::RegionCutover::Config mc;
       mc.chunk = KiB(16);
       mc.window = 2;
-      mc.telemetry = hub;
       cutover.emplace(cluster, pool, *client, kRegion, kPoolBase, 0, 1, mc,
                       /*halt=*/true);
       // Every coordinator tick is pre-scheduled up front rather than each
@@ -418,15 +419,6 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
   if (++h.threads_done == h.options.workload.threads) h.sim.Halt();
 }
 
-// Whole-value parse: an empty value, trailing characters or a value out
-// of T's range refuse it.
-template <typename T>
-bool ParseWhole(const std::string& value, T& out) {
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
 }  // namespace
 
 const char* EngineKindName(EngineKind kind) {
@@ -504,6 +496,7 @@ std::optional<WorkloadParams> WorkloadParams::Parse(std::string_view line) {
 
 ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   COWBIRD_CHECK(options.workload.Valid());
+  COWBIRD_CHECK(options.plan.Valid());
 
   ChaosHarness harness(options, hub);
   for (int t = 0; t < options.workload.threads; ++t) {
@@ -525,10 +518,8 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   result.crashes_executed = harness.crashes_executed;
   if (harness.cutover) {
     result.migrations_executed = harness.cutover->done() ? 1 : 0;
-    if (const core::RegionMigrator* migrator = harness.cutover->migrator()) {
-      result.migrate_bytes_copied = migrator->bytes_copied();
-      result.migrate_dirty_marks = migrator->dirty_marks();
-    }
+    result.migrate_bytes_copied = harness.cutover->bytes_copied();
+    result.migrate_dirty_marks = harness.cutover->dirty_marks();
   }
   const workload::FabricCounters fabric = harness.cluster.Counters();
   result.ecn_marked = fabric.ecn_marked;

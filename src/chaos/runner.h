@@ -77,7 +77,7 @@ struct ChaosResult {
   std::uint64_t decided_delayed = 0;
   std::uint64_t crashes_executed = 0;
   // Live-migration observability (all zero when the plan does not migrate):
-  // completed copy-then-cutover handoffs, bytes the migrator moved (initial
+  // completed copy-then-cutover handoffs, bytes the cutover copied (first
   // pass + dirty chase + drain), and chunks the dirty chase re-copied
   // because application writes raced the copy.
   std::uint64_t migrations_executed = 0;

@@ -27,23 +27,12 @@ CowbirdClient::CowbirdClient(rdma::Device& device, Config config)
   for (int i = 0; i < config_.layout.threads; ++i) {
     threads_.push_back(std::make_unique<ThreadContext>(*this, i));
   }
-  // Zero-initialize both bookkeeping blocks so the engine's first probe
-  // reads a consistent (empty) state.
-  for (int i = 0; i < config_.layout.threads; ++i) {
-    GreenBlock green;
-    RedBlock red;
-    auto& mem = device.memory();
-    const auto g = config_.layout.GreenAddr(i);
-    mem.WriteValue<std::uint64_t>(g, green.meta_tail);
-    mem.WriteValue<std::uint64_t>(g + 8, green.data_tail);
-    mem.WriteValue<std::uint64_t>(g + 16, green.resp_head);
-    const auto r = config_.layout.RedAddr(i);
-    mem.WriteValue<std::uint64_t>(r, red.meta_head);
-    mem.WriteValue<std::uint64_t>(r + 8, red.data_head);
-    mem.WriteValue<std::uint64_t>(r + 16, red.resp_tail);
-    mem.WriteValue<std::uint64_t>(r + 24, red.write_progress);
-    mem.WriteValue<std::uint64_t>(r + 32, red.read_progress);
-  }
+  // Zero every thread's bookkeeping blocks (the green blocks, then the red
+  // ones, at the start of the MR) so the engine's first probe reads a
+  // consistent (empty) state.
+  const std::vector<std::uint8_t> zeros(config_.layout.RingsBase() -
+                                        config_.layout.GreenBase());
+  device.memory().Write(config_.layout.GreenBase(), zeros);
   red_watch_ = device.AddWriteWatch(
       config_.layout.RedBase(), config_.layout.RedBytesTotal(),
       [this](std::uint64_t addr, std::uint32_t len) { OnRedWrite(addr, len); });
@@ -152,7 +141,8 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncRead(
   auto& mem = client_->device_->memory();
   meta.Publish(mem, layout.MetaSlotAddr(index_, slot));
   // Publish the new tail in the green block (plain store; engine probes it).
-  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_), meta_ring_.tail());
+  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + kGreenMetaTail,
+                                meta_ring_.tail());
 
   const std::uint64_t seq = ++next_read_seq_;
   outstanding_reads_.push_back(
@@ -211,8 +201,9 @@ sim::Task<std::optional<ReqId>> CowbirdClient::ThreadContext::AsyncWrite(
   meta.resp_addr = region->remote_base + remote_dest_offset;
   const std::uint64_t slot = meta_ring_.Push();
   meta.Publish(mem, layout.MetaSlotAddr(index_, slot));
-  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_), meta_ring_.tail());
-  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + 8,
+  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + kGreenMetaTail,
+                                meta_ring_.tail());
+  mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + kGreenDataTail,
                                 data_ring_.tail());
 
   const std::uint64_t seq = ++next_write_seq_;
@@ -235,11 +226,9 @@ sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
   }
   auto& mem = client_->device_->memory();
   const auto& layout = client_->config_.layout;
-  const std::uint64_t red_addr = layout.RedAddr(index_);
-  RedBlock red;
-  red.meta_head = mem.ReadValue<std::uint64_t>(red_addr);
-  red.write_progress = mem.ReadValue<std::uint64_t>(red_addr + 24);
-  red.read_progress = mem.ReadValue<std::uint64_t>(red_addr + 32);
+  std::uint8_t block[kRedBlockBytes];
+  mem.Read(layout.RedAddr(index_), block);
+  const RedBlock red = RedBlock::Unpack(block);
 
   meta_ring_.AdvanceHeadTo(red.meta_head);
 
@@ -280,7 +269,7 @@ sim::Task<void> CowbirdClient::ThreadContext::Reconcile(
           telemetry::OpPhase::kRetired);
     }
     resp_ring_.Release(done.pad + done.length);
-    mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + 16,
+    mem.WriteValue<std::uint64_t>(layout.GreenAddr(index_) + kGreenRespHead,
                                   resp_ring_.head());
     outstanding_reads_.pop_front();
   }

@@ -16,9 +16,9 @@
 //               splits the region across the remaining servers, in 4 KiB
 //               chunks, when the preferred slab is exhausted.
 //   * rebalance — PlanMove/CommitMove relocate one range between servers.
-//               The plan carries both placements; RegionMigrator
-//               (migration.h) copies the bytes, and CommitMove is the
-//               atomic virtual-time flip of the translation entry.
+//               The plan carries both placements; workload::RegionCutover
+//               copies the bytes, and CommitMove is the atomic
+//               virtual-time flip of the translation entry.
 #pragma once
 
 #include <algorithm>

@@ -16,7 +16,9 @@
 // All addresses are compute-node virtual addresses inside one registered MR.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -25,23 +27,53 @@ namespace cowbird::core {
 
 constexpr std::uint64_t kMetadataEntryBytes = 24;
 
-// Green block (client-written): one per thread, 3 × u64.
-struct GreenBlock {
-  std::uint64_t meta_tail = 0;       // request metadata ring tail (slots)
-  std::uint64_t data_tail = 0;       // request data ring tail (bytes)
-  std::uint64_t resp_head = 0;       // response data ring head (bytes)
-};
+// Green block (client-written): one per thread, 3 × u64 at these offsets.
+constexpr std::uint64_t kGreenMetaTail = 0;   // metadata ring tail (slots)
+constexpr std::uint64_t kGreenDataTail = 8;   // request data ring tail (bytes)
+constexpr std::uint64_t kGreenRespHead = 16;  // response ring head (bytes)
 constexpr std::uint64_t kGreenBlockBytes = 24;
 
-// Red block (engine-written): one per thread, 5 × u64.
+// Red block (engine-written): one per thread, the five counters below as
+// little-endian u64s in this order, so one RDMA write updates all of them
+// (Phase IV). Both engines publish it through Pack and the client and the
+// control plane read it through Unpack. It doubles as the progress snapshot
+// a detach hands from one engine to the next attach: the red block is by
+// construction exactly the state a fresh engine needs to resume an instance.
 struct RedBlock {
   std::uint64_t meta_head = 0;       // metadata entries consumed by engine
   std::uint64_t data_head = 0;       // request-data bytes consumed (info)
   std::uint64_t resp_tail = 0;       // response bytes delivered (info)
   std::uint64_t write_progress = 0;  // seq of last completed write
   std::uint64_t read_progress = 0;   // seq of last completed read
+
+  bool operator==(const RedBlock&) const = default;
+
+  void Pack(std::span<std::uint8_t> out) const;
+  static RedBlock Unpack(std::span<const std::uint8_t> in);
 };
 constexpr std::uint64_t kRedBlockBytes = 40;
+
+inline void RedBlock::Pack(std::span<std::uint8_t> out) const {
+  COWBIRD_CHECK(out.size() >= kRedBlockBytes);
+  const std::uint64_t fields[] = {meta_head, data_head, resp_tail,
+                                  write_progress, read_progress};
+  for (std::size_t f = 0; f < 5; ++f) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[8 * f + b] = static_cast<std::uint8_t>(fields[f] >> (8 * b));
+    }
+  }
+}
+
+inline RedBlock RedBlock::Unpack(std::span<const std::uint8_t> in) {
+  COWBIRD_CHECK(in.size() >= kRedBlockBytes);
+  std::uint64_t fields[5] = {};
+  for (std::size_t f = 0; f < 5; ++f) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      fields[f] |= static_cast<std::uint64_t>(in[8 * f + b]) << (8 * b);
+    }
+  }
+  return RedBlock{fields[0], fields[1], fields[2], fields[3], fields[4]};
+}
 
 struct InstanceLayout {
   std::uint64_t base = 0;       // start of the registered client-buffer MR

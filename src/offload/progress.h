@@ -1,19 +1,14 @@
-// Red-block progress publication shared by both Phase IV paths.
+// Progress snapshots handed from one engine to the next.
 //
-// Both engines finish an operation by writing the compute node's "red"
-// bookkeeping block: five little-endian u64 counters, packed so one RDMA
-// write updates all of them (core::RedBlock, Table 3 / Figure 4). The
-// packing used to be hand-rolled twice — a put64 loop in the P4 engine's
-// packet builder and WriteValue calls in the spot agent's staging composer.
-// It lives here now, together with the counter struct itself, which doubles
-// as the progress snapshot a detach hands from one engine to the next
-// attach: the red block is by construction exactly the state a fresh engine
-// needs to resume an instance.
+// Both engines finish an operation by writing the compute node's red block
+// (core::RedBlock, Table 3 / Figure 4), and the same five counters are what
+// a detach exports and the next attach resumes from. This header adds what
+// the counters alone cannot carry across a crash, and the merge with what
+// the client has already seen published.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -21,60 +16,6 @@
 #include "core/request.h"
 
 namespace cowbird::offload {
-
-// Engine-side view of one thread's red block. Field order matches the wire
-// layout (core::RedBlock).
-struct ThreadProgress {
-  std::uint64_t meta_head = 0;       // metadata entries consumed by engine
-  std::uint64_t data_head = 0;       // request-data bytes consumed
-  std::uint64_t resp_tail = 0;       // response bytes delivered
-  std::uint64_t write_progress = 0;  // seq of last completed write
-  std::uint64_t read_progress = 0;   // seq of last completed read
-
-  bool operator==(const ThreadProgress&) const = default;
-};
-
-class ProgressPublisher {
- public:
-  static constexpr std::size_t kBlockBytes = core::kRedBlockBytes;
-
-  // Packs the counters into red-block wire format (little-endian u64s).
-  static void Pack(const ThreadProgress& p, std::span<std::uint8_t> out) {
-    COWBIRD_CHECK(out.size() >= kBlockBytes);
-    PutU64(out, 0, p.meta_head);
-    PutU64(out, 8, p.data_head);
-    PutU64(out, 16, p.resp_tail);
-    PutU64(out, 24, p.write_progress);
-    PutU64(out, 32, p.read_progress);
-  }
-
-  static ThreadProgress Unpack(std::span<const std::uint8_t> in) {
-    COWBIRD_CHECK(in.size() >= kBlockBytes);
-    ThreadProgress p;
-    p.meta_head = GetU64(in, 0);
-    p.data_head = GetU64(in, 8);
-    p.resp_tail = GetU64(in, 16);
-    p.write_progress = GetU64(in, 24);
-    p.read_progress = GetU64(in, 32);
-    return p;
-  }
-
- private:
-  static void PutU64(std::span<std::uint8_t> out, std::size_t at,
-                     std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      out[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
-    }
-  }
-  static std::uint64_t GetU64(std::span<const std::uint8_t> in,
-                              std::size_t at) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(in[at + b]) << (8 * b);
-    }
-    return v;
-  }
-};
 
 // A parsed-but-not-yet-completed operation carried in a crash snapshot.
 //
@@ -101,7 +42,7 @@ struct PendingOp {
 // `pending` is either empty (drained handoff, or an engine like Cowbird-P4
 // whose counters only ever cover completed work) or has one list per thread.
 struct InstanceProgress {
-  std::vector<ThreadProgress> threads;
+  std::vector<core::RedBlock> threads;
   std::vector<std::vector<PendingOp>> pending;
   // Set by ReconcileWithPublished, one flag per thread: the counters run
   // ahead of the client's red block, so the engine taking over must publish
@@ -127,12 +68,12 @@ struct InstanceProgress {
 // cannot retire those ops, and with its window full it issues nothing a
 // probe could find.
 inline void ReconcileWithPublished(
-    InstanceProgress& snapshot, const std::vector<ThreadProgress>& published) {
+    InstanceProgress& snapshot, const std::vector<core::RedBlock>& published) {
   COWBIRD_CHECK(snapshot.threads.size() == published.size());
   snapshot.unpublished.assign(snapshot.threads.size(), false);
   for (std::size_t t = 0; t < snapshot.threads.size(); ++t) {
-    ThreadProgress& s = snapshot.threads[t];
-    const ThreadProgress& p = published[t];
+    core::RedBlock& s = snapshot.threads[t];
+    const core::RedBlock& p = published[t];
     s.meta_head = std::max(s.meta_head, p.meta_head);
     s.data_head = std::max(s.data_head, p.data_head);
     s.resp_tail = std::max(s.resp_tail, p.resp_tail);

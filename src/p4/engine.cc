@@ -413,8 +413,9 @@ void CowbirdP4Engine::OnProbeData(Instance& inst,
   // Parse the packed green blocks straight out of the packet payload: this
   // is the "compare the received tail pointer" step of Figure 5.
   for (int t = 0; t < inst.descriptor.layout.threads; ++t) {
-    const std::size_t at = static_cast<std::size_t>(t) *
-                           core::kGreenBlockBytes;
+    const std::size_t at =
+        static_cast<std::size_t>(t) * core::kGreenBlockBytes +
+        core::kGreenMetaTail;
     if (at + 8 > view.payload.size()) break;
     std::uint64_t tail = 0;
     for (int b = 0; b < 8; ++b) {
@@ -812,7 +813,7 @@ void CowbirdP4Engine::EmitRequestPacket(Instance& inst, SwitchQp& qp,
       // cumulative values make replays safe.
       const ThreadState& ts = inst.threads[pending.thread];
       std::uint8_t block[core::kRedBlockBytes];
-      offload::ProgressPublisher::Pack(ts.progress, block);
+      ts.progress.Pack(block);
       rdma::Reth reth{pending.raddr, pending.rkey, pending.length};
       SendPacket(BuildRequest(inst, qp, rdma::Opcode::kWriteOnly,
                               pending.first_psn, /*ack_request=*/true, &reth,

@@ -248,7 +248,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
     std::uint64_t fetch_cursor = 0;   // metadata entries fetched
     // Red-block counters (meta_head, data_head, resp_tail, progress seqs):
     // the completed boundary published in Phase IV.
-    offload::ThreadProgress progress;
+    core::RedBlock progress;
     std::uint64_t next_read_seq = 0;
     std::uint64_t next_write_seq = 0;
     // Last write that took a PSN span on its server's write QP: a thread's

@@ -119,7 +119,7 @@ class Device {
   // Write watches: a watch's callback fires for every RDMA WRITE payload
   // chunk a responder lands overlapping [base, base+length) on this device
   // — the hook a real NIC would implement with ODP/dirty-bit scanning. A
-  // device holds any number (a RegionMigrator's dirty tracking, each
+  // device holds any number (a live migration's dirty tracking, each
   // CowbirdClient's red-block wake-ups); they fire in the order they were
   // added. A callback must not add or remove watches.
   using WriteWatchFn = std::function<void(std::uint64_t, std::uint32_t)>;

@@ -238,7 +238,7 @@ std::optional<offload::InstanceProgress> SpotAgent::ExportProgress(
     // its reads would lose their payloads. (If the optimistic red write did
     // land, the next attach reconciles the snapshot with the client's
     // published counters — see offload::ReconcileWithPublished.)
-    offload::ThreadProgress exported = ts.progress;
+    core::RedBlock exported = ts.progress;
     exported.read_progress = ts.read_durable_seq;
     exported.resp_tail = ts.resp_tail_durable;
     snapshot.threads.push_back(exported);
@@ -398,8 +398,9 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
       auto& mem = device_->memory();
       for (int t = 0; t < inst.descriptor.layout.threads; ++t) {
         const auto tail = mem.ReadValue<std::uint64_t>(
-            inst.probe_staging + static_cast<std::uint64_t>(t) *
-                                     core::kGreenBlockBytes);
+            inst.probe_staging +
+            static_cast<std::uint64_t>(t) * core::kGreenBlockBytes +
+            core::kGreenMetaTail);
         ThreadState& ts = inst.threads[t];
         if (tail > ts.tail_seen) {
           ts.tail_seen = tail;
@@ -493,8 +494,6 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
       }
       break;
     }
-    case CompletionKind::kRedWrite:
-      break;  // red-block writes are posted unsignaled; nothing arrives here
     case CompletionKind::kBatchTimer:
       co_await FlushBatch(inst, thread_index, /*force=*/true);
       break;
@@ -806,7 +805,7 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
   // enforced by the transport instead of by waiting for the ACK).
   ts.progress.read_progress = seq_end;
   ts.progress.resp_tail += total;
-  RedBlock red;
+  PackedRedBlock red;
   const rdma::SendWqe chained[] = {
       rdma::SendWqe{rdma::WqeOp::kWrite, wr_id, block_addr,
                     ts.ops[run.front()].meta.resp_addr,
@@ -820,11 +819,11 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
 }
 
 rdma::SendWqe SpotAgent::RedBlockWqe(const Instance& inst, int thread,
-                                     RedBlock& block) const {
+                                     PackedRedBlock& block) const {
   // Inline, so the block is copied at post: a queued red write keeps the
   // counters it was posted with whatever is published after it, and never
   // advertises a payload still queued behind it (DESIGN.md §12 note 5).
-  offload::ProgressPublisher::Pack(inst.threads[thread].progress, block);
+  inst.threads[thread].progress.Pack(block);
   return rdma::SendWqe{rdma::WqeOp::kWrite,
                        0,
                        0,
@@ -839,7 +838,7 @@ sim::Task<void> SpotAgent::WriteRedBlock(Instance& inst, int thread) {
   // One RDMA write updates every pointer and counter (Phase IV,
   // single-message requirement). The write is unsignaled: nothing depends
   // on its completion.
-  RedBlock red;
+  PackedRedBlock red;
   const rdma::SendWqe wqe = RedBlockWqe(inst, thread, red);
   co_await rdma::EnginePostBatchVerb(thread_, *inst.to_compute,
                                      std::span<const rdma::SendWqe>(&wqe, 1));

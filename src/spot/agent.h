@@ -179,7 +179,7 @@ class SpotAgent {
     std::uint64_t fetch_cursor = 0; // entries requested from the ring
     // Red-block counters: meta_head (entries fully parsed), data_head,
     // resp_tail, write_progress, read_progress.
-    offload::ThreadProgress progress;
+    core::RedBlock progress;
     FixedDeque<Op> ops;             // probe order
     std::uint64_t next_read_seq = 0;
     std::uint64_t next_write_seq = 0;
@@ -232,7 +232,6 @@ class SpotAgent {
     kComputeFetch,  // write op payload arrived from compute
     kPoolWrite,     // write op landed in the pool
     kBatchWrite,    // batch of read results landed in compute resp ring
-    kRedWrite,      // red block update landed
     kBatchTimer,    // synthetic: batch timeout tick
     kResumeFlush,   // synthetic: publish + pump after a resume
   };
@@ -251,11 +250,11 @@ class SpotAgent {
   // Strict in-order write_progress advance + front pops of finished ops
   // (shared by the pool-write completion path and crash-resume seeding).
   static void AdvanceWriteProgressInOrder(ThreadState& ts);
-  using RedBlock = std::array<std::uint8_t, core::kRedBlockBytes>;
+  using PackedRedBlock = std::array<std::uint8_t, core::kRedBlockBytes>;
   // The thread's red block, packed into `block`, as an unsignaled inline
   // WRITE; `block` must outlive the post.
   rdma::SendWqe RedBlockWqe(const Instance& inst, int thread,
-                            RedBlock& block) const;
+                            PackedRedBlock& block) const;
   sim::Task<void> WriteRedBlock(Instance& inst, int thread);
   void ArmBatchTimer(Instance& inst, int thread);
 

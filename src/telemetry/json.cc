@@ -179,8 +179,19 @@ class Parser {
       return false;
     }
     switch (text_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        // The recursion is bounded, so no input can overflow the stack.
+        if (depth_ == kMaxJsonDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         out.kind = JsonValue::Kind::kString;
         return ParseString(out.string);
@@ -354,6 +365,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around the current value
 };
 
 }  // namespace

@@ -80,9 +80,13 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
+// Deepest container nesting ParseJson accepts; the emitters nest at most
+// 5 deep.
+constexpr int kMaxJsonDepth = 64;
+
 // Strict parse of a complete document. Returns nullopt (with a position
 // and message in *error when provided) on any syntax violation, trailing
-// garbage, or duplicate object key.
+// garbage, duplicate object key, or nesting deeper than kMaxJsonDepth.
 std::optional<JsonValue> ParseJson(std::string_view text,
                                    std::string* error = nullptr);
 

@@ -166,15 +166,15 @@ std::vector<rdma::Device*> Cluster::MemoryDevices(
   return devices;
 }
 
-std::vector<offload::ThreadProgress> Cluster::PublishedProgress(
+std::vector<core::RedBlock> Cluster::PublishedProgress(
     const core::CowbirdClient& client) {
   const core::InstanceLayout& layout = client.descriptor().layout;
   SparseMemory& mem = client_at(client.descriptor().compute_node).mem;
-  std::vector<offload::ThreadProgress> published;
-  std::vector<std::uint8_t> block(core::kRedBlockBytes);
+  std::vector<core::RedBlock> published;
+  std::uint8_t block[core::kRedBlockBytes];
   for (int t = 0; t < layout.threads; ++t) {
     mem.Read(layout.RedAddr(t), block);
-    published.push_back(offload::ProgressPublisher::Unpack(block));
+    published.push_back(core::RedBlock::Unpack(block));
   }
   return published;
 }

@@ -117,6 +117,9 @@ class Cluster {
   net::Switch& sw() { return *switch_; }
   FabricCounters Counters() const;
 
+  // The hub the cluster was built with (null with telemetry off).
+  telemetry::Hub* hub() const { return hub_; }
+
   // The hub's snapshot, taken while every gauge the cluster bound is still
   // live; empty with telemetry off.
   telemetry::Snapshot TakeSnapshot() const;
@@ -154,7 +157,7 @@ class Cluster {
   std::optional<offload::InstanceProgress> Detach(
       Engine engine, const core::CowbirdClient& client, bool halt = false);
   // The red block `client` has seen published, one entry per thread.
-  std::vector<offload::ThreadProgress> PublishedProgress(
+  std::vector<core::RedBlock> PublishedProgress(
       const core::CowbirdClient& client);
 
  private:

@@ -1,107 +1,96 @@
-// The copy-then-cutover coordinator of a live region migration (DESIGN.md
-// §14), the one stage machine behind every harness that moves a region
-// under traffic (the chaos runner and the rack).
+// Live region migration (DESIGN.md §14): the one object that moves a range
+// between memory servers under traffic, in the chaos runner and the rack.
+//
+// It copies one range's bytes from its source server to a reserved
+// destination extent (a ClusterPool::MigrationPlan) while application
+// traffic keeps writing to the source, then flips the translation entry:
+//
+//   1. copy pass   — chunked RDMA WRITEs src→dst over a real fabric QP
+//                    (the copy stream contends with — and is congestion-
+//                    controlled against — foreground traffic and incast).
+//   2. dirty chase — a write watch on the source device marks every chunk
+//                    an application RDMA WRITE lands in; marked chunks are
+//                    re-copied while the engine is still serving.
+//   3. final drain — the instance is detached from its engine
+//                    (Cluster::Detach exports the resume snapshot) and the
+//                    chase runs until no chunk is dirty and no copy is in
+//                    flight. Straggler writes already on the wire still
+//                    land, re-mark their chunk, and are chased first.
+//   4. cutover     — ClusterPool::CommitMove retargets the translation
+//                    entry, the client's ranges are republished and the
+//                    instance re-attaches, all inside one event: atomic in
+//                    virtual time. Every re-executed or new operation
+//                    resolves to the destination server.
 //
 // A harness constructs it where the copy stream's QP should be connected
 // and ticks it on its own cadence; each tick advances at most one stage:
 //
-//   armed    -> copying   plan the move and start the RegionMigrator;
-//   copying  -> draining  once the first pass is done, park the instance:
-//                         detach it (exporting the resume snapshot) and
-//                         start the final drain;
-//   draining -> done      once source and destination agree, flip the
-//                         pool's translation entry, republish the client's
-//                         ranges and re-attach the instance, all inside one
-//                         event: atomic in virtual time.
+//   armed    -> copying   plan the move, arm the write watch, start the pass;
+//   copied   -> draining  detach the instance and start the final drain;
+//   draining -> done      once source and destination agree, cut over.
 //
-// The instance re-attaches to whichever engine serves at that tick, so a
-// crash that lands while it is parked only moves the cutover's target.
+// The copy loop itself moves copying -> copied when the first pass has
+// landed. Correctness leans on the same idempotent re-execution argument as
+// the crash path (Section 5.3): writes the detached engine had not completed
+// are re-executed against the destination; writes it had completed landed
+// on the source before the detach and were dirty-chased across. The instance
+// re-attaches to whichever engine serves at that tick, so a crash that lands
+// while it is parked only moves the cutover's target.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <vector>
 
-#include "common/check.h"
+#include "common/units.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
-#include "core/migration.h"
 #include "offload/progress.h"
 #include "rdma/qp.h"
+#include "telemetry/trace.h"
 #include "workload/cluster.h"
 
 namespace cowbird::workload {
 
 class RegionCutover {
  public:
+  struct Config {
+    Bytes chunk = KiB(64);
+    int window = 4;  // outstanding copy WRITEs
+  };
+
   // Moves the range of `client`'s `region` at `range_base` from memory
   // server `from` to server `to`. `halt` parks the instance the way a crash
-  // detaches it (Cluster::Detach).
+  // detaches it (Cluster::Detach). With a hub on the cluster, the copy and
+  // the drain are spans on its "migration" track.
   RegionCutover(Cluster& cluster, core::ClusterPool& pool,
                 core::CowbirdClient& client, std::uint16_t region,
-                std::uint64_t range_base, int from, int to,
-                core::RegionMigrator::Config config, bool halt)
-      : cluster_(cluster),
-        pool_(pool),
-        client_(client),
-        region_(region),
-        range_base_(range_base),
-        from_(from),
-        to_(to),
-        config_(config),
-        halt_(halt),
-        copy_qp_(rdma::ConnectQueuePairs(*cluster.memory(from).dev,
-                                         *cluster.memory(to).dev)) {}
+                std::uint64_t range_base, int from, int to, Config config,
+                bool halt);
+  ~RegionCutover();
+  RegionCutover(const RegionCutover&) = delete;
+  RegionCutover& operator=(const RegionCutover&) = delete;
 
   // One coordinator step. `serving` is the engine the instance is attached
   // to, or re-attaches to at the cutover. Returns true when the stage moved.
-  bool Tick(Cluster::Engine serving) {
-    switch (stage_) {
-      case MigrationStage::kArmed:
-        plan_ = pool_.PlanMove(region_, range_base_,
-                               cluster_.memory(to_).id());
-        COWBIRD_CHECK(plan_.has_value());
-        migrator_ = std::make_unique<core::RegionMigrator>(
-            *cluster_.memory(from_).dev, *copy_qp_.a, *copy_qp_.a_send_cq,
-            *plan_, config_);
-        migrator_->Start();
-        stage_ = MigrationStage::kCopying;
-        return true;
-      case MigrationStage::kCopying:
-        if (!migrator_->ReadyForCutover()) return false;
-        // Stragglers already on the wire still land on the source, re-mark
-        // their chunk, and are chased before Synced().
-        resume_ = cluster_.Detach(serving, client_, halt_);
-        COWBIRD_CHECK(resume_.has_value());
-        migrator_->BeginFinalDrain();
-        stage_ = MigrationStage::kDraining;
-        return true;
-      case MigrationStage::kDraining:
-        migrator_->Nudge();
-        if (!migrator_->Synced()) return false;
-        // The resumed engine builds its translation mirror from the new
-        // placement, so every re-executed and new operation resolves to
-        // the destination server.
-        pool_.CommitMove(*plan_);
-        client_.SetRegionRanges(region_, pool_.RangesFor(region_));
-        migrator_->Finish();
-        cluster_.Attach(serving, client_, {from_, to_}, &*resume_);
-        stage_ = MigrationStage::kDone;
-        return true;
-      case MigrationStage::kDone:
-        return false;
-    }
-    return false;
-  }
+  bool Tick(Cluster::Engine serving);
 
   // Between the detach and the re-attach: no engine serves the instance.
-  bool parked() const { return stage_ == MigrationStage::kDraining; }
-  bool done() const { return stage_ == MigrationStage::kDone; }
-  // Null until the first tick.
-  const core::RegionMigrator* migrator() const { return migrator_.get(); }
+  bool parked() const { return stage_ == Stage::kDraining; }
+  bool done() const { return stage_ == Stage::kDone; }
+  // Bytes the copy stream moved (first pass, dirty chase and drain), and
+  // chunks an application write marked dirty.
+  std::uint64_t bytes_copied() const { return bytes_copied_; }
+  std::uint64_t dirty_marks() const { return dirty_marks_; }
 
  private:
-  enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
+  enum class Stage { kArmed, kCopying, kCopied, kDraining, kDone };
+
+  rdma::Device& source() { return *cluster_.memory(from_).dev; }
+  std::size_t ChunkCount() const { return dirty_.size(); }
+  void OnWrite(std::uint64_t addr, std::uint32_t len);
+  void Pump();
+  void PostChunk(std::size_t index);
 
   Cluster& cluster_;
   core::ClusterPool& pool_;
@@ -110,13 +99,22 @@ class RegionCutover {
   std::uint64_t range_base_;
   int from_;
   int to_;
-  core::RegionMigrator::Config config_;
+  Config config_;
   bool halt_;
   rdma::QpPair copy_qp_;
-  MigrationStage stage_ = MigrationStage::kArmed;
+  Stage stage_ = Stage::kArmed;
   std::optional<core::ClusterPool::MigrationPlan> plan_;
-  std::unique_ptr<core::RegionMigrator> migrator_;
   std::optional<offload::InstanceProgress> resume_;
+
+  std::uint64_t watch_ = 0;  // the dirty-tracking write watch, once armed
+  std::size_t pass_next_ = 0;  // next chunk of the first pass
+  int outstanding_ = 0;
+  std::vector<bool> dirty_;  // one bit per chunk, sized when armed
+  std::uint64_t bytes_copied_ = 0;
+  std::uint64_t dirty_marks_ = 0;
+
+  telemetry::SpanTracer::SpanHandle copy_span_{};
+  telemetry::SpanTracer::SpanHandle drain_span_{};
 };
 
 }  // namespace cowbird::workload

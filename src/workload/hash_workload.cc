@@ -17,7 +17,6 @@
 #include "common/stats.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
-#include "core/migration.h"
 #include "net/flow.h"
 #include "p4/engine.h"
 #include "workload/cluster.h"
@@ -157,10 +156,8 @@ struct Harness {
       // The copy stream rides a dedicated QP src→dst (connected here),
       // sharing the fabric — and therefore contending — with the
       // foreground traffic.
-      core::RegionMigrator::Config mc;
-      mc.telemetry = cfg.telemetry;
       cutover.emplace(cluster, pool, *clients[0], kRegion, kPoolBase, 0, 1,
-                      mc, /*halt=*/false);
+                      RegionCutover::Config{}, /*halt=*/false);
     }
 
     if (cfg.loss_rate > 0) {
@@ -665,10 +662,8 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
 
   if (config.migrate) {
     result.migrations = h.cutover->done() ? 1 : 0;
-    if (const core::RegionMigrator* migrator = h.cutover->migrator()) {
-      result.migrate_bytes_copied = migrator->bytes_copied();
-      result.migrate_dirty_marks = migrator->dirty_marks();
-    }
+    result.migrate_bytes_copied = h.cutover->bytes_copied();
+    result.migrate_dirty_marks = h.cutover->dirty_marks();
     result.migrate_started_at = h.migrate_started_at;
     result.migrate_cutover_at = h.migrate_cutover_at;
     // Phase split of the measure window, defined only when the whole

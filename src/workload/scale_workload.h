@@ -64,9 +64,9 @@ struct ScaleWorkloadConfig {
   // allocated from a ClusterPool on memory server 0 and, at `migrate_start`
   // (absolute sim time, warmup included), live-migrated to memory server 1
   // while every client keeps issuing — copy pass, cutover, re-attach, all
-  // under the foreground read traffic, with the RegionMigrator's default
-  // chunking. Off by default; a non-migrating run is byte-identical to a
-  // pre-rebalance build.
+  // under the foreground read traffic, in RegionCutover's default 64 KiB
+  // chunks, 4 in flight. Off by default; a non-migrating run is
+  // byte-identical to a pre-rebalance build.
   bool migrate = false;
   Nanos migrate_start = Micros(400);
 };

@@ -96,18 +96,23 @@ TEST(ChaosTraceTest, CleanRunReplaysClean) {
   EXPECT_TRUE(outcome.result.violations.empty());
 }
 
-// A trace of an unrun default workload whose `key` reads `value` instead:
-// the file chaos_replay would be handed.
+// A trace of an unrun default run whose `name` line reads `content`
+// instead: the file chaos_replay would be handed.
+std::string TraceWithLine(const std::string& name, const std::string& content) {
+  std::string text = SerializeTrace(MakeTrace(ChaosOptions{}, ChaosResult{}));
+  const std::string line = "\n" + name + " ";
+  const auto from = text.find(line) + line.size();
+  text.replace(from, text.find('\n', from) - from, content);
+  return text;
+}
+
+// The same for a default workload whose `key` reads `value`.
 std::string TraceWithWorkloadValue(const std::string& key,
                                    const std::string& value) {
   std::string workload = WorkloadParams{}.Serialize();
   const auto at = workload.find(key + "=") + key.size() + 1;
   workload.replace(at, workload.find(' ', at) - at, value);
-  std::string text = SerializeTrace(MakeTrace(ChaosOptions{}, ChaosResult{}));
-  const std::string line = "\nworkload ";
-  const auto from = text.find(line) + line.size();
-  text.replace(from, text.find('\n', from) - from, workload);
-  return text;
+  return TraceWithLine("workload", workload);
 }
 
 bool Refused(const std::string& key, const std::string& value) {
@@ -140,6 +145,75 @@ TEST(ChaosTraceTest, OutstandingPastTheWindowIsRefused) {
 
 TEST(ChaosTraceTest, ZeroSlotsAreRefused) {
   EXPECT_TRUE(Refused("slots", "0"));
+}
+
+bool PlanRefused(const std::string& plan) {
+  return !ParseTrace(TraceWithLine("plan", plan)).has_value();
+}
+
+TEST(ChaosTraceTest, PlanWithEveryKeyParses) {
+  EXPECT_FALSE(PlanRefused(
+      "drop=0.01 dup=0.02 reorder=1e-05 delay=0.05 delay_min=0 "
+      "delay_max=0 reorder_delay=0 max_dup=16 partitions=0-0,10-20 "
+      "crashes=0,300000 congestion=pause_storm migrate=1 migrate_start=0"));
+}
+
+// Plans RunChaos cannot run are refused at parse, so chaos_replay reports
+// "cannot parse" instead of aborting or running a different plan.
+TEST(ChaosTraceTest, NegativeCrashTimeIsRefused) {
+  EXPECT_TRUE(PlanRefused("crashes=-5"));
+}
+
+TEST(ChaosTraceTest, NonNumericCrashTimeIsRefused) {
+  EXPECT_TRUE(PlanRefused("crashes=abc"));
+}
+
+TEST(ChaosTraceTest, NegativeMigrateStartIsRefused) {
+  EXPECT_TRUE(PlanRefused("migrate=1 migrate_start=-100"));
+}
+
+TEST(ChaosTraceTest, RateWithTrailingCharactersIsRefused) {
+  EXPECT_TRUE(PlanRefused("drop=0.01x"));
+}
+
+TEST(ChaosTraceTest, RateAboveOneIsRefused) {
+  EXPECT_TRUE(PlanRefused("drop=1.5"));
+}
+
+TEST(ChaosTraceTest, NegativeRateIsRefused) {
+  EXPECT_TRUE(PlanRefused("dup=-0.1"));
+}
+
+TEST(ChaosTraceTest, RatesSummingPastOneAreRefused) {
+  EXPECT_TRUE(PlanRefused("drop=0.6 delay=0.6"));
+}
+
+TEST(ChaosTraceTest, DelayMinAboveDelayMaxIsRefused) {
+  EXPECT_TRUE(PlanRefused("delay_min=5000 delay_max=500"));
+}
+
+TEST(ChaosTraceTest, NegativeDelayBoundsAreRefused) {
+  EXPECT_TRUE(PlanRefused("delay_min=-500 delay_max=-100"));
+}
+
+TEST(ChaosTraceTest, NegativeReorderDelayIsRefused) {
+  EXPECT_TRUE(PlanRefused("reorder_delay=-1"));
+}
+
+TEST(ChaosTraceTest, ZeroMaxDuplicatesAreRefused) {
+  EXPECT_TRUE(PlanRefused("max_dup=0"));
+}
+
+TEST(ChaosTraceTest, MaxDuplicatesPastSixteenAreRefused) {
+  EXPECT_TRUE(PlanRefused("max_dup=17"));
+}
+
+TEST(ChaosTraceTest, PartitionEndingBeforeItStartsIsRefused) {
+  EXPECT_TRUE(PlanRefused("partitions=2000-1000"));
+}
+
+TEST(ChaosTraceTest, NonNumericPartitionEndIsRefused) {
+  EXPECT_TRUE(PlanRefused("partitions=1000-20x0"));
 }
 
 }  // namespace

@@ -161,6 +161,19 @@ TEST(FaultPlanTest, FromSeedIsDeterministic) {
   EXPECT_NE(a.Serialize(), c.Serialize());
 }
 
+// Every plan the sweeps derive is one RunChaos runs, and its trace line
+// parses back.
+TEST(FaultPlanTest, FromSeedPlansAreValid) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    for (const int crashes : {0, 2}) {
+      const FaultPlan plan = FaultPlan::FromSeed(seed, crashes);
+      EXPECT_TRUE(plan.Valid()) << plan.Serialize();
+      EXPECT_TRUE(FaultPlan::Parse(plan.Serialize()).has_value())
+          << plan.Serialize();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Full chaos runs.
 // ---------------------------------------------------------------------------

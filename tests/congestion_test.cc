@@ -444,6 +444,24 @@ TEST(ChaosCongestion, ScenariosPassAndSurfaceTheirCounters) {
   }
 }
 
+// The storm holds the links toward the compute and memory hosts; the
+// switch queues behind them must cross its own PFC watermark and pause
+// their senders, on both engines, while every run stays correct.
+TEST(ChaosCongestion, PauseStormDrivesTheSwitchPfc) {
+  for (const EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+    std::uint64_t switch_pauses = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      ChaosOptions opt = chaos::SweepOptions(engine, seed);
+      opt.plan.congestion = CongestionScenario::kPauseStorm;
+      const ChaosResult result = chaos::RunChaos(opt);
+      EXPECT_TRUE(result.Passed())
+          << chaos::EngineKindName(engine) << " seed " << seed;
+      switch_pauses += result.pfc_pauses;
+    }
+    EXPECT_GT(switch_pauses, 0u) << chaos::EngineKindName(engine);
+  }
+}
+
 TEST(ChaosCongestion, IncastSweepReportByteIdenticalAcrossJobs) {
   chaos::SweepConfig config;
   config.engines = {EngineKind::kSpot};

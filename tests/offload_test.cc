@@ -181,16 +181,16 @@ TEST(ProbeScheduler, DecayCredit) {
 
 // --------------------------------------------------------------- progress
 
-TEST(ProgressPublisher, PackUnpackRoundTrips) {
-  ThreadProgress p;
+TEST(RedBlock, PackUnpackRoundTrips) {
+  core::RedBlock p;
   p.meta_head = 0x0102030405060708;
   p.data_head = 11;
   p.resp_tail = 22;
   p.write_progress = 33;
   p.read_progress = 44;
-  std::array<std::uint8_t, ProgressPublisher::kBlockBytes> block{};
-  ProgressPublisher::Pack(p, block);
-  const ThreadProgress q = ProgressPublisher::Unpack(block);
+  std::array<std::uint8_t, core::kRedBlockBytes> block{};
+  p.Pack(block);
+  const core::RedBlock q = core::RedBlock::Unpack(block);
   EXPECT_EQ(q.meta_head, p.meta_head);
   EXPECT_EQ(q.data_head, p.data_head);
   EXPECT_EQ(q.resp_tail, p.resp_tail);
@@ -198,17 +198,17 @@ TEST(ProgressPublisher, PackUnpackRoundTrips) {
   EXPECT_EQ(q.read_progress, p.read_progress);
 }
 
-TEST(ProgressPublisher, WireLayoutIsLittleEndianU64s) {
-  ThreadProgress p;
+TEST(RedBlock, WireLayoutIsLittleEndianU64s) {
+  core::RedBlock p;
   p.meta_head = 0x0102030405060708;
   p.read_progress = 0xAABB;
-  std::array<std::uint8_t, ProgressPublisher::kBlockBytes> block{};
-  ProgressPublisher::Pack(p, block);
+  std::array<std::uint8_t, core::kRedBlockBytes> block{};
+  p.Pack(block);
   EXPECT_EQ(block[0], 0x08);  // least-significant byte first
   EXPECT_EQ(block[7], 0x01);
   EXPECT_EQ(block[32], 0xBB);
   EXPECT_EQ(block[33], 0xAA);
-  static_assert(ProgressPublisher::kBlockBytes == 40);
+  static_assert(core::kRedBlockBytes == 40);
 }
 
 TEST(ReconcileWithPublished, TakesTheNewerSideAndMarksUnpublishedThreads) {
@@ -226,7 +226,7 @@ TEST(ReconcileWithPublished, TakesTheNewerSideAndMarksUnpublishedThreads) {
   PendingOp beyond = covered;
   beyond.seq = 510;
   snapshot.pending = {{covered, beyond}, {}};
-  std::vector<ThreadProgress> published(2);
+  std::vector<core::RedBlock> published(2);
   published[0].read_progress = 502;
   published[1].meta_head = 8212;
   published[1].read_progress = 5770;

@@ -82,6 +82,21 @@ TEST(TelemetryJson, ParserRejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+// Arrays nested `depth` deep around a number.
+std::string Nested(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(TelemetryJson, ParserRefusesNestingDeeperThan64) {
+  EXPECT_TRUE(ParseJson(Nested(64)).has_value());
+  std::string error;
+  EXPECT_FALSE(ParseJson(Nested(65), &error).has_value());
+  EXPECT_EQ(error, "offset 64: nesting deeper than 64");
+  // Refused at the cap, long before the recursion could exhaust the stack.
+  EXPECT_FALSE(ParseJson(Nested(100'000)).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Metric registry
 // ---------------------------------------------------------------------------
